@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -292,8 +293,9 @@ size_t SweepGrid::flat_index(const PointKey& key) const {
 namespace {
 
 /// One Phase II solve's worth of output, produced by a pure point solve
-/// (core::solve_spm + optional replay) with no shared mutable state —
-/// what lets grid points of one job run on different workers.
+/// (core::solve_spm + optional replay) whose only shared state is the
+/// job's once-filled cache counts — what lets grid points of one job run
+/// on different workers.
 struct PointSolve {
   util::Status status;  ///< ok unless the solve threw or replay errored
   core::SpmReport spm;
@@ -301,10 +303,25 @@ struct PointSolve {
   spm::ReplayReport replay;
 };
 
+/// Hits and misses of one (capacity, cache axis value) pair of a job, one
+/// comparison per associativity, unpriced. They depend on the model and
+/// the geometry only, never on the energy model: the first solve group
+/// that needs the cell simulates it, every other group prices the same
+/// counts. A failure is kept in the cell and rethrown to every group, so
+/// each point of a bad geometry gets its own classified row. It is caught
+/// inside call_once because a throwing call_once hangs later callers
+/// under ThreadSanitizer and on some libstdc++ targets.
+struct CacheCell {
+  std::once_flag once;
+  std::vector<core::SpmReport::CacheComparison> counts;
+  std::exception_ptr failure;
+};
+
 PointSolve solve_point(const core::ForayModel& model,
                        const core::PipelineOptions& base,
                        const SweepPoint& point,
-                       const std::vector<spm::BufferCandidate>& candidates) {
+                       const std::vector<spm::BufferCandidate>& candidates,
+                       CacheCell* cache) {
   PointSolve out;
   // Fault site "spm.solve": the Phase II solver dies mid-point. param=0
   // injects an internal error (never retried); any nonzero param injects
@@ -323,8 +340,24 @@ PointSolve solve_point(const core::ForayModel& model,
   // Keep the failure-isolation promise even for internal errors during a
   // point solve: mark this solve's items, keep the sweep.
   try {
-    const core::SpmPhaseOptions popts = point.spm_options(base.spm);
+    core::SpmPhaseOptions popts = point.spm_options(base.spm);
+    // The comparison comes from the shared counts, not from solve_spm.
+    popts.compare_cache = false;
+    if (point.cache.enabled) {
+      std::call_once(cache->once, [&] {
+        try {
+          cache->counts = core::simulate_caches(model, popts);
+        } catch (...) {
+          cache->failure = std::current_exception();
+        }
+      });
+      if (cache->failure) std::rethrow_exception(cache->failure);
+    }
     out.spm = core::solve_spm(model, popts, &candidates);
+    if (point.cache.enabled) {
+      out.spm.caches = cache->counts;
+      core::price_caches(popts, &out.spm.caches);
+    }
     if (point.replay) {
       // The replay check is per-selection (see spm_replay_phase); a
       // failure to *execute* the transformed program fails the point,
@@ -358,10 +391,11 @@ bool transient(const util::Status& st) {
 PointSolve solve_point_with_retry(
     const core::ForayModel& model, const core::PipelineOptions& base,
     const SweepPoint& point,
-    const std::vector<spm::BufferCandidate>& candidates, int retries) {
-  PointSolve out = solve_point(model, base, point, candidates);
+    const std::vector<spm::BufferCandidate>& candidates, CacheCell* cache,
+    int retries) {
+  PointSolve out = solve_point(model, base, point, candidates, cache);
   for (int r = 0; r < retries && transient(out.status); ++r) {
-    out = solve_point(model, base, point, candidates);
+    out = solve_point(model, base, point, candidates, cache);
   }
   return out;
 }
@@ -397,30 +431,33 @@ std::vector<SolveGroup> solve_groups(const SweepGrid& grid) {
 /// Phase I state of one job, shared read-only by its solve groups.
 struct JobState {
   std::unique_ptr<Session> session;
-  bool phase1_ok = false;
+  /// Phase I outcome: the session's status, or the failure enumerating
+  /// the candidates hit. Not ok dooms every grid cell of the job.
+  util::Status phase1;
   /// Buffer candidates, enumerated ONCE per job: they depend only on the
   /// model and the reuse filter, never on the swept axes, so every grid
   /// point reuses this list instead of re-enumerating per solve.
   std::vector<spm::BufferCandidate> candidates;
+  /// Cache counts per (capacity index, cache axis index), row-major.
+  std::vector<CacheCell> cache_cells;
   /// Solve groups still outstanding; the worker that finishes the last
   /// one finalizes the job.
   std::atomic<size_t> remaining{0};
 };
 
 void run_phase1(const SweepJob& job, const SweepOptions& opts,
-                const SweepGrid& grid, JobState* js) {
+                JobState* js) {
+  // Phase I only: every grid point, the first included, is solved by its
+  // solve group, so a cold run and a model-cache hit take the same Phase
+  // II path — which is what makes warm output byte-identical to cold.
   SessionOptions sopts;
   sopts.pipeline = opts.pipeline;
-  sopts.pipeline.with_spm = true;
-  const SweepPoint& first = grid.points.front();
-  sopts.pipeline.spm = first.spm_options(opts.pipeline.spm);
-  sopts.pipeline.with_replay = first.replay;
+  sopts.pipeline.with_spm = false;
+  sopts.pipeline.with_replay = false;
 
   // Model-cache fast path: a hit makes this job pure Phase II. The
-  // candidates are re-enumerated from the cached model (they depend only
-  // on the model and the reuse filter), and group_task sees spm_ran ==
-  // false, so every solve group takes the ordinary solve_point path —
-  // which is what makes warm output byte-identical to cold.
+  // candidates are enumerated from the cached model (they depend only on
+  // the model and the reuse filter).
   std::string cache_key;
   if (opts.model_cache != nullptr) {
     cache_key = ModelCache::key(job.source, opts.pipeline);
@@ -434,7 +471,6 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
         session->adopt_model(std::move(cached));
         js->session = std::move(session);
         js->candidates = std::move(candidates);
-        js->phase1_ok = true;
         return;
       } catch (const std::exception&) {
         // A well-formed entry whose *content* lies (enumeration died on
@@ -462,32 +498,29 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
   // Phase I failures doom every grid cell; Phase II failures (including
   // replay execution errors) are per-point, so later cells still get
   // their own attempt.
-  js->phase1_ok = js->session->result().model_built;
-  if (!js->phase1_ok) return;
-  const core::PipelineResult& res = js->session->result();
+  js->phase1 = js->session->status();
+  if (!js->phase1.ok()) return;
+  const core::ForayModel& model = js->session->result().model;
   try {
-    if (res.spm_ran) {
-      // run() above already enumerated for point 0 under the same reuse
-      // filter (spm_options never touches it); steal the list.
-      js->candidates = res.spm.candidates;
-    } else {
-      js->candidates =
-          spm::enumerate_candidates(res.model, opts.pipeline.spm.reuse);
-    }
-  } catch (const std::exception&) {
-    // Only reachable when run() already failed between Extract and
-    // SpmPhase; the session status carries that failure to every item.
-    js->phase1_ok = false;
+    js->candidates =
+        spm::enumerate_candidates(model, opts.pipeline.spm.reuse);
+  } catch (const std::bad_alloc&) {
+    js->phase1 = util::Status::failure(util::ErrorCode::kResourceExhausted,
+                                       "pipeline", 0, "out of memory");
+    return;
+  } catch (const std::exception& e) {
+    js->phase1 = util::Status::failure("internal", 0, e.what());
+    return;
   }
-  if (js->phase1_ok && opts.model_cache != nullptr) {
+  if (opts.model_cache != nullptr) {
     // Best-effort: a failed store only costs the next run a recompute.
-    opts.model_cache->store(cache_key, res.model);
+    opts.model_cache->store(cache_key, model);
   }
 }
 
 /// Builds the SweepItem for grid point `i` from its group's solve.
-/// `solve == nullptr` means Phase I failed and the session status is the
-/// item's outcome. `retain_full` gates what only the buffered report
+/// `solve == nullptr` means Phase I failed and js.phase1 is the item's
+/// outcome. `retain_full` gates what only the buffered report
 /// reads (the describe_spm_report text and the SpmReport's candidates
 /// vector); the streaming path skips both.
 SweepItem build_item(const SweepJob& job, size_t job_index,
@@ -501,7 +534,7 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
   item.key = point.key;
   item.key.job = job_index;
   item.point = point;
-  item.status = js.session->status();
+  item.status = js.phase1;
   if (solve == nullptr) return item;
   item.status = solve->status;
   if (!item.status.ok()) return item;
@@ -653,8 +686,8 @@ class SweepExec {
         return;
       }
     }
-    run_phase1(jobs_[j], opts_, grid_, &js);
-    if (!js.phase1_ok) {
+    run_phase1(jobs_[j], opts_, &js);
+    if (!js.phase1.ok()) {
       for (size_t i = 0; i < grid_.points.size(); ++i) {
         if (plan_.point_cached(j, i)) continue;
         on_item_(j,
@@ -670,6 +703,8 @@ class SweepExec {
       if (!plan_.group_fully_cached(j, g)) ++needed;
     }
     js.remaining.store(needed, std::memory_order_relaxed);
+    js.cache_cells =
+        std::vector<CacheCell>(grid_.capacities.size() * grid_.caches.size());
     for (size_t g = 0; g < groups_.size(); ++g) {
       if (plan_.group_fully_cached(j, groups_[g])) continue;
       pool_.submit([this, j, g] { group_task(j, groups_[g]); });
@@ -678,20 +713,13 @@ class SweepExec {
 
   void group_task(size_t j, const SolveGroup& g) {
     JobState& js = *states_[j];
-    const core::PipelineResult& res = js.session->result();
-    PointSolve solve;
-    if (g.begin == 0 && res.spm_ran) {
-      // run_phase1's session->run() already solved point 0's
-      // configuration; reuse it instead of re-running the DSE.
-      solve.status = js.session->status();
-      solve.spm = res.spm;
-      solve.replay_ran = res.replay_ran;
-      if (solve.replay_ran) solve.replay = res.replay;
-    } else {
-      solve = solve_point_with_retry(res.model, opts_.pipeline,
-                                     grid_.points[g.begin], js.candidates,
-                                     opts_.transient_retries);
-    }
+    const SweepPoint& head = grid_.points[g.begin];
+    CacheCell& cache =
+        js.cache_cells[head.key.capacity * grid_.caches.size() +
+                       head.key.cache];
+    const PointSolve solve = solve_point_with_retry(
+        js.session->result().model, opts_.pipeline, head, js.candidates,
+        &cache, opts_.transient_retries);
     for (size_t i = g.begin; i < g.end; ++i) {
       if (plan_.point_cached(j, i)) continue;
       on_item_(j,
@@ -1120,7 +1148,6 @@ std::string SweepReport::ndjson() const {
 // -- driver -------------------------------------------------------------------
 
 SweepDriver::SweepDriver(SweepOptions opts) : opts_(std::move(opts)) {
-  opts_.pipeline.with_spm = true;
   if (opts_.threads < 1) opts_.threads = 1;
   grid_ = SweepGrid::expand(opts_.spec, opts_.pipeline);
 }

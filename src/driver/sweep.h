@@ -22,10 +22,14 @@
 // maximal run of consecutive points sharing (capacity, energy, cache,
 // replay); the algorithm axis only relabels the headline selection. A
 // P-program × K-point grid costs P pipeline runs, P candidate
-// enumerations and at most P·K cheap DSE solves.
+// enumerations and at most P·K cheap DSE solves. Cache comparisons are
+// simulated once per program and (capacity, geometry), whatever the
+// energy axis holds: hits and misses do not depend on the energy model,
+// so each point only prices the shared counts.
 //
 // Both jobs AND the solve groups within one job are fanned across the
-// thread pool (core::solve_spm is pure over the immutable model), so a
+// thread pool (core::solve_spm is pure over the immutable model, and the
+// shared cache counts are filled under std::call_once), so a
 // single-program sweep saturates every worker instead of serializing on
 // one. Results land in pre-allocated slots indexed by PointKey, so every
 // report is byte-for-byte identical whatever the thread count — the
@@ -157,7 +161,8 @@ struct SweepOptions {
   int threads = 1;
   SweepSpec spec;
   /// Phase I configuration (engine, filter, shards) and the base Phase
-  /// II options that empty axes inherit. with_spm is forced on.
+  /// II options that empty axes inherit. with_spm is ignored: the sweep
+  /// runs Phase II itself, per grid point.
   core::PipelineOptions pipeline;
   /// How many times a *transient* failure (ErrorCode::kIoError — the
   /// outside world failed, not the input and not this library) is

@@ -130,17 +130,39 @@ SpmReport solve_spm(const ForayModel& model, const SpmPhaseOptions& opts,
   report.baseline = spm::evaluate_baseline(model, opts.dse.energy);
   report.with_spm = spm::evaluate_selection(model, report.exact, opts.dse);
   if (opts.compare_cache) {
-    for (int assoc : opts.cache_assocs) {
-      spm::CacheSim cache(spm::CacheConfig{opts.dse.spm_capacity,
-                                           opts.cache_line_bytes, assoc});
-      spm::for_each_address(model,
-                            [&](uint32_t addr) { cache.access(addr); });
-      report.caches.push_back(SpmReport::CacheComparison{
-          assoc, cache.hits(), cache.misses(),
-          cache.energy_nj(opts.dse.energy)});
-    }
+    report.caches = simulate_caches(model, opts);
+    price_caches(opts, &report.caches);
   }
   return report;
+}
+
+std::vector<SpmReport::CacheComparison> simulate_caches(
+    const ForayModel& model, const SpmPhaseOptions& opts) {
+  std::vector<SpmReport::CacheComparison> caches;
+  for (int assoc : opts.cache_assocs) {
+    const spm::CacheConfig cfg{opts.dse.spm_capacity, opts.cache_line_bytes,
+                               assoc};
+    const std::string why = spm::cache_geometry_error(cfg);
+    if (!why.empty()) {
+      throw util::StatusError(util::Status::failure(
+          util::ErrorCode::kInvalidInput, "spm-solve", 0, why));
+    }
+    spm::CacheSim cache(cfg);
+    spm::for_each_address(model, [&](uint32_t addr) { cache.access(addr); });
+    caches.push_back(SpmReport::CacheComparison{assoc, cache.hits(),
+                                                cache.misses(), 0.0});
+  }
+  return caches;
+}
+
+void price_caches(const SpmPhaseOptions& opts,
+                  std::vector<SpmReport::CacheComparison>* caches) {
+  for (SpmReport::CacheComparison& c : *caches) {
+    c.energy_nj = spm::cache_energy_nj(
+        spm::CacheConfig{opts.dse.spm_capacity, opts.cache_line_bytes,
+                         c.assoc},
+        c.hits, c.misses, opts.dse.energy);
+  }
 }
 
 util::Status spm_phase(const SpmPhaseOptions& opts, PipelineResult* result) {

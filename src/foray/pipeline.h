@@ -196,6 +196,19 @@ SpmReport solve_spm(const ForayModel& model, const SpmPhaseOptions& opts,
                     const std::vector<spm::BufferCandidate>* candidates =
                         nullptr);
 
+/// The cache comparison of SpmPhaseOptions::compare_cache, in its two
+/// halves. simulate_caches replays the model's address stream through
+/// one cache of opts.dse.spm_capacity bytes per opts.cache_assocs entry
+/// and records hits and misses, leaving energy_nj 0; a geometry that
+/// cannot be built throws util::StatusError (kInvalidInput, phase
+/// "spm-solve") instead of reaching CacheSim. The counts depend on the
+/// geometry only, so a sweep simulates each (capacity, geometry) once and
+/// prices it per energy model with price_caches, which fills energy_nj.
+std::vector<SpmReport::CacheComparison> simulate_caches(
+    const ForayModel& model, const SpmPhaseOptions& opts);
+void price_caches(const SpmPhaseOptions& opts,
+                  std::vector<SpmReport::CacheComparison>* caches);
+
 /// Phase II exit check: emit the transformed program for the SpmPhase's
 /// exact selection, execute it on the simulator (same engine as the
 /// profiling run) and lock the classified traffic against the analytic

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "spm/energy.h"
@@ -18,6 +19,19 @@ struct CacheConfig {
   uint32_t line_bytes = 32;
   int assoc = 2;
 };
+
+/// Why `cfg` cannot be simulated (line size not 2^k, no ways, smaller
+/// than one set, or a set count not 2^k), naming the geometry; empty when
+/// it can. CacheSim's constructor enforces the same rules as internal
+/// checks; callers fed user geometries check here first.
+std::string cache_geometry_error(const CacheConfig& cfg);
+
+/// Energy of `hits` + `misses` accesses to a cache of geometry `cfg`:
+/// every access pays the cache lookup; every miss additionally fetches a
+/// full line from main memory. Counts simulated once can be priced under
+/// any number of energy models.
+double cache_energy_nj(const CacheConfig& cfg, uint64_t hits,
+                       uint64_t misses, const EnergyModel& e);
 
 class CacheSim {
  public:
@@ -33,8 +47,7 @@ class CacheSim {
     return accesses() ? static_cast<double>(hits_) / accesses() : 0.0;
   }
 
-  /// Total energy: every access pays the cache lookup; every miss
-  /// additionally fetches a full line from main memory.
+  /// Total energy of the accesses so far (cache_energy_nj).
   double energy_nj(const EnergyModel& e) const;
 
   const CacheConfig& config() const { return cfg_; }

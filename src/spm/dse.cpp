@@ -29,31 +29,38 @@ Selection select_buffers(const std::vector<BufferCandidate>& candidates,
   // A zero granule must quantize as one byte, not divide by zero.
   const uint32_t granule = std::max<uint32_t>(opts.granule, 1);
   const uint32_t slots = opts.spm_capacity / granule;
-  // dp[w] = best savings using at most w granules; choice tracking per
-  // group layer.
-  std::vector<double> dp(slots + 1, 0.0);
-  std::vector<std::vector<const BufferCandidate*>> pick(
-      slots + 1);  // chosen set achieving dp[w]
+  const size_t width = static_cast<size_t>(slots) + 1;
+  const auto need_of = [granule](const BufferCandidate* c) {
+    return static_cast<uint32_t>((c->size_bytes + granule - 1) / granule);
+  };
+  // dp[w] = best savings using at most w granules. choice[g * width + w]
+  // is 1 + the index of the group-g item that set dp[w] in layer g, or 0
+  // when the cell carried over from layer g - 1; backtracking from the
+  // best cell recovers the selection without a pick list per cell.
+  std::vector<double> dp(width, 0.0);
+  std::vector<double> next_dp(width);
+  std::vector<uint16_t> choice(groups.size() * width, 0);
 
+  size_t g = 0;
   for (const auto& [ref, items] : groups) {
     (void)ref;
-    std::vector<double> next_dp = dp;
-    auto next_pick = pick;
-    for (const BufferCandidate* c : items) {
-      const uint32_t need = static_cast<uint32_t>(
-          (c->size_bytes + granule - 1) / granule);
-      const double gain = candidate_saving_nj(*c, opts);
+    FORAY_CHECK(items.size() < UINT16_MAX,
+                "too many buffer candidates for one reference");
+    next_dp = dp;  // same size: copies in place, no allocation
+    uint16_t* row = &choice[g * width];
+    for (size_t k = 0; k < items.size(); ++k) {
+      const uint32_t need = need_of(items[k]);
+      const double gain = candidate_saving_nj(*items[k], opts);
       for (uint32_t w = need; w <= slots; ++w) {
         const double with = dp[w - need] + gain;
         if (with > next_dp[w]) {
           next_dp[w] = with;
-          next_pick[w] = pick[w - need];
-          next_pick[w].push_back(c);
+          row[w] = static_cast<uint16_t>(k + 1);
         }
       }
     }
-    dp = std::move(next_dp);
-    pick = std::move(next_pick);
+    dp.swap(next_dp);
+    ++g;
   }
 
   Selection sel;
@@ -62,10 +69,17 @@ Selection select_buffers(const std::vector<BufferCandidate>& candidates,
     if (dp[w] > dp[best_w]) best_w = w;
   }
   sel.saved_nj = dp[best_w];
-  for (const BufferCandidate* c : pick[best_w]) {
+  uint32_t w = best_w;
+  auto layer = groups.rbegin();
+  for (g = groups.size(); g-- > 0; ++layer) {
+    const uint16_t k = choice[g * width + w];
+    if (k == 0) continue;
+    const BufferCandidate* c = layer->second[k - 1];
     sel.chosen.push_back(*c);
     sel.bytes_used += c->size_bytes;
+    w -= need_of(c);
   }
+  std::reverse(sel.chosen.begin(), sel.chosen.end());
   return sel;
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
+
 #include "foray/pipeline.h"
 #include "spm/address_stream.h"
 #include "spm/cache_sim.h"
@@ -7,6 +11,8 @@
 #include "spm/energy.h"
 #include "spm/reuse.h"
 #include "spm/spm_sim.h"
+#include "util/rng.h"
+#include "util/status.h"
 
 namespace foray::spm {
 namespace {
@@ -191,6 +197,127 @@ TEST(Dse, NoCandidatesNoSelection) {
   EXPECT_EQ(sel.saved_nj, 0.0);
 }
 
+/// The group-knapsack DP as it was before the back-pointer table: every
+/// cell carries a copy of the pick list that achieves it. Kept as the
+/// oracle the table-based select_buffers must match bit for bit.
+Selection pick_vector_select_buffers(
+    const std::vector<BufferCandidate>& candidates, const DseOptions& opts) {
+  std::map<size_t, std::vector<const BufferCandidate*>> groups;
+  for (const auto& c : candidates) {
+    if (c.size_bytes <= opts.spm_capacity &&
+        candidate_saving_nj(c, opts) > 0.0) {
+      groups[c.ref_index].push_back(&c);
+    }
+  }
+  const uint32_t granule = std::max<uint32_t>(opts.granule, 1);
+  const uint32_t slots = opts.spm_capacity / granule;
+  std::vector<double> dp(slots + 1, 0.0);
+  std::vector<std::vector<const BufferCandidate*>> pick(slots + 1);
+  for (const auto& [ref, items] : groups) {
+    (void)ref;
+    std::vector<double> next_dp = dp;
+    auto next_pick = pick;
+    for (const BufferCandidate* c : items) {
+      const uint32_t need = static_cast<uint32_t>(
+          (c->size_bytes + granule - 1) / granule);
+      const double gain = candidate_saving_nj(*c, opts);
+      for (uint32_t w = need; w <= slots; ++w) {
+        const double with = dp[w - need] + gain;
+        if (with > next_dp[w]) {
+          next_dp[w] = with;
+          next_pick[w] = pick[w - need];
+          next_pick[w].push_back(c);
+        }
+      }
+    }
+    dp = std::move(next_dp);
+    pick = std::move(next_pick);
+  }
+  Selection sel;
+  uint32_t best_w = 0;
+  for (uint32_t w = 0; w <= slots; ++w) {
+    if (dp[w] > dp[best_w]) best_w = w;
+  }
+  sel.saved_nj = dp[best_w];
+  for (const BufferCandidate* c : pick[best_w]) {
+    sel.chosen.push_back(*c);
+    sel.bytes_used += c->size_bytes;
+  }
+  return sel;
+}
+
+/// A random candidate set: 1-12 references, a quarter of them with a
+/// single candidate, and in tie mode gains drawn from a tiny set so that
+/// equal savings (and exact duplicates) are common. Candidates arrive in
+/// shuffled order, as grouping must not depend on it.
+std::vector<BufferCandidate> random_candidates(util::Rng& rng, bool ties) {
+  std::vector<BufferCandidate> out;
+  const size_t refs = 1 + rng.next_below(12);
+  for (size_t r = 0; r < refs; ++r) {
+    const size_t items = rng.next_below(4) == 0 ? 1 : 1 + rng.next_below(6);
+    for (size_t k = 0; k < items; ++k) {
+      BufferCandidate c;
+      c.ref_index = r;
+      c.level = static_cast<int>(k + 1);
+      if (ties) {
+        c.size_bytes = 16 * (1 + rng.next_below(4));
+        c.spm_accesses = 100 * (1 + rng.next_below(3));
+        c.transfer_words = 10 * rng.next_below(2);
+      } else {
+        c.size_bytes = 1 + rng.next_below(600);
+        c.spm_accesses = rng.next_below(5000);
+        c.transfer_words = rng.next_below(1500);
+      }
+      out.push_back(c);
+    }
+  }
+  for (size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.next_below(i)]);
+  }
+  return out;
+}
+
+TEST(Dse, BackPointerDpMatchesPickVectorDp) {
+  const uint32_t granules[] = {0, 1, 8, 13};
+  int nontrivial = 0;
+  int below_all = 0;
+  for (uint64_t seed = 0; seed < 600; ++seed) {
+    util::Rng rng(seed);
+    const bool ties = seed % 3 == 0;
+    const std::vector<BufferCandidate> cands = random_candidates(rng, ties);
+    DseOptions opts;
+    opts.granule = granules[seed % 4];
+    uint64_t smallest = UINT64_MAX;
+    for (const auto& c : cands) smallest = std::min(smallest, c.size_bytes);
+    if (seed % 10 == 7) {
+      // Below every candidate: nothing fits.
+      opts.spm_capacity = static_cast<uint32_t>(smallest - 1);
+      ++below_all;
+    } else {
+      // Mostly not a multiple of the granule.
+      opts.spm_capacity = static_cast<uint32_t>(rng.next_below(2000));
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", capacity " +
+                 std::to_string(opts.spm_capacity) + ", granule " +
+                 std::to_string(opts.granule));
+    const Selection want = pick_vector_select_buffers(cands, opts);
+    const Selection got = select_buffers(cands, opts);
+    ASSERT_EQ(got.chosen.size(), want.chosen.size());
+    for (size_t i = 0; i < want.chosen.size(); ++i) {
+      EXPECT_EQ(got.chosen[i].ref_index, want.chosen[i].ref_index);
+      EXPECT_EQ(got.chosen[i].level, want.chosen[i].level);
+      EXPECT_EQ(got.chosen[i].size_bytes, want.chosen[i].size_bytes);
+    }
+    EXPECT_EQ(got.bytes_used, want.bytes_used);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.saved_nj),
+              std::bit_cast<uint64_t>(want.saved_nj));
+    if (want.chosen.size() >= 2) ++nontrivial;
+  }
+  // The sets exercise real packings, not just empty selections.
+  EXPECT_GT(nontrivial, 300);
+  EXPECT_EQ(below_all, 60);
+}
+
 // -- SPM evaluation -------------------------------------------------------------
 
 TEST(SpmSim, SelectionReducesEnergy) {
@@ -328,6 +455,69 @@ TEST(Cache, EnergyAccountsForMissFills) {
   for (int i = 0; i < 127; ++i) cache.access(0);  // 127 hits
   double mostly_hit = cache.energy_nj(e);
   EXPECT_GT(all_miss, mostly_hit);
+}
+
+TEST(Cache, GeometryErrorsNameTheGeometry) {
+  EXPECT_EQ(cache_geometry_error(CacheConfig{4096, 32, 2}), "");
+  EXPECT_EQ(cache_geometry_error(CacheConfig{3072, 32, 3}), "");  // 32 sets
+  EXPECT_EQ(cache_geometry_error(CacheConfig{1, 32, 2}),
+            "1 B cache with 32 B lines x 2 ways: smaller than one set");
+  EXPECT_EQ(cache_geometry_error(CacheConfig{3072, 32, 2}),
+            "3072 B cache with 32 B lines x 2 ways: 48 sets, not a power "
+            "of two");
+  EXPECT_NE(cache_geometry_error(CacheConfig{4096, 33, 1}), "");
+  EXPECT_NE(cache_geometry_error(CacheConfig{4096, 32, 0}), "");
+  // 2^31 B lines x 2 ways wrap a 32-bit set size to zero; the 64-bit
+  // check sees a set larger than the cache instead of dividing by zero.
+  const CacheConfig wraps{4096, 1u << 31, 2};
+  EXPECT_NE(cache_geometry_error(wraps).find("smaller than one set"),
+            std::string::npos);
+  EXPECT_THROW(CacheSim{wraps}, util::InternalError);
+}
+
+TEST(Cache, SharedCountsPriceLikeAFreshSimulation) {
+  // The sweep simulates each (capacity, geometry) once and prices the
+  // counts per energy model; every preset must get the same doubles a
+  // fresh CacheSim would report.
+  core::ForayModel model;
+  model.refs.push_back(make_ref({0, 4}, {50, 512}));
+  model.refs.push_back(make_ref({256, 4}, {8, 32}, 0x9000));
+  core::SpmPhaseOptions opts;
+  opts.dse.spm_capacity = 2048;
+  opts.cache_line_bytes = 32;
+  opts.cache_assocs = {1, 2, 4};
+  const auto counts = core::simulate_caches(model, opts);
+  ASSERT_EQ(counts.size(), 3u);
+  for (const EnergyPreset& preset : energy_presets()) {
+    SCOPED_TRACE(preset.name);
+    opts.dse.energy = preset.model;
+    auto priced = counts;
+    core::price_caches(opts, &priced);
+    for (size_t a = 0; a < priced.size(); ++a) {
+      CacheSim cache(CacheConfig{2048, 32, opts.cache_assocs[a]});
+      for_each_address(model, [&](uint32_t addr) { cache.access(addr); });
+      EXPECT_EQ(priced[a].assoc, opts.cache_assocs[a]);
+      EXPECT_EQ(priced[a].hits, cache.hits());
+      EXPECT_EQ(priced[a].misses, cache.misses());
+      EXPECT_EQ(std::bit_cast<uint64_t>(priced[a].energy_nj),
+                std::bit_cast<uint64_t>(cache.energy_nj(preset.model)));
+    }
+  }
+}
+
+TEST(Cache, ImpossibleGeometryIsInvalidInput) {
+  core::ForayModel model;
+  model.refs.push_back(make_ref({0, 4}, {10, 64}));
+  core::SpmPhaseOptions opts;
+  opts.dse.spm_capacity = 3072;
+  opts.cache_assocs = {2};
+  try {
+    core::simulate_caches(model, opts);
+    FAIL() << "3072 B / 32x2 has 48 sets";
+  } catch (const util::StatusError& e) {
+    EXPECT_EQ(e.status().code(), util::ErrorCode::kInvalidInput);
+    EXPECT_EQ(e.status().phase(), "spm-solve");
+  }
 }
 
 TEST(Cache, SpmBeatsCacheOnBlockedReuse) {

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "driver/model_cache.h"
 #include "driver/sweep.h"
 #include "spm/energy.h"
 #include "util/status.h"
@@ -418,6 +419,95 @@ TEST(SweepDriver, BrokenProgramYieldsClassifiedRowsOthersUnchanged) {
             rows_mentioning(clean.str(), "ok"));
   EXPECT_EQ(rows_mentioning(faulty1.str(), "ok2"),
             rows_mentioning(clean.str(), "ok2"));
+}
+
+TEST(SweepDriver, SharedCacheCountsMatchAPerPointSolve) {
+  // Every grid point prices its job's once-simulated cache counts; the
+  // result must equal solving the point on its own, energy model and all.
+  SweepOptions o = sweep_opts(4);
+  ASSERT_TRUE(o.spec.parse_axis("capacity", "256,4096").ok());
+  ASSERT_TRUE(
+      o.spec.parse_axis("energy", "default,dram-heavy,fast-spm").ok());
+  ASSERT_TRUE(o.spec.parse_axis("cache", "off,32x2,64x4").ok());
+  auto report = SweepDriver(o).run(good_jobs());
+  for (const auto& item : report.items) {
+    ASSERT_TRUE(item.status.ok()) << item.status.message();
+    const core::SpmReport solo = core::solve_spm(
+        report.sessions[item.key.job]->result().model,
+        item.point.spm_options(o.pipeline.spm));
+    ASSERT_EQ(item.spm.caches.size(), solo.caches.size());
+    for (size_t a = 0; a < solo.caches.size(); ++a) {
+      EXPECT_EQ(item.spm.caches[a].assoc, solo.caches[a].assoc);
+      EXPECT_EQ(item.spm.caches[a].hits, solo.caches[a].hits);
+      EXPECT_EQ(item.spm.caches[a].misses, solo.caches[a].misses);
+      EXPECT_EQ(item.spm.caches[a].energy_nj, solo.caches[a].energy_nj);
+    }
+  }
+}
+
+TEST(SweepDriver, ImpossibleCacheGeometryFailsOnlyItsOwnPoints) {
+  // 1 B cannot hold one 32x2 set and 3072 B makes 48 sets: the user's
+  // axes, so invalid_input rows in phase spm-solve (exit 3, not 5). The
+  // bad first point must not doom the job: 64 and 4096 still solve. Two
+  // energy presets make two solve groups share each bad cache cell.
+  SweepOptions o = sweep_opts(1);
+  ASSERT_TRUE(o.spec.parse_axis("capacity", "1,64,3072,4096").ok());
+  ASSERT_TRUE(o.spec.parse_axis("energy", "default,fast-spm").ok());
+  ASSERT_TRUE(o.spec.parse_axis("cache", "32x2").ok());
+  const std::vector<SweepJob> jobs = {{"alpha", kGood}};
+  std::ostringstream cold;
+  const util::Status st = SweepDriver(o).run_ndjson(jobs, cold);
+  EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput);
+
+  auto report = SweepDriver(o).run(jobs);
+  ASSERT_EQ(report.items.size(), 8u);
+  EXPECT_EQ(report.ndjson(), cold.str());
+  for (size_t i = 0; i < report.items.size(); ++i) {
+    const uint32_t cap = report.items[i].point.capacity_bytes;
+    EXPECT_EQ(report.items[i].status.ok(), cap == 64 || cap == 4096) << i;
+  }
+  for (size_t i : {2u, 3u, 6u, 7u}) {
+    ASSERT_TRUE(report.items[i].status.ok())
+        << report.items[i].status.message();
+    EXPECT_EQ(report.items[i].spm.caches.size(), 1u);
+  }
+  EXPECT_NE(
+      cold.str().find(
+          "\"capacity_bytes\":1,\"energy\":\"default\",\"cache\":\"32x2\","
+          "\"algorithm\":\"dp\",\"replay\":false,\"ok\":false,"
+          "\"error_class\":\"invalid_input\",\"phase\":\"spm-solve\","
+          "\"error\":\"spm-solve error: 1 B cache with 32 B lines x 2 ways: "
+          "smaller than one set\"}\n"),
+      std::string::npos)
+      << cold.str();
+  EXPECT_NE(
+      cold.str().find(
+          "\"capacity_bytes\":3072,\"energy\":\"default\",\"cache\":"
+          "\"32x2\",\"algorithm\":\"dp\",\"replay\":false,\"ok\":false,"
+          "\"error_class\":\"invalid_input\",\"phase\":\"spm-solve\","
+          "\"error\":\"spm-solve error: 3072 B cache with 32 B lines x 2 "
+          "ways: 48 sets, not a power of two\"}\n"),
+      std::string::npos)
+      << cold.str();
+
+  // Every thread count, and a model-cache hit primed by a sweep the bad
+  // geometry was never part of, give the same bytes.
+  SweepOptions o4 = o;
+  o4.threads = 4;
+  std::ostringstream par;
+  EXPECT_FALSE(SweepDriver(o4).run_ndjson(jobs, par).ok());
+  EXPECT_EQ(par.str(), cold.str());
+  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  SweepOptions prime = sweep_opts(1);
+  ASSERT_TRUE(prime.spec.parse_axis("capacity", "4096").ok());
+  prime.model_cache = &cache;
+  std::ostringstream primed;
+  ASSERT_TRUE(SweepDriver(prime).run_ndjson(jobs, primed).ok());
+  o.model_cache = &cache;
+  std::ostringstream warm;
+  EXPECT_FALSE(SweepDriver(o).run_ndjson(jobs, warm).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(warm.str(), cold.str());
 }
 
 TEST(SweepDriver, NdjsonEscapesHostileProgramNames) {
