@@ -1,6 +1,6 @@
 // Profiling/extraction throughput over the benchsuite — the perf
 // trajectory for the chunked zero-virtual-call trace transport and the
-// sharded extractor.
+// profiling engines.
 //
 // Per benchmark it measures, in records/sec:
 //   sim       bytecode-VM simulator filling a VectorSink (the default
@@ -9,38 +9,22 @@
 //             the sim-engine axis; the engines' traces are
 //             bit-identical (tests/engine_equivalence_test), so the
 //             ratio is pure engine speed
-//   sim_jit   the same run on the native template-JIT engine
-//             (src/jit/); compiled once outside the timed region, 0 on
-//             builds without native codegen
 //   online    simulator + online analysis fused (Vm<Extractor>, the
 //             zero-virtual-call path, bytecode engine)
 //   online_ast the fused path on the tree walker (Interp<Extractor>)
-//   online_jit the fused path on the jit engine (its own native image:
-//             the handler table is per sink type)
 //   record    extraction replay, record-at-a-time through the virtual
 //             Sink interface (the pre-PR transport shape)
 //   chunked   extraction replay, bulk on_chunk() delivery
-//   shard2/4  context-sharded extraction (foray/shard.h) with its
-//             balance factor (1.0 = perfectly spreadable; the benchsuite
-//             kernels are dominated by one top-level loop, so expect
-//             poor spread on most of them — that is a property of the
-//             programs, reported, not hidden)
 //   online_pipe  pipeline-overlapped online profiling: the simulator
-//             produces chunks into rings, one consumer thread extracts
+//             produces chunks into a ring, one consumer thread extracts
 //             concurrently (foray/online_pipeline.h) — end-to-end
 //             sim+extract time, so compare against `online`, not the
 //             replay modes
-//   tshard2/4 time-partition sharded extraction (foray/timeshard.h):
-//             the trace cut into K time slices extracted concurrently
-//             and reconciled exactly — parallelism even when one
-//             context dominates (balance-immune, unlike shard2/4)
 //
 // Every multi-run-capable mode is timed best-of-3: the 1-core container
 // shares its core with neighbors, and a single cold run routinely reads
-// 2x under the machine's real capability. (Shard modes used to be timed
-// single-shot, which is where the historical gsm shard4 < shard2
-// anomaly in BENCH_profiling.json came from — one noisy run published
-// as the number.) Results go to BENCH_profiling.json together with the
+// 2x under the machine's real capability. Results go to
+// BENCH_profiling.json together with the
 // pre-PR seed baselines (measured at commit 87dbf5c on the 1-core dev
 // container) so future sessions can track multiples against a fixed
 // reference.
@@ -55,9 +39,7 @@
 // perf smoke; floors sit far enough under dev-container numbers to
 // absorb runner variance but above the previous-PR throughput, so a
 // regression to the old engine's speed fails). The sim and online
-// floors track the fastest available engine — the jit where native
-// codegen exists, the bytecode VM elsewhere — so the floor can ratchet
-// past what the VM alone can reach.
+// floors hold the default engine, the bytecode VM.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -69,10 +51,7 @@
 
 #include "benchsuite/suite.h"
 #include "foray/online_pipeline.h"
-#include "jit/engine.h"
 #include "foray/pipeline.h"
-#include "foray/shard.h"
-#include "foray/timeshard.h"
 #include "sim/interp_impl.h"
 #include "trace/sink.h"
 #include "util/json.h"
@@ -88,19 +67,12 @@ constexpr double kSeedSimMrecS = 15.4;
 constexpr double kSeedExtractMrecS = 41.1;
 constexpr double kSeedOnlineMrecS = 15.6;
 
-struct ModeResult {
-  double mrec_s = 0.0;
-  double balance = 0.0;  ///< shard modes only
-};
-
 struct ProgramResult {
   std::string name;
   uint64_t records = 0;
-  double sim = 0, sim_ast = 0, sim_jit = 0, online = 0, online_ast = 0,
-         online_jit = 0, record = 0, chunked = 0;
-  ModeResult shard2, shard4;
-  double online_pipe = 0;        ///< overlapped sim+extract, 1 consumer
-  double tshard2 = 0, tshard4 = 0;
+  double sim = 0, sim_ast = 0, online = 0, online_ast = 0, record = 0,
+         chunked = 0;
+  double online_pipe = 0;  ///< overlapped sim+extract, 1 consumer
 };
 
 double mrec_s(uint64_t records, double seconds) {
@@ -179,32 +151,6 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
     check(sim::run_program_with(*res.program, &ex, ast_opts));
   }));
 
-  // Jit columns: one native image per sink type (the handler table is
-  // part of the code), both compiled outside the timed regions. On
-  // builds without native codegen the columns publish as 0.
-  if (jit::jit_supported()) {
-    std::unique_ptr<jit::CompiledNative> native_sink, native_ex;
-    util::Status js = jit::compile_native(
-        compiled, jit::JitOps<trace::VectorSink>::handlers(),
-        jit::JitOps<trace::VectorSink>::layout(), &native_sink);
-    util::Status je = jit::compile_native(
-        compiled, jit::JitOps<core::Extractor>::handlers(),
-        jit::JitOps<core::Extractor>::layout(), &native_ex);
-    if (!js.ok() || !je.ok()) {
-      std::fprintf(stderr, "%s: jit compile failed: %s\n", b.name.c_str(),
-                   (js.ok() ? je : js).message().c_str());
-      std::exit(1);
-    }
-    out.sim_jit = mrec_s(out.records, timed_best([&] {
-      trace::VectorSink jsink(out.records);
-      check(jit::run_jit_compiled(compiled, *native_sink, &jsink, bc_opts));
-    }));
-    out.online_jit = mrec_s(out.records, timed_best([&] {
-      core::Extractor ex;
-      check(jit::run_jit_compiled(compiled, *native_ex, &ex, bc_opts));
-    }));
-  }
-
   out.record = mrec_s(out.records, timed([&] {
     core::Extractor ex;
     trace::Sink* s = &ex;  // force the virtual record-at-a-time path
@@ -216,36 +162,10 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
     ex.on_chunk(recs.data(), recs.size());
   }));
 
-  for (int k : {2, 4}) {
-    // best-of-3 like the sim/online modes: the single-shot timing these
-    // modes used before is what produced the gsm shard4 anomaly — on a
-    // shared 1-core box one preempted run can halve the published
-    // number while shard2's run happened to land clean.
-    core::ShardReport rep;
-    double t = timed_best([&] {
-      auto ex = core::extract_sharded({recs.data(), recs.size()},
-                                      core::ExtractorOptions{}, k, &rep);
-      (void)ex;
-    });
-    ModeResult& slot = (k == 2) ? out.shard2 : out.shard4;
-    slot.mrec_s = mrec_s(out.records, t);
-    slot.balance = rep.balance;
-  }
-
   out.online_pipe = mrec_s(out.records, timed_best([&] {
     core::Extractor ex;
-    check(core::run_profile_pipelined(*res.program, bc_opts,
-                                      core::ExtractorOptions{}, 1, &ex));
+    check(core::run_profile_pipelined(*res.program, bc_opts, &ex));
   }));
-
-  for (int k : {2, 4}) {
-    double t = timed_best([&] {
-      auto ex = core::extract_time_sharded({recs.data(), recs.size()},
-                                           core::ExtractorOptions{}, k);
-      (void)ex;
-    });
-    ((k == 2) ? out.tshard2 : out.tshard4) = mrec_s(out.records, t);
-  }
   return out;
 }
 
@@ -253,8 +173,7 @@ void write_json(const std::string& path,
                 const std::vector<ProgramResult>& rows, bool full_suite) {
   util::JsonWriter w;
   uint64_t total = 0;
-  double ts = 0, ta = 0, tj = 0, to = 0, toa = 0, toj = 0, tr = 0, tc = 0,
-         t2 = 0, t4 = 0, tp = 0, tt2 = 0, tt4 = 0;
+  double ts = 0, ta = 0, to = 0, toa = 0, tr = 0, tc = 0, tp = 0;
   auto add = [](double* acc, uint64_t records, double mrec) {
     if (mrec > 0) *acc += records / 1e6 / mrec;
   };
@@ -262,21 +181,14 @@ void write_json(const std::string& path,
     total += r.records;
     add(&ts, r.records, r.sim);
     add(&ta, r.records, r.sim_ast);
-    add(&tj, r.records, r.sim_jit);
     add(&to, r.records, r.online);
     add(&toa, r.records, r.online_ast);
-    add(&toj, r.records, r.online_jit);
     add(&tr, r.records, r.record);
     add(&tc, r.records, r.chunked);
-    add(&t2, r.records, r.shard2.mrec_s);
-    add(&t4, r.records, r.shard4.mrec_s);
     add(&tp, r.records, r.online_pipe);
-    add(&tt2, r.records, r.tshard2);
-    add(&tt4, r.records, r.tshard4);
   }
   const double agg_sim = ts > 0 ? total / 1e6 / ts : 0.0;
   const double agg_sim_ast = ta > 0 ? total / 1e6 / ta : 0.0;
-  const double agg_sim_jit = tj > 0 ? total / 1e6 / tj : 0.0;
   const double agg_chunked = tc > 0 ? total / 1e6 / tc : 0.0;
   w.begin_object();
   w.key("bench").value("profiling_throughput");
@@ -291,19 +203,11 @@ void write_json(const std::string& path,
     w.key("records").value(r.records);
     w.key("sim").value(r.sim);
     w.key("sim_ast").value(r.sim_ast);
-    w.key("sim_jit").value(r.sim_jit);
     w.key("online").value(r.online);
     w.key("online_ast").value(r.online_ast);
-    w.key("online_jit").value(r.online_jit);
     w.key("record_at_a_time").value(r.record);
     w.key("chunked").value(r.chunked);
-    w.key("shard2").value(r.shard2.mrec_s);
-    w.key("shard2_balance").value(r.shard2.balance);
-    w.key("shard4").value(r.shard4.mrec_s);
-    w.key("shard4_balance").value(r.shard4.balance);
     w.key("online_pipeline").value(r.online_pipe);
-    w.key("timeshard2").value(r.tshard2);
-    w.key("timeshard4").value(r.tshard4);
     w.end_object();
   }
   w.end_array();
@@ -314,17 +218,11 @@ void write_json(const std::string& path,
     w.key("records").value(total);
     w.key("sim").value(agg_sim);
     w.key("sim_ast").value(agg_sim_ast);
-    w.key("sim_jit").value(agg_sim_jit);
     w.key("online").value(to > 0 ? total / 1e6 / to : 0.0);
     w.key("online_ast").value(toa > 0 ? total / 1e6 / toa : 0.0);
-    w.key("online_jit").value(toj > 0 ? total / 1e6 / toj : 0.0);
     w.key("record_at_a_time").value(tr > 0 ? total / 1e6 / tr : 0.0);
     w.key("chunked").value(agg_chunked);
-    w.key("shard2").value(t2 > 0 ? total / 1e6 / t2 : 0.0);
-    w.key("shard4").value(t4 > 0 ? total / 1e6 / t4 : 0.0);
     w.key("online_pipeline").value(tp > 0 ? total / 1e6 / tp : 0.0);
-    w.key("timeshard2").value(tt2 > 0 ? total / 1e6 / tt2 : 0.0);
-    w.key("timeshard4").value(tt4 > 0 ? total / 1e6 / tt4 : 0.0);
     w.end_object();
     w.key("seed_baseline").begin_object();
     w.key("commit").value("87dbf5c");
@@ -336,17 +234,11 @@ void write_json(const std::string& path,
     w.key("multiples_vs_seed").begin_object();
     w.key("sim").value(agg_sim / kSeedSimMrecS);
     w.key("sim_ast").value(agg_sim_ast / kSeedSimMrecS);
-    w.key("sim_jit").value(agg_sim_jit / kSeedSimMrecS);
     w.key("online").value(to > 0 ? total / 1e6 / to / kSeedOnlineMrecS : 0.0);
-    w.key("online_jit").value(
-        toj > 0 ? total / 1e6 / toj / kSeedOnlineMrecS : 0.0);
     w.key("extract_chunked").value(agg_chunked / kSeedExtractMrecS);
     w.end_object();
     w.key("engine_speedup_sim").value(
         agg_sim_ast > 0 ? agg_sim / agg_sim_ast : 0.0);
-    // bytecode -> jit: the tentpole ratio for this engine generation.
-    w.key("engine_speedup_sim_jit").value(
-        agg_sim > 0 ? agg_sim_jit / agg_sim : 0.0);
   } else {
     w.key("subset").value(true);
   }
@@ -417,21 +309,16 @@ int main(int argc, char** argv) {
 
   std::vector<ProgramResult> rows;
   std::printf("== profiling throughput (Mrec/s) ==\n");
-  std::printf("%-8s %10s %6s %7s %7s %7s %8s %7s %7s %8s %14s %14s %8s "
-              "%7s %7s\n",
-              "program", "records", "sim", "sim_ast", "sim_jit", "online",
-              "onl_ast", "onl_jit", "record", "chunked", "shard2(bal)",
-              "shard4(bal)", "onl_pipe", "tshard2", "tshard4");
+  std::printf("%-8s %10s %6s %7s %7s %8s %7s %8s %8s\n", "program",
+              "records", "sim", "sim_ast", "online", "onl_ast", "record",
+              "chunked", "onl_pipe");
   for (const auto& b : benchsuite::all_benchmarks()) {
     if (!only.empty() && b.name != only) continue;
     ProgramResult r = run_one(b);
-    std::printf("%-8s %10llu %6.1f %7.1f %7.1f %7.1f %8.1f %7.1f %7.1f "
-                "%8.1f %8.1f (%.2f) %8.1f (%.2f) %8.1f %7.1f %7.1f\n",
+    std::printf("%-8s %10llu %6.1f %7.1f %7.1f %8.1f %7.1f %8.1f %8.1f\n",
                 r.name.c_str(), static_cast<unsigned long long>(r.records),
-                r.sim, r.sim_ast, r.sim_jit, r.online, r.online_ast,
-                r.online_jit, r.record, r.chunked, r.shard2.mrec_s,
-                r.shard2.balance, r.shard4.mrec_s, r.shard4.balance,
-                r.online_pipe, r.tshard2, r.tshard4);
+                r.sim, r.sim_ast, r.online, r.online_ast, r.record,
+                r.chunked, r.online_pipe);
     rows.push_back(std::move(r));
   }
   if (rows.empty()) {
@@ -462,28 +349,24 @@ int main(int argc, char** argv) {
                      program.c_str(), r.chunked, floor);
         return 1;
       }
-      // The floors hold the fastest engine to its number: jit where
-      // native codegen exists, the bytecode VM elsewhere.
-      const double sim_best = std::max(r.sim, r.sim_jit);
-      const double online_best = std::max(r.online, r.online_jit);
-      if (sim_floor > 0 && sim_best < sim_floor) {
+      if (sim_floor > 0 && r.sim < sim_floor) {
         std::fprintf(stderr,
                      "PERF REGRESSION: %s sim %.1f Mrec/s below floor "
                      "%.1f\n",
-                     program.c_str(), sim_best, sim_floor);
+                     program.c_str(), r.sim, sim_floor);
         return 1;
       }
-      if (online_floor > 0 && online_best < online_floor) {
+      if (online_floor > 0 && r.online < online_floor) {
         std::fprintf(stderr,
                      "PERF REGRESSION: %s online %.1f Mrec/s below floor "
                      "%.1f\n",
-                     program.c_str(), online_best, online_floor);
+                     program.c_str(), r.online, online_floor);
         return 1;
       }
       std::printf("floor check OK: %s chunked %.1f >= %.1f, sim %.1f >= "
                   "%.1f, online %.1f >= %.1f Mrec/s\n",
-                  program.c_str(), r.chunked, floor, sim_best, sim_floor,
-                  online_best, online_floor);
+                  program.c_str(), r.chunked, floor, r.sim, sim_floor,
+                  r.online, online_floor);
       return 0;
     }
     std::fprintf(stderr, "floor program '%s' was not measured\n",

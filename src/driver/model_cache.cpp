@@ -34,10 +34,10 @@ ModelCache::ModelCache(ModelCacheOptions opts) : opts_(std::move(opts)) {}
 
 std::string ModelCache::fingerprint(const core::PipelineOptions& opts) {
   // Everything that can change the extracted model, and nothing that
-  // cannot: engine and the parallel extraction modes are bit-identical
-  // by contract (engine_equivalence / shard / pipeline / timeshard
-  // harnesses), budgets never produce a partial model, and the emit /
-  // Phase II options run downstream of extraction.
+  // cannot: engine and profiling mode are bit-identical by contract
+  // (engine_equivalence / pipeline_equivalence harnesses), budgets never
+  // produce a partial model, and the emit / Phase II options run
+  // downstream of extraction.
   std::string fp;
   fp.reserve(192);
   const auto flag = [&](const char* name, bool v) {

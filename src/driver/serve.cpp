@@ -153,7 +153,7 @@ util::Status parse_request(const util::JsonValue& req,
   }
 
   // Optional per-request engine override; same values as CLI --engine.
-  // All engines stream byte-identical responses (the differential
+  // Both engines stream byte-identical responses (the differential
   // harness guarantees it), so this only trades simulation speed.
   if (const util::JsonValue* e = req.find("engine"); e != nullptr) {
     if (!e->is_string()) return bad_request("\"engine\" must be a string");
@@ -161,11 +161,9 @@ util::Status parse_request(const util::JsonValue& req,
       sopts->pipeline.run.engine = sim::Engine::Ast;
     } else if (e->str == "bytecode") {
       sopts->pipeline.run.engine = sim::Engine::Bytecode;
-    } else if (e->str == "jit") {
-      sopts->pipeline.run.engine = sim::Engine::Jit;
     } else {
       return bad_request("unknown engine \"" + e->str +
-                         "\" (want ast, bytecode or jit)");
+                         "\" (want ast or bytecode)");
     }
   }
 

@@ -15,11 +15,7 @@
 namespace foray::driver {
 
 struct SessionOptions {
-  /// Full phase configuration, including pipeline.profile_shards: set it
-  /// above 1 to shard this session's extraction across a thread pool
-  /// (bit-identical output; see foray/shard.h). Sweep users note the
-  /// two levels compose — SweepDriver threads run whole sessions,
-  /// profile_shards parallelizes inside one.
+  /// Full phase configuration (engine, profiling mode, filter, Phase II).
   core::PipelineOptions pipeline;
 };
 

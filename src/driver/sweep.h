@@ -160,9 +160,9 @@ struct SweepGrid {
 struct SweepOptions {
   int threads = 1;
   SweepSpec spec;
-  /// Phase I configuration (engine, filter, shards) and the base Phase
-  /// II options that empty axes inherit. with_spm is ignored: the sweep
-  /// runs Phase II itself, per grid point.
+  /// Phase I configuration (engine, profiling mode, filter) and the base
+  /// Phase II options that empty axes inherit. with_spm is ignored: the
+  /// sweep runs Phase II itself, per grid point.
   core::PipelineOptions pipeline;
   /// How many times a *transient* failure (ErrorCode::kIoError — the
   /// outside world failed, not the input and not this library) is

@@ -1,5 +1,7 @@
 #include "foray/extractor.h"
 
+#include <algorithm>
+
 #include "minic/ast.h"
 #include "util/status.h"
 
@@ -17,7 +19,7 @@ Extractor::Extractor(ExtractorOptions opts)
 void Extractor::on_checkpoint(const Record& r) {
   switch (r.cp()) {
     case CheckpointType::LoopEnter: {
-      cur_ = cur_->get_or_create_child(r.loop_id(), stamp_);
+      cur_ = cur_->get_or_create_child(r.loop_id());
       cur_->cur_iter = -1;
       ++cur_->entries;
       break;
@@ -67,7 +69,7 @@ RefNode* Extractor::lookup_ref(uint32_t instr) {
   // fed by hand or from other tools) skip the cache.
   const uint32_t idx = (instr - minic::kInstrBase) / 4u;
   if (idx >= (1u << 22)) {
-    return cur_->get_or_create_ref(instr, nullptr, stamp_);
+    return cur_->get_or_create_ref(instr, nullptr);
   }
   if (idx >= ref_cache_.size()) {
     ref_cache_.resize(std::max<size_t>(idx + 1, 256));
@@ -75,7 +77,7 @@ RefNode* Extractor::lookup_ref(uint32_t instr) {
   RefCacheEntry& entry = ref_cache_[idx];
   if (entry.owner != cur_) {
     entry.owner = cur_;
-    entry.ref = cur_->get_or_create_ref(instr, nullptr, stamp_);
+    entry.ref = cur_->get_or_create_ref(instr, nullptr);
   }
   return entry.ref;
 }
@@ -108,52 +110,10 @@ void Extractor::on_access(const Record& r) {
   ref->last_epoch = epoch_;
   ref->access_size = r.size();
   ref->kind = r.kind();
-  if (hook_ != nullptr) [[unlikely]] {
-    // Time-shard slices: the hook performs the footprint note and the
-    // Algorithm 3 observation itself, logging around them.
-    if (!iters_valid_) rebuild_iters();
-    hook_->nondup_observe(ref, iter_buf_, ind, r.addr(), epoch_);
-    return;
-  }
   ref->note_address(r.addr());
 
   if (!iters_valid_) rebuild_iters();
   observe_access(ref->affine, iter_buf_, ind);
-}
-
-void Extractor::absorb(Extractor&& shard) {
-  tree_.merge(std::move(shard.tree_));
-  records_ += shard.records_;
-  accesses_ += shard.accesses_;
-  checkpoints_ += shard.checkpoints_;
-  // The shard's node pointers died with its tree.
-  cur_ = tree_.root();
-  iters_valid_ = false;
-}
-
-void Extractor::absorb_composed(Extractor&& slice,
-                                const RefMergeFn& on_collision) {
-  tree_.merge(std::move(slice.tree_), &on_collision);
-  records_ += slice.records_;
-  accesses_ += slice.accesses_;
-  checkpoints_ += slice.checkpoints_;
-  cur_ = tree_.root();
-  iters_valid_ = false;
-}
-
-void Extractor::seed_context(std::span<const SeedFrame> frames,
-                             uint64_t epoch, uint64_t stream_pos) {
-  set_stream_pos(stream_pos);
-  epoch_ = epoch;
-  cur_ = tree_.root();
-  for (const SeedFrame& f : frames) {
-    // Rebuild the path without bumping `entries` — the slice that saw
-    // the LoopEnter records counts them. Stamp with the slice-start
-    // position: the true creator's earlier stamp wins at merge time.
-    cur_ = cur_->get_or_create_child(f.loop_id, stream_pos + 1);
-    cur_->cur_iter = f.cur_iter;
-  }
-  iters_valid_ = false;
 }
 
 }  // namespace foray::core

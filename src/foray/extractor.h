@@ -9,14 +9,12 @@
 //
 // Delivery is chunk-first: on_chunk() consumes a run of records with a
 // single dispatch, and the class is `final` so a caller holding a
-// concrete Extractor (the templated simulator, the shard runner) gets
-// the whole per-record path inlined — zero virtual calls per record.
+// concrete Extractor (the templated simulator, the pipelined consumer)
+// gets the whole per-record path inlined — zero virtual calls per record.
 // Record-at-a-time on_record() remains for generic Sink users.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "foray/looptree.h"
@@ -33,26 +31,6 @@ struct ExtractorOptions {
   /// Per-reference distinct-address cap; beyond it the footprint count is
   /// reported as saturated (lower bound).
   size_t footprint_cap = LoopNode::kDefaultFootprintCap;
-};
-
-/// One frame of a loop-context stack used to start an extractor
-/// mid-stream (time-partition sharding): the loop site and the iteration
-/// the slice boundary fell into.
-struct SeedFrame {
-  int loop_id = -1;
-  int64_t cur_iter = -1;
-};
-
-/// Observer of the extractor's non-duplicate access path. When attached
-/// (time-shard slices only), it runs *instead of* the footprint note +
-/// Algorithm 3 observation and must perform both itself — that is what
-/// lets it log footprint insertions and pre/post affine state without a
-/// second pass. The hot sequential path pays one predictable branch.
-class AccessHook {
- public:
-  virtual ~AccessHook() = default;
-  virtual void nondup_observe(RefNode* ref, std::span<const int64_t> iters,
-                              int64_t ind, uint32_t addr, uint64_t epoch) = 0;
 };
 
 class Extractor final : public trace::Sink {
@@ -72,41 +50,6 @@ class Extractor final : public trace::Sink {
   const LoopTree& tree() const { return tree_; }
   LoopTree& tree() { return tree_; }
 
-  // -- sharding support -------------------------------------------------
-
-  /// Declares the global trace position of the next record, so node
-  /// creation stamps (LoopNode/RefNode::first_seen) are positions in the
-  /// *whole* trace even when this extractor only sees a shard of it. A
-  /// fresh extractor starts at position 0 — the sequential case needs no
-  /// call.
-  void set_stream_pos(uint64_t pos) { stamp_ = pos; }
-
-  /// Folds a shard's extraction into this one: trees merge in sequential
-  /// first-seen order, stream statistics accumulate. The shard must have
-  /// processed a disjoint part of the same trace (see foray/shard.h).
-  void absorb(Extractor&& shard);
-
-  // -- time-partition sharding support (foray/timeshard.h) --------------
-
-  /// absorb() for a *time slice* of the same trace: references observed
-  /// on both sides are reconciled through `on_collision` instead of
-  /// being a sharder bug.
-  void absorb_composed(Extractor&& slice, const RefMergeFn& on_collision);
-
-  /// Starts this extractor mid-stream: rebuilds the loop-context stack
-  /// (root -> innermost, without counting loop entries), and seeds the
-  /// global checkpoint count and stream position, so iterator values,
-  /// duplicate-detection epochs and creation stamps all read as they
-  /// would in a sequential run arriving at `stream_pos`.
-  void seed_context(std::span<const SeedFrame> frames, uint64_t epoch,
-                    uint64_t stream_pos);
-
-  /// Attaches (or detaches, nullptr) the non-duplicate access observer.
-  void set_access_hook(AccessHook* hook) { hook_ = hook; }
-
-  /// Global checkpoint count — the duplicate-detection epoch.
-  uint64_t epoch() const { return epoch_; }
-
   // -- stream statistics ------------------------------------------------
 
   uint64_t records_processed() const { return records_; }
@@ -119,7 +62,6 @@ class Extractor final : public trace::Sink {
  private:
   /// One record through Algorithm 2 (records_ already counted).
   void process(const trace::Record& r) {
-    ++stamp_;
     switch (r.type()) {
       case trace::RecordType::Checkpoint:
         ++checkpoints_;
@@ -156,8 +98,6 @@ class Extractor final : public trace::Sink {
   /// Checkpoint counter; two accesses in the same epoch provably see
   /// identical iterator values (used for the duplicate fast path).
   uint64_t epoch_ = 0;
-  /// Global trace position of the next record (creation stamps).
-  uint64_t stamp_ = 0;
   /// Direct-indexed reference cache. Synthetic instruction addresses are
   /// dense (kInstrBase + 4*node_id), so `(instr - base) / 4` indexes a
   /// flat table; an entry is valid only for the context it was filled
@@ -169,7 +109,6 @@ class Extractor final : public trace::Sink {
     RefNode* ref = nullptr;
   };
   std::vector<RefCacheEntry> ref_cache_;
-  AccessHook* hook_ = nullptr;
   uint64_t records_ = 0;
   uint64_t accesses_ = 0;
   uint64_t checkpoints_ = 0;

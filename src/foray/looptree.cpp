@@ -1,13 +1,10 @@
 #include "foray/looptree.h"
 
-#include "util/status.h"
-
 namespace foray::core {
 
-LoopNode* LoopNode::create_child(int site_id, uint64_t stamp) {
+LoopNode* LoopNode::create_child(int site_id) {
   auto child =
       std::make_unique<LoopNode>(site_id, this, hash_index_, footprint_cap_);
-  child->first_seen = stamp;
   LoopNode* raw = child.get();
   children_.push_back(std::move(child));
   if (hash_index_) {
@@ -23,9 +20,8 @@ LoopNode* LoopNode::find_child_linear(int site_id) {
   return nullptr;
 }
 
-RefNode* LoopNode::create_ref(uint32_t instr, uint64_t stamp) {
+RefNode* LoopNode::create_ref(uint32_t instr) {
   auto ref = std::make_unique<RefNode>(instr, this, footprint_cap_);
-  ref->first_seen = stamp;
   RefNode* raw = ref.get();
   refs_.push_back(std::move(ref));
   if (hash_index_) ref_index_.insert(instr, raw);
@@ -37,72 +33,6 @@ RefNode* LoopNode::find_ref_linear(uint32_t instr) {
     if (r->instr == instr) return r.get();
   }
   return nullptr;
-}
-
-void LoopNode::adopt_child(std::unique_ptr<LoopNode> child) {
-  child->parent_ = this;
-  LoopNode* raw = child.get();
-  children_.push_back(std::move(child));
-  if (hash_index_) {
-    child_index_.insert(static_cast<uint32_t>(raw->loop_id()), raw);
-  }
-}
-
-void LoopNode::adopt_ref(std::unique_ptr<RefNode> ref) {
-  ref->owner = this;
-  ref->side_slot = RefNode::kNoSideSlot;  // slice-local scratch dies here
-  RefNode* raw = ref.get();
-  refs_.push_back(std::move(ref));
-  if (hash_index_) ref_index_.insert(raw->instr, raw);
-}
-
-void LoopNode::merge_from(LoopNode&& other, const RefMergeFn* on_collision) {
-  FORAY_CHECK(loop_id_ == other.loop_id_,
-              "LoopNode::merge_from: different loop sites");
-  // A node was "touched" by the shard whose partition comes later in the
-  // trace; for everything except the root each context lives whole in
-  // one shard, so at most one side carries activity.
-  if (other.entries > 0) cur_iter = other.cur_iter;
-  entries += other.entries;
-  total_iterations += other.total_iterations;
-  max_trip = std::max(max_trip, other.max_trip);
-  first_seen = std::min(first_seen, other.first_seen);
-
-  for (auto& oref : other.refs_) {
-    // Algorithm 3 state is a strictly sequential fold over the
-    // reference's observations — it cannot be combined from two partial
-    // runs. The context sharder routes every observation of a reference
-    // to one shard (a context lives whole in one shard, root refs in
-    // shard 0), so a reference appearing on both sides is a sharder bug
-    // — except under time-partition sharding, whose merge supplies the
-    // collision handler that reconciles the two partial folds.
-    if (RefNode* mine = find_ref(oref->instr)) {
-      FORAY_CHECK(on_collision != nullptr,
-                  "LoopTree::merge: reference observed by two shards");
-      (*on_collision)(mine, oref.get());
-      continue;
-    }
-    adopt_ref(std::move(oref));
-  }
-
-  for (auto& ochild : other.children_) {
-    LoopNode* mine = find_child(ochild->loop_id());
-    if (mine == nullptr) {
-      adopt_child(std::move(ochild));
-    } else {
-      mine->merge_from(std::move(*ochild), on_collision);
-    }
-  }
-
-  // Restore the sequential creation order (stamps are trace positions).
-  std::stable_sort(refs_.begin(), refs_.end(),
-            [](const auto& a, const auto& b) {
-              return a->first_seen < b->first_seen;
-            });
-  std::stable_sort(children_.begin(), children_.end(),
-            [](const auto& a, const auto& b) {
-              return a->first_seen < b->first_seen;
-            });
 }
 
 size_t LoopNode::state_bytes() const {

@@ -13,15 +13,10 @@
 //
 // Indices are insert-only flat hash tables (util/flat_hash.h) — the
 // child and reference lookups run once per checkpoint / per access and
-// were the analyzer's hot path. Nodes and references carry a
-// `first_seen` stamp (the trace position at which they were created) so
-// that trees built by parallel shards of one trace can be merged back
-// into the exact sequential creation order (LoopTree::merge).
+// were the analyzer's hot path.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -32,14 +27,6 @@
 namespace foray::core {
 
 struct RefNode;
-
-/// Collision handler for merges of trees that may both carry Algorithm 3
-/// state for one reference (time-partition sharding, foray/timeshard.h).
-/// Called with the surviving node and the one about to be dropped; the
-/// handler folds `from`'s state into `into` (or marks `into` for a
-/// rescan). Context sharding never collides, so its merges pass none and
-/// keep the collision FORAY_CHECK.
-using RefMergeFn = std::function<void(RefNode* into, RefNode* from)>;
 
 class LoopNode {
  public:
@@ -64,16 +51,13 @@ class LoopNode {
   int64_t max_trip = 0;        ///< max iterations over all entries
   uint64_t entries = 0;        ///< times this loop was entered
   uint64_t total_iterations = 0;
-  /// Trace position at which this node was created (set by the
-  /// extractor); total order over nodes == sequential creation order.
-  uint64_t first_seen = 0;
 
   // -- children / references ---------------------------------------------
 
-  /// Child for `site_id`, creating it on first sight (stamped `stamp`).
-  LoopNode* get_or_create_child(int site_id, uint64_t stamp = 0) {
+  /// Child for `site_id`, creating it on first sight.
+  LoopNode* get_or_create_child(int site_id) {
     if (LoopNode* found = find_child(site_id)) return found;
-    return create_child(site_id, stamp);
+    return create_child(site_id);
   }
   /// Child for `site_id` or nullptr. Inline — this runs per checkpoint.
   LoopNode* find_child(int site_id) {
@@ -84,16 +68,15 @@ class LoopNode {
     return find_child_linear(site_id);
   }
 
-  /// Reference node for `instr`, creating it on first sight (stamped
-  /// `stamp`). Sets `*created` when a new node was made.
-  RefNode* get_or_create_ref(uint32_t instr, bool* created,
-                             uint64_t stamp = 0) {
+  /// Reference node for `instr`, creating it on first sight. Sets
+  /// `*created` when a new node was made.
+  RefNode* get_or_create_ref(uint32_t instr, bool* created) {
     if (RefNode* found = find_ref(instr)) {
       if (created != nullptr) *created = false;
       return found;
     }
     if (created != nullptr) *created = true;
-    return create_ref(instr, stamp);
+    return create_ref(instr);
   }
   /// Reference for `instr` or nullptr. Inline — this runs per access.
   RefNode* find_ref(uint32_t instr) {
@@ -109,25 +92,15 @@ class LoopNode {
   }
   const std::vector<std::unique_ptr<RefNode>>& refs() const { return refs_; }
 
-  /// Folds `other` (a node for the same loop site, built by a shard of
-  /// the same trace) into this node: counters are combined, children and
-  /// references are adopted or recursively merged, and both orders are
-  /// restored to sequential first-seen order via the stamps. Colliding
-  /// references go through `on_collision` when given, else they are a
-  /// sharder bug (FORAY_CHECK).
-  void merge_from(LoopNode&& other, const RefMergeFn* on_collision = nullptr);
-
   /// Approximate heap bytes held by this node (excluding children),
   /// used by the constant-space ablation (E7/E9).
   size_t state_bytes() const;
 
  private:
-  LoopNode* create_child(int site_id, uint64_t stamp);
+  LoopNode* create_child(int site_id);
   LoopNode* find_child_linear(int site_id);
-  RefNode* create_ref(uint32_t instr, uint64_t stamp);
+  RefNode* create_ref(uint32_t instr);
   RefNode* find_ref_linear(uint32_t instr);
-  void adopt_child(std::unique_ptr<LoopNode> child);
-  void adopt_ref(std::unique_ptr<RefNode> ref);
 
   int loop_id_;
   LoopNode* parent_;
@@ -177,45 +150,13 @@ struct RefNode {
       saturated_ = true;
     }
   }
-  /// note_address() that also reports whether `addr` entered the
-  /// footprint — the signal time-shard slices log so the merge can
-  /// replay their insertions in sequential order.
-  bool note_address_logged(uint32_t addr) {
-    if (addr == last_addr_) return false;
-    last_addr_ = addr;
-    if (footprint_.size() < footprint_cap_) return footprint_.insert(addr);
-    if (!footprint_.contains(addr)) saturated_ = true;
-    return false;
-  }
-  /// Replays a slice's footprint insertions (in slice insertion order)
-  /// with note_address()'s cap/saturation semantics. Addresses already
-  /// present are no-ops, so page insertion order stays sequential.
-  void replay_footprint_inserts(const std::vector<uint32_t>& addrs) {
-    for (uint32_t addr : addrs) {
-      last_addr_ = addr;
-      if (footprint_.size() < footprint_cap_) {
-        footprint_.insert(addr);
-      } else if (!footprint_.contains(addr)) {
-        saturated_ = true;
-      }
-    }
-  }
   uint64_t footprint_size() const { return footprint_.size(); }
   bool footprint_saturated() const { return saturated_; }
   const util::PagedAddrSet& footprint() const { return footprint_; }
 
   LoopNode* owner;
-  /// Creation stamp, see LoopNode::first_seen.
-  uint64_t first_seen = 0;
-  static constexpr uint32_t kNoSideSlot = 0xffffffffu;
-  /// Scratch for time-partition sharding (foray/timeshard.cpp): on a
-  /// slice's refs, the index of its side log; on the merged tree, a
-  /// rescan mark. Reset on adoption; unused everywhere else.
-  uint32_t side_slot = kNoSideSlot;
 
  private:
-  friend class LoopNode;
-
   uint64_t last_addr_ = ~0ull;  ///< out of the u32 range = no MRU yet
   util::PagedAddrSet footprint_;
   size_t footprint_cap_;
@@ -235,18 +176,6 @@ class LoopTree {
   LoopNode* root() { return root_.get(); }
   const LoopNode* root() const { return root_.get(); }
   bool hash_index() const { return hash_index_; }
-
-  /// Merges a tree built over a shard of the same trace into this one.
-  /// Counters accumulate; disjoint subtrees are adopted wholesale;
-  /// first_seen stamps restore the sequential creation order, so merging
-  /// the shards of a partitioned trace (in any order) reproduces the
-  /// tree a single sequential extraction would have built. Colliding
-  /// references must carry Algorithm 3 state on at most one side — the
-  /// sharder guarantees that by keeping each loop context whole — unless
-  /// the caller supplies `on_collision` (time-partition sharding).
-  void merge(LoopTree&& other, const RefMergeFn* on_collision = nullptr) {
-    root_->merge_from(std::move(*other.root_), on_collision);
-  }
 
   /// Total heap footprint of all nodes — the analyzer's working-set size
   /// (constant in trace length, linear in distinct loop contexts).

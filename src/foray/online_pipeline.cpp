@@ -1,52 +1,44 @@
 #include "foray/online_pipeline.h"
 
 #include <algorithm>
-#include <cstring>
 #include <exception>
-#include <memory>
 #include <thread>
-#include <vector>
 
 #include "sim/interp_impl.h"
 #include "trace/chunk_ring.h"
-#include "util/flat_hash.h"
-#include "util/status.h"
 
 namespace foray::core {
 
 namespace {
 
-using trace::CheckpointType;
 using trace::ChunkRing;
 using trace::Record;
-using trace::RecordType;
 
 // Ring geometry: a handful of slots big enough to amortize the lock to
 // ~nothing (one mutex round-trip per 32K records) while keeping the
-// in-flight working set cache-friendly (4 x 384 KiB per consumer).
+// in-flight working set cache-friendly (4 x 384 KiB).
 constexpr size_t kRingSlots = 4;
 constexpr size_t kSlotRecords = 1u << 15;
 
-/// Producer-side cursor into one consumer's ring: fills slots record by
-/// record, starts a new Run whenever the stream position jumps (i.e. the
-/// router switched contexts in between).
-class RingWriter {
+/// The producer's sink: copies records into the ring's current slot and
+/// publishes each slot as it fills.
+class RingSink final {
  public:
-  explicit RingWriter(ChunkRing* ring) : ring_(ring) {}
+  explicit RingSink(ChunkRing* ring) : ring_(ring) {}
 
-  void append(const Record& r, uint64_t pos) {
-    if (slot_ == nullptr || slot_->used == slot_->records.size()) {
-      roll();
-      if (slot_ == nullptr) return;  // consumer aborted: discard
+  void on_chunk(const Record* r, size_t n) {
+    while (n > 0) {
+      if (slot_ == nullptr || slot_->used == slot_->records.size()) {
+        if (slot_ != nullptr) ring_->producer_publish();
+        slot_ = ring_->producer_acquire();
+        if (slot_ == nullptr) return;  // consumer aborted: discard
+      }
+      const size_t take = std::min(n, slot_->records.size() - slot_->used);
+      std::copy_n(r, take, slot_->records.data() + slot_->used);
+      slot_->used += take;
+      r += take;
+      n -= take;
     }
-    if (slot_->runs.empty() || pos != next_pos_) {
-      slot_->runs.push_back(
-          ChunkRing::Run{pos, static_cast<uint32_t>(slot_->used), 0});
-    }
-    slot_->records[slot_->used++] = r;
-    ++slot_->runs.back().len;
-    next_pos_ = pos + 1;
-    ++routed_;
   }
 
   /// Publishes a partial slot (end of stream).
@@ -57,94 +49,15 @@ class RingWriter {
     }
   }
 
-  uint64_t routed() const { return routed_; }
-
  private:
-  void roll() {
-    if (slot_ != nullptr) ring_->producer_publish();
-    slot_ = ring_->producer_acquire();
-  }
-
   ChunkRing* ring_;
   ChunkRing::Slot* slot_ = nullptr;
-  uint64_t next_pos_ = ~0ull;
-  uint64_t routed_ = 0;
-};
-
-/// The producer's sink: routes each record to a consumer ring. With one
-/// consumer every record goes to writer 0 with no inspection; with
-/// several, top-level loop contexts are assigned sticky shards on first
-/// sight (least loaded at that moment) and root-level gaps pin to 0 —
-/// the same exactness argument as foray/shard.h.
-class RouterSink final {
- public:
-  explicit RouterSink(const std::vector<std::unique_ptr<ChunkRing>>& rings) {
-    writers_.reserve(rings.size());
-    for (const auto& ring : rings) writers_.emplace_back(ring.get());
-  }
-
-  void on_record(const Record& r) { route(r); }
-  void on_chunk(const Record* r, size_t n) {
-    if (writers_.size() == 1) {
-      for (size_t i = 0; i < n; ++i) writers_[0].append(r[i], pos_++);
-      return;
-    }
-    for (size_t i = 0; i < n; ++i) route(r[i]);
-  }
-
-  void finish() {
-    for (auto& w : writers_) w.flush();
-  }
-
-  uint64_t records() const { return pos_; }
-  const std::vector<RingWriter>& writers() const { return writers_; }
-
- private:
-  void route(const Record& r) {
-    if (writers_.size() == 1) {
-      writers_[0].append(r, pos_++);
-      return;
-    }
-    bool close_after = false;
-    if (r.type() == RecordType::Checkpoint) {
-      if (r.cp() == CheckpointType::LoopEnter) {
-        if (depth_ == 0) cur_ = shard_for(r.loop_id());
-        ++depth_;
-      } else if (r.cp() == CheckpointType::LoopExit) {
-        if (depth_ > 0) --depth_;
-        if (depth_ == 0) close_after = true;  // exit record ends the segment
-      }
-    }
-    writers_[cur_].append(r, pos_++);
-    if (close_after) cur_ = 0;  // back to the root gap, pinned to 0
-  }
-
-  size_t shard_for(int site_id) {
-    uint32_t* found = site_shard_.find(static_cast<uint32_t>(site_id));
-    if (found != nullptr) return *found;
-    size_t target = 0;
-    for (size_t s = 1; s < writers_.size(); ++s) {
-      if (writers_[s].routed() < writers_[target].routed()) target = s;
-    }
-    site_shard_.insert(static_cast<uint32_t>(site_id),
-                       static_cast<uint32_t>(target));
-    return target;
-  }
-
-  std::vector<RingWriter> writers_;
-  util::FlatMap32<uint32_t> site_shard_;
-  uint64_t pos_ = 0;
-  int depth_ = 0;
-  size_t cur_ = 0;
 };
 
 void consume(ChunkRing* ring, Extractor* ex, std::exception_ptr* err) {
   try {
     while (ChunkRing::Slot* s = ring->consumer_pop()) {
-      for (const ChunkRing::Run& run : s->runs) {
-        ex->set_stream_pos(run.start_pos);
-        ex->on_chunk(s->records.data() + run.offset, run.len);
-      }
+      ex->on_chunk(s->records.data(), s->used);
       ring->consumer_release(s);
     }
   } catch (...) {
@@ -157,64 +70,28 @@ void consume(ChunkRing* ring, Extractor* ex, std::exception_ptr* err) {
 
 sim::RunResult run_profile_pipelined(const minic::Program& prog,
                                      const sim::RunOptions& run_opts,
-                                     const ExtractorOptions& ex_opts,
-                                     int shards, Extractor* out,
-                                     ShardReport* report) {
-  const size_t n = static_cast<size_t>(std::max(shards, 1));
-  // Rings hold a mutex, so they live behind stable pointers.
-  std::vector<std::unique_ptr<ChunkRing>> rings;
-  rings.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    rings.push_back(std::make_unique<ChunkRing>(kRingSlots, kSlotRecords));
-  }
-
-  std::vector<Extractor> consumers;
-  consumers.reserve(n);
-  for (size_t s = 0; s < n; ++s) consumers.emplace_back(ex_opts);
-
-  RouterSink router(rings);
-  std::vector<std::exception_ptr> errors(n);
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    threads.emplace_back(consume, rings[s].get(), &consumers[s], &errors[s]);
-  }
+                                     Extractor* out) {
+  ChunkRing ring(kRingSlots, kSlotRecords);
+  RingSink sink(&ring);
+  std::exception_ptr consumer_err;
+  std::thread consumer(consume, &ring, out, &consumer_err);
 
   sim::RunResult run;
   std::exception_ptr producer_err;
   try {
-    run = sim::run_program_with(prog, &router, run_opts);
-    router.finish();
+    run = sim::run_program_with(prog, &sink, run_opts);
+    sink.flush();
   } catch (...) {
     producer_err = std::current_exception();
   }
-  for (auto& ring : rings) ring->close();
-  for (auto& t : threads) t.join();
+  ring.close();
+  consumer.join();
 
-  // Consumer failures (a malformed trace tripping a FORAY_CHECK) outrank
-  // producer ones — the producer may only have failed because an aborted
-  // ring made it drop records.
-  for (auto& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
+  // A consumer failure (a malformed trace tripping a FORAY_CHECK) outranks
+  // a producer one — the producer may only have failed because the
+  // aborted ring made it drop records.
+  if (consumer_err) std::rethrow_exception(consumer_err);
   if (producer_err) std::rethrow_exception(producer_err);
-
-  ShardReport rep;
-  rep.shards_requested = static_cast<int>(n);
-  rep.records = router.records();
-  uint64_t max_load = 0;
-  for (const auto& w : router.writers()) {
-    if (w.routed() > 0) ++rep.shards_used;
-    max_load = std::max(max_load, w.routed());
-  }
-  if (rep.shards_used > 0 && rep.records > 0) {
-    rep.balance = static_cast<double>(max_load) * rep.shards_used /
-                  static_cast<double>(rep.records);
-  }
-  if (report != nullptr) *report = rep;
-
-  // Merge in shard order; first_seen stamps restore sequential order.
-  for (size_t s = 0; s < n; ++s) out->absorb(std::move(consumers[s]));
   return run;
 }
 

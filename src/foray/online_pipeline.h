@@ -1,40 +1,27 @@
-// Pipeline-overlapped online profiling: VM producer + Extractor consumers.
+// Pipeline-overlapped online profiling: VM producer + Extractor consumer.
 //
 // The fused online mode (sim::run_program_with<Extractor>) interleaves
 // simulation and analysis on one thread, so its throughput is
 // 1/(t_sim + t_extract). This module splits the two across threads: the
-// calling thread runs the simulator, streaming records through bounded
-// ChunkRings (trace/chunk_ring.h), while consumer threads run Extractors
-// — throughput becomes 1/max(t_sim, t_extract), the slower side hiding
-// the faster side entirely.
-//
-// Composition with context sharding: with shards > 1 the producer routes
-// records by top-level loop context exactly like foray/shard.h — a
-// context's records all go to one consumer, root-level gaps to consumer
-// 0 — so each consumer sees whole Algorithm 3 folds and the merged
-// result is bit-identical to sequential extraction (the same argument as
-// extract_sharded, locked by tests/pipeline_equivalence_test.cpp).
-// Unlike extract_sharded, routing happens online: nothing is
-// materialized, and context assignment is least-loaded-at-first-sight
-// instead of a full-knowledge plan (the report's balance reflects that).
+// calling thread runs the simulator, streaming records through a bounded
+// ChunkRing (trace/chunk_ring.h), while one consumer thread runs the
+// Extractor — throughput becomes 1/max(t_sim, t_extract), the slower
+// side hiding the faster side. The consumer sees the records in trace
+// order, so the result is bit-identical to the fused pass (locked by
+// tests/pipeline_equivalence_test.cpp).
 #pragma once
 
 #include "foray/extractor.h"
-#include "foray/shard.h"
 #include "minic/ast.h"
 #include "sim/interpreter.h"
 
 namespace foray::core {
 
-/// Runs `prog` on the calling thread with `shards` Extractor consumer
-/// threads fed through chunk rings; the merged extraction lands in `*out`
-/// (which must be freshly constructed with `ex_opts`). The returned
-/// RunResult is the simulator's. `report` (optional) records how records
-/// were spread over consumers. shards <= 1 uses a single consumer.
+/// Runs `prog` on the calling thread with `*out` extracting on a consumer
+/// thread fed through a chunk ring. The returned RunResult is the
+/// simulator's.
 sim::RunResult run_profile_pipelined(const minic::Program& prog,
                                      const sim::RunOptions& run_opts,
-                                     const ExtractorOptions& ex_opts,
-                                     int shards, Extractor* out,
-                                     ShardReport* report = nullptr);
+                                     Extractor* out);
 
 }  // namespace foray::core

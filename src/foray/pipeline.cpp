@@ -3,8 +3,6 @@
 #include <cstdio>
 
 #include "foray/online_pipeline.h"
-#include "foray/shard.h"
-#include "foray/timeshard.h"
 #include "minic/parser.h"
 #include "sim/interp_impl.h"
 #include "spm/address_stream.h"
@@ -12,24 +10,6 @@
 #include "trace/sink.h"
 
 namespace foray::core {
-namespace {
-
-/// The three profiling strategies are decided from options alone so that
-/// profile_phase and extract_phase agree without extra state:
-/// pipelined (overlapped, nothing materialized) beats materialized
-/// (offline replay / context shards / time shards) beats fused online.
-bool pipelined_profile(const PipelineOptions& opts) {
-  return opts.profile_pipeline && !opts.offline &&
-         opts.profile_timeshards <= 1;
-}
-
-bool materialized_profile(const PipelineOptions& opts) {
-  return !pipelined_profile(opts) &&
-         (opts.offline || opts.profile_shards > 1 ||
-          opts.profile_timeshards > 1);
-}
-
-}  // namespace
 
 util::Status frontend_phase(std::string_view source, PipelineResult* result) {
   util::DiagList diags;
@@ -63,21 +43,19 @@ util::Status profile_phase(const PipelineOptions& opts,
   FORAY_CHECK(result->program != nullptr,
               "profile_phase requires instrument_phase");
   result->extractor = std::make_unique<Extractor>(opts.extractor);
-  if (pipelined_profile(opts)) {
-    // Overlapped online mode: the simulator produces chunks into rings,
-    // consumer threads extract them while the next chunk simulates.
-    result->run = run_profile_pipelined(
-        *result->program, opts.run, opts.extractor,
-        std::max(opts.profile_shards, 1), result->extractor.get(),
-        &result->shard_report);
-    result->trace_records = result->extractor->records_processed();
-  } else if (materialized_profile(opts)) {
-    // Materialize the trace; Extract replays it (sharded when asked).
+  if (opts.offline) {
+    // Materialize the trace; Extract replays it.
     trace::VectorSink trace_sink(opts.run.trace_reserve_hint);
     result->run =
         sim::run_program_with(*result->program, &trace_sink, opts.run);
     result->trace_records = trace_sink.size();
     result->offline_trace = trace_sink.take();
+  } else if (opts.profile_pipeline) {
+    // Overlapped online mode: the simulator produces chunks into a ring,
+    // a consumer thread extracts them while the next chunk simulates.
+    result->run = run_profile_pipelined(*result->program, opts.run,
+                                        result->extractor.get());
+    result->trace_records = result->extractor->records_processed();
   } else {
     // Online constant-space mode: the extractor IS the sink, and the
     // concrete instantiation inlines the whole record path into the
@@ -94,20 +72,9 @@ util::Status extract_phase(const PipelineOptions& opts,
                            PipelineResult* result) {
   FORAY_CHECK(result->extractor != nullptr,
               "extract_phase requires profile_phase");
-  if (materialized_profile(opts)) {
-    if (opts.profile_timeshards > 1) {
-      *result->extractor = extract_time_sharded(
-          std::span<const trace::Record>(result->offline_trace),
-          opts.extractor, opts.profile_timeshards,
-          &result->timeshard_report);
-    } else if (opts.profile_shards > 1) {
-      *result->extractor = extract_sharded(
-          std::span<const trace::Record>(result->offline_trace),
-          opts.extractor, opts.profile_shards, &result->shard_report);
-    } else {
-      result->extractor->on_chunk(result->offline_trace.data(),
-                                  result->offline_trace.size());
-    }
+  if (opts.offline) {
+    result->extractor->on_chunk(result->offline_trace.data(),
+                                result->offline_trace.size());
     result->offline_trace.clear();
     result->offline_trace.shrink_to_fit();
   }

@@ -18,8 +18,9 @@
 //
 // The default is the paper's online mode: the extractor is the trace sink
 // and no trace is materialized. Offline mode stores the full trace first
-// and replays it during Extract (used by the E9 ablation); both produce
-// identical models.
+// and replays it during Extract (used by the E9 ablation); the pipelined
+// mode runs the extractor on its own thread. All three produce identical
+// models.
 #pragma once
 
 #include <memory>
@@ -30,9 +31,7 @@
 #include "foray/extractor.h"
 #include "foray/filter.h"
 #include "foray/model.h"
-#include "foray/shard.h"
 #include "foray/stats.h"
-#include "foray/timeshard.h"
 #include "instrument/annotator.h"
 #include "minic/ast.h"
 #include "minic/sema.h"
@@ -69,26 +68,12 @@ struct PipelineOptions {
   /// false (default): online analysis during profiling, constant space.
   /// true: materialize the trace in memory, then analyze.
   bool offline = false;
-  /// Shard the extraction of one program's trace across this many
-  /// concurrent extractors (foray/shard.h); results are bit-identical to
-  /// sequential extraction. Values > 1 imply materializing the trace
-  /// (as in offline mode), trading the constant-space property for
-  /// parallelism on giant inputs. 1 = sequential.
-  int profile_shards = 1;
-  /// Overlap profiling and extraction: run the simulator as a producer
-  /// thread streaming record chunks through lock-light rings to
-  /// consumer extractor thread(s) (foray/online_pipeline.h). Keeps the
-  /// online constant-space property — no trace is materialized — and
-  /// produces a bit-identical model. Composes with profile_shards: the
-  /// producer routes top-level contexts, one consumer per shard.
-  /// Ignored in offline mode and under profile_timeshards.
+  /// Overlap profiling and extraction: the simulator streams record
+  /// chunks through a bounded ring to an extractor on a second thread
+  /// (foray/online_pipeline.h). Keeps the online constant-space property
+  /// — no trace is materialized — and produces a bit-identical model.
+  /// Ignored in offline mode.
   bool profile_pipeline = false;
-  /// Cut the (materialized) trace into this many *time* slices,
-  /// extract them concurrently and reconcile exactly
-  /// (foray/timeshard.h) — parallelism even when one context dominates.
-  /// Values > 1 imply materializing the trace and take precedence over
-  /// profile_shards/profile_pipeline. 1 = sequential.
-  int profile_timeshards = 1;
   /// Run the SpmPhase after Extract (Phase II of the design flow).
   bool with_spm = false;
   SpmPhaseOptions spm;
@@ -139,11 +124,6 @@ struct PipelineResult {
   std::vector<trace::Record> offline_trace;
   /// Trace volume seen by the analyzer (records).
   uint64_t trace_records = 0;
-  /// Filled when profile_shards > 1 or profile_pipeline: how the trace
-  /// was spread across extractors.
-  ShardReport shard_report;
-  /// Filled when profile_timeshards > 1: how the time slices reconciled.
-  TimeShardReport timeshard_report;
   // Extract.
   bool model_built = false;  ///< extract_phase completed
   ForayModel model;

@@ -1,5 +1,7 @@
 #include "minic/parser.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "minic/lexer.h"
@@ -50,7 +52,54 @@ class Parser {
           (cur().text.empty() ? "" : " '" + cur().text + "'"));
     return cur();
   }
-  void error(const std::string& msg) { diags_->add(cur().line, msg); }
+  void error(const std::string& msg) {
+    if (!too_deep_) diags_->add(cur().line, msg);
+  }
+
+  // -- nesting bound ----------------------------------------------------------
+  //
+  // depth_ counts the constructs the parser is currently inside
+  // (statements, unary operands, assignment and conditional right-hand
+  // sides); heights_ holds each finished expression's height, indexed by
+  // node id, so left-deep chains (a+b+c..., a[i][j]...) that the parser
+  // builds in a loop are bounded too. Past kMaxNesting the parse reports
+  // one diagnostic and skips to end of input, which unwinds every level
+  // without further messages.
+
+  void too_deep(int line) {
+    if (too_deep_) return;
+    diags_->add(line, "nesting deeper than " + std::to_string(kMaxNesting) +
+                          " levels");
+    too_deep_ = true;
+    pos_ = toks_.size() - 1;
+  }
+
+  /// One level of parser recursion for as long as it lives.
+  class Nest {
+   public:
+    explicit Nest(Parser* p) : p_(p) {
+      if (++p_->depth_ > kMaxNesting) p_->too_deep(p_->cur().line);
+    }
+    ~Nest() { --p_->depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    bool ok() const { return !p_->too_deep_; }
+
+   private:
+    Parser* p_;
+  };
+
+  int height(const ExprPtr& e) const {
+    return e ? heights_[static_cast<size_t>(e->node_id)] : 0;
+  }
+
+  /// Records the height of `e`, whose children are complete.
+  void seal(const Expr& e) {
+    int h = std::max({height(e.a), height(e.b), height(e.c)});
+    for (const ExprPtr& arg : e.args) h = std::max(h, height(arg));
+    heights_[static_cast<size_t>(e.node_id)] = h + 1;
+    if (depth_ + h + 1 > kMaxNesting) too_deep(e.line);
+  }
 
   /// Skip tokens until a likely statement boundary (error recovery).
   void synchronize() {
@@ -65,6 +114,7 @@ class Parser {
     e->kind = k;
     e->node_id = next_node_id_++;
     e->line = line;
+    heights_.resize(static_cast<size_t>(next_node_id_), 1);
     return e;
   }
   StmtPtr make_stmt(StmtKind k, int line) {
@@ -237,6 +287,8 @@ class Parser {
 
   StmtPtr parse_stmt() {
     int line = cur().line;
+    Nest nest(this);
+    if (!nest.ok()) return make_stmt(StmtKind::Empty, line);
     switch (cur().kind) {
       case Tok::kLBrace:
         return parse_block();
@@ -373,7 +425,11 @@ class Parser {
       auto e = make_expr(ExprKind::Assign, op.line);
       e->as_op = to_assign_op(op.kind);
       e->a = std::move(lhs);
-      e->b = parse_assignment();
+      {
+        Nest nest(this);
+        e->b = parse_assignment();
+      }
+      seal(*e);
       return e;
     }
     return lhs;
@@ -387,7 +443,11 @@ class Parser {
       e->a = std::move(cond);
       e->b = parse_expr();
       expect(Tok::kColon, "in conditional expression");
-      e->c = parse_conditional();
+      {
+        Nest nest(this);
+        e->c = parse_conditional();
+      }
+      seal(*e);
       return e;
     }
     return cond;
@@ -433,6 +493,7 @@ class Parser {
       e->bin_op = info.op;
       e->a = std::move(lhs);
       e->b = std::move(rhs);
+      seal(*e);
       lhs = std::move(e);
     }
   }
@@ -454,6 +515,8 @@ class Parser {
 
   ExprPtr parse_unary() {
     int line = cur().line;
+    Nest nest(this);
+    if (!nest.ok()) return make_expr(ExprKind::IntLit, line);
     if (at_cast()) {
       take();  // '('
       Type t = parse_pointer_suffix(parse_base_type());
@@ -461,6 +524,7 @@ class Parser {
       auto e = make_expr(ExprKind::Cast, line);
       e->cast_type = t;
       e->a = parse_unary();
+      seal(*e);
       return e;
     }
     UnaryOp op;
@@ -483,6 +547,7 @@ class Parser {
     auto e = make_expr(ExprKind::Unary, line);
     e->un_op = op;
     e->a = parse_unary();
+    seal(*e);
     return e;
   }
 
@@ -500,12 +565,14 @@ class Parser {
           } while (accept(Tok::kComma));
         }
         expect(Tok::kRParen, "after call arguments");
+        seal(*call);
         e = std::move(call);
       } else if (accept(Tok::kLBracket)) {
         auto idx = make_expr(ExprKind::Index, line);
         idx->a = std::move(e);
         idx->b = parse_expr();
         expect(Tok::kRBracket, "after array index");
+        seal(*idx);
         e = std::move(idx);
       } else if (at(Tok::kPlusPlus) || at(Tok::kMinusMinus)) {
         Token op = take();
@@ -513,6 +580,7 @@ class Parser {
         u->un_op = op.kind == Tok::kPlusPlus ? UnaryOp::PostInc
                                              : UnaryOp::PostDec;
         u->a = std::move(e);
+        seal(*u);
         e = std::move(u);
       } else {
         return e;
@@ -571,6 +639,9 @@ class Parser {
   size_t pos_ = 0;
   util::DiagList* diags_;
   int next_node_id_ = 0;
+  int depth_ = 0;
+  bool too_deep_ = false;
+  std::vector<int> heights_;  ///< expression height by node id
 };
 
 }  // namespace

@@ -11,6 +11,14 @@
 
 namespace foray::minic {
 
+/// Deepest nesting the parser accepts: statements, parenthesized and
+/// operator subexpressions all count one level each. Every recursive
+/// walker behind the parser (sema, printer, checker, bytecode compiler,
+/// AST interpreter, emitter) recurses on the host stack once per level,
+/// so this bound keeps them all within a default 8 MB thread stack.
+/// Deeper input is a "parse" error, never a crash.
+constexpr int kMaxNesting = 1000;
+
 /// Parse a full translation unit. On syntax errors, diagnostics are added
 /// to `diags` and a best-effort partial Program is still returned; callers
 /// must treat the result as unusable unless `diags` is empty.

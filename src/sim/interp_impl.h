@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "jit/engine.h"
 #include "minic/intrinsics.h"
 #include "sim/exec_common.h"
 #include "sim/global_layout.h"
@@ -554,16 +553,12 @@ class Interp {
 /// trace records into the concrete sink `*sink` — the devirtualized
 /// variant of run_program() for callers that know their sink type.
 /// Dispatches on RunOptions::engine: the bytecode VM by default, the
-/// native jit engine (which degrades to the VM on unsupported builds)
-/// or the tree walker when the caller pins one (or sets FORAY_ENGINE).
+/// tree walker when the caller pins it (or sets FORAY_ENGINE=ast).
 template <class SinkT>
 RunResult run_program_with(const minic::Program& prog, SinkT* sink,
                            const RunOptions& opts = {}) {
   if (opts.engine == Engine::Bytecode) {
     return run_bytecode_with(prog, sink, opts);
-  }
-  if (opts.engine == Engine::Jit) {
-    return jit::run_jit_with(prog, sink, opts);
   }
   internal::Interp<SinkT> interp(prog, sink, opts);
   return interp.run();

@@ -14,13 +14,12 @@ Engine default_engine() {
     if (env == nullptr || *env == '\0') return Engine::Bytecode;
     if (std::strcmp(env, "ast") == 0) return Engine::Ast;
     if (std::strcmp(env, "bytecode") == 0) return Engine::Bytecode;
-    if (std::strcmp(env, "jit") == 0) return Engine::Jit;
     // An unrecognized value must not silently fall back to the default:
     // the CI matrix relies on FORAY_ENGINE=ast actually exercising the
     // reference engine, so a typo has to fail loudly, not pass green.
     std::fprintf(stderr,
-                 "FORAY_ENGINE='%s' is not a known engine (use 'ast', "
-                 "'bytecode' or 'jit')\n",
+                 "FORAY_ENGINE='%s' is not a known engine (use 'ast' or "
+                 "'bytecode')\n",
                  env);
     std::exit(2);
   }();

@@ -26,19 +26,16 @@
 
 namespace foray::sim {
 
-/// Which execution engine runs the program. All three produce
-/// bit-identical traces, outputs, and memory images
-/// (tests/engine_equivalence_test.cpp enforces it); they differ only in
-/// speed. Engine::Jit degrades to Engine::Bytecode — same results, plus
-/// a one-line stderr note — on builds without native-code support.
+/// Which execution engine runs the program. Both produce bit-identical
+/// traces, outputs, and memory images (tests/engine_equivalence_test.cpp
+/// enforces it); they differ only in speed.
 enum class Engine : uint8_t {
   Ast,       ///< tree-walking reference interpreter (the oracle)
   Bytecode,  ///< flat bytecode + dispatch-loop VM (the fast default)
-  Jit,       ///< bytecode lowered to native x86-64 (src/jit/)
 };
 
 /// Session-wide default engine: Engine::Bytecode, overridable with the
-/// FORAY_ENGINE environment variable ("ast", "bytecode" or "jit") so the
+/// FORAY_ENGINE environment variable ("ast" or "bytecode") so the
 /// whole test suite can be re-run against any engine without code
 /// changes (the CI matrix does exactly that).
 Engine default_engine();

@@ -17,17 +17,12 @@
 // per-function depth bounds, so the hot push/pop path carries no
 // capacity checks.
 //
-// Each opcode body lives in a private always-inline do_<Op>() method
-// rather than directly in the dispatch loop: the template JIT
-// (src/jit/engine.h) calls the very same methods from its native-code
-// handlers, so the VM and the jit engine agree bit-for-bit by
-// construction. Step accounting and control flow stay in the
-// dispatchers (the VM_NEXT/VM_JUMP glue here, the emitted instruction
-// prefixes there).
+// Each opcode body lives in a private always-inline do_<Op>() method;
+// step accounting and control flow stay in the VM_NEXT/VM_JUMP glue of
+// the dispatch loop.
 #pragma once
 
 #include <algorithm>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -41,11 +36,6 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define FORAY_VM_COMPUTED_GOTO 1
 #endif
-
-namespace foray::jit {
-template <class SinkT>
-struct JitOps;  // native-code handler set; friend of Vm (src/jit/engine.h)
-}
 
 namespace foray::sim {
 
@@ -83,9 +73,6 @@ class Vm {
   }
 
  private:
-  template <class S>
-  friend struct ::foray::jit::JitOps;
-
   using Type = minic::Type;
   using AccessKind = trace::AccessKind;
 
@@ -111,14 +98,12 @@ class Vm {
     Value ret_value = Value::of_int(0);
   };
 
-  /// Shared run scaffolding: slot/stack setup, guarded execution of
-  /// `body` (the dispatch loop here, the native entry call in the jit
-  /// engine), fault classification, and result finalization.
+  /// Run scaffolding: slot/stack setup, guarded execution of `body`
+  /// (the dispatch loop), fault classification, and result finalization.
   template <class Body>
   RunResult run_guarded(Body&& body) {
     RunResult result;
     globals_.assign(code_.globals.size(), VmSlot{});
-    globals_raw_ = globals_.data();
     interned_.assign(code_.str_pool.size(), InternCell{});
     stack_.resize(static_cast<size_t>(code_.start_max_stack) + 64);
     sp_ = stack_.data();
@@ -482,7 +467,6 @@ class Vm {
   std::vector<Value> stack_;
   Value* sp_ = nullptr;  ///< next free operand slot
   std::vector<VmSlot> globals_;
-  VmSlot* globals_raw_ = nullptr;  ///< globals_.data(), for jit-emitted code
   std::vector<VmSlot> locals_;
   VmSlot* cur_locals_ = nullptr;  ///< locals_ slice of the active frame
   std::vector<InternCell> interned_;
@@ -492,10 +476,6 @@ class Vm {
   uint64_t steps_ = 0;
   int exit_code_ = 0;
   int cur_line_ = 0;
-  /// A fault a jit handler caught at the native-code boundary; rethrown
-  /// by JitOps::run once control is back in C++ frames (exceptions must
-  /// never unwind through emitted code, which has no unwind tables).
-  std::exception_ptr jit_pending_;
 };
 
 // The handler bodies are shared between the computed-goto and switch

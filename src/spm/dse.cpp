@@ -28,11 +28,26 @@ Selection select_buffers(const std::vector<BufferCandidate>& candidates,
   }
   // A zero granule must quantize as one byte, not divide by zero.
   const uint32_t granule = std::max<uint32_t>(opts.granule, 1);
-  const uint32_t slots = opts.spm_capacity / granule;
-  const size_t width = static_cast<size_t>(slots) + 1;
   const auto need_of = [granule](const BufferCandidate* c) {
     return static_cast<uint32_t>((c->size_bytes + granule - 1) / granule);
   };
+  // No selection needs more than the sum of each group's largest need.
+  // Every cell past that total equals the cell at it, and the best_w
+  // scan below keeps the first maximum, so cutting the table there keeps
+  // the selection bit-identical while bounding its size by the
+  // candidates instead of the capacity.
+  uint64_t max_total = 0;
+  for (const auto& [ref, items] : groups) {
+    (void)ref;
+    uint32_t largest = 0;
+    for (const BufferCandidate* c : items) {
+      largest = std::max(largest, need_of(c));
+    }
+    max_total += largest;
+  }
+  const size_t slots = static_cast<size_t>(
+      std::min<uint64_t>(opts.spm_capacity / granule, max_total));
+  const size_t width = slots + 1;
   // dp[w] = best savings using at most w granules. choice[g * width + w]
   // is 1 + the index of the group-g item that set dp[w] in layer g, or 0
   // when the cell carried over from layer g - 1; backtracking from the
@@ -51,7 +66,7 @@ Selection select_buffers(const std::vector<BufferCandidate>& candidates,
     for (size_t k = 0; k < items.size(); ++k) {
       const uint32_t need = need_of(items[k]);
       const double gain = candidate_saving_nj(*items[k], opts);
-      for (uint32_t w = need; w <= slots; ++w) {
+      for (size_t w = need; w <= slots; ++w) {
         const double with = dp[w - need] + gain;
         if (with > next_dp[w]) {
           next_dp[w] = with;
@@ -64,12 +79,12 @@ Selection select_buffers(const std::vector<BufferCandidate>& candidates,
   }
 
   Selection sel;
-  uint32_t best_w = 0;
-  for (uint32_t w = 0; w <= slots; ++w) {
+  size_t best_w = 0;
+  for (size_t w = 0; w <= slots; ++w) {
     if (dp[w] > dp[best_w]) best_w = w;
   }
   sel.saved_nj = dp[best_w];
-  uint32_t w = best_w;
+  size_t w = best_w;
   auto layer = groups.rbegin();
   for (g = groups.size(); g-- > 0; ++layer) {
     const uint16_t k = choice[g * width + w];

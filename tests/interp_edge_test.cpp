@@ -325,12 +325,11 @@ TEST_P(EngineEdge, PointerWalkDownward) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, EngineEdge,
-    ::testing::Values(Engine::Ast, Engine::Bytecode, Engine::Jit),
+    ::testing::Values(Engine::Ast, Engine::Bytecode),
     [](const ::testing::TestParamInfo<Engine>& pi) {
       switch (pi.param) {
         case Engine::Ast: return "ast";
         case Engine::Bytecode: return "bytecode";
-        case Engine::Jit: return "jit";
       }
       return "unknown";
     });

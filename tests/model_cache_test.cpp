@@ -122,11 +122,11 @@ TEST_F(ModelCacheTest, WarmSweepIsPurePhaseTwoAndByteIdentical) {
   EXPECT_EQ(run_ndjson(/*threads=*/2, nullptr), cold);
 }
 
-TEST_F(ModelCacheTest, JitSweepHitsBytecodePopulatedCache) {
-  // The fingerprint excludes the engine (all engines are locked
-  // bit-identical by the equivalence harness), so a --engine jit sweep
+TEST_F(ModelCacheTest, AstSweepHitsBytecodePopulatedCache) {
+  // The fingerprint excludes the engine (both engines are locked
+  // bit-identical by the equivalence harness), so a --engine ast sweep
   // against a cache populated by a bytecode run must be pure hits and
-  // byte-identical output — the jit is a speed choice, never a key.
+  // byte-identical output — the engine is a speed choice, never a key.
   ModelCache bc_cache(ModelCacheOptions{dir_, true});
   SweepOptions bc_opts = sweep_opts(/*threads=*/1, &bc_cache);
   bc_opts.pipeline.run.engine = sim::Engine::Bytecode;
@@ -137,16 +137,16 @@ TEST_F(ModelCacheTest, JitSweepHitsBytecodePopulatedCache) {
   }
   EXPECT_EQ(bc_cache.stats().stores, 2u);
 
-  ModelCache jit_cache(ModelCacheOptions{dir_, true});
-  SweepOptions jit_opts = sweep_opts(/*threads=*/2, &jit_cache);
-  jit_opts.pipeline.run.engine = sim::Engine::Jit;
-  std::ostringstream jit_out;
+  ModelCache ast_cache(ModelCacheOptions{dir_, true});
+  SweepOptions ast_opts = sweep_opts(/*threads=*/2, &ast_cache);
+  ast_opts.pipeline.run.engine = sim::Engine::Ast;
+  std::ostringstream ast_out;
   {
-    SweepDriver driver(jit_opts);
-    ASSERT_TRUE(driver.run_ndjson(jobs(), jit_out).ok());
+    SweepDriver driver(ast_opts);
+    ASSERT_TRUE(driver.run_ndjson(jobs(), ast_out).ok());
   }
-  EXPECT_EQ(jit_out.str(), bc_out.str());
-  const ModelCache::Stats s = jit_cache.stats();
+  EXPECT_EQ(ast_out.str(), bc_out.str());
+  const ModelCache::Stats s = ast_cache.stats();
   EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.stores, 0u);
@@ -322,13 +322,14 @@ TEST(ModelCacheKey, TracksModelChangingOptionsOnly) {
   core::PipelineOptions engine = base;
   engine.run.engine = sim::Engine::Ast;
   EXPECT_EQ(ModelCache::key(kGood, engine), k);
-  engine.run.engine = sim::Engine::Jit;
-  EXPECT_EQ(ModelCache::key(kGood, engine), k);
 
-  // Parallel-extraction modes are likewise locked bit-identical.
-  core::PipelineOptions shards = base;
-  shards.profile_shards = 4;
-  EXPECT_EQ(ModelCache::key(kGood, shards), k);
+  // Profiling modes are likewise locked bit-identical.
+  core::PipelineOptions mode = base;
+  mode.profile_pipeline = true;
+  EXPECT_EQ(ModelCache::key(kGood, mode), k);
+  mode = base;
+  mode.offline = true;
+  EXPECT_EQ(ModelCache::key(kGood, mode), k);
 
   // Budgets never produce a model to store.
   core::PipelineOptions budget = base;

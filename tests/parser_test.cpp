@@ -267,5 +267,53 @@ TEST(Parser, LogicalOperatorsShortCircuitShape) {
   EXPECT_EQ(e.b->bin_op, BinaryOp::LogAnd);
 }
 
+// -- nesting bound ------------------------------------------------------------
+
+/// Programs whose deepest path nests exactly `depth` levels. The return
+/// or expression statement is one level, every parenthesis, unary
+/// operator and if one more, and a left-deep chain x+x+...+x of n
+/// operands is n levels (one per operator plus the last operand).
+std::string nested_parens(int depth) {
+  const int k = depth - 2;  // return statement + operand
+  return "int main(void) {\n  int x = 1;\n  return " +
+         std::string(static_cast<size_t>(k), '(') + "x" +
+         std::string(static_cast<size_t>(k), ')') + ";\n}\n";
+}
+
+std::string nested_ifs(int depth) {
+  std::string src = "int main(void) {\n  int x = 1;\n";
+  for (int i = 0; i < depth - 2; ++i) src += "if (x) ";  // x; is 2 levels
+  return src + "x;\n  return x;\n}\n";
+}
+
+std::string added_chain(int depth) {
+  std::string src = "int main(void) {\n  int x = 1;\n  return x";
+  for (int i = 0; i < depth - 2; ++i) src += "+x";  // + return statement
+  return src + ";\n}\n";
+}
+
+TEST(Parser, NestingAtTheLimitParses) {
+  for (const auto& make : {nested_parens, nested_ifs, added_chain}) {
+    util::DiagList diags;
+    parse_program(make(kMaxNesting), &diags);
+    EXPECT_TRUE(diags.empty()) << diags.str();
+  }
+}
+
+TEST(Parser, NestingPastTheLimitIsOneParseError) {
+  for (int depth : {kMaxNesting + 1, 10'000}) {
+    for (const auto& make : {nested_parens, nested_ifs, added_chain}) {
+      util::DiagList diags;
+      parse_program(make(depth), &diags);
+      // One diagnostic at the offending line, not one per open level.
+      ASSERT_EQ(diags.size(), 1u) << diags.str();
+      EXPECT_EQ(diags.all()[0].line, 3);
+      EXPECT_NE(diags.all()[0].message.find("nesting deeper than 1000"),
+                std::string::npos)
+          << diags.str();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace foray::minic

@@ -1,13 +1,13 @@
 // Pipeline-overlap equivalence: profiling with the simulator as a
-// producer thread and extractor consumer thread(s) behind lock-light
-// chunk rings (foray/online_pipeline.h) must reproduce the sequential
-// fused online extraction bit for bit — loop tree, affine states,
-// emitted model AND simulator results — for every benchsuite program,
-// seeded stress program, consumer count, chunk size and engine. This is
-// the contract that makes --pipeline purely a performance knob.
+// producer thread and the extractor as a consumer thread behind a chunk
+// ring (foray/online_pipeline.h) must reproduce the fused online
+// extraction bit for bit — loop tree, affine states, emitted model AND
+// simulator results — for every benchsuite program, seeded stress
+// program, chunk size and engine. This is the contract that makes
+// --pipeline purely a performance knob. The synchronous transports are
+// checked in shard_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -22,8 +22,8 @@
 namespace foray::core {
 namespace {
 
-/// Deterministic deep fingerprint of an extraction (same contract as
-/// tests/shard_equivalence_test.cpp).
+/// Deterministic deep fingerprint of an extraction: tree shape,
+/// counters, per-reference traffic and finalized affine functions.
 std::string fingerprint(const Extractor& ex) {
   std::ostringstream os;
   os << "records " << ex.records_processed() << " accesses "
@@ -83,30 +83,19 @@ TEST_P(PipelineEquivalence, OverlappedProfilingMatchesFusedOnline) {
     ASSERT_TRUE(want_run.ok()) << want_run.error();
     const std::string want = fingerprint(online);
 
-    for (int consumers : {1, 2, 3}) {
-      const std::string what =
-          std::string(b.name) + ": engine=" +
-          (engine == sim::Engine::Ast ? "ast" : "bytecode") +
-          " consumers=" + std::to_string(consumers);
-      Extractor ex;
-      ShardReport rep;
-      auto run = run_profile_pipelined(*res.program, ropts,
-                                       ExtractorOptions{}, consumers, &ex,
-                                       &rep);
-      expect_same_run(run, want_run, what);
-      EXPECT_EQ(fingerprint(ex), want) << what;
-      EXPECT_EQ(rep.shards_requested, consumers) << what;
-      EXPECT_EQ(rep.records, online.records_processed()) << what;
-      if (rep.records > 0) {
-        EXPECT_GE(rep.balance, 1.0) << what;
-      }
-    }
+    const std::string what =
+        std::string(b.name) + ": engine=" +
+        (engine == sim::Engine::Ast ? "ast" : "bytecode");
+    Extractor ex;
+    auto run = run_profile_pipelined(*res.program, ropts, &ex);
+    expect_same_run(run, want_run, what);
+    EXPECT_EQ(fingerprint(ex), want) << what;
   }
 }
 
-TEST_P(PipelineEquivalence, OddChunkSizesSurviveRouting) {
-  // Small emitter chunks force many ring runs and frequent slot rolls —
-  // the worst case for the run bookkeeping.
+TEST_P(PipelineEquivalence, OddChunkSizesSurviveTheRing) {
+  // Emitter chunks that do not divide the ring's slot size split chunks
+  // across slot boundaries on every roll.
   const auto& b = benchsuite::get_benchmark(GetParam());
   PipelineResult res;
   ASSERT_TRUE(frontend_phase(b.source, &res).ok()) << res.error();
@@ -118,14 +107,10 @@ TEST_P(PipelineEquivalence, OddChunkSizesSurviveRouting) {
   ASSERT_TRUE(sim::run_program(*res.program, &online, ropts).ok());
   const std::string want = fingerprint(online);
 
-  for (int consumers : {1, 3}) {
-    Extractor ex;
-    auto run = run_profile_pipelined(*res.program, ropts, ExtractorOptions{},
-                                     consumers, &ex, nullptr);
-    ASSERT_TRUE(run.ok()) << run.error();
-    EXPECT_EQ(fingerprint(ex), want)
-        << b.name << ": chunk=513 consumers=" << consumers;
-  }
+  Extractor ex;
+  auto run = run_profile_pipelined(*res.program, ropts, &ex);
+  ASSERT_TRUE(run.ok()) << run.error();
+  EXPECT_EQ(fingerprint(ex), want) << b.name << ": chunk=513";
 }
 
 TEST_P(PipelineEquivalence, PipelinedPipelineModelMatchesSequential) {
@@ -133,22 +118,18 @@ TEST_P(PipelineEquivalence, PipelinedPipelineModelMatchesSequential) {
   auto seq = run_pipeline(b.source);
   ASSERT_TRUE(seq.ok()) << seq.error();
 
-  for (int shards : {1, 2}) {
-    PipelineOptions opts;
-    opts.profile_pipeline = true;
-    opts.profile_shards = shards;
-    auto pl = run_pipeline(b.source, opts);
-    ASSERT_TRUE(pl.ok()) << b.name << ": " << pl.error();
-    EXPECT_EQ(pl.foray_source, seq.foray_source)
-        << b.name << ": emitted model differs, pipeline shards=" << shards;
-    EXPECT_EQ(pl.foray_paper_style, seq.foray_paper_style)
-        << b.name << ": paper-style differs, pipeline shards=" << shards;
-    EXPECT_EQ(pl.trace_records, seq.trace_records);
-    EXPECT_EQ(pl.shard_report.shards_requested, shards);
-  }
+  PipelineOptions opts;
+  opts.profile_pipeline = true;
+  auto pl = run_pipeline(b.source, opts);
+  ASSERT_TRUE(pl.ok()) << b.name << ": " << pl.error();
+  EXPECT_EQ(pl.foray_source, seq.foray_source)
+      << b.name << ": emitted model differs under the pipeline";
+  EXPECT_EQ(pl.foray_paper_style, seq.foray_paper_style)
+      << b.name << ": paper-style differs under the pipeline";
+  EXPECT_EQ(pl.trace_records, seq.trace_records);
 }
 
-TEST(PipelineStress, SeededProgramsMatchAcrossConsumerCounts) {
+TEST(PipelineStress, SeededProgramsMatchFusedOnline) {
   for (uint64_t seed : {5, 17, 59, 83}) {
     benchsuite::StressOptions sopts;
     sopts.seed = seed;
@@ -163,17 +144,10 @@ TEST(PipelineStress, SeededProgramsMatchAcrossConsumerCounts) {
     ASSERT_TRUE(want_run.ok()) << "seed " << seed << ": " << want_run.error();
     const std::string want = fingerprint(online);
 
-    for (int consumers : {2, 4}) {
-      Extractor ex;
-      auto run = run_profile_pipelined(*res.program, ropts,
-                                       ExtractorOptions{}, consumers, &ex,
-                                       nullptr);
-      expect_same_run(run, want_run,
-                      "seed " + std::to_string(seed) +
-                          " consumers=" + std::to_string(consumers));
-      EXPECT_EQ(fingerprint(ex), want)
-          << "seed " << seed << ": consumers=" << consumers;
-    }
+    Extractor ex;
+    auto run = run_profile_pipelined(*res.program, ropts, &ex);
+    expect_same_run(run, want_run, "seed " + std::to_string(seed));
+    EXPECT_EQ(fingerprint(ex), want) << "seed " << seed;
   }
 }
 

@@ -104,15 +104,28 @@ TEST(Serve, StreamsSweepBetweenAckAndDoneRows) {
   }
 }
 
+/// An inline source nested 10,000 levels deep: past the parser's bound,
+/// and deep enough to overflow the host stack of an unbounded
+/// recursive-descent parser.
+std::string deep_request(int id) {
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("id").value(static_cast<int64_t>(id));
+  w.key("source").value("int main(void) { return " + std::string(10000, '(') +
+                        "0" + std::string(10000, ')') + "; }");
+  w.end_object();
+  return w.take();
+}
+
 TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
-  // Four broken requests then one good one: the loop must answer all
-  // five and exit ok at EOF.
+  // Five broken requests then one good one: the loop must answer all
+  // six and exit ok at EOF.
   const std::string requests =
       "this is not json\n"
       "[1,2,3]\n"
       "{\"id\":2,\"axes\":{\"capacity\":\"bogus\"}}\n"
       "{\"id\":3,\"program\":\"no-such-kernel\"}\n" +
-      good_request(4) + "\n";
+      deep_request(5) + "\n" + good_request(4) + "\n";
   std::istringstream in(requests);
   std::ostringstream out;
   const util::Status st = serve_loop(in, out, serve_opts());
@@ -147,9 +160,10 @@ TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
   for (const auto& row : rows) {
     if (kind(row) == "done") ++done_rows;
   }
-  EXPECT_EQ(done_rows, 5);
+  EXPECT_EQ(done_rows, 6);
   const util::JsonValue* bad_axis = nullptr;
   const util::JsonValue* bad_prog = nullptr;
+  const util::JsonValue* deep = nullptr;
   const util::JsonValue* good = nullptr;
   for (const auto& row : rows) {
     if (kind(row) != "done") continue;
@@ -158,6 +172,7 @@ TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
     if (id->num == 2.0) bad_axis = &row;
     if (id->num == 3.0) bad_prog = &row;
     if (id->num == 4.0) good = &row;
+    if (id->num == 5.0) deep = &row;
   }
   ASSERT_NE(bad_axis, nullptr);
   EXPECT_FALSE(bad_axis->find("ok")->b);
@@ -166,6 +181,10 @@ TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
   ASSERT_NE(bad_prog, nullptr);
   EXPECT_EQ(bad_prog->find("error_class")->str, "invalid_input");
   EXPECT_NE(bad_prog->find("error")->str.find("no-such-kernel"),
+            std::string::npos);
+  ASSERT_NE(deep, nullptr);
+  EXPECT_EQ(deep->find("error_class")->str, "invalid_input");
+  EXPECT_NE(deep->find("error")->str.find("nesting deeper than"),
             std::string::npos);
   // ...and the good request after them still ran to completion.
   ASSERT_NE(good, nullptr);
@@ -281,7 +300,9 @@ TEST(Serve, InvalidBudgetAndUnknownFieldsAreRejected) {
       "{\"id\":2,\"source\":\"int main(void){return 0;}\","
       "\"budget\":{\"warp_speed\":1}}\n"
       "{\"id\":3,\"frobnicate\":true}\n"
-      "{\"id\":4,\"threads\":0}\n";
+      "{\"id\":4,\"threads\":0}\n"
+      "{\"id\":5,\"source\":\"int main(void){return 0;}\","
+      "\"engine\":\"jit\"}\n";
   std::istringstream in(requests);
   std::ostringstream out;
   ASSERT_TRUE(serve_loop(in, out, serve_opts()).ok());
@@ -297,7 +318,9 @@ TEST(Serve, InvalidBudgetAndUnknownFieldsAreRejected) {
     EXPECT_FALSE(row.find("ok")->b);
     EXPECT_EQ(row.find("error_class")->str, "invalid_input");
   }
-  EXPECT_EQ(done_rows, 4);
+  EXPECT_EQ(done_rows, 5);
+  EXPECT_NE(out.str().find("unknown engine \\\"jit\\\""), std::string::npos)
+      << out.str();
 }
 
 TEST(Serve, ModelCacheMakesRepeatRequestsPurePhaseTwo) {

@@ -1,22 +1,18 @@
-// E9-style transport/sharding equivalence: chunked delivery,
-// record-at-a-time delivery, and K-sharded extraction must all produce
-// the same loop tree and the same model as the online run, for every
-// benchsuite program. This is the contract that lets the transport and
-// the sharder evolve freely: any divergence — a lost record, a
-// mis-merged subtree, an affine state torn across shards — fails here.
+// Transport equivalence: every synchronous way of delivering the trace
+// to the extractor — record at a time, bulk chunks, an odd-size
+// ChunkBuffer, and linear (non-hash) child/reference indices — must
+// produce the same loop tree and affine states as the fused online run,
+// for every benchsuite program. Any divergence (a lost record, a torn
+// affine state) fails here. The overlapped producer/consumer transport
+// is checked in pipeline_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "benchsuite/generator.h"
 #include "benchsuite/suite.h"
 #include "foray/extractor.h"
 #include "foray/pipeline.h"
-#include "foray/shard.h"
-#include "foray/timeshard.h"
 #include "sim/interpreter.h"
 #include "trace/sink.h"
 
@@ -58,24 +54,23 @@ std::string fingerprint(const Extractor& ex) {
   return os.str();
 }
 
-class ShardEquivalence : public ::testing::TestWithParam<const char*> {};
+class TransportEquivalence : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(ShardEquivalence, AllTransportsYieldIdenticalTrees) {
+TEST_P(TransportEquivalence, AllTransportsYieldIdenticalTrees) {
   const auto& b = benchsuite::get_benchmark(GetParam());
   PipelineResult res;
   ASSERT_TRUE(frontend_phase(b.source, &res).ok()) << res.error();
   ASSERT_TRUE(instrument_phase(&res).ok());
 
-  PipelineOptions opts;
   trace::VectorSink sink(1u << 20);
-  auto run = sim::run_program(*res.program, &sink, opts.run);
+  auto run = sim::run_program(*res.program, &sink);
   ASSERT_TRUE(run.ok()) << run.error();
   const auto& recs = sink.records();
   ASSERT_FALSE(recs.empty());
 
   // Online (zero-materialization) extraction is the reference.
   Extractor online;
-  auto run2 = sim::run_program(*res.program, &online, opts.run);
+  auto run2 = sim::run_program(*res.program, &online);
   ASSERT_TRUE(run2.ok()) << run2.error();
   const std::string want = fingerprint(online);
 
@@ -100,192 +95,17 @@ TEST_P(ShardEquivalence, AllTransportsYieldIdenticalTrees) {
     buf.flush();
     EXPECT_EQ(fingerprint(ex), want) << b.name << ": ChunkBuffer";
   }
-  // Sharded extraction at several widths, hash and linear indexing.
-  for (int shards : {2, 3, 4, 7}) {
-    ShardReport rep;
-    Extractor ex = extract_sharded({recs.data(), recs.size()},
-                                   ExtractorOptions{}, shards, &rep);
-    EXPECT_EQ(fingerprint(ex), want) << b.name << ": shards=" << shards;
-    EXPECT_EQ(rep.records, recs.size());
-  }
+  // Linear (non-hash) child and reference indices.
   {
     ExtractorOptions linear;
     linear.hash_index = false;
-    Extractor ex =
-        extract_sharded({recs.data(), recs.size()}, linear, 3, nullptr);
-    EXPECT_EQ(fingerprint(ex), want) << b.name << ": shards=3 linear";
+    Extractor ex(linear);
+    ex.on_chunk(recs.data(), recs.size());
+    EXPECT_EQ(fingerprint(ex), want) << b.name << ": linear index";
   }
 }
 
-TEST_P(ShardEquivalence, TimeShardedExtractionYieldsIdenticalTrees) {
-  const auto& b = benchsuite::get_benchmark(GetParam());
-  PipelineResult res;
-  ASSERT_TRUE(frontend_phase(b.source, &res).ok()) << res.error();
-  ASSERT_TRUE(instrument_phase(&res).ok());
-
-  trace::VectorSink sink(1u << 20);
-  auto run = sim::run_program(*res.program, &sink);
-  ASSERT_TRUE(run.ok()) << run.error();
-  const auto& recs = sink.records();
-  ASSERT_FALSE(recs.empty());
-
-  Extractor seq;
-  seq.on_chunk(recs.data(), recs.size());
-  const std::string want = fingerprint(seq);
-
-  for (int slices : {2, 3, 5, 16}) {
-    TimeShardReport rep;
-    Extractor ex = extract_time_sharded({recs.data(), recs.size()},
-                                        ExtractorOptions{}, slices, &rep);
-    EXPECT_EQ(fingerprint(ex), want) << b.name << ": timeshards=" << slices;
-    EXPECT_EQ(rep.slices_requested, slices);
-    EXPECT_EQ(rep.records, recs.size());
-    EXPECT_GE(rep.slices_used, 1);
-  }
-  // Pathological explicit cuts: clustered around arbitrary fractions
-  // (landing mid-loop-nest, mid-epoch, adjacent to each other) plus the
-  // extreme edges of the trace.
-  {
-    std::vector<uint64_t> cuts = {1, 2, recs.size() - 1};
-    for (uint64_t f = 1; f < 8; ++f) {
-      const uint64_t p = recs.size() * f / 8;
-      cuts.push_back(p - 1);
-      cuts.push_back(p);
-      cuts.push_back(p + 1);
-    }
-    TimeShardReport rep;
-    Extractor ex = extract_time_sharded_at({recs.data(), recs.size()},
-                                           ExtractorOptions{}, cuts, &rep);
-    EXPECT_EQ(fingerprint(ex), want) << b.name << ": pathological cuts";
-  }
-  // Linear (non-hash) indexing under time sharding.
-  {
-    ExtractorOptions linear;
-    linear.hash_index = false;
-    Extractor ex = extract_time_sharded({recs.data(), recs.size()}, linear, 3,
-                                        nullptr);
-    Extractor lseq(linear);
-    lseq.on_chunk(recs.data(), recs.size());
-    EXPECT_EQ(fingerprint(ex), fingerprint(lseq))
-        << b.name << ": timeshards=3 linear";
-  }
-  // More slices than records: degrade gracefully to per-record slices.
-  {
-    const size_t prefix = std::min<size_t>(recs.size(), 40);
-    Extractor pseq;
-    pseq.on_chunk(recs.data(), prefix);
-    TimeShardReport rep;
-    Extractor ex = extract_time_sharded({recs.data(), prefix},
-                                        ExtractorOptions{},
-                                        static_cast<int>(prefix) + 24, &rep);
-    EXPECT_EQ(fingerprint(ex), fingerprint(pseq))
-        << b.name << ": slices > records";
-    EXPECT_LE(rep.slices_used, static_cast<int>(prefix));
-  }
-}
-
-TEST(TimeShardStress, SeededProgramsMatchSequentialAtEveryWidth) {
-  for (uint64_t seed : {3u, 11u, 29u, 47u, 101u}) {
-    benchsuite::StressOptions sopts;
-    sopts.seed = seed;
-    const std::string src = benchsuite::generate_stress_program(sopts);
-    PipelineResult res;
-    ASSERT_TRUE(frontend_phase(src, &res).ok()) << "seed " << seed;
-    ASSERT_TRUE(instrument_phase(&res).ok());
-    trace::VectorSink sink;
-    auto run = sim::run_program(*res.program, &sink);
-    ASSERT_TRUE(run.ok()) << "seed " << seed << ": " << run.error();
-    const auto& recs = sink.records();
-    if (recs.empty()) continue;
-
-    Extractor seq;
-    seq.on_chunk(recs.data(), recs.size());
-    const std::string want = fingerprint(seq);
-
-    for (int slices : {2, 7}) {
-      TimeShardReport rep;
-      Extractor ex = extract_time_sharded({recs.data(), recs.size()},
-                                          ExtractorOptions{}, slices, &rep);
-      EXPECT_EQ(fingerprint(ex), want)
-          << "seed " << seed << ": timeshards=" << slices;
-    }
-    // Dense cuts: a boundary every few records forces worst-case
-    // composition (nearly every reference collides in every slice). The
-    // stride keeps the slice count — one worker each — bounded.
-    const uint64_t stride = std::max<uint64_t>(7, recs.size() / 48);
-    std::vector<uint64_t> cuts;
-    for (uint64_t p = 3; p < recs.size(); p += stride) cuts.push_back(p);
-    Extractor ex = extract_time_sharded_at({recs.data(), recs.size()},
-                                           ExtractorOptions{}, cuts, nullptr);
-    EXPECT_EQ(fingerprint(ex), want) << "seed " << seed << ": dense cuts";
-  }
-}
-
-TEST_P(ShardEquivalence, TimeShardedPipelineModelMatchesSequential) {
-  const auto& b = benchsuite::get_benchmark(GetParam());
-  auto seq = run_pipeline(b.source);
-  ASSERT_TRUE(seq.ok()) << seq.error();
-
-  for (int slices : {2, 4}) {
-    PipelineOptions opts;
-    opts.profile_timeshards = slices;
-    auto sh = run_pipeline(b.source, opts);
-    ASSERT_TRUE(sh.ok()) << b.name << ": " << sh.error();
-    EXPECT_EQ(sh.foray_source, seq.foray_source)
-        << b.name << ": emitted model differs at timeshards=" << slices;
-    EXPECT_EQ(sh.foray_paper_style, seq.foray_paper_style)
-        << b.name << ": paper-style model differs at timeshards=" << slices;
-    EXPECT_EQ(sh.trace_records, seq.trace_records);
-    EXPECT_EQ(sh.timeshard_report.slices_requested, slices);
-  }
-}
-
-TEST_P(ShardEquivalence, ShardedPipelineModelMatchesSequential) {
-  const auto& b = benchsuite::get_benchmark(GetParam());
-  auto seq = run_pipeline(b.source);
-  ASSERT_TRUE(seq.ok()) << seq.error();
-
-  for (int shards : {2, 4}) {
-    PipelineOptions opts;
-    opts.profile_shards = shards;
-    auto sh = run_pipeline(b.source, opts);
-    ASSERT_TRUE(sh.ok()) << b.name << ": " << sh.error();
-    EXPECT_EQ(sh.foray_source, seq.foray_source)
-        << b.name << ": emitted model differs at shards=" << shards;
-    EXPECT_EQ(sh.foray_paper_style, seq.foray_paper_style)
-        << b.name << ": paper-style model differs at shards=" << shards;
-    EXPECT_EQ(sh.trace_records, seq.trace_records);
-    EXPECT_EQ(sh.shard_report.shards_requested, shards);
-    EXPECT_GE(sh.shard_report.balance, 1.0);
-  }
-}
-
-TEST(TraceIndex, SegmentsCoverEveryRecordExactlyOnce) {
-  const auto& b = benchsuite::get_benchmark("gsm");
-  PipelineResult res;
-  ASSERT_TRUE(frontend_phase(b.source, &res).ok());
-  ASSERT_TRUE(instrument_phase(&res).ok());
-  trace::VectorSink sink;
-  ASSERT_TRUE(sim::run_program(*res.program, &sink).ok());
-
-  TraceIndex idx = index_trace({sink.records().data(), sink.size()});
-  ASSERT_FALSE(idx.segments.empty());
-  uint64_t pos = 0;
-  for (const auto& seg : idx.segments) {
-    EXPECT_EQ(seg.begin, pos) << "gap or overlap between segments";
-    EXPECT_GT(seg.end, seg.begin);
-    if (seg.site_id >= 0) {
-      const auto& first = sink.records()[seg.begin];
-      EXPECT_EQ(first.type(), trace::RecordType::Checkpoint);
-      EXPECT_EQ(first.cp(), trace::CheckpointType::LoopEnter);
-      EXPECT_EQ(first.loop_id(), seg.site_id);
-    }
-    pos = seg.end;
-  }
-  EXPECT_EQ(pos, sink.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(All, ShardEquivalence,
+INSTANTIATE_TEST_SUITE_P(All, TransportEquivalence,
                          ::testing::Values("jpeg", "lame", "susan", "fft",
                                            "gsm", "adpcm"),
                          [](const ::testing::TestParamInfo<const char*>& i) {

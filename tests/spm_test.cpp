@@ -199,7 +199,10 @@ TEST(Dse, NoCandidatesNoSelection) {
 
 /// The group-knapsack DP as it was before the back-pointer table: every
 /// cell carries a copy of the pick list that achieves it. Kept as the
-/// oracle the table-based select_buffers must match bit for bit.
+/// oracle the table-based select_buffers must match bit for bit. Its
+/// table stops at the total need of *all* candidates, a total no
+/// selection can exceed, so capacities near UINT32_MAX stay cheap without
+/// borrowing select_buffers' tighter per-group bound.
 Selection pick_vector_select_buffers(
     const std::vector<BufferCandidate>& candidates, const DseOptions& opts) {
   std::map<size_t, std::vector<const BufferCandidate*>> groups;
@@ -210,7 +213,15 @@ Selection pick_vector_select_buffers(
     }
   }
   const uint32_t granule = std::max<uint32_t>(opts.granule, 1);
-  const uint32_t slots = opts.spm_capacity / granule;
+  uint64_t all_needs = 0;
+  for (const auto& [ref, items] : groups) {
+    (void)ref;
+    for (const BufferCandidate* c : items) {
+      all_needs += (c->size_bytes + granule - 1) / granule;
+    }
+  }
+  const uint32_t slots = static_cast<uint32_t>(
+      std::min<uint64_t>(opts.spm_capacity / granule, all_needs));
   std::vector<double> dp(slots + 1, 0.0);
   std::vector<std::vector<const BufferCandidate*>> pick(slots + 1);
   for (const auto& [ref, items] : groups) {
@@ -279,8 +290,11 @@ std::vector<BufferCandidate> random_candidates(util::Rng& rng, bool ties) {
 
 TEST(Dse, BackPointerDpMatchesPickVectorDp) {
   const uint32_t granules[] = {0, 1, 8, 13};
+  const uint32_t huge[] = {UINT32_MAX, UINT32_MAX - 1, 4'000'000'000u,
+                           (1u << 31) + 5, 1u << 20};
   int nontrivial = 0;
   int below_all = 0;
+  int huge_runs = 0;
   for (uint64_t seed = 0; seed < 600; ++seed) {
     util::Rng rng(seed);
     const bool ties = seed % 3 == 0;
@@ -293,6 +307,10 @@ TEST(Dse, BackPointerDpMatchesPickVectorDp) {
       // Below every candidate: nothing fits.
       opts.spm_capacity = static_cast<uint32_t>(smallest - 1);
       ++below_all;
+    } else if (seed % 10 == 3) {
+      // Far above every candidate: the table must not scale with it.
+      opts.spm_capacity = huge[(seed / 10) % 5];
+      ++huge_runs;
     } else {
       // Mostly not a multiple of the granule.
       opts.spm_capacity = static_cast<uint32_t>(rng.next_below(2000));
@@ -316,6 +334,7 @@ TEST(Dse, BackPointerDpMatchesPickVectorDp) {
   // The sets exercise real packings, not just empty selections.
   EXPECT_GT(nontrivial, 300);
   EXPECT_EQ(below_all, 60);
+  EXPECT_EQ(huge_runs, 60);
 }
 
 // -- SPM evaluation -------------------------------------------------------------

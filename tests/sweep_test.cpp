@@ -5,6 +5,8 @@
 // streaming NDJSON writer) and per-job failure isolation.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "driver/model_cache.h"
@@ -508,6 +510,29 @@ TEST(SweepDriver, ImpossibleCacheGeometryFailsOnlyItsOwnPoints) {
   EXPECT_FALSE(SweepDriver(o).run_ndjson(jobs, warm).ok());
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(warm.str(), cold.str());
+}
+
+TEST(SweepDriver, HugeCapacitySolvesWithinCandidateBoundedMemory) {
+  // The DP table is bounded by what the candidates can need, not by the
+  // capacity: a ~4 GB SPM over the quickstart example used to allocate
+  // one back-pointer per granule per reference and fail the point as
+  // resource_exhausted ("out of memory during solve").
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) + "/examples/quickstart.mc");
+  ASSERT_TRUE(in.good());
+  const std::string source((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  SweepOptions o;
+  ASSERT_TRUE(o.spec.parse_axis("capacity", "4000000000").ok());
+  std::ostringstream out;
+  ASSERT_TRUE(
+      SweepDriver(o).run_ndjson({{"examples/quickstart.mc", source}}, out)
+          .ok())
+      << out.str();
+  EXPECT_NE(out.str().find("\"capacity_bytes\":4000000000,\"energy\":"
+                           "\"default\",\"cache\":\"off\",\"algorithm\":"
+                           "\"dp\",\"replay\":false,\"ok\":true,"),
+            std::string::npos)
+      << out.str();
 }
 
 TEST(SweepDriver, NdjsonEscapesHostileProgramNames) {

@@ -43,8 +43,8 @@
 //               tree-walking reference oracle); both produce
 //               bit-identical traces (tests/engine_equivalence_test)
 //   --offline   materialize the trace, then analyze (default: online)
-//   --shards N  shard one program's extraction over N threads
-//               (bit-identical to sequential; implies materializing)
+//   --pipeline  overlap simulation and extraction on two threads
+//               (bit-identical to the default fused online pass)
 //   --capacity N         spm: SPM size in bytes     (default 4096)
 //   --compare-cache      spm: also replay through LRU caches
 //   --replay             spm/batch/sweep: execute the transformed
@@ -137,7 +137,6 @@
 #include "driver/session.h"
 #include "driver/sweep.h"
 #include "foray/inline_advisor.h"
-#include "jit/compiler.h"
 #include "foray/model_diff.h"
 #include "foray/pipeline.h"
 #include "minic/parser.h"
@@ -160,29 +159,28 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: foraygen <model|emit|annotate|trace|stats|hints|run|profile"
-      "|spm> <program.mc> [--engine ast|bytecode|jit] [--nexec N] [--nloc N] "
-      "[--seed S] [--offline] [--shards N] [--pipeline] [--timeshards N] "
+      "|spm> <program.mc> [--engine ast|bytecode] [--nexec N] [--nloc N] "
+      "[--seed S] [--offline] [--pipeline] "
       "[--capacity N] [--compare-cache] [--replay]\n"
       "       foraygen batch [--threads N] [--capacity-sweep a,b,c] "
-      "[--engine ast|bytecode|jit] [--nexec N] [--nloc N] [--seed S] "
-      "[--shards N] [--replay] [--json PATH]\n"
+      "[--engine ast|bytecode] [--nexec N] [--nloc N] [--seed S] "
+      "[--replay] [--json PATH]\n"
       "       foraygen sweep [program.mc] [--threads N] "
       "[--capacity-sweep a,b,c] [--energy-sweep a,b] [--cache-sweep "
       "off,32x2,...] [--algo-sweep dp,greedy] [--replay-sweep off,on] "
       "[--spec FILE] [--ndjson PATH|-] [--resume JOURNAL] [--lint-first] "
-      "[--engine ast|bytecode|jit] [--nexec N] [--nloc N] [--seed S] "
-      "[--shards N] [--replay]\n"
+      "[--engine ast|bytecode] [--nexec N] [--nloc N] [--seed S] "
+      "[--replay]\n"
       "       foraygen lint [program.mc] [--json PATH|-]\n"
       "       foraygen serve [--threads N] [--max-points N] "
       "[--static-admission] "
-      "[--engine ast|bytecode|jit] [--nexec N] [--nloc N] [--seed S]\n"
+      "[--engine ast|bytecode] [--nexec N] [--nloc N] [--seed S]\n"
       "  batch/sweep/serve also accept the model-cache options "
       "[--cache-dir DIR] [--no-cache] [--cache-max-bytes N] "
       "(FORAY_CACHE_DIR is the default directory)\n"
       "  every command also accepts the execution-budget options "
-      "[--max-steps N] [--max-records N] [--timeout SECONDS], the "
-      "fault-injection aid [--fault SPEC], and the jit debug aid "
-      "[--dump-jit]\n");
+      "[--max-steps N] [--max-records N] [--timeout SECONDS] and the "
+      "fault-injection aid [--fault SPEC]\n");
   return 2;
 }
 
@@ -544,29 +542,14 @@ int main(int argc, char** argv) {
         opts.run.engine = sim::Engine::Ast;
       } else if (!std::strcmp(engine, "bytecode")) {
         opts.run.engine = sim::Engine::Bytecode;
-      } else if (!std::strcmp(engine, "jit")) {
-        opts.run.engine = sim::Engine::Jit;
       } else {
         return option_error(std::string("unknown engine '") + engine +
-                            "' (want ast, bytecode or jit)");
+                            "' (want ast or bytecode)");
       }
     } else if (arg == "--offline") {
       opts.offline = true;
-    } else if (arg == "--dump-jit") {
-      jit::set_dump_jit(true);
-    } else if (arg == "--shards") {
-      if (!next_u64(&v) || v == 0) {
-        return option_error("option '--shards' requires a positive number");
-      }
-      opts.profile_shards = static_cast<int>(v);
     } else if (arg == "--pipeline") {
       opts.profile_pipeline = true;
-    } else if (arg == "--timeshards") {
-      if (!next_u64(&v) || v == 0) {
-        return option_error(
-            "option '--timeshards' requires a positive number");
-      }
-      opts.profile_timeshards = static_cast<int>(v);
     } else if (arg == "--compare-cache") {
       opts.spm.compare_cache = true;
     } else if (arg == "--replay") {
@@ -929,21 +912,6 @@ int main(int argc, char** argv) {
     std::printf("analyzer state: %zu bytes\n", ex.state_bytes());
     std::printf("model: %zu reference(s) survive the Step 4 filter\n",
                 res.model.refs.size());
-    if (res.shard_report.shards_requested > 1) {
-      std::printf("shards: %d requested, %d used, balance %.2f\n",
-                  res.shard_report.shards_requested,
-                  res.shard_report.shards_used, res.shard_report.balance);
-    }
-    if (res.timeshard_report.slices_requested > 1) {
-      const auto& t = res.timeshard_report;
-      std::printf("timeshards: %d requested, %d used; refs %llu adopted, "
-                  "%llu composed, %llu rescanned (%llu rescan pass(es))\n",
-                  t.slices_requested, t.slices_used,
-                  static_cast<unsigned long long>(t.refs_adopted),
-                  static_cast<unsigned long long>(t.refs_composed),
-                  static_cast<unsigned long long>(t.refs_rescanned),
-                  static_cast<unsigned long long>(t.rescan_passes));
-    }
     return 0;
   }
   if (command == "model") {
