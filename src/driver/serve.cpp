@@ -236,6 +236,31 @@ util::Status admit_static(const std::vector<SweepJob>& jobs,
   return util::Status();
 }
 
+/// Reads one line into `line`, newline dropped, like std::getline. Past
+/// kMaxRequestBytes the rest of the line is skipped instead of stored and
+/// `*oversized` is set. Returns false at end of input with nothing read.
+bool read_request_line(std::istream& in, std::string* line,
+                       bool* oversized) {
+  line->clear();
+  *oversized = false;
+  std::streambuf* buf = in.rdbuf();
+  bool any = false;
+  for (;;) {
+    const int ch = buf->sbumpc();
+    if (ch == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      return any;
+    }
+    any = true;
+    if (ch == '\n') return true;
+    if (line->size() < kMaxRequestBytes) {
+      line->push_back(static_cast<char>(ch));
+    } else {
+      *oversized = true;
+    }
+  }
+}
+
 void done_row(std::ostream& out, const RequestTag& tag,
               const util::Status& st) {
   util::JsonWriter w;
@@ -257,10 +282,12 @@ void done_row(std::ostream& out, const RequestTag& tag,
 util::Status serve_loop(std::istream& in, std::ostream& out,
                         const ServeOptions& opts) {
   std::string line;
+  bool oversized = false;
   int line_no = 0;
-  while (std::getline(in, line)) {
+  while (read_request_line(in, &line, &oversized)) {
     ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) {
+    if (!oversized &&
+        line.find_first_not_of(" \t\r") == std::string::npos) {
       continue;  // blank lines are keepalives, not requests
     }
     RequestTag tag;
@@ -268,7 +295,10 @@ util::Status serve_loop(std::istream& in, std::ostream& out,
     util::Status st;
     util::JsonValue req;
     std::string err;
-    if (!util::parse_json(line, &req, &err)) {
+    if (oversized) {
+      st = bad_request("request line longer than " +
+                       std::to_string(kMaxRequestBytes) + " bytes");
+    } else if (!util::parse_json(line, &req, &err)) {
       st = bad_request("request is not valid JSON: " + err);
     } else if (!req.is_object()) {
       st = bad_request("request must be a JSON object");

@@ -22,7 +22,9 @@
 //            request execution bounds layered over the server defaults
 //
 // A malformed request never kills the loop: it produces a single done
-// row with ok:false and the classified error. Admission control bounds
+// row with ok:false and the classified error. A request line longer than
+// kMaxRequestBytes is refused the same way (invalid_input, phase
+// "serve") without being buffered. Admission control bounds
 // each request's grid (`ServeOptions::max_points`); a request over the
 // cap is refused as resource_exhausted before any work runs. Every
 // request gets its own sim::CancelToken, wired to the output stream: the
@@ -34,6 +36,7 @@
 // program under the same profile options is pure Phase II.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 
@@ -43,6 +46,11 @@
 namespace foray::driver {
 
 class ModelCache;
+
+/// The longest request line serve reads (the newline excluded). Longer
+/// lines are skipped through their newline and answered with an error
+/// row, so one request cannot make the server buffer without bound.
+inline constexpr size_t kMaxRequestBytes = size_t{1} << 20;
 
 struct ServeOptions {
   /// Worker-thread ceiling; each request may ask for fewer.

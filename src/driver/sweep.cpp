@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -10,7 +11,7 @@
 #include <mutex>
 #include <new>
 #include <ostream>
-#include <sstream>
+#include <streambuf>
 #include <utility>
 
 #include "benchsuite/suite.h"
@@ -58,6 +59,12 @@ bool parse_u32(std::string_view s, uint32_t* out) {
 }
 
 bool is_pow2(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+/// True when `f` is a JSON number holding a whole value in [0, limit).
+bool whole_below(const util::JsonValue* f, double limit) {
+  return f != nullptr && f->is_number() && f->num >= 0 && f->num < limit &&
+         f->num == std::floor(f->num);
+}
 
 }  // namespace
 
@@ -520,14 +527,12 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
 
 /// Builds the SweepItem for grid point `i` from its group's solve.
 /// `solve == nullptr` means Phase I failed and js.phase1 is the item's
-/// outcome. `retain_full` gates what only the buffered report
-/// reads (the describe_spm_report text and the SpmReport's candidates
-/// vector); the streaming path skips both.
+/// outcome. The SpmReport's candidates vector, its bulk, is not copied:
+/// nothing reads it, and candidate_count keeps its size.
 SweepItem build_item(const SweepJob& job, size_t job_index,
                      const SweepGrid& grid, size_t i, const JobState& js,
                      const PointSolve* solve,
-                     const core::SpmPhaseOptions& base_spm,
-                     bool retain_full) {
+                     const core::SpmPhaseOptions& base_spm) {
   const SweepPoint& point = grid.points[i];
   SweepItem item;
   item.program = job.name;
@@ -541,18 +546,12 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
   const core::ForayModel& model = js.session->result().model;
   item.model_refs = model.refs.size();
   item.candidate_count = solve->spm.candidates.size();
-  if (retain_full) {
-    item.spm = solve->spm;
-  } else {
-    // Streaming: the candidates vector is the bulk of an SpmReport and
-    // the NDJSON renderer never reads it.
-    item.spm.capacity = solve->spm.capacity;
-    item.spm.exact = solve->spm.exact;
-    item.spm.greedy = solve->spm.greedy;
-    item.spm.baseline = solve->spm.baseline;
-    item.spm.with_spm = solve->spm.with_spm;
-    item.spm.caches = solve->spm.caches;
-  }
+  item.spm.capacity = solve->spm.capacity;
+  item.spm.exact = solve->spm.exact;
+  item.spm.greedy = solve->spm.greedy;
+  item.spm.baseline = solve->spm.baseline;
+  item.spm.with_spm = solve->spm.with_spm;
+  item.spm.caches = solve->spm.caches;
   item.energy = point.algorithm == Algorithm::kGreedy
                     ? spm::evaluate_selection(
                           model, solve->spm.greedy,
@@ -560,12 +559,6 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
                     : solve->spm.with_spm;
   item.replay_ran = solve->replay_ran;
   if (item.replay_ran) item.replay = solve->replay;
-  if (retain_full) {
-    item.report = core::describe_spm_report(solve->spm, model);
-    if (solve->replay_ran) {
-      item.report += spm::describe_replay_report(solve->replay, model);
-    }
-  }
   return item;
 }
 
@@ -604,151 +597,8 @@ std::string lint_line(const std::string& program, const util::Status& st) {
   return w.take();
 }
 
-/// What --resume already has, projected onto the grid: per job, which
-/// flat points carry cached results and therefore must not be re-run or
-/// re-delivered through on_item.
-struct ResumePlan {
-  const SweepCheckpoint* checkpoint = nullptr;
-  size_t per_job = 0;
-
-  bool point_cached(size_t j, size_t i) const {
-    return checkpoint != nullptr && checkpoint->point_cached(j, i);
-  }
-  bool job_fully_cached(size_t j) const {
-    return checkpoint != nullptr &&
-           checkpoint->job_fully_cached(j, per_job);
-  }
-  bool group_fully_cached(size_t j, const SolveGroup& g) const {
-    for (size_t i = g.begin; i < g.end; ++i) {
-      if (!point_cached(j, i)) return false;
-    }
-    return true;
-  }
-};
-
-/// The shared execution core: Phase I per job, then the job's solve
-/// groups fanned across the same pool — a single-program sweep saturates
-/// every worker with grid points instead of serializing on one. Workers
-/// submit their groups as they finish Phase I, so jobs and points
-/// interleave freely; ThreadPool::wait_idle accounts for worker-submitted
-/// tasks, making wait() a complete barrier.
-///
-/// `on_item(job, item, flat_index)` must be safe for concurrent calls on
-/// distinct (job, point) slots; `on_job_done(job, session)` runs exactly
-/// once per job, on whichever worker finishes the job's last group, after
-/// all of the job's items have been delivered. Under a resume plan,
-/// cached points are skipped (no on_item call) and a fully-cached job
-/// skips Phase I entirely — its on_job_done receives a null session.
-/// Under lint_first, a program the checker proves faulty gets exactly one
-/// `on_lint(job, status)` call and nothing else — the lint hook IS that
-/// job's completion; neither on_item nor on_job_done runs for it.
-template <typename OnItem, typename OnLint, typename OnJobDone>
-class SweepExec {
- public:
-  SweepExec(const std::vector<SweepJob>& jobs, const SweepOptions& opts,
-            const SweepGrid& grid, bool retain_full, ResumePlan plan,
-            OnItem on_item, OnLint on_lint, OnJobDone on_job_done)
-      : jobs_(jobs),
-        opts_(opts),
-        grid_(grid),
-        retain_full_(retain_full),
-        plan_(plan),
-        on_item_(std::move(on_item)),
-        on_lint_(std::move(on_lint)),
-        on_job_done_(std::move(on_job_done)),
-        groups_(solve_groups(grid)),
-        pool_(static_cast<size_t>(opts.threads)) {
-    states_.reserve(jobs_.size());
-    for (size_t j = 0; j < jobs_.size(); ++j) {
-      states_.push_back(std::make_unique<JobState>());
-    }
-    for (size_t j = 0; j < jobs_.size(); ++j) {
-      pool_.submit([this, j] { job_task(j); });
-    }
-  }
-
-  /// Blocks until every job and solve group has run.
-  void wait() { pool_.wait_idle(); }
-
- private:
-  void job_task(size_t j) {
-    JobState& js = *states_[j];
-    if (plan_.job_fully_cached(j)) {
-      // Every point of this job rides in from the checkpoint: no Phase I,
-      // no solves, no items — just the job-completion hook.
-      on_job_done_(j, nullptr);
-      return;
-    }
-    if (opts_.lint_first) {
-      const util::Status lint = lint_job(jobs_[j]);
-      if (!lint.ok()) {
-        on_lint_(j, lint);
-        return;
-      }
-    }
-    run_phase1(jobs_[j], opts_, &js);
-    if (!js.phase1.ok()) {
-      for (size_t i = 0; i < grid_.points.size(); ++i) {
-        if (plan_.point_cached(j, i)) continue;
-        on_item_(j,
-                 build_item(jobs_[j], j, grid_, i, js, nullptr,
-                            opts_.pipeline.spm, retain_full_),
-                 i);
-      }
-      on_job_done_(j, std::move(js.session));
-      return;
-    }
-    size_t needed = 0;
-    for (const SolveGroup& g : groups_) {
-      if (!plan_.group_fully_cached(j, g)) ++needed;
-    }
-    js.remaining.store(needed, std::memory_order_relaxed);
-    js.cache_cells =
-        std::vector<CacheCell>(grid_.capacities.size() * grid_.caches.size());
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      if (plan_.group_fully_cached(j, groups_[g])) continue;
-      pool_.submit([this, j, g] { group_task(j, groups_[g]); });
-    }
-  }
-
-  void group_task(size_t j, const SolveGroup& g) {
-    JobState& js = *states_[j];
-    const SweepPoint& head = grid_.points[g.begin];
-    CacheCell& cache =
-        js.cache_cells[head.key.capacity * grid_.caches.size() +
-                       head.key.cache];
-    const PointSolve solve = solve_point_with_retry(
-        js.session->result().model, opts_.pipeline, head, js.candidates,
-        &cache, opts_.transient_retries);
-    for (size_t i = g.begin; i < g.end; ++i) {
-      if (plan_.point_cached(j, i)) continue;
-      on_item_(j,
-               build_item(jobs_[j], j, grid_, i, js, &solve,
-                          opts_.pipeline.spm, retain_full_),
-               i);
-    }
-    if (js.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      on_job_done_(j, std::move(js.session));
-    }
-  }
-
-  const std::vector<SweepJob>& jobs_;
-  const SweepOptions& opts_;
-  const SweepGrid& grid_;
-  const bool retain_full_;
-  const ResumePlan plan_;
-  OnItem on_item_;
-  OnLint on_lint_;
-  OnJobDone on_job_done_;
-  std::vector<std::unique_ptr<JobState>> states_;
-  const std::vector<SolveGroup> groups_;
-  util::ThreadPool pool_;  ///< last member: joined before state dies
-};
-
 // -- NDJSON rendering ---------------------------------------------------------
-// One helper per line kind; both the buffered report and the streaming
-// driver call exactly these, which is what makes their outputs
-// byte-identical.
+// One helper per line kind.
 
 void append_key(util::JsonWriter& w, const PointKey& key) {
   w.begin_object();
@@ -929,20 +779,6 @@ std::vector<ParetoPoint> to_pareto_points(const SweepGrid& grid,
   return out;
 }
 
-/// Per-job frontier over the job's successful items (items must be the
-/// job's grid-ordered block).
-std::vector<ParetoPoint> job_pareto(const SweepGrid& grid, size_t job,
-                                    const SweepItem* items) {
-  std::vector<Objective> objs;
-  for (size_t i = 0; i < grid.points.size(); ++i) {
-    const SweepItem& item = items[i];
-    if (!item.status.ok()) continue;
-    objs.push_back(Objective{i, item.selection().bytes_used,
-                             item.selection().saved_nj});
-  }
-  return to_pareto_points(grid, job, std::move(objs));
-}
-
 /// Per-grid-point accumulator for the aggregate frontier.
 struct AggCell {
   bool all_ok = true;
@@ -950,21 +786,6 @@ struct AggCell {
   uint64_t bytes = 0;
   double saved = 0.0;
 };
-
-void accumulate_aggregate(std::vector<AggCell>& agg, const SweepGrid& grid,
-                          const SweepItem* items) {
-  for (size_t i = 0; i < grid.points.size(); ++i) {
-    AggCell& cell = agg[i];
-    ++cell.jobs_seen;
-    const SweepItem& item = items[i];
-    if (!item.status.ok()) {
-      cell.all_ok = false;
-      continue;
-    }
-    cell.bytes += item.selection().bytes_used;
-    cell.saved += item.selection().saved_nj;
-  }
-}
 
 std::vector<ParetoPoint> aggregate_pareto(const SweepGrid& grid,
                                           const std::vector<AggCell>& agg) {
@@ -975,6 +796,300 @@ std::vector<ParetoPoint> aggregate_pareto(const SweepGrid& grid,
   }
   return to_pareto_points(grid, 0, std::move(objs));
 }
+
+// -- the executor -------------------------------------------------------------
+
+/// The one way a sweep runs: Phase I per job, then the job's solve groups
+/// fanned across the same pool — a single-program sweep saturates every
+/// worker with grid points instead of serializing on one. Workers submit
+/// their groups as they finish Phase I, so jobs and points interleave
+/// freely; ThreadPool::wait_idle accounts for worker-submitted tasks,
+/// making it a complete barrier.
+///
+/// Each point is rendered to its NDJSON line and reduced (Pareto
+/// objective, aggregate inputs, failure) the moment it resolves, into a
+/// per-(job, point) slot that workers write without a lock. The worker
+/// that finishes a job's last group assembles the job's slots into one
+/// text block, published out of order; write() drains the blocks in job
+/// order. Points cached in the resume checkpoint pre-fill their slots and
+/// never run again, and a fully cached job skips Phase I. A job the
+/// lint-first checker refuses gets one `lint` row in place of its point
+/// block. An attached collector also keeps every item, each job's
+/// session and every frontier.
+class SweepExec {
+ public:
+  SweepExec(const std::vector<SweepJob>& jobs, const SweepOptions& opts,
+            const SweepGrid& grid, const SweepCheckpoint& resume,
+            SweepReport* collect)
+      : jobs_(jobs),
+        opts_(opts),
+        grid_(grid),
+        resume_(resume),
+        collect_(collect),
+        per_job_(grid.points_per_job()),
+        groups_(solve_groups(grid)),
+        slots_(jobs.size(), std::vector<NdPoint>(per_job_)),
+        blocks_(jobs.size()),
+        pool_(static_cast<size_t>(opts.threads)) {
+    for (size_t j = 0; j < jobs_.size(); ++j) {
+      states_.push_back(std::make_unique<JobState>());
+      for (size_t i = 0; i < per_job_; ++i) {
+        if (!resume_.point_cached(j, i)) continue;
+        const SweepCheckpoint::CachedPoint& c = resume_.points[j][i];
+        NdPoint& p = slots_[j][i];
+        p.line = c.line;
+        p.ok = true;
+        p.bytes = c.bytes;
+        p.saved = c.saved;
+      }
+    }
+    for (size_t j = 0; j < jobs_.size(); ++j) {
+      pool_.submit([this, j] { job_task(j); });
+    }
+  }
+  // Pool tasks hold `this`.
+  SweepExec(const SweepExec&) = delete;
+  SweepExec& operator=(const SweepExec&) = delete;
+
+  /// Writes every job's block to `out` in job order, then the aggregate
+  /// frontier, and returns what SweepDriver::run_ndjson documents.
+  util::Status write(std::ostream& out) {
+    std::vector<AggCell> agg(per_job_);
+    util::Status first_failure;
+    util::Status sink_failure;
+    for (size_t j = 0; j < jobs_.size(); ++j) {
+      Block block;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return blocks_[j].ready; });
+        block = std::move(blocks_[j]);
+      }
+      // Fault site "sweep.sink.io" stands in for a real write failure
+      // (EIO, ENOSPC); either way the journal so far holds only whole job
+      // blocks in deterministic order — exactly what --resume accepts —
+      // so abandon the sweep instead of writing a torn line.
+      if (util::fault::enabled() &&
+          util::fault::should_fail("sweep.sink.io")) {
+        sink_failure = util::Status::failure(
+            util::ErrorCode::kIoError, "sweep-sink", 0,
+            "injected NDJSON sink write failure");
+        break;
+      }
+      if (!(out << block.text)) {
+        sink_failure =
+            util::Status::failure(util::ErrorCode::kIoError, "sweep-sink",
+                                  0, "NDJSON sink write failed");
+        break;
+      }
+      // The published block orders the job's slot writes before this
+      // read.
+      for (size_t i = 0; i < per_job_; ++i) {
+        const NdPoint& p = slots_[j][i];
+        AggCell& cell = agg[i];
+        ++cell.jobs_seen;
+        if (p.ok) {
+          cell.bytes += p.bytes;
+          cell.saved += p.saved;
+        } else {
+          cell.all_ok = false;
+        }
+      }
+      if (first_failure.ok()) first_failure = block.first_failure;
+    }
+    // Always a full barrier, even on the sink-failure early exit: workers
+    // still write the slots, blocks and collector.
+    pool_.wait_idle();
+    if (!sink_failure.ok()) return sink_failure;
+    std::vector<ParetoPoint> aggregate = aggregate_pareto(grid_, agg);
+    out << pareto_line("aggregate", "", aggregate) << '\n';
+    if (collect_ != nullptr) collect_->aggregate = std::move(aggregate);
+    return first_failure;
+  }
+
+ private:
+  /// One point's rendered line and reduction inputs.
+  struct NdPoint {
+    std::string line;
+    bool ok = false;
+    uint64_t bytes = 0;
+    double saved = 0.0;
+    util::Status failure;
+  };
+  /// One finished job's text, in point order.
+  struct Block {
+    bool ready = false;
+    std::string text;
+    util::Status first_failure;
+  };
+
+  void job_task(size_t j) {
+    if (resume_.range_cached(j, 0, per_job_)) {
+      // Every point of this job rides in from the checkpoint: no Phase I,
+      // no solves, no items.
+      finish_job(j, nullptr);
+      return;
+    }
+    if (opts_.lint_first) {
+      const util::Status lint = lint_job(jobs_[j]);
+      if (!lint.ok()) {
+        refuse_job(j, lint);
+        return;
+      }
+    }
+    JobState& js = *states_[j];
+    run_phase1(jobs_[j], opts_, &js);
+    if (!js.phase1.ok()) {
+      for (size_t i = 0; i < per_job_; ++i) {
+        if (resume_.point_cached(j, i)) continue;
+        deliver(j, i,
+                build_item(jobs_[j], j, grid_, i, js, nullptr,
+                           opts_.pipeline.spm));
+      }
+      finish_job(j, std::move(js.session));
+      return;
+    }
+    size_t needed = 0;
+    for (const SolveGroup& g : groups_) {
+      if (!resume_.range_cached(j, g.begin, g.end)) ++needed;
+    }
+    js.remaining.store(needed, std::memory_order_relaxed);
+    js.cache_cells =
+        std::vector<CacheCell>(grid_.capacities.size() * grid_.caches.size());
+    for (const SolveGroup& g : groups_) {
+      if (resume_.range_cached(j, g.begin, g.end)) continue;
+      pool_.submit([this, j, &g] { group_task(j, g); });
+    }
+  }
+
+  void group_task(size_t j, const SolveGroup& g) {
+    JobState& js = *states_[j];
+    const SweepPoint& head = grid_.points[g.begin];
+    CacheCell& cache =
+        js.cache_cells[head.key.capacity * grid_.caches.size() +
+                       head.key.cache];
+    const PointSolve solve = solve_point_with_retry(
+        js.session->result().model, opts_.pipeline, head, js.candidates,
+        &cache, opts_.transient_retries);
+    for (size_t i = g.begin; i < g.end; ++i) {
+      if (resume_.point_cached(j, i)) continue;
+      deliver(j, i,
+              build_item(jobs_[j], j, grid_, i, js, &solve,
+                         opts_.pipeline.spm));
+    }
+    if (js.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finish_job(j, std::move(js.session));
+    }
+  }
+
+  /// Renders and reduces one resolved point; safe for concurrent calls on
+  /// distinct (job, point) slots.
+  void deliver(size_t j, size_t i, SweepItem&& item) {
+    NdPoint& p = slots_[j][i];
+    p.line = point_line(item);
+    if (!item.status.ok()) {
+      p.failure = item.status;
+    } else {
+      p.ok = true;
+      const spm::Selection& sel = item.selection();
+      p.bytes = sel.bytes_used;
+      p.saved = sel.saved_nj;
+      // A replay counter mismatch is a validation failure even though the
+      // point itself solved.
+      if (item.replay_ran && !item.replay.matches()) {
+        p.failure = util::Status::failure(
+            "replay", 0,
+            item.program + " @" + std::to_string(item.point.capacity_bytes) +
+                "B: transform-replay mismatch");
+      }
+    }
+    if (collect_ != nullptr) {
+      collect_->items[j * per_job_ + i] = std::move(item);
+    }
+  }
+
+  /// Runs once per job, after all of its points were delivered (or came
+  /// from the checkpoint): assembles the block and the job's frontier.
+  void finish_job(size_t j, std::unique_ptr<Session> session) {
+    Block block;
+    std::vector<Objective> objs;
+    for (size_t i = 0; i < per_job_; ++i) {
+      NdPoint& p = slots_[j][i];
+      block.text += p.line;
+      block.text += '\n';
+      p.line.clear();
+      p.line.shrink_to_fit();
+      if (p.ok) objs.push_back(Objective{i, p.bytes, p.saved});
+      if (block.first_failure.ok() && !p.failure.ok()) {
+        block.first_failure = p.failure;
+      }
+    }
+    std::vector<ParetoPoint> front =
+        to_pareto_points(grid_, j, std::move(objs));
+    block.text += pareto_line("program", jobs_[j].name, front);
+    block.text += '\n';
+    if (collect_ != nullptr) {
+      collect_->sessions[j] = std::move(session);
+      collect_->fronts[j] = std::move(front);
+    }
+    publish(j, std::move(block));
+  }
+
+  /// A lint-refused job: one `lint` row plus the program's (empty) pareto
+  /// line stand in for the whole point block. Its slots stay not-ok, so
+  /// the aggregate skips every point; a collector marks every cell with
+  /// the lint status and keeps no session.
+  void refuse_job(size_t j, const util::Status& st) {
+    Block block;
+    block.text = lint_line(jobs_[j].name, st);
+    block.text += '\n';
+    block.text += pareto_line("program", jobs_[j].name, {});
+    block.text += '\n';
+    block.first_failure = st;
+    if (collect_ != nullptr) {
+      for (size_t i = 0; i < per_job_; ++i) {
+        SweepItem& item = collect_->items[j * per_job_ + i];
+        item.program = jobs_[j].name;
+        item.key = grid_.points[i].key;
+        item.key.job = j;
+        item.point = grid_.points[i];
+        item.status = st;
+      }
+    }
+    publish(j, std::move(block));
+  }
+
+  void publish(size_t j, Block block) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      block.ready = true;
+      blocks_[j] = std::move(block);
+    }
+    cv_.notify_all();
+  }
+
+  const std::vector<SweepJob>& jobs_;
+  const SweepOptions& opts_;
+  const SweepGrid& grid_;
+  const SweepCheckpoint& resume_;
+  SweepReport* const collect_;
+  const size_t per_job_;
+  const std::vector<SolveGroup> groups_;
+  std::vector<std::unique_ptr<JobState>> states_;
+  std::vector<std::vector<NdPoint>> slots_;
+  std::vector<Block> blocks_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  util::ThreadPool pool_;  ///< last member: joined before state dies
+};
+
+/// Swallows everything: the stream run() collects a report from.
+class DiscardBuf : public std::streambuf {
+ protected:
+  int_type overflow(int_type ch) override { return traits_type::not_eof(ch); }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+};
 
 }  // namespace
 
@@ -988,17 +1103,9 @@ const SweepItem& SweepReport::at(const PointKey& key) const {
   return items[idx];
 }
 
-std::vector<ParetoPoint> SweepReport::pareto(size_t job) const {
-  FORAY_CHECK(job < programs.size(), "pareto job index out of range");
-  return job_pareto(grid, job, &items[job * grid.points_per_job()]);
-}
-
-std::vector<ParetoPoint> SweepReport::pareto_aggregate() const {
-  std::vector<AggCell> agg(grid.points_per_job());
-  for (size_t j = 0; j < programs.size(); ++j) {
-    accumulate_aggregate(agg, grid, &items[j * grid.points_per_job()]);
-  }
-  return aggregate_pareto(grid, agg);
+const std::vector<ParetoPoint>& SweepReport::pareto(size_t job) const {
+  FORAY_CHECK(job < fronts.size(), "pareto job index out of range");
+  return fronts[job];
 }
 
 std::string SweepReport::table() const {
@@ -1035,116 +1142,6 @@ std::string SweepReport::table() const {
   return tp.str();
 }
 
-std::string SweepReport::to_json() const {
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("items").begin_array();
-  for (const auto& item : items) {
-    w.begin_object();
-    w.key("program").value(item.program);
-    w.key("capacity_bytes").value(item.point.capacity_bytes);
-    w.key("ok").value(item.status.ok());
-    if (!item.status.ok()) {
-      w.key("error_class").value(item.status.code_name());
-      w.key("phase").value(item.status.phase());
-      w.key("error").value(item.status.message());
-      w.end_object();
-      continue;
-    }
-    w.key("model_refs").value(static_cast<uint64_t>(item.model_refs));
-    w.key("candidates").value(static_cast<uint64_t>(item.candidate_count));
-    w.key("buffers_chosen")
-        .value(static_cast<uint64_t>(item.spm.exact.chosen.size()));
-    w.key("bytes_used").value(item.spm.exact.bytes_used);
-    w.key("saved_nj").value(item.spm.exact.saved_nj);
-    w.key("greedy_saved_nj").value(item.spm.greedy.saved_nj);
-    w.key("baseline_nj").value(item.spm.baseline.baseline_nj);
-    w.key("with_spm_nj").value(item.spm.with_spm.total_nj);
-    if (item.replay_ran) {
-      const auto& r = item.replay;
-      w.key("replay").begin_object();
-      w.key("ok").value(r.matches());
-      w.key("rectangular").value(r.rectangular);
-      w.key("sim_spm_accesses").value(r.sim_spm_accesses);
-      w.key("sim_main_accesses").value(r.sim_main_accesses);
-      w.key("sim_transfer_words").value(r.sim_transfer_words);
-      w.key("analytic_spm_accesses").value(r.ana_spm_accesses);
-      w.key("analytic_main_accesses").value(r.ana_main_accesses);
-      w.key("analytic_transfer_words").value(r.ana_transfer_words);
-      if (!r.mismatches.empty()) {
-        w.key("mismatches").begin_array();
-        for (const auto& m : r.mismatches) w.value(m);
-        w.end_array();
-      }
-      w.end_object();
-    }
-    if (!item.spm.caches.empty()) {
-      w.key("caches").begin_array();
-      for (const auto& c : item.spm.caches) {
-        w.begin_object();
-        w.key("assoc").value(c.assoc);
-        w.key("hits").value(c.hits);
-        w.key("misses").value(c.misses);
-        w.key("energy_nj").value(c.energy_nj);
-        w.end_object();
-      }
-      w.end_array();
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.key("sessions").begin_array();
-  for (const auto& session : sessions) {
-    if (session == nullptr) continue;
-    w.begin_object();
-    w.key("program").value(session->name());
-    w.key("ok").value(session->status().ok());
-    if (!session->status().ok()) {
-      w.key("error_class").value(session->status().code_name());
-      w.key("phase").value(session->status().phase());
-    }
-    if (session->from_cache()) {
-      // A cache-adopted session never ran the simulator; zeros here would
-      // read as a real (empty) run, so say what actually happened.
-      w.key("model_cache").value("hit");
-    } else if (session->status().ok()) {
-      const auto& res = session->result();
-      w.key("steps").value(res.run.steps);
-      w.key("accesses").value(res.run.accesses);
-      w.key("trace_records").value(res.trace_records);
-      w.key("analyzer_state_bytes")
-          .value(static_cast<uint64_t>(
-              res.extractor != nullptr ? res.extractor->state_bytes() : 0));
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.take();
-}
-
-void SweepReport::write_ndjson(std::ostream& out) const {
-  out << header_line(grid, programs) << '\n';
-  const size_t per_job = grid.points_per_job();
-  std::vector<AggCell> agg(per_job);
-  for (size_t j = 0; j < programs.size(); ++j) {
-    const SweepItem* block = &items[j * per_job];
-    for (size_t i = 0; i < per_job; ++i) {
-      out << point_line(block[i]) << '\n';
-    }
-    out << pareto_line("program", programs[j], job_pareto(grid, j, block))
-        << '\n';
-    accumulate_aggregate(agg, grid, block);
-  }
-  out << pareto_line("aggregate", "", aggregate_pareto(grid, agg)) << '\n';
-}
-
-std::string SweepReport::ndjson() const {
-  std::ostringstream os;
-  write_ndjson(os);
-  return os.str();
-}
-
 // -- driver -------------------------------------------------------------------
 
 SweepDriver::SweepDriver(SweepOptions opts) : opts_(std::move(opts)) {
@@ -1153,44 +1150,20 @@ SweepDriver::SweepDriver(SweepOptions opts) : opts_(std::move(opts)) {
 }
 
 SweepReport SweepDriver::run(const std::vector<SweepJob>& jobs) const {
-  const size_t per_job = grid_.points_per_job();
+  DiscardBuf discard;
+  std::ostream sink(&discard);
   SweepReport report;
-  report.grid = grid_;
-  for (const auto& job : jobs) report.programs.push_back(job.name);
-  report.items.resize(jobs.size() * per_job);
-  report.sessions.resize(jobs.size());
-
-  // Every (job, point) slot is preallocated, so concurrent on_item calls
-  // write disjoint memory and need no lock.
-  SweepExec exec(
-      jobs, opts_, grid_, /*retain_full=*/true, ResumePlan{},
-      [&report, per_job](size_t j, SweepItem&& item, size_t i) {
-        report.items[j * per_job + i] = std::move(item);
-      },
-      [this, &report, &jobs, per_job](size_t j, const util::Status& st) {
-        // The buffered report keeps the grid shape, so every cell of a
-        // lint-refused job carries the same per-program status.
-        for (size_t i = 0; i < per_job; ++i) {
-          SweepItem item;
-          item.program = jobs[j].name;
-          item.key = grid_.points[i].key;
-          item.key.job = j;
-          item.point = grid_.points[i];
-          item.status = st;
-          report.items[j * per_job + i] = std::move(item);
-        }
-      },
-      [&report](size_t j, std::unique_ptr<Session> session) {
-        report.sessions[j] = std::move(session);
-      });
-  exec.wait();
+  (void)run_ndjson(jobs, sink, nullptr, &report);
   return report;
 }
 
 util::Status SweepDriver::run_ndjson(const std::vector<SweepJob>& jobs,
                                      std::ostream& out,
-                                     const SweepCheckpoint* resume) const {
-  const size_t per_job = grid_.points_per_job();
+                                     const SweepCheckpoint* resume,
+                                     SweepReport* collect) const {
+  FORAY_CHECK(resume == nullptr || collect == nullptr,
+              "a sweep collector cannot be combined with a resume "
+              "checkpoint: cached points have no item");
   std::vector<std::string> names;
   for (const auto& job : jobs) names.push_back(job.name);
   const std::string header = header_line(grid_, names);
@@ -1203,175 +1176,19 @@ util::Status SweepDriver::run_ndjson(const std::vector<SweepJob>& jobs,
         "resume journal header does not match this sweep's grid and "
         "job list");
   }
+  if (collect != nullptr) {
+    *collect = SweepReport{};
+    collect->grid = grid_;
+    collect->programs = names;
+    collect->items.resize(jobs.size() * grid_.points_per_job());
+    collect->sessions.resize(jobs.size());
+    collect->fronts.resize(jobs.size());
+  }
   out << header << '\n';
-
-  // Each item is rendered and reduced (NDJSON line, aggregate scalars,
-  // failure status) the moment its point resolves, then dropped — a slot
-  // never holds an SpmReport, only the finished text and a few numbers.
-  // Slots are per (job, point), written concurrently without a lock; the
-  // job-finalizing worker assembles them into one Block in point order,
-  // published out of order and drained in job order by this thread.
-  struct NdPoint {
-    std::string line;
-    bool ok = false;
-    uint64_t bytes = 0;
-    double saved = 0.0;
-    util::Status failure;
-  };
-  struct Block {
-    bool ready = false;
-    std::string text;
-    std::vector<AggCell> agg;
-    util::Status first_failure;
-  };
-  std::vector<std::vector<NdPoint>> slots(jobs.size());
-  for (auto& s : slots) s.resize(per_job);
-  // Cached checkpoint rows pre-fill their slots; SweepExec skips those
-  // points, so workers only ever write the slots left empty here.
-  if (resume != nullptr) {
-    for (size_t j = 0; j < jobs.size() && j < resume->points.size(); ++j) {
-      for (size_t i = 0; i < per_job && i < resume->points[j].size(); ++i) {
-        const SweepCheckpoint::CachedPoint& c = resume->points[j][i];
-        if (!c.have) continue;
-        NdPoint& p = slots[j][i];
-        p.line = c.line;
-        p.ok = true;
-        p.bytes = c.bytes;
-        p.saved = c.saved;
-      }
-    }
-  }
-  std::vector<Block> blocks(jobs.size());
-  std::mutex mu;
-  std::condition_variable cv;
-
-  ResumePlan plan;
-  plan.checkpoint = resume;
-  plan.per_job = per_job;
-  SweepExec exec(
-      jobs, opts_, grid_, /*retain_full=*/false, plan,
-      [&slots](size_t j, SweepItem&& item, size_t i) {
-        NdPoint& p = slots[j][i];
-        p.line = point_line(item);
-        if (!item.status.ok()) {
-          p.failure = item.status;
-          return;
-        }
-        p.ok = true;
-        const spm::Selection& sel = item.selection();
-        p.bytes = sel.bytes_used;
-        p.saved = sel.saved_nj;
-        // A replay counter mismatch is a validation failure even though
-        // the point itself solved; surface it like the non-streaming CLI
-        // paths do.
-        if (item.replay_ran && !item.replay.matches()) {
-          p.failure = util::Status::failure(
-              "replay", 0,
-              item.program + " @" +
-                  std::to_string(item.point.capacity_bytes) +
-                  "B: transform-replay mismatch");
-        }
-      },
-      [per_job, &jobs, &blocks, &mu, &cv](size_t j,
-                                          const util::Status& st) {
-        // One `lint` row plus the program's (empty) pareto line stands in
-        // for the whole point block — the single-row contract of
-        // lint_first.
-        Block block;
-        block.agg.resize(per_job);
-        for (AggCell& cell : block.agg) {
-          ++cell.jobs_seen;
-          cell.all_ok = false;
-        }
-        block.text = lint_line(jobs[j].name, st);
-        block.text += '\n';
-        block.text += pareto_line("program", jobs[j].name, {});
-        block.text += '\n';
-        block.first_failure = st;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          block.ready = true;
-          blocks[j] = std::move(block);
-        }
-        cv.notify_all();
-      },
-      [this, per_job, &jobs, &slots, &blocks, &mu, &cv](
-          size_t j, std::unique_ptr<Session>) {
-        Block block;
-        block.agg.resize(per_job);
-        std::vector<Objective> objs;
-        for (size_t i = 0; i < per_job; ++i) {
-          NdPoint& p = slots[j][i];
-          block.text += p.line;
-          block.text += '\n';
-          p.line.clear();
-          p.line.shrink_to_fit();
-          AggCell& cell = block.agg[i];
-          ++cell.jobs_seen;
-          if (p.ok) {
-            cell.bytes += p.bytes;
-            cell.saved += p.saved;
-            objs.push_back(Objective{i, p.bytes, p.saved});
-          } else {
-            cell.all_ok = false;
-          }
-          if (block.first_failure.ok() && !p.failure.ok()) {
-            block.first_failure = p.failure;
-          }
-        }
-        block.text += pareto_line(
-            "program", jobs[j].name,
-            to_pareto_points(grid_, j, std::move(objs)));
-        block.text += '\n';
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          block.ready = true;
-          blocks[j] = std::move(block);
-        }
-        cv.notify_all();
-      });
-
-  std::vector<AggCell> agg(per_job);
-  util::Status first_failure;
-  util::Status sink_failure;
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    Block block;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return blocks[j].ready; });
-      block = std::move(blocks[j]);
-    }
-    // Fault site "sweep.sink.io" stands in for a real write failure
-    // (EIO, ENOSPC); either way the journal so far holds only whole job
-    // blocks in deterministic order — exactly what --resume accepts —
-    // so abandon the sweep instead of writing a torn line.
-    if (util::fault::enabled() &&
-        util::fault::should_fail("sweep.sink.io")) {
-      sink_failure = util::Status::failure(
-          util::ErrorCode::kIoError, "sweep-sink", 0,
-          "injected NDJSON sink write failure");
-      break;
-    }
-    if (!(out << block.text)) {
-      sink_failure =
-          util::Status::failure(util::ErrorCode::kIoError, "sweep-sink", 0,
-                                "NDJSON sink write failed");
-      break;
-    }
-    for (size_t i = 0; i < per_job; ++i) {
-      agg[i].jobs_seen += block.agg[i].jobs_seen;
-      agg[i].all_ok = agg[i].all_ok && block.agg[i].all_ok;
-      agg[i].bytes += block.agg[i].bytes;
-      agg[i].saved += block.agg[i].saved;
-    }
-    if (first_failure.ok()) first_failure = block.first_failure;
-  }
-  // Always a full barrier, even on the sink-failure early exit: workers
-  // still hold references to slots/blocks on this frame.
-  exec.wait();
-  if (!sink_failure.ok()) return sink_failure;
-  out << pareto_line("aggregate", "", aggregate_pareto(grid_, agg)) << '\n';
-  return first_failure;
+  const SweepCheckpoint none;
+  SweepExec exec(jobs, opts_, grid_, resume != nullptr ? *resume : none,
+                 collect);
+  return exec.write(out);
 }
 
 util::Status SweepDriver::parse_resume(std::string_view journal,
@@ -1431,28 +1248,31 @@ util::Status SweepDriver::parse_resume(std::string_view journal,
     if (key == nullptr || !key->is_object()) {
       return bad(line_no, "point line has no key object");
     }
+    // Key indices are checked before the cast: casting a fractional,
+    // negative or huge double to size_t is wrong or undefined.
     PointKey k;
-    const auto index_of = [&](const char* name, size_t* dst) {
+    const auto index_of = [&](const char* name, size_t limit, size_t* dst) {
       const util::JsonValue* f = key->find(name);
-      if (f == nullptr || !f->is_number() || f->num < 0) return false;
+      if (!whole_below(f, static_cast<double>(limit))) return false;
       *dst = static_cast<size_t>(f->num);
       return true;
     };
-    if (!index_of("job", &k.job) || !index_of("capacity", &k.capacity) ||
-        !index_of("energy", &k.energy) || !index_of("cache", &k.cache) ||
-        !index_of("algorithm", &k.algorithm) ||
-        !index_of("replay", &k.replay)) {
-      return bad(line_no, "point key is malformed");
+    if (!index_of("job", out->programs.size(), &k.job)) {
+      return bad(line_no, "point key job is not a job index of the header");
     }
-    if (k.job >= out->points.size()) {
-      return bad(line_no, "point key job index out of range");
-    }
-    if (k.capacity >= grid_.capacities.size() ||
-        k.energy >= grid_.energy_models.size() ||
-        k.cache >= grid_.caches.size() ||
-        k.algorithm >= grid_.algorithms.size() ||
-        k.replay >= grid_.replays.size()) {
+    if (!index_of("capacity", grid_.capacities.size(), &k.capacity) ||
+        !index_of("energy", grid_.energy_models.size(), &k.energy) ||
+        !index_of("cache", grid_.caches.size(), &k.cache) ||
+        !index_of("algorithm", grid_.algorithms.size(), &k.algorithm) ||
+        !index_of("replay", grid_.replays.size(), &k.replay)) {
       return bad(line_no, "point key does not fit this sweep's grid");
+    }
+    const util::JsonValue* program = v.find("program");
+    if (program == nullptr || !program->is_string() ||
+        program->str != out->programs[k.job]) {
+      return bad(line_no,
+                 "point line's program is not the header's program for "
+                 "its job");
     }
     const size_t flat = grid_.flat_index(k);
     const util::JsonValue* ok = v.find("ok");
@@ -1470,9 +1290,13 @@ util::Status SweepDriver::parse_resume(std::string_view journal,
     }
     const util::JsonValue* bytes = v.find("bytes_used");
     const util::JsonValue* saved = v.find("saved_nj");
-    if (bytes == nullptr || !bytes->is_number() || saved == nullptr ||
+    // A selection never uses more than its point's capacity.
+    const double capacity = grid_.points[flat].capacity_bytes;
+    if (!whole_below(bytes, capacity + 1.0) || saved == nullptr ||
         !saved->is_number()) {
-      return bad(line_no, "point line lacks bytes_used/saved_nj");
+      return bad(line_no,
+                 "point line lacks a whole bytes_used within its capacity "
+                 "or a saved_nj");
     }
     SweepCheckpoint::CachedPoint& c = out->points[k.job][flat];
     c.have = true;

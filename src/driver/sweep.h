@@ -35,13 +35,16 @@
 // report is byte-for-byte identical whatever the thread count — the
 // determinism contract locked by driver_test / sweep_test.
 //
-// Reporting: SweepReport extracts Pareto frontiers (energy saved vs SPM
-// bytes used; per program and aggregated across programs) and renders
-// the grid as NDJSON — one self-contained JSON object per line, so a
-// million-point grid can stream to disk. SweepDriver::run_ndjson writes
-// those lines *while the grid runs*, job by job in deterministic order,
-// retaining only rendered lines and reduction scalars instead of the
-// whole report.
+// One execution path: SweepDriver::run_ndjson renders the grid as NDJSON
+// *while it runs* — one self-contained JSON object per line, job by job
+// in deterministic order — and reduces it to Pareto frontiers (energy
+// saved vs SPM bytes used; per program and aggregated across programs),
+// retaining only rendered lines and reduction scalars, so a
+// million-point grid can stream to disk. Resume, lint-first and serve
+// all ride that path. A caller that wants the results in memory attaches
+// a SweepReport collector to it (SweepDriver::run does exactly that and
+// drops the text); the collector keeps each item, each job's session and
+// the frontiers the stream computed.
 #pragma once
 
 #include <cstdint>
@@ -179,10 +182,10 @@ struct SweepOptions {
   /// Run the static checker (staticforay/checker.h) over each program
   /// before its Phase I. A program the checker *proves* will fault is
   /// failed up front with a single per-program diagnostic instead of N
-  /// identical per-point failure rows: the streaming NDJSON emits one
-  /// `lint` row (plus the program's empty pareto line) in place of the
-  /// job's point block, and the buffered report marks every cell of the
-  /// job with the same kInvalidInput / phase "lint" status. Programs the
+  /// identical per-point failure rows: the NDJSON carries one `lint` row
+  /// (plus the program's empty pareto line) in place of the job's point
+  /// block, and a collector marks every cell of the job with the same
+  /// kInvalidInput / phase "lint" status. Programs the
   /// checker cannot prove faulty — including ones that fail the frontend,
   /// which Phase I classifies on its own — run normally, byte-identical
   /// to lint_first = false.
@@ -196,19 +199,18 @@ struct SweepItem {
   SweepPoint point;       ///< the resolved configuration
   util::Status status;
   size_t model_refs = 0;
-  /// Buffer candidates the DSE chose from (recorded separately so the
-  /// streaming path can drop the candidates vector itself).
+  /// Buffer candidates the DSE chose from (recorded separately because
+  /// `spm.candidates` is not kept).
   size_t candidate_count = 0;
-  /// Full Phase II result (both selections). On the streaming NDJSON
-  /// path the candidates vector — the bulk of an SpmReport, and unread
-  /// by the renderer — is left empty.
+  /// Phase II result (both selections, energy, cache comparisons). The
+  /// candidates vector — the bulk of an SpmReport, and unread — is left
+  /// empty.
   core::SpmReport spm;
   /// Energy evaluation of the *headline* selection (== spm.with_spm for
   /// the exact DP, recomputed for greedy points).
   spm::EnergyReport energy;
   bool replay_ran = false;
   spm::ReplayReport replay;
-  std::string report;     ///< describe_spm_report() (+ replay) text
 
   /// The selection the point's algorithm axis names.
   const spm::Selection& selection() const {
@@ -224,40 +226,37 @@ struct ParetoPoint {
   double saved_nj = 0.0;
 };
 
+/// What a sweep collects when attached to SweepDriver::run_ndjson: every
+/// item, each job's session and the frontiers the stream wrote.
 struct SweepReport {
   SweepGrid grid;
   std::vector<std::string> programs;  ///< job order
   /// Job-major, grid-minor (grid.points order) — the deterministic order.
   std::vector<SweepItem> items;
-  /// One finished session per job, in job order.
+  /// One finished session per job, in job order; null for a job the
+  /// lint-first checker refused.
   std::vector<std::unique_ptr<Session>> sessions;
+  /// Per-program Pareto frontiers over each job's successful points:
+  /// maximal energy saved for minimal SPM bytes used, sorted by bytes
+  /// ascending; dominated and duplicate trade-offs dropped.
+  std::vector<std::vector<ParetoPoint>> fronts;
+  /// Aggregate frontier: each grid point's bytes/savings summed across
+  /// programs (points where any program failed are skipped), then the
+  /// same non-domination filter. Key::job is meaningless here.
+  std::vector<ParetoPoint> aggregate;
 
   /// Bounds-checked structured lookup (FORAY_CHECK on any bad index).
   const SweepItem& at(const PointKey& key) const;
 
-  /// Per-program Pareto frontier over the job's successful points:
-  /// maximal energy saved for minimal SPM bytes used, sorted by bytes
-  /// ascending; dominated and duplicate trade-offs dropped.
-  std::vector<ParetoPoint> pareto(size_t job) const;
-  /// Aggregate frontier: each grid point's bytes/savings summed across
-  /// programs (points where any program failed are skipped), then the
-  /// same non-domination filter. Key::job is meaningless here.
-  std::vector<ParetoPoint> pareto_aggregate() const;
+  /// Bounds-checked fronts[job]: the job's `pareto` line.
+  const std::vector<ParetoPoint>& pareto(size_t job) const;
+  /// The aggregate `pareto` line.
+  const std::vector<ParetoPoint>& pareto_aggregate() const {
+    return aggregate;
+  }
 
   /// Summary table, one row per item.
   std::string table() const;
-
-  /// Single-document JSON: an "items" array (per-point DSE results,
-  /// replay ledger, cache comparison) and a "sessions" array of per-run
-  /// simulator counters — the CLI `batch --json` format.
-  std::string to_json() const;
-
-  /// The full report as NDJSON: a `sweep` header line (axes, programs),
-  /// one `point` line per item, a `pareto` line per program, and one
-  /// aggregate `pareto` line. Byte-identical to run_ndjson's streaming
-  /// output over the same jobs.
-  void write_ndjson(std::ostream& out) const;
-  std::string ndjson() const;
 };
 
 /// What `--resume` recovered from a previous run's NDJSON journal: the
@@ -281,10 +280,10 @@ struct SweepCheckpoint {
     return job < points.size() && flat < points[job].size() &&
            points[job][flat].have;
   }
-  bool job_fully_cached(size_t job, size_t per_job) const {
-    if (job >= points.size() || points[job].size() < per_job) return false;
-    for (size_t i = 0; i < per_job; ++i) {
-      if (!points[job][i].have) return false;
+  /// True when every flat point in [begin, end) of `job` is cached.
+  bool range_cached(size_t job, size_t begin, size_t end) const {
+    for (size_t i = begin; i < end; ++i) {
+      if (!point_cached(job, i)) return false;
     }
     return true;
   }
@@ -296,16 +295,15 @@ class SweepDriver {
 
   const SweepGrid& grid() const { return grid_; }
 
-  /// Runs every job across every grid point, retaining all items.
-  /// Blocking; one driver, one call at a time.
-  SweepReport run(const std::vector<SweepJob>& jobs) const;
-
-  /// Streaming variant: each point is rendered to its NDJSON line and
-  /// reduced (Pareto objective, aggregate sums) the moment it resolves,
-  /// and finished jobs' text is written in deterministic job order — a
-  /// million-point grid never holds more than one SpmReport per worker,
-  /// plus the rendered text of out-of-order finished jobs. Output is
-  /// byte-identical to run(jobs).ndjson(); sessions are not retained.
+  /// Runs every job across every grid point — the one execution path.
+  /// Each point is rendered to its NDJSON line and reduced (Pareto
+  /// objective, aggregate sums) the moment it resolves, and finished
+  /// jobs' text is written in deterministic job order, byte-identical
+  /// whatever the thread count — a million-point grid never holds more
+  /// than one SpmReport per worker, plus the rendered text of
+  /// out-of-order finished jobs. Blocking; one driver, one call at a
+  /// time.
+  ///
   /// Returns the first failure: a failed point's status, a validation
   /// failure for a replay-axis point whose simulated counters mismatched
   /// (the whole grid is still swept and written), or kIoError the moment
@@ -316,16 +314,27 @@ class SweepDriver {
   /// With `resume`, points cached in the checkpoint are re-emitted
   /// verbatim instead of re-run; a checkpoint whose header does not
   /// match this grid and job list fails as kInvalidInput up front.
+  ///
+  /// With `collect`, the run also fills that report (items, sessions,
+  /// frontiers) without changing a byte of `out`. Resume and collect are
+  /// exclusive — a cached point has no item (FORAY_CHECK).
   util::Status run_ndjson(const std::vector<SweepJob>& jobs,
                           std::ostream& out,
-                          const SweepCheckpoint* resume = nullptr) const;
+                          const SweepCheckpoint* resume = nullptr,
+                          SweepReport* collect = nullptr) const;
+
+  /// run_ndjson with the text dropped and a collector attached: the
+  /// report alone. Per-point failures are on the items.
+  SweepReport run(const std::vector<SweepJob>& jobs) const;
 
   /// Parses a previous run_ndjson journal (possibly truncated mid-line:
-  /// a partial tail line is ignored) into a checkpoint. Grid-shape
-  /// validation happens here (point keys out of range fail as
-  /// kInvalidInput); job-list validation happens in run_ndjson. Failed
-  /// point rows (ok:false) and rows whose replay check mismatched are
-  /// deliberately NOT cached, so resuming retries exactly those.
+  /// a partial tail line is ignored) into a checkpoint. Row validation
+  /// happens here: point-key indices and bytes_used must be whole
+  /// numbers in range (bytes_used within the point's capacity) and the
+  /// row's program must be the header's for its job, else kInvalidInput
+  /// with the line number. Job-list validation happens in run_ndjson.
+  /// Failed point rows (ok:false) and rows whose replay check mismatched
+  /// are deliberately NOT cached, so resuming retries exactly those.
   util::Status parse_resume(std::string_view journal,
                             SweepCheckpoint* out) const;
 

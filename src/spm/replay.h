@@ -117,7 +117,7 @@ ReplayReport replay_selection(const core::ForayModel& model,
                               const Selection& selection,
                               const ReplayOptions& opts = {});
 
-/// Deterministic human-readable rendering (CLI `spm --replay`, batch).
+/// Deterministic human-readable rendering (CLI `spm --replay`).
 std::string describe_replay_report(const ReplayReport& report,
                                    const core::ForayModel& model);
 

@@ -1,7 +1,7 @@
 // A minimal streaming JSON writer, and the matching reader.
 //
 // The writer is just enough for the machine-readable outputs this project
-// emits (`foraygen batch --json`, sweep NDJSON journals, the bench
+// emits (sweep NDJSON journals, `foraygen lint --json`, the bench
 // BENCH_*.json files): objects, arrays, strings with escaping, integers,
 // doubles and booleans, with comma placement handled by the writer.
 //

@@ -420,7 +420,7 @@ TEST(SweepLintFirst, OneLintRowReplacesThePointBlock) {
   EXPECT_GE(good_point_rows, 1);
 }
 
-TEST(SweepLintFirst, BufferedReportMarksEveryCellOfARefusedJob) {
+TEST(SweepLintFirst, CollectorMarksEveryCellOfARefusedJob) {
   const driver::SweepDriver sweep(lint_first_opts());
   const driver::SweepReport report =
       sweep.run({{"bad", kMustFaultSource}, {"good", kCleanSource}});

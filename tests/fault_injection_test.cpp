@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "driver/sweep.h"
 #include "foray/pipeline.h"
@@ -269,11 +272,51 @@ TEST_F(FaultInjectionTest, ResumeRejectsAForeignJournal) {
   EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput) << st.message();
 }
 
+/// `journal` with the value of the first `"field":` in its first point
+/// row (up to the next ',' or '}') replaced by `value`.
+std::string with_point_field(const std::string& journal,
+                             const std::string& field,
+                             const std::string& value) {
+  const size_t row = journal.find("{\"kind\":\"point\"");
+  const std::string needle = "\"" + field + "\":";
+  const size_t at = journal.find(needle, row);
+  EXPECT_NE(row, std::string::npos);
+  EXPECT_LT(at, journal.find('\n', row)) << field;
+  const size_t begin = at + needle.size();
+  const size_t end = journal.find_first_of(",}", begin);
+  std::string out = journal;
+  out.replace(begin, end - begin, value);
+  return out;
+}
+
 TEST_F(FaultInjectionTest, ParseResumeRejectsGarbage) {
   driver::SweepDriver sweep(sweep_opts());
   driver::SweepCheckpoint checkpoint;
   util::Status st = sweep.parse_resume("not json at all\n", &checkpoint);
   EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput) << st.message();
+
+  // A well-formed journal with one point row edited: a key index that is
+  // not a whole number or far out of range, a negative byte count, and a
+  // row naming another job's program. Each is refused with its line.
+  std::ostringstream journal;
+  ASSERT_TRUE(sweep.run_ndjson(jobs(), journal).ok());
+  ASSERT_TRUE(sweep.parse_resume(journal.str(), &checkpoint).ok());
+  for (const auto& [field, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"capacity", "0.5"},
+           {"job", "1e300"},
+           {"bytes_used", "-7"},
+           {"program", "\"beta\""}}) {
+    const std::string bad = with_point_field(journal.str(), field, value);
+    ASSERT_NE(bad, journal.str()) << field;
+    st = sweep.parse_resume(bad, &checkpoint);
+    EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput) << field;
+    EXPECT_EQ(st.phase(), "sweep-resume") << field;
+    EXPECT_FALSE(st.diags().all().empty()) << field;
+    if (!st.diags().all().empty()) {
+      EXPECT_EQ(st.diags().all().front().line, 2) << field;
+    }
+  }
 }
 
 TEST_F(FaultInjectionTest, ParseResumeToleratesATornTailLine) {

@@ -117,15 +117,26 @@ std::string deep_request(int id) {
   return w.take();
 }
 
+/// A request for an unknown program, padded with JSON whitespace to
+/// `bytes` bytes.
+std::string padded_request(int id, size_t bytes) {
+  const std::string head = "{\"id\":" + std::to_string(id) +
+                           ",\"program\":\"no-such-kernel\"";
+  return head + std::string(bytes - head.size() - 1, ' ') + "}";
+}
+
 TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
-  // Five broken requests then one good one: the loop must answer all
-  // six and exit ok at EOF.
+  // Seven broken requests then one good one: the loop must answer all
+  // eight and exit ok at EOF. Line 6 is one byte over the request-line
+  // cap, line 7 exactly at it.
   const std::string requests =
       "this is not json\n"
       "[1,2,3]\n"
       "{\"id\":2,\"axes\":{\"capacity\":\"bogus\"}}\n"
       "{\"id\":3,\"program\":\"no-such-kernel\"}\n" +
-      deep_request(5) + "\n" + good_request(4) + "\n";
+      deep_request(5) + "\n" + padded_request(6, kMaxRequestBytes + 1) +
+      "\n" + padded_request(7, kMaxRequestBytes) + "\n" + good_request(4) +
+      "\n";
   std::istringstream in(requests);
   std::ostringstream out;
   const util::Status st = serve_loop(in, out, serve_opts());
@@ -157,13 +168,24 @@ TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
 
   // id 2: bad axis value, classified invalid_input, echoing the id.
   int done_rows = 0;
+  const util::JsonValue* oversized = nullptr;
   for (const auto& row : rows) {
-    if (kind(row) == "done") ++done_rows;
+    if (kind(row) != "done") continue;
+    ++done_rows;
+    const util::JsonValue* line_no = row.find("line");
+    if (line_no != nullptr && line_no->num == 6.0) oversized = &row;
   }
-  EXPECT_EQ(done_rows, 6);
+  EXPECT_EQ(done_rows, 8);
+  // The oversized line is refused unread: keyed by its line, not its id.
+  ASSERT_NE(oversized, nullptr);
+  EXPECT_FALSE(oversized->find("ok")->b);
+  EXPECT_EQ(oversized->find("error_class")->str, "invalid_input");
+  EXPECT_EQ(oversized->find("phase")->str, "serve");
+  EXPECT_EQ(oversized->find("id"), nullptr);
   const util::JsonValue* bad_axis = nullptr;
   const util::JsonValue* bad_prog = nullptr;
   const util::JsonValue* deep = nullptr;
+  const util::JsonValue* at_cap = nullptr;
   const util::JsonValue* good = nullptr;
   for (const auto& row : rows) {
     if (kind(row) != "done") continue;
@@ -173,6 +195,7 @@ TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
     if (id->num == 3.0) bad_prog = &row;
     if (id->num == 4.0) good = &row;
     if (id->num == 5.0) deep = &row;
+    if (id->num == 7.0) at_cap = &row;
   }
   ASSERT_NE(bad_axis, nullptr);
   EXPECT_FALSE(bad_axis->find("ok")->b);
@@ -185,6 +208,10 @@ TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
   ASSERT_NE(deep, nullptr);
   EXPECT_EQ(deep->find("error_class")->str, "invalid_input");
   EXPECT_NE(deep->find("error")->str.find("nesting deeper than"),
+            std::string::npos);
+  // A line exactly at the cap is read and parsed as usual.
+  ASSERT_NE(at_cap, nullptr);
+  EXPECT_NE(at_cap->find("error")->str.find("no-such-kernel"),
             std::string::npos);
   // ...and the good request after them still ran to completion.
   ASSERT_NE(good, nullptr);

@@ -1,8 +1,8 @@
 // The sweep API: spec parsing, deterministic grid expansion, structured
 // PointKey lookup, Pareto extraction, and the two contracts inherited
 // from the batch driver and extended to the full multi-axis grid —
-// byte-identical reports whatever the thread count (including the
-// streaming NDJSON writer) and per-job failure isolation.
+// byte-identical NDJSON whatever the thread count, with or without a
+// collector attached, and per-job failure isolation.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -252,18 +252,42 @@ TEST(SweepDriver, NdjsonByteIdenticalAcrossThreadCounts) {
   par.threads = 4;
   auto jobs = good_jobs();
 
-  SweepReport r1 = SweepDriver(seq).run(jobs);
-  SweepReport r4 = SweepDriver(par).run(jobs);
-  EXPECT_EQ(r1.ndjson(), r4.ndjson());
-  EXPECT_EQ(r1.table(), r4.table());
-
-  // The streaming writer emits the same bytes as the buffered report,
-  // whatever the thread count.
   std::ostringstream s1, s4;
   ASSERT_TRUE(SweepDriver(seq).run_ndjson(jobs, s1).ok());
   ASSERT_TRUE(SweepDriver(par).run_ndjson(jobs, s4).ok());
-  EXPECT_EQ(s1.str(), r1.ndjson());
-  EXPECT_EQ(s4.str(), r1.ndjson());
+  EXPECT_EQ(s1.str(), s4.str());
+  EXPECT_EQ(SweepDriver(seq).run(jobs).table(),
+            SweepDriver(par).run(jobs).table());
+}
+
+TEST(SweepDriver, CollectorDoesNotChangeTheStream) {
+  SweepOptions o = sweep_opts(3);
+  ASSERT_TRUE(o.spec.parse_axis("capacity", "256,4096").ok());
+  ASSERT_TRUE(o.spec.parse_axis("cache", "off,32x2").ok());
+  ASSERT_TRUE(o.spec.parse_axis("algorithm", "dp,greedy").ok());
+  ASSERT_TRUE(o.spec.parse_axis("replay", "off,on").ok());
+  const std::vector<SweepJob> jobs = {
+      {"ok", kGood}, {"bad", kParseError}, {"ok2", kGood2}};
+  std::ostringstream plain, collected;
+  const util::Status st = SweepDriver(o).run_ndjson(jobs, plain);
+  SweepReport report;
+  const util::Status st2 =
+      SweepDriver(o).run_ndjson(jobs, collected, nullptr, &report);
+  EXPECT_EQ(collected.str(), plain.str());
+  EXPECT_EQ(st2.code(), st.code());
+  EXPECT_EQ(st2.message(), st.message());
+  // The collector holds the grid the stream wrote.
+  ASSERT_EQ(report.items.size(), jobs.size() * 16);
+  ASSERT_EQ(report.sessions.size(), jobs.size());
+  EXPECT_NE(report.sessions[0], nullptr);
+  EXPECT_TRUE(report.pareto(1).empty());
+  EXPECT_FALSE(report.pareto(2).empty());
+  // A collector and a resume checkpoint cannot be combined.
+  SweepCheckpoint checkpoint;
+  ASSERT_TRUE(SweepDriver(o).parse_resume(plain.str(), &checkpoint).ok());
+  std::ostringstream again;
+  EXPECT_THROW(SweepDriver(o).run_ndjson(jobs, again, &checkpoint, &report),
+               util::InternalError);
 }
 
 TEST(SweepDriver, GreedyAxisPointsReportGreedySelection) {
@@ -350,13 +374,18 @@ TEST(SweepDriver, FailingJobIsIsolatedAndSkippedInAggregate) {
   EXPECT_TRUE(report.pareto(1).empty());
   EXPECT_TRUE(report.pareto_aggregate().empty());
   EXPECT_FALSE(report.pareto(0).empty());
-  // The streaming writer surfaces the first failure but writes the
-  // whole grid.
-  std::ostringstream os;
-  util::Status st = SweepDriver(o).run_ndjson(
-      {{"ok", kGood}, {"bad", kParseError}, {"ok2", kGood2}}, os);
+  // The stream surfaces the first failure but writes the whole grid,
+  // the same bytes with the collector attached.
+  std::ostringstream cold, collected;
+  const std::vector<SweepJob> jobs = {
+      {"ok", kGood}, {"bad", kParseError}, {"ok2", kGood2}};
+  util::Status st = SweepDriver(o).run_ndjson(jobs, cold);
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(os.str(), report.ndjson());
+  SweepReport again;
+  EXPECT_FALSE(
+      SweepDriver(o).run_ndjson(jobs, collected, nullptr, &again).ok());
+  EXPECT_EQ(collected.str(), cold.str());
+  EXPECT_EQ(again.table(), report.table());
 }
 
 TEST(SweepDriver, BrokenProgramYieldsClassifiedRowsOthersUnchanged) {
@@ -461,9 +490,12 @@ TEST(SweepDriver, ImpossibleCacheGeometryFailsOnlyItsOwnPoints) {
   const util::Status st = SweepDriver(o).run_ndjson(jobs, cold);
   EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput);
 
-  auto report = SweepDriver(o).run(jobs);
+  SweepReport report;
+  std::ostringstream collected;
+  EXPECT_FALSE(
+      SweepDriver(o).run_ndjson(jobs, collected, nullptr, &report).ok());
   ASSERT_EQ(report.items.size(), 8u);
-  EXPECT_EQ(report.ndjson(), cold.str());
+  EXPECT_EQ(collected.str(), cold.str());
   for (size_t i = 0; i < report.items.size(); ++i) {
     const uint32_t cap = report.items[i].point.capacity_bytes;
     EXPECT_EQ(report.items[i].status.ok(), cap == 64 || cap == 4096) << i;
@@ -538,8 +570,10 @@ TEST(SweepDriver, HugeCapacitySolvesWithinCandidateBoundedMemory) {
 TEST(SweepDriver, NdjsonEscapesHostileProgramNames) {
   SweepOptions o = sweep_opts(1);
   ASSERT_TRUE(o.spec.parse_axis("capacity", "1024").ok());
-  auto report = SweepDriver(o).run({{"we\"ird\\name\n", kGood}});
-  const std::string nd = report.ndjson();
+  std::ostringstream out;
+  ASSERT_TRUE(
+      SweepDriver(o).run_ndjson({{"we\"ird\\name\n", kGood}}, out).ok());
+  const std::string nd = out.str();
   EXPECT_NE(nd.find("we\\\"ird\\\\name\\n"), std::string::npos);
 }
 

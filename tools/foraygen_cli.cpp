@@ -17,12 +17,12 @@
 //   run        just execute the program and show its output
 //   profile    profile + extract only; prints trace/extraction statistics
 //   spm        Phase II: reuse analysis + DSE + energy (SpmPhase report)
-//   batch      run the whole benchsuite through the pipeline in parallel
-//              (a capacity-only sweep with table/JSON reporting)
 //   sweep      multi-axis DSE grid (capacity × energy model × cache
 //              geometry × algorithm × replay) over the benchsuite, or
-//              over one program when a path is given; emits Pareto
-//              frontiers and optionally streaming NDJSON
+//              over one program when a path is given; prints a table and
+//              Pareto frontiers, or streams NDJSON with --ndjson
+//   batch      alias of `sweep` over the whole benchsuite (no program
+//              argument); same options, output and exit codes
 //   lint       sound static check (staticforay/checker.h): interval-
 //              domain diagnostics (use-before-init, provable
 //              out-of-bounds, provable div-by-zero, unreachable code,
@@ -47,14 +47,13 @@
 //               (bit-identical to the default fused online pass)
 //   --capacity N         spm: SPM size in bytes     (default 4096)
 //   --compare-cache      spm: also replay through LRU caches
-//   --replay             spm/batch/sweep: execute the transformed
+//   --replay             spm/sweep: execute the transformed
 //                        program and check its simulated traffic
 //                        against the analytic counters; `spm --replay`
 //                        exits nonzero on any counter mismatch
-//   --threads N          batch/sweep: worker threads (default 1)
-//   --capacity-sweep a,b,c  batch/sweep: SPM capacity axis
-//   --json PATH          batch: also write the report as JSON;
-//                        lint: write the diagnostics + cost bounds as
+//   --threads N          sweep/serve: worker threads (default 1)
+//   --capacity-sweep a,b,c  sweep: SPM capacity axis
+//   --json PATH          lint: write the diagnostics + cost bounds as
 //                        one JSON document to PATH ('-' for stdout)
 //                        instead of the human-readable report
 //   --lint-first         sweep: statically check every program before
@@ -84,15 +83,15 @@
 //                        journal verbatim and run only the missing or
 //                        failed ones; output is byte-identical to an
 //                        uninterrupted run
-//   --cache-dir DIR      batch/sweep/serve: content-addressed Phase I
+//   --cache-dir DIR      sweep/serve: content-addressed Phase I
 //                        model cache. A warm run skips profiling and
 //                        extraction entirely and is byte-identical to a
 //                        cold one; corrupt or stale entries are detected,
 //                        reported and recomputed. The FORAY_CACHE_DIR
 //                        env var supplies a default.
-//   --no-cache           batch/sweep/serve: ignore FORAY_CACHE_DIR and
+//   --no-cache           sweep/serve: ignore FORAY_CACHE_DIR and
 //                        run uncached
-//   --cache-max-bytes N  batch/sweep/serve: bound the on-disk model
+//   --cache-max-bytes N  sweep/serve: bound the on-disk model
 //                        cache; after each store, oldest entries are
 //                        evicted until the directory fits (0 =
 //                        unbounded, the default)
@@ -162,20 +161,18 @@ int usage() {
       "|spm> <program.mc> [--engine ast|bytecode] [--nexec N] [--nloc N] "
       "[--seed S] [--offline] [--pipeline] "
       "[--capacity N] [--compare-cache] [--replay]\n"
-      "       foraygen batch [--threads N] [--capacity-sweep a,b,c] "
-      "[--engine ast|bytecode] [--nexec N] [--nloc N] [--seed S] "
-      "[--replay] [--json PATH]\n"
       "       foraygen sweep [program.mc] [--threads N] "
       "[--capacity-sweep a,b,c] [--energy-sweep a,b] [--cache-sweep "
       "off,32x2,...] [--algo-sweep dp,greedy] [--replay-sweep off,on] "
       "[--spec FILE] [--ndjson PATH|-] [--resume JOURNAL] [--lint-first] "
       "[--engine ast|bytecode] [--nexec N] [--nloc N] [--seed S] "
       "[--replay]\n"
+      "       foraygen batch [sweep options]   (sweep over the benchsuite)\n"
       "       foraygen lint [program.mc] [--json PATH|-]\n"
       "       foraygen serve [--threads N] [--max-points N] "
       "[--static-admission] "
       "[--engine ast|bytecode] [--nexec N] [--nloc N] [--seed S]\n"
-      "  batch/sweep/serve also accept the model-cache options "
+      "  sweep/serve also accept the model-cache options "
       "[--cache-dir DIR] [--no-cache] [--cache-max-bytes N] "
       "(FORAY_CACHE_DIR is the default directory)\n"
       "  every command also accepts the execution-budget options "
@@ -234,19 +231,19 @@ bool flag_applies(const std::string& command, const std::string& flag) {
   };
   static const std::vector<Scoped> kScoped = {
       {"--capacity", {"spm"}},
-      // batch/sweep inherit the base compare-cache settings into every
-      // grid point whose cache axis is undeclared.
-      {"--compare-cache", {"spm", "batch", "sweep"}},
-      {"--replay", {"spm", "batch", "sweep"}},
-      {"--threads", {"batch", "sweep", "serve"}},
-      {"--cache-dir", {"batch", "sweep", "serve"}},
-      {"--no-cache", {"batch", "sweep", "serve"}},
-      {"--cache-max-bytes", {"batch", "sweep", "serve"}},
+      // sweep inherits the base compare-cache settings into every grid
+      // point whose cache axis is undeclared.
+      {"--compare-cache", {"spm", "sweep"}},
+      {"--replay", {"spm", "sweep"}},
+      {"--threads", {"sweep", "serve"}},
+      {"--cache-dir", {"sweep", "serve"}},
+      {"--no-cache", {"sweep", "serve"}},
+      {"--cache-max-bytes", {"sweep", "serve"}},
       {"--max-points", {"serve"}},
       {"--static-admission", {"serve"}},
       {"--lint-first", {"sweep"}},
-      {"--capacity-sweep", {"batch", "sweep"}},
-      {"--json", {"batch", "lint"}},
+      {"--capacity-sweep", {"sweep"}},
+      {"--json", {"lint"}},
       {"--energy-sweep", {"sweep"}},
       {"--cache-sweep", {"sweep"}},
       {"--algo-sweep", {"sweep"}},
@@ -446,22 +443,25 @@ int cmd_lint(const std::vector<driver::SweepJob>& jobs,
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
+  // `command` is what the user typed (error messages name it); `batch`
+  // runs as `sweep` without a program argument.
+  const std::string typed = argv[1];
+  const bool batch = typed == "batch";
+  const std::string command = batch ? "sweep" : typed;
   const bool known_command =
       command == "model" || command == "emit" || command == "annotate" ||
       command == "trace" || command == "stats" || command == "hints" ||
       command == "run" || command == "profile" || command == "spm" ||
-      command == "batch" || command == "sweep" || command == "lint" ||
-      command == "serve";
+      command == "sweep" || command == "lint" || command == "serve";
   if (!known_command) {
     usage();
-    return option_error("unknown command '" + command + "'");
+    return option_error("unknown command '" + typed + "'");
   }
   // batch and serve have no program argument; sweep's and lint's are
   // optional (default: the whole benchsuite).
   const bool optional_path = command == "sweep" || command == "lint";
   const bool takes_path =
-      command != "batch" && command != "serve" &&
+      !batch && command != "serve" &&
       !(optional_path && (argc < 3 || util::starts_with(argv[2], "--")));
   if (takes_path && !optional_path && argc < 3) return usage();
   const std::string path = takes_path ? argv[2] : "";
@@ -485,12 +485,12 @@ int main(int argc, char** argv) {
       return option_error(
           "unexpected argument '" + arg +
           (takes_path ? "' after the program path"
-                      : "' (command '" + command +
+                      : "' (command '" + typed +
                             "' takes no program argument)"));
     }
     if (!flag_applies(command, arg)) {
       return option_error("option '" + arg +
-                          "' does not apply to command '" + command + "'");
+                          "' does not apply to command '" + typed + "'");
     }
     auto next_value = [&](const char** out) {
       if (i + 1 >= argc) return false;
@@ -666,7 +666,7 @@ int main(int argc, char** argv) {
   }
 
   // The model cache: explicit --cache-dir (or FORAY_CACHE_DIR) enables
-  // it for batch/sweep; serve always gets at least the in-memory layer —
+  // it for sweep; serve always gets at least the in-memory layer —
   // reusing Phase I across requests is the point of serving.
   std::unique_ptr<driver::ModelCache> cache;
   if (!no_cache && (!cache_dir.empty() || command == "serve")) {
@@ -825,41 +825,6 @@ int main(int argc, char** argv) {
       }
     }
     return rc;
-  }
-
-  if (command == "batch") {
-    // batch == a capacity-only sweep over the benchsuite (every other
-    // axis inherits the pipeline options), with a table + single-document
-    // JSON report instead of the sweep's NDJSON stream.
-    driver::SweepOptions sopts;
-    sopts.threads = threads;
-    sopts.spec.capacities = spec.capacities;
-    sopts.pipeline = opts;
-    sopts.model_cache = cache.get();
-    driver::SweepDriver batch(sopts);
-    auto report = batch.run(driver::SweepDriver::benchsuite_jobs());
-    print_cache_stats();
-    std::fputs(report.table().c_str(), stdout);
-    if (!json_path.empty()) {
-      std::ofstream out(json_path, std::ios::binary);
-      if (!out) {
-        return fail_with(unwritable(json_path));
-      }
-      out << report.to_json() << "\n";
-    }
-    for (const auto& item : report.items) {
-      if (!item.status.ok()) {
-        std::fprintf(stderr, "%s: %s\n", item.program.c_str(),
-                     item.status.message().c_str());
-        return exit_code_for(item.status);
-      }
-      if (item.replay_ran && !item.replay.matches()) {
-        std::fprintf(stderr, "%s @%uB: transform-replay mismatch\n",
-                     item.program.c_str(), item.point.capacity_bytes);
-        return 1;
-      }
-    }
-    return 0;
   }
 
   std::string source;
