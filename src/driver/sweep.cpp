@@ -295,6 +295,19 @@ size_t SweepGrid::flat_index(const PointKey& key) const {
          key.replay;
 }
 
+std::vector<bool> cache_cells_needed(const SweepGrid& grid,
+                                     const SweepCheckpoint& resume,
+                                     size_t job) {
+  std::vector<bool> needed(grid.capacities.size() * grid.caches.size());
+  for (size_t i = 0; i < grid.points.size(); ++i) {
+    const SweepPoint& p = grid.points[i];
+    if (p.cache.enabled && !resume.point_cached(job, i)) {
+      needed[p.key.capacity * grid.caches.size() + p.key.cache] = true;
+    }
+  }
+  return needed;
+}
+
 // -- per-job execution --------------------------------------------------------
 
 namespace {
@@ -310,25 +323,57 @@ struct PointSolve {
   spm::ReplayReport replay;
 };
 
-/// Hits and misses of one (capacity, cache axis value) pair of a job, one
-/// comparison per associativity, unpriced. They depend on the model and
-/// the geometry only, never on the energy model: the first solve group
-/// that needs the cell simulates it, every other group prices the same
-/// counts. A failure is kept in the cell and rethrown to every group, so
-/// each point of a bad geometry gets its own classified row. It is caught
-/// inside call_once because a throwing call_once hangs later callers
-/// under ThreadSanitizer and on some libstdc++ targets.
-struct CacheCell {
+/// Hits and misses of every (capacity, cache axis value) cell a job's
+/// outstanding solve groups need, one result per cell, row-major by
+/// (capacity index, cache axis index), unpriced. They depend on the model
+/// and the geometry only, never on the energy model: the first
+/// cache-enabled solve group of the job fills the whole table in one
+/// simulate_caches pass over the model's address stream, every group
+/// prices its cell's counts. A bad cell keeps its failure, so each point
+/// of a bad geometry gets its own classified row; anything the fill
+/// itself throws is kept and rethrown to every group. It is caught inside
+/// call_once because a throwing call_once hangs later callers under
+/// ThreadSanitizer and on some libstdc++ targets.
+struct CacheTable {
   std::once_flag once;
-  std::vector<core::SpmReport::CacheComparison> counts;
+  std::vector<bool> needed;  ///< per cell; set before any group runs
+  std::vector<core::CacheCellCounts> cells;
   std::exception_ptr failure;
+
+  const core::CacheCellCounts& fill(const core::ForayModel& model,
+                                    const SweepGrid& grid, size_t cell) {
+    std::call_once(once, [&] {
+      try {
+        std::vector<core::CacheCell> todo;
+        std::vector<size_t> where;
+        for (size_t c = 0; c < needed.size(); ++c) {
+          if (!needed[c]) continue;
+          const CacheAxisValue& v = grid.caches[c % grid.caches.size()];
+          todo.push_back(core::CacheCell{
+              grid.capacities[c / grid.caches.size()], v.line_bytes,
+              v.assocs});
+          where.push_back(c);
+        }
+        std::vector<core::CacheCellCounts> counts =
+            core::simulate_caches(model, todo);
+        cells.resize(needed.size());
+        for (size_t k = 0; k < where.size(); ++k) {
+          cells[where[k]] = std::move(counts[k]);
+        }
+      } catch (...) {
+        failure = std::current_exception();
+      }
+    });
+    if (failure) std::rethrow_exception(failure);
+    return cells[cell];
+  }
 };
 
 PointSolve solve_point(const core::ForayModel& model,
                        const core::PipelineOptions& base,
                        const SweepPoint& point,
                        const std::vector<spm::BufferCandidate>& candidates,
-                       CacheCell* cache) {
+                       const SweepGrid& grid, CacheTable* caches) {
   PointSolve out;
   // Fault site "spm.solve": the Phase II solver dies mid-point. param=0
   // injects an internal error (never retried); any nonzero param injects
@@ -350,19 +395,16 @@ PointSolve solve_point(const core::ForayModel& model,
     core::SpmPhaseOptions popts = point.spm_options(base.spm);
     // The comparison comes from the shared counts, not from solve_spm.
     popts.compare_cache = false;
+    const core::CacheCellCounts* cell = nullptr;
     if (point.cache.enabled) {
-      std::call_once(cache->once, [&] {
-        try {
-          cache->counts = core::simulate_caches(model, popts);
-        } catch (...) {
-          cache->failure = std::current_exception();
-        }
-      });
-      if (cache->failure) std::rethrow_exception(cache->failure);
+      cell = &caches->fill(
+          model, grid,
+          point.key.capacity * grid.caches.size() + point.key.cache);
+      if (!cell->status.ok()) throw util::StatusError(cell->status);
     }
     out.spm = core::solve_spm(model, popts, &candidates);
-    if (point.cache.enabled) {
-      out.spm.caches = cache->counts;
+    if (cell != nullptr) {
+      out.spm.caches = cell->caches;
       core::price_caches(popts, &out.spm.caches);
     }
     if (point.replay) {
@@ -398,11 +440,11 @@ bool transient(const util::Status& st) {
 PointSolve solve_point_with_retry(
     const core::ForayModel& model, const core::PipelineOptions& base,
     const SweepPoint& point,
-    const std::vector<spm::BufferCandidate>& candidates, CacheCell* cache,
-    int retries) {
-  PointSolve out = solve_point(model, base, point, candidates, cache);
+    const std::vector<spm::BufferCandidate>& candidates,
+    const SweepGrid& grid, CacheTable* caches, int retries) {
+  PointSolve out = solve_point(model, base, point, candidates, grid, caches);
   for (int r = 0; r < retries && transient(out.status); ++r) {
-    out = solve_point(model, base, point, candidates, cache);
+    out = solve_point(model, base, point, candidates, grid, caches);
   }
   return out;
 }
@@ -445,8 +487,8 @@ struct JobState {
   /// model and the reuse filter, never on the swept axes, so every grid
   /// point reuses this list instead of re-enumerating per solve.
   std::vector<spm::BufferCandidate> candidates;
-  /// Cache counts per (capacity index, cache axis index), row-major.
-  std::vector<CacheCell> cache_cells;
+  /// Cache counts of the cells the job's outstanding groups need.
+  CacheTable caches;
   /// Solve groups still outstanding; the worker that finishes the last
   /// one finalizes the job.
   std::atomic<size_t> remaining{0};
@@ -953,8 +995,7 @@ class SweepExec {
       if (!resume_.range_cached(j, g.begin, g.end)) ++needed;
     }
     js.remaining.store(needed, std::memory_order_relaxed);
-    js.cache_cells =
-        std::vector<CacheCell>(grid_.capacities.size() * grid_.caches.size());
+    js.caches.needed = cache_cells_needed(grid_, resume_, j);
     for (const SolveGroup& g : groups_) {
       if (resume_.range_cached(j, g.begin, g.end)) continue;
       pool_.submit([this, j, &g] { group_task(j, g); });
@@ -963,13 +1004,9 @@ class SweepExec {
 
   void group_task(size_t j, const SolveGroup& g) {
     JobState& js = *states_[j];
-    const SweepPoint& head = grid_.points[g.begin];
-    CacheCell& cache =
-        js.cache_cells[head.key.capacity * grid_.caches.size() +
-                       head.key.cache];
     const PointSolve solve = solve_point_with_retry(
-        js.session->result().model, opts_.pipeline, head, js.candidates,
-        &cache, opts_.transient_retries);
+        js.session->result().model, opts_.pipeline, grid_.points[g.begin],
+        js.candidates, grid_, &js.caches, opts_.transient_retries);
     for (size_t i = g.begin; i < g.end; ++i) {
       if (resume_.point_cached(j, i)) continue;
       deliver(j, i,

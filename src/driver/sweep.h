@@ -25,11 +25,12 @@
 // enumerations and at most P·K cheap DSE solves. Cache comparisons are
 // simulated once per program and (capacity, geometry), whatever the
 // energy axis holds: hits and misses do not depend on the energy model,
-// so each point only prices the shared counts.
+// so each point only prices the shared counts. Every cell a program needs
+// is simulated in one pass over its model's address stream.
 //
 // Both jobs AND the solve groups within one job are fanned across the
 // thread pool (core::solve_spm is pure over the immutable model, and the
-// shared cache counts are filled under std::call_once), so a
+// job's table of cache counts is filled under std::call_once), so a
 // single-program sweep saturates every worker instead of serializing on
 // one. Results land in pre-allocated slots indexed by PointKey, so every
 // report is byte-for-byte identical whatever the thread count — the
@@ -288,6 +289,13 @@ struct SweepCheckpoint {
     return true;
   }
 };
+
+/// The cache cells, one per (capacity index, cache axis index) row-major,
+/// whose counts job `job` must simulate: those of a cache-enabled grid
+/// point `resume` does not already hold.
+std::vector<bool> cache_cells_needed(const SweepGrid& grid,
+                                     const SweepCheckpoint& resume,
+                                     size_t job);
 
 class SweepDriver {
  public:

@@ -97,29 +97,69 @@ SpmReport solve_spm(const ForayModel& model, const SpmPhaseOptions& opts,
   report.baseline = spm::evaluate_baseline(model, opts.dse.energy);
   report.with_spm = spm::evaluate_selection(model, report.exact, opts.dse);
   if (opts.compare_cache) {
-    report.caches = simulate_caches(model, opts);
+    CacheCellCounts cell =
+        std::move(simulate_caches(model, {cache_cell(opts)}).front());
+    if (!cell.status.ok()) throw util::StatusError(cell.status);
+    report.caches = std::move(cell.caches);
     price_caches(opts, &report.caches);
   }
   return report;
 }
 
-std::vector<SpmReport::CacheComparison> simulate_caches(
-    const ForayModel& model, const SpmPhaseOptions& opts) {
-  std::vector<SpmReport::CacheComparison> caches;
-  for (int assoc : opts.cache_assocs) {
-    const spm::CacheConfig cfg{opts.dse.spm_capacity, opts.cache_line_bytes,
-                               assoc};
-    const std::string why = spm::cache_geometry_error(cfg);
-    if (!why.empty()) {
-      throw util::StatusError(util::Status::failure(
-          util::ErrorCode::kInvalidInput, "spm-solve", 0, why));
+CacheCell cache_cell(const SpmPhaseOptions& opts) {
+  return CacheCell{opts.dse.spm_capacity, opts.cache_line_bytes,
+                   opts.cache_assocs};
+}
+
+std::vector<CacheCellCounts> simulate_caches(
+    const ForayModel& model, const std::vector<CacheCell>& cells) {
+  std::vector<CacheCellCounts> out(cells.size());
+  // Every cache of every good cell, packed into passes over the stream
+  // whose tables together hold at most kMaxCacheLines lines.
+  struct Slot {
+    size_t cell;
+    spm::CacheConfig cfg;
+  };
+  std::vector<std::vector<Slot>> passes(1);
+  uint64_t pass_lines = 0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const CacheCell& cell = cells[i];
+    std::vector<Slot> slots;
+    for (int assoc : cell.assocs) {
+      const spm::CacheConfig cfg{cell.capacity, cell.line_bytes, assoc};
+      const std::string why = spm::cache_geometry_error(cfg);
+      if (!why.empty()) {
+        out[i].status = util::Status::failure(util::ErrorCode::kInvalidInput,
+                                              "spm-solve", 0, why);
+        break;
+      }
+      slots.push_back(Slot{i, cfg});
     }
-    spm::CacheSim cache(cfg);
-    spm::for_each_address(model, [&](uint32_t addr) { cache.access(addr); });
-    caches.push_back(SpmReport::CacheComparison{assoc, cache.hits(),
-                                                cache.misses(), 0.0});
+    if (!out[i].status.ok()) continue;
+    for (const Slot& s : slots) {
+      const uint64_t lines = s.cfg.size_bytes / s.cfg.line_bytes;
+      if (pass_lines + lines > spm::kMaxCacheLines) {
+        passes.emplace_back();
+        pass_lines = 0;
+      }
+      passes.back().push_back(s);
+      pass_lines += lines;
+    }
   }
-  return caches;
+  for (const std::vector<Slot>& pass : passes) {
+    if (pass.empty()) continue;
+    std::vector<spm::CacheSim> sims;
+    sims.reserve(pass.size());
+    for (const Slot& s : pass) sims.emplace_back(s.cfg);
+    spm::for_each_address(model, [&sims](uint32_t addr) {
+      for (spm::CacheSim& sim : sims) sim.access(addr);
+    });
+    for (size_t k = 0; k < pass.size(); ++k) {
+      out[pass[k].cell].caches.push_back(SpmReport::CacheComparison{
+          pass[k].cfg.assoc, sims[k].hits(), sims[k].misses(), 0.0});
+    }
+  }
+  return out;
 }
 
 void price_caches(const SpmPhaseOptions& opts,

@@ -176,16 +176,34 @@ SpmReport solve_spm(const ForayModel& model, const SpmPhaseOptions& opts,
                     const std::vector<spm::BufferCandidate>* candidates =
                         nullptr);
 
+/// One cell of the cache comparison: caches of `capacity` bytes with
+/// `line_bytes` lines, one per `assocs` entry (a sweep's capacity and
+/// cache axis value, or SpmPhaseOptions::compare_cache's settings).
+struct CacheCell {
+  uint32_t capacity = 0;
+  uint32_t line_bytes = 32;
+  std::vector<int> assocs;
+};
+CacheCell cache_cell(const SpmPhaseOptions& opts);
+
+/// A cell's unpriced counts (energy_nj 0), one per associativity, or the
+/// kInvalidInput / phase "spm-solve" failure naming the first geometry
+/// that cannot be simulated (spm::cache_geometry_error).
+struct CacheCellCounts {
+  util::Status status;
+  std::vector<SpmReport::CacheComparison> caches;
+};
+
 /// The cache comparison of SpmPhaseOptions::compare_cache, in its two
 /// halves. simulate_caches replays the model's address stream through
-/// one cache of opts.dse.spm_capacity bytes per opts.cache_assocs entry
-/// and records hits and misses, leaving energy_nj 0; a geometry that
-/// cannot be built throws util::StatusError (kInvalidInput, phase
-/// "spm-solve") instead of reaching CacheSim. The counts depend on the
-/// geometry only, so a sweep simulates each (capacity, geometry) once and
-/// prices it per energy model with price_caches, which fills energy_nj.
-std::vector<SpmReport::CacheComparison> simulate_caches(
-    const ForayModel& model, const SpmPhaseOptions& opts);
+/// every cache of every cell in one pass — more when the cells together
+/// hold over spm::kMaxCacheLines lines, so the tables stay bounded — and
+/// returns one result per cell, in order; a bad cell is simulated not at
+/// all and fails alone. The counts depend on the geometry only, so a
+/// sweep simulates each (capacity, geometry) once and prices it per
+/// energy model with price_caches, which fills energy_nj.
+std::vector<CacheCellCounts> simulate_caches(
+    const ForayModel& model, const std::vector<CacheCell>& cells);
 void price_caches(const SpmPhaseOptions& opts,
                   std::vector<SpmReport::CacheComparison>* caches);
 

@@ -9,6 +9,9 @@
 // directly inside the odometer sweep, so a lambda over CacheSim::access
 // (or a counter) inlines into the loop — the streams replay at memory
 // bandwidth instead of paying a std::function indirection per address.
+// Each reference carries its running address and adds one precomputed
+// step per odometer advance, so no address is re-evaluated from its
+// affine function.
 #pragma once
 
 #include <cstdint>
@@ -20,27 +23,63 @@ namespace foray::spm {
 
 namespace internal {
 
-/// Odometer sweep over `trips` (outermost-first), calling fn(iters).
+/// What advancing loop L of a nest — and resetting every loop inside it —
+/// adds to one reference's address: coef_L - sum over k > L of
+/// coef_k * (trip_k - 1). Unsigned, so the running address wraps exactly
+/// where a direct 64-bit evaluation would and its low 32 bits agree.
+inline std::vector<uint64_t> odometer_steps(
+    const std::vector<int64_t>& trips, const std::vector<int64_t>& coefs) {
+  std::vector<uint64_t> step(trips.size());
+  uint64_t rewind = 0;
+  for (size_t l = trips.size(); l-- > 0;) {
+    const auto coef = static_cast<uint64_t>(coefs[l]);
+    step[l] = coef - rewind;
+    rewind += coef * (static_cast<uint64_t>(trips[l]) - 1);
+  }
+  return step;
+}
+
+/// Odometer sweep over one nest (`trips` outermost-first) shared by
+/// addr.size() references. Per iteration, innermost loop fastest, each
+/// reference emits fn(its address) in order; between iterations every
+/// address moves by its step for the loop that advanced (steps[L * refs
+/// + r]) instead of being re-evaluated. Returns the iteration count.
 template <class Fn>
-uint64_t sweep(const std::vector<int64_t>& trips, Fn&& fn) {
-  const size_t n = trips.size();
+uint64_t sweep(const std::vector<int64_t>& trips, std::vector<uint64_t> addr,
+               const std::vector<uint64_t>& steps, Fn&& fn) {
   for (int64_t t : trips) {
     if (t <= 0) return 0;
   }
-  std::vector<int64_t> it(n, 0);
+  const size_t n = trips.size();
+  const size_t refs = addr.size();
+  const auto emit = [&] {
+    for (uint64_t a : addr) fn(static_cast<uint32_t>(a));
+  };
+  if (n == 0) {
+    emit();
+    return 1;
+  }
+  const int64_t inner_trip = trips[n - 1];
+  const uint64_t* inner = &steps[(n - 1) * refs];
+  std::vector<int64_t> it(n - 1, 0);
   uint64_t count = 0;
   for (;;) {
-    fn(it);
-    ++count;
-    if (n == 0) return count;
-    // Innermost (last index) advances fastest.
+    for (int64_t k = 1;; ++k) {
+      emit();
+      if (k == inner_trip) break;
+      for (size_t r = 0; r < refs; ++r) addr[r] += inner[r];
+    }
+    count += static_cast<uint64_t>(inner_trip);
+    // Carry into the innermost outer loop that has iterations left.
     size_t i = n - 1;
     for (;;) {
-      if (++it[i] < trips[i]) break;
-      it[i] = 0;
       if (i == 0) return count;
       --i;
+      if (++it[i] < trips[i]) break;
+      it[i] = 0;
     }
+    const uint64_t* step = &steps[i * refs];
+    for (size_t r = 0; r < refs; ++r) addr[r] += step[r];
   }
 }
 
@@ -51,13 +90,10 @@ uint64_t sweep(const std::vector<int64_t>& trips, Fn&& fn) {
 /// produced (product of emitted trips).
 template <class Fn>
 uint64_t for_each_address(const core::ModelReference& ref, Fn&& fn) {
-  auto trips = ref.emitted_trips();
-  auto coefs = ref.emitted_coefs();
-  return internal::sweep(trips, [&](const std::vector<int64_t>& it) {
-    int64_t addr = ref.fn.const_term;
-    for (size_t i = 0; i < coefs.size(); ++i) addr += coefs[i] * it[i];
-    fn(static_cast<uint32_t>(addr));
-  });
+  const std::vector<int64_t> trips = ref.emitted_trips();
+  return internal::sweep(
+      trips, {static_cast<uint64_t>(ref.fn.const_term)},
+      internal::odometer_steps(trips, ref.emitted_coefs()), fn);
 }
 
 /// Interleaved stream over all references of a model that share a nest:
@@ -69,6 +105,7 @@ uint64_t for_each_address(const core::ForayModel& model, Fn&& fn) {
   // Group references by emitted nest, then sweep each group once with
   // all its references interleaved per iteration.
   struct Group {
+    std::vector<int> path;
     std::vector<int64_t> trips;
     std::vector<size_t> refs;
   };
@@ -78,40 +115,29 @@ uint64_t for_each_address(const core::ForayModel& model, Fn&& fn) {
     auto trips = model.refs[i].emitted_trips();
     bool placed = false;
     for (auto& g : groups) {
-      if (!g.refs.empty() &&
-          model.refs[g.refs[0]].emitted_loop_path() == path &&
-          g.trips == trips) {
+      if (g.path == path && g.trips == trips) {
         g.refs.push_back(i);
         placed = true;
         break;
       }
     }
-    if (!placed) groups.push_back(Group{trips, {i}});
+    if (!placed) groups.push_back(Group{std::move(path), trips, {i}});
   }
 
   uint64_t total = 0;
   for (const auto& g : groups) {
-    // Hoist the per-reference constants out of the sweep.
-    struct RefPlan {
-      int64_t base;
-      std::vector<int64_t> coefs;
-    };
-    std::vector<RefPlan> plans;
-    plans.reserve(g.refs.size());
-    for (size_t ri : g.refs) {
-      plans.push_back(RefPlan{model.refs[ri].fn.const_term,
-                              model.refs[ri].emitted_coefs()});
+    const size_t refs = g.refs.size();
+    std::vector<uint64_t> addr(refs);
+    std::vector<uint64_t> steps(g.trips.size() * refs);
+    for (size_t r = 0; r < refs; ++r) {
+      const core::ModelReference& ref = model.refs[g.refs[r]];
+      addr[r] = static_cast<uint64_t>(ref.fn.const_term);
+      const std::vector<uint64_t> own =
+          internal::odometer_steps(g.trips, ref.emitted_coefs());
+      for (size_t l = 0; l < own.size(); ++l) steps[l * refs + r] = own[l];
     }
-    total += static_cast<uint64_t>(g.refs.size()) *
-             internal::sweep(g.trips, [&](const std::vector<int64_t>& it) {
-               for (const RefPlan& p : plans) {
-                 int64_t addr = p.base;
-                 for (size_t i = 0; i < p.coefs.size(); ++i) {
-                   addr += p.coefs[i] * it[i];
-                 }
-                 fn(static_cast<uint32_t>(addr));
-               }
-             });
+    total += static_cast<uint64_t>(refs) *
+             internal::sweep(g.trips, std::move(addr), steps, fn);
   }
   return total;
 }

@@ -1,5 +1,7 @@
 #include "spm/cache_sim.h"
 
+#include <bit>
+
 #include "util/status.h"
 
 namespace foray::spm {
@@ -20,9 +22,18 @@ std::string cache_geometry_error(const CacheConfig& cfg) {
   // 64-bit: a 2^31 B line times 2 ways must not wrap to a zero-byte set.
   const uint64_t set_bytes = uint64_t{cfg.line_bytes} * cfg.assoc;
   if (cfg.size_bytes < set_bytes) return geometry + "smaller than one set";
+  if (cfg.size_bytes % set_bytes != 0) {
+    return geometry + "not a whole number of " + std::to_string(set_bytes) +
+           " B sets (size must be sets x line x ways)";
+  }
   const uint64_t sets = cfg.size_bytes / set_bytes;
   if (!is_pow2(sets)) {
     return geometry + std::to_string(sets) + " sets, not a power of two";
+  }
+  const uint64_t lines = sets * cfg.assoc;
+  if (lines > kMaxCacheLines) {
+    return geometry + std::to_string(lines) + " lines, over the simulator's " +
+           std::to_string(kMaxCacheLines) + "-line limit";
   }
   return "";
 }
@@ -37,44 +48,14 @@ double cache_energy_nj(const CacheConfig& cfg, uint64_t hits,
 }
 
 CacheSim::CacheSim(const CacheConfig& cfg) : cfg_(cfg) {
-  FORAY_CHECK(is_pow2(cfg.line_bytes), "cache line size must be 2^k");
-  FORAY_CHECK(cfg.assoc >= 1, "associativity must be >= 1");
-  FORAY_CHECK(cfg.size_bytes >= uint64_t{cfg.line_bytes} * cfg.assoc,
-              "cache smaller than one set");
-  num_sets_ = cfg.size_bytes / (cfg.line_bytes * cfg.assoc);
-  FORAY_CHECK(is_pow2(num_sets_), "cache set count must be 2^k");
-  lines_.resize(static_cast<size_t>(num_sets_) * cfg.assoc);
-}
-
-bool CacheSim::access(uint32_t addr) {
-  const uint32_t block = addr / cfg_.line_bytes;
-  const uint32_t set = block & (num_sets_ - 1);
-  const uint32_t tag = block / num_sets_;
-  Line* base = &lines_[static_cast<size_t>(set) * cfg_.assoc];
-  ++stamp_;
-  for (int w = 0; w < cfg_.assoc; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = stamp_;
-      ++hits_;
-      return true;
-    }
-  }
-  // Miss: evict an invalid way if one exists, else the LRU way.
-  Line* victim = base;
-  for (int w = 0; w < cfg_.assoc; ++w) {
-    Line& line = base[w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.lru < victim->lru) victim = &line;
-  }
-  ++misses_;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = stamp_;
-  return false;
+  const std::string why = cache_geometry_error(cfg);
+  FORAY_CHECK(why.empty(), why);
+  const uint32_t sets =
+      cfg.size_bytes / (cfg.line_bytes * static_cast<uint32_t>(cfg.assoc));
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(cfg.line_bytes));
+  set_mask_ = sets - 1;
+  assoc_ = static_cast<uint32_t>(cfg.assoc);
+  ways_.assign(static_cast<size_t>(sets) * assoc_, 0);
 }
 
 double CacheSim::energy_nj(const EnergyModel& e) const {
@@ -82,8 +63,8 @@ double CacheSim::energy_nj(const EnergyModel& e) const {
 }
 
 void CacheSim::reset() {
-  for (auto& l : lines_) l = Line{};
-  stamp_ = hits_ = misses_ = 0;
+  ways_.assign(ways_.size(), 0);
+  hits_ = misses_ = 0;
 }
 
 }  // namespace foray::spm

@@ -20,10 +20,16 @@ struct CacheConfig {
   int assoc = 2;
 };
 
-/// Why `cfg` cannot be simulated (line size not 2^k, no ways, smaller
-/// than one set, or a set count not 2^k), naming the geometry; empty when
-/// it can. CacheSim's constructor enforces the same rules as internal
-/// checks; callers fed user geometries check here first.
+/// Most cache lines (sets x ways) one simulation may hold. A compile-time
+/// bound, not an option: it caps the simulator's table at 8 MiB whatever
+/// capacity a sweep or serve request asks for.
+inline constexpr uint64_t kMaxCacheLines = uint64_t{1} << 20;
+
+/// Why `cfg` cannot be simulated, naming the geometry; empty when it can.
+/// The size must be whole sets (size == sets x line x ways) with a power
+/// of two line size and set count, and hold at most kMaxCacheLines lines.
+/// CacheSim's constructor enforces the same rules as internal checks;
+/// callers fed user geometries check here first.
 std::string cache_geometry_error(const CacheConfig& cfg);
 
 /// Energy of `hits` + `misses` accesses to a cache of geometry `cfg`:
@@ -33,12 +39,40 @@ std::string cache_geometry_error(const CacheConfig& cfg);
 double cache_energy_nj(const CacheConfig& cfg, uint64_t hits,
                        uint64_t misses, const EnergyModel& e);
 
+/// Exact LRU. Each set keeps its ways in recency order, most recent
+/// first, so a hit on the MRU way costs one compare and any other access
+/// shifts the ways it passes down by one — the last way is the LRU
+/// victim. A way stores block + 1 (64-bit), so 0 means empty and no real
+/// block, the 2^32-1 of a one-byte line included, collides with it.
 class CacheSim {
  public:
   explicit CacheSim(const CacheConfig& cfg);
 
   /// Simulates one access; returns true on hit.
-  bool access(uint32_t addr);
+  bool access(uint32_t addr) {
+    const uint32_t block = addr >> line_shift_;
+    const uint64_t key = uint64_t{block} + 1;
+    uint64_t* way = &ways_[static_cast<size_t>(block & set_mask_) * assoc_];
+    if (way[0] == key) {
+      ++hits_;
+      return true;
+    }
+    // Move `key` to the front, shifting each way it passes down by one,
+    // up to its old slot on a hit or off the LRU end on a miss.
+    uint64_t carry = way[0];
+    way[0] = key;
+    for (uint32_t w = 1; w < assoc_; ++w) {
+      const uint64_t held = way[w];
+      way[w] = carry;
+      if (held == key) {
+        ++hits_;
+        return true;
+      }
+      carry = held;
+    }
+    ++misses_;
+    return false;
+  }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -54,16 +88,11 @@ class CacheSim {
   void reset();
 
  private:
-  struct Line {
-    uint32_t tag = 0;
-    bool valid = false;
-    uint64_t lru = 0;  ///< last-use stamp
-  };
-
   CacheConfig cfg_;
-  uint32_t num_sets_;
-  std::vector<Line> lines_;  ///< sets * assoc, row-major by set
-  uint64_t stamp_ = 0;
+  uint32_t line_shift_ = 0;
+  uint32_t set_mask_ = 0;
+  uint32_t assoc_ = 0;
+  std::vector<uint64_t> ways_;  ///< sets * assoc, row-major by set, MRU first
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

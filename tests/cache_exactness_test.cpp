@@ -1,0 +1,399 @@
+// Exactness lock for the Phase II cache comparison. Two independent
+// oracles, both the straightforward forms the production code replaced:
+//
+//   StampLru        a set-associative LRU that finds sets and tags by
+//                   division, keeps a valid bit per way and evicts the
+//                   way with the oldest 64-bit use stamp;
+//   direct_stream   evaluates const + sum(coef_i * it_i) afresh for
+//                   every iteration of every reference.
+//
+// spm::CacheSim (recency-ordered ways, shift/mask indexing) and the
+// incremental spm::for_each_address must agree with them access for
+// access over the benchsuite, generated programs and hand-built edge
+// cases, and core::simulate_caches — many cells in one pass — must report
+// the counts the oracle does for each cell alone.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "benchsuite/generator.h"
+#include "benchsuite/suite.h"
+#include "foray/pipeline.h"
+#include "spm/address_stream.h"
+#include "spm/cache_sim.h"
+#include "util/rng.h"
+
+namespace foray::spm {
+namespace {
+
+class StampLru {
+ public:
+  explicit StampLru(const CacheConfig& cfg)
+      : cfg_(cfg),
+        num_sets_(cfg.size_bytes / (cfg.line_bytes * cfg.assoc)),
+        lines_(static_cast<size_t>(num_sets_) * cfg.assoc) {}
+
+  bool access(uint32_t addr) {
+    const uint32_t block = addr / cfg_.line_bytes;
+    const uint32_t set = block & (num_sets_ - 1);
+    const uint32_t tag = block / num_sets_;
+    Line* base = &lines_[static_cast<size_t>(set) * cfg_.assoc];
+    ++stamp_;
+    for (int w = 0; w < cfg_.assoc; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        base[w].lru = stamp_;
+        ++hits_;
+        return true;
+      }
+    }
+    Line* victim = base;
+    for (int w = 0; w < cfg_.assoc; ++w) {
+      if (!base[w].valid) {
+        victim = &base[w];
+        break;
+      }
+      if (base[w].lru < victim->lru) victim = &base[w];
+    }
+    ++misses_;
+    *victim = Line{tag, true, stamp_};
+    return false;
+  }
+
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  struct Line {
+    uint32_t tag = 0;
+    bool valid = false;
+    uint64_t lru = 0;
+  };
+  CacheConfig cfg_;
+  uint32_t num_sets_;
+  std::vector<Line> lines_;
+  uint64_t stamp_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+/// Every iteration vector of `trips` in lexicographic order.
+template <class Fn>
+void each_iteration(const std::vector<int64_t>& trips, Fn&& fn) {
+  for (int64_t t : trips) {
+    if (t <= 0) return;
+  }
+  std::vector<int64_t> it(trips.size(), 0);
+  for (;;) {
+    fn(it);
+    size_t i = trips.size();
+    for (;;) {
+      if (i == 0) return;
+      --i;
+      if (++it[i] < trips[i]) break;
+      it[i] = 0;
+    }
+  }
+}
+
+uint32_t evaluate(const core::ModelReference& ref,
+                  const std::vector<int64_t>& it) {
+  const std::vector<int64_t> coefs = ref.emitted_coefs();
+  int64_t addr = ref.fn.const_term;
+  for (size_t i = 0; i < coefs.size(); ++i) addr += coefs[i] * it[i];
+  return static_cast<uint32_t>(addr);
+}
+
+std::vector<uint32_t> direct_stream(const core::ModelReference& ref) {
+  std::vector<uint32_t> out;
+  each_iteration(ref.emitted_trips(), [&](const std::vector<int64_t>& it) {
+    out.push_back(evaluate(ref, it));
+  });
+  return out;
+}
+
+/// The model stream: references sharing an emitted nest (loop path and
+/// trips) interleave per iteration, in order of first appearance.
+std::vector<uint32_t> direct_stream(const core::ForayModel& model) {
+  std::vector<std::vector<size_t>> groups;
+  for (size_t i = 0; i < model.refs.size(); ++i) {
+    bool placed = false;
+    for (auto& g : groups) {
+      const core::ModelReference& head = model.refs[g.front()];
+      if (head.emitted_loop_path() == model.refs[i].emitted_loop_path() &&
+          head.emitted_trips() == model.refs[i].emitted_trips()) {
+        g.push_back(i);
+        placed = true;
+        break;
+      }
+    }
+    if (!placed) groups.push_back({i});
+  }
+  std::vector<uint32_t> out;
+  for (const auto& g : groups) {
+    each_iteration(model.refs[g.front()].emitted_trips(),
+                   [&](const std::vector<int64_t>& it) {
+                     for (size_t r : g) {
+                       out.push_back(evaluate(model.refs[r], it));
+                     }
+                   });
+  }
+  return out;
+}
+
+std::vector<uint32_t> stream_of(const core::ForayModel& model,
+                                uint64_t* count) {
+  std::vector<uint32_t> out;
+  *count = for_each_address(model, [&](uint32_t a) { out.push_back(a); });
+  return out;
+}
+
+const std::vector<uint32_t> kLines = {1, 4, 32, 64};
+const std::vector<int> kWays = {1, 2, 3, 4, 8, 16};
+const std::vector<uint32_t> kSets = {1, 16, 128};
+
+/// One cell per kLines x kWays x kSets geometry, plus cells holding
+/// several associativities.
+std::vector<core::CacheCell> all_cells() {
+  std::vector<core::CacheCell> cells;
+  for (uint32_t line : kLines) {
+    for (uint32_t sets : kSets) {
+      for (int ways : kWays) {
+        cells.push_back(core::CacheCell{
+            sets * line * static_cast<uint32_t>(ways), line, {ways}});
+      }
+    }
+  }
+  // Cells with several associativities, like a base --compare-cache.
+  cells.push_back(core::CacheCell{4096, 32, {2, 4}});
+  cells.push_back(core::CacheCell{1024, 4, {1, 2, 4, 8, 16}});
+  return cells;
+}
+
+/// simulate_caches over every cell in one call must equal the oracle run
+/// on the directly evaluated stream, cell by cell.
+void expect_model_exact(const core::ForayModel& model) {
+  const std::vector<uint32_t> direct = direct_stream(model);
+  uint64_t count = 0;
+  ASSERT_EQ(stream_of(model, &count), direct);
+  ASSERT_EQ(count, direct.size());
+
+  const std::vector<core::CacheCell> cells = all_cells();
+  const std::vector<core::CacheCellCounts> got =
+      core::simulate_caches(model, cells);
+  ASSERT_EQ(got.size(), cells.size());
+  for (size_t c = 0; c < cells.size(); ++c) {
+    ASSERT_TRUE(got[c].status.ok()) << got[c].status.message();
+    ASSERT_EQ(got[c].caches.size(), cells[c].assocs.size());
+    for (size_t a = 0; a < cells[c].assocs.size(); ++a) {
+      const CacheConfig cfg{cells[c].capacity, cells[c].line_bytes,
+                            cells[c].assocs[a]};
+      StampLru oracle(cfg);
+      for (uint32_t addr : direct) oracle.access(addr);
+      SCOPED_TRACE(std::to_string(cfg.size_bytes) + " B " +
+                   std::to_string(cfg.line_bytes) + "x" +
+                   std::to_string(cfg.assoc));
+      EXPECT_EQ(got[c].caches[a].assoc, cfg.assoc);
+      EXPECT_EQ(got[c].caches[a].hits, oracle.hits());
+      EXPECT_EQ(got[c].caches[a].misses, oracle.misses());
+    }
+  }
+}
+
+/// CacheSim against the oracle access by access over `addrs`, for every
+/// kLines x kWays x kSets geometry.
+void expect_access_exact(const std::vector<uint32_t>& addrs) {
+  for (uint32_t line : kLines) {
+    for (int ways : kWays) {
+      for (uint32_t sets : kSets) {
+        const CacheConfig cfg{sets * line * static_cast<uint32_t>(ways),
+                              line, ways};
+        SCOPED_TRACE(std::to_string(cfg.size_bytes) + " B " +
+                     std::to_string(line) + "x" + std::to_string(ways));
+        CacheSim sim(cfg);
+        StampLru oracle(cfg);
+        for (size_t i = 0; i < addrs.size(); ++i) {
+          ASSERT_EQ(sim.access(addrs[i]), oracle.access(addrs[i]))
+              << "access " << i << " addr " << addrs[i];
+        }
+        EXPECT_EQ(sim.hits(), oracle.hits());
+        EXPECT_EQ(sim.misses(), oracle.misses());
+      }
+    }
+  }
+}
+
+core::ModelReference ref_of(int64_t base, std::vector<int64_t> coefs,
+                            std::vector<int64_t> trips, int m,
+                            std::vector<int> path = {}) {
+  core::ModelReference r;
+  r.fn.const_term = base;
+  r.fn.coefs = std::move(coefs);
+  r.fn.known.assign(r.fn.coefs.size(), true);
+  r.fn.m = m;
+  r.trips = std::move(trips);
+  if (path.empty()) {
+    for (size_t i = 0; i < r.trips.size(); ++i) {
+      path.push_back(static_cast<int>(i));
+    }
+  }
+  r.loop_path = std::move(path);
+  return r;
+}
+
+TEST(CacheExactness, BenchsuiteModels) {
+  for (const auto& bench : benchsuite::all_benchmarks()) {
+    SCOPED_TRACE(bench.name);
+    const core::PipelineResult res = core::run_pipeline(bench.source);
+    ASSERT_TRUE(res.ok()) << res.error();
+    ASSERT_FALSE(res.model.refs.empty());
+    expect_model_exact(res.model);
+  }
+}
+
+TEST(CacheExactness, GeneratedModels) {
+  core::PipelineOptions lenient;
+  lenient.filter.min_exec = 1;
+  lenient.filter.min_locations = 1;
+  for (uint64_t seed = 1; seed <= 48; ++seed) {
+    SCOPED_TRACE(seed);
+    benchsuite::GeneratorOptions gopts;
+    gopts.seed = seed;
+    gopts.max_depth = 1 + static_cast<int>(seed % 4);
+    const core::PipelineResult res = core::run_pipeline(
+        benchsuite::generate_affine_program(gopts).source, lenient);
+    ASSERT_TRUE(res.ok()) << res.error();
+    expect_model_exact(res.model);
+  }
+}
+
+TEST(CacheExactness, CellsOverTheLineLimitSplitIntoPasses) {
+  // Two cells of kMaxCacheLines lines each cannot share a pass with each
+  // other or with a third; every cell still gets the oracle's counts, in
+  // cell and associativity order.
+  core::ForayModel model;
+  model.refs.push_back(ref_of(0x100, {4096, 4}, {40, 300}, 2));
+  model.refs.push_back(ref_of(0x2000000, {-64, 32}, {50, 90}, 2));
+  const uint32_t max_bytes = static_cast<uint32_t>(kMaxCacheLines) * 32;
+  const std::vector<core::CacheCell> cells = {
+      {max_bytes, 32, {1}}, {4096, 32, {2, 4}}, {max_bytes, 32, {2}},
+      {max_bytes / 2, 32, {1, 2}}};
+  const std::vector<core::CacheCellCounts> got =
+      core::simulate_caches(model, cells);
+  const std::vector<uint32_t> direct = direct_stream(model);
+  ASSERT_EQ(got.size(), cells.size());
+  for (size_t c = 0; c < cells.size(); ++c) {
+    ASSERT_TRUE(got[c].status.ok());
+    ASSERT_EQ(got[c].caches.size(), cells[c].assocs.size());
+    for (size_t a = 0; a < cells[c].assocs.size(); ++a) {
+      StampLru oracle(CacheConfig{cells[c].capacity, 32, cells[c].assocs[a]});
+      for (uint32_t addr : direct) oracle.access(addr);
+      EXPECT_EQ(got[c].caches[a].assoc, cells[c].assocs[a]);
+      EXPECT_EQ(got[c].caches[a].hits, oracle.hits());
+      EXPECT_EQ(got[c].caches[a].misses, oracle.misses());
+    }
+  }
+  // One line over the limit is refused, not simulated.
+  const auto over = core::simulate_caches(model, {{max_bytes * 2, 32, {1}}});
+  EXPECT_EQ(over[0].status.code(), util::ErrorCode::kInvalidInput);
+  EXPECT_TRUE(over[0].caches.empty());
+}
+
+TEST(CacheExactness, OneByteLinesSpanAll32TagBits) {
+  // Line 1 with one set: the tag is the whole address, so 0 and
+  // 0xFFFFFFFF are real blocks next to empty ways.
+  std::vector<uint32_t> addrs = {0, 0xFFFFFFFFu, 0, 0xFFFFFFFEu, 1,
+                                 0xFFFFFFFFu, 0, 0, 0xFFFFFFFFu};
+  util::Rng rng(7);
+  const uint32_t pool[] = {0, 1, 2, 0x80000000u, 0xFFFFFFFDu, 0xFFFFFFFEu,
+                           0xFFFFFFFFu, 0x7FFFFFFFu, 17, 0x12345678u};
+  for (int i = 0; i < 4000; ++i) addrs.push_back(pool[rng.next_below(10)]);
+  for (int ways : kWays) {
+    const CacheConfig cfg{static_cast<uint32_t>(ways), 1, ways};
+    CacheSim sim(cfg);
+    StampLru oracle(cfg);
+    for (size_t i = 0; i < addrs.size(); ++i) {
+      ASSERT_EQ(sim.access(addrs[i]), oracle.access(addrs[i]))
+          << ways << " ways, access " << i;
+    }
+    EXPECT_EQ(sim.misses(), oracle.misses());
+  }
+  // The first access of address 0 must miss: an empty way is not block 0.
+  CacheSim cold(CacheConfig{1, 1, 1});
+  EXPECT_FALSE(cold.access(0));
+  EXPECT_TRUE(cold.access(0));
+  EXPECT_FALSE(cold.access(0xFFFFFFFFu));
+  EXPECT_FALSE(cold.access(0));
+}
+
+TEST(CacheExactness, RandomStreamsAccessByAccess) {
+  // Small address pools so every set sees hits at every LRU depth,
+  // evictions and re-fills; strided walks for conflict patterns.
+  util::Rng rng(2024);
+  for (uint32_t span : {64u, 1024u, 16384u, 1u << 20}) {
+    SCOPED_TRACE(span);
+    std::vector<uint32_t> addrs;
+    for (int i = 0; i < 3000; ++i) {
+      addrs.push_back(static_cast<uint32_t>(rng.next_below(span)));
+    }
+    for (uint32_t a = 0; a < 64 * span; a += span) addrs.push_back(a);
+    expect_access_exact(addrs);
+  }
+}
+
+TEST(CacheExactness, ResetForgetsEveryWay) {
+  const CacheConfig cfg{4 * 32 * 3, 32, 3};
+  CacheSim sim(cfg);
+  for (uint32_t a = 0; a < 4096; a += 32) sim.access(a);
+  sim.reset();
+  EXPECT_EQ(sim.accesses(), 0u);
+  StampLru oracle(cfg);
+  for (uint32_t a = 0; a < 4096; a += 96) {
+    EXPECT_EQ(sim.access(a), oracle.access(a));
+  }
+}
+
+TEST(StreamExactness, EdgeShapesMatchDirectEvaluation) {
+  core::ForayModel model;
+  // Zero-trip nests, at the outermost and an inner level.
+  model.refs.push_back(ref_of(0x1000, {4, 8}, {0, 5}, 2));
+  model.refs.push_back(ref_of(0x2000, {4, 8, 1}, {3, 0, 2}, 3, {7, 8, 9}));
+  // Depth-0 references: one access each.
+  model.refs.push_back(ref_of(0x3000, {}, {}, 0));
+  model.refs.push_back(ref_of(-4, {}, {}, 0));
+  // Partial references: only the innermost fn.m loops are emitted.
+  model.refs.push_back(ref_of(0x4000, {0, 12, 4}, {9, 3, 5}, 2));
+  model.refs.push_back(ref_of(0x4800, {0, 0, 4}, {9, 3, 5}, 1));
+  // Negative coefficients, walking below address 0 (wraps to 2^32-k).
+  model.refs.push_back(ref_of(64, {-32, -4}, {4, 6}, 2, {20, 21}));
+  model.refs.push_back(ref_of(0x5000, {256, -4, 1}, {2, 3, 7}, 3));
+  // Two references sharing a nest interleave; a third with the same
+  // trips but another loop path does not join them.
+  model.refs.push_back(ref_of(0x6000, {64, 4}, {3, 4}, 2, {30, 31}));
+  model.refs.push_back(ref_of(0x7000, {-64, 8}, {3, 4}, 2, {30, 31}));
+  model.refs.push_back(ref_of(0x8000, {64, 4}, {3, 4}, 2, {32, 33}));
+  // A deep nest with every level of trip 1 but the innermost.
+  model.refs.push_back(ref_of(0x9000, {5, 7, 11, 13, 4}, {1, 1, 1, 1, 9},
+                              5, {40, 41, 42, 43, 44}));
+
+  for (const core::ModelReference& ref : model.refs) {
+    std::vector<uint32_t> got;
+    const uint64_t n = for_each_address(ref, [&](uint32_t a) {
+      got.push_back(a);
+    });
+    EXPECT_EQ(got, direct_stream(ref));
+    EXPECT_EQ(n, got.size());
+    EXPECT_EQ(addresses_of(ref), got);
+  }
+  uint64_t count = 0;
+  const std::vector<uint32_t> got = stream_of(model, &count);
+  EXPECT_EQ(got, direct_stream(model));
+  EXPECT_EQ(count, got.size());
+  EXPECT_NE(std::find(got.begin(), got.end(), 0xFFFFFFFCu), got.end());
+  expect_model_exact(model);
+}
+
+}  // namespace
+}  // namespace foray::spm

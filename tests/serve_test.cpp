@@ -218,6 +218,51 @@ TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
   EXPECT_TRUE(good->find("ok")->b);
 }
 
+TEST(Serve, CacheGeometriesOverTheSimulatorBoundGetErrorRows) {
+  // 1 GiB of 32 B lines and 2 GiB of 1 B lines are 2^25 and 2^31 lines:
+  // each point is refused as invalid_input instead of allocating the
+  // table, the 4096 B point still solves, and the next request is served.
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("id").value(static_cast<int64_t>(1));
+  w.key("name").value("alpha");
+  w.key("source").value(kGood);
+  w.key("axes").begin_object();
+  w.key("capacity").value("1073741824,2147483648,4096");
+  w.key("cache").value("32x1,1x1");
+  w.end_object();
+  w.end_object();
+  const ServeRun r = run_serve(w.take() + "\n" + good_request(2) + "\n",
+                               serve_opts());
+  EXPECT_TRUE(r.status.ok()) << r.status.message();
+  std::vector<const util::JsonValue*> points;
+  std::vector<const util::JsonValue*> done;
+  for (const util::JsonValue& row : r.rows) {
+    if (kind(row) == "point") points.push_back(&row);
+    if (kind(row) == "done") done.push_back(&row);
+  }
+  ASSERT_EQ(points.size(), 8u);  // 6 for request 1, 2 for request 2
+  ASSERT_EQ(done.size(), 2u);
+  for (size_t i = 0; i < 6; ++i) {
+    const util::JsonValue& p = *points[i];
+    const bool small = p.find("capacity_bytes")->num == 4096.0;
+    EXPECT_EQ(p.find("ok")->b, small) << i;
+    if (small) continue;
+    EXPECT_EQ(p.find("error_class")->str, "invalid_input") << i;
+    EXPECT_EQ(p.find("phase")->str, "spm-solve") << i;
+    EXPECT_NE(p.find("error")->str.find("over the simulator's 1048576-line "
+                                        "limit"),
+              std::string::npos)
+        << p.find("error")->str;
+  }
+  EXPECT_FALSE(done[0]->find("ok")->b);
+  EXPECT_EQ(done[0]->find("error_class")->str, "invalid_input");
+  EXPECT_EQ(done[1]->find("id")->num, 2.0);
+  EXPECT_TRUE(done[1]->find("ok")->b);
+  EXPECT_TRUE(points[6]->find("ok")->b);
+  EXPECT_TRUE(points[7]->find("ok")->b);
+}
+
 TEST(Serve, AdmissionControlRefusesOversizedGrids) {
   ServeOptions opts = serve_opts();
   opts.max_points = 1;  // the good request expands to 2 points

@@ -484,6 +484,21 @@ TEST(Cache, GeometryErrorsNameTheGeometry) {
   EXPECT_EQ(cache_geometry_error(CacheConfig{3072, 32, 2}),
             "3072 B cache with 32 B lines x 2 ways: 48 sets, not a power "
             "of two");
+  // Sizes that are not whole sets are refused, not floored to the sets
+  // they would hold (4100 B used to simulate as 4096 B).
+  EXPECT_EQ(cache_geometry_error(CacheConfig{4100, 32, 2}),
+            "4100 B cache with 32 B lines x 2 ways: not a whole number of "
+            "64 B sets (size must be sets x line x ways)");
+  EXPECT_NE(cache_geometry_error(CacheConfig{3000, 32, 2}).find(
+                "not a whole number of 64 B sets"),
+            std::string::npos);
+  // The simulator's table is bounded: 2^20 lines pass, one more set not.
+  EXPECT_EQ(cache_geometry_error(CacheConfig{32u << 20, 32, 1}), "");
+  EXPECT_EQ(cache_geometry_error(CacheConfig{1u << 30, 32, 1}),
+            "1073741824 B cache with 32 B lines x 1 ways: 33554432 lines, "
+            "over the simulator's 1048576-line limit");
+  EXPECT_NE(cache_geometry_error(CacheConfig{2u << 20, 1, 1}), "");
+  EXPECT_THROW(CacheSim(CacheConfig{1u << 30, 32, 1}), util::InternalError);
   EXPECT_NE(cache_geometry_error(CacheConfig{4096, 33, 1}), "");
   EXPECT_NE(cache_geometry_error(CacheConfig{4096, 32, 0}), "");
   // 2^31 B lines x 2 ways wrap a 32-bit set size to zero; the 64-bit
@@ -505,7 +520,10 @@ TEST(Cache, SharedCountsPriceLikeAFreshSimulation) {
   opts.dse.spm_capacity = 2048;
   opts.cache_line_bytes = 32;
   opts.cache_assocs = {1, 2, 4};
-  const auto counts = core::simulate_caches(model, opts);
+  const auto cells = core::simulate_caches(model, {core::cache_cell(opts)});
+  ASSERT_EQ(cells.size(), 1u);
+  ASSERT_TRUE(cells[0].status.ok());
+  const auto& counts = cells[0].caches;
   ASSERT_EQ(counts.size(), 3u);
   for (const EnergyPreset& preset : energy_presets()) {
     SCOPED_TRACE(preset.name);
@@ -529,14 +547,27 @@ TEST(Cache, ImpossibleGeometryIsInvalidInput) {
   model.refs.push_back(make_ref({0, 4}, {10, 64}));
   core::SpmPhaseOptions opts;
   opts.dse.spm_capacity = 3072;
+  opts.compare_cache = true;
   opts.cache_assocs = {2};
   try {
-    core::simulate_caches(model, opts);
+    core::solve_spm(model, opts);
     FAIL() << "3072 B / 32x2 has 48 sets";
   } catch (const util::StatusError& e) {
     EXPECT_EQ(e.status().code(), util::ErrorCode::kInvalidInput);
     EXPECT_EQ(e.status().phase(), "spm-solve");
   }
+  // In a list of cells the bad ones fail alone: a cell with one bad
+  // associativity reports no counts, its neighbours are simulated.
+  const auto cells = core::simulate_caches(
+      model, {{3072, 32, {3}}, {3072, 32, {3, 2}}, {4096, 32, {2}}});
+  ASSERT_EQ(cells.size(), 3u);
+  EXPECT_TRUE(cells[0].status.ok());
+  EXPECT_EQ(cells[0].caches.size(), 1u);
+  EXPECT_EQ(cells[1].status.code(), util::ErrorCode::kInvalidInput);
+  EXPECT_EQ(cells[1].status.phase(), "spm-solve");
+  EXPECT_TRUE(cells[1].caches.empty());
+  EXPECT_TRUE(cells[2].status.ok());
+  EXPECT_EQ(cells[2].caches.size(), 1u);
 }
 
 TEST(Cache, SpmBeatsCacheOnBlockedReuse) {

@@ -11,6 +11,7 @@
 
 #include "driver/model_cache.h"
 #include "driver/sweep.h"
+#include "foray/pipeline.h"
 #include "spm/energy.h"
 #include "util/status.h"
 
@@ -474,6 +475,138 @@ TEST(SweepDriver, SharedCacheCountsMatchAPerPointSolve) {
       EXPECT_EQ(item.spm.caches[a].energy_nj, solo.caches[a].energy_nj);
     }
   }
+}
+
+/// Every item of `report` against a fresh single-cell simulate_caches of
+/// its point: the same counts, priced the same, or the same failure.
+void expect_items_match_single_cells(const SweepReport& report,
+                                     const SweepOptions& o) {
+  for (const auto& item : report.items) {
+    const core::SpmPhaseOptions popts = item.point.spm_options(o.pipeline.spm);
+    if (!popts.compare_cache) {
+      ASSERT_TRUE(item.status.ok()) << item.status.message();
+      EXPECT_TRUE(item.spm.caches.empty());
+      continue;
+    }
+    const core::CacheCellCounts solo = core::simulate_caches(
+        report.sessions[item.key.job]->result().model,
+        {core::cache_cell(popts)})[0];
+    SCOPED_TRACE(item.program + " @" +
+                 std::to_string(item.point.capacity_bytes) + " " +
+                 item.point.cache.label);
+    if (!solo.status.ok()) {
+      EXPECT_EQ(item.status.code(), util::ErrorCode::kInvalidInput);
+      EXPECT_EQ(item.status.message(), solo.status.message());
+      continue;
+    }
+    ASSERT_TRUE(item.status.ok()) << item.status.message();
+    auto priced = solo.caches;
+    core::price_caches(popts, &priced);
+    ASSERT_EQ(item.spm.caches.size(), priced.size());
+    for (size_t a = 0; a < priced.size(); ++a) {
+      EXPECT_EQ(item.spm.caches[a].assoc, priced[a].assoc);
+      EXPECT_EQ(item.spm.caches[a].hits, priced[a].hits);
+      EXPECT_EQ(item.spm.caches[a].misses, priced[a].misses);
+      EXPECT_EQ(item.spm.caches[a].energy_nj, priced[a].energy_nj);
+    }
+  }
+}
+
+std::string ndjson_of(const SweepOptions& o, const std::vector<SweepJob>& jobs,
+                      const SweepCheckpoint* resume = nullptr) {
+  std::ostringstream out;
+  EXPECT_EQ(SweepDriver(o).run_ndjson(jobs, out, resume).code(),
+            util::ErrorCode::kInvalidInput);
+  return out.str();
+}
+
+TEST(SweepDriver, OnePassCacheTableEqualsPerCellSimulation) {
+  // One pass per job fills every cell; each must equal that cell
+  // simulated alone. 3072 B fails 32x2 (48 sets) and 64x4 (12 sets);
+  // 256 B and 4096 B fail 32x3 (not whole 96 B sets); every other cell
+  // solves, and two energy presets share each cell.
+  SweepOptions o = sweep_opts(1);
+  ASSERT_TRUE(o.spec.parse_axis("capacity", "256,3072,4096").ok());
+  ASSERT_TRUE(o.spec.parse_axis("energy", "default,fast-spm").ok());
+  ASSERT_TRUE(o.spec.parse_axis("cache", "off,32x2,64x4,32x3").ok());
+  const std::vector<SweepJob> jobs = good_jobs();
+  SweepReport report;
+  std::ostringstream collected;
+  EXPECT_FALSE(
+      SweepDriver(o).run_ndjson(jobs, collected, nullptr, &report).ok());
+  ASSERT_EQ(report.items.size(), 2u * 3 * 2 * 4);
+  expect_items_match_single_cells(report, o);
+  size_t failed = 0;
+  for (const auto& item : report.items) failed += item.status.ok() ? 0 : 1;
+  EXPECT_EQ(failed, 2u * 2 * 4);  // per job: 2 presets x 4 bad cells
+
+  // The same bytes at 4 threads, and from a warm model cache.
+  const std::string cold = collected.str();
+  SweepOptions o4 = o;
+  o4.threads = 4;
+  EXPECT_EQ(ndjson_of(o4, jobs), cold);
+  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  o4.model_cache = &cache;
+  EXPECT_EQ(ndjson_of(o4, jobs), cold);
+  EXPECT_EQ(ndjson_of(o4, jobs), cold);
+  EXPECT_EQ(cache.stats().hits, 2u);
+
+  // Resume from a journal that holds every cache-on point of 4096 B (its
+  // 32x3 points failed, so they are not held): the pass simulates the
+  // other capacities' cells and 4096 B's 32x3 only, and the output is the
+  // uninterrupted run's.
+  std::string journal;
+  std::istringstream lines(cold);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"kind\":\"sweep\"") != std::string::npos ||
+        (line.find("\"capacity_bytes\":4096,") != std::string::npos &&
+         line.find("\"cache\":\"off\"") == std::string::npos)) {
+      journal += line + "\n";
+    }
+  }
+  const SweepDriver driver(o);
+  SweepCheckpoint checkpoint;
+  ASSERT_TRUE(driver.parse_resume(journal, &checkpoint).ok());
+  const SweepGrid& grid = driver.grid();
+  for (size_t job = 0; job < jobs.size(); ++job) {
+    const std::vector<bool> needed =
+        cache_cells_needed(grid, checkpoint, job);
+    ASSERT_EQ(needed.size(), 3u * 4);
+    for (size_t cap = 0; cap < 3; ++cap) {
+      for (size_t c = 0; c < 4; ++c) {
+        const bool want = c != 0 && (cap != 2 || c == 3);
+        EXPECT_EQ(needed[cap * 4 + c], want) << job << " " << cap << " " << c;
+      }
+    }
+    EXPECT_EQ(cache_cells_needed(grid, SweepCheckpoint{}, job),
+              std::vector<bool>({false, true, true, true, false, true, true,
+                                 true, false, true, true, true}));
+  }
+  EXPECT_EQ(ndjson_of(o, jobs, &checkpoint), cold);
+  o4.model_cache = nullptr;
+  EXPECT_EQ(ndjson_of(o4, jobs, &checkpoint), cold);
+
+  // A base --compare-cache run (no cache axis): one cell of ways {2, 4}
+  // per capacity; 3072 B fails on its first way.
+  SweepOptions base = sweep_opts(4);
+  base.pipeline.spm.compare_cache = true;
+  base.pipeline.spm.cache_assocs = {2, 4};
+  ASSERT_TRUE(base.spec.parse_axis("capacity", "256,3072,4096").ok());
+  SweepReport base_report;
+  std::ostringstream base_out;
+  EXPECT_FALSE(SweepDriver(base)
+                   .run_ndjson(jobs, base_out, nullptr, &base_report)
+                   .ok());
+  expect_items_match_single_cells(base_report, base);
+  for (const auto& item : base_report.items) {
+    EXPECT_EQ(item.status.ok(), item.point.capacity_bytes != 3072);
+    if (item.status.ok()) {
+      EXPECT_EQ(item.spm.caches.size(), 2u);
+    }
+  }
+  base.threads = 1;
+  EXPECT_EQ(ndjson_of(base, jobs), base_out.str());
 }
 
 TEST(SweepDriver, ImpossibleCacheGeometryFailsOnlyItsOwnPoints) {
