@@ -15,11 +15,6 @@
 //   record    extraction replay, record-at-a-time through the virtual
 //             Sink interface (the pre-PR transport shape)
 //   chunked   extraction replay, bulk on_chunk() delivery
-//   online_pipe  pipeline-overlapped online profiling: the simulator
-//             produces chunks into a ring, one consumer thread extracts
-//             concurrently (foray/online_pipeline.h) — end-to-end
-//             sim+extract time, so compare against `online`, not the
-//             replay modes
 //
 // Every multi-run-capable mode is timed best-of-3: the 1-core container
 // shares its core with neighbors, and a single cold run routinely reads
@@ -50,7 +45,6 @@
 #include <vector>
 
 #include "benchsuite/suite.h"
-#include "foray/online_pipeline.h"
 #include "foray/pipeline.h"
 #include "sim/interp_impl.h"
 #include "trace/sink.h"
@@ -72,7 +66,6 @@ struct ProgramResult {
   uint64_t records = 0;
   double sim = 0, sim_ast = 0, online = 0, online_ast = 0, record = 0,
          chunked = 0;
-  double online_pipe = 0;  ///< overlapped sim+extract, 1 consumer
 };
 
 double mrec_s(uint64_t records, double seconds) {
@@ -161,11 +154,6 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
     core::Extractor ex;
     ex.on_chunk(recs.data(), recs.size());
   }));
-
-  out.online_pipe = mrec_s(out.records, timed_best([&] {
-    core::Extractor ex;
-    check(core::run_profile_pipelined(*res.program, bc_opts, &ex));
-  }));
   return out;
 }
 
@@ -173,7 +161,7 @@ void write_json(const std::string& path,
                 const std::vector<ProgramResult>& rows, bool full_suite) {
   util::JsonWriter w;
   uint64_t total = 0;
-  double ts = 0, ta = 0, to = 0, toa = 0, tr = 0, tc = 0, tp = 0;
+  double ts = 0, ta = 0, to = 0, toa = 0, tr = 0, tc = 0;
   auto add = [](double* acc, uint64_t records, double mrec) {
     if (mrec > 0) *acc += records / 1e6 / mrec;
   };
@@ -185,7 +173,6 @@ void write_json(const std::string& path,
     add(&toa, r.records, r.online_ast);
     add(&tr, r.records, r.record);
     add(&tc, r.records, r.chunked);
-    add(&tp, r.records, r.online_pipe);
   }
   const double agg_sim = ts > 0 ? total / 1e6 / ts : 0.0;
   const double agg_sim_ast = ta > 0 ? total / 1e6 / ta : 0.0;
@@ -207,7 +194,6 @@ void write_json(const std::string& path,
     w.key("online_ast").value(r.online_ast);
     w.key("record_at_a_time").value(r.record);
     w.key("chunked").value(r.chunked);
-    w.key("online_pipeline").value(r.online_pipe);
     w.end_object();
   }
   w.end_array();
@@ -222,7 +208,6 @@ void write_json(const std::string& path,
     w.key("online_ast").value(toa > 0 ? total / 1e6 / toa : 0.0);
     w.key("record_at_a_time").value(tr > 0 ? total / 1e6 / tr : 0.0);
     w.key("chunked").value(agg_chunked);
-    w.key("online_pipeline").value(tp > 0 ? total / 1e6 / tp : 0.0);
     w.end_object();
     w.key("seed_baseline").begin_object();
     w.key("commit").value("87dbf5c");
@@ -309,16 +294,16 @@ int main(int argc, char** argv) {
 
   std::vector<ProgramResult> rows;
   std::printf("== profiling throughput (Mrec/s) ==\n");
-  std::printf("%-8s %10s %6s %7s %7s %8s %7s %8s %8s\n", "program",
+  std::printf("%-8s %10s %6s %7s %7s %8s %7s %8s\n", "program",
               "records", "sim", "sim_ast", "online", "onl_ast", "record",
-              "chunked", "onl_pipe");
+              "chunked");
   for (const auto& b : benchsuite::all_benchmarks()) {
     if (!only.empty() && b.name != only) continue;
     ProgramResult r = run_one(b);
-    std::printf("%-8s %10llu %6.1f %7.1f %7.1f %8.1f %7.1f %8.1f %8.1f\n",
+    std::printf("%-8s %10llu %6.1f %7.1f %7.1f %8.1f %7.1f %8.1f\n",
                 r.name.c_str(), static_cast<unsigned long long>(r.records),
                 r.sim, r.sim_ast, r.online, r.online_ast, r.record,
-                r.chunked, r.online_pipe);
+                r.chunked);
     rows.push_back(std::move(r));
   }
   if (rows.empty()) {

@@ -5,12 +5,12 @@
 // simulator (online analysis: "the proposed algorithm can be executed
 // during profiling and there is no need to save the trace file" — §4) or
 // fed from a stored trace for the offline mode. Both paths produce
-// identical trees (property-tested in E9).
+// identical trees (tests/transport_equivalence_test.cpp).
 //
 // Delivery is chunk-first: on_chunk() consumes a run of records with a
 // single dispatch, and the class is `final` so a caller holding a
-// concrete Extractor (the templated simulator, the pipelined consumer)
-// gets the whole per-record path inlined — zero virtual calls per record.
+// concrete Extractor (the templated simulator, the offline replay) gets
+// the whole per-record path inlined — zero virtual calls per record.
 // Record-at-a-time on_record() remains for generic Sink users.
 #pragma once
 

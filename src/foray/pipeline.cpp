@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "foray/online_pipeline.h"
 #include "minic/parser.h"
 #include "sim/interp_impl.h"
 #include "spm/address_stream.h"
@@ -44,18 +43,17 @@ util::Status profile_phase(const PipelineOptions& opts,
               "profile_phase requires instrument_phase");
   result->extractor = std::make_unique<Extractor>(opts.extractor);
   if (opts.offline) {
-    // Materialize the trace; Extract replays it.
-    trace::VectorSink trace_sink(opts.run.trace_reserve_hint);
+    // Materialize the trace, then replay it into the extractor; a failed
+    // run's partial trace is not analyzed. The trace dies with this
+    // scope, so a finished result does not pin millions of records.
+    trace::VectorSink trace_sink;
     result->run =
         sim::run_program_with(*result->program, &trace_sink, opts.run);
     result->trace_records = trace_sink.size();
-    result->offline_trace = trace_sink.take();
-  } else if (opts.profile_pipeline) {
-    // Overlapped online mode: the simulator produces chunks into a ring,
-    // a consumer thread extracts them while the next chunk simulates.
-    result->run = run_profile_pipelined(*result->program, opts.run,
-                                        result->extractor.get());
-    result->trace_records = result->extractor->records_processed();
+    if (result->run.ok()) {
+      result->extractor->on_chunk(trace_sink.records().data(),
+                                  trace_sink.size());
+    }
   } else {
     // Online constant-space mode: the extractor IS the sink, and the
     // concrete instantiation inlines the whole record path into the
@@ -72,12 +70,6 @@ util::Status extract_phase(const PipelineOptions& opts,
                            PipelineResult* result) {
   FORAY_CHECK(result->extractor != nullptr,
               "extract_phase requires profile_phase");
-  if (opts.offline) {
-    result->extractor->on_chunk(result->offline_trace.data(),
-                                result->offline_trace.size());
-    result->offline_trace.clear();
-    result->offline_trace.shrink_to_fit();
-  }
   result->model = build_model(*result->extractor, opts.filter);
   result->foray_source = emit_minic(result->model, opts.emit);
   result->foray_paper_style = emit_paper_style(result->model);

@@ -18,9 +18,9 @@
 //
 // The default is the paper's online mode: the extractor is the trace sink
 // and no trace is materialized. Offline mode stores the full trace first
-// and replays it during Extract (used by the E9 ablation); the pipelined
-// mode runs the extractor on its own thread. All three produce identical
-// models.
+// and then replays it into the extractor, both inside Profile; it is the
+// reference the online pass is tested against (E9 ablation,
+// tests/transport_equivalence_test.cpp). Both produce identical models.
 #pragma once
 
 #include <memory>
@@ -68,12 +68,6 @@ struct PipelineOptions {
   /// false (default): online analysis during profiling, constant space.
   /// true: materialize the trace in memory, then analyze.
   bool offline = false;
-  /// Overlap profiling and extraction: the simulator streams record
-  /// chunks through a bounded ring to an extractor on a second thread
-  /// (foray/online_pipeline.h). Keeps the online constant-space property
-  /// — no trace is materialized — and produces a bit-identical model.
-  /// Ignored in offline mode.
-  bool profile_pipeline = false;
   /// Run the SpmPhase after Extract (Phase II of the design flow).
   bool with_spm = false;
   SpmPhaseOptions spm;
@@ -118,10 +112,6 @@ struct PipelineResult {
   // Profile.
   sim::RunResult run;
   std::unique_ptr<Extractor> extractor;  ///< retains the loop tree
-  /// Offline mode only: holds the materialized trace between the Profile
-  /// and Extract phases; released after the Extract replay so a finished
-  /// result does not pin millions of records.
-  std::vector<trace::Record> offline_trace;
   /// Trace volume seen by the analyzer (records).
   uint64_t trace_records = 0;
   // Extract.
@@ -149,13 +139,14 @@ util::Status frontend_phase(std::string_view source, PipelineResult* result);
 util::Status instrument_phase(PipelineResult* result);
 
 /// Steps 2+3: profile on the simulator with the analyzer attached
-/// (online), or into a stored trace (offline). Requires instrument_phase.
+/// (online), or into a stored trace that is then replayed into the
+/// analyzer and released (offline). Either way a successful run leaves
+/// a filled extractor. Requires instrument_phase.
 util::Status profile_phase(const PipelineOptions& opts,
                            PipelineResult* result);
 
 /// Step 4 + emission: build + filter the model, emit both renderings.
-/// In offline mode this is where the stored trace is replayed. Requires
-/// profile_phase.
+/// Requires profile_phase.
 util::Status extract_phase(const PipelineOptions& opts,
                            PipelineResult* result);
 

@@ -173,7 +173,7 @@ class TraceEmitter {
       flush();
       // Check-after-delivery: a faulted run's trace still contains
       // everything up to the fault, and finalize_result's epilogue
-      // flush() below can never throw.
+      // flush() runs no budget check.
       if (chunk_checked_) check_budget();
     }
   }
@@ -298,11 +298,17 @@ void execute_guarded(RunResult* result, const int* cur_line, Fn&& body) {
 
 /// The shared run() epilogue. Flushing happens on every outcome — a
 /// faulted run's trace must still contain everything up to the fault.
+/// The sink can fail on that last chunk too, or fail again on a chunk
+/// it refused mid-run; that failure is classified like any other, and
+/// the run reports its first failure.
 template <class SinkT>
-void finalize_result(RunResult* result, TraceEmitter<SinkT>* emitter,
-                     Memory* mem, const RunOptions& opts,
-                     std::string* output, uint64_t steps) {
-  emitter->flush();
+void finalize_result(RunResult* result, const int* cur_line,
+                     TraceEmitter<SinkT>* emitter, Memory* mem,
+                     const RunOptions& opts, std::string* output,
+                     uint64_t steps) {
+  RunResult flushed;
+  execute_guarded(&flushed, cur_line, [emitter] { emitter->flush(); });
+  if (result->status.ok()) result->status = std::move(flushed.status);
   result->output = std::move(*output);
   result->steps = steps;
   result->accesses = emitter->accesses();

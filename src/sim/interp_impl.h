@@ -96,7 +96,8 @@ class Interp {
       Value ret = call_function(*main_fn, {}, /*call_node=*/-1);
       result.exit_code = static_cast<int>(ret.as_int());
     });
-    finalize_result(&result, &emitter_, &mem_, opts_, &output_, steps_);
+    finalize_result(&result, &cur_line_, &emitter_, &mem_, opts_, &output_,
+                    steps_);
     return result;
   }
 

@@ -47,10 +47,6 @@ struct RunOptions {
   /// per instruction; the rest at trace-chunk boundaries, so a run may
   /// overshoot those budgets by at most one chunk.
   Budget budget;
-  /// Expected trace volume (records); VectorSink-style consumers use it to
-  /// reserve storage up front instead of growing through reallocation.
-  /// 0 = unknown.
-  uint64_t trace_reserve_hint = 0;
   /// Records buffered before a bulk on_chunk() flush to the sink. 1
   /// degenerates to record-at-a-time delivery (the throughput-bench
   /// baseline); values above a few thousand stop paying for themselves.

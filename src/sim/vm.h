@@ -111,7 +111,8 @@ class Vm {
       body();
       result.exit_code = exit_code_;
     });
-    finalize_result(&result, &emitter_, &mem_, opts_, &output_, steps_);
+    finalize_result(&result, &cur_line_, &emitter_, &mem_, opts_, &output_,
+                    steps_);
     return result;
   }
 

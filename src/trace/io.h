@@ -37,7 +37,7 @@ util::Status read_text(std::istream& is, std::vector<Record>* out);
 void write_binary(std::ostream& os, const std::vector<Record>& records);
 
 /// Chunk-friendly form for callers that hold records in a flat buffer
-/// (e.g. a ChunkBuffer flush or a slice of a materialized trace).
+/// (e.g. a slice of a materialized trace).
 void write_binary(std::ostream& os, const Record* records, size_t count);
 
 /// Parses the binary format. Hardened against hostile input: a bad magic

@@ -4,7 +4,7 @@
 // extractor is itself a Sink, analysis can run *online* during profiling
 // — the paper's constant-space mode where the (typically large) trace
 // file is never materialized. VectorSink materializes the trace for the
-// offline mode, TeeSink fans out to both.
+// offline mode.
 //
 // Transport is *chunked*: producers deliver runs of records through
 // on_chunk(), paying one (virtual) call per chunk instead of one per
@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <vector>
 
 #include "trace/record.h"
@@ -50,16 +49,14 @@ class NullSink final : public Sink {
 /// Materializes the full trace in memory (the offline "trace file" mode).
 ///
 /// Traces routinely run to millions of records, so callers that know the
-/// expected volume (sim::RunOptions::trace_reserve_hint, a previous run of
-/// the same program) should pass it here: a single up-front reserve avoids
-/// the growth reallocations that would otherwise copy the whole trace
-/// several times over.
+/// expected volume (a previous run of the same program) should pass it
+/// here: a single up-front reserve avoids the growth reallocations that
+/// would otherwise copy the whole trace several times over.
 class VectorSink final : public Sink {
  public:
   VectorSink() = default;
   explicit VectorSink(size_t reserve_hint) { records_.reserve(reserve_hint); }
 
-  void reserve(size_t records) { records_.reserve(records); }
   void on_record(const Record& r) override { records_.push_back(r); }
   void on_chunk(const Record* r, size_t n) override {
     // Fault site "trace.buffer.alloc": models the materialized trace
@@ -80,36 +77,6 @@ class VectorSink final : public Sink {
 
  private:
   std::vector<Record> records_;
-};
-
-/// Fans records out to several sinks (e.g. trace file + online analyzer).
-///
-/// Ownership: TeeSink does NOT own its children. Every added sink must
-/// outlive the TeeSink (or at least the last on_record() call); the
-/// typical pattern is stack-allocating the children before the tee in the
-/// same scope. Null sinks are rejected at add() time so a lifetime bug
-/// cannot hide behind a silently-dropped pointer.
-class TeeSink final : public Sink {
- public:
-  TeeSink() = default;
-  TeeSink(std::initializer_list<Sink*> sinks) {
-    for (Sink* s : sinks) add(s);
-  }
-
-  void add(Sink* s) {
-    FORAY_CHECK(s != nullptr, "TeeSink::add: null sink");
-    FORAY_CHECK(s != this, "TeeSink::add: cannot add a tee to itself");
-    sinks_.push_back(s);
-  }
-  void on_record(const Record& r) override {
-    for (Sink* s : sinks_) s->on_record(r);
-  }
-  void on_chunk(const Record* r, size_t n) override {
-    for (Sink* s : sinks_) s->on_chunk(r, n);
-  }
-
- private:
-  std::vector<Sink*> sinks_;
 };
 
 /// Counts records by type without storing them (used to measure trace
@@ -139,48 +106,6 @@ class CountingSink final : public Sink {
 
   uint64_t total_ = 0, checkpoints_ = 0, accesses_ = 0, calls_ = 0,
            rets_ = 0;
-};
-
-/// Batches single-record pushes into chunks for a downstream sink, for
-/// producers that cannot easily chunk themselves. Records are forwarded
-/// in order; an incoming chunk is passed through directly (after
-/// flushing buffered records so ordering holds).
-///
-/// The destructor flushes, but a producer that wants the downstream sink
-/// complete at a known point should call flush() explicitly.
-class ChunkBuffer final : public Sink {
- public:
-  explicit ChunkBuffer(Sink* downstream,
-                       size_t chunk_records = kDefaultChunkRecords)
-      : downstream_(downstream),
-        buf_(chunk_records == 0 ? 1 : chunk_records) {
-    FORAY_CHECK(downstream != nullptr, "ChunkBuffer: null downstream sink");
-  }
-  ~ChunkBuffer() override { flush(); }
-
-  ChunkBuffer(const ChunkBuffer&) = delete;
-  ChunkBuffer& operator=(const ChunkBuffer&) = delete;
-
-  void on_record(const Record& r) override {
-    buf_[len_++] = r;
-    if (len_ == buf_.size()) flush();
-  }
-  void on_chunk(const Record* r, size_t n) override {
-    flush();
-    downstream_->on_chunk(r, n);
-  }
-  void flush() {
-    if (len_ != 0) {
-      downstream_->on_chunk(buf_.data(), len_);
-      len_ = 0;
-    }
-  }
-  size_t buffered() const { return len_; }
-
- private:
-  Sink* downstream_;
-  std::vector<Record> buf_;
-  size_t len_ = 0;
 };
 
 }  // namespace foray::trace

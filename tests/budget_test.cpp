@@ -1,12 +1,12 @@
 // Execution budgets (sim/budget.h): the step guard, the record budget,
 // the wall-clock deadline and cooperative cancellation, on both engines
-// and through every parallel extraction mode.
+// and through both profiling modes (fused online and offline).
 //
 // The load-bearing contract is "budget plus one chunk": record/deadline/
 // cancel checks run at trace-chunk boundaries (check-after-delivery), so
 // a faulted run overshoots those budgets by at most RunOptions::
-// chunk_records records — and the epilogue flush can never throw. The
-// step guard is per-instruction and exact, which is what bounds a
+// chunk_records records — and the epilogue flush runs no budget check.
+// The step guard is per-instruction and exact, which is what bounds a
 // record-free spin loop.
 #include <gtest/gtest.h>
 
@@ -161,42 +161,38 @@ TEST(Budget, UnbudgetedRunIsUnaffected) {
 // --timeout fails with the right class in every mode, not just the
 // plain online run.
 
-core::PipelineOptions mode_opts(int mode, Engine engine) {
+core::PipelineOptions mode_opts(bool offline, Engine engine) {
   core::PipelineOptions opts;
   opts.run.engine = engine;
   opts.filter.min_exec = 1;
   opts.filter.min_locations = 1;
-  switch (mode) {
-    case 0: break;                                 // online
-    case 1: opts.offline = true; break;            // --offline
-    case 2: opts.profile_pipeline = true; break;   // --pipeline
-  }
+  opts.offline = offline;
   return opts;
 }
 
 TEST(Budget, StepBudgetFaultsEveryExtractionMode) {
   for (Engine engine : kEngines) {
-    for (int mode = 0; mode < 3; ++mode) {
-      core::PipelineOptions opts = mode_opts(mode, engine);
+    for (bool offline : {false, true}) {
+      core::PipelineOptions opts = mode_opts(offline, engine);
       opts.run.budget.max_steps = 50'000;
       auto res = core::run_pipeline(kSpinWithTraffic, opts);
-      EXPECT_FALSE(res.ok()) << "mode " << mode;
+      EXPECT_FALSE(res.ok()) << "offline " << offline;
       EXPECT_EQ(res.status.code(), util::ErrorCode::kResourceExhausted)
-          << "mode " << mode << ": " << res.status.message();
+          << "offline " << offline << ": " << res.status.message();
     }
   }
 }
 
 TEST(Budget, DeadlineFaultsEveryExtractionMode) {
   for (Engine engine : kEngines) {
-    for (int mode = 0; mode < 3; ++mode) {
-      core::PipelineOptions opts = mode_opts(mode, engine);
+    for (bool offline : {false, true}) {
+      core::PipelineOptions opts = mode_opts(offline, engine);
       opts.run.chunk_records = 64;
       opts.run.budget.timeout_seconds = 1e-9;
       auto res = core::run_pipeline(kSpinWithTraffic, opts);
-      EXPECT_FALSE(res.ok()) << "mode " << mode;
+      EXPECT_FALSE(res.ok()) << "offline " << offline;
       EXPECT_EQ(res.status.code(), util::ErrorCode::kDeadlineExceeded)
-          << "mode " << mode << ": " << res.status.message();
+          << "offline " << offline << ": " << res.status.message();
     }
   }
 }

@@ -66,14 +66,19 @@ class FaultInjectionTest : public ::testing::Test {
   void TearDown() override { util::fault::reset(); }
 };
 
-sim::RunResult run_sim(const char* src, sim::RunOptions opts = {}) {
+/// Runs `src` into a VectorSink; `records` (optional) receives the
+/// number of records the sink stored.
+sim::RunResult run_sim(const char* src, sim::RunOptions opts = {},
+                       size_t* records = nullptr) {
   util::DiagList diags;
   auto prog = minic::parse_and_check(src, &diags);
   EXPECT_NE(prog, nullptr) << diags.str();
   if (!prog) return {};
   instrument::annotate_loops(prog.get());
   trace::VectorSink sink;
-  return sim::run_program(*prog, &sink, opts);
+  sim::RunResult r = sim::run_program(*prog, &sink, opts);
+  if (records != nullptr) *records = sink.size();
+  return r;
 }
 
 // -- the registry itself ------------------------------------------------------
@@ -123,6 +128,66 @@ TEST_F(FaultInjectionTest, TraceBufferAllocIsResourceExhausted) {
   sim::RunResult r = run_sim(kAlpha);
   EXPECT_EQ(r.status.code(), util::ErrorCode::kResourceExhausted)
       << r.status.message();
+}
+
+// The sink can also fail in the run's epilogue: on the last, partial
+// chunk, or again on a chunk it refused mid-run (no count limit). That
+// failure is classified like a mid-run one, never escapes the run, and
+// never replaces an earlier failure.
+const sim::Engine kEngines[] = {sim::Engine::Ast, sim::Engine::Bytecode};
+
+/// Flushes that reach the sink in an unfaulted kAlpha run: full chunks,
+/// then one partial epilogue flush.
+size_t alpha_flushes() {
+  size_t n = 0;
+  EXPECT_TRUE(run_sim(kAlpha, {}, &n).ok());
+  const size_t chunk = sim::RunOptions{}.chunk_records;
+  EXPECT_NE(n % chunk, 0u) << "the epilogue flush must carry records";
+  return (n + chunk - 1) / chunk;
+}
+
+TEST_F(FaultInjectionTest, EpilogueSinkFaultsAreClassified) {
+  const std::string specs[] = {
+      "trace.buffer.alloc:skip=" + std::to_string(alpha_flushes() - 1) +
+          ":count=1",
+      "trace.buffer.alloc"};
+  for (const std::string& spec : specs) {
+    for (sim::Engine engine : kEngines) {
+      ASSERT_TRUE(util::fault::configure(spec).ok());
+      sim::RunOptions opts;
+      opts.engine = engine;
+      const util::Status st = run_sim(kAlpha, opts).status;
+      EXPECT_EQ(st.code(), util::ErrorCode::kResourceExhausted)
+          << spec << ": " << st.message();
+      EXPECT_EQ(st.phase(), "trace") << spec << ": " << st.message();
+
+      ASSERT_TRUE(util::fault::configure(spec).ok());
+      core::PipelineOptions popts;
+      popts.offline = true;
+      popts.run.engine = engine;
+      const core::PipelineResult res = core::run_pipeline(kAlpha, popts);
+      EXPECT_EQ(res.status.code(), util::ErrorCode::kResourceExhausted)
+          << spec << " (offline): " << res.status.message();
+      EXPECT_EQ(res.status.phase(), "trace")
+          << spec << " (offline): " << res.status.message();
+      EXPECT_FALSE(res.model_built) << spec;
+    }
+  }
+}
+
+TEST_F(FaultInjectionTest, EpilogueSinkFaultKeepsTheRunsFirstFailure) {
+  // The step guard trips before the first chunk fills, so the epilogue
+  // is the only flush, and the armed sink fails it.
+  for (sim::Engine engine : kEngines) {
+    ASSERT_TRUE(util::fault::configure("trace.buffer.alloc").ok());
+    sim::RunOptions opts;
+    opts.engine = engine;
+    opts.budget.max_steps = 100;
+    const util::Status st = run_sim(kAlpha, opts).status;
+    EXPECT_EQ(st.code(), util::ErrorCode::kResourceExhausted)
+        << st.message();
+    EXPECT_EQ(st.phase(), "simulation") << st.message();
+  }
 }
 
 TEST_F(FaultInjectionTest, TraceChunkCorruptIsIoError) {

@@ -201,41 +201,10 @@ TEST(Sinks, ChunkDeliveryMatchesRecordDelivery) {
   }
 }
 
-TEST(Sinks, ChunkBufferFlushesInOrder) {
+TEST(Sinks, CountingSinkCountsChunks) {
   auto records = sample_records();
-  VectorSink out;
-  {
-    ChunkBuffer buf(&out, 4);  // smaller than the record count
-    for (const auto& r : records) buf.on_record(r);
-    EXPECT_LT(out.size(), records.size()) << "tail should still be buffered";
-    buf.flush();
-    EXPECT_EQ(out.size(), records.size());
-    // An incoming chunk passes through after buffered records.
-    buf.on_record(records[0]);
-    buf.on_chunk(records.data(), 2);
-    EXPECT_EQ(out.size(), records.size() + 3);
-  }
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(out.records()[i], records[i]) << "record " << i;
-  }
-}
-
-TEST(Sinks, ChunkBufferDestructorFlushes) {
-  VectorSink out;
-  {
-    ChunkBuffer buf(&out, 100);
-    buf.on_record(Record::call(1));
-  }
-  EXPECT_EQ(out.size(), 1u);
-}
-
-TEST(Sinks, TeeForwardsChunks) {
-  auto records = sample_records();
-  VectorSink a;
   CountingSink c;
-  TeeSink tee{&a, &c};
-  tee.on_chunk(records.data(), records.size());
-  EXPECT_EQ(a.size(), records.size());
+  c.on_chunk(records.data(), records.size());
   EXPECT_EQ(c.total(), records.size());
 }
 
@@ -243,16 +212,6 @@ TEST(Sinks, VectorSinkCollects) {
   VectorSink sink;
   for (const auto& r : sample_records()) sink.on_record(r);
   EXPECT_EQ(sink.size(), sample_records().size());
-}
-
-TEST(Sinks, TeeSinkFansOut) {
-  VectorSink a, b;
-  TeeSink tee;
-  tee.add(&a);
-  tee.add(&b);
-  for (const auto& r : sample_records()) tee.on_record(r);
-  EXPECT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.size(), sample_records().size());
 }
 
 TEST(Sinks, CountingSinkByType) {

@@ -42,9 +42,8 @@
 //   --engine E  simulator engine: bytecode (default) or ast (the
 //               tree-walking reference oracle); both produce
 //               bit-identical traces (tests/engine_equivalence_test)
-//   --offline   materialize the trace, then analyze (default: online)
-//   --pipeline  overlap simulation and extraction on two threads
-//               (bit-identical to the default fused online pass)
+//   --offline   materialize the trace, then analyze (default: online,
+//               the fused pass; both give the same model)
 //   --capacity N         spm: SPM size in bytes     (default 4096)
 //   --compare-cache      spm: also replay through LRU caches
 //   --replay             spm/sweep: execute the transformed
@@ -159,7 +158,7 @@ int usage() {
       stderr,
       "usage: foraygen <model|emit|annotate|trace|stats|hints|run|profile"
       "|spm> <program.mc> [--engine ast|bytecode] [--nexec N] [--nloc N] "
-      "[--seed S] [--offline] [--pipeline] "
+      "[--seed S] [--offline] "
       "[--capacity N] [--compare-cache] [--replay]\n"
       "       foraygen sweep [program.mc] [--threads N] "
       "[--capacity-sweep a,b,c] [--energy-sweep a,b] [--cache-sweep "
@@ -548,8 +547,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--offline") {
       opts.offline = true;
-    } else if (arg == "--pipeline") {
-      opts.profile_pipeline = true;
     } else if (arg == "--compare-cache") {
       opts.spm.compare_cache = true;
     } else if (arg == "--replay") {
