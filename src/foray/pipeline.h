@@ -20,7 +20,7 @@
 // and no trace is materialized. Offline mode stores the full trace first
 // and then replays it into the extractor, both inside Profile; it is the
 // reference the online pass is tested against (E9 ablation,
-// tests/transport_equivalence_test.cpp). Both produce identical models.
+// tests/pipeline_equivalence_test.cpp). Both produce identical models.
 #pragma once
 
 #include <memory>

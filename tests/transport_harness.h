@@ -1,20 +1,19 @@
-// Transport equivalence: the production fused online pass (the extractor
-// is the simulator's sink, core::profile_phase) is the reference, and
-// every other way of delivering the trace to the extractor must
-// reproduce it bit for bit — loop tree, affine states, emitted model and
-// simulator results:
-//   - the offline replay of a materialized trace (--offline),
-//   - record-at-a-time delivery through the virtual trace::Sink,
-//   - linear (non-hash) child/reference indices,
-//   - emitter chunks of 1 record and of 513 (an odd size),
-// for the six benchsuite kernels and seeded affine and stress programs,
-// on both engines. Any divergence (a lost record, a torn affine state)
-// fails here.
+// Shared harness of the transport-equivalence tests
+// (shard_equivalence_test.cpp, pipeline_equivalence_test.cpp). The
+// production fused online pass (the extractor is the simulator's sink,
+// core::profile_phase) is the reference; every other way of delivering
+// the trace to the extractor must reproduce it bit for bit — loop tree,
+// affine states, emitted model and simulator results — for the six
+// benchsuite kernels and seeded affine and stress programs, on both
+// engines. Any divergence (a lost record, a torn affine state) fails.
+#pragma once
+
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "benchsuite/generator.h"
 #include "benchsuite/suite.h"
@@ -23,12 +22,11 @@
 #include "sim/interpreter.h"
 #include "trace/sink.h"
 
-namespace foray::core {
-namespace {
+namespace foray::core::transport {
 
 /// Deterministic deep fingerprint of an extraction: tree shape,
 /// counters, per-reference traffic and finalized affine functions.
-std::string fingerprint(const Extractor& ex) {
+inline std::string fingerprint(const Extractor& ex) {
   std::ostringstream os;
   os << "records " << ex.records_processed() << " accesses "
      << ex.accesses_processed() << " checkpoints "
@@ -68,15 +66,15 @@ struct Outcome {
   std::string model;  ///< emitted MiniC model + paper-style rendering
 };
 
-Outcome outcome(const sim::RunResult& run, const Extractor& ex,
-                const PipelineOptions& opts) {
+inline Outcome outcome(const sim::RunResult& run, const Extractor& ex,
+                       const PipelineOptions& opts) {
   const ForayModel model = build_model(ex, opts.filter);
   return {run, fingerprint(ex),
           emit_minic(model, opts.emit) + emit_paper_style(model)};
 }
 
 /// Profile + Extract through the production phases.
-Outcome profile(const std::string& src, const PipelineOptions& opts) {
+inline Outcome profile(const std::string& src, const PipelineOptions& opts) {
   PipelineResult res;
   EXPECT_TRUE(frontend_phase(src, &res).ok()) << res.error();
   if (!res.ok()) return {};
@@ -88,8 +86,8 @@ Outcome profile(const std::string& src, const PipelineOptions& opts) {
 
 /// Materializes the trace, then replays it one record at a time through
 /// the virtual Sink interface.
-Outcome record_at_a_time(const std::string& src,
-                         const PipelineOptions& opts) {
+inline Outcome record_at_a_time(const std::string& src,
+                                const PipelineOptions& opts) {
   PipelineResult res;
   EXPECT_TRUE(frontend_phase(src, &res).ok()) << res.error();
   if (!res.ok()) return {};
@@ -102,8 +100,8 @@ Outcome record_at_a_time(const std::string& src,
   return outcome(run, ex, opts);
 }
 
-void expect_same(const Outcome& got, const Outcome& want,
-                 const std::string& what) {
+inline void expect_same(const Outcome& got, const Outcome& want,
+                        const std::string& what) {
   EXPECT_EQ(got.run.status.ok(), want.run.status.ok()) << what;
   EXPECT_EQ(got.run.exit_code, want.run.exit_code) << what;
   EXPECT_EQ(got.run.output, want.run.output) << what;
@@ -113,9 +111,16 @@ void expect_same(const Outcome& got, const Outcome& want,
   EXPECT_EQ(got.model, want.model) << what;
 }
 
-/// Checks every transport against the fused online pass, on both
-/// engines.
-void check_transports(const std::string& src, const std::string& name) {
+/// Checks one set of transports, given the base options of an engine,
+/// the fused online reference and a label for failure messages.
+using TransportChecks =
+    std::function<void(const PipelineOptions& base, const Outcome& want,
+                       const std::string& what)>;
+
+/// Runs `checks` against the fused online pass, on both engines.
+inline void check_against_fused(const std::string& src,
+                                const std::string& name,
+                                const TransportChecks& checks) {
   for (sim::Engine engine : {sim::Engine::Bytecode, sim::Engine::Ast}) {
     const std::string what =
         name + (engine == sim::Engine::Ast ? " (ast): " : " (bytecode): ");
@@ -123,58 +128,34 @@ void check_transports(const std::string& src, const std::string& name) {
     base.run.engine = engine;
     const Outcome want = profile(src, base);
     ASSERT_TRUE(want.run.ok()) << what << want.run.error();
-
-    PipelineOptions offline = base;
-    offline.offline = true;
-    expect_same(profile(src, offline), want, what + "offline replay");
-
-    expect_same(record_at_a_time(src, base), want, what + "record-at-a-time");
-
-    PipelineOptions linear = base;
-    linear.extractor.hash_index = false;
-    expect_same(profile(src, linear), want, what + "linear index");
-
-    for (size_t chunk : {size_t{1}, size_t{513}}) {
-      PipelineOptions chunked = base;
-      chunked.run.chunk_records = chunk;
-      expect_same(profile(src, chunked), want,
-                  what + "chunk_records=" + std::to_string(chunk));
-    }
+    checks(base, want, what);
   }
 }
 
-class KernelTransports : public ::testing::TestWithParam<const char*> {};
+/// The programs every transport is checked on: the six benchsuite
+/// kernels, affine seeds 1..40 and odd stress seeds 1..83 (42 programs,
+/// including 5, 17, 59 and 83).
+inline const char* const kKernels[] = {"jpeg", "lame", "susan",
+                                       "fft",  "gsm",  "adpcm"};
 
-TEST_P(KernelTransports, MatchFusedOnline) {
-  const auto& b = benchsuite::get_benchmark(GetParam());
-  check_transports(b.source, b.name);
-}
-
-INSTANTIATE_TEST_SUITE_P(All, KernelTransports,
-                         ::testing::Values("jpeg", "lame", "susan", "fft",
-                                           "gsm", "adpcm"),
-                         [](const ::testing::TestParamInfo<const char*>& i) {
-                           return std::string(i.param);
-                         });
-
-TEST(GeneratedTransports, AffineProgramsMatchFusedOnline) {
+inline void for_each_affine_program(
+    const std::function<void(const std::string&, const std::string&)>& fn) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     benchsuite::GeneratorOptions gopts;
     gopts.seed = seed;
-    check_transports(benchsuite::generate_affine_program(gopts).source,
-                     "affine seed " + std::to_string(seed));
+    fn(benchsuite::generate_affine_program(gopts).source,
+       "affine seed " + std::to_string(seed));
   }
 }
 
-TEST(GeneratedTransports, StressProgramsMatchFusedOnline) {
-  // Odd seeds 1..83: 42 programs, including 5, 17, 59 and 83.
+inline void for_each_stress_program(
+    const std::function<void(const std::string&, const std::string&)>& fn) {
   for (uint64_t seed = 1; seed <= 83; seed += 2) {
     benchsuite::StressOptions sopts;
     sopts.seed = seed;
-    check_transports(benchsuite::generate_stress_program(sopts),
-                     "stress seed " + std::to_string(seed));
+    fn(benchsuite::generate_stress_program(sopts),
+       "stress seed " + std::to_string(seed));
   }
 }
 
-}  // namespace
-}  // namespace foray::core
+}  // namespace foray::core::transport
