@@ -19,6 +19,7 @@ int main() {
                          "online state KB", "models identical"});
   for (const auto& b : benchsuite::all_benchmarks()) {
     core::PipelineOptions online_opts;
+    online_opts.census = true;  // the full trace the offline path stores
     auto online = core::run_pipeline(b.source, online_opts);
     core::PipelineOptions offline_opts;
     offline_opts.offline = true;

@@ -12,6 +12,10 @@
 //   online    simulator + online analysis fused (Vm<Extractor>, the
 //             zero-virtual-call path, bytecode engine)
 //   online_ast the fused path on the tree walker (Interp<Extractor>)
+//   production the production Phase I pass, core::profile_phase with
+//             default options: fused, eliding scalar traffic, compiling
+//             the program each run. Reported in full-trace records/s
+//             (the records `online` analyzes), so the two compare
 //   record    extraction replay, record-at-a-time through the virtual
 //             Sink interface (the pre-PR transport shape)
 //   chunked   extraction replay, bulk on_chunk() delivery
@@ -64,8 +68,8 @@ constexpr double kSeedOnlineMrecS = 15.6;
 struct ProgramResult {
   std::string name;
   uint64_t records = 0;
-  double sim = 0, sim_ast = 0, online = 0, online_ast = 0, record = 0,
-         chunked = 0;
+  double sim = 0, sim_ast = 0, online = 0, online_ast = 0, production = 0,
+         record = 0, chunked = 0;
 };
 
 double mrec_s(uint64_t records, double seconds) {
@@ -144,6 +148,11 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
     check(sim::run_program_with(*res.program, &ex, ast_opts));
   }));
 
+  out.production = mrec_s(out.records, timed_best([&] {
+    core::profile_phase(opts, &res);
+    check(res.run);
+  }));
+
   out.record = mrec_s(out.records, timed([&] {
     core::Extractor ex;
     trace::Sink* s = &ex;  // force the virtual record-at-a-time path
@@ -161,7 +170,7 @@ void write_json(const std::string& path,
                 const std::vector<ProgramResult>& rows, bool full_suite) {
   util::JsonWriter w;
   uint64_t total = 0;
-  double ts = 0, ta = 0, to = 0, toa = 0, tr = 0, tc = 0;
+  double ts = 0, ta = 0, to = 0, toa = 0, tp = 0, tr = 0, tc = 0;
   auto add = [](double* acc, uint64_t records, double mrec) {
     if (mrec > 0) *acc += records / 1e6 / mrec;
   };
@@ -171,6 +180,7 @@ void write_json(const std::string& path,
     add(&ta, r.records, r.sim_ast);
     add(&to, r.records, r.online);
     add(&toa, r.records, r.online_ast);
+    add(&tp, r.records, r.production);
     add(&tr, r.records, r.record);
     add(&tc, r.records, r.chunked);
   }
@@ -192,6 +202,7 @@ void write_json(const std::string& path,
     w.key("sim_ast").value(r.sim_ast);
     w.key("online").value(r.online);
     w.key("online_ast").value(r.online_ast);
+    w.key("production").value(r.production);
     w.key("record_at_a_time").value(r.record);
     w.key("chunked").value(r.chunked);
     w.end_object();
@@ -206,6 +217,7 @@ void write_json(const std::string& path,
     w.key("sim_ast").value(agg_sim_ast);
     w.key("online").value(to > 0 ? total / 1e6 / to : 0.0);
     w.key("online_ast").value(toa > 0 ? total / 1e6 / toa : 0.0);
+    w.key("production").value(tp > 0 ? total / 1e6 / tp : 0.0);
     w.key("record_at_a_time").value(tr > 0 ? total / 1e6 / tr : 0.0);
     w.key("chunked").value(agg_chunked);
     w.end_object();
@@ -294,16 +306,16 @@ int main(int argc, char** argv) {
 
   std::vector<ProgramResult> rows;
   std::printf("== profiling throughput (Mrec/s) ==\n");
-  std::printf("%-8s %10s %6s %7s %7s %8s %7s %8s\n", "program",
-              "records", "sim", "sim_ast", "online", "onl_ast", "record",
-              "chunked");
+  std::printf("%-8s %10s %6s %7s %7s %8s %6s %7s %8s\n", "program",
+              "records", "sim", "sim_ast", "online", "onl_ast", "prod",
+              "record", "chunked");
   for (const auto& b : benchsuite::all_benchmarks()) {
     if (!only.empty() && b.name != only) continue;
     ProgramResult r = run_one(b);
-    std::printf("%-8s %10llu %6.1f %7.1f %7.1f %8.1f %7.1f %8.1f\n",
+    std::printf("%-8s %10llu %6.1f %7.1f %7.1f %8.1f %6.1f %7.1f %8.1f\n",
                 r.name.c_str(), static_cast<unsigned long long>(r.records),
-                r.sim, r.sim_ast, r.online, r.online_ast, r.record,
-                r.chunked);
+                r.sim, r.sim_ast, r.online, r.online_ast, r.production,
+                r.record, r.chunked);
     rows.push_back(std::move(r));
   }
   if (rows.empty()) {

@@ -18,7 +18,9 @@ int main() {
   util::TablePrinter tp({"benchmark", "refs", "accesses", "footprint",
                          "model r/a/f", "system r/a/f", "other fp"});
   for (const auto& b : benchsuite::all_benchmarks()) {
-    auto a = bench::analyze_benchmark(b);
+    core::PipelineOptions opts;
+    opts.census = true;  // the buckets count every reference
+    auto a = bench::analyze_benchmark(b, opts);
     core::BehaviorStats st = core::compute_behavior(
         a.pipeline.extractor->tree(), core::FilterOptions{});
     auto share = [&](uint64_t num, uint64_t den) {

@@ -35,7 +35,8 @@ ModelCache::ModelCache(ModelCacheOptions opts) : opts_(std::move(opts)) {}
 std::string ModelCache::fingerprint(const core::PipelineOptions& opts) {
   // Everything that can change the extracted model, and nothing that
   // cannot: engine and profiling mode are bit-identical by contract
-  // (engine_equivalence / pipeline_equivalence harnesses), budgets never
+  // (engine_equivalence / pipeline_equivalence harnesses), and so is the
+  // census the fused pass skips (PipelineOptions::census); budgets never
   // produce a partial model, and the emit / Phase II options run
   // downstream of extraction.
   std::string fp;

@@ -5,7 +5,10 @@
 // simulator (online analysis: "the proposed algorithm can be executed
 // during profiling and there is no need to save the trace file" — §4) or
 // fed from a stored trace for the offline mode. Both paths produce
-// identical trees (tests/pipeline_equivalence_test.cpp).
+// identical trees (tests/pipeline_equivalence_test.cpp) — unless the
+// fused pass elides scalar traffic (PipelineOptions::census off), when
+// the tree lacks the Scalar references Step 4 would drop and the model
+// built from it is still identical.
 //
 // Delivery is chunk-first: on_chunk() consumes a run of records with a
 // single dispatch, and the class is `final` so a caller holding a

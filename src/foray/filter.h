@@ -6,7 +6,11 @@
 // Nexec = 20 and Nloc = 10 in the paper's experiments. The thresholds
 // drop tiny arrays (better handled by whole-object placement techniques
 // [8][9][10]) and references without reuse — including all the implicit
-// stack/spill traffic the simulator records.
+// stack/spill traffic the simulator records. That scalar traffic is most
+// of every trace, so the fused Phase I pass does not trace it at all
+// while a guard proves that no scalar reference can reach Nloc locations
+// (sim::RunOptions::elide_below_bases), and traces everything when it
+// cannot. Those references would fail (c) here; the model is the same.
 #pragma once
 
 #include <cstdint>

@@ -10,12 +10,12 @@ namespace {
 
 void collect(const LoopNode& node, std::vector<int>* path,
              std::vector<int64_t>* trips, const FilterOptions& filter,
-             ForayModel* model) {
+             ForayModel* model, ModelBuildStats* stats) {
   for (const auto& ref : node.refs()) {
-    ++model->build_stats.total_refs;
+    ++stats->total_refs;
     switch (classify_reference(*ref, filter)) {
       case FilterReason::Kept: {
-        ++model->build_stats.kept;
+        ++stats->kept;
         ModelReference mr;
         mr.instr = ref->instr;
         mr.loop_path = *path;
@@ -33,29 +33,29 @@ void collect(const LoopNode& node, std::vector<int>* path,
         break;
       }
       case FilterReason::NonAnalyzable:
-        ++model->build_stats.dropped_non_analyzable;
+        ++stats->dropped_non_analyzable;
         break;
       case FilterReason::NoIterator:
-        ++model->build_stats.dropped_no_iterator;
+        ++stats->dropped_no_iterator;
         break;
       case FilterReason::PartialExcluded:
-        ++model->build_stats.dropped_partial;
+        ++stats->dropped_partial;
         break;
       case FilterReason::TooFewExecs:
-        ++model->build_stats.dropped_exec;
+        ++stats->dropped_exec;
         break;
       case FilterReason::TooFewLocations:
-        ++model->build_stats.dropped_locations;
+        ++stats->dropped_locations;
         break;
       case FilterReason::SystemReference:
-        ++model->build_stats.dropped_system;
+        ++stats->dropped_system;
         break;
     }
   }
   for (const auto& child : node.children()) {
     path->push_back(child->loop_id());
     trips->push_back(child->max_trip);
-    collect(*child, path, trips, filter, model);
+    collect(*child, path, trips, filter, model, stats);
     path->pop_back();
     trips->pop_back();
   }
@@ -90,11 +90,13 @@ uint64_t ForayModel::total_accesses() const {
 }
 
 ForayModel build_model(const Extractor& extractor,
-                       const FilterOptions& filter) {
+                       const FilterOptions& filter, ModelBuildStats* stats) {
   ForayModel model;
+  ModelBuildStats tally;
   std::vector<int> path;
   std::vector<int64_t> trips;
-  collect(*extractor.tree().root(), &path, &trips, filter, &model);
+  collect(*extractor.tree().root(), &path, &trips, filter, &model, &tally);
+  if (stats != nullptr) *stats = tally;
   return model;
 }
 

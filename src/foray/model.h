@@ -58,6 +58,9 @@ struct ModelReference {
   }
 };
 
+/// What the Step 4 filter did to each reference node of a loop tree. A
+/// report on the build, not part of the model: it lives in
+/// PipelineResult, and FMDL does not store it.
 struct ModelBuildStats {
   int total_refs = 0;  ///< reference nodes in the tree
   int kept = 0;
@@ -71,7 +74,6 @@ struct ModelBuildStats {
 
 struct ForayModel {
   std::vector<ModelReference> refs;
-  ModelBuildStats build_stats;
 
   /// Distinct loop sites appearing in emitted nests (Table II "number of
   /// loops ... represented by FORAY form").
@@ -84,8 +86,9 @@ struct ForayModel {
 
 /// Builds the model from a finished extraction: walks the loop tree,
 /// applies the Step 4 filter and finalizes every surviving reference's
-/// affine function.
+/// affine function. `stats`, when given, receives the filter's tally.
 ForayModel build_model(const Extractor& extractor,
-                       const FilterOptions& filter = {});
+                       const FilterOptions& filter = {},
+                       ModelBuildStats* stats = nullptr);
 
 }  // namespace foray::core

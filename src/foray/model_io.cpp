@@ -11,7 +11,6 @@ namespace foray::core {
 //   magic   "FMDL"
 //   u32     format version (kModelFormatVersion)
 //   u32     reference count
-//   8 x u32 ModelBuildStats (total, kept, then the six dropped_* counts)
 //   per reference:
 //     u32   instr
 //     u32   n       (loop nest depth; sizes loop_path/trips/coefs/known)
@@ -99,12 +98,6 @@ void write_model(std::ostream& os, const ForayModel& model) {
   os.write(kMagic, 4);
   put_u32(os, kModelFormatVersion);
   put_u32(os, static_cast<uint32_t>(model.refs.size()));
-  const ModelBuildStats& s = model.build_stats;
-  const int stats[8] = {s.total_refs,      s.kept,
-                        s.dropped_non_analyzable, s.dropped_no_iterator,
-                        s.dropped_partial, s.dropped_exec,
-                        s.dropped_locations, s.dropped_system};
-  for (const int v : stats) put_u32(os, static_cast<uint32_t>(v));
   for (const ModelReference& ref : model.refs) {
     const uint32_t n = static_cast<uint32_t>(ref.loop_path.size());
     put_u32(os, ref.instr);
@@ -165,9 +158,7 @@ util::Status read_model(std::istream& is, ForayModel* out) {
     is.seekg(body);
     if (end != std::istream::pos_type(-1) && is) {
       const uint64_t remaining = static_cast<uint64_t>(end - body);
-      if (8u * sizeof(uint32_t) > remaining ||
-          static_cast<uint64_t>(count) * kMinRefBytes >
-              remaining - 8u * sizeof(uint32_t)) {
+      if (static_cast<uint64_t>(count) * kMinRefBytes > remaining) {
         return bad_input("model header claims " + std::to_string(count) +
                          " references but only " + std::to_string(remaining) +
                          " bytes follow");
@@ -177,20 +168,7 @@ util::Status read_model(std::istream& is, ForayModel* out) {
   }
   is.clear();  // tellg(-1) on non-seekable streams sets failbit
 
-  ModelBuildStats stats;
-  int* const stat_fields[8] = {
-      &stats.total_refs,      &stats.kept,
-      &stats.dropped_non_analyzable, &stats.dropped_no_iterator,
-      &stats.dropped_partial, &stats.dropped_exec,
-      &stats.dropped_locations, &stats.dropped_system};
-  for (int* field : stat_fields) {
-    uint32_t v = 0;
-    if (!get_u32(is, &v)) return io_error("truncated model build stats");
-    *field = static_cast<int>(v);
-  }
-
   ForayModel model;
-  model.build_stats = stats;
   model.refs.reserve(reserve_count);
   for (uint32_t i = 0; i < count; ++i) {
     const std::string at = " (reference " + std::to_string(i) + " of " +

@@ -1,11 +1,12 @@
 // Versioned binary serialization of the extracted FORAY model.
 //
 // Phase I (profile + extract) is expensive and deterministic; its output
-// — the ForayModel: per-context affine references plus build statistics —
-// is small. This format lets a model be written once and re-loaded by
-// later processes (the content-addressed model cache in driver/model_cache
-// and the `foraygen serve` loop), turning warm sweeps into pure Phase II
-// work.
+// — the ForayModel: per-context affine references — is small. This
+// format lets a model be written once and re-loaded by later processes
+// (the content-addressed model cache in driver/model_cache and the
+// `foraygen serve` loop), turning warm sweeps into pure Phase II work.
+// How the model was built (ModelBuildStats) is a report, not part of the
+// model, so the bytes are the same from every profiling pass.
 //
 // Hardened the same way as the golden-trace reader (trace/io.cpp): magic
 // and version checks, count-vs-bytes plausibility *before* any allocation
@@ -28,7 +29,8 @@ namespace foray::core {
 
 /// Bump on any layout change; readers reject other versions as
 /// kInvalidInput (a stale cache entry is recomputed, never guessed at).
-inline constexpr uint32_t kModelFormatVersion = 1;
+/// Version 2 dropped the build statistics that version 1 stored.
+inline constexpr uint32_t kModelFormatVersion = 2;
 
 /// Writes `model` in the FMDL binary format. Deterministic: equal models
 /// produce equal bytes, and write(read(bytes)) == bytes.

@@ -1,5 +1,7 @@
 #include "foray/pipeline.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 #include "minic/parser.h"
@@ -58,8 +60,28 @@ util::Status profile_phase(const PipelineOptions& opts,
     // Online constant-space mode: the extractor IS the sink, and the
     // concrete instantiation inlines the whole record path into the
     // interpreter — zero virtual calls per record.
+    sim::RunOptions run = opts.run;
+    if (run.budget.has_deadline() &&
+        run.budget.clock_start == std::chrono::steady_clock::time_point{}) {
+      run.budget.clock_start = std::chrono::steady_clock::now();
+    }
+    // Elision needs Nloc >= 2: a global scalar has one address, which
+    // Nloc 1 would keep.
+    const bool elide = !opts.census && opts.filter.min_locations >= 2;
+    run.elide_below_bases =
+        elide ? static_cast<uint32_t>(std::min<uint64_t>(
+                    opts.filter.min_locations, sim::kMaxElisionBases))
+              : 0;
     result->run = sim::run_program_with(*result->program,
-                                        result->extractor.get(), opts.run);
+                                        result->extractor.get(), run);
+    if (result->run.elision_stopped) {
+      // Some function reached that many frame bases, so an elided site
+      // might have reached Nloc locations: trace everything.
+      result->extractor = std::make_unique<Extractor>(opts.extractor);
+      run.elide_below_bases = 0;
+      result->run = sim::run_program_with(*result->program,
+                                          result->extractor.get(), run);
+    }
     result->trace_records = result->extractor->records_processed();
   }
   if (!result->run.ok()) result->status = result->run.status;
@@ -70,7 +92,8 @@ util::Status extract_phase(const PipelineOptions& opts,
                            PipelineResult* result) {
   FORAY_CHECK(result->extractor != nullptr,
               "extract_phase requires profile_phase");
-  result->model = build_model(*result->extractor, opts.filter);
+  result->model =
+      build_model(*result->extractor, opts.filter, &result->build_stats);
   result->foray_source = emit_minic(result->model, opts.emit);
   result->foray_paper_style = emit_paper_style(result->model);
   result->model_built = true;

@@ -21,6 +21,15 @@
 // and then replays it into the extractor, both inside Profile; it is the
 // reference the online pass is tested against (E9 ablation,
 // tests/pipeline_equivalence_test.cpp). Both produce identical models.
+//
+// The online pass also skips the scalar traffic Step 4 would drop: the
+// engines elide Scalar accesses and Call/Ret records under a guard that
+// proves none of them could be kept (sim::RunOptions::elide_below_bases),
+// and when the guard cannot, Profile reruns the program with full
+// tracing. The model is the same either way; only the census — the loop
+// tree's every reference, scalars included, and the ModelBuildStats
+// counted over it — needs the full trace, so callers that report on it
+// set PipelineOptions::census.
 #pragma once
 
 #include <memory>
@@ -68,6 +77,11 @@ struct PipelineOptions {
   /// false (default): online analysis during profiling, constant space.
   /// true: materialize the trace in memory, then analyze.
   bool offline = false;
+  /// Fill the loop tree with every reference, scalars included, for the
+  /// reports that read it (trace statistics, Table III, ModelBuildStats).
+  /// false (default) lets the online pass elide scalar traffic; the
+  /// model is identical either way. The offline mode always has it.
+  bool census = false;
   /// Run the SpmPhase after Extract (Phase II of the design flow).
   bool with_spm = false;
   SpmPhaseOptions spm;
@@ -112,11 +126,15 @@ struct PipelineResult {
   // Profile.
   sim::RunResult run;
   std::unique_ptr<Extractor> extractor;  ///< retains the loop tree
-  /// Trace volume seen by the analyzer (records).
+  /// Trace volume seen by the analyzer (records); without the census,
+  /// the elided records are not in it.
   uint64_t trace_records = 0;
   // Extract.
   bool model_built = false;  ///< extract_phase completed
   ForayModel model;
+  /// What the Step 4 filter did to each reference of the loop tree;
+  /// covers every reference only under PipelineOptions::census.
+  ModelBuildStats build_stats;
   std::string foray_source;       ///< compilable MiniC FORAY model
   std::string foray_paper_style;  ///< Figure 2-style display form
   // SpmPhase.
@@ -141,7 +159,10 @@ util::Status instrument_phase(PipelineResult* result);
 /// Steps 2+3: profile on the simulator with the analyzer attached
 /// (online), or into a stored trace that is then replayed into the
 /// analyzer and released (offline). Either way a successful run leaves
-/// a filled extractor. Requires instrument_phase.
+/// a filled extractor. Online without the census, the run elides scalar
+/// traffic, and reruns with full tracing when the elision guard stops
+/// it; both attempts share one deadline and cancel token. Requires
+/// instrument_phase.
 util::Status profile_phase(const PipelineOptions& opts,
                            PipelineResult* result);
 

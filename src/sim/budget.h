@@ -7,8 +7,9 @@
 //
 //   max_steps            every instruction — but as a register-cached
 //                        counter compare both engines already paid for
-//   records / deadline / checked once per flushed trace chunk by the
-//   cancellation token    shared TraceEmitter (sim/exec_common.h)
+//   records / deadline / checked once per trace chunk's worth of
+//   cancellation token    records by the shared TraceEmitter
+//                         (sim/exec_common.h), elided records included
 //
 // Chunk-boundary checking means a run can overshoot a record or time
 // budget by at most one chunk (RunOptions::chunk_records, default 1024
@@ -18,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -41,13 +43,18 @@ struct Budget {
   /// Evaluation-step guard — the backstop that bounds even record-free
   /// spin loops. Trips as kResourceExhausted.
   uint64_t max_steps = 500'000'000;
-  /// Trace records emitted (post-filter) before the run faults as
-  /// kResourceExhausted; 0 = unlimited.
+  /// Trace records emitted (post-filter, counting records the fused
+  /// pass elides) before the run faults as kResourceExhausted;
+  /// 0 = unlimited.
   uint64_t max_records = 0;
   /// Wall-clock seconds from engine start before the run faults as
   /// kDeadlineExceeded; 0 = no deadline. Each simulation (including a
-  /// replay re-run) starts its own clock.
+  /// replay re-run) starts its own clock, unless `clock_start` is set.
   double timeout_seconds = 0.0;
+  /// When set, the deadline counts from here instead of from engine
+  /// start: a phase that may simulate twice (Phase I's elision fallback)
+  /// sets it once so the timeout bounds the phase, not each attempt.
+  std::chrono::steady_clock::time_point clock_start{};
   /// Optional cancellation token; trips as kCancelled.
   std::shared_ptr<CancelToken> cancel;
 

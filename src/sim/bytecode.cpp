@@ -45,6 +45,7 @@ class Compiler {
     // Function indices are assigned up front so calls can reference
     // callees compiled later; entries are filled in as bodies compile.
     out_.funcs.resize(prog_.funcs.size());
+    out_.frame_fixed = res_.frame_fixed;
     for (size_t i = 0; i < prog_.funcs.size(); ++i) {
       const Function& fn = *prog_.funcs[i];
       CompiledFunc& cf = out_.funcs[i];

@@ -185,6 +185,8 @@ struct CompiledProgram {
   uint32_t start_pc = 0;
   /// Operand-depth bound of the start segment (see CompiledFunc).
   uint32_t start_max_stack = 0;
+  /// VarResolution::frame_fixed of the source program.
+  bool frame_fixed = true;
 };
 
 /// Lowers `prog` (which must have passed sema; loop annotation optional

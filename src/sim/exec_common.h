@@ -142,40 +142,86 @@ FORAY_ALWAYS_INLINE Value apply_binary_op(minic::BinaryOp op, const Value& a,
 // on_chunk() call devirtualizes and the whole per-record path inlines;
 // even for SinkT = trace::Sink only one virtual call per chunk remains.
 
+/// Thrown by the elision guard; execute_guarded turns it into
+/// RunResult::elision_stopped.
+struct ElisionStop {};
+
+/// The elision guard (RunOptions::elide_below_bases): each function's
+/// distinct frame bases, up to the limit. O(1) per call while a function
+/// keeps re-entering at its last base, O(limit) otherwise; its memory is
+/// bounded by kMaxElisionBases per function, whatever Nloc is.
+class FrameBaseGuard {
+ public:
+  FrameBaseGuard(size_t functions, uint32_t limit)
+      : limit_(std::min(limit, kMaxElisionBases)), funcs_(functions) {}
+
+  /// A call of `func` whose frame starts at `base`. Throws ElisionStop
+  /// when `func` reaches the limit of distinct bases.
+  FORAY_ALWAYS_INLINE void enter(int32_t func, uint32_t base) {
+    Bases& b = funcs_[static_cast<size_t>(func)];
+    if (b.count != 0 && b.last == base) return;
+    enter_new(b, base);
+  }
+
+ private:
+  struct Bases {
+    uint32_t last = 0;
+    uint32_t count = 0;
+    uint32_t seen[kMaxElisionBases];
+  };
+
+  void enter_new(Bases& b, uint32_t base) {
+    b.last = base;
+    for (uint32_t i = 0; i < b.count; ++i) {
+      if (b.seen[i] == base) return;
+    }
+    if (b.count + 1 >= limit_) throw ElisionStop{};
+    b.seen[b.count++] = base;
+  }
+
+  const uint32_t limit_;
+  std::vector<Bases> funcs_;
+};
+
 template <class SinkT>
 class TraceEmitter {
  public:
-  TraceEmitter(SinkT* sink, const RunOptions& opts)
+  /// `functions` and `frame_fixed` describe the program for the elision
+  /// guard: its function count and VarResolution::frame_fixed.
+  TraceEmitter(SinkT* sink, const RunOptions& opts, size_t functions,
+               bool frame_fixed)
       : sink_(sink),
         chunk_(std::max<size_t>(opts.chunk_records, 1)),
         trace_scalars_(opts.trace_scalars),
         trace_data_(opts.trace_data),
         trace_system_(opts.trace_system),
         emit_checkpoints_(opts.emit_checkpoints),
+        emit_calls_(opts.emit_calls),
+        elide_(opts.elide_below_bases != 0 && frame_fixed),
+        guard_(elide_ ? functions : 0, opts.elide_below_bases),
         max_records_(opts.budget.max_records),
         timeout_seconds_(opts.budget.timeout_seconds),
         cancel_(opts.budget.cancel.get()) {
-    // Budget checks run only at chunk boundaries (the "budget plus one
-    // chunk" contract), and only when some check is actually armed: an
-    // unbudgeted, unfaulted run pays a single bool test per chunk.
+    // Budget checks run only every chunk_records records of the full
+    // trace (the "budget plus one chunk" contract), and only when some
+    // check is actually armed: an unbudgeted, unfaulted run pays a
+    // single bool test per record.
     chunk_checked_ = opts.budget.chunk_checked() || util::fault::enabled();
     if (opts.budget.has_deadline()) {
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(timeout_seconds_));
+      const auto start =
+          opts.budget.clock_start != std::chrono::steady_clock::time_point{}
+              ? opts.budget.clock_start
+              : std::chrono::steady_clock::now();
+      deadline_ = start + std::chrono::duration_cast<
+                              std::chrono::steady_clock::duration>(
+                              std::chrono::duration<double>(timeout_seconds_));
     }
   }
 
   FORAY_ALWAYS_INLINE void push(const trace::Record& r) {
     chunk_[len_++] = r;
-    if (len_ == chunk_.size()) {
-      flush();
-      // Check-after-delivery: a faulted run's trace still contains
-      // everything up to the fault, and finalize_result's epilogue
-      // flush() runs no budget check.
-      if (chunk_checked_) check_budget();
-    }
+    if (len_ == chunk_.size()) flush();
+    tick();
   }
 
   void flush() {
@@ -188,7 +234,7 @@ class TraceEmitter {
 
   void check_budget() {
     if (util::fault::enabled()) {
-      // "sim.slow" models a stalling simulated program: each flush
+      // "sim.slow" models a stalling simulated program: each check
       // sleeps `param` milliseconds, so a wall-clock deadline trips.
       const util::fault::Hit h = util::fault::hit("sim.slow");
       if (h.fired) {
@@ -198,7 +244,7 @@ class TraceEmitter {
     if (cancel_ != nullptr && cancel_->cancelled()) {
       throw RuntimeError("run cancelled", util::ErrorCode::kCancelled);
     }
-    if (max_records_ != 0 && records_ >= max_records_) {
+    if (max_records_ != 0 && records_ + len_ + elided_ >= max_records_) {
       throw RuntimeError(
           "trace record budget exceeded (" + std::to_string(max_records_) +
               " records)",
@@ -221,6 +267,7 @@ class TraceEmitter {
     switch (kind) {
       case trace::AccessKind::Scalar:
         if (!trace_scalars_) return;
+        if (elide_) return skip();
         break;
       case trace::AccessKind::Data:
         if (!trace_data_) return;
@@ -238,18 +285,52 @@ class TraceEmitter {
     }
   }
 
+  /// A user-function call whose frame starts at `frame_base` (the stack
+  /// pointer before the parameters are bound).
+  FORAY_ALWAYS_INLINE void emit_call(int32_t func, uint32_t frame_base) {
+    if (elide_) guard_.enter(func, frame_base);
+    if (!emit_calls_) return;
+    if (elide_) return skip();
+    push(trace::Record::call(func));
+  }
+
+  FORAY_ALWAYS_INLINE void emit_ret(int32_t func) {
+    if (!emit_calls_) return;
+    if (elide_) return skip();
+    push(trace::Record::ret(func));
+  }
+
   uint64_t accesses() const { return accesses_; }
-  /// Records delivered to the sink so far (excludes the unflushed tail).
-  uint64_t records_flushed() const { return records_; }
 
  private:
+  /// One more record of the full trace, emitted or elided. Budget checks
+  /// run after every chunk_records of them, so they fall at the same
+  /// points with and without elision. Check-after-delivery: a faulted
+  /// run's trace still contains everything up to the fault, and
+  /// finalize_result's epilogue flush() runs no budget check.
+  FORAY_ALWAYS_INLINE void tick() {
+    if (chunk_checked_ && ++unchecked_ == chunk_.size()) {
+      unchecked_ = 0;
+      check_budget();
+    }
+  }
+
+  FORAY_ALWAYS_INLINE void skip() {
+    ++elided_;
+    tick();
+  }
+
   SinkT* sink_;
   std::vector<trace::Record> chunk_;
   size_t len_ = 0;
+  size_t unchecked_ = 0;  ///< full-trace records since the last check
   uint64_t accesses_ = 0;
-  uint64_t records_ = 0;
-  const bool trace_scalars_, trace_data_, trace_system_, emit_checkpoints_;
+  uint64_t records_ = 0;  ///< delivered to the sink
+  uint64_t elided_ = 0;
+  const bool trace_scalars_, trace_data_, trace_system_, emit_checkpoints_,
+      emit_calls_, elide_;
   bool chunk_checked_ = false;
+  FrameBaseGuard guard_;
   const uint64_t max_records_;
   const double timeout_seconds_;
   std::chrono::steady_clock::time_point deadline_{};
@@ -273,7 +354,8 @@ inline void append_output_limited(std::string* out, size_t max_bytes,
 }
 
 /// Runs an engine body, translating every simulated-program exit:
-/// ExitSignal (the exit() intrinsic) into an exit code, RuntimeError
+/// ExitSignal (the exit() intrinsic) into an exit code, ElisionStop into
+/// RunResult::elision_stopped, RuntimeError
 /// into a "simulation" Status at the line the engine last visited
 /// (carrying the fault's error class), a sink's StatusError into its
 /// carried Status verbatim, and allocation failure (a trace the host
@@ -284,6 +366,8 @@ void execute_guarded(RunResult* result, const int* cur_line, Fn&& body) {
     body();
   } catch (const ExitSignal& e) {
     result->exit_code = e.code;
+  } catch (const ElisionStop&) {
+    result->elision_stopped = true;
   } catch (const RuntimeError& e) {
     result->status =
         util::Status::failure(e.code(), "simulation", *cur_line, e.what());

@@ -53,7 +53,6 @@ using minic::UnaryOp;
 using minic::VarDecl;
 using trace::AccessKind;
 using trace::CheckpointType;
-using trace::Record;
 
 enum class Flow : uint8_t { Normal, Break, Continue, Return };
 
@@ -81,8 +80,8 @@ class Interp {
   Interp(const Program& prog, SinkT* sink, const RunOptions& opts)
       : prog_(prog),
         opts_(opts),
-        emitter_(sink, opts_),
         res_(resolve_variables(prog)),
+        emitter_(sink, opts_, prog.funcs.size(), res_.frame_fixed),
         mem_(opts.heap_capacity, opts.stack_capacity),
         rng_(opts.rng_seed),
         max_steps_(opts.budget.effective_max_steps()) {}
@@ -418,7 +417,7 @@ class Interp {
       throw RuntimeError("simulated call depth limit exceeded in '" +
                          fn.name + "'");
     }
-    if (opts_.emit_calls) emitter_.push(Record::call(fn.func_id));
+    emitter_.emit_call(fn.func_id, mem_.sp());
     Frame frame;
     frame.saved_sp = mem_.sp();
     frame.locals_base = locals_arena_.size();
@@ -445,7 +444,7 @@ class Interp {
     mem_.set_sp(frames_.back().saved_sp);
     locals_arena_.resize(frames_.back().locals_base);
     frames_.pop_back();
-    if (opts_.emit_calls) emitter_.push(Record::ret(fn.func_id));
+    emitter_.emit_ret(fn.func_id);
     if (!fn.ret.is_void()) ret = convert(ret, fn.ret);
     return ret;
   }
@@ -534,8 +533,8 @@ class Interp {
 
   const Program& prog_;
   RunOptions opts_;
-  TraceEmitter<SinkT> emitter_;
   VarResolution res_;
+  TraceEmitter<SinkT> emitter_;
   Memory mem_;
   util::Rng rng_;
   std::vector<Slot> global_slots_;

@@ -13,6 +13,14 @@
 // "references not present explicitly in the source" that Step 4 later
 // filters out. Intrinsics model system libraries; their traffic is tagged
 // AccessKind::System.
+//
+// Scalar traffic is most of every trace, and only Step 4 reads it — to
+// drop it. The fused Phase I pass therefore asks the engines to elide it
+// (RunOptions::elide_below_bases): Scalar accesses and Call/Ret records
+// are counted but never emitted, while a guard proves that no elided
+// site could have reached the Nloc locations Step 4 keeps, and stops the
+// run as soon as it cannot. Traces, the offline replay and the census
+// (foray/pipeline.h) always carry every record.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +48,10 @@ enum class Engine : uint8_t {
 /// changes (the CI matrix does exactly that).
 Engine default_engine();
 
+/// Upper bound on the frame bases the elision guard remembers per
+/// function, whatever Nloc is: the guard's memory does not grow with it.
+inline constexpr uint32_t kMaxElisionBases = 16;
+
 struct RunOptions {
   Engine engine = default_engine();
   /// Execution bounds: step guard, record budget, wall-clock deadline
@@ -56,6 +68,20 @@ struct RunOptions {
   bool trace_scalars = true;  ///< record Scalar-kind accesses
   bool trace_data = true;     ///< record Data-kind accesses
   bool trace_system = true;   ///< record System-kind accesses
+  /// Scalar elision, for the fused Phase I pass. When nonzero, Scalar
+  /// accesses and Call/Ret records never reach the sink, but they still
+  /// count in RunResult::accesses and against the record budget, which
+  /// is checked at the same points as in a full trace. A Scalar access
+  /// hits a global (one address) or a slot at a fixed place in its
+  /// activation's frame, so a Scalar site touches at most as many
+  /// addresses as its function has distinct frame bases (the stack
+  /// pointer at call entry). The guard records those bases and stops the
+  /// run with RunResult::elision_stopped once some function reaches
+  /// min(elide_below_bases, kMaxElisionBases) of them: an elided site
+  /// could then reach that many locations. A program whose locals are
+  /// not at fixed frame places (VarResolution::frame_fixed) is traced in
+  /// full. 0 = off.
+  uint32_t elide_below_bases = 0;
   uint64_t rng_seed = 1;      ///< seed of the simulated rand()
   uint32_t heap_capacity = 1u << 24;
   uint32_t stack_capacity = 1u << 22;
@@ -74,6 +100,9 @@ struct RunResult {
   uint64_t accesses = 0;  ///< memory accesses performed (traced or not)
   /// FNV-1a hash of the final memory image (RunOptions::digest_memory).
   uint64_t memory_digest = 0;
+  /// The elision guard stopped the run (RunOptions::elide_below_bases)
+  /// before it finished; nothing else in the result is meaningful.
+  bool elision_stopped = false;
 
   bool ok() const { return status.ok(); }
   std::string error() const { return status.message(); }

@@ -90,8 +90,8 @@ class Resolver {
         break;
       case StmtKind::If:
         walk_expr(s->cond.get());
-        walk_stmt(s->then_branch.get());
-        walk_stmt(s->else_branch.get());
+        walk_branch(s->then_branch.get());
+        walk_branch(s->else_branch.get());
         break;
       case StmtKind::While:
       case StmtKind::DoWhile:
@@ -101,7 +101,7 @@ class Resolver {
         walk_stmt(s->init.get());
         walk_expr(s->cond.get());
         walk_expr(s->step.get());
-        walk_stmt(s->body.get());
+        walk_branch(s->body.get());
         scopes_.pop_back();
         break;
       case StmtKind::Block:
@@ -114,6 +114,12 @@ class Resolver {
       case StmtKind::Empty:
         break;
     }
+  }
+
+  /// A statement that runs without a scope of its own.
+  void walk_branch(const Stmt* s) {
+    if (s != nullptr && s->kind == StmtKind::Decl) out_.frame_fixed = false;
+    walk_stmt(s);
   }
 
   void walk_expr(const Expr* e) {

@@ -41,6 +41,13 @@ struct VarResolution {
   /// table; later duplicates shadow earlier ones by name, but every
   /// declaration keeps its own slot, matching allocation order).
   int32_t globals = 0;
+  /// Every declaration statement sits directly in a block or is a
+  /// for-initializer, so each local's slot is at a fixed place in its
+  /// activation's frame. A declaration that is a bare if-branch or loop
+  /// body stays allocated until the enclosing block or loop ends: inside
+  /// a loop its slot moves every iteration, and the elision guard
+  /// (RunOptions::elide_below_bases) cannot bound it by frame bases.
+  bool frame_fixed = true;
 };
 
 VarResolution resolve_variables(const minic::Program& prog);

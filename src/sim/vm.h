@@ -47,7 +47,7 @@ class Vm {
   Vm(const CompiledProgram& code, SinkT* sink, const RunOptions& opts)
       : code_(code),
         opts_(opts),
-        emitter_(sink, opts_),
+        emitter_(sink, opts_, code.funcs.size(), code.frame_fixed),
         mem_(opts.heap_capacity, opts.stack_capacity),
         rng_(opts.rng_seed),
         max_steps_(opts.budget.effective_max_steps()) {}
@@ -393,7 +393,7 @@ class Vm {
                          f.name + "'");
     }
     ensure_stack(f.max_stack);
-    if (opts_.emit_calls) emitter_.push(trace::Record::call(f.func_id));
+    emitter_.emit_call(f.func_id, mem_.sp());
     Frame fr;
     fr.return_pc = static_cast<uint32_t>(ip - code_.code.data()) + 1;
     fr.saved_sp = mem_.sp();
@@ -444,7 +444,7 @@ class Vm {
     cur_locals_ = frames_.empty()
                       ? locals_.data()
                       : locals_.data() + frames_.back().locals_base;
-    if (opts_.emit_calls) emitter_.push(trace::Record::ret(f.func_id));
+    emitter_.emit_ret(f.func_id);
     if (!f.ret.is_void()) ret = convert_value(ret, f.ret);
     *sp_++ = ret;
     return fr.return_pc;

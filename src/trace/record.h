@@ -9,7 +9,8 @@
 //  - Access records are the "Instr: 4002a0 addr: 7fff5934 wr" lines of
 //    Figure 4(c): instruction address, access address, size, direction.
 //  - Call/Ret records mark user-function boundaries; the analyzer ignores
-//    them but statistics and the inlining advisor use them.
+//    them, so the fused Phase I pass elides them along with Scalar
+//    accesses. Stored traces always carry them.
 //
 // Records are a packed 12-byte tagged layout: one 32-bit payload word
 // (instr / loop id / func id), the access address, a tag byte carrying
@@ -35,7 +36,11 @@ enum class CheckpointType : uint8_t {
 /// Provenance of a memory access, used only for statistics (Table III).
 enum class AccessKind : uint8_t {
   Data,    ///< array element / pointer dereference
-  Scalar,  ///< direct scalar variable access (register-like traffic)
+  /// Direct scalar variable access (register-like traffic): a global's
+  /// or a frame slot's address. Most records of every trace; the fused
+  /// Phase I pass elides them when they cannot reach a model
+  /// (sim::RunOptions::elide_below_bases), traces never do.
+  Scalar,
   System,  ///< performed inside an intrinsic ("system library") call
 };
 

@@ -162,7 +162,9 @@ TEST(SuiteShape, LamePartialAffineAppears) {
 }
 
 TEST(SuiteShape, SystemTrafficPresentInJpeg) {
-  auto res = run_pipeline(get_benchmark("jpeg").source);
+  core::PipelineOptions census;
+  census.census = true;  // the buckets count every reference
+  auto res = run_pipeline(get_benchmark("jpeg").source, census);
   ASSERT_TRUE(res.ok());
   auto b = core::compute_behavior(res.extractor->tree(),
                                   core::FilterOptions{});

@@ -6,9 +6,13 @@
 // cancel checks run at trace-chunk boundaries (check-after-delivery), so
 // a faulted run overshoots those budgets by at most RunOptions::
 // chunk_records records — and the epilogue flush runs no budget check.
+// When the fused pass elides scalar traffic, the elided records still
+// count, and the checks fall at the same points as in the full trace.
 // The step guard is per-instruction and exact, which is what bounds a
 // record-free spin loop.
 #include <gtest/gtest.h>
+
+#include <chrono>
 
 #include "foray/pipeline.h"
 #include "instrument/annotator.h"
@@ -193,6 +197,57 @@ TEST(Budget, DeadlineFaultsEveryExtractionMode) {
       EXPECT_FALSE(res.ok()) << "offline " << offline;
       EXPECT_EQ(res.status.code(), util::ErrorCode::kDeadlineExceeded)
           << "offline " << offline << ": " << res.status.message();
+    }
+  }
+}
+
+TEST(Budget, DeadlineCountsFromClockStart) {
+  for (Engine engine : kEngines) {
+    RunOptions opts;
+    opts.engine = engine;
+    opts.chunk_records = 64;
+    // A generous timeout whose clock started long ago: the first check
+    // trips, as a fallback attempt's does when its phase ran out of time.
+    opts.budget.timeout_seconds = 3600.0;
+    opts.budget.clock_start =
+        std::chrono::steady_clock::now() - std::chrono::hours(2);
+    Capture c = run_src(kSpinWithTraffic, opts);
+    EXPECT_EQ(c.result.status.code(), util::ErrorCode::kDeadlineExceeded)
+        << c.result.status.message();
+    EXPECT_LE(c.records, opts.chunk_records);
+  }
+}
+
+// -- budgets under scalar elision ---------------------------------------------
+//
+// Most of kSpinWithTraffic's records are Scalar accesses, which the
+// eliding pass (the fused default, without PipelineOptions::census)
+// never delivers. The record budget still counts them, so the run trips
+// at the same point of execution as the census pass: same status, same
+// message, same line, same step count.
+
+TEST(Budget, RecordBudgetTripsAlikeWithAndWithoutElision) {
+  for (Engine engine : kEngines) {
+    for (uint64_t max_records : {64u, 100u, 5000u}) {
+      core::PipelineOptions census;
+      census.run.engine = engine;
+      census.run.chunk_records = 64;
+      census.run.budget.max_records = max_records;
+      census.census = true;
+      core::PipelineOptions eliding = census;
+      eliding.census = false;
+      const auto want = core::run_pipeline(kSpinWithTraffic, census);
+      const auto got = core::run_pipeline(kSpinWithTraffic, eliding);
+      const std::string what = "max_records " + std::to_string(max_records);
+      ASSERT_EQ(want.status.code(), util::ErrorCode::kResourceExhausted)
+          << what << ": " << want.status.message();
+      EXPECT_EQ(got.status.code(), want.status.code()) << what;
+      EXPECT_EQ(got.status.message(), want.status.message()) << what;
+      EXPECT_EQ(got.status.first_line(), want.status.first_line()) << what;
+      EXPECT_EQ(got.run.steps, want.run.steps) << what;
+      EXPECT_EQ(got.run.accesses, want.run.accesses) << what;
+      // The elision was on: fewer records reached the extractor.
+      EXPECT_LT(got.trace_records, want.trace_records) << what;
     }
   }
 }

@@ -229,6 +229,45 @@ TEST_F(ModelCacheTest, CorruptEntryIsRejectedRecomputedAndOverwritten) {
   }
 }
 
+TEST_F(ModelCacheTest, VersionOneEntryIsAMissRecomputedAndRewritten) {
+  ModelCache seed(ModelCacheOptions{dir_, true});
+  const std::string cold = run_ndjson(1, &seed);
+  auto files = entries();
+  ASSERT_EQ(files.size(), 2u);
+
+  // Rewrite every entry in the version-1 layout: the same references
+  // behind eight u32 build statistics, which version 2 no longer stores.
+  std::vector<std::string> current;
+  for (const std::string& file : files) {
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    const std::string bytes = ss.str();
+    ASSERT_GE(bytes.size(), 12u);
+    current.push_back(bytes);
+    std::string v1 = bytes.substr(0, 12) + std::string(32, '\0') +
+                     bytes.substr(12);
+    v1[4] = 1;  // little-endian version 1
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out << v1;
+  }
+
+  // Every entry is a classified miss, recomputed, and rewritten in the
+  // current format; the sweep's bytes do not change.
+  ModelCache cache(ModelCacheOptions{dir_, true});
+  EXPECT_EQ(run_ndjson(2, &cache), cold);
+  const ModelCache::Stats s = cache.stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.rejected, 2u);
+  EXPECT_EQ(s.stores, 2u);
+  for (size_t i = 0; i < files.size(); ++i) {
+    std::ifstream in(files[i], std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    EXPECT_EQ(ss.str(), current[i]) << files[i];
+  }
+}
+
 TEST_F(ModelCacheTest, StoreRoundTripsThroughLookup) {
   core::PipelineOptions popts;
   popts.filter.min_exec = 1;
@@ -327,6 +366,12 @@ TEST(ModelCacheKey, TracksModelChangingOptionsOnly) {
   core::PipelineOptions offline = base;
   offline.offline = true;
   EXPECT_EQ(ModelCache::key(kGood, offline), k);
+
+  // So is the census: the model is the same with or without the
+  // scalar traffic the fused pass elides.
+  core::PipelineOptions census = base;
+  census.census = true;
+  EXPECT_EQ(ModelCache::key(kGood, census), k);
 
   // Budgets never produce a model to store.
   core::PipelineOptions budget = base;

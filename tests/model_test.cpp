@@ -46,10 +46,11 @@ FilterOptions lenient() {
 
 TEST(Model, BuildCollectsSurvivors) {
   Extractor ex = make_two_ref_extraction();
-  ForayModel m = build_model(ex, lenient());
+  ModelBuildStats stats;
+  ForayModel m = build_model(ex, lenient(), &stats);
   ASSERT_EQ(m.refs.size(), 2u);
-  EXPECT_EQ(m.build_stats.total_refs, 2);
-  EXPECT_EQ(m.build_stats.kept, 2);
+  EXPECT_EQ(stats.total_refs, 2);
+  EXPECT_EQ(stats.kept, 2);
 }
 
 TEST(Model, ReferencesCarryContextAndTrips) {
@@ -89,9 +90,10 @@ TEST(Model, FilterStatsBucketDropped) {
   Extractor ex = make_two_ref_extraction();
   FilterOptions strict;
   strict.min_exec = 1000;  // drops everything
-  ForayModel m = build_model(ex, strict);
+  ModelBuildStats stats;
+  ForayModel m = build_model(ex, strict, &stats);
   EXPECT_TRUE(m.refs.empty());
-  EXPECT_EQ(m.build_stats.dropped_exec, 2);
+  EXPECT_EQ(stats.dropped_exec, 2);
 }
 
 TEST(Emitter, NamesAreUniquePerContext) {

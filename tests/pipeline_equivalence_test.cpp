@@ -4,6 +4,16 @@
 // bit for bit, simulator results included. The offline replay is the
 // oracle the fused pass is held to. The harness and program set are
 // shared with shard_equivalence_test.cpp (tests/transport_harness.h).
+//
+// Those legs run the fused pass with the census. Without it — the
+// production default — the engines elide scalar traffic under the
+// elision guard, and the model must still match the offline replay:
+// FMDL bytes, both renderings and the simulator results, at Nloc 10 and
+// 2, over the same programs plus the kept-scalar programs in
+// tests/programs/, where the guard has to fall back to full tracing.
+#include <fstream>
+
+#include "foray/model_io.h"
 #include "transport_harness.h"
 
 namespace foray::core::transport {
@@ -27,6 +37,77 @@ void check_modes(const std::string& src, const std::string& name) {
                       });
 }
 
+/// The production phases up to Extract.
+PipelineResult extract(const std::string& src, const PipelineOptions& opts) {
+  PipelineResult res;
+  EXPECT_TRUE(frontend_phase(src, &res).ok()) << res.error();
+  if (!res.ok()) return res;
+  instrument_phase(&res);
+  if (profile_phase(opts, &res).ok()) extract_phase(opts, &res);
+  return res;
+}
+
+enum class Elision { kEngages, kFallsBack, kEither };
+
+/// Runs the eliding pass against the offline replay on both engines at
+/// Nloc 10 and 2, and checks whether the elision held (fewer records
+/// reached the extractor) or fell back (the full trace did).
+void check_elision(const std::string& src, const std::string& name,
+                   Elision expect) {
+  for (sim::Engine engine : {sim::Engine::Bytecode, sim::Engine::Ast}) {
+    for (uint64_t nloc : {10u, 2u}) {
+      const std::string what =
+          name + (engine == sim::Engine::Ast ? " (ast" : " (bytecode") +
+          ", Nloc " + std::to_string(nloc) + "): ";
+      PipelineOptions eliding;
+      eliding.run.engine = engine;
+      eliding.filter.min_locations = nloc;
+      PipelineOptions offline = eliding;
+      offline.offline = true;
+      const PipelineResult want = extract(src, offline);
+      ASSERT_TRUE(want.ok()) << what << want.error();
+      const PipelineResult got = extract(src, eliding);
+      ASSERT_TRUE(got.ok()) << what << got.error();
+      EXPECT_EQ(model_to_bytes(got.model), model_to_bytes(want.model))
+          << what;
+      EXPECT_EQ(got.foray_source, want.foray_source) << what;
+      EXPECT_EQ(got.foray_paper_style, want.foray_paper_style) << what;
+      EXPECT_EQ(got.run.exit_code, want.run.exit_code) << what;
+      EXPECT_EQ(got.run.output, want.run.output) << what;
+      EXPECT_EQ(got.run.steps, want.run.steps) << what;
+      EXPECT_EQ(got.run.accesses, want.run.accesses) << what;
+      // At Nloc 2 a function may meet only one frame base, so lame and
+      // gsm, which call a helper from two depths, fall back there.
+      if (expect == Elision::kEngages && nloc == 10) {
+        EXPECT_LT(got.trace_records, want.trace_records) << what;
+      }
+      if (expect == Elision::kFallsBack) {
+        EXPECT_EQ(got.trace_records, want.trace_records) << what;
+        // The reason it had to: Step 4 keeps some of their scalars.
+        int kept_scalars = 0;
+        for_each_node(*want.extractor->tree().root(),
+                      [&](const LoopNode& node) {
+                        for (const auto& ref : node.refs()) {
+                          if (ref->kind == trace::AccessKind::Scalar &&
+                              passes_filter(*ref, offline.filter)) {
+                            ++kept_scalars;
+                          }
+                        }
+                      });
+        EXPECT_GT(kept_scalars, 0) << what;
+      }
+    }
+  }
+}
+
+std::string read_program(const std::string& file) {
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) + "/tests/programs/" + file);
+  EXPECT_TRUE(in.good()) << file;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 class KernelModes : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(KernelModes, MatchFusedOnline) {
@@ -45,6 +126,38 @@ TEST(GeneratedModes, AffineProgramsMatchFusedOnline) {
 
 TEST(GeneratedModes, StressProgramsMatchFusedOnline) {
   for_each_stress_program(check_modes);
+}
+
+
+class KernelElision : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(KernelElision, MatchesOfflineReplay) {
+  const auto& b = benchsuite::get_benchmark(GetParam());
+  check_elision(b.source, b.name, Elision::kEngages);
+}
+
+INSTANTIATE_TEST_SUITE_P(All, KernelElision, ::testing::ValuesIn(kKernels),
+                         [](const ::testing::TestParamInfo<const char*>& i) {
+                           return std::string(i.param);
+                         });
+
+TEST(GeneratedElision, AffineProgramsMatchOfflineReplay) {
+  for_each_affine_program([](const std::string& src, const std::string& name) {
+    check_elision(src, name, Elision::kEither);
+  });
+}
+
+TEST(GeneratedElision, StressProgramsMatchOfflineReplay) {
+  for_each_stress_program([](const std::string& src, const std::string& name) {
+    check_elision(src, name, Elision::kEither);
+  });
+}
+
+TEST(KeptScalars, GuardFallsBackToFullTracing) {
+  for (const char* file : {"scalar_recursion.mc", "scalar_call_depth.mc",
+                           "scalar_leaking_decl.mc"}) {
+    check_elision(read_program(file), file, Elision::kFallsBack);
+  }
 }
 
 }  // namespace

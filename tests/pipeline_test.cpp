@@ -82,7 +82,7 @@ TEST(Pipeline, DefaultFilterDropsSmallReferences) {
   auto res = run_pipeline(kFigure4);
   ASSERT_TRUE(res.ok()) << res.error();
   EXPECT_TRUE(res.model.refs.empty());
-  EXPECT_GT(res.model.build_stats.total_refs, 0);
+  EXPECT_GT(res.build_stats.total_refs, 0);
 }
 
 TEST(Pipeline, EmittedModelIsValidMinic) {
@@ -251,7 +251,9 @@ TEST(Pipeline, BehaviorStatsPartitionAccesses) {
       "  memset(tmp, 0, 64);\n"
       "  return big[3];\n"
       "}\n";
-  auto res = run_pipeline(src);
+  PipelineOptions census;
+  census.census = true;  // the buckets count every reference
+  auto res = run_pipeline(src, census);
   ASSERT_TRUE(res.ok()) << res.error();
   BehaviorStats b = compute_behavior(res.extractor->tree(),
                                      PipelineOptions{}.filter);

@@ -12,19 +12,15 @@
 
 #include "driver/model_cache.h"
 #include "driver/serve.h"
+#include "serve_requests.h"
 #include "util/json.h"
 #include "util/status.h"
 
 namespace foray::driver {
 namespace {
 
-const char* kGood =
-    "int a[256];\n"
-    "int main(void) {\n"
-    "  for (int r = 0; r < 40; r++)\n"
-    "    for (int i = 0; i < 256; i++) a[i] = a[i] + r;\n"
-    "  return a[0] & 255;\n"
-    "}\n";
+using requests::deep_request;
+using requests::good_request;
 
 ServeOptions serve_opts(ModelCache* cache = nullptr) {
   ServeOptions o;
@@ -33,20 +29,6 @@ ServeOptions serve_opts(ModelCache* cache = nullptr) {
   o.pipeline.filter.min_locations = 1;
   o.model_cache = cache;
   return o;
-}
-
-/// One request asking for a 2-point capacity sweep of the inline kGood.
-std::string good_request(int id) {
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("id").value(static_cast<int64_t>(id));
-  w.key("name").value("alpha");
-  w.key("source").value(kGood);
-  w.key("axes").begin_object();
-  w.key("capacity").value("1024,4096");
-  w.end_object();
-  w.end_object();
-  return w.take();
 }
 
 struct ServeRun {
@@ -102,19 +84,6 @@ TEST(Serve, StreamsSweepBetweenAckAndDoneRows) {
     EXPECT_TRUE(r.rows[i].find("ok")->b) << i;
     EXPECT_EQ(r.rows[i].find("program")->str, "alpha") << i;
   }
-}
-
-/// An inline source nested 10,000 levels deep: past the parser's bound,
-/// and deep enough to overflow the host stack of an unbounded
-/// recursive-descent parser.
-std::string deep_request(int id) {
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("id").value(static_cast<int64_t>(id));
-  w.key("source").value("int main(void) { return " + std::string(10000, '(') +
-                        "0" + std::string(10000, ')') + "; }");
-  w.end_object();
-  return w.take();
 }
 
 /// A request for an unknown program, padded with JSON whitespace to
@@ -222,18 +191,9 @@ TEST(Serve, CacheGeometriesOverTheSimulatorBoundGetErrorRows) {
   // 1 GiB of 32 B lines and 2 GiB of 1 B lines are 2^25 and 2^31 lines:
   // each point is refused as invalid_input instead of allocating the
   // table, the 4096 B point still solves, and the next request is served.
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("id").value(static_cast<int64_t>(1));
-  w.key("name").value("alpha");
-  w.key("source").value(kGood);
-  w.key("axes").begin_object();
-  w.key("capacity").value("1073741824,2147483648,4096");
-  w.key("cache").value("32x1,1x1");
-  w.end_object();
-  w.end_object();
-  const ServeRun r = run_serve(w.take() + "\n" + good_request(2) + "\n",
-                               serve_opts());
+  const ServeRun r = run_serve(
+      requests::huge_cache_request(1) + "\n" + good_request(2) + "\n",
+      serve_opts());
   EXPECT_TRUE(r.status.ok()) << r.status.message();
   std::vector<const util::JsonValue*> points;
   std::vector<const util::JsonValue*> done;
@@ -286,15 +246,8 @@ TEST(Serve, AdmissionControlRefusesOversizedGrids) {
 }
 
 TEST(Serve, PerRequestBudgetTripsAsResourceExhausted) {
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("id").value(static_cast<int64_t>(1));
-  w.key("source").value(kGood);
-  w.key("budget").begin_object();
-  w.key("max_steps").value(static_cast<int64_t>(50));
-  w.end_object();
-  w.end_object();
-  std::istringstream in(w.take() + "\n");
+  std::istringstream in(
+      requests::budget_request(1, nullptr, "max_steps", 50) + "\n");
   std::ostringstream out;
   ASSERT_TRUE(serve_loop(in, out, serve_opts()).ok());
 
@@ -324,19 +277,10 @@ TEST(Serve, PerRequestBudgetTripsAsResourceExhausted) {
 }
 
 TEST(Serve, StaticAdmissionRefusesProvablyOverBudgetRequests) {
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("id").value(static_cast<int64_t>(1));
-  w.key("name").value("big");
-  w.key("source").value(kGood);
-  w.key("budget").begin_object();
-  w.key("max_records").value(static_cast<int64_t>(10));
-  w.end_object();
-  w.end_object();
-
   ServeOptions opts = serve_opts();
   opts.static_admission = true;
-  const ServeRun r = run_serve(w.take() + "\n", opts);
+  const ServeRun r = run_serve(
+      requests::budget_request(1, "big", "max_records", 10) + "\n", opts);
   EXPECT_TRUE(r.status.ok()) << r.status.message();
 
   // The static record floor of kGood is far above 10, so the refusal is

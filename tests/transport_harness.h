@@ -126,6 +126,7 @@ inline void check_against_fused(const std::string& src,
         name + (engine == sim::Engine::Ast ? " (ast): " : " (bytecode): ");
     PipelineOptions base;
     base.run.engine = engine;
+    base.census = true;  // the fingerprint covers every reference
     const Outcome want = profile(src, base);
     ASSERT_TRUE(want.run.ok()) << what << want.run.error();
     checks(base, want, what);

@@ -851,6 +851,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // These reports read every reference of the loop tree, scalars
+  // included, so they need the full trace.
+  opts.census =
+      command == "profile" || command == "stats" || command == "model";
   auto res = core::run_pipeline(source, opts);
   if (!res.ok()) {
     return fail_with(res.status);
@@ -878,7 +882,7 @@ int main(int argc, char** argv) {
   }
   if (command == "model") {
     std::printf("%zu references (of %d candidates) in the FORAY model:\n\n",
-                res.model.refs.size(), res.model.build_stats.total_refs);
+                res.model.refs.size(), res.build_stats.total_refs);
     std::fputs(res.foray_paper_style.c_str(), stdout);
     return 0;
   }
