@@ -4,7 +4,10 @@
 //
 // Per benchmark it measures, in records/sec:
 //   sim       bytecode-VM simulator filling a VectorSink (the default
-//             engine; chunked emission)
+//             engine; chunked emission); also reported in VM steps/sec
+//             (`sim_msteps_s`), the VM's own unit: the production pass
+//             elides most records, so records are a poor denominator
+//             for the VM
 //   sim_ast   the same run on the tree-walking reference interpreter —
 //             the sim-engine axis; the engines' traces are
 //             bit-identical (tests/engine_equivalence_test), so the
@@ -32,13 +35,13 @@
 //   bench_profiling_throughput [--program NAME] [--json PATH]
 //                              [--check-floor FLOOR_JSON]
 // --check-floor reads {"program": ..., "floor_mrec_s": X, and
-// optionally "sim_floor_mrec_s": Y and "online_floor_mrec_s": Z} and
-// exits 1 if the chunked replay throughput falls below X, the sim
-// throughput below Y, or the fused online throughput below Z (the CI
+// optionally "sim_floor_mrec_s", "online_floor_mrec_s" and
+// "production_floor_mrec_s"} and exits 1 if the chunked replay, sim,
+// fused online or production throughput falls below its floor (the CI
 // perf smoke; floors sit far enough under dev-container numbers to
 // absorb runner variance but above the previous-PR throughput, so a
-// regression to the old engine's speed fails). The sim and online
-// floors hold the default engine, the bytecode VM.
+// regression to the old engine's speed fails). The sim, online and
+// production floors hold the default engine, the bytecode VM.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -68,12 +71,13 @@ constexpr double kSeedOnlineMrecS = 15.6;
 struct ProgramResult {
   std::string name;
   uint64_t records = 0;
-  double sim = 0, sim_ast = 0, online = 0, online_ast = 0, production = 0,
-         record = 0, chunked = 0;
+  uint64_t steps = 0;
+  double sim = 0, sim_msteps = 0, sim_ast = 0, online = 0, online_ast = 0,
+         production = 0, record = 0, chunked = 0;
 };
 
-double mrec_s(uint64_t records, double seconds) {
-  return seconds > 0 ? static_cast<double>(records) / seconds / 1e6 : 0.0;
+double mega_per_s(uint64_t count, double seconds) {
+  return seconds > 0 ? static_cast<double>(count) / seconds / 1e6 : 0.0;
 }
 
 template <class Fn>
@@ -127,39 +131,42 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
   trace::VectorSink sink;
   const double t_sim = timed_best([&] {
     sink.clear();
-    check(sim::run_compiled_with(compiled, &sink, bc_opts));
+    const sim::RunResult run = sim::run_compiled_with(compiled, &sink, bc_opts);
+    check(run);
+    out.steps = run.steps;
   });
   const auto& recs = sink.records();
   out.records = recs.size();
-  out.sim = mrec_s(out.records, t_sim);
+  out.sim = mega_per_s(out.records, t_sim);
+  out.sim_msteps = mega_per_s(out.steps, t_sim);
 
-  out.sim_ast = mrec_s(out.records, timed_best([&] {
+  out.sim_ast = mega_per_s(out.records, timed_best([&] {
     trace::VectorSink ast_sink(out.records);
     check(sim::run_program_with(*res.program, &ast_sink, ast_opts));
   }));
 
-  out.online = mrec_s(out.records, timed_best([&] {
+  out.online = mega_per_s(out.records, timed_best([&] {
     core::Extractor ex;
     check(sim::run_compiled_with(compiled, &ex, bc_opts));
   }));
 
-  out.online_ast = mrec_s(out.records, timed_best([&] {
+  out.online_ast = mega_per_s(out.records, timed_best([&] {
     core::Extractor ex;
     check(sim::run_program_with(*res.program, &ex, ast_opts));
   }));
 
-  out.production = mrec_s(out.records, timed_best([&] {
+  out.production = mega_per_s(out.records, timed_best([&] {
     core::profile_phase(opts, &res);
     check(res.run);
   }));
 
-  out.record = mrec_s(out.records, timed([&] {
+  out.record = mega_per_s(out.records, timed([&] {
     core::Extractor ex;
     trace::Sink* s = &ex;  // force the virtual record-at-a-time path
     for (const auto& r : recs) s->on_record(r);
   }));
 
-  out.chunked = mrec_s(out.records, timed([&] {
+  out.chunked = mega_per_s(out.records, timed([&] {
     core::Extractor ex;
     ex.on_chunk(recs.data(), recs.size());
   }));
@@ -169,13 +176,14 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
 void write_json(const std::string& path,
                 const std::vector<ProgramResult>& rows, bool full_suite) {
   util::JsonWriter w;
-  uint64_t total = 0;
+  uint64_t total = 0, total_steps = 0;
   double ts = 0, ta = 0, to = 0, toa = 0, tp = 0, tr = 0, tc = 0;
   auto add = [](double* acc, uint64_t records, double mrec) {
     if (mrec > 0) *acc += records / 1e6 / mrec;
   };
   for (const auto& r : rows) {
     total += r.records;
+    total_steps += r.steps;
     add(&ts, r.records, r.sim);
     add(&ta, r.records, r.sim_ast);
     add(&to, r.records, r.online);
@@ -198,7 +206,9 @@ void write_json(const std::string& path,
     w.begin_object();
     w.key("program").value(r.name);
     w.key("records").value(r.records);
+    w.key("steps").value(r.steps);
     w.key("sim").value(r.sim);
+    w.key("sim_msteps_s").value(r.sim_msteps);
     w.key("sim_ast").value(r.sim_ast);
     w.key("online").value(r.online);
     w.key("online_ast").value(r.online_ast);
@@ -213,7 +223,9 @@ void write_json(const std::string& path,
   if (full_suite) {
     w.key("aggregate").begin_object();
     w.key("records").value(total);
+    w.key("steps").value(total_steps);
     w.key("sim").value(agg_sim);
+    w.key("sim_msteps_s").value(ts > 0 ? total_steps / 1e6 / ts : 0.0);
     w.key("sim_ast").value(agg_sim_ast);
     w.key("online").value(to > 0 ? total / 1e6 / to : 0.0);
     w.key("online_ast").value(toa > 0 ? total / 1e6 / toa : 0.0);
@@ -249,12 +261,16 @@ void write_json(const std::string& path,
   out << w.str() << "\n";
 }
 
+/// Throughput floors of one program; 0 = not checked.
+struct Floors {
+  std::string program;
+  double chunked = 0, sim = 0, online = 0, production = 0;
+};
+
 /// Tiny extractor for the flat fields of the floor file; not a JSON
 /// parser, just enough for {"program": "...", "floor_mrec_s": N,
-/// "sim_floor_mrec_s": M, "online_floor_mrec_s": P}. The sim and online
-/// floors are optional (0 = not checked).
-bool read_floor(const std::string& path, std::string* program,
-                double* floor, double* sim_floor, double* online_floor) {
+/// "sim_floor_mrec_s": M, ...}. All but the first two are optional.
+bool read_floor(const std::string& path, Floors* floors) {
   std::ifstream in(path);
   if (!in) return false;
   std::string text((std::istreambuf_iterator<char>(in)),
@@ -273,14 +289,18 @@ bool read_floor(const std::string& path, std::string* program,
     }
     return out;
   };
-  *program = find_value("\"program\"");
-  const std::string f = find_value("\"floor_mrec_s\"");
-  if (program->empty() || f.empty()) return false;
-  *floor = std::strtod(f.c_str(), nullptr);
-  const std::string sf = find_value("\"sim_floor_mrec_s\"");
-  *sim_floor = sf.empty() ? 0.0 : std::strtod(sf.c_str(), nullptr);
-  const std::string of = find_value("\"online_floor_mrec_s\"");
-  *online_floor = of.empty() ? 0.0 : std::strtod(of.c_str(), nullptr);
+  auto number = [&](const char* key) {
+    const std::string v = find_value(key);
+    return v.empty() ? 0.0 : std::strtod(v.c_str(), nullptr);
+  };
+  floors->program = find_value("\"program\"");
+  if (floors->program.empty() || find_value("\"floor_mrec_s\"").empty()) {
+    return false;
+  }
+  floors->chunked = number("\"floor_mrec_s\"");
+  floors->sim = number("\"sim_floor_mrec_s\"");
+  floors->online = number("\"online_floor_mrec_s\"");
+  floors->production = number("\"production_floor_mrec_s\"");
   return true;
 }
 
@@ -306,16 +326,17 @@ int main(int argc, char** argv) {
 
   std::vector<ProgramResult> rows;
   std::printf("== profiling throughput (Mrec/s) ==\n");
-  std::printf("%-8s %10s %6s %7s %7s %8s %6s %7s %8s\n", "program",
-              "records", "sim", "sim_ast", "online", "onl_ast", "prod",
-              "record", "chunked");
+  std::printf("%-8s %10s %6s %8s %7s %7s %8s %6s %7s %8s\n", "program",
+              "records", "sim", "Mstep/s", "sim_ast", "online", "onl_ast",
+              "prod", "record", "chunked");
   for (const auto& b : benchsuite::all_benchmarks()) {
     if (!only.empty() && b.name != only) continue;
     ProgramResult r = run_one(b);
-    std::printf("%-8s %10llu %6.1f %7.1f %7.1f %8.1f %6.1f %7.1f %8.1f\n",
-                r.name.c_str(), static_cast<unsigned long long>(r.records),
-                r.sim, r.sim_ast, r.online, r.online_ast, r.production,
-                r.record, r.chunked);
+    std::printf(
+        "%-8s %10llu %6.1f %8.1f %7.1f %7.1f %8.1f %6.1f %7.1f %8.1f\n",
+        r.name.c_str(), static_cast<unsigned long long>(r.records), r.sim,
+        r.sim_msteps, r.sim_ast, r.online, r.online_ast, r.production,
+        r.record, r.chunked);
     rows.push_back(std::move(r));
   }
   if (rows.empty()) {
@@ -329,45 +350,39 @@ int main(int argc, char** argv) {
               kSeedSimMrecS, kSeedExtractMrecS, kSeedOnlineMrecS);
 
   if (!floor_path.empty()) {
-    std::string program;
-    double floor = 0, sim_floor = 0, online_floor = 0;
-    if (!read_floor(floor_path, &program, &floor, &sim_floor,
-                    &online_floor)) {
+    Floors floors;
+    if (!read_floor(floor_path, &floors)) {
       std::fprintf(stderr, "cannot parse floor file %s\n",
                    floor_path.c_str());
       return 1;
     }
     for (const auto& r : rows) {
-      if (r.name != program) continue;
-      if (r.chunked < floor) {
-        std::fprintf(stderr,
-                     "PERF REGRESSION: %s chunked %.1f Mrec/s below floor "
-                     "%.1f\n",
-                     program.c_str(), r.chunked, floor);
-        return 1;
+      if (r.name != floors.program) continue;
+      const struct {
+        const char* column;
+        double measured, floor;
+      } checks[] = {{"chunked", r.chunked, floors.chunked},
+                    {"sim", r.sim, floors.sim},
+                    {"online", r.online, floors.online},
+                    {"production", r.production, floors.production}};
+      for (const auto& c : checks) {
+        if (c.measured < c.floor) {
+          std::fprintf(stderr,
+                       "PERF REGRESSION: %s %s %.1f Mrec/s below floor "
+                       "%.1f\n",
+                       r.name.c_str(), c.column, c.measured, c.floor);
+          return 1;
+        }
       }
-      if (sim_floor > 0 && r.sim < sim_floor) {
-        std::fprintf(stderr,
-                     "PERF REGRESSION: %s sim %.1f Mrec/s below floor "
-                     "%.1f\n",
-                     program.c_str(), r.sim, sim_floor);
-        return 1;
+      std::printf("floor check OK: %s", r.name.c_str());
+      for (const auto& c : checks) {
+        std::printf(" %s %.1f >= %.1f", c.column, c.measured, c.floor);
       }
-      if (online_floor > 0 && r.online < online_floor) {
-        std::fprintf(stderr,
-                     "PERF REGRESSION: %s online %.1f Mrec/s below floor "
-                     "%.1f\n",
-                     program.c_str(), r.online, online_floor);
-        return 1;
-      }
-      std::printf("floor check OK: %s chunked %.1f >= %.1f, sim %.1f >= "
-                  "%.1f, online %.1f >= %.1f Mrec/s\n",
-                  program.c_str(), r.chunked, floor, r.sim, sim_floor,
-                  r.online, online_floor);
+      std::printf(" Mrec/s\n");
       return 0;
     }
     std::fprintf(stderr, "floor program '%s' was not measured\n",
-                 program.c_str());
+                 floors.program.c_str());
     return 1;
   }
   return 0;

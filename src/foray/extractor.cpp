@@ -22,6 +22,7 @@ void Extractor::on_checkpoint(const Record& r) {
       cur_ = cur_->get_or_create_child(r.loop_id());
       cur_->cur_iter = -1;
       ++cur_->entries;
+      iters_valid_ = false;
       break;
     }
     case CheckpointType::BodyBegin: {
@@ -29,6 +30,7 @@ void Extractor::on_checkpoint(const Record& r) {
       // loops (the paper's three-checkpoint encoding): pop to the loop.
       while (cur_->loop_id() != r.loop_id() && cur_->parent() != nullptr) {
         cur_ = cur_->parent();
+        iters_valid_ = false;
       }
       FORAY_CHECK(cur_->loop_id() == r.loop_id(),
                   "body_begin checkpoint for a loop that never entered");
@@ -37,6 +39,8 @@ void Extractor::on_checkpoint(const Record& r) {
       if (cur_->cur_iter + 1 > cur_->max_trip) {
         cur_->max_trip = cur_->cur_iter + 1;
       }
+      // Empty only at the root, which a hand-made trace can name.
+      if (iters_valid_ && !iter_buf_.empty()) iter_buf_[0] = cur_->cur_iter;
       break;
     }
     case CheckpointType::BodyEnd:
@@ -49,6 +53,7 @@ void Extractor::on_checkpoint(const Record& r) {
       FORAY_CHECK(cur_->parent() != nullptr,
                   "loop_exit checkpoint without matching loop_enter");
       cur_ = cur_->parent();
+      iters_valid_ = false;
       break;
     }
   }

@@ -10,6 +10,15 @@
 // the tree lacks the Scalar references Step 4 would drop and the model
 // built from it is still identical.
 //
+// That pass elides BodyEnd checkpoints too. BodyEnd changes no
+// iterator; its only effect here is an epoch bump. Without it, an
+// access between BodyEnd(N) and BodyBegin(N+1) may take the duplicate
+// fast path of on_access(). That needs the address of the reference's
+// previous observation in the same epoch, hence the same iterators, and
+// for such an access the full Algorithm 3 path also reduces to counting
+// the observation (the invariant predict(ITP) == INDP), so the tree is
+// the same either way.
+//
 // Delivery is chunk-first: on_chunk() consumes a run of records with a
 // single dispatch, and the class is `final` so a caller holding a
 // concrete Extractor (the templated simulator, the offline replay) gets
@@ -69,7 +78,6 @@ class Extractor final : public trace::Sink {
       case trace::RecordType::Checkpoint:
         ++checkpoints_;
         ++epoch_;
-        iters_valid_ = false;
         on_checkpoint(r);
         break;
       case trace::RecordType::Access:
@@ -92,10 +100,11 @@ class Extractor final : public trace::Sink {
   ExtractorOptions opts_;
   LoopTree tree_;
   LoopNode* cur_;
-  /// Iterator values of the current loop path, innermost first. Between
-  /// two checkpoints neither cur_ nor any cur_iter can change, so the
-  /// buffer is rebuilt at most once per checkpoint-delimited run of
-  /// accesses instead of once per access.
+  /// Iterator values of the current loop path, innermost first. Only a
+  /// checkpoint changes them: BodyBegin of the current loop updates
+  /// iter_buf_[0] in place, and a change of loop path (LoopEnter,
+  /// LoopExit, or a BodyBegin that pops past loops whose exits the trace
+  /// omits) marks the buffer stale, to be rebuilt at the next access.
   std::vector<int64_t> iter_buf_;
   bool iters_valid_ = false;
   /// Checkpoint counter; two accesses in the same epoch provably see

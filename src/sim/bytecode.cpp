@@ -1,5 +1,6 @@
 #include "sim/bytecode.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 
@@ -27,6 +28,64 @@ using trace::AccessKind;
 using trace::CheckpointType;
 
 uint32_t elem_align(uint32_t elem) { return elem >= 4 ? 4 : elem; }
+
+bool is_int(const Type& t) { return t == minic::make_type(minic::BaseType::Int); }
+
+/// `int_op` where the op's static type is plain int, else `generic`.
+Op typed(Op generic, Op int_op, const Type& t) {
+  return is_int(t) ? int_op : generic;
+}
+
+/// True when every value `e` evaluates to carries an integer tag, never
+/// a float or pointer one. Sema's type alone does not say so: putchar()
+/// returns its argument unconverted, and negation and the arithmetic
+/// operators keep their operands' tags, so `-putchar(2.5)` is an int
+/// expression holding a float.
+bool int_valued(const Expr& e) {
+  if (!e.type.is_integer()) return false;
+  switch (e.kind) {
+    case ExprKind::Unary:
+      return e.un_op != UnaryOp::Neg || int_valued(*e.a);
+    case ExprKind::Binary:
+      switch (e.bin_op) {
+        case BinaryOp::Add:
+        case BinaryOp::Sub:
+        case BinaryOp::Mul:
+        case BinaryOp::Div:
+          return int_valued(*e.a) && int_valued(*e.b);
+        default:
+          return true;
+      }
+    case ExprKind::Call: {
+      const auto intr = minic::find_intrinsic(e.name);
+      return !intr || intr->id != minic::Intrinsic::Putchar ||
+             int_valued(*e.args[0]);
+    }
+    default:
+      return true;
+  }
+}
+
+/// True when `e` is of type int and every value it evaluates to carries
+/// an integer tag: an operand the int-typed ops may take.
+bool int_operand(const Expr& e) { return is_int(e.type) && int_valued(e); }
+
+/// The int-typed op of a Binary over int operands with an int result;
+/// Binary otherwise.
+Op binary_op(const Expr& e) {
+  if (!is_int(e.type) || !int_operand(*e.a) || !int_operand(*e.b)) {
+    return Op::Binary;
+  }
+  switch (e.bin_op) {
+#define FORAY_VM_BINOP_OF(name, op) \
+  case BinaryOp::op:                \
+    return Op::name;
+    FORAY_VM_INT_BINOPS(FORAY_VM_BINOP_OF)
+#undef FORAY_VM_BINOP_OF
+    default:
+      return Op::Binary;
+  }
+}
 
 /// Static facts about the lvalue an expression designates: everything of
 /// the tree walker's Lvalue except the runtime address.
@@ -75,6 +134,7 @@ class Compiler {
                 : static_cast<uint32_t>(out_.code.size());
       out_.funcs[i].max_stack = analyze_max_depth(out_.funcs[i].entry, end);
     }
+    fuse_superinstructions();
     return std::move(out_);
   }
 
@@ -90,12 +150,16 @@ class Compiler {
       case Op::PushStr:
       case Op::LoadGlobal:
       case Op::LoadLocal:
+      case Op::LoadGlobalI:
+      case Op::LoadLocalI:
       case Op::PushGlobalPtr:
       case Op::PushLocalPtr:
       case Op::PushSlotAddr:
       case Op::PushGlobalSlotAddr:
       case Op::CompoundLoad:
+      case Op::CompoundLoadI:
       case Op::IncDecLocal:
+      case Op::IncDecLocalI:
       case Op::IncDecGlobal:
         return 1;
       case Op::LoadMem:
@@ -116,15 +180,21 @@ class Compiler {
         return 0;
       case Op::IndexAddr:
       case Op::IndexLoad:
+      case Op::IndexLoadI:
       case Op::StoreMem:
       case Op::Binary:
+#define FORAY_VM_BINOP_CASE(name, ...) case Op::name:
+      FORAY_VM_INT_BINOPS(FORAY_VM_BINOP_CASE)
+#undef FORAY_VM_BINOP_CASE
       case Op::PopV:
       case Op::JumpIfFalse:
       case Op::JumpIfTrue:
       case Op::RetValue:
         return -1;
       case Op::IndexStore:
+      case Op::IndexStoreI:
       case Op::StoreBin:
+      case Op::StoreBinI:
       case Op::StoreInit:
         return -2;
       case Op::CallFn:
@@ -135,6 +205,12 @@ class Compiler {
       case Op::ReturnOp:
       case Op::Halt:
         return INT32_MIN;
+#define FORAY_VM_FUSED_CASE(name, ...) case Op::name:
+      FORAY_VM_FUSED2(FORAY_VM_FUSED_CASE)
+      FORAY_VM_FUSED3(FORAY_VM_FUSED_CASE)
+      FORAY_VM_FUSED4(FORAY_VM_FUSED_CASE)
+#undef FORAY_VM_FUSED_CASE
+        FORAY_CHECK(false, "superinstructions are fused after the analysis");
     }
     return INT32_MIN;
   }
@@ -179,6 +255,45 @@ class Compiler {
       if (i + 1 < n) propagate(begin + static_cast<uint32_t>(i) + 1, after);
     }
     return static_cast<uint32_t>(max_depth);
+  }
+
+  // -- superinstructions -----------------------------------------------------
+
+  /// Rewrites the first instruction of every fused sequence (bytecode.h)
+  /// to its superinstruction, preferring the longest. Matching reads the
+  /// unfused opcodes, so sequences may overlap: an instruction inside
+  /// one sequence may start another, which runs fused whenever it is
+  /// dispatched itself (after a jump, or after an unfused predecessor).
+  /// No sequence spans two segments, since every segment ends in
+  /// ReturnOp or Halt, which no sequence contains.
+  void fuse_superinstructions() {
+    struct Pattern {
+      Op fused;
+      size_t len;
+      Op parts[4];
+    };
+    static constexpr Pattern kPatterns[] = {
+#define FORAY_VM_PATTERN2(name, a, b) {Op::name, 2, {Op::a, Op::b}},
+#define FORAY_VM_PATTERN3(name, a, b, c) {Op::name, 3, {Op::a, Op::b, Op::c}},
+#define FORAY_VM_PATTERN4(name, a, b, c, d) \
+  {Op::name, 4, {Op::a, Op::b, Op::c, Op::d}},
+        FORAY_VM_FUSED4(FORAY_VM_PATTERN4) FORAY_VM_FUSED3(FORAY_VM_PATTERN3)
+            FORAY_VM_FUSED2(FORAY_VM_PATTERN2)
+#undef FORAY_VM_PATTERN2
+#undef FORAY_VM_PATTERN3
+#undef FORAY_VM_PATTERN4
+    };
+    std::vector<Op> ops(out_.code.size());
+    for (size_t pc = 0; pc < ops.size(); ++pc) ops[pc] = out_.code[pc].op;
+    for (size_t pc = 0; pc < ops.size(); ++pc) {
+      for (const Pattern& p : kPatterns) {
+        if (pc + p.len <= ops.size() &&
+            std::equal(p.parts, p.parts + p.len, ops.begin() + pc)) {
+          out_.code[pc].op = p.fused;
+          break;
+        }
+      }
+    }
   }
 
   // -- emission helpers ------------------------------------------------------
@@ -538,7 +653,9 @@ class Compiler {
           in.c = pool_name(e.name);
           set_type(in, m.type);
         } else {
-          Insn& in = emit(b.global ? Op::LoadGlobal : Op::LoadLocal, e.line);
+          Insn& in = emit(b.global ? typed(Op::LoadGlobal, Op::LoadGlobalI, m.type)
+                                   : typed(Op::LoadLocal, Op::LoadLocalI, m.type),
+                          e.line);
           in.a = static_cast<uint32_t>(b.index);
           in.b = minic::instr_addr_for_node(e.node_id);
           in.c = pool_name(e.name);
@@ -577,7 +694,7 @@ class Compiler {
       case ExprKind::Index: {
         compile_expr(*e.a);
         compile_expr(*e.b);
-        Insn& in = emit(Op::IndexLoad, e.line);
+        Insn& in = emit(typed(Op::IndexLoad, Op::IndexLoadI, e.type), e.line);
         in.a = static_cast<uint32_t>(e.type.size());
         in.b = minic::instr_addr_for_node(e.node_id);
         in.flags = static_cast<uint8_t>(AccessKind::Data);
@@ -694,8 +811,10 @@ class Compiler {
               res_.ident[static_cast<size_t>(e.a->node_id)];
           if (b.resolved && !meta_for(b).is_array) {
             const SlotMeta& m = meta_for(b);
-            Insn& in = emit(b.global ? Op::IncDecGlobal : Op::IncDecLocal,
-                            e.line);
+            Insn& in = emit(
+                b.global ? Op::IncDecGlobal
+                         : typed(Op::IncDecLocal, Op::IncDecLocalI, m.type),
+                e.line);
             in.a = static_cast<uint32_t>(b.index);
             in.b = minic::instr_addr_for_node(e.a->node_id);
             in.c = pool_name(e.a->name);
@@ -753,7 +872,7 @@ class Compiler {
     }
     compile_expr(*e.a);
     compile_expr(*e.b);
-    Insn& in = emit(Op::Binary, e.line);
+    Insn& in = emit(binary_op(e), e.line);
     in.flags = static_cast<uint8_t>(e.bin_op);
     set_type(in, e.type);
   }
@@ -767,7 +886,8 @@ class Compiler {
         compile_expr(*e.a->a);
         compile_expr(*e.a->b);
         compile_expr(*e.b);
-        Insn& in = emit(Op::IndexStore, e.line);
+        Insn& in =
+            emit(typed(Op::IndexStore, Op::IndexStoreI, e.a->type), e.line);
         in.a = static_cast<uint32_t>(e.a->type.size());
         in.b = minic::instr_addr_for_node(e.a->node_id);
         in.flags = static_cast<uint8_t>(AccessKind::Data);
@@ -799,12 +919,15 @@ class Compiler {
         return;
     }
     LvalueInfo lv = compile_lvalue_addr(*e.a);
-    Insn& ld = emit(Op::CompoundLoad, e.line);
+    Insn& ld = emit(typed(Op::CompoundLoad, Op::CompoundLoadI, lv.type), e.line);
     ld.b = lv.instr;
     ld.flags = static_cast<uint8_t>(lv.kind);
     set_type(ld, lv.type);
     compile_expr(*e.b);
-    Insn& st = emit(Op::StoreBin, e.line);
+    Insn& st = emit(int_operand(*e.b)
+                        ? typed(Op::StoreBin, Op::StoreBinI, lv.type)
+                        : Op::StoreBin,
+                    e.line);
     st.b = lv.instr;
     st.flags = static_cast<uint8_t>(lv.kind) |
                static_cast<uint8_t>(static_cast<uint8_t>(op) << 2);

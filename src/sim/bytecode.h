@@ -16,7 +16,23 @@
 // memory access (which emits no trace of its own, so fusion is
 // observationally invisible). Keeping that correspondence is what lets
 // the differential harness demand *bit-identical* traces rather than
-// "equivalent" ones.
+// "equivalent" ones. Each op is one step of RunResult::steps, the unit
+// of --max-steps, serve budgets and the static checker's step bounds.
+//
+// Two kinds of ops change only how fast a step runs, never what it does
+// or how many steps a run takes:
+//   * int-typed ops (the `I` suffix) are the same bodies as their
+//     generic op, compiled for a static type of plain `int` instead of
+//     reading the type from the instruction; the compiler emits them
+//     only where sema proves that type (and, for the binary operators,
+//     that no operand can carry a float or pointer tag at run time);
+//   * superinstructions (FORAY_VM_FUSED*) run a short codegen idiom in
+//     one dispatch. A peephole pass rewrites only the opcode of a
+//     sequence's first instruction; the components stay in place, so a
+//     jump into the middle of a sequence still runs them one by one.
+//     A superinstruction counts one step per component, and falls back
+//     to running its first component alone when fewer steps remain than
+//     the sequence is long.
 #pragma once
 
 #include <cstdint>
@@ -67,64 +83,136 @@ namespace foray::sim {
 //   CallIntr           a = intrinsic id, b = instr, flags = argc
 //   CheckpointOp       flags = CheckpointType, a = loop id
 //
+//   LoadGlobalI, LoadLocalI, IndexLoadI, IndexStoreI, CompoundLoadI,
+//   IncDecLocalI       int-typed forms of the op without the suffix
+//   StoreBinI          int-typed StoreBin whose right-hand side is an int
+//   AddI ... BitXorI   Binary with flags = that BinaryOp, over int operands
+//                      with an int result (FORAY_VM_INT_BINOPS)
+//
 // Memory ops carry the AccessKind in flags bits 0-1 and the static value
 // type in tbase/tptr.
-#define FORAY_VM_OPS(X) \
-  X(PushInt)            \
-  X(PushFloat)          \
-  X(PushStr)            \
-  X(LoadGlobal)         \
-  X(LoadLocal)          \
-  X(PushGlobalPtr)      \
-  X(PushLocalPtr)       \
-  X(ThrowUnbound)       \
-  X(PushSlotAddr)       \
-  X(PushGlobalSlotAddr) \
-  X(IndexAddr)          \
-  X(LoadMem)            \
-  X(IndexLoad)          \
-  X(StoreMem)           \
-  X(IndexStore)         \
-  X(StoreInit)          \
-  X(CompoundLoad)       \
-  X(StoreBin)           \
-  X(CastToPtr)          \
-  X(Neg)                \
-  X(NotOp)              \
-  X(BitNotOp)           \
-  X(Truthy)             \
-  X(Binary)             \
-  X(ConvertOp)          \
-  X(IncDec)             \
-  X(IncDecLocal)        \
-  X(IncDecGlobal)       \
-  X(Jump)               \
-  X(JumpIfFalse)        \
-  X(JumpIfTrue)         \
-  X(PopV)               \
-  X(SaveSp)             \
-  X(RestoreSp)          \
-  X(RestoreSpN)         \
-  X(DeclLocal)          \
-  X(DeclGlobal)         \
-  X(CallFn)             \
-  X(CallIntr)           \
-  X(RetValue)           \
-  X(ReturnOp)           \
-  X(CheckpointOp)       \
-  X(Halt)
+//
+// Every list entry starts with the op's name, so one variadic visitor
+// X(name, ...) enumerates them all (FORAY_VM_OPS).
+#define FORAY_VM_BASE_OPS(X) \
+  X(PushInt)                 \
+  X(PushFloat)               \
+  X(PushStr)                 \
+  X(LoadGlobal)              \
+  X(LoadLocal)               \
+  X(PushGlobalPtr)           \
+  X(PushLocalPtr)            \
+  X(ThrowUnbound)            \
+  X(PushSlotAddr)            \
+  X(PushGlobalSlotAddr)      \
+  X(IndexAddr)               \
+  X(LoadMem)                 \
+  X(IndexLoad)               \
+  X(StoreMem)                \
+  X(IndexStore)              \
+  X(StoreInit)               \
+  X(CompoundLoad)            \
+  X(StoreBin)                \
+  X(CastToPtr)               \
+  X(Neg)                     \
+  X(NotOp)                   \
+  X(BitNotOp)                \
+  X(Truthy)                  \
+  X(Binary)                  \
+  X(ConvertOp)               \
+  X(IncDec)                  \
+  X(IncDecLocal)             \
+  X(IncDecGlobal)            \
+  X(Jump)                    \
+  X(JumpIfFalse)             \
+  X(JumpIfTrue)              \
+  X(PopV)                    \
+  X(SaveSp)                  \
+  X(RestoreSp)               \
+  X(RestoreSpN)              \
+  X(DeclLocal)               \
+  X(DeclGlobal)              \
+  X(CallFn)                  \
+  X(CallIntr)                \
+  X(RetValue)                \
+  X(ReturnOp)                \
+  X(CheckpointOp)            \
+  X(Halt)                    \
+  X(LoadGlobalI)             \
+  X(LoadLocalI)              \
+  X(IndexLoadI)              \
+  X(IndexStoreI)             \
+  X(CompoundLoadI)           \
+  X(StoreBinI)               \
+  X(IncDecLocalI)
+
+// The int-typed Binary ops: F(op, X) per BinaryOp except the
+// short-circuit ones, which the engines lower to jumps.
+#define FORAY_VM_FOR_INT_COMPARES(F, X) \
+  F(Lt, X) F(Gt, X) F(Le, X) F(Ge, X) F(Eq, X) F(Ne, X)
+#define FORAY_VM_FOR_INT_BINOPS(F, X)                                \
+  F(Add, X) F(Sub, X) F(Mul, X) F(Div, X) F(Mod, X) F(Shl, X)        \
+  F(Shr, X) FORAY_VM_FOR_INT_COMPARES(F, X) F(BitAnd, X) F(BitOr, X) \
+  F(BitXor, X)
+#define FORAY_VM_INT_BINOP(op, X) X(op##I, op)
+#define FORAY_VM_INT_BINOPS(X) FORAY_VM_FOR_INT_BINOPS(FORAY_VM_INT_BINOP, X)
+
+// Superinstructions, X(name, components...), one list per length. Each
+// sequence is a codegen idiom: `x op k` and `x op y` on int locals, a
+// global array indexed by a local, a compare feeding the branch of an
+// `if` or loop condition, an expression statement and its PopV, a
+// for-step's `i++; PopV; Jump`, and the block scaffolding around a loop
+// body. Only the last component may jump.
+#define FORAY_VM_FUSE_CMP_BRANCH(op, X) \
+  X(op##I_JumpIfFalse, op##I, JumpIfFalse)
+#define FORAY_VM_FUSE_XK(op, X) \
+  X(LoadLocalI_PushInt_##op##I, LoadLocalI, PushInt, op##I)
+#define FORAY_VM_FUSE_XY(op, X) \
+  X(LoadLocalI_LoadLocalI_##op##I, LoadLocalI, LoadLocalI, op##I)
+#define FORAY_VM_FUSE_XK_BRANCH(op, X)                           \
+  X(LoadLocalI_PushInt_##op##I_JumpIfFalse, LoadLocalI, PushInt, \
+    op##I, JumpIfFalse)
+#define FORAY_VM_FUSE_XY_BRANCH(op, X)                               \
+  X(LoadLocalI_LoadLocalI_##op##I_JumpIfFalse, LoadLocalI, LoadLocalI, \
+    op##I, JumpIfFalse)
+
+#define FORAY_VM_FUSED2(X)                                   \
+  FORAY_VM_FOR_INT_COMPARES(FORAY_VM_FUSE_CMP_BRANCH, X)     \
+  X(IncDecLocalI_PopV, IncDecLocalI, PopV)                   \
+  X(IndexStoreI_PopV, IndexStoreI, PopV)                     \
+  X(StoreMem_PopV, StoreMem, PopV)                           \
+  X(StoreBinI_PopV, StoreBinI, PopV)                         \
+  X(CallIntr_PopV, CallIntr, PopV)                           \
+  X(PopV_Jump, PopV, Jump)                                   \
+  X(CheckpointOp_SaveSp, CheckpointOp, SaveSp)               \
+  X(RestoreSp_CheckpointOp, RestoreSp, CheckpointOp)
+#define FORAY_VM_FUSED3(X)                                        \
+  FORAY_VM_FOR_INT_BINOPS(FORAY_VM_FUSE_XK, X)                    \
+  FORAY_VM_FOR_INT_BINOPS(FORAY_VM_FUSE_XY, X)                    \
+  X(PushGlobalPtr_LoadLocalI_IndexLoadI, PushGlobalPtr, LoadLocalI, \
+    IndexLoadI)                                                   \
+  X(IncDecLocalI_PopV_Jump, IncDecLocalI, PopV, Jump)
+#define FORAY_VM_FUSED4(X)                                 \
+  FORAY_VM_FOR_INT_COMPARES(FORAY_VM_FUSE_XK_BRANCH, X)    \
+  FORAY_VM_FOR_INT_COMPARES(FORAY_VM_FUSE_XY_BRANCH, X)
+
+/// Every opcode, in enum order.
+#define FORAY_VM_OPS(X)                                          \
+  FORAY_VM_BASE_OPS(X) FORAY_VM_INT_BINOPS(X) FORAY_VM_FUSED2(X) \
+      FORAY_VM_FUSED3(X) FORAY_VM_FUSED4(X)
 
 enum class Op : uint8_t {
-#define FORAY_VM_OP_ENUM(name) name,
+#define FORAY_VM_OP_ENUM(name, ...) name,
   FORAY_VM_OPS(FORAY_VM_OP_ENUM)
 #undef FORAY_VM_OP_ENUM
 };
 
 inline constexpr size_t kNumOps = 0
-#define FORAY_VM_OP_COUNT(name) +1
+#define FORAY_VM_OP_COUNT(name, ...) +1
     FORAY_VM_OPS(FORAY_VM_OP_COUNT)
 #undef FORAY_VM_OP_COUNT
     ;
+static_assert(kNumOps <= 256, "opcodes must fit Insn::op");
 
 /// One 20-byte instruction. The static type a typed op works on is
 /// encoded inline (tbase/tptr) so the VM never touches the AST.

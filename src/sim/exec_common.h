@@ -63,14 +63,24 @@ FORAY_ALWAYS_INLINE Value convert_value(const Value& v,
   return Value::of_int(x, t);
 }
 
-FORAY_ALWAYS_INLINE Value apply_binary_op(minic::BinaryOp op, const Value& a,
-                                          const Value& b,
-                                          const minic::Type& result_type) {
+/// What a binary operation may assume about its operands' runtime tags:
+/// nothing (kAny), or that both carry an integer tag, neither a float
+/// nor a pointer one (kInt, the VM's int-typed ops).
+enum class Operands { kAny, kInt };
+
+/// One binary operator, fixed at compile time. The kInt form is the
+/// integer arm of the kAny form with the tag tests folded away, so it
+/// keeps its result tags (Add, Sub, Mul and Div carry `result_type`,
+/// the rest are plain int) and its divide-by-zero faults.
+template <minic::BinaryOp Op, Operands kOperands = Operands::kAny>
+FORAY_ALWAYS_INLINE Value apply_binary(const Value& a, const Value& b,
+                                       const minic::Type& result_type) {
   using minic::BinaryOp;
-  // Pointer arithmetic scales by pointee size.
-  if (op == BinaryOp::Add || op == BinaryOp::Sub) {
+  constexpr bool kAnyTags = kOperands == Operands::kAny;
+  if constexpr (kAnyTags && (Op == BinaryOp::Add || Op == BinaryOp::Sub)) {
+    // Pointer arithmetic scales by pointee size.
     if (a.type.is_pointer() && b.type.is_pointer()) {
-      FORAY_CHECK(op == BinaryOp::Sub, "sema rejects ptr+ptr");
+      FORAY_CHECK(Op == BinaryOp::Sub, "sema rejects ptr+ptr");
       int64_t sz = a.type.deref().size();
       if (sz == 0) sz = 1;
       return Value::of_int((a.i - b.i) / sz);
@@ -78,7 +88,7 @@ FORAY_ALWAYS_INLINE Value apply_binary_op(minic::BinaryOp op, const Value& a,
     if (a.type.is_pointer()) {
       int64_t sz = a.type.deref().size();
       int64_t off = b.as_int() * sz;
-      return Value::of_int(op == BinaryOp::Add ? a.i + off : a.i - off,
+      return Value::of_int(Op == BinaryOp::Add ? a.i + off : a.i - off,
                            a.type);
     }
     if (b.type.is_pointer()) {
@@ -86,48 +96,84 @@ FORAY_ALWAYS_INLINE Value apply_binary_op(minic::BinaryOp op, const Value& a,
       return Value::of_int(b.i + a.as_int() * sz, b.type);
     }
   }
-  const bool flt = a.is_float() || b.is_float();
+  // Not every operator reads both; as_int() of an integer-tagged value
+  // is its payload.
+  [[maybe_unused]] const bool flt =
+      kAnyTags && (a.is_float() || b.is_float());
+  [[maybe_unused]] const auto as_int = [](const Value& v) {
+    return kAnyTags ? v.as_int() : v.i;
+  };
+  if constexpr (Op == BinaryOp::Add) {
+    return flt ? Value::of_float(a.as_float() + b.as_float())
+               : Value::of_int(a.i + b.i, result_type);
+  } else if constexpr (Op == BinaryOp::Sub) {
+    return flt ? Value::of_float(a.as_float() - b.as_float())
+               : Value::of_int(a.i - b.i, result_type);
+  } else if constexpr (Op == BinaryOp::Mul) {
+    return flt ? Value::of_float(a.as_float() * b.as_float())
+               : Value::of_int(a.i * b.i, result_type);
+  } else if constexpr (Op == BinaryOp::Div) {
+    if (flt) return Value::of_float(a.as_float() / b.as_float());
+    if (b.i == 0) throw RuntimeError("integer division by zero");
+    return Value::of_int(a.i / b.i, result_type);
+  } else if constexpr (Op == BinaryOp::Mod) {
+    if (as_int(b) == 0) throw RuntimeError("modulo by zero");
+    return Value::of_int(as_int(a) % as_int(b));
+  } else if constexpr (Op == BinaryOp::Shl) {
+    return Value::of_int(as_int(a) << (as_int(b) & 63));
+  } else if constexpr (Op == BinaryOp::Shr) {
+    return Value::of_int(as_int(a) >> (as_int(b) & 63));
+  } else if constexpr (Op == BinaryOp::Lt) {
+    return Value::of_int(flt ? a.as_float() < b.as_float() : a.i < b.i);
+  } else if constexpr (Op == BinaryOp::Gt) {
+    return Value::of_int(flt ? a.as_float() > b.as_float() : a.i > b.i);
+  } else if constexpr (Op == BinaryOp::Le) {
+    return Value::of_int(flt ? a.as_float() <= b.as_float() : a.i <= b.i);
+  } else if constexpr (Op == BinaryOp::Ge) {
+    return Value::of_int(flt ? a.as_float() >= b.as_float() : a.i >= b.i);
+  } else if constexpr (Op == BinaryOp::Eq) {
+    return Value::of_int(flt ? a.as_float() == b.as_float() : a.i == b.i);
+  } else if constexpr (Op == BinaryOp::Ne) {
+    return Value::of_int(flt ? a.as_float() != b.as_float() : a.i != b.i);
+  } else if constexpr (Op == BinaryOp::BitAnd) {
+    return Value::of_int(as_int(a) & as_int(b));
+  } else if constexpr (Op == BinaryOp::BitOr) {
+    return Value::of_int(as_int(a) | as_int(b));
+  } else if constexpr (Op == BinaryOp::BitXor) {
+    return Value::of_int(as_int(a) ^ as_int(b));
+  } else {
+    // LogAnd / LogOr: the engines lower the short circuit to jumps.
+    throw RuntimeError("unreachable binary op");
+  }
+}
+
+/// A binary operator chosen at run time: dispatches into apply_binary.
+template <Operands kOperands = Operands::kAny>
+FORAY_ALWAYS_INLINE Value apply_binary_op(minic::BinaryOp op, const Value& a,
+                                          const Value& b,
+                                          const minic::Type& result_type) {
+  using minic::BinaryOp;
   switch (op) {
-    case BinaryOp::Add:
-      return flt ? Value::of_float(a.as_float() + b.as_float())
-                 : Value::of_int(a.i + b.i, result_type);
-    case BinaryOp::Sub:
-      return flt ? Value::of_float(a.as_float() - b.as_float())
-                 : Value::of_int(a.i - b.i, result_type);
-    case BinaryOp::Mul:
-      return flt ? Value::of_float(a.as_float() * b.as_float())
-                 : Value::of_int(a.i * b.i, result_type);
-    case BinaryOp::Div:
-      if (flt) {
-        return Value::of_float(a.as_float() / b.as_float());
-      }
-      if (b.i == 0) throw RuntimeError("integer division by zero");
-      return Value::of_int(a.i / b.i, result_type);
-    case BinaryOp::Mod:
-      if (b.as_int() == 0) throw RuntimeError("modulo by zero");
-      return Value::of_int(a.as_int() % b.as_int());
-    case BinaryOp::Shl:
-      return Value::of_int(a.as_int() << (b.as_int() & 63));
-    case BinaryOp::Shr:
-      return Value::of_int(a.as_int() >> (b.as_int() & 63));
-    case BinaryOp::Lt:
-      return Value::of_int(flt ? a.as_float() < b.as_float() : a.i < b.i);
-    case BinaryOp::Gt:
-      return Value::of_int(flt ? a.as_float() > b.as_float() : a.i > b.i);
-    case BinaryOp::Le:
-      return Value::of_int(flt ? a.as_float() <= b.as_float() : a.i <= b.i);
-    case BinaryOp::Ge:
-      return Value::of_int(flt ? a.as_float() >= b.as_float() : a.i >= b.i);
-    case BinaryOp::Eq:
-      return Value::of_int(flt ? a.as_float() == b.as_float() : a.i == b.i);
-    case BinaryOp::Ne:
-      return Value::of_int(flt ? a.as_float() != b.as_float() : a.i != b.i);
-    case BinaryOp::BitAnd:
-      return Value::of_int(a.as_int() & b.as_int());
-    case BinaryOp::BitOr:
-      return Value::of_int(a.as_int() | b.as_int());
-    case BinaryOp::BitXor:
-      return Value::of_int(a.as_int() ^ b.as_int());
+#define FORAY_BINARY_CASE(name) \
+  case BinaryOp::name:          \
+    return apply_binary<BinaryOp::name, kOperands>(a, b, result_type);
+    FORAY_BINARY_CASE(Add)
+    FORAY_BINARY_CASE(Sub)
+    FORAY_BINARY_CASE(Mul)
+    FORAY_BINARY_CASE(Div)
+    FORAY_BINARY_CASE(Mod)
+    FORAY_BINARY_CASE(Shl)
+    FORAY_BINARY_CASE(Shr)
+    FORAY_BINARY_CASE(Lt)
+    FORAY_BINARY_CASE(Gt)
+    FORAY_BINARY_CASE(Le)
+    FORAY_BINARY_CASE(Ge)
+    FORAY_BINARY_CASE(Eq)
+    FORAY_BINARY_CASE(Ne)
+    FORAY_BINARY_CASE(BitAnd)
+    FORAY_BINARY_CASE(BitOr)
+    FORAY_BINARY_CASE(BitXor)
+#undef FORAY_BINARY_CASE
     case BinaryOp::LogAnd:
     case BinaryOp::LogOr:
       break;  // handled by the engines (short circuit)
@@ -279,10 +325,13 @@ class TraceEmitter {
     push(trace::Record::access(instr, addr, size, is_write, kind));
   }
 
-  void emit_checkpoint(trace::CheckpointType t, int loop_id) {
-    if (emit_checkpoints_ && loop_id >= 0) {
-      push(trace::Record::checkpoint(t, loop_id));
-    }
+  /// BodyEnd changes no iterator, so the eliding pass skips it like a
+  /// Scalar access (RunOptions::elide_below_bases).
+  FORAY_ALWAYS_INLINE void emit_checkpoint(trace::CheckpointType t,
+                                           int loop_id) {
+    if (!emit_checkpoints_ || loop_id < 0) return;
+    if (elide_ && t == trace::CheckpointType::BodyEnd) return skip();
+    push(trace::Record::checkpoint(t, loop_id));
   }
 
   /// A user-function call whose frame starts at `frame_base` (the stack

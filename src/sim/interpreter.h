@@ -19,8 +19,9 @@
 // (RunOptions::elide_below_bases): Scalar accesses and Call/Ret records
 // are counted but never emitted, while a guard proves that no elided
 // site could have reached the Nloc locations Step 4 keeps, and stops the
-// run as soon as it cannot. Traces, the offline replay and the census
-// (foray/pipeline.h) always carry every record.
+// run as soon as it cannot. BodyEnd checkpoints, which change no loop
+// iterator, are elided with them. Traces, the offline replay and the
+// census (foray/pipeline.h) always carry every record.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +70,11 @@ struct RunOptions {
   bool trace_data = true;     ///< record Data-kind accesses
   bool trace_system = true;   ///< record System-kind accesses
   /// Scalar elision, for the fused Phase I pass. When nonzero, Scalar
-  /// accesses and Call/Ret records never reach the sink, but they still
-  /// count in RunResult::accesses and against the record budget, which
-  /// is checked at the same points as in a full trace. A Scalar access
+  /// accesses, Call/Ret records and BodyEnd checkpoints never reach the
+  /// sink, but they still count in RunResult::accesses (the accesses)
+  /// and against the record budget, which is checked at the same points
+  /// as in a full trace. BodyEnd changes no iterator, so the extractor
+  /// builds the same tree without it (foray/extractor.h). A Scalar access
   /// hits a global (one address) or a slot at a fixed place in its
   /// activation's frame, so a Scalar site touches at most as many
   /// addresses as its function has distinct frame bases (the stack

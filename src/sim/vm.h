@@ -19,7 +19,16 @@
 //
 // Each opcode body lives in a private always-inline do_<Op>() method;
 // step accounting and control flow stay in the VM_NEXT/VM_JUMP glue of
-// the dispatch loop.
+// the dispatch loop. Typed bodies are templates over where the static
+// type comes from, so an int-typed op (bytecode.h) is the generic body
+// with the type fixed to int and its tests folded away. A
+// superinstruction's handler is built by one macro (per sequence
+// length) from its components' bodies: it runs them in place, advancing ip and the step count to
+// each before running it, and checks once up front that the steps for
+// the whole sequence remain (else it runs the first component alone).
+// The fault line is not tracked per dispatch: when a fault unwinds
+// exec(), and at Halt, it is read from ip, which at that moment is the
+// instruction (or fused component) that raised it.
 #pragma once
 
 #include <algorithm>
@@ -153,9 +162,28 @@ class Vm {
   }
 
   // -- opcode bodies ---------------------------------------------------------
-  // One method per opcode; the exact pre-refactor VM_CASE bodies. Jump
-  // decisions are returned to the caller (do_pop_truthy / the pc results
-  // of do_CallFn and do_ReturnOp); nothing here touches the step count.
+  // One method per opcode. Jump decisions are returned to the caller
+  // (do_pop_truthy / the pc results of do_CallFn and do_ReturnOp);
+  // nothing here touches the step count or the fault line.
+  //
+  // A typed op's body is written once, over a policy T that supplies its
+  // static type: InsnType reads it from the instruction (the generic
+  // op), IntType fixes it to int at compile time (the int-typed op), so
+  // every test of the type folds away. The do_<Op>I methods name those
+  // instantiations after their opcodes.
+
+  struct InsnType {
+    static constexpr Operands kOperands = Operands::kAny;
+    static FORAY_ALWAYS_INLINE Type of(const Insn* ip) { return ip->type(); }
+  };
+  /// Also asserts, for StoreBinI, that the right-hand side carries an
+  /// integer tag (the compiler emits it only then).
+  struct IntType {
+    static constexpr Operands kOperands = Operands::kInt;
+    static FORAY_ALWAYS_INLINE Type of(const Insn*) {
+      return Type{minic::BaseType::Int, 0};
+    }
+  };
 
   FORAY_ALWAYS_INLINE void do_PushInt(const Insn* ip) {
     *sp_++ = Value::of_int(code_.int_pool[ip->a]);
@@ -172,18 +200,20 @@ class Vm {
     *sp_++ =
         Value::of_ptr(cell.addr, minic::make_type(minic::BaseType::Char));
   }
+  template <class T = InsnType>
   FORAY_ALWAYS_INLINE void do_LoadGlobal(const Insn* ip) {
     const VmSlot s = globals_[ip->a];
     if (!s.bound) throw_unbound(ip->c);
-    const Type t = ip->type();
+    const Type t = T::of(ip);
     const uint8_t sz = static_cast<uint8_t>(t.size());
     emitter_.emit_access(ip->b, s.addr, sz, false, AccessKind::Scalar);
     *sp_++ = load_typed(t, s.addr, sz);
   }
+  template <class T = InsnType>
   FORAY_ALWAYS_INLINE void do_LoadLocal(const Insn* ip) {
     const VmSlot s = cur_locals_[ip->a];
     if (!s.bound) throw_unbound(ip->c);
-    const Type t = ip->type();
+    const Type t = T::of(ip);
     const uint8_t sz = static_cast<uint8_t>(t.size());
     emitter_.emit_access(ip->b, s.addr, sz, false, AccessKind::Scalar);
     *sp_++ = load_typed(t, s.addr, sz);
@@ -220,11 +250,12 @@ class Vm {
                          static_cast<AccessKind>(ip->flags & 0x03));
     *sp_++ = load_typed(t, addr, sz);
   }
+  template <class T = InsnType>
   FORAY_ALWAYS_INLINE void do_IndexLoad(const Insn* ip) {
     --sp_;
     const uint32_t addr = sp_[-1].as_addr() +
                           static_cast<uint32_t>(sp_[0].as_int()) * ip->a;
-    const Type t = ip->type();
+    const Type t = T::of(ip);
     const uint8_t sz = static_cast<uint8_t>(t.size());
     emitter_.emit_access(ip->b, addr, sz, false,
                          static_cast<AccessKind>(ip->flags & 0x03));
@@ -241,13 +272,14 @@ class Vm {
     store_typed(t, addr, sz, cv);
     *sp_++ = cv;
   }
+  template <class T = InsnType>
   FORAY_ALWAYS_INLINE void do_IndexStore(const Insn* ip) {
     const Value v = *--sp_;
     const Value idx = *--sp_;
     const Value base = *--sp_;
     const uint32_t addr =
         base.as_addr() + static_cast<uint32_t>(idx.as_int()) * ip->a;
-    const Type t = ip->type();
+    const Type t = T::of(ip);
     const uint8_t sz = static_cast<uint8_t>(t.size());
     const Value cv = convert_value(v, t);
     emitter_.emit_access(ip->b, addr, sz, true,
@@ -266,23 +298,25 @@ class Vm {
                          static_cast<AccessKind>(ip->flags & 0x03));
     store_typed(t, addr, sz, v);
   }
+  template <class T = InsnType>
   FORAY_ALWAYS_INLINE void do_CompoundLoad(const Insn* ip) {
     const uint32_t addr = sp_[-1].as_addr();
-    const Type t = ip->type();
+    const Type t = T::of(ip);
     const uint8_t sz = static_cast<uint8_t>(t.size());
     emitter_.emit_access(ip->b, addr, sz, false,
                          static_cast<AccessKind>(ip->flags & 0x03));
     *sp_++ = load_typed(t, addr, sz);
   }
+  template <class T = InsnType>
   FORAY_ALWAYS_INLINE void do_StoreBin(const Insn* ip) {
     const Value rhs = *--sp_;
     const Value old = *--sp_;
     const uint32_t addr = (--sp_)->as_addr();
-    const Type t = ip->type();
+    const Type t = T::of(ip);
     const uint8_t sz = static_cast<uint8_t>(t.size());
     const Value v = convert_value(
-        apply_binary_op(static_cast<minic::BinaryOp>(ip->flags >> 2), old,
-                        rhs, t),
+        apply_binary_op<T::kOperands>(
+            static_cast<minic::BinaryOp>(ip->flags >> 2), old, rhs, t),
         t);
     emitter_.emit_access(ip->b, addr, sz, true,
                          static_cast<AccessKind>(ip->flags & 0x03));
@@ -312,6 +346,12 @@ class Vm {
     sp_[-1] = apply_binary_op(static_cast<minic::BinaryOp>(ip->flags),
                               sp_[-1], sp_[0], ip->type());
   }
+  template <minic::BinaryOp Op>
+  FORAY_ALWAYS_INLINE void do_BinaryI(const Insn* ip) {
+    --sp_;
+    sp_[-1] = apply_binary<Op, Operands::kInt>(sp_[-1], sp_[0],
+                                               IntType::of(ip));
+  }
   FORAY_ALWAYS_INLINE void do_ConvertOp(const Insn* ip) {
     sp_[-1] = convert_value(sp_[-1], ip->type());
   }
@@ -329,10 +369,11 @@ class Vm {
     store_typed(t, addr, sz, updated);
     *sp_++ = (ip->flags & 0x04) != 0 ? old : updated;
   }
+  template <class T = InsnType>
   FORAY_ALWAYS_INLINE void do_IncDecLocal(const Insn* ip) {
     const VmSlot s = cur_locals_[ip->a];
     if (!s.bound) throw_unbound(ip->c);
-    const Type t = ip->type();
+    const Type t = T::of(ip);
     const uint8_t sz = static_cast<uint8_t>(t.size());
     emitter_.emit_access(ip->b, s.addr, sz, false, AccessKind::Scalar);
     const Value old = load_typed(t, s.addr, sz);
@@ -457,6 +498,26 @@ class Vm {
     exit_code_ = static_cast<int>((--sp_)->as_int());
   }
 
+  // The int-typed ops.
+#define FORAY_VM_INT_TYPED(name)                       \
+  FORAY_ALWAYS_INLINE void do_##name##I(const Insn* ip) { \
+    do_##name<IntType>(ip);                            \
+  }
+  FORAY_VM_INT_TYPED(LoadGlobal)
+  FORAY_VM_INT_TYPED(LoadLocal)
+  FORAY_VM_INT_TYPED(IndexLoad)
+  FORAY_VM_INT_TYPED(IndexStore)
+  FORAY_VM_INT_TYPED(CompoundLoad)
+  FORAY_VM_INT_TYPED(StoreBin)
+  FORAY_VM_INT_TYPED(IncDecLocal)
+#undef FORAY_VM_INT_TYPED
+#define FORAY_VM_INT_BINOP_BODY(name, op)               \
+  FORAY_ALWAYS_INLINE void do_##name(const Insn* ip) {   \
+    do_BinaryI<minic::BinaryOp::op>(ip);                \
+  }
+  FORAY_VM_INT_BINOPS(FORAY_VM_INT_BINOP_BODY)
+#undef FORAY_VM_INT_BINOP_BODY
+
   void exec();
 
   const CompiledProgram& code_;
@@ -476,40 +537,85 @@ class Vm {
   std::string output_;
   uint64_t steps_ = 0;
   int exit_code_ = 0;
+  /// Source line of the instruction a fault unwound exec() from (or of
+  /// Halt), for the fault's diagnostic.
   int cur_line_ = 0;
 };
 
 // The handler bodies are shared between the computed-goto and switch
-// dispatchers; only the VM_CASE / VM_NEXT / VM_JUMP glue differs.
+// dispatchers; only the VM_CASE / VM_DISPATCH / VM_GOTO glue differs.
+// VM_GOTO(Op) continues in Op's handler without a dispatch, so a
+// superinstruction can finish in (or fall back to) a component's own
+// handler.
 #ifdef FORAY_VM_COMPUTED_GOTO
 #define VM_CASE(name) L_##name:
-#define VM_NEXT()                                        \
-  do {                                                   \
-    ++ip;                                                \
-    cur_line_ = ip->line;                                \
-    if (++steps > max_steps) step_limit_fault();         \
-    goto* kLabels[static_cast<size_t>(ip->op)];          \
+#define VM_DISPATCH()                                \
+  do {                                               \
+    if (++steps > max_steps) step_limit_fault();     \
+    goto* kLabels[static_cast<size_t>(ip->op)];      \
   } while (0)
-#define VM_JUMP(target)                                  \
-  do {                                                   \
-    ip = code + (target);                                \
-    cur_line_ = ip->line;                                \
-    if (++steps > max_steps) step_limit_fault();         \
-    goto* kLabels[static_cast<size_t>(ip->op)];          \
-  } while (0)
+#define VM_GOTO(name) goto L_##name
 #else
 #define VM_CASE(name) case Op::name:
-#define VM_NEXT()     \
+#define VM_DISPATCH() goto dispatch
+#define VM_GOTO(name) \
   do {                \
-    ++ip;             \
-    goto dispatch;    \
-  } while (0)
-#define VM_JUMP(target)    \
-  do {                     \
-    ip = code + (target);  \
-    goto dispatch;         \
+    op = Op::name;    \
+    goto run_op;      \
   } while (0)
 #endif
+#define VM_NEXT() \
+  do {            \
+    ++ip;         \
+    VM_DISPATCH(); \
+  } while (0)
+#define VM_JUMP(target)   \
+  do {                    \
+    ip = code + (target); \
+    VM_DISPATCH();        \
+  } while (0)
+/// An op whose body falls through to the next instruction.
+#define VM_OP(name, ...) \
+  VM_CASE(name) {        \
+    do_##name(ip);       \
+    VM_NEXT();           \
+  }
+// A superinstruction. With the steps for the whole sequence left, it
+// runs every component but the last in place, first advancing ip and
+// the step count to it, so a fault inside a component reports that
+// component's line and step; then it finishes in the last component's
+// own handler. With fewer steps left it runs its first component alone
+// and dispatch continues from the second, as if nothing were fused, so
+// a step-limit fault lands on the same instruction.
+#define VM_FUSE_FIRST(len, first)                       \
+  if (max_steps - steps < (len) - 1) VM_GOTO(first);   \
+  do_##first(ip)
+#define VM_FUSE_THEN(part) \
+  ++ip;                    \
+  ++steps;                 \
+  do_##part(ip)
+#define VM_FUSE_LAST(part) \
+  ++ip;                    \
+  ++steps;                 \
+  VM_GOTO(part)
+#define VM_FUSED2(name, a, b) \
+  VM_CASE(name) {             \
+    VM_FUSE_FIRST(2, a);      \
+    VM_FUSE_LAST(b);          \
+  }
+#define VM_FUSED3(name, a, b, c) \
+  VM_CASE(name) {                \
+    VM_FUSE_FIRST(3, a);         \
+    VM_FUSE_THEN(b);             \
+    VM_FUSE_LAST(c);             \
+  }
+#define VM_FUSED4(name, a, b, c, d) \
+  VM_CASE(name) {                   \
+    VM_FUSE_FIRST(4, a);            \
+    VM_FUSE_THEN(b);                \
+    VM_FUSE_THEN(c);                \
+    VM_FUSE_LAST(d);                \
+  }
 
 template <class SinkT>
 void Vm<SinkT>::exec() {
@@ -519,135 +625,55 @@ void Vm<SinkT>::exec() {
   // the duration of the loop: a member counter would be a memory RMW
   // per instruction (the compiler cannot prove the handlers' stores
   // never alias *this). Flushed back to steps_ at Halt and, via the
-  // catch-all below, on every faulting exit.
+  // catch-all below, on every faulting exit. The fault line is read
+  // from ip at the same two places, never stored per dispatch.
   uint64_t steps = steps_;
   const uint64_t max_steps = max_steps_;
   try {
 #ifdef FORAY_VM_COMPUTED_GOTO
-#define FORAY_VM_OP_LABEL(name) &&L_##name,
+#define FORAY_VM_OP_LABEL(name, ...) &&L_##name,
   static const void* const kLabels[] = {FORAY_VM_OPS(FORAY_VM_OP_LABEL)};
 #undef FORAY_VM_OP_LABEL
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kNumOps,
                 "dispatch table must cover every opcode");
-  cur_line_ = ip->line;
-  if (++steps > max_steps) step_limit_fault();
-  goto* kLabels[static_cast<size_t>(ip->op)];
+  VM_DISPATCH();
 #else
+  Op op = ip->op;
 dispatch:
-  cur_line_ = ip->line;
   if (++steps > max_steps) step_limit_fault();
-  switch (ip->op) {
+  op = ip->op;
+run_op:
+  switch (op) {
 #endif
 
-  VM_CASE(PushInt) {
-    do_PushInt(ip);
-    VM_NEXT();
-  }
-  VM_CASE(PushFloat) {
-    do_PushFloat(ip);
-    VM_NEXT();
-  }
-  VM_CASE(PushStr) {
-    do_PushStr(ip);
-    VM_NEXT();
-  }
-  VM_CASE(LoadGlobal) {
-    do_LoadGlobal(ip);
-    VM_NEXT();
-  }
-  VM_CASE(LoadLocal) {
-    do_LoadLocal(ip);
-    VM_NEXT();
-  }
-  VM_CASE(PushGlobalPtr) {
-    do_PushGlobalPtr(ip);
-    VM_NEXT();
-  }
-  VM_CASE(PushLocalPtr) {
-    do_PushLocalPtr(ip);
-    VM_NEXT();
-  }
+  VM_OP(PushInt)
+  VM_OP(PushFloat)
+  VM_OP(PushStr)
+  VM_OP(LoadGlobal)
+  VM_OP(LoadLocal)
+  VM_OP(PushGlobalPtr)
+  VM_OP(PushLocalPtr)
   VM_CASE(ThrowUnbound) { do_ThrowUnbound(ip); }
-  VM_CASE(PushSlotAddr) {
-    do_PushSlotAddr(ip);
-    VM_NEXT();
-  }
-  VM_CASE(PushGlobalSlotAddr) {
-    do_PushGlobalSlotAddr(ip);
-    VM_NEXT();
-  }
-  VM_CASE(IndexAddr) {
-    do_IndexAddr(ip);
-    VM_NEXT();
-  }
-  VM_CASE(LoadMem) {
-    do_LoadMem(ip);
-    VM_NEXT();
-  }
-  VM_CASE(IndexLoad) {
-    do_IndexLoad(ip);
-    VM_NEXT();
-  }
-  VM_CASE(StoreMem) {
-    do_StoreMem(ip);
-    VM_NEXT();
-  }
-  VM_CASE(IndexStore) {
-    do_IndexStore(ip);
-    VM_NEXT();
-  }
-  VM_CASE(StoreInit) {
-    do_StoreInit(ip);
-    VM_NEXT();
-  }
-  VM_CASE(CompoundLoad) {
-    do_CompoundLoad(ip);
-    VM_NEXT();
-  }
-  VM_CASE(StoreBin) {
-    do_StoreBin(ip);
-    VM_NEXT();
-  }
-  VM_CASE(CastToPtr) {
-    do_CastToPtr(ip);
-    VM_NEXT();
-  }
-  VM_CASE(Neg) {
-    do_Neg(ip);
-    VM_NEXT();
-  }
-  VM_CASE(NotOp) {
-    do_NotOp(ip);
-    VM_NEXT();
-  }
-  VM_CASE(BitNotOp) {
-    do_BitNotOp(ip);
-    VM_NEXT();
-  }
-  VM_CASE(Truthy) {
-    do_Truthy(ip);
-    VM_NEXT();
-  }
-  VM_CASE(Binary) {
-    do_Binary(ip);
-    VM_NEXT();
-  }
-  VM_CASE(ConvertOp) {
-    do_ConvertOp(ip);
-    VM_NEXT();
-  }
-  VM_CASE(IncDec) {
-    do_IncDec(ip);
-    VM_NEXT();
-  }
-  VM_CASE(IncDecLocal) {
-    do_IncDecLocal(ip);
-    VM_NEXT();
-  }
-  VM_CASE(IncDecGlobal) {
-    do_IncDecGlobal(ip);
-    VM_NEXT();
-  }
+  VM_OP(PushSlotAddr)
+  VM_OP(PushGlobalSlotAddr)
+  VM_OP(IndexAddr)
+  VM_OP(LoadMem)
+  VM_OP(IndexLoad)
+  VM_OP(StoreMem)
+  VM_OP(IndexStore)
+  VM_OP(StoreInit)
+  VM_OP(CompoundLoad)
+  VM_OP(StoreBin)
+  VM_OP(CastToPtr)
+  VM_OP(Neg)
+  VM_OP(NotOp)
+  VM_OP(BitNotOp)
+  VM_OP(Truthy)
+  VM_OP(Binary)
+  VM_OP(ConvertOp)
+  VM_OP(IncDec)
+  VM_OP(IncDecLocal)
+  VM_OP(IncDecGlobal)
   VM_CASE(Jump) { VM_JUMP(ip->a); }
   VM_CASE(JumpIfFalse) {
     if (do_pop_truthy()) VM_NEXT();
@@ -657,62 +683,57 @@ dispatch:
     if (do_pop_truthy()) VM_JUMP(ip->a);
     VM_NEXT();
   }
-  VM_CASE(PopV) {
-    do_PopV(ip);
-    VM_NEXT();
-  }
-  VM_CASE(SaveSp) {
-    do_SaveSp(ip);
-    VM_NEXT();
-  }
-  VM_CASE(RestoreSp) {
-    do_RestoreSp(ip);
-    VM_NEXT();
-  }
-  VM_CASE(RestoreSpN) {
-    do_RestoreSpN(ip);
-    VM_NEXT();
-  }
-  VM_CASE(DeclLocal) {
-    do_DeclLocal(ip);
-    VM_NEXT();
-  }
-  VM_CASE(DeclGlobal) {
-    do_DeclGlobal(ip);
-    VM_NEXT();
-  }
+  VM_OP(PopV)
+  VM_OP(SaveSp)
+  VM_OP(RestoreSp)
+  VM_OP(RestoreSpN)
+  VM_OP(DeclLocal)
+  VM_OP(DeclGlobal)
   VM_CASE(CallFn) { VM_JUMP(do_CallFn(ip)); }
-  VM_CASE(CallIntr) {
-    do_CallIntr(ip);
-    VM_NEXT();
-  }
-  VM_CASE(RetValue) {
-    do_RetValue(ip);
-    VM_NEXT();
-  }
+  VM_OP(CallIntr)
+  VM_OP(RetValue)
   VM_CASE(ReturnOp) { VM_JUMP(do_ReturnOp(ip)); }
-  VM_CASE(CheckpointOp) {
-    do_CheckpointOp(ip);
-    VM_NEXT();
-  }
+  VM_OP(CheckpointOp)
   VM_CASE(Halt) {
     do_Halt(ip);
+    cur_line_ = ip->line;
     steps_ = steps;
     return;
   }
+  VM_OP(LoadGlobalI)
+  VM_OP(LoadLocalI)
+  VM_OP(IndexLoadI)
+  VM_OP(IndexStoreI)
+  VM_OP(CompoundLoadI)
+  VM_OP(StoreBinI)
+  VM_OP(IncDecLocalI)
+  FORAY_VM_INT_BINOPS(VM_OP)
+  FORAY_VM_FUSED2(VM_FUSED2)
+  FORAY_VM_FUSED3(VM_FUSED3)
+  FORAY_VM_FUSED4(VM_FUSED4)
 
 #ifndef FORAY_VM_COMPUTED_GOTO
   }
 #endif
   } catch (...) {
+    cur_line_ = ip->line;
     steps_ = steps;
     throw;
   }
 }
 
 #undef VM_CASE
+#undef VM_DISPATCH
+#undef VM_GOTO
 #undef VM_NEXT
 #undef VM_JUMP
+#undef VM_OP
+#undef VM_FUSE_FIRST
+#undef VM_FUSE_THEN
+#undef VM_FUSE_LAST
+#undef VM_FUSED2
+#undef VM_FUSED3
+#undef VM_FUSED4
 
 }  // namespace internal
 

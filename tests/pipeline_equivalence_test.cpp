@@ -11,6 +11,12 @@
 // FMDL bytes, both renderings and the simulator results, at Nloc 10 and
 // 2, over the same programs plus the kept-scalar programs in
 // tests/programs/, where the guard has to fall back to full tracing.
+// The eliding pass drops BodyEnd checkpoints too, so the extractor
+// reaches the next BodyBegin without the epoch bump: the loop-edge
+// programs below put the same Data access on both sides of that gap and
+// leave loops by break, continue and return, and a replay of a trace
+// that omits LoopExit records drives the extractor's pop loops with and
+// without BodyEnd.
 #include <fstream>
 
 #include "foray/model_io.h"
@@ -100,6 +106,99 @@ void check_elision(const std::string& src, const std::string& name,
   }
 }
 
+/// A Data access in a function called from a loop's body, condition and
+/// for-step (so the step's first probe(i) repeats the body's address
+/// between BodyEnd and BodyBegin), and loops left by break, continue and
+/// return.
+const char* const kLoopEdges = R"(
+int a[64];
+int b[64];
+int probe(int k) { return a[k & 63]; }
+int walk(int n) {
+  int j;
+  for (j = 0; j < n; j++) {
+    if (a[j] > 5) return j;
+    a[j] = j;
+  }
+  return n;
+}
+int main() {
+  int s = 0;
+  int i;
+  for (i = 0; probe(i) < 1000 && i < 40; i = i + probe(i) - probe(i) + 1) {
+    s = s + probe(i);
+    b[i] = s;
+  }
+  for (i = 0; i < 40; i++) {
+    if (i % 7 == 3) continue;
+    if (i > 33) break;
+    b[i] = a[i] + walk(i % 11);
+  }
+  i = 0;
+  while (1) {
+    i++;
+    if (i > 30) break;
+    b[i & 63] = b[(i + 1) & 63] + probe(i);
+  }
+  do {
+    i--;
+    if (i % 2 == 0) continue;
+    b[i] = i;
+  } while (i > 0);
+  printf("%d %d\n", s, b[7]);
+  return 0;
+}
+)";
+
+TEST(LoopEdges, ElidedBodyEndMatchesOfflineReplay) {
+  check_elision(kLoopEdges, "loop edges", Elision::kEngages);
+}
+
+TEST(LoopEdges, ReplayWithoutLoopExitsOrBodyEnds) {
+  for (sim::Engine engine : {sim::Engine::Bytecode, sim::Engine::Ast}) {
+    PipelineResult res;
+    ASSERT_TRUE(frontend_phase(kLoopEdges, &res).ok()) << res.error();
+    instrument_phase(&res);
+    sim::RunOptions run;
+    run.engine = engine;
+    trace::VectorSink sink;
+    ASSERT_TRUE(sim::run_program(*res.program, &sink, run).ok());
+    // Every other LoopExit goes missing, so later BodyBegin and LoopExit
+    // records pop past loops that never exited, and some loops enter
+    // under the wrong parent; the second replay also loses BodyEnd.
+    std::vector<trace::Record> exits_omitted, body_ends_too;
+    bool drop = false;
+    for (const trace::Record& r : sink.records()) {
+      const bool checkpoint = r.type() == trace::RecordType::Checkpoint;
+      if (checkpoint && r.cp() == trace::CheckpointType::LoopExit) {
+        drop = !drop;
+        if (drop) continue;
+      }
+      exits_omitted.push_back(r);
+      if (!checkpoint || r.cp() != trace::CheckpointType::BodyEnd) {
+        body_ends_too.push_back(r);
+      }
+    }
+    ASSERT_LT(body_ends_too.size(), exits_omitted.size());
+    Extractor with_body_ends, without;
+    with_body_ends.on_chunk(exits_omitted.data(), exits_omitted.size());
+    without.on_chunk(body_ends_too.data(), body_ends_too.size());
+    for (uint64_t nloc : {10u, 2u}) {
+      const std::string what =
+          std::string(engine == sim::Engine::Ast ? "ast" : "bytecode") +
+          ", Nloc " + std::to_string(nloc);
+      FilterOptions filter;
+      filter.min_locations = nloc;
+      const ForayModel want = build_model(with_body_ends, filter);
+      const ForayModel got = build_model(without, filter);
+      EXPECT_FALSE(want.refs.empty()) << what;
+      EXPECT_EQ(model_to_bytes(got), model_to_bytes(want)) << what;
+      EXPECT_EQ(emit_minic(got), emit_minic(want)) << what;
+      EXPECT_EQ(emit_paper_style(got), emit_paper_style(want)) << what;
+    }
+  }
+}
+
 std::string read_program(const std::string& file) {
   std::ifstream in(std::string(FORAY_SOURCE_DIR) + "/tests/programs/" + file);
   EXPECT_TRUE(in.good()) << file;
@@ -134,6 +233,32 @@ class KernelElision : public ::testing::TestWithParam<const char*> {};
 TEST_P(KernelElision, MatchesOfflineReplay) {
   const auto& b = benchsuite::get_benchmark(GetParam());
   check_elision(b.source, b.name, Elision::kEngages);
+}
+
+TEST_P(KernelElision, DeliversTheTraceLessElidedRecords) {
+  // The eliding pass hands the extractor the full trace less exactly
+  // the Scalar accesses, Call/Ret records and BodyEnd checkpoints.
+  const auto& b = benchsuite::get_benchmark(GetParam());
+  const PipelineResult got = extract(b.source, PipelineOptions{});
+  ASSERT_TRUE(got.ok()) << got.error();
+  trace::VectorSink full;
+  ASSERT_TRUE(sim::run_program(*got.program, &full, sim::RunOptions{}).ok());
+  uint64_t elided = 0;
+  for (const trace::Record& r : full.records()) {
+    switch (r.type()) {
+      case trace::RecordType::Access:
+        elided += r.kind() == trace::AccessKind::Scalar;
+        break;
+      case trace::RecordType::Checkpoint:
+        elided += r.cp() == trace::CheckpointType::BodyEnd;
+        break;
+      case trace::RecordType::Call:
+      case trace::RecordType::Ret:
+        ++elided;
+        break;
+    }
+  }
+  EXPECT_EQ(got.trace_records, full.size() - elided);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, KernelElision, ::testing::ValuesIn(kKernels),
