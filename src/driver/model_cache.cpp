@@ -87,7 +87,8 @@ bool ModelCache::lookup(const std::string& key, core::ForayModel* model,
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = memory_.find(key);
     if (it != memory_.end()) {
-      *model = it->second;
+      recency_.splice(recency_.begin(), recency_, it->second);
+      *model = it->second->second;
       ++stats_.hits;
       ++stats_.memory_hits;
       return true;
@@ -117,7 +118,7 @@ bool ModelCache::lookup(const std::string& key, core::ForayModel* model,
     return false;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (opts_.memory) memory_.emplace(key, *model);
+  if (opts_.memory) remember(key, *model);
   ++stats_.hits;
   return true;
 }
@@ -127,7 +128,7 @@ void ModelCache::store(const std::string& key,
   uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (opts_.memory) memory_[key] = model;
+    if (opts_.memory) remember(key, model);
     ++stats_.stores;
     seq = ++tmp_seq_;
   }
@@ -165,6 +166,23 @@ void ModelCache::store(const std::string& key,
     return;
   }
   enforce_disk_bound();
+}
+
+void ModelCache::remember(const std::string& key,
+                          const core::ForayModel& model) {
+  const auto it = memory_.find(key);
+  if (it != memory_.end()) {
+    it->second->second = model;
+    recency_.splice(recency_.begin(), recency_, it->second);
+    return;
+  }
+  recency_.emplace_front(key, model);
+  memory_.emplace(key, recency_.begin());
+  if (recency_.size() > kMemoryEntries) {
+    memory_.erase(recency_.back().first);
+    recency_.pop_back();
+    ++stats_.memory_evictions;
+  }
 }
 
 void ModelCache::enforce_disk_bound() {

@@ -20,20 +20,30 @@
 // Thread-safe: the sweep driver calls lookup/store from pool workers, and
 // `foraygen serve` shares one cache across requests (the in-memory layer
 // is what makes back-to-back requests for the same program pure Phase II
-// even without a cache directory).
+// even without a cache directory). The in-memory layer holds at most
+// kMemoryEntries models and evicts the least recently used one, so a
+// long-lived server fed distinct sources stays bounded while the programs
+// it keeps being asked for stay memory hits.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "foray/model.h"
 #include "foray/pipeline.h"
 #include "util/status.h"
 
 namespace foray::driver {
+
+/// Most models the in-memory layer holds; past it, the least recently
+/// used is evicted. A compile-time bound, not an option.
+inline constexpr size_t kMemoryEntries = 256;
 
 struct ModelCacheOptions {
   /// On-disk cache directory (created on first store). Empty: in-memory
@@ -60,6 +70,8 @@ class ModelCache {
     uint64_t stores = 0;          ///< store() calls (memory and/or disk)
     uint64_t store_failures = 0;  ///< disk writes that failed (non-fatal)
     uint64_t evictions = 0;  ///< disk entries deleted by the size bound
+    /// Models dropped from the in-memory layer at kMemoryEntries.
+    uint64_t memory_evictions = 0;
   };
 
   explicit ModelCache(ModelCacheOptions opts = {});
@@ -87,12 +99,18 @@ class ModelCache {
   Stats stats() const;
 
  private:
+  using MemoryEntry = std::pair<std::string, core::ForayModel>;
+
   std::string entry_path(const std::string& key) const;
   void enforce_disk_bound();
+  /// Makes `model` the most recently used entry for `key`, evicting the
+  /// least recently used past kMemoryEntries. Requires mu_.
+  void remember(const std::string& key, const core::ForayModel& model);
 
   ModelCacheOptions opts_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, core::ForayModel> memory_;
+  std::list<MemoryEntry> recency_;  ///< most recently used first
+  std::unordered_map<std::string, std::list<MemoryEntry>::iterator> memory_;
   Stats stats_;
   uint64_t tmp_seq_ = 0;  ///< distinguishes concurrent in-process writers
 };

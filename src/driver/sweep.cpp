@@ -312,28 +312,36 @@ std::vector<bool> cache_cells_needed(const SweepGrid& grid,
 
 namespace {
 
-/// One Phase II solve's worth of output, produced by a pure point solve
-/// (core::solve_spm + optional replay) whose only shared state is the
-/// job's once-filled cache counts — what lets grid points of one job run
-/// on different workers.
-struct PointSolve {
-  util::Status status;  ///< ok unless the solve threw or replay errored
-  core::SpmReport spm;
-  bool replay_ran = false;
-  spm::ReplayReport replay;
-};
+/// Runs `fn`, turning anything it throws into a classified status: the
+/// failure-isolation promise holds even for internal errors in Phase II,
+/// which fail their points and keep the sweep.
+template <class Fn>
+util::Status guarded(Fn&& fn) {
+  try {
+    fn();
+  } catch (const util::StatusError& e) {
+    return e.status();
+  } catch (const std::bad_alloc&) {
+    return util::Status::failure(util::ErrorCode::kResourceExhausted,
+                                 "spm-solve", 0,
+                                 "out of memory during solve");
+  } catch (const std::exception& e) {
+    return util::Status::failure("internal", 0, e.what());
+  }
+  return {};
+}
 
 /// Hits and misses of every (capacity, cache axis value) cell a job's
-/// outstanding solve groups need, one result per cell, row-major by
-/// (capacity index, cache axis index), unpriced. They depend on the model
-/// and the geometry only, never on the energy model: the first
-/// cache-enabled solve group of the job fills the whole table in one
-/// simulate_caches pass over the model's address stream, every group
-/// prices its cell's counts. A bad cell keeps its failure, so each point
-/// of a bad geometry gets its own classified row; anything the fill
-/// itself throws is kept and rethrown to every group. It is caught inside
-/// call_once because a throwing call_once hangs later callers under
-/// ThreadSanitizer and on some libstdc++ targets.
+/// outstanding points need, one result per cell, row-major by (capacity
+/// index, cache axis index), unpriced. They depend on the model and the
+/// geometry only, never on the energy model: the first cache-on point of
+/// the job fills the whole table in one simulate_caches pass over the
+/// model's address stream, every cache-on point prices its cell's counts.
+/// A bad cell keeps its failure, so each point of a bad geometry gets its
+/// own classified row; anything the fill itself throws is kept and
+/// rethrown to every point. It is caught inside call_once because a
+/// throwing call_once hangs later callers under ThreadSanitizer and on
+/// some libstdc++ targets.
 struct CacheTable {
   std::once_flag once;
   std::vector<bool> needed;  ///< per cell; set before any group runs
@@ -369,91 +377,32 @@ struct CacheTable {
   }
 };
 
-PointSolve solve_point(const core::ForayModel& model,
-                       const core::PipelineOptions& base,
-                       const SweepPoint& point,
-                       const std::vector<spm::BufferCandidate>& candidates,
-                       const SweepGrid& grid, CacheTable* caches) {
-  PointSolve out;
-  // Fault site "spm.solve": the Phase II solver dies mid-point. param=0
-  // injects an internal error (never retried); any nonzero param injects
-  // a *transient* io_error, which is how the fault harness exercises the
-  // bounded-retry path.
-  if (util::fault::enabled()) {
-    const util::fault::Hit h = util::fault::hit("spm.solve");
-    if (h.fired) {
-      out.status = util::Status::failure(
-          h.param != 0 ? util::ErrorCode::kIoError
-                       : util::ErrorCode::kInternal,
-          "spm-solve", 0, "injected Phase II solver failure");
-      return out;
-    }
-  }
-  // Keep the failure-isolation promise even for internal errors during a
-  // point solve: mark this solve's items, keep the sweep.
-  try {
-    core::SpmPhaseOptions popts = point.spm_options(base.spm);
-    // The comparison comes from the shared counts, not from solve_spm.
-    popts.compare_cache = false;
-    const core::CacheCellCounts* cell = nullptr;
-    if (point.cache.enabled) {
-      cell = &caches->fill(
-          model, grid,
-          point.key.capacity * grid.caches.size() + point.key.cache);
-      if (!cell->status.ok()) throw util::StatusError(cell->status);
-    }
-    out.spm = core::solve_spm(model, popts, &candidates);
-    if (cell != nullptr) {
-      out.spm.caches = cell->caches;
-      core::price_caches(popts, &out.spm.caches);
-    }
-    if (point.replay) {
-      // The replay check is per-selection (see spm_replay_phase); a
-      // failure to *execute* the transformed program fails the point,
-      // counter mismatches land in out.replay.mismatches.
-      spm::ReplayOptions ropts;
-      ropts.run = base.run;
-      ropts.dse = popts.dse;
-      out.replay = spm::replay_selection(model, out.spm.exact, ropts);
-      out.replay_ran = true;
-      if (!out.replay.status.ok()) out.status = out.replay.status;
-    }
-  } catch (const util::StatusError& e) {
-    out.status = e.status();
-  } catch (const std::bad_alloc&) {
-    out.status =
-        util::Status::failure(util::ErrorCode::kResourceExhausted,
-                              "spm-solve", 0, "out of memory during solve");
-  } catch (const std::exception& e) {
-    out.status = util::Status::failure("internal", 0, e.what());
-  }
-  return out;
-}
-
-/// True for the failure classes worth retrying: only io_error — the
-/// outside world hiccuped. Everything else is deterministic and would
-/// just fail the same way again.
-bool transient(const util::Status& st) {
-  return !st.ok() && st.code() == util::ErrorCode::kIoError;
-}
-
-PointSolve solve_point_with_retry(
-    const core::ForayModel& model, const core::PipelineOptions& base,
-    const SweepPoint& point,
-    const std::vector<spm::BufferCandidate>& candidates,
-    const SweepGrid& grid, CacheTable* caches, int retries) {
-  PointSolve out = solve_point(model, base, point, candidates, grid, caches);
-  for (int r = 0; r < retries && transient(out.status); ++r) {
-    out = solve_point(model, base, point, candidates, grid, caches);
-  }
-  return out;
+/// A cache-on point's comparison: its cell's shared counts priced under
+/// the point's energy model, or the cell's failure.
+util::Status price_cell(const core::ForayModel& model, const SweepGrid& grid,
+                        const SweepPoint& point,
+                        const core::SpmPhaseOptions& popts,
+                        CacheTable* table,
+                        std::vector<core::SpmReport::CacheComparison>* out) {
+  const core::CacheCellCounts* cell = nullptr;
+  const util::Status st = guarded([&] {
+    cell = &table->fill(
+        model, grid, point.key.capacity * grid.caches.size() + point.key.cache);
+  });
+  if (!st.ok()) return st;
+  if (!cell->status.ok()) return cell->status;
+  *out = cell->caches;
+  core::price_caches(popts, out);
+  return {};
 }
 
 /// One contiguous run of grid points sharing a Phase II solve: identical
-/// (capacity, energy, cache) coordinates and replay flag — the algorithm
-/// axis only relabels which selection is the headline. Grid expansion
-/// puts those axes innermost, so these runs are exactly the re-solves
-/// the sequential driver used to skip; here each group is one pool task.
+/// (capacity, energy) coordinates. core::solve_spm reads neither the
+/// cache axis nor the algorithm axis, and the replay check depends on the
+/// exact selection alone, so cache, algorithm and replay only change what
+/// each point reports from the one solve. Grid expansion puts those axes
+/// innermost, so each (capacity, energy) block is one run and one pool
+/// task.
 struct SolveGroup {
   size_t begin = 0;
   size_t end = 0;  ///< one past the last point of the group
@@ -466,8 +415,7 @@ std::vector<SolveGroup> solve_groups(const SweepGrid& grid) {
     if (!groups.empty()) {
       const SweepPoint& head = grid.points[groups.back().begin];
       if (head.key.capacity == p.key.capacity &&
-          head.key.energy == p.key.energy &&
-          head.key.cache == p.key.cache && head.replay == p.replay) {
+          head.key.energy == p.key.energy) {
         groups.back().end = i + 1;
         continue;
       }
@@ -475,6 +423,78 @@ std::vector<SolveGroup> solve_groups(const SweepGrid& grid) {
     groups.push_back(SolveGroup{i, i + 1});
   }
   return groups;
+}
+
+/// What a group's outstanding points ask of its solve beyond solve_spm.
+struct GroupNeeds {
+  bool greedy = false;  ///< a greedy point: evaluate the greedy selection
+  bool replay = false;  ///< a replay-on point: run the replay check
+};
+
+/// True for the failure classes worth retrying: only io_error — the
+/// outside world hiccuped. Everything else is deterministic and would
+/// just fail the same way again.
+bool transient(const util::Status& st) {
+  return !st.ok() && st.code() == util::ErrorCode::kIoError;
+}
+
+/// One solve group's Phase II work, done once and shared read-only by
+/// its points. Pure over the immutable model, so groups of one job run
+/// on different workers. A point's status is the first failure of: the
+/// injected fault, its cache cell (cache-on points), the solve, then the
+/// replay (replay-on points).
+struct GroupSolve {
+  util::Status fault;   ///< fault site "spm.solve": fails every point
+  util::Status status;  ///< the solve threw: fails every point
+  core::SpmReport spm;  ///< without a cache comparison
+  spm::EnergyReport greedy_energy;  ///< when GroupNeeds::greedy
+  /// When GroupNeeds::replay; its status fails the replay-on points.
+  spm::ReplayReport replay;
+
+  bool transient_failure() const {
+    return transient(fault) || transient(status) || transient(replay.status);
+  }
+};
+
+GroupSolve solve_group(const core::ForayModel& model,
+                       const core::PipelineOptions& base,
+                       const SweepPoint& head, GroupNeeds needs,
+                       const std::vector<spm::BufferCandidate>& candidates) {
+  GroupSolve out;
+  // Fault site "spm.solve": the Phase II solver dies mid-group. param=0
+  // injects an internal error (never retried); any nonzero param injects
+  // a *transient* io_error, which is how the fault harness exercises the
+  // bounded-retry path.
+  if (util::fault::enabled()) {
+    const util::fault::Hit h = util::fault::hit("spm.solve");
+    if (h.fired) {
+      out.fault = util::Status::failure(
+          h.param != 0 ? util::ErrorCode::kIoError
+                       : util::ErrorCode::kInternal,
+          "spm-solve", 0, "injected Phase II solver failure");
+      return out;
+    }
+  }
+  out.status = guarded([&] {
+    core::SpmPhaseOptions popts = head.spm_options(base.spm);
+    // Cache-on points price the job's shared counts instead.
+    popts.compare_cache = false;
+    out.spm = core::solve_spm(model, popts, &candidates);
+    if (needs.greedy) {
+      out.greedy_energy =
+          spm::evaluate_selection(model, out.spm.greedy, popts.dse);
+    }
+    if (needs.replay) {
+      // The replay check is per-selection (see spm_replay_phase); a
+      // failure to *execute* the transformed program fails the replay-on
+      // points, counter mismatches land in out.replay.mismatches.
+      spm::ReplayOptions ropts;
+      ropts.run = base.run;
+      ropts.dse = popts.dse;
+      out.replay = spm::replay_selection(model, out.spm.exact, ropts);
+    }
+  });
+  return out;
 }
 
 /// Phase I state of one job, shared read-only by its solve groups.
@@ -487,7 +507,7 @@ struct JobState {
   /// model and the reuse filter, never on the swept axes, so every grid
   /// point reuses this list instead of re-enumerating per solve.
   std::vector<spm::BufferCandidate> candidates;
-  /// Cache counts of the cells the job's outstanding groups need.
+  /// Cache counts of the cells the job's outstanding points need.
   CacheTable caches;
   /// Solve groups still outstanding; the worker that finishes the last
   /// one finalizes the job.
@@ -572,8 +592,8 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
 /// outcome. The SpmReport's candidates vector, its bulk, is not copied:
 /// nothing reads it, and candidate_count keeps its size.
 SweepItem build_item(const SweepJob& job, size_t job_index,
-                     const SweepGrid& grid, size_t i, const JobState& js,
-                     const PointSolve* solve,
+                     const SweepGrid& grid, size_t i, JobState& js,
+                     const GroupSolve* solve,
                      const core::SpmPhaseOptions& base_spm) {
   const SweepPoint& point = grid.points[i];
   SweepItem item;
@@ -583,9 +603,16 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
   item.point = point;
   item.status = js.phase1;
   if (solve == nullptr) return item;
-  item.status = solve->status;
-  if (!item.status.ok()) return item;
   const core::ForayModel& model = js.session->result().model;
+  std::vector<core::SpmReport::CacheComparison> caches;
+  item.status = solve->fault;
+  if (item.status.ok() && point.cache.enabled) {
+    item.status = price_cell(model, grid, point, point.spm_options(base_spm),
+                             &js.caches, &caches);
+  }
+  if (item.status.ok()) item.status = solve->status;
+  if (item.status.ok() && point.replay) item.status = solve->replay.status;
+  if (!item.status.ok()) return item;
   item.model_refs = model.refs.size();
   item.candidate_count = solve->spm.candidates.size();
   item.spm.capacity = solve->spm.capacity;
@@ -593,13 +620,11 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
   item.spm.greedy = solve->spm.greedy;
   item.spm.baseline = solve->spm.baseline;
   item.spm.with_spm = solve->spm.with_spm;
-  item.spm.caches = solve->spm.caches;
+  item.spm.caches = std::move(caches);
   item.energy = point.algorithm == Algorithm::kGreedy
-                    ? spm::evaluate_selection(
-                          model, solve->spm.greedy,
-                          point.spm_options(base_spm).dse)
+                    ? solve->greedy_energy
                     : solve->spm.with_spm;
-  item.replay_ran = solve->replay_ran;
+  item.replay_ran = point.replay;
   if (item.replay_ran) item.replay = solve->replay;
   return item;
 }
@@ -1004,9 +1029,21 @@ class SweepExec {
 
   void group_task(size_t j, const SolveGroup& g) {
     JobState& js = *states_[j];
-    const PointSolve solve = solve_point_with_retry(
-        js.session->result().model, opts_.pipeline, grid_.points[g.begin],
-        js.candidates, grid_, &js.caches, opts_.transient_retries);
+    GroupNeeds needs;
+    for (size_t i = g.begin; i < g.end; ++i) {
+      if (resume_.point_cached(j, i)) continue;
+      needs.greedy |= grid_.points[i].algorithm == Algorithm::kGreedy;
+      needs.replay |= grid_.points[i].replay;
+    }
+    const core::ForayModel& model = js.session->result().model;
+    GroupSolve solve = solve_group(model, opts_.pipeline,
+                                   grid_.points[g.begin], needs,
+                                   js.candidates);
+    for (int r = 0;
+         r < opts_.transient_retries && solve.transient_failure(); ++r) {
+      solve = solve_group(model, opts_.pipeline, grid_.points[g.begin],
+                          needs, js.candidates);
+    }
     for (size_t i = g.begin; i < g.end; ++i) {
       if (resume_.point_cached(j, i)) continue;
       deliver(j, i,

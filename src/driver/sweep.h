@@ -18,11 +18,13 @@
 // — and expands them into a deterministic row-major grid of SweepPoints.
 // Per program the driver runs Phase I once, enumerates the buffer
 // candidates once (they depend only on the model and the reuse filter,
-// which no axis varies), and solves Phase II per *solve group* — a
-// maximal run of consecutive points sharing (capacity, energy, cache,
-// replay); the algorithm axis only relabels the headline selection. A
-// P-program × K-point grid costs P pipeline runs, P candidate
-// enumerations and at most P·K cheap DSE solves. Cache comparisons are
+// which no axis varies), and solves Phase II per *solve group* — the
+// run of consecutive points sharing (capacity, energy). The solve reads
+// neither the cache nor the algorithm axis and the replay check depends
+// on the exact selection alone, so those axes only change what each
+// point reports from its group's one solve. A P-program grid with C
+// capacities and E energy models costs P pipeline runs, P candidate
+// enumerations and P·C·E cheap DSE solves. Cache comparisons are
 // simulated once per program and (capacity, geometry), whatever the
 // energy axis holds: hits and misses do not depend on the energy model,
 // so each point only prices the shared counts. Every cell a program needs

@@ -133,6 +133,7 @@ std::vector<CacheCellCounts> simulate_caches(
   // whose tables together hold at most kMaxCacheLines lines.
   struct Slot {
     size_t cell;
+    size_t way_index;  ///< position in the cell's assocs
     spm::CacheConfig cfg;
   };
   std::vector<std::vector<Slot>> passes(1);
@@ -140,17 +141,19 @@ std::vector<CacheCellCounts> simulate_caches(
   for (size_t i = 0; i < cells.size(); ++i) {
     const CacheCell& cell = cells[i];
     std::vector<Slot> slots;
-    for (int assoc : cell.assocs) {
-      const spm::CacheConfig cfg{cell.capacity, cell.line_bytes, assoc};
+    for (size_t a = 0; a < cell.assocs.size(); ++a) {
+      const spm::CacheConfig cfg{cell.capacity, cell.line_bytes,
+                                 cell.assocs[a]};
       const std::string why = spm::cache_geometry_error(cfg);
       if (!why.empty()) {
         out[i].status = util::Status::failure(util::ErrorCode::kInvalidInput,
                                               "spm-solve", 0, why);
         break;
       }
-      slots.push_back(Slot{i, cfg});
+      slots.push_back(Slot{i, a, cfg});
     }
     if (!out[i].status.ok()) continue;
+    out[i].caches.resize(slots.size());
     for (const Slot& s : slots) {
       const uint64_t lines = s.cfg.size_bytes / s.cfg.line_bytes;
       if (pass_lines + lines > spm::kMaxCacheLines) {
@@ -161,17 +164,57 @@ std::vector<CacheCellCounts> simulate_caches(
       pass_lines += lines;
     }
   }
-  for (const std::vector<Slot>& pass : passes) {
+  for (std::vector<Slot>& pass : passes) {
     if (pass.empty()) continue;
+    // The cascade (spm/cache_sim.h): per line size, caches from the
+    // fewest sets to the most. An address walks each chain until a cache
+    // holds its block as MRU; that cache and the rest of the chain hit
+    // unchanged, counted in stops[] and credited once the stream ends.
+    const auto sets = [](const spm::CacheConfig& c) {
+      return c.size_bytes / (c.line_bytes * static_cast<uint32_t>(c.assoc));
+    };
+    std::stable_sort(pass.begin(), pass.end(),
+                     [&sets](const Slot& a, const Slot& b) {
+                       if (a.cfg.line_bytes != b.cfg.line_bytes) {
+                         return a.cfg.line_bytes < b.cfg.line_bytes;
+                       }
+                       return sets(a.cfg) < sets(b.cfg);
+                     });
     std::vector<spm::CacheSim> sims;
+    std::vector<size_t> chain_ends;  ///< one past each line size's chain
     sims.reserve(pass.size());
-    for (const Slot& s : pass) sims.emplace_back(s.cfg);
-    spm::for_each_address(model, [&sims](uint32_t addr) {
-      for (spm::CacheSim& sim : sims) sim.access(addr);
-    });
     for (size_t k = 0; k < pass.size(); ++k) {
-      out[pass[k].cell].caches.push_back(SpmReport::CacheComparison{
-          pass[k].cfg.assoc, sims[k].hits(), sims[k].misses(), 0.0});
+      sims.emplace_back(pass[k].cfg);
+      if (k + 1 == pass.size() ||
+          pass[k + 1].cfg.line_bytes != pass[k].cfg.line_bytes) {
+        chain_ends.push_back(k + 1);
+      }
+    }
+    std::vector<uint64_t> stops(pass.size(), 0);
+    spm::for_each_address(model, [&](uint32_t addr) {
+      size_t k = 0;
+      for (const size_t end : chain_ends) {
+        for (; k < end; ++k) {
+          if (sims[k].is_mru(addr)) {
+            ++stops[k];
+            break;
+          }
+          sims[k].access(addr);
+        }
+        k = end;
+      }
+    });
+    size_t begin = 0;
+    for (const size_t end : chain_ends) {
+      uint64_t mru_hits = 0;
+      for (size_t k = begin; k < end; ++k) {
+        mru_hits += stops[k];
+        sims[k].credit_hits(mru_hits);
+        out[pass[k].cell].caches[pass[k].way_index] =
+            SpmReport::CacheComparison{pass[k].cfg.assoc, sims[k].hits(),
+                                       sims[k].misses(), 0.0};
+      }
+      begin = end;
     }
   }
   return out;

@@ -214,6 +214,15 @@ struct CacheCellCounts {
 /// all and fails alone. The counts depend on the geometry only, so a
 /// sweep simulates each (capacity, geometry) once and prices it per
 /// energy model with price_caches, which fills energy_nj.
+///
+/// Within a pass the caches of one line size form a chain ordered from
+/// the fewest sets to the most, and each address walks the chain only
+/// until a cache holds its block as the set's MRU way. By LRU inclusion
+/// under set refinement (spm/cache_sim.h), that cache and every cache
+/// with more sets of the same line size hit without changing their
+/// tables, so they are credited in bulk and the counts stay exactly
+/// those of simulating each cache alone. Chains never cross line sizes:
+/// a coarser line's set does not contain a finer line's blocks.
 std::vector<CacheCellCounts> simulate_caches(
     const ForayModel& model, const std::vector<CacheCell>& cells);
 void price_caches(const SpmPhaseOptions& opts,

@@ -44,6 +44,18 @@ double cache_energy_nj(const CacheConfig& cfg, uint64_t hits,
 /// shifts the ways it passes down by one — the last way is the LRU
 /// victim. A way stores block + 1 (64-bit), so 0 means empty and no real
 /// block, the 2^32-1 of a one-byte line included, collides with it.
+///
+/// Inclusion under set refinement (Mattson et al. 1970; Hill & Smith
+/// 1989): a set's MRU way holds the block of the last access mapped to
+/// that set. With bit selection and power-of-two set counts, every block
+/// that maps to set b mod S' of an S'-set cache also maps to set b mod S
+/// of an S-set cache of the same line size when S divides S'. So if b is
+/// MRU in the coarser set, no access to the finer set came after b's, and
+/// b is MRU there too, whatever either cache's associativity. A caller
+/// simulating several caches of one line size on one stream can walk them
+/// from the fewest sets to the most and stop at the first where is_mru
+/// holds: that cache and every finer one hit and keep their tables, and
+/// credit_hits books those hits in bulk.
 class CacheSim {
  public:
   explicit CacheSim(const CacheConfig& cfg);
@@ -73,6 +85,17 @@ class CacheSim {
     ++misses_;
     return false;
   }
+
+  /// True when `addr`'s block is the MRU way of its set: access(addr)
+  /// would hit and leave the table unchanged.
+  bool is_mru(uint32_t addr) const {
+    const uint32_t block = addr >> line_shift_;
+    return ways_[static_cast<size_t>(block & set_mask_) * assoc_] ==
+           uint64_t{block} + 1;
+  }
+
+  /// Books `n` hits that is_mru proved without simulating them.
+  void credit_hits(uint64_t n) { hits_ += n; }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }

@@ -18,7 +18,7 @@ constexpr const char* kKnownSites[] = {
     "trace.chunk.corrupt",  // a persisted trace chunk reads back corrupt
     "sim.slow",             // the simulated program stalls (param: ms/flush)
     "sweep.sink.io",        // the NDJSON sink write fails (EIO/ENOSPC)
-    "spm.solve",            // Phase II solver dies mid-point
+    "spm.solve",            // Phase II solver dies mid-solve-group
 };
 
 struct SiteState {

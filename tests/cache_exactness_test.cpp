@@ -172,15 +172,12 @@ std::vector<core::CacheCell> all_cells() {
   return cells;
 }
 
-/// simulate_caches over every cell in one call must equal the oracle run
-/// on the directly evaluated stream, cell by cell.
-void expect_model_exact(const core::ForayModel& model) {
+/// simulate_caches over `cells` in one call must equal the oracle run on
+/// the directly evaluated stream, cell by cell, in cell and associativity
+/// order.
+void expect_cells_exact(const core::ForayModel& model,
+                        const std::vector<core::CacheCell>& cells) {
   const std::vector<uint32_t> direct = direct_stream(model);
-  uint64_t count = 0;
-  ASSERT_EQ(stream_of(model, &count), direct);
-  ASSERT_EQ(count, direct.size());
-
-  const std::vector<core::CacheCell> cells = all_cells();
   const std::vector<core::CacheCellCounts> got =
       core::simulate_caches(model, cells);
   ASSERT_EQ(got.size(), cells.size());
@@ -200,6 +197,15 @@ void expect_model_exact(const core::ForayModel& model) {
       EXPECT_EQ(got[c].caches[a].misses, oracle.misses());
     }
   }
+}
+
+/// The stream itself, then expect_cells_exact over all_cells().
+void expect_model_exact(const core::ForayModel& model) {
+  const std::vector<uint32_t> direct = direct_stream(model);
+  uint64_t count = 0;
+  ASSERT_EQ(stream_of(model, &count), direct);
+  ASSERT_EQ(count, direct.size());
+  expect_cells_exact(model, all_cells());
 }
 
 /// CacheSim against the oracle access by access over `addrs`, for every
@@ -299,6 +305,57 @@ TEST(CacheExactness, CellsOverTheLineLimitSplitIntoPasses) {
   const auto over = core::simulate_caches(model, {{max_bytes * 2, 32, {1}}});
   EXPECT_EQ(over[0].status.code(), util::ErrorCode::kInvalidInput);
   EXPECT_TRUE(over[0].caches.empty());
+}
+
+/// A stream for the cascade: a strided walk with long same-line runs
+/// (MRU hits at the coarsest level), two references sharing a nest that
+/// alternate between blocks (MRU in a fine set, not in the coarse set
+/// they share), and a descending walk with conflicts.
+core::ForayModel cascade_model() {
+  core::ForayModel model;
+  model.refs.push_back(ref_of(0x100, {4096, 4}, {40, 300}, 2));
+  model.refs.push_back(ref_of(0x1000, {256, 4}, {30, 64}, 2, {1, 2}));
+  model.refs.push_back(ref_of(0x9040, {128, 8}, {30, 64}, 2, {1, 2}));
+  model.refs.push_back(ref_of(0x2000000, {-64, 32}, {50, 90}, 2));
+  return model;
+}
+
+TEST(CacheCascade, CellsInAnyOrderMatchTheOracle) {
+  const core::ForayModel model = cascade_model();
+  // Not sorted by anything. 4096 B 32x2 and 2048 B 32x1 have 64 sets
+  // each; 4096 B 32x4 is larger than 2048 B 32x1 with fewer sets (32
+  // against 64); 4096 B 32x2 comes twice; 16, 32 and 64 B lines share
+  // the pass; 64 B 32x2, 256 B 16x16, 32 B 32x1, 64 B 64x1 and the
+  // 16-way way of 1024 B 64-byte lines are 1-set coarsest levels.
+  const std::vector<core::CacheCell> cells = {
+      {4096, 32, {2}},  {2048, 32, {1}},        {8192, 64, {2}},
+      {4096, 32, {4}},  {64, 32, {2}},          {512, 16, {1}},
+      {4096, 32, {2}},  {256, 16, {16}},        {1024, 64, {4, 1, 16}},
+      {32, 32, {1}},    {16384, 16, {8}},       {64, 64, {1}},
+      {1024, 32, {8}},  {8192, 32, {1, 2, 4}},  {128, 16, {2}}};
+  expect_cells_exact(model, cells);
+  expect_cells_exact(model, std::vector<core::CacheCell>(cells.rbegin(),
+                                                         cells.rend()));
+  // Each cell alone, where no cascade can reach it.
+  for (const core::CacheCell& cell : cells) expect_cells_exact(model, {cell});
+}
+
+TEST(CacheCascade, PassesSplitByTheLineLimitEachCascade) {
+  // Two kMaxCacheLines-line caches split the list into five passes;
+  // most hold several line sizes and set counts in no particular order.
+  const core::ForayModel model = cascade_model();
+  const uint32_t max32 = static_cast<uint32_t>(kMaxCacheLines) * 32;
+  expect_cells_exact(
+      model, {{2048, 32, {1}},
+              {4096, 32, {4}},
+              {max32, 32, {1}},
+              {256, 16, {2}},
+              {max32 / 2, 32, {2}},
+              {64, 32, {2}},
+              {max32, 32, {4}},
+              {4096, 32, {2}},
+              {1024, 64, {2}},
+              {128, 16, {1}}});
 }
 
 TEST(CacheExactness, OneByteLinesSpanAll32TagBits) {

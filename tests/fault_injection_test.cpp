@@ -53,9 +53,8 @@ driver::SweepOptions sweep_opts() {
   o.threads = 1;  // deterministic solve order for count-limited faults
   o.pipeline.filter.min_exec = 1;
   o.pipeline.filter.min_locations = 1;
-  // Two capacities so the grid has solve groups beyond the base
-  // configuration: point 0 reuses Phase I's solve, so "spm.solve" only
-  // fires on the extra groups' solve_point calls.
+  // Two capacities, so two solve groups per job: "spm.solve" fires once
+  // per group.
   EXPECT_TRUE(o.spec.parse_axis("capacity", "1024,4096").ok());
   return o;
 }

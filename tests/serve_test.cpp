@@ -371,6 +371,81 @@ TEST(Serve, ModelCacheMakesRepeatRequestsPurePhaseTwo) {
   EXPECT_FALSE(bodies[0].empty());
 }
 
+/// A one-point request for a small inline program, distinct per `k`.
+std::string distinct_request(int id, int k) {
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("id").value(static_cast<int64_t>(id));
+  w.key("source").value(
+      "int a[64];\nint main(void) {\n"
+      "  for (int i = 0; i < 64; i++) a[i] = i + " +
+      std::to_string(k) + ";\n  return 0;\n}\n");
+  w.key("axes").begin_object();
+  w.key("capacity").value("1024");
+  w.end_object();
+  w.end_object();
+  return w.take();
+}
+
+/// The lines of `out` answering request `id`, its ack and done rows
+/// excluded.
+std::vector<std::string> response_body(const std::vector<std::string>& out,
+                                       int id) {
+  const std::string ack =
+      "{\"kind\":\"request\",\"id\":" + std::to_string(id) + ",";
+  std::vector<std::string> body;
+  bool in = false;
+  for (const std::string& line : out) {
+    if (line.rfind(ack, 0) == 0) {
+      in = true;
+    } else if (in && line.find("\"kind\":\"done\"") != std::string::npos) {
+      break;
+    } else if (in) {
+      body.push_back(line);
+    }
+  }
+  return body;
+}
+
+TEST(Serve, MemoryLayerIsBoundedLeastRecentlyUsedFirst) {
+  // More distinct inline sources than the memory layer holds, with a
+  // kernel asked for again every 16 of them: the kernel stays a memory
+  // hit throughout (first-in-first-out would have evicted it), the layer
+  // stops growing at the bound, and the oldest source, evicted, is
+  // recomputed to the same response.
+  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  const std::string kernel =
+      "{\"id\":0,\"program\":\"adpcm\",\"axes\":{\"capacity\":\"1024\"}}";
+  const int distinct = static_cast<int>(kMemoryEntries) + 8;
+  std::string requests = kernel + "\n";
+  int kernel_repeats = 0;
+  for (int k = 1; k <= distinct; ++k) {
+    requests += distinct_request(k, k) + "\n";
+    if (k % 16 == 0) {
+      requests += kernel + "\n";
+      ++kernel_repeats;
+    }
+  }
+  requests += distinct_request(distinct + 1, 1) + "\n";
+  const ServeRun r = run_serve(requests, serve_opts(&cache));
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+
+  const ModelCache::Stats s = cache.stats();
+  // The kernel plus `distinct` sources, then source 1 again.
+  const uint64_t keys = 1 + static_cast<uint64_t>(distinct);
+  EXPECT_EQ(s.stores, keys + 1);
+  EXPECT_EQ(s.misses, keys + 1);
+  EXPECT_EQ(s.hits, static_cast<uint64_t>(kernel_repeats));
+  EXPECT_EQ(s.memory_hits, static_cast<uint64_t>(kernel_repeats));
+  // Every store past the bound evicted exactly one model.
+  EXPECT_EQ(s.memory_evictions, keys + 1 - kMemoryEntries);
+  EXPECT_EQ(s.evictions, 0u);  // the disk counter is separate
+
+  const std::vector<std::string> first = response_body(r.lines, 1);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(response_body(r.lines, distinct + 1), first);
+}
+
 /// An ostream whose buffer accepts `budget` bytes, then fails forever —
 /// the shape of a client that disconnected mid-response.
 class FailAfterBuf : public std::streambuf {

@@ -7,12 +7,14 @@
 
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <sstream>
 
 #include "driver/model_cache.h"
 #include "driver/sweep.h"
 #include "foray/pipeline.h"
 #include "spm/energy.h"
+#include "util/fault.h"
 #include "util/status.h"
 
 namespace foray::driver {
@@ -675,6 +677,115 @@ TEST(SweepDriver, ImpossibleCacheGeometryFailsOnlyItsOwnPoints) {
   EXPECT_FALSE(SweepDriver(o).run_ndjson(jobs, warm).ok());
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(warm.str(), cold.str());
+}
+
+TEST(SweepDriver, OneSolvePerCapacityAndEnergyAcrossTheCacheAxis) {
+  // A solve group is a (capacity, energy) block: one solve_spm serves its
+  // cache-off and cache-on points alike. 1 B and 3072 B are bad cells for
+  // both geometries, yet their cache-off points still solve; 4096 B
+  // solves everywhere.
+  SweepOptions o = sweep_opts(1);
+  ASSERT_TRUE(o.spec.parse_axis("capacity", "1,3072,4096").ok());
+  ASSERT_TRUE(o.spec.parse_axis("energy", "default,dram-heavy").ok());
+  ASSERT_TRUE(o.spec.parse_axis("cache", "off,32x2,64x4").ok());
+  ASSERT_TRUE(o.spec.parse_axis("algorithm", "dp,greedy").ok());
+  const std::vector<SweepJob> jobs = good_jobs();
+  SweepReport report;
+  std::ostringstream collected;
+  EXPECT_EQ(SweepDriver(o).run_ndjson(jobs, collected, nullptr, &report)
+                .code(),
+            util::ErrorCode::kInvalidInput);
+  ASSERT_EQ(report.items.size(), 2u * 3 * 2 * 3 * 2);
+  expect_items_match_single_cells(report, o);
+  const std::map<std::pair<uint32_t, std::string>, std::string> why = {
+      {{1, "32x2"}, "1 B cache with 32 B lines x 2 ways: smaller than one "
+                    "set"},
+      {{1, "64x4"}, "1 B cache with 64 B lines x 4 ways: smaller than one "
+                    "set"},
+      {{3072, "32x2"}, "3072 B cache with 32 B lines x 2 ways: 48 sets, not "
+                       "a power of two"},
+      {{3072, "64x4"}, "3072 B cache with 64 B lines x 4 ways: 12 sets, not "
+                       "a power of two"}};
+  for (const SweepItem& item : report.items) {
+    SCOPED_TRACE(item.program + " @" +
+                 std::to_string(item.point.capacity_bytes) + " " +
+                 item.point.energy_name + " " + item.point.cache.label);
+    const auto bad =
+        why.find({item.point.capacity_bytes, item.point.cache.label});
+    if (bad != why.end()) {
+      EXPECT_EQ(item.status.code(), util::ErrorCode::kInvalidInput);
+      EXPECT_EQ(item.status.phase(), "spm-solve");
+      EXPECT_EQ(item.status.message(), "spm-solve error: " + bad->second);
+      continue;
+    }
+    ASSERT_TRUE(item.status.ok()) << item.status.message();
+    // The shared solve is the point's own solve, headline energy and all.
+    const core::SpmPhaseOptions popts =
+        item.point.spm_options(o.pipeline.spm);
+    const core::ForayModel& model =
+        report.sessions[item.key.job]->result().model;
+    const core::SpmReport solo = core::solve_spm(model, popts);
+    EXPECT_EQ(item.spm.exact.bytes_used, solo.exact.bytes_used);
+    EXPECT_EQ(item.spm.exact.saved_nj, solo.exact.saved_nj);
+    EXPECT_EQ(item.spm.greedy.saved_nj, solo.greedy.saved_nj);
+    EXPECT_EQ(item.candidate_count, solo.candidates.size());
+    const spm::EnergyReport energy =
+        item.point.algorithm == Algorithm::kGreedy
+            ? spm::evaluate_selection(model, solo.greedy, popts.dse)
+            : solo.with_spm;
+    EXPECT_EQ(item.energy.total_nj, energy.total_nj);
+    EXPECT_EQ(item.energy.baseline_nj, energy.baseline_nj);
+  }
+
+  // The same bytes at 4 threads, from a cold and a warm model cache.
+  const std::string cold = collected.str();
+  SweepOptions o4 = o;
+  o4.threads = 4;
+  EXPECT_EQ(ndjson_of(o4, jobs), cold);
+  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  o4.model_cache = &cache;
+  EXPECT_EQ(ndjson_of(o4, jobs), cold);
+  EXPECT_EQ(ndjson_of(o4, jobs), cold);
+  EXPECT_EQ(cache.stats().hits, 2u);
+
+  // Resume from a journal cut in the middle of a point line: the cut
+  // leaves some solve groups partly cached.
+  size_t cut = cold.size() / 2;
+  while (cold[cut - 1] == '\n' || cold[cut] == '\n') ++cut;
+  const SweepDriver driver(o);
+  SweepCheckpoint checkpoint;
+  ASSERT_TRUE(driver.parse_resume(cold.substr(0, cut), &checkpoint).ok());
+  EXPECT_EQ(ndjson_of(o, jobs, &checkpoint), cold);
+  o4.model_cache = nullptr;
+  EXPECT_EQ(ndjson_of(o4, jobs, &checkpoint), cold);
+
+  // "spm.solve" fires once per solve group: count=1 fails exactly one
+  // (job, capacity, energy) block, every cache and algorithm value of it
+  // (the fault comes before the bad cells), and nothing else changes.
+  ASSERT_TRUE(util::fault::configure("spm.solve:count=1").ok());
+  SweepReport faulted;
+  std::ostringstream faulted_out;
+  (void)SweepDriver(o).run_ndjson(jobs, faulted_out, nullptr, &faulted);
+  EXPECT_FALSE(util::fault::hit("spm.solve").fired);
+  util::fault::reset();
+  ASSERT_EQ(faulted.items.size(), report.items.size());
+  std::vector<const SweepItem*> hit;
+  for (size_t k = 0; k < faulted.items.size(); ++k) {
+    const SweepItem& item = faulted.items[k];
+    if (item.status.code() == util::ErrorCode::kInternal) {
+      EXPECT_EQ(item.status.message(),
+                "spm-solve error: injected Phase II solver failure");
+      hit.push_back(&item);
+    } else {
+      EXPECT_EQ(item.status.message(), report.items[k].status.message());
+    }
+  }
+  ASSERT_EQ(hit.size(), 3u * 2);
+  for (const SweepItem* item : hit) {
+    EXPECT_EQ(item->key.job, hit.front()->key.job);
+    EXPECT_EQ(item->key.capacity, hit.front()->key.capacity);
+    EXPECT_EQ(item->key.energy, hit.front()->key.energy);
+  }
 }
 
 TEST(SweepDriver, HugeCapacitySolvesWithinCandidateBoundedMemory) {

@@ -677,14 +677,15 @@ int main(int argc, char** argv) {
         stderr,
         "foraygen: model cache: %llu hit(s) (%llu in-memory), "
         "%llu miss(es), %llu rejected, %llu store(s), %llu store "
-        "failure(s), %llu evicted\n",
+        "failure(s), %llu evicted, %llu evicted from memory\n",
         static_cast<unsigned long long>(s.hits),
         static_cast<unsigned long long>(s.memory_hits),
         static_cast<unsigned long long>(s.misses),
         static_cast<unsigned long long>(s.rejected),
         static_cast<unsigned long long>(s.stores),
         static_cast<unsigned long long>(s.store_failures),
-        static_cast<unsigned long long>(s.evictions));
+        static_cast<unsigned long long>(s.evictions),
+        static_cast<unsigned long long>(s.memory_evictions));
   };
 
   if (command == "lint") {
