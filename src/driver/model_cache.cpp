@@ -118,7 +118,7 @@ bool ModelCache::lookup(const std::string& key, core::ForayModel* model,
     return false;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (opts_.memory) remember(key, *model);
+  remember(key, *model);
   ++stats_.hits;
   return true;
 }
@@ -128,7 +128,7 @@ void ModelCache::store(const std::string& key,
   uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (opts_.memory) remember(key, model);
+    remember(key, model);
     ++stats_.stores;
     seq = ++tmp_seq_;
   }

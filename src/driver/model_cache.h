@@ -49,8 +49,6 @@ struct ModelCacheOptions {
   /// On-disk cache directory (created on first store). Empty: in-memory
   /// only — still useful to a long-lived serve loop.
   std::string dir;
-  /// Retain looked-up / stored models in memory for this process.
-  bool memory = true;
   /// Bound on the directory's total entry bytes (0 = unbounded). After
   /// each successful store, entries are evicted oldest-modified first
   /// until the directory fits; the freshly renamed entry is the newest,

@@ -33,60 +33,8 @@ const util::Status& Session::run() {
 void Session::adopt_model(core::ForayModel model) {
   FORAY_CHECK(!ran_, "adopt_model on a session that already ran");
   ran_ = true;
-  adopted_ = true;
   result_.model = std::move(model);
   result_.model_built = true;
-}
-
-const core::SpmReport& Session::resolve(const core::SpmPhaseOptions& opts) {
-  return resolve(opts, opts_.pipeline.with_replay);
-}
-
-const core::SpmReport& Session::resolve(const core::SpmPhaseOptions& opts,
-                                        bool with_replay) {
-  // Phase I artifacts are what the re-solve needs; a *replay* failure at
-  // a previous point is that point's outcome, not this one's, so it is
-  // cleared here (per-cell failure isolation for the sweep grid).
-  FORAY_CHECK(ran_ && result_.model_built,
-              "resolve requires a run() that built the model");
-  result_.status = util::Status();
-  // Likewise a previous point's replay ledger must not leak into a point
-  // that does not replay.
-  result_.replay_ran = false;
-  result_.replay = spm::ReplayReport();
-  // The candidate list is a function of (model, reuse filter) only; a
-  // capacity/energy/cache re-solve reuses the memoized one.
-  if (!candidates_valid_ ||
-      candidates_reuse_.max_buffer_bytes != opts.reuse.max_buffer_bytes ||
-      candidates_reuse_.min_reuse != opts.reuse.min_reuse) {
-    candidates_ = spm::enumerate_candidates(result_.model, opts.reuse);
-    candidates_reuse_ = opts.reuse;
-    candidates_valid_ = true;
-  }
-  result_.spm = core::solve_spm(result_.model, opts, &candidates_);
-  result_.spm_ran = true;
-  // The replay check is per-selection, so every re-solve re-runs it.
-  if (with_replay) {
-    core::PipelineOptions popts = opts_.pipeline;
-    popts.spm = opts;
-    core::spm_replay_phase(popts, &result_);
-  }
-  return result_.spm;
-}
-
-const core::SpmReport& Session::rerun_spm(uint32_t capacity_bytes) {
-  core::SpmPhaseOptions opts = opts_.pipeline.spm;
-  opts.dse.spm_capacity = capacity_bytes;
-  return resolve(opts);
-}
-
-std::string Session::spm_report_text() const {
-  if (!result_.spm_ran) return "";
-  std::string out = core::describe_spm_report(result_.spm, result_.model);
-  if (result_.replay_ran) {
-    out += spm::describe_replay_report(result_.replay, result_.model);
-  }
-  return out;
 }
 
 }  // namespace foray::driver

@@ -251,7 +251,7 @@ SweepGrid SweepGrid::expand(const SweepSpec& spec,
     grid.algorithms.push_back(Algorithm::kExactDp);
   }
   grid.replays = spec.replays;
-  if (grid.replays.empty()) grid.replays.push_back(base.with_replay);
+  if (grid.replays.empty()) grid.replays.push_back(false);
 
   for (size_t cap = 0; cap < grid.capacities.size(); ++cap) {
     for (size_t e = 0; e < grid.energy_models.size(); ++e) {
@@ -476,18 +476,17 @@ GroupSolve solve_group(const core::ForayModel& model,
     }
   }
   out.status = guarded([&] {
-    core::SpmPhaseOptions popts = head.spm_options(base.spm);
-    // Cache-on points price the job's shared counts instead.
-    popts.compare_cache = false;
+    // Cache-on points price the job's shared counts (build_item).
+    const core::SpmPhaseOptions popts = head.spm_options(base.spm);
     out.spm = core::solve_spm(model, popts, &candidates);
     if (needs.greedy) {
       out.greedy_energy =
           spm::evaluate_selection(model, out.spm.greedy, popts.dse);
     }
     if (needs.replay) {
-      // The replay check is per-selection (see spm_replay_phase); a
-      // failure to *execute* the transformed program fails the replay-on
-      // points, counter mismatches land in out.replay.mismatches.
+      // The replay check is per-selection; a failure to *execute* the
+      // transformed program fails the replay-on points, counter
+      // mismatches land in out.replay.mismatches.
       spm::ReplayOptions ropts;
       ropts.run = base.run;
       ropts.dse = popts.dse;
@@ -519,10 +518,7 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
   // Phase I only: every grid point, the first included, is solved by its
   // solve group, so a cold run and a model-cache hit take the same Phase
   // II path — which is what makes warm output byte-identical to cold.
-  SessionOptions sopts;
-  sopts.pipeline = opts.pipeline;
-  sopts.pipeline.with_spm = false;
-  sopts.pipeline.with_replay = false;
+  const SessionOptions sopts{opts.pipeline};
 
   // Model-cache fast path: a hit makes this job pure Phase II. The
   // candidates are enumerated from the cached model (they depend only on
@@ -589,8 +585,7 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
 
 /// Builds the SweepItem for grid point `i` from its group's solve.
 /// `solve == nullptr` means Phase I failed and js.phase1 is the item's
-/// outcome. The SpmReport's candidates vector, its bulk, is not copied:
-/// nothing reads it, and candidate_count keeps its size.
+/// outcome.
 SweepItem build_item(const SweepJob& job, size_t job_index,
                      const SweepGrid& grid, size_t i, JobState& js,
                      const GroupSolve* solve,
@@ -614,12 +609,7 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
   if (item.status.ok() && point.replay) item.status = solve->replay.status;
   if (!item.status.ok()) return item;
   item.model_refs = model.refs.size();
-  item.candidate_count = solve->spm.candidates.size();
-  item.spm.capacity = solve->spm.capacity;
-  item.spm.exact = solve->spm.exact;
-  item.spm.greedy = solve->spm.greedy;
-  item.spm.baseline = solve->spm.baseline;
-  item.spm.with_spm = solve->spm.with_spm;
+  item.spm = solve->spm;
   item.spm.caches = std::move(caches);
   item.energy = point.algorithm == Algorithm::kGreedy
                     ? solve->greedy_energy
@@ -733,7 +723,7 @@ std::string point_line(const SweepItem& item) {
     return w.take();
   }
   w.key("model_refs").value(static_cast<uint64_t>(item.model_refs));
-  w.key("candidates").value(static_cast<uint64_t>(item.candidate_count));
+  w.key("candidates").value(static_cast<uint64_t>(item.spm.candidate_count));
   const spm::Selection& sel = item.selection();
   w.key("buffers_chosen").value(static_cast<uint64_t>(sel.chosen.size()));
   w.key("bytes_used").value(sel.bytes_used);

@@ -1,9 +1,10 @@
 // The design-space sweep driver: N programs × a multi-axis DSE grid.
 //
-// The paper's Phase II is a design-space exploration, but "sweep" used to
-// mean exactly one axis (a list of SPM capacities baked into the old
-// batch driver's options). This module makes the sweep a first-class,
-// composable object: a SweepSpec declares values along five axes —
+// The paper's Phase II is a design-space exploration, and this module is
+// where it runs — the only place: every sweep, batch, serve request and
+// bench solves its points here, and `foraygen spm` is a one-point sweep
+// (its --capacity, inherited --compare-cache and --replay are the grid's
+// single values). A SweepSpec declares values along five axes —
 //
 //   capacity    SPM bytes the group-knapsack is solved for
 //   energy      named EnergyModel presets with field overrides
@@ -59,6 +60,7 @@
 
 #include "driver/session.h"
 #include "foray/pipeline.h"
+#include "spm/replay.h"
 #include "util/status.h"
 
 namespace foray::driver {
@@ -167,8 +169,8 @@ struct SweepOptions {
   int threads = 1;
   SweepSpec spec;
   /// Phase I configuration (engine, profiling mode, filter) and the base
-  /// Phase II options that empty axes inherit. with_spm is ignored: the
-  /// sweep runs Phase II itself, per grid point.
+  /// Phase II options that empty axes inherit (an undeclared replay axis
+  /// is off).
   core::PipelineOptions pipeline;
   /// How many times a *transient* failure (ErrorCode::kIoError — the
   /// outside world failed, not the input and not this library) is
@@ -202,12 +204,7 @@ struct SweepItem {
   SweepPoint point;       ///< the resolved configuration
   util::Status status;
   size_t model_refs = 0;
-  /// Buffer candidates the DSE chose from (recorded separately because
-  /// `spm.candidates` is not kept).
-  size_t candidate_count = 0;
-  /// Phase II result (both selections, energy, cache comparisons). The
-  /// candidates vector — the bulk of an SpmReport, and unread — is left
-  /// empty.
+  /// Phase II result (both selections, energy, cache comparisons).
   core::SpmReport spm;
   /// Energy evaluation of the *headline* selection (== spm.with_spm for
   /// the exact DP, recomputed for greedy points).

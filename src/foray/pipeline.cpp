@@ -102,28 +102,19 @@ util::Status extract_phase(const PipelineOptions& opts,
 
 SpmReport solve_spm(const ForayModel& model, const SpmPhaseOptions& opts,
                     const std::vector<spm::BufferCandidate>* candidates) {
+  std::vector<spm::BufferCandidate> enumerated;
+  if (candidates == nullptr) {
+    enumerated = spm::enumerate_candidates(model, opts.reuse);
+    candidates = &enumerated;
+  }
   SpmReport report;
   report.capacity = opts.dse.spm_capacity;
-  report.candidates = candidates != nullptr
-                          ? *candidates
-                          : spm::enumerate_candidates(model, opts.reuse);
-  report.exact = spm::select_buffers(report.candidates, opts.dse);
-  report.greedy = spm::select_buffers_greedy(report.candidates, opts.dse);
+  report.candidate_count = candidates->size();
+  report.exact = spm::select_buffers(*candidates, opts.dse);
+  report.greedy = spm::select_buffers_greedy(*candidates, opts.dse);
   report.baseline = spm::evaluate_baseline(model, opts.dse.energy);
   report.with_spm = spm::evaluate_selection(model, report.exact, opts.dse);
-  if (opts.compare_cache) {
-    CacheCellCounts cell =
-        std::move(simulate_caches(model, {cache_cell(opts)}).front());
-    if (!cell.status.ok()) throw util::StatusError(cell.status);
-    report.caches = std::move(cell.caches);
-    price_caches(opts, &report.caches);
-  }
   return report;
-}
-
-CacheCell cache_cell(const SpmPhaseOptions& opts) {
-  return CacheCell{opts.dse.spm_capacity, opts.cache_line_bytes,
-                   opts.cache_assocs};
 }
 
 std::vector<CacheCellCounts> simulate_caches(
@@ -230,38 +221,13 @@ void price_caches(const SpmPhaseOptions& opts,
   }
 }
 
-util::Status spm_phase(const SpmPhaseOptions& opts, PipelineResult* result) {
-  FORAY_CHECK(result->model_built, "spm_phase requires extract_phase");
-  result->spm = solve_spm(result->model, opts);
-  result->spm_ran = true;
-  return result->status;
-}
-
-util::Status spm_replay_phase(const PipelineOptions& opts,
-                              PipelineResult* result) {
-  FORAY_CHECK(result->spm_ran, "spm_replay_phase requires spm_phase");
-  spm::ReplayOptions ropts;
-  ropts.run = opts.run;
-  ropts.dse = opts.spm.dse;
-  ropts.dse.spm_capacity = result->spm.capacity;
-  result->replay =
-      spm::replay_selection(result->model, result->spm.exact, ropts);
-  result->replay_ran = true;
-  if (!result->replay.status.ok()) result->status = result->replay.status;
-  return result->status;
-}
-
 PipelineResult run_pipeline(std::string_view source,
                             const PipelineOptions& opts) {
   PipelineResult result;
   if (!frontend_phase(source, &result).ok()) return result;
   if (!instrument_phase(&result).ok()) return result;
   if (!profile_phase(opts, &result).ok()) return result;
-  if (!extract_phase(opts, &result).ok()) return result;
-  if (opts.with_spm || opts.with_replay) {
-    if (!spm_phase(opts.spm, &result).ok()) return result;
-    if (opts.with_replay) spm_replay_phase(opts, &result);
-  }
+  extract_phase(opts, &result);
   return result;
 }
 
@@ -271,7 +237,7 @@ std::string describe_spm_report(const SpmReport& report,
   std::string out;
   std::snprintf(buf, sizeof buf,
                 "SPM capacity %uB: %zu candidate buffer(s), %zu chosen\n",
-                report.capacity, report.candidates.size(),
+                report.capacity, report.candidate_count,
                 report.exact.chosen.size());
   out += buf;
 

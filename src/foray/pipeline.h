@@ -5,16 +5,18 @@
 //   Instrument  annotate loop sites (Step 1)
 //   Profile     run the simulator with trace sinks attached (Steps 2+3)
 //   Extract     build the model, apply the Step 4 filter, emit sources
-// Phase II (the SPM design flow the model exists to feed):
-//   SpmPhase    reuse analysis -> buffer candidates -> group-knapsack /
-//               greedy selection -> energy evaluation, as an SpmReport.
-//
 // Each phase is a free function that advances a PipelineResult and records
 // its util::Status both in the return value and in `result.status`; a
 // failed phase leaves later artifacts untouched. run_pipeline() composes
-// them; callers that need finer control (the batch driver re-running only
-// the SpmPhase across capacities, the CLI's annotate/trace commands)
-// invoke phases directly.
+// them; callers that need finer control (the CLI's annotate/trace
+// commands, perfbench's per-layer spans) invoke phases directly.
+//
+// Phase II — the SPM design flow the model exists to feed — runs in one
+// place, driver/sweep.h: every sweep, serve request and `foraygen spm`
+// (a one-point sweep) solves its points there. This header keeps the pure
+// building blocks it calls: solve_spm (reuse analysis -> buffer candidates
+// -> group-knapsack / greedy selection -> energy evaluation, as an
+// SpmReport) and the cache comparison (simulate_caches / price_caches).
 //
 // The default is the paper's online mode: the extractor is the trace sink
 // and no trace is materialized. Offline mode stores the full trace first
@@ -46,7 +48,6 @@
 #include "minic/sema.h"
 #include "sim/interpreter.h"
 #include "spm/dse.h"
-#include "spm/replay.h"
 #include "spm/reuse.h"
 #include "spm/spm_sim.h"
 #include "util/status.h"
@@ -58,7 +59,8 @@ struct SpmPhaseOptions {
   spm::DseOptions dse;  ///< capacity, DP granule, energy model
   /// Also replay the model's address stream through set-associative LRU
   /// caches of the same capacity (the Banakar-style comparison the SPM
-  /// argument rests on) and record them in SpmReport::caches.
+  /// argument rests on): the sweep's inherited cache axis value, priced
+  /// into SpmReport::caches by simulate_caches / price_caches.
   bool compare_cache = false;
   uint32_t cache_line_bytes = 32;
   std::vector<int> cache_assocs = {2, 4};
@@ -82,30 +84,22 @@ struct PipelineOptions {
   /// false (default) lets the online pass elide scalar traffic; the
   /// model is identical either way. The offline mode always has it.
   bool census = false;
-  /// Run the SpmPhase after Extract (Phase II of the design flow).
-  bool with_spm = false;
+  /// Phase II options, the base a sweep's undeclared axes inherit.
   SpmPhaseOptions spm;
-  /// After the SpmPhase, execute the transformed program and lock its
-  /// simulated SPM/main/transfer traffic against the analytic counters
-  /// (spm/replay.h). Implies with_spm under run_pipeline(). A failure to
-  /// *execute* the transformed program fails the pipeline; counter
-  /// mismatches are recorded in PipelineResult::replay for the caller
-  /// (the CLI exits nonzero, the batch report carries a replay column).
-  bool with_replay = false;
 };
 
 /// Phase II output: everything the DSE decided for one SPM capacity.
 struct SpmReport {
   uint32_t capacity = 0;  ///< SPM bytes the selection was solved for
-  std::vector<spm::BufferCandidate> candidates;
+  size_t candidate_count = 0;  ///< buffer candidates the DSE chose from
   spm::Selection exact;        ///< group-knapsack DP selection
   spm::Selection greedy;       ///< density heuristic (ablation baseline)
   spm::EnergyReport baseline;  ///< every access served by main memory
   spm::EnergyReport with_spm;  ///< under the exact selection
 
   /// One cache of the same capacity per requested associativity
-  /// (SpmPhaseOptions::compare_cache); empty when the comparison was
-  /// not requested.
+  /// (priced by price_caches); empty when the comparison was not
+  /// requested.
   struct CacheComparison {
     int assoc = 0;
     uint64_t hits = 0;
@@ -137,12 +131,6 @@ struct PipelineResult {
   ModelBuildStats build_stats;
   std::string foray_source;       ///< compilable MiniC FORAY model
   std::string foray_paper_style;  ///< Figure 2-style display form
-  // SpmPhase.
-  bool spm_ran = false;
-  SpmReport spm;
-  // TransformReplayPhase.
-  bool replay_ran = false;
-  spm::ReplayReport replay;
 
   bool ok() const { return status.ok(); }
   std::string error() const { return status.message(); }
@@ -171,17 +159,13 @@ util::Status profile_phase(const PipelineOptions& opts,
 util::Status extract_phase(const PipelineOptions& opts,
                            PipelineResult* result);
 
-/// Phase II: reuse analysis, buffer selection (exact + greedy) and energy
-/// evaluation over the extracted model. Requires extract_phase. May be
-/// re-run with different options (e.g. a capacity sweep); each run
-/// replaces result->spm wholesale.
-util::Status spm_phase(const SpmPhaseOptions& opts, PipelineResult* result);
-
-/// The pure form of the SpmPhase: solves one Phase II configuration over
-/// an immutable model and returns the report, touching no shared state —
-/// safe to call concurrently on the same model (the sweep driver fans
-/// grid points across a pool this way). `candidates` optionally supplies
-/// a pre-enumerated candidate list (they depend only on the model and
+/// Phase II for one configuration: reuse analysis, buffer selection
+/// (exact + greedy) and energy evaluation over an immutable model. Pure,
+/// so safe to call concurrently on the same model (the sweep driver fans
+/// solve groups across a pool this way). The report's caches stay empty:
+/// the comparison is simulate_caches / price_caches, whatever
+/// opts.compare_cache says. `candidates` optionally supplies a
+/// pre-enumerated candidate list (they depend only on the model and
 /// opts.reuse, never on capacity/energy/cache, so sweep callers enumerate
 /// once and reuse); nullptr enumerates from scratch.
 SpmReport solve_spm(const ForayModel& model, const SpmPhaseOptions& opts,
@@ -190,13 +174,12 @@ SpmReport solve_spm(const ForayModel& model, const SpmPhaseOptions& opts,
 
 /// One cell of the cache comparison: caches of `capacity` bytes with
 /// `line_bytes` lines, one per `assocs` entry (a sweep's capacity and
-/// cache axis value, or SpmPhaseOptions::compare_cache's settings).
+/// cache axis value).
 struct CacheCell {
   uint32_t capacity = 0;
   uint32_t line_bytes = 32;
   std::vector<int> assocs;
 };
-CacheCell cache_cell(const SpmPhaseOptions& opts);
 
 /// A cell's unpriced counts (energy_nj 0), one per associativity, or the
 /// kInvalidInput / phase "spm-solve" failure naming the first geometry
@@ -206,14 +189,15 @@ struct CacheCellCounts {
   std::vector<SpmReport::CacheComparison> caches;
 };
 
-/// The cache comparison of SpmPhaseOptions::compare_cache, in its two
-/// halves. simulate_caches replays the model's address stream through
-/// every cache of every cell in one pass — more when the cells together
-/// hold over spm::kMaxCacheLines lines, so the tables stay bounded — and
-/// returns one result per cell, in order; a bad cell is simulated not at
-/// all and fails alone. The counts depend on the geometry only, so a
-/// sweep simulates each (capacity, geometry) once and prices it per
-/// energy model with price_caches, which fills energy_nj.
+/// The cache comparison of SpmPhaseOptions::compare_cache (or a sweep's
+/// cache axis), in its two halves. simulate_caches replays the model's
+/// address stream through every cache of every cell in one pass — more
+/// when the cells together hold over spm::kMaxCacheLines lines, so the
+/// tables stay bounded — and returns one result per cell, in order; a
+/// bad cell is simulated not at all and fails alone. The counts depend
+/// on the geometry only, so a sweep simulates each (capacity, geometry)
+/// once and prices it per energy model with price_caches, which fills
+/// energy_nj.
 ///
 /// Within a pass the caches of one line size form a chain ordered from
 /// the fewest sets to the most, and each address walks the chain only
@@ -228,23 +212,13 @@ std::vector<CacheCellCounts> simulate_caches(
 void price_caches(const SpmPhaseOptions& opts,
                   std::vector<SpmReport::CacheComparison>* caches);
 
-/// Phase II exit check: emit the transformed program for the SpmPhase's
-/// exact selection, execute it on the simulator (same engine as the
-/// profiling run) and lock the classified traffic against the analytic
-/// counters. Requires spm_phase. Fails the pipeline status only when the
-/// transformed program itself fails to build or run — counter mismatches
-/// land in result->replay.mismatches (see spm/replay.h).
-util::Status spm_replay_phase(const PipelineOptions& opts,
-                              PipelineResult* result);
-
-/// All of Phase I (and Phase II when opts.with_spm, plus the replay
-/// check when opts.with_replay).
+/// All of Phase I.
 PipelineResult run_pipeline(std::string_view source,
                             const PipelineOptions& opts = {});
 
 /// Deterministic human-readable rendering of an SpmReport (chosen buffers
 /// with array names, bytes used, predicted nJ saved, greedy comparison).
-/// Shared by the CLI `spm` command, the batch driver and the benches.
+/// The CLI `spm` command prints it.
 std::string describe_spm_report(const SpmReport& report,
                                 const ForayModel& model);
 

@@ -246,41 +246,4 @@ std::string StaticCost::str() const {
   return s;
 }
 
-StaticCost cost_seq(const StaticCost& a, const StaticCost& b) {
-  StaticCost c;
-  c.max_steps = sat_add(a.max_steps, b.max_steps);
-  c.max_records = sat_add(a.max_records, b.max_records);
-  c.min_steps = sat_add(a.min_steps, b.min_steps);
-  c.min_records = sat_add(a.min_records, b.min_records);
-  c.exact = a.exact && b.exact;
-  return c;
-}
-
-StaticCost cost_alt(const StaticCost& a, const StaticCost& b) {
-  StaticCost c;
-  c.max_steps = std::max(a.max_steps, b.max_steps);
-  c.max_records = std::max(a.max_records, b.max_records);
-  c.min_steps = std::min(a.min_steps, b.min_steps);
-  c.min_records = std::min(a.min_records, b.min_records);
-  c.exact = a.exact && b.exact && a.max_records == b.max_records &&
-            a.min_records == b.min_records;
-  return c;
-}
-
-StaticCost cost_repeat(const StaticCost& body, uint64_t trips_lo,
-                       uint64_t trips_hi) {
-  StaticCost c;
-  c.max_steps = sat_mul(body.max_steps, trips_hi);
-  c.max_records = sat_mul(body.max_records, trips_hi);
-  // min bounds saturating at kUnbounded would claim an unbounded *lower*
-  // bound; cap them below saturation so a lower bound is always a real
-  // number of events.
-  c.min_steps = sat_mul(body.min_steps, trips_lo);
-  if (c.min_steps == kUnbounded) c.min_steps = kUnbounded - 1;
-  c.min_records = sat_mul(body.min_records, trips_lo);
-  if (c.min_records == kUnbounded) c.min_records = kUnbounded - 1;
-  c.exact = body.exact && trips_lo == trips_hi && trips_hi != kUnbounded;
-  return c;
-}
-
 }  // namespace foray::staticforay

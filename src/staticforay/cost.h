@@ -111,15 +111,6 @@ struct StaticCost {
   std::string str() const;
 };
 
-/// Sequential composition: a then b.
-StaticCost cost_seq(const StaticCost& a, const StaticCost& b);
-/// Branching: either a or b runs.
-StaticCost cost_alt(const StaticCost& a, const StaticCost& b);
-/// Loop composition: body runs between trips_lo and trips_hi times
-/// (trips_hi may be kUnbounded).
-StaticCost cost_repeat(const StaticCost& body, uint64_t trips_lo,
-                       uint64_t trips_hi);
-
 /// Renders a bound for messages/JSON: digits, or "unbounded".
 std::string cost_bound_str(uint64_t v);
 

@@ -39,10 +39,8 @@ const char* kGood2 =
 const char* kParseError = "int main(void) { return 0;";       // no brace
 const char* kSimFault = "int main(void) { int z = 0; return 1 / z; }";
 
-SessionOptions spm_session_opts(uint32_t capacity = 4096) {
+SessionOptions session_opts() {
   SessionOptions o;
-  o.pipeline.with_spm = true;
-  o.pipeline.spm.dse.spm_capacity = capacity;
   o.pipeline.filter.min_exec = 1;
   o.pipeline.filter.min_locations = 1;
   return o;
@@ -84,10 +82,10 @@ TEST(ThreadPool, ZeroThreadsClampedToOne) {
 // -- session ------------------------------------------------------------------
 
 TEST(Session, RunsAllPhasesAndIsIdempotent) {
-  Session s("good", kGood, spm_session_opts());
+  Session s("good", kGood, session_opts());
   ASSERT_TRUE(s.run().ok()) << s.status().message();
   EXPECT_TRUE(s.ran());
-  EXPECT_TRUE(s.result().spm_ran);
+  EXPECT_TRUE(s.result().model_built);
   const void* model_before = &s.result().model;
   const size_t refs = s.result().model.refs.size();
   EXPECT_GT(refs, 0u);
@@ -101,44 +99,6 @@ TEST(Session, SurfacesFrontendFailureAsStatus) {
   Session s("bad", kParseError);
   EXPECT_FALSE(s.run().ok());
   EXPECT_EQ(s.status().phase(), "parse");
-}
-
-TEST(Session, RerunSpmSweepsCapacityWithoutReprofiling) {
-  Session s("good", kGood, spm_session_opts(4096));
-  ASSERT_TRUE(s.run().ok()) << s.status().message();
-  const uint64_t steps = s.result().run.steps;
-  const uint64_t bytes_4k = s.result().spm.exact.bytes_used;
-  ASSERT_GT(bytes_4k, 0u);
-
-  const core::SpmReport& small = s.rerun_spm(64);
-  EXPECT_EQ(small.capacity, 64u);
-  EXPECT_LE(small.exact.bytes_used, 64u);
-  // Phase I was not re-run.
-  EXPECT_EQ(s.result().run.steps, steps);
-}
-
-TEST(Session, SpmReportTextEmptyUntilSpmRan) {
-  SessionOptions no_spm;
-  Session s("good", kGood, no_spm);
-  ASSERT_TRUE(s.run().ok());
-  EXPECT_EQ(s.spm_report_text(), "");
-}
-
-TEST(Session, ResolveMemoizesCandidatesAcrossCapacities) {
-  Session s("good", kGood, spm_session_opts(4096));
-  ASSERT_TRUE(s.run().ok()) << s.status().message();
-  const std::string report_4k = s.spm_report_text();
-  const size_t n_candidates = s.result().spm.candidates.size();
-  ASSERT_GT(n_candidates, 0u);
-
-  // A capacity-only re-solve reuses the memoized candidate list; coming
-  // back to the original capacity must reproduce the first report
-  // byte-for-byte.
-  s.rerun_spm(64);
-  EXPECT_EQ(s.result().spm.candidates.size(), n_candidates);
-  s.rerun_spm(4096);
-  EXPECT_EQ(s.result().spm.candidates.size(), n_candidates);
-  EXPECT_EQ(s.spm_report_text(), report_4k);
 }
 
 // -- sweep driver (capacity-only batch shape) ---------------------------------

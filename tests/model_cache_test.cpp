@@ -93,7 +93,7 @@ class ModelCacheTest : public ::testing::Test {
 };
 
 TEST_F(ModelCacheTest, WarmSweepIsPurePhaseTwoAndByteIdentical) {
-  ModelCache cold_cache(ModelCacheOptions{dir_, true});
+  ModelCache cold_cache(ModelCacheOptions{dir_});
   const std::string cold = run_ndjson(/*threads=*/1, &cold_cache);
   {
     const ModelCache::Stats s = cold_cache.stats();
@@ -107,7 +107,7 @@ TEST_F(ModelCacheTest, WarmSweepIsPurePhaseTwoAndByteIdentical) {
 
   // A fresh process (fresh cache object, same directory), different
   // thread count: all hits, no Phase I, and the same bytes out.
-  ModelCache warm_cache(ModelCacheOptions{dir_, true});
+  ModelCache warm_cache(ModelCacheOptions{dir_});
   const std::string warm = run_ndjson(/*threads=*/3, &warm_cache);
   EXPECT_EQ(warm, cold);
   {
@@ -127,7 +127,7 @@ TEST_F(ModelCacheTest, AstSweepHitsBytecodePopulatedCache) {
   // bit-identical by the equivalence harness), so a --engine ast sweep
   // against a cache populated by a bytecode run must be pure hits and
   // byte-identical output — the engine is a speed choice, never a key.
-  ModelCache bc_cache(ModelCacheOptions{dir_, true});
+  ModelCache bc_cache(ModelCacheOptions{dir_});
   SweepOptions bc_opts = sweep_opts(/*threads=*/1, &bc_cache);
   bc_opts.pipeline.run.engine = sim::Engine::Bytecode;
   std::ostringstream bc_out;
@@ -137,7 +137,7 @@ TEST_F(ModelCacheTest, AstSweepHitsBytecodePopulatedCache) {
   }
   EXPECT_EQ(bc_cache.stats().stores, 2u);
 
-  ModelCache ast_cache(ModelCacheOptions{dir_, true});
+  ModelCache ast_cache(ModelCacheOptions{dir_});
   SweepOptions ast_opts = sweep_opts(/*threads=*/2, &ast_cache);
   ast_opts.pipeline.run.engine = sim::Engine::Ast;
   std::ostringstream ast_out;
@@ -153,7 +153,7 @@ TEST_F(ModelCacheTest, AstSweepHitsBytecodePopulatedCache) {
 }
 
 TEST_F(ModelCacheTest, MemoryLayerServesRepeatRunsWithoutDisk) {
-  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  ModelCache cache(ModelCacheOptions{/*dir=*/""});
   const std::string first = run_ndjson(1, &cache);
   const std::string second = run_ndjson(2, &cache);
   EXPECT_EQ(first, second);
@@ -165,7 +165,7 @@ TEST_F(ModelCacheTest, MemoryLayerServesRepeatRunsWithoutDisk) {
 }
 
 TEST_F(ModelCacheTest, CorruptEntryIsRejectedRecomputedAndOverwritten) {
-  ModelCache seed(ModelCacheOptions{dir_, true});
+  ModelCache seed(ModelCacheOptions{dir_});
   const std::string cold = run_ndjson(1, &seed);
   auto files = entries();
   ASSERT_EQ(files.size(), 2u);
@@ -196,7 +196,7 @@ TEST_F(ModelCacheTest, CorruptEntryIsRejectedRecomputedAndOverwritten) {
 
     // The direct lookup reports the classified rejection...
     {
-      ModelCache probe(ModelCacheOptions{dir_, true});
+      ModelCache probe(ModelCacheOptions{dir_});
       const std::string key =
           std::filesystem::path(files[0]).stem().string();
       core::ForayModel model;
@@ -214,7 +214,7 @@ TEST_F(ModelCacheTest, CorruptEntryIsRejectedRecomputedAndOverwritten) {
 
     // ...and a sweep over the poisoned cache recomputes transparently:
     // same bytes out, one rejection, one re-store.
-    ModelCache cache(ModelCacheOptions{dir_, true});
+    ModelCache cache(ModelCacheOptions{dir_});
     EXPECT_EQ(run_ndjson(2, &cache), cold);
     const ModelCache::Stats s = cache.stats();
     EXPECT_EQ(s.rejected, 1u);
@@ -222,7 +222,7 @@ TEST_F(ModelCacheTest, CorruptEntryIsRejectedRecomputedAndOverwritten) {
     EXPECT_EQ(s.stores, 1u);  // the recomputed one, rewritten
 
     // The rewrite healed the entry for the next fresh cache.
-    ModelCache healed(ModelCacheOptions{dir_, true});
+    ModelCache healed(ModelCacheOptions{dir_});
     EXPECT_EQ(run_ndjson(1, &healed), cold);
     EXPECT_EQ(healed.stats().hits, 2u);
     EXPECT_EQ(healed.stats().rejected, 0u);
@@ -230,7 +230,7 @@ TEST_F(ModelCacheTest, CorruptEntryIsRejectedRecomputedAndOverwritten) {
 }
 
 TEST_F(ModelCacheTest, VersionOneEntryIsAMissRecomputedAndRewritten) {
-  ModelCache seed(ModelCacheOptions{dir_, true});
+  ModelCache seed(ModelCacheOptions{dir_});
   const std::string cold = run_ndjson(1, &seed);
   auto files = entries();
   ASSERT_EQ(files.size(), 2u);
@@ -254,7 +254,7 @@ TEST_F(ModelCacheTest, VersionOneEntryIsAMissRecomputedAndRewritten) {
 
   // Every entry is a classified miss, recomputed, and rewritten in the
   // current format; the sweep's bytes do not change.
-  ModelCache cache(ModelCacheOptions{dir_, true});
+  ModelCache cache(ModelCacheOptions{dir_});
   EXPECT_EQ(run_ndjson(2, &cache), cold);
   const ModelCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
@@ -275,12 +275,12 @@ TEST_F(ModelCacheTest, StoreRoundTripsThroughLookup) {
   core::PipelineResult res = core::run_pipeline(kGood, popts);
   ASSERT_TRUE(res.status.ok());
 
-  ModelCache cache(ModelCacheOptions{dir_, true});
+  ModelCache cache(ModelCacheOptions{dir_});
   const std::string key = ModelCache::key(kGood, popts);
   cache.store(key, res.model);
 
   // A different cache object must read it back from disk, byte-equal.
-  ModelCache other(ModelCacheOptions{dir_, true});
+  ModelCache other(ModelCacheOptions{dir_});
   core::ForayModel loaded;
   util::Status why;
   ASSERT_TRUE(other.lookup(key, &loaded, &why)) << why.message();
@@ -297,7 +297,7 @@ TEST_F(ModelCacheTest, SizeBoundEvictsOldestEntriesFirst) {
   // Measure one entry so the bound can be phrased in whole entries.
   uint64_t entry_size = 0;
   {
-    ModelCache probe(ModelCacheOptions{dir_, true});
+    ModelCache probe(ModelCacheOptions{dir_});
     probe.store("probe", res.model);
     entry_size = std::filesystem::file_size(dir_ + "/probe.fmodel");
     std::filesystem::remove(dir_ + "/probe.fmodel");
@@ -306,7 +306,7 @@ TEST_F(ModelCacheTest, SizeBoundEvictsOldestEntriesFirst) {
 
   // Room for two entries, not three.
   ModelCache cache(
-      ModelCacheOptions{dir_, /*memory=*/true, entry_size * 2 + 1});
+      ModelCacheOptions{dir_, entry_size * 2 + 1});
   const auto age = [&](const char* key, int hours) {
     std::filesystem::last_write_time(
         dir_ + "/" + key + ".fmodel",
@@ -333,7 +333,7 @@ TEST_F(ModelCacheTest, SizeBoundEvictsOldestEntriesFirst) {
   core::ForayModel loaded;
   util::Status why;
   EXPECT_TRUE(cache.lookup("aa", &loaded, &why));
-  ModelCache fresh(ModelCacheOptions{dir_, true});
+  ModelCache fresh(ModelCacheOptions{dir_});
   EXPECT_FALSE(fresh.lookup("aa", &loaded, &why));
   EXPECT_TRUE(why.ok()) << why.message();
 }
@@ -345,7 +345,7 @@ TEST_F(ModelCacheTest, BoundSmallerThanOneEntryEvictsTheFreshStore) {
   core::PipelineResult res = core::run_pipeline(kGood, popts);
   ASSERT_TRUE(res.status.ok());
 
-  ModelCache cache(ModelCacheOptions{dir_, /*memory=*/true, /*max_bytes=*/1});
+  ModelCache cache(ModelCacheOptions{dir_, /*max_bytes=*/1});
   cache.store("aa", res.model);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().store_failures, 0u);  // the write itself worked

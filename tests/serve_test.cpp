@@ -340,7 +340,7 @@ TEST(Serve, InvalidBudgetAndUnknownFieldsAreRejected) {
 }
 
 TEST(Serve, ModelCacheMakesRepeatRequestsPurePhaseTwo) {
-  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  ModelCache cache(ModelCacheOptions{/*dir=*/""});
   const std::string requests =
       good_request(1) + "\n" + good_request(2) + "\n";
   std::istringstream in(requests);
@@ -413,7 +413,7 @@ TEST(Serve, MemoryLayerIsBoundedLeastRecentlyUsedFirst) {
   // hit throughout (first-in-first-out would have evicted it), the layer
   // stops growing at the bound, and the oldest source, evicted, is
   // recomputed to the same response.
-  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  ModelCache cache(ModelCacheOptions{/*dir=*/""});
   const std::string kernel =
       "{\"id\":0,\"program\":\"adpcm\",\"axes\":{\"capacity\":\"1024\"}}";
   const int distinct = static_cast<int>(kMemoryEntries) + 8;

@@ -1,6 +1,7 @@
-// End-to-end Phase II: pipeline -> reuse -> DSE through the SpmPhase,
+// End-to-end Phase II: Phase I's model -> reuse -> DSE through solve_spm,
 // on paper-style examples. Locks in that the phases are individually
-// invokable and that run_pipeline() is exactly their composition.
+// invokable, that run_pipeline() is exactly their composition, and that
+// solve_spm is a pure function of the model and its options.
 #include <gtest/gtest.h>
 
 #include "foray/pipeline.h"
@@ -29,21 +30,24 @@ const char* kReuseProgram =
     "  return row[0];\n"
     "}\n";
 
-PipelineOptions with_spm(uint32_t capacity = 4096) {
-  PipelineOptions o;
-  o.with_spm = true;
-  o.spm.dse.spm_capacity = capacity;
+SpmPhaseOptions at(uint32_t capacity = 4096) {
+  SpmPhaseOptions o;
+  o.dse.spm_capacity = capacity;
   return o;
 }
 
-TEST(SpmPhase, EndToEndSelectsBuffers) {
-  auto res = run_pipeline(kReuseProgram, with_spm());
-  ASSERT_TRUE(res.ok()) << res.error();
-  ASSERT_TRUE(res.spm_ran);
+PipelineResult phase1() {
+  PipelineResult res = run_pipeline(kReuseProgram);
+  EXPECT_TRUE(res.ok()) << res.error();
+  EXPECT_TRUE(res.model_built);
+  return res;
+}
 
-  const SpmReport& spm = res.spm;
+TEST(SpmPhase, EndToEndSelectsBuffers) {
+  const PipelineResult res = phase1();
+  const SpmReport spm = solve_spm(res.model, at());
   EXPECT_EQ(spm.capacity, 4096u);
-  EXPECT_FALSE(spm.candidates.empty());
+  EXPECT_GT(spm.candidate_count, 0u);
   ASSERT_FALSE(spm.exact.chosen.empty());
   EXPECT_GT(spm.exact.bytes_used, 0u);
   EXPECT_LE(spm.exact.bytes_used, spm.capacity);
@@ -58,30 +62,20 @@ TEST(SpmPhase, EndToEndSelectsBuffers) {
 }
 
 TEST(SpmPhase, ExactNeverWorseThanGreedy) {
+  const PipelineResult res = phase1();
   for (uint32_t cap : {256u, 1024u, 4096u}) {
-    auto res = run_pipeline(kReuseProgram, with_spm(cap));
-    ASSERT_TRUE(res.ok()) << res.error();
-    EXPECT_GE(res.spm.exact.saved_nj, res.spm.greedy.saved_nj)
-        << "capacity " << cap;
+    const SpmReport spm = solve_spm(res.model, at(cap));
+    EXPECT_GE(spm.exact.saved_nj, spm.greedy.saved_nj) << "capacity " << cap;
   }
 }
 
-TEST(SpmPhase, SkippedUnlessRequested) {
-  PipelineOptions o;  // with_spm defaults to false
-  auto res = run_pipeline(kReuseProgram, o);
-  ASSERT_TRUE(res.ok()) << res.error();
-  EXPECT_FALSE(res.spm_ran);
-  EXPECT_TRUE(res.spm.candidates.empty());
-}
-
 TEST(SpmPhase, ManualPhaseChainMatchesRunPipeline) {
-  PipelineOptions opts = with_spm();
+  PipelineOptions opts;
   PipelineResult manual;
   ASSERT_TRUE(frontend_phase(kReuseProgram, &manual).ok());
   ASSERT_TRUE(instrument_phase(&manual).ok());
   ASSERT_TRUE(profile_phase(opts, &manual).ok());
   ASSERT_TRUE(extract_phase(opts, &manual).ok());
-  ASSERT_TRUE(spm_phase(opts.spm, &manual).ok());
 
   auto composed = run_pipeline(kReuseProgram, opts);
   ASSERT_TRUE(composed.ok()) << composed.error();
@@ -93,31 +87,26 @@ TEST(SpmPhase, ManualPhaseChainMatchesRunPipeline) {
               composed.model.refs[i].fn.coefs);
   }
   EXPECT_EQ(manual.foray_source, composed.foray_source);
-  ASSERT_EQ(manual.spm.exact.chosen.size(),
-            composed.spm.exact.chosen.size());
-  EXPECT_EQ(manual.spm.exact.bytes_used, composed.spm.exact.bytes_used);
-  EXPECT_DOUBLE_EQ(manual.spm.exact.saved_nj, composed.spm.exact.saved_nj);
-  EXPECT_EQ(describe_spm_report(manual.spm, manual.model),
-            describe_spm_report(composed.spm, composed.model));
+  const SpmReport a = solve_spm(manual.model, opts.spm);
+  const SpmReport b = solve_spm(composed.model, opts.spm);
+  ASSERT_EQ(a.exact.chosen.size(), b.exact.chosen.size());
+  EXPECT_EQ(a.exact.bytes_used, b.exact.bytes_used);
+  EXPECT_DOUBLE_EQ(a.exact.saved_nj, b.exact.saved_nj);
+  EXPECT_EQ(describe_spm_report(a, manual.model),
+            describe_spm_report(b, composed.model));
 }
 
-TEST(SpmPhase, RerunReplacesReportWholesale) {
-  PipelineOptions opts = with_spm(4096);
-  auto res = run_pipeline(kReuseProgram, opts);
-  ASSERT_TRUE(res.ok()) << res.error();
-  const uint64_t bytes_4k = res.spm.exact.bytes_used;
+TEST(SpmPhase, SolvesAreIndependentAcrossCapacities) {
+  const PipelineResult res = phase1();
+  const uint64_t bytes_4k = solve_spm(res.model, at(4096)).exact.bytes_used;
   ASSERT_GT(bytes_4k, 0u);
 
-  SpmPhaseOptions tiny = opts.spm;
-  tiny.dse.spm_capacity = 16;  // nothing fits
-  ASSERT_TRUE(spm_phase(tiny, &res).ok());
-  EXPECT_EQ(res.spm.capacity, 16u);
-  EXPECT_LE(res.spm.exact.bytes_used, 16u);
-  EXPECT_LT(res.spm.exact.bytes_used, bytes_4k);
+  const SpmReport tiny = solve_spm(res.model, at(16));  // nothing fits
+  EXPECT_EQ(tiny.capacity, 16u);
+  EXPECT_LE(tiny.exact.bytes_used, 16u);
+  EXPECT_LT(tiny.exact.bytes_used, bytes_4k);
 
-  SpmPhaseOptions back = opts.spm;
-  ASSERT_TRUE(spm_phase(back, &res).ok());
-  EXPECT_EQ(res.spm.exact.bytes_used, bytes_4k);
+  EXPECT_EQ(solve_spm(res.model, at(4096)).exact.bytes_used, bytes_4k);
 }
 
 TEST(SpmPhase, PhaseFailuresCarryPhaseAndLine) {
@@ -140,15 +129,15 @@ TEST(SpmPhase, PhaseFailuresCarryPhaseAndLine) {
 }
 
 TEST(SpmPhase, ReportTextNamesBuffersAndSavings) {
-  auto res = run_pipeline(kReuseProgram, with_spm());
-  ASSERT_TRUE(res.ok()) << res.error();
-  std::string text = describe_spm_report(res.spm, res.model);
+  const PipelineResult res = phase1();
+  const SpmReport spm = solve_spm(res.model, at());
+  std::string text = describe_spm_report(spm, res.model);
   EXPECT_NE(text.find("bytes used"), std::string::npos);
   EXPECT_NE(text.find("predicted saving"), std::string::npos);
   EXPECT_NE(text.find("greedy"), std::string::npos);
   // Every chosen buffer appears with its array name.
   auto names = assign_array_names(res.model);
-  for (const auto& c : res.spm.exact.chosen) {
+  for (const auto& c : spm.exact.chosen) {
     EXPECT_NE(text.find(names[c.ref_index]), std::string::npos);
   }
 }

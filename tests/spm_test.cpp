@@ -520,7 +520,9 @@ TEST(Cache, SharedCountsPriceLikeAFreshSimulation) {
   opts.dse.spm_capacity = 2048;
   opts.cache_line_bytes = 32;
   opts.cache_assocs = {1, 2, 4};
-  const auto cells = core::simulate_caches(model, {core::cache_cell(opts)});
+  const auto cells = core::simulate_caches(
+      model, {{opts.dse.spm_capacity, opts.cache_line_bytes,
+               opts.cache_assocs}});
   ASSERT_EQ(cells.size(), 1u);
   ASSERT_TRUE(cells[0].status.ok());
   const auto& counts = cells[0].caches;
@@ -545,17 +547,12 @@ TEST(Cache, SharedCountsPriceLikeAFreshSimulation) {
 TEST(Cache, ImpossibleGeometryIsInvalidInput) {
   core::ForayModel model;
   model.refs.push_back(make_ref({0, 4}, {10, 64}));
-  core::SpmPhaseOptions opts;
-  opts.dse.spm_capacity = 3072;
-  opts.compare_cache = true;
-  opts.cache_assocs = {2};
-  try {
-    core::solve_spm(model, opts);
-    FAIL() << "3072 B / 32x2 has 48 sets";
-  } catch (const util::StatusError& e) {
-    EXPECT_EQ(e.status().code(), util::ErrorCode::kInvalidInput);
-    EXPECT_EQ(e.status().phase(), "spm-solve");
-  }
+  const auto alone = core::simulate_caches(model, {{3072, 32, {2}}});
+  ASSERT_EQ(alone.size(), 1u);
+  EXPECT_EQ(alone[0].status.code(), util::ErrorCode::kInvalidInput)
+      << "3072 B / 32x2 has 48 sets";
+  EXPECT_EQ(alone[0].status.phase(), "spm-solve");
+  EXPECT_TRUE(alone[0].caches.empty());
   // In a list of cells the bad ones fail alone: a cell with one bad
   // associativity reports no counts, its neighbours are simulated.
   const auto cells = core::simulate_caches(

@@ -194,7 +194,6 @@ TEST(SweepGrid, EmptyAxesInheritBaseOptions) {
   core::PipelineOptions base;
   base.spm.dse.spm_capacity = 2048;
   base.spm.compare_cache = true;
-  base.with_replay = true;
   SweepGrid grid = SweepGrid::expand(SweepSpec{}, base);
   ASSERT_EQ(grid.points_per_job(), 1u);
   const SweepPoint& p = grid.points[0];
@@ -203,7 +202,7 @@ TEST(SweepGrid, EmptyAxesInheritBaseOptions) {
   EXPECT_TRUE(p.cache.enabled);
   EXPECT_EQ(p.cache.label, "base");
   EXPECT_EQ(p.cache.assocs, base.spm.cache_assocs);
-  EXPECT_TRUE(p.replay);
+  EXPECT_FALSE(p.replay);  // an undeclared replay axis is off
 }
 
 TEST(SweepGrid, FlatIndexIsBoundsChecked) {
@@ -455,30 +454,6 @@ TEST(SweepDriver, BrokenProgramYieldsClassifiedRowsOthersUnchanged) {
             rows_mentioning(clean.str(), "ok2"));
 }
 
-TEST(SweepDriver, SharedCacheCountsMatchAPerPointSolve) {
-  // Every grid point prices its job's once-simulated cache counts; the
-  // result must equal solving the point on its own, energy model and all.
-  SweepOptions o = sweep_opts(4);
-  ASSERT_TRUE(o.spec.parse_axis("capacity", "256,4096").ok());
-  ASSERT_TRUE(
-      o.spec.parse_axis("energy", "default,dram-heavy,fast-spm").ok());
-  ASSERT_TRUE(o.spec.parse_axis("cache", "off,32x2,64x4").ok());
-  auto report = SweepDriver(o).run(good_jobs());
-  for (const auto& item : report.items) {
-    ASSERT_TRUE(item.status.ok()) << item.status.message();
-    const core::SpmReport solo = core::solve_spm(
-        report.sessions[item.key.job]->result().model,
-        item.point.spm_options(o.pipeline.spm));
-    ASSERT_EQ(item.spm.caches.size(), solo.caches.size());
-    for (size_t a = 0; a < solo.caches.size(); ++a) {
-      EXPECT_EQ(item.spm.caches[a].assoc, solo.caches[a].assoc);
-      EXPECT_EQ(item.spm.caches[a].hits, solo.caches[a].hits);
-      EXPECT_EQ(item.spm.caches[a].misses, solo.caches[a].misses);
-      EXPECT_EQ(item.spm.caches[a].energy_nj, solo.caches[a].energy_nj);
-    }
-  }
-}
-
 /// Every item of `report` against a fresh single-cell simulate_caches of
 /// its point: the same counts, priced the same, or the same failure.
 void expect_items_match_single_cells(const SweepReport& report,
@@ -492,7 +467,8 @@ void expect_items_match_single_cells(const SweepReport& report,
     }
     const core::CacheCellCounts solo = core::simulate_caches(
         report.sessions[item.key.job]->result().model,
-        {core::cache_cell(popts)})[0];
+        {core::CacheCell{popts.dse.spm_capacity, popts.cache_line_bytes,
+                         popts.cache_assocs}})[0];
     SCOPED_TRACE(item.program + " @" +
                  std::to_string(item.point.capacity_bytes) + " " +
                  item.point.cache.label);
@@ -547,7 +523,7 @@ TEST(SweepDriver, OnePassCacheTableEqualsPerCellSimulation) {
   SweepOptions o4 = o;
   o4.threads = 4;
   EXPECT_EQ(ndjson_of(o4, jobs), cold);
-  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  ModelCache cache(ModelCacheOptions{/*dir=*/""});
   o4.model_cache = &cache;
   EXPECT_EQ(ndjson_of(o4, jobs), cold);
   EXPECT_EQ(ndjson_of(o4, jobs), cold);
@@ -666,7 +642,7 @@ TEST(SweepDriver, ImpossibleCacheGeometryFailsOnlyItsOwnPoints) {
   std::ostringstream par;
   EXPECT_FALSE(SweepDriver(o4).run_ndjson(jobs, par).ok());
   EXPECT_EQ(par.str(), cold.str());
-  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  ModelCache cache(ModelCacheOptions{/*dir=*/""});
   SweepOptions prime = sweep_opts(1);
   ASSERT_TRUE(prime.spec.parse_axis("capacity", "4096").ok());
   prime.model_cache = &cache;
@@ -728,7 +704,7 @@ TEST(SweepDriver, OneSolvePerCapacityAndEnergyAcrossTheCacheAxis) {
     EXPECT_EQ(item.spm.exact.bytes_used, solo.exact.bytes_used);
     EXPECT_EQ(item.spm.exact.saved_nj, solo.exact.saved_nj);
     EXPECT_EQ(item.spm.greedy.saved_nj, solo.greedy.saved_nj);
-    EXPECT_EQ(item.candidate_count, solo.candidates.size());
+    EXPECT_EQ(item.spm.candidate_count, solo.candidate_count);
     const spm::EnergyReport energy =
         item.point.algorithm == Algorithm::kGreedy
             ? spm::evaluate_selection(model, solo.greedy, popts.dse)
@@ -742,7 +718,7 @@ TEST(SweepDriver, OneSolvePerCapacityAndEnergyAcrossTheCacheAxis) {
   SweepOptions o4 = o;
   o4.threads = 4;
   EXPECT_EQ(ndjson_of(o4, jobs), cold);
-  ModelCache cache(ModelCacheOptions{/*dir=*/"", /*memory=*/true});
+  ModelCache cache(ModelCacheOptions{/*dir=*/""});
   o4.model_cache = &cache;
   EXPECT_EQ(ndjson_of(o4, jobs), cold);
   EXPECT_EQ(ndjson_of(o4, jobs), cold);

@@ -82,6 +82,27 @@ ReplayReport replay_one(core::ForayModel model, int level,
   return replay_selection(model, sel, opts);
 }
 
+/// Phase II at `capacity` over a Phase I result, then the replay check
+/// of its exact selection on the profiling engine — what a sweep's solve
+/// group does for a replay-on point.
+struct Solved {
+  core::SpmReport spm;
+  ReplayReport replay;
+};
+Solved solve_and_replay(const core::PipelineResult& res,
+                        const core::PipelineOptions& opts,
+                        uint32_t capacity) {
+  core::SpmPhaseOptions sopts = opts.spm;
+  sopts.dse.spm_capacity = capacity;
+  Solved out;
+  out.spm = core::solve_spm(res.model, sopts);
+  ReplayOptions ropts;
+  ropts.run = opts.run;
+  ropts.dse = sopts.dse;
+  out.replay = replay_selection(res.model, out.spm.exact, ropts);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // The lock: benchsuite x capacities x engines.
 
@@ -90,18 +111,14 @@ TEST(TransformReplay, BenchsuiteLocksAnalyticToSimulatedCounters) {
     for (const auto& bench : benchsuite::all_benchmarks()) {
       core::PipelineOptions opts;
       opts.run.engine = engine;
-      opts.with_spm = true;
       auto res = core::run_pipeline(bench.source, opts);
       ASSERT_TRUE(res.ok()) << bench.name << ": " << res.error();
 
       for (uint32_t cap : kCapacities) {
-        core::SpmPhaseOptions sopts = opts.spm;
-        sopts.dse.spm_capacity = cap;
-        ASSERT_TRUE(core::spm_phase(sopts, &res).ok()) << bench.name;
-        ASSERT_TRUE(core::spm_replay_phase(opts, &res).ok())
+        const ReplayReport rep = solve_and_replay(res, opts, cap).replay;
+        ASSERT_TRUE(rep.status.ok())
             << bench.name << " @" << cap << " (" << engine_name(engine)
-            << "): " << res.error();
-        const ReplayReport& rep = res.replay;
+            << "): " << rep.status.message();
         ASSERT_TRUE(rep.ran);
         EXPECT_EQ(rep.unclassified_accesses, 0u)
             << bench.name << " @" << cap;
@@ -133,22 +150,21 @@ TEST(TransformReplay, BenchsuiteLocksAnalyticToSimulatedCounters) {
   }
 }
 
-TEST(TransformReplay, RunPipelineWithReplayRunsEndToEnd) {
-  core::PipelineOptions opts;
-  opts.with_replay = true;  // implies the SpmPhase
+TEST(TransformReplay, SusanSlidingWindowReplaysEndToEnd) {
+  const core::PipelineOptions opts;
   auto res = core::run_pipeline(benchsuite::get_benchmark("susan").source,
                                 opts);
   ASSERT_TRUE(res.ok()) << res.error();
-  ASSERT_TRUE(res.spm_ran);
-  ASSERT_TRUE(res.replay_ran);
-  EXPECT_TRUE(res.replay.matches())
-      << describe_replay_report(res.replay, res.model);
+  const Solved s = solve_and_replay(res, opts, opts.spm.dse.spm_capacity);
+  ASSERT_TRUE(s.replay.status.ok()) << s.replay.status.message();
+  EXPECT_TRUE(s.replay.matches())
+      << describe_replay_report(s.replay, res.model);
   // susan's selection is the paper-flavored interesting case: one
   // sliding-window buffer. Make sure the lock is not vacuous.
-  ASSERT_FALSE(res.spm.exact.chosen.empty());
-  EXPECT_TRUE(res.spm.exact.chosen[0].sliding_window);
-  EXPECT_GT(res.replay.sim_spm_accesses, 0u);
-  EXPECT_GT(res.replay.sim_transfer_words, 0u);
+  ASSERT_FALSE(s.spm.exact.chosen.empty());
+  EXPECT_TRUE(s.spm.exact.chosen[0].sliding_window);
+  EXPECT_GT(s.replay.sim_spm_accesses, 0u);
+  EXPECT_GT(s.replay.sim_transfer_words, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -165,18 +181,17 @@ TEST(TransformReplay, GeneratorProgramsLockAcrossSeeds) {
     auto gen = benchsuite::generate_affine_program(gopts);
     for (uint32_t cap : {512u, 2048u}) {
       core::PipelineOptions opts;
-      opts.with_replay = true;
-      opts.spm.dse.spm_capacity = cap;
       opts.filter.min_exec = 1;
       opts.filter.min_locations = 1;
       auto res = core::run_pipeline(gen.source, opts);
       ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.error();
-      ASSERT_TRUE(res.replay_ran);
-      EXPECT_TRUE(res.replay.matches())
+      const Solved s = solve_and_replay(res, opts, cap);
+      ASSERT_TRUE(s.replay.status.ok()) << s.replay.status.message();
+      EXPECT_TRUE(s.replay.matches())
           << "seed " << seed << " @" << cap << ":\n"
-          << describe_replay_report(res.replay, res.model);
-      if (!res.spm.exact.chosen.empty()) ++with_buffers;
-      for (const auto& c : res.spm.exact.chosen) {
+          << describe_replay_report(s.replay, res.model);
+      if (!s.spm.exact.chosen.empty()) ++with_buffers;
+      for (const auto& c : s.spm.exact.chosen) {
         if (c.sliding_window) {
           ++with_sliding;
           break;
@@ -201,14 +216,12 @@ std::string transformed_fixture_path(const std::string& kernel) {
 
 TEST(TransformReplay, TransformedSourceMatchesGoldenFixtures) {
   for (const char* kernel : {"adpcm", "gsm", "jpeg"}) {
-    core::PipelineOptions opts;
-    opts.with_spm = true;
-    opts.spm.dse.spm_capacity = 4096;
-    auto res = core::run_pipeline(benchsuite::get_benchmark(kernel).source,
-                                  opts);
+    core::SpmPhaseOptions opts;
+    opts.dse.spm_capacity = 4096;
+    auto res = core::run_pipeline(benchsuite::get_benchmark(kernel).source);
     ASSERT_TRUE(res.ok()) << kernel << ": " << res.error();
     const std::string emitted =
-        emit_transformed(res.model, res.spm.exact);
+        emit_transformed(res.model, core::solve_spm(res.model, opts).exact);
 
     if (std::getenv("FORAY_UPDATE_GOLDEN") != nullptr) {
       std::ofstream out(transformed_fixture_path(kernel),

@@ -16,7 +16,9 @@
 //   hints      inter-function (duplication) hints
 //   run        just execute the program and show its output
 //   profile    profile + extract only; prints trace/extraction statistics
-//   spm        Phase II: reuse analysis + DSE + energy (SpmPhase report)
+//   spm        Phase II at one design point: reuse analysis + DSE +
+//              energy, run as a one-point sweep (--capacity, and
+//              --compare-cache / --replay as the cache and replay values)
 //   sweep      multi-axis DSE grid (capacity × energy model × cache
 //              geometry × algorithm × replay) over the benchsuite, or
 //              over one program when a path is given; prints a table and
@@ -45,11 +47,13 @@
 //   --offline   materialize the trace, then analyze (default: online,
 //               the fused pass; both give the same model)
 //   --capacity N         spm: SPM size in bytes     (default 4096)
-//   --compare-cache      spm: also replay through LRU caches
+//   --compare-cache      spm/sweep: also replay through LRU caches
+//                        (sweep: when the cache axis is undeclared)
 //   --replay             spm/sweep: execute the transformed
 //                        program and check its simulated traffic
-//                        against the analytic counters; `spm --replay`
-//                        exits nonzero on any counter mismatch
+//                        against the analytic counters (sweep: when
+//                        the replay axis is undeclared); a counter
+//                        mismatch exits 1
 //   --threads N          sweep/serve: worker threads (default 1)
 //   --capacity-sweep a,b,c  sweep: SPM capacity axis
 //   --json PATH          lint: write the diagnostics + cost bounds as
@@ -119,6 +123,7 @@
 //   5  internal error (a bug in this library)
 //   6  I/O error (unreadable/unwritable/truncated file)
 #include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -132,7 +137,6 @@
 
 #include "driver/model_cache.h"
 #include "driver/serve.h"
-#include "driver/session.h"
 #include "driver/sweep.h"
 #include "foray/inline_advisor.h"
 #include "foray/model_diff.h"
@@ -160,6 +164,7 @@ int usage() {
       "|spm> <program.mc> [--engine ast|bytecode] [--nexec N] [--nloc N] "
       "[--seed S] [--offline] "
       "[--capacity N] [--compare-cache] [--replay]\n"
+      "       (spm is a one-point sweep: Phase II runs in driver/sweep)\n"
       "       foraygen sweep [program.mc] [--threads N] "
       "[--capacity-sweep a,b,c] [--energy-sweep a,b] [--cache-sweep "
       "off,32x2,...] [--algo-sweep dp,greedy] [--replay-sweep off,on] "
@@ -467,6 +472,7 @@ int main(int argc, char** argv) {
 
   core::PipelineOptions opts;
   int threads = 1;
+  bool replay = false;
   driver::SweepSpec spec;
   std::string json_path;
   std::string ndjson_path;
@@ -550,7 +556,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--compare-cache") {
       opts.spm.compare_cache = true;
     } else if (arg == "--replay") {
-      opts.with_replay = true;
+      replay = true;
     } else if (arg == "--json") {
       const char* s = nullptr;
       if (!next_value(&s)) {
@@ -618,10 +624,18 @@ int main(int argc, char** argv) {
       if (!next_u64(&v)) {
         return option_error("option '--capacity' requires a byte count");
       }
+      if (v > UINT32_MAX) {
+        return option_error("option '--capacity' is out of range (max " +
+                            std::to_string(UINT32_MAX) + " bytes)");
+      }
       opts.spm.dse.spm_capacity = static_cast<uint32_t>(v);
     } else if (arg == "--threads") {
       if (!next_u64(&v)) {
         return option_error("option '--threads' requires a number");
+      }
+      if (v > INT_MAX) {
+        return option_error("option '--threads' is out of range (max " +
+                            std::to_string(INT_MAX) + ")");
       }
       threads = static_cast<int>(v);
     } else if (arg == "--cache-dir") {
@@ -661,14 +675,15 @@ int main(int argc, char** argv) {
       return option_error("unknown option '" + arg + "'");
     }
   }
+  if (replay && spec.replays.empty()) spec.replays = {true};
 
   // The model cache: explicit --cache-dir (or FORAY_CACHE_DIR) enables
   // it for sweep; serve always gets at least the in-memory layer —
   // reusing Phase I across requests is the point of serving.
   std::unique_ptr<driver::ModelCache> cache;
   if (!no_cache && (!cache_dir.empty() || command == "serve")) {
-    cache = std::make_unique<driver::ModelCache>(driver::ModelCacheOptions{
-        cache_dir, /*memory=*/true, cache_max_bytes});
+    cache = std::make_unique<driver::ModelCache>(
+        driver::ModelCacheOptions{cache_dir, cache_max_bytes});
   }
   auto print_cache_stats = [&cache] {
     if (cache == nullptr) return;
@@ -834,16 +849,23 @@ int main(int argc, char** argv) {
   if (command == "trace") return cmd_trace(source, opts.run);
 
   if (command == "spm") {
-    opts.with_spm = true;
-    driver::Session session(path, source, driver::SessionOptions{opts});
-    if (!session.run().ok()) {
-      return fail_with(session.status());
-    }
-    const auto& res = session.result();
+    // A one-point sweep: every axis inherits its single value from opts
+    // and the --replay value set above.
+    driver::SweepOptions sopts;
+    sopts.pipeline = opts;
+    sopts.spec = spec;
+    const driver::SweepReport report =
+        driver::SweepDriver(sopts).run({driver::SweepJob{path, source}});
+    const driver::SweepItem& item = report.items.front();
+    if (!item.status.ok()) return fail_with(item.status);
+    const core::ForayModel& model = report.sessions.front()->result().model;
     std::printf("model: %zu reference(s), %zu buffer candidate(s)\n",
-                res.model.refs.size(), res.spm.candidates.size());
-    std::fputs(session.spm_report_text().c_str(), stdout);
-    if (res.replay_ran && !res.replay.matches()) {
+                item.model_refs, item.spm.candidate_count);
+    std::fputs(core::describe_spm_report(item.spm, model).c_str(), stdout);
+    if (!item.replay_ran) return 0;
+    std::fputs(spm::describe_replay_report(item.replay, model).c_str(),
+               stdout);
+    if (!item.replay.matches()) {
       std::fprintf(stderr,
                    "replay: simulated traffic of the transformed program "
                    "diverges from the analytic counters\n");
