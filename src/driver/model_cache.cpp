@@ -85,10 +85,8 @@ bool ModelCache::lookup(const std::string& key, core::ForayModel* model,
   *why = util::Status();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = memory_.find(key);
-    if (it != memory_.end()) {
-      recency_.splice(recency_.begin(), recency_, it->second);
-      *model = it->second->second;
+    if (const core::ForayModel* hit = memory_.find(key)) {
+      *model = *hit;
       ++stats_.hits;
       ++stats_.memory_hits;
       return true;
@@ -118,7 +116,7 @@ bool ModelCache::lookup(const std::string& key, core::ForayModel* model,
     return false;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  remember(key, *model);
+  memory_.put(key, *model);
   ++stats_.hits;
   return true;
 }
@@ -128,7 +126,7 @@ void ModelCache::store(const std::string& key,
   uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    remember(key, model);
+    memory_.put(key, model);
     ++stats_.stores;
     seq = ++tmp_seq_;
   }
@@ -166,23 +164,6 @@ void ModelCache::store(const std::string& key,
     return;
   }
   enforce_disk_bound();
-}
-
-void ModelCache::remember(const std::string& key,
-                          const core::ForayModel& model) {
-  const auto it = memory_.find(key);
-  if (it != memory_.end()) {
-    it->second->second = model;
-    recency_.splice(recency_.begin(), recency_, it->second);
-    return;
-  }
-  recency_.emplace_front(key, model);
-  memory_.emplace(key, recency_.begin());
-  if (recency_.size() > kMemoryEntries) {
-    memory_.erase(recency_.back().first);
-    recency_.pop_back();
-    ++stats_.memory_evictions;
-  }
 }
 
 void ModelCache::enforce_disk_bound() {
@@ -235,7 +216,9 @@ void ModelCache::enforce_disk_bound() {
 
 ModelCache::Stats ModelCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats s = stats_;
+  s.memory_evictions = memory_.evictions();
+  return s;
 }
 
 }  // namespace foray::driver

@@ -20,10 +20,10 @@
 // Thread-safe: the sweep driver calls lookup/store from pool workers, and
 // `foraygen serve` shares one cache across requests (the in-memory layer
 // is what makes back-to-back requests for the same program pure Phase II
-// even without a cache directory). The in-memory layer holds at most
-// kMemoryEntries models and evicts the least recently used one, so a
-// long-lived server fed distinct sources stays bounded while the programs
-// it keeps being asked for stay memory hits.
+// even without a cache directory). The in-memory layer is an LruMap of
+// at most kMemoryEntries models, so a long-lived server fed distinct
+// sources stays bounded while the programs it keeps being asked for stay
+// memory hits.
 #pragma once
 
 #include <cstddef>
@@ -41,9 +41,53 @@
 
 namespace foray::driver {
 
-/// Most models the in-memory layer holds; past it, the least recently
-/// used is evicted. A compile-time bound, not an option.
+/// Most entries a server keeps in memory per kind (models here, static
+/// verdicts in serve); past it, the least recently used is evicted. A
+/// compile-time bound, not an option.
 inline constexpr size_t kMemoryEntries = 256;
+
+/// A map of at most `capacity` (>= 1) entries that evicts the least
+/// recently used one: the model cache's memory layer and serve's static
+/// verdict memo. Not thread-safe; the owner locks if it must.
+template <typename Key, typename Value>
+class LruMap {
+ public:
+  explicit LruMap(size_t capacity) : capacity_(capacity) {}
+
+  /// The value under `key`, now the most recently used; null on a miss.
+  Value* find(const Key& key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
+    order_.splice(order_.begin(), order_, it->second);
+    return &it->second->second;
+  }
+
+  /// Stores `value` under `key` as the most recently used entry, evicting
+  /// the least recently used one past the capacity.
+  Value& put(const Key& key, Value value) {
+    if (Value* v = find(key)) return *v = std::move(value);
+    order_.emplace_front(key, std::move(value));
+    index_.emplace(key, order_.begin());
+    if (order_.size() > capacity_) {
+      index_.erase(order_.back().first);
+      order_.pop_back();
+      ++evictions_;
+    }
+    return order_.front().second;
+  }
+
+  size_t size() const { return order_.size(); }
+  /// Entries put() has evicted so far.
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  using Entry = std::pair<Key, Value>;
+
+  size_t capacity_;
+  std::list<Entry> order_;  ///< most recently used first
+  std::unordered_map<Key, typename std::list<Entry>::iterator> index_;
+  uint64_t evictions_ = 0;
+};
 
 struct ModelCacheOptions {
   /// On-disk cache directory (created on first store). Empty: in-memory
@@ -97,19 +141,13 @@ class ModelCache {
   Stats stats() const;
 
  private:
-  using MemoryEntry = std::pair<std::string, core::ForayModel>;
-
   std::string entry_path(const std::string& key) const;
   void enforce_disk_bound();
-  /// Makes `model` the most recently used entry for `key`, evicting the
-  /// least recently used past kMemoryEntries. Requires mu_.
-  void remember(const std::string& key, const core::ForayModel& model);
 
   ModelCacheOptions opts_;
   mutable std::mutex mu_;
-  std::list<MemoryEntry> recency_;  ///< most recently used first
-  std::unordered_map<std::string, std::list<MemoryEntry>::iterator> memory_;
-  Stats stats_;
+  LruMap<std::string, core::ForayModel> memory_{kMemoryEntries};  ///< mu_
+  Stats stats_;  ///< memory_evictions read from memory_
   uint64_t tmp_seq_ = 0;  ///< distinguishes concurrent in-process writers
 };
 

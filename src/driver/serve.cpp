@@ -13,7 +13,7 @@
 #include "driver/model_cache.h"
 #include "driver/sweep.h"
 #include "sim/budget.h"
-#include "staticforay/checker.h"
+#include "util/hash.h"
 #include "util/json.h"
 
 namespace foray::driver {
@@ -213,11 +213,12 @@ util::Status parse_request(const util::JsonValue& req,
 /// (the sweep classifies them itself), so admitted requests stream
 /// byte-identical responses with or without admission.
 util::Status admit_static(const std::vector<SweepJob>& jobs,
-                          const sim::Budget& budget) {
+                          const sim::Budget& budget,
+                          StaticVerdictMemo* memo) {
   for (const SweepJob& job : jobs) {
-    staticforay::CheckReport rep;
-    if (!staticforay::lint_source(job.source, &rep).ok()) continue;
-    const staticforay::StaticCost& cost = rep.cost;
+    const StaticVerdict& v = memo->verdict(job.source);
+    if (!v.frontend_ok) continue;
+    const staticforay::StaticCost& cost = v.cost;
     const bool over_records =
         budget.max_records != 0 && cost.min_records > budget.max_records;
     const bool over_steps =
@@ -279,8 +280,16 @@ void done_row(std::ostream& out, const RequestTag& tag,
 
 }  // namespace
 
+const StaticVerdict& StaticVerdictMemo::verdict(std::string_view source) {
+  const uint64_t key = util::fnv1a(source);
+  if (const StaticVerdict* kept = verdicts_.find(key)) return *kept;
+  ++lints_;
+  return verdicts_.put(key, static_verdict(source));
+}
+
 util::Status serve_loop(std::istream& in, std::ostream& out,
                         const ServeOptions& opts) {
+  StaticVerdictMemo verdicts;
   std::string line;
   bool oversized = false;
   int line_no = 0;
@@ -321,7 +330,7 @@ util::Status serve_loop(std::istream& in, std::ostream& out,
       st = parse_request(req, opts, &sopts, &jobs);
     }
     if (st.ok() && opts.static_admission) {
-      st = admit_static(jobs, sopts.pipeline.run.budget);
+      st = admit_static(jobs, sopts.pipeline.run.budget, &verdicts);
     }
     if (st.ok()) {
       auto token = std::make_shared<sim::CancelToken>();

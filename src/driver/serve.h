@@ -39,13 +39,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <string_view>
 
+#include "driver/model_cache.h"
+#include "driver/sweep.h"
 #include "foray/pipeline.h"
 #include "util/status.h"
 
 namespace foray::driver {
-
-class ModelCache;
 
 /// The longest request line serve reads (the newline excluded). Longer
 /// lines are skipped through their newline and answered with an error
@@ -72,8 +73,28 @@ struct ServeOptions {
   /// (server defaults + the request's "budget" overrides). Programs the
   /// frontend rejects are not refused here: the normal sweep path
   /// classifies them, so admitted requests stream byte-identical
-  /// responses whether this flag is on or off.
+  /// responses whether this flag is on or off. A server lints each
+  /// distinct source once and keeps at most kMemoryEntries verdicts
+  /// (StaticVerdictMemo); every request's own budget is still checked
+  /// against the kept bounds.
   bool static_admission = false;
+};
+
+/// The static verdicts of the sources a server has linted, keyed by the
+/// source hash ModelCache::key trusts: at most kMemoryEntries of them,
+/// least recently used evicted first. serve_loop keeps one for its whole
+/// life.
+class StaticVerdictMemo {
+ public:
+  /// The verdict for `source`, linting it only when it is not kept.
+  const StaticVerdict& verdict(std::string_view source);
+  size_t size() const { return verdicts_.size(); }
+  /// Sources linted so far (misses).
+  uint64_t lints() const { return lints_; }
+
+ private:
+  LruMap<uint64_t, StaticVerdict> verdicts_{kMemoryEntries};
+  uint64_t lints_ = 0;
 };
 
 /// Runs the request loop until `in` reaches EOF (ok) or `out` stops

@@ -308,6 +308,21 @@ std::vector<bool> cache_cells_needed(const SweepGrid& grid,
   return needed;
 }
 
+StaticVerdict static_verdict(std::string_view source) {
+  StaticVerdict v;
+  staticforay::CheckReport rep;
+  if (!staticforay::lint_source(source, &rep).ok()) return v;
+  v.frontend_ok = true;
+  v.cost = rep.cost;
+  for (const staticforay::CheckDiag& d : rep.diags) {
+    if (d.severity != staticforay::Severity::MustFault) continue;
+    v.must_fault = std::string(staticforay::check_kind_name(d.kind)) +
+                   " at line " + std::to_string(d.line) + ": " + d.message;
+    break;
+  }
+  return v;
+}
+
 // -- per-job execution --------------------------------------------------------
 
 namespace {
@@ -625,18 +640,11 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
 /// deliberately pass — Phase I classifies those itself, keeping linted
 /// and unlinted runs byte-identical on them.
 util::Status lint_job(const SweepJob& job) {
-  staticforay::CheckReport rep;
-  const util::Status st = staticforay::lint_source(job.source, &rep);
-  if (!st.ok() || !rep.must_fault()) return util::Status();
-  std::string msg = job.name + ": static checker proves a fault";
-  for (const auto& d : rep.diags) {
-    if (d.severity != staticforay::Severity::MustFault) continue;
-    msg += ": " + std::string(staticforay::check_kind_name(d.kind)) +
-           " at line " + std::to_string(d.line) + ": " + d.message;
-    break;
-  }
-  return util::Status::failure(util::ErrorCode::kInvalidInput, "lint", 0,
-                               std::move(msg));
+  const StaticVerdict v = static_verdict(job.source);
+  if (v.must_fault.empty()) return util::Status();
+  return util::Status::failure(
+      util::ErrorCode::kInvalidInput, "lint", 0,
+      job.name + ": static checker proves a fault: " + v.must_fault);
 }
 
 /// The streaming NDJSON row for a lint-refused program: one structured

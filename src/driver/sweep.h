@@ -61,6 +61,7 @@
 #include "driver/session.h"
 #include "foray/pipeline.h"
 #include "spm/replay.h"
+#include "staticforay/cost.h"
 #include "util/status.h"
 
 namespace foray::driver {
@@ -288,6 +289,24 @@ struct SweepCheckpoint {
     return true;
   }
 };
+
+/// What the static checker (staticforay/checker.h) concludes about one
+/// source, in the form both pre-Phase-I gates read: SweepOptions::
+/// lint_first refuses a proven fault, and serve's --static-admission
+/// compares the minimum bounds with each request's budget. It depends on
+/// the source text alone, so a server memoizes it per source.
+struct StaticVerdict {
+  /// False: the frontend rejected the source. Both gates let it through,
+  /// and Phase I classifies it itself.
+  bool frontend_ok = false;
+  staticforay::StaticCost cost;
+  /// The first must-fault diagnostic as "kind at line N: message"; empty
+  /// when the checker proves no fault.
+  std::string must_fault;
+};
+
+/// Lints `source` and summarizes the report.
+StaticVerdict static_verdict(std::string_view source);
 
 /// The cache cells, one per (capacity index, cache axis index) row-major,
 /// whose counts job `job` must simulate: those of a cache-enabled grid

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "minic/parser.h"
 #include "sim/interp_impl.h"
 #include "spm/address_stream.h"
 #include "spm/cache_sim.h"
 #include "trace/sink.h"
+#include "util/strings.h"
 
 namespace foray::core {
 
@@ -233,52 +233,45 @@ PipelineResult run_pipeline(std::string_view source,
 
 std::string describe_spm_report(const SpmReport& report,
                                 const ForayModel& model) {
-  char buf[160];
   std::string out;
-  std::snprintf(buf, sizeof buf,
-                "SPM capacity %uB: %zu candidate buffer(s), %zu chosen\n",
-                report.capacity, report.candidate_count,
-                report.exact.chosen.size());
-  out += buf;
-
+  util::append_format(&out,
+                      "SPM capacity %uB: %zu candidate buffer(s), %zu "
+                      "chosen\n",
+                      report.capacity, report.candidate_count,
+                      report.exact.chosen.size());
   auto names = assign_array_names(model);
   for (const auto& c : report.exact.chosen) {
     const auto& ref = model.refs[c.ref_index];
-    std::snprintf(buf, sizeof buf,
-                  "  %s (%s): %lluB buffer over innermost %d loop(s)%s\n",
-                  names[c.ref_index].c_str(),
-                  describe_reference(ref).c_str(),
-                  static_cast<unsigned long long>(c.size_bytes), c.level,
-                  c.sliding_window ? ", sliding window" : "");
-    out += buf;
+    util::append_format(
+        &out, "  %s (%s): %lluB buffer over innermost %d loop(s)%s\n",
+        names[c.ref_index].c_str(), describe_reference(ref).c_str(),
+        static_cast<unsigned long long>(c.size_bytes), c.level,
+        c.sliding_window ? ", sliding window" : "");
   }
-  std::snprintf(buf, sizeof buf, "  bytes used: %llu / %u\n",
-                static_cast<unsigned long long>(report.exact.bytes_used),
-                report.capacity);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "  predicted saving: %.1f nJ (%.1f%% of the all-DRAM "
-                "baseline)\n",
-                report.exact.saved_nj, report.with_spm.savings_pct());
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "  greedy heuristic would save %.1f nJ with %zu buffer(s)\n",
-                report.greedy.saved_nj, report.greedy.chosen.size());
-  out += buf;
+  util::append_format(&out, "  bytes used: %llu / %u\n",
+                      static_cast<unsigned long long>(report.exact.bytes_used),
+                      report.capacity);
+  util::append_format(&out,
+                      "  predicted saving: %.1f nJ (%.1f%% of the all-DRAM "
+                      "baseline)\n",
+                      report.exact.saved_nj, report.with_spm.savings_pct());
+  util::append_format(
+      &out, "  greedy heuristic would save %.1f nJ with %zu buffer(s)\n",
+      report.greedy.saved_nj, report.greedy.chosen.size());
   for (const auto& c : report.caches) {
     const uint64_t accesses = c.hits + c.misses;
-    std::snprintf(buf, sizeof buf,
-                  "  cache %d-way %uB: %.1f%% hit rate, %.1f nJ (%.1f%% of "
-                  "the all-DRAM baseline)\n",
-                  c.assoc, report.capacity,
-                  accesses != 0 ? 100.0 * static_cast<double>(c.hits) /
-                                      static_cast<double>(accesses)
-                                : 0.0,
-                  c.energy_nj,
-                  report.baseline.baseline_nj > 0.0
-                      ? 100.0 * c.energy_nj / report.baseline.baseline_nj
-                      : 100.0);
-    out += buf;
+    util::append_format(
+        &out,
+        "  cache %d-way %uB: %.1f%% hit rate, %.1f nJ (%.1f%% of the "
+        "all-DRAM baseline)\n",
+        c.assoc, report.capacity,
+        accesses != 0 ? 100.0 * static_cast<double>(c.hits) /
+                            static_cast<double>(accesses)
+                      : 0.0,
+        c.energy_nj,
+        report.baseline.baseline_nj > 0.0
+            ? 100.0 * c.energy_nj / report.baseline.baseline_nj
+            : 100.0);
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #include "spm/replay.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 #include "foray/emitter.h"
@@ -10,6 +9,7 @@
 #include "sim/classify_sink.h"
 #include "spm/reuse.h"
 #include "spm/spm_sim.h"
+#include "util/strings.h"
 
 namespace foray::spm {
 
@@ -36,12 +36,8 @@ core::ForayModel materialize(const core::ForayModel& model) {
 void check_eq(std::vector<std::string>* mismatches, const std::string& what,
               uint64_t simulated, uint64_t analytic) {
   if (simulated == analytic) return;
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                "%s: simulated %llu != analytic %llu", what.c_str(),
-                static_cast<unsigned long long>(simulated),
-                static_cast<unsigned long long>(analytic));
-  mismatches->push_back(buf);
+  mismatches->push_back(what + ": simulated " + std::to_string(simulated) +
+                        " != analytic " + std::to_string(analytic));
 }
 
 }  // namespace
@@ -175,36 +171,35 @@ ReplayReport replay_selection(const core::ForayModel& model,
 std::string describe_replay_report(const ReplayReport& report,
                                    const core::ForayModel& model) {
   std::string out;
-  char buf[192];
   if (!report.status.ok()) {
     return "replay: FAILED to execute the transformed program: " +
            report.status.message() + "\n";
   }
   auto names = core::assign_array_names(model);
-  std::snprintf(buf, sizeof buf,
-                "replay: %zu buffer(s), %llu SPM / %llu main accesses, "
-                "%llu transfer word(s) simulated%s\n",
-                report.buffers.size(),
-                static_cast<unsigned long long>(report.sim_spm_accesses),
-                static_cast<unsigned long long>(report.sim_main_accesses),
-                static_cast<unsigned long long>(report.sim_transfer_words),
-                report.rectangular ? "" : " (non-rectangular model: locked "
-                                          "to materialized geometry)");
-  out += buf;
+  util::append_format(
+      &out,
+      "replay: %zu buffer(s), %llu SPM / %llu main accesses, "
+      "%llu transfer word(s) simulated%s\n",
+      report.buffers.size(),
+      static_cast<unsigned long long>(report.sim_spm_accesses),
+      static_cast<unsigned long long>(report.sim_main_accesses),
+      static_cast<unsigned long long>(report.sim_transfer_words),
+      report.rectangular ? ""
+                         : " (non-rectangular model: locked to materialized "
+                           "geometry)");
   for (const auto& b : report.buffers) {
-    std::snprintf(buf, sizeof buf,
-                  "  %s: %llu accesses, %llu fill(s) %lluB, "
-                  "%llu writeback(s) %lluB, %llu word(s)%s\n",
-                  b.ref_index < names.size() ? names[b.ref_index].c_str()
-                                             : "?",
-                  static_cast<unsigned long long>(b.sim_spm_accesses),
-                  static_cast<unsigned long long>(b.sim_fill_events),
-                  static_cast<unsigned long long>(b.sim_fill_bytes),
-                  static_cast<unsigned long long>(b.sim_writeback_events),
-                  static_cast<unsigned long long>(b.sim_writeback_bytes),
-                  static_cast<unsigned long long>(b.sim_transfer_words),
-                  b.sliding ? ", sliding" : "");
-    out += buf;
+    util::append_format(
+        &out,
+        "  %s: %llu accesses, %llu fill(s) %lluB, "
+        "%llu writeback(s) %lluB, %llu word(s)%s\n",
+        b.ref_index < names.size() ? names[b.ref_index].c_str() : "?",
+        static_cast<unsigned long long>(b.sim_spm_accesses),
+        static_cast<unsigned long long>(b.sim_fill_events),
+        static_cast<unsigned long long>(b.sim_fill_bytes),
+        static_cast<unsigned long long>(b.sim_writeback_events),
+        static_cast<unsigned long long>(b.sim_writeback_bytes),
+        static_cast<unsigned long long>(b.sim_transfer_words),
+        b.sliding ? ", sliding" : "");
   }
   if (report.matches()) {
     out += "  analytic counters CONFIRMED by simulated traffic\n";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdarg>
 #include <cstdio>
 
 namespace foray::util {
@@ -77,6 +78,23 @@ int count_lines(std::string_view s) {
     if (c == '\n') ++n;
   if (s.back() != '\n') ++n;
   return n;
+}
+
+void append_format(std::string* out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list again;
+  va_copy(again, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  if (n > 0) {
+    const size_t at = out->size();
+    // vsnprintf writes a terminating NUL, so format into one byte more.
+    out->resize(at + static_cast<size_t>(n) + 1);
+    std::vsnprintf(out->data() + at, static_cast<size_t>(n) + 1, fmt, again);
+    out->resize(at + static_cast<size_t>(n));
+  }
+  va_end(again);
 }
 
 std::string pct(double numer, double denom) {

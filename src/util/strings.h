@@ -33,6 +33,10 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Count '\n'-terminated lines; a trailing partial line counts as one.
 int count_lines(std::string_view s);
 
+/// Appends printf-style output to `out`, however long it formats.
+void append_format(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 /// Render "12.3%" style percentage with one decimal.
 std::string pct(double numer, double denom);
 

@@ -407,5 +407,44 @@ TEST(ModelCacheKey, TracksModelChangingOptionsOnly) {
             std::string::npos);
 }
 
+TEST(LruMap, EvictsTheLeastRecentlyUsedPastItsCapacity) {
+  LruMap<int, std::string> lru(3);
+  EXPECT_EQ(lru.find(1), nullptr);
+  lru.put(1, "one");
+  lru.put(2, "two");
+  lru.put(3, "three");
+  EXPECT_EQ(lru.size(), 3u);
+  EXPECT_EQ(lru.evictions(), 0u);
+
+  // A find makes 1 the most recently used, so 2 is the victim of 4.
+  ASSERT_NE(lru.find(1), nullptr);
+  EXPECT_EQ(*lru.find(1), "one");
+  EXPECT_EQ(lru.put(4, "four"), "four");
+  EXPECT_EQ(lru.size(), 3u);
+  EXPECT_EQ(lru.evictions(), 1u);
+  EXPECT_EQ(lru.find(2), nullptr);
+
+  // Re-putting a kept key replaces its value in place, evicting nothing,
+  // and makes it the most recently used: 1 goes next, not 3.
+  lru.put(3, "THREE");
+  EXPECT_EQ(lru.size(), 3u);
+  EXPECT_EQ(lru.evictions(), 1u);
+  lru.put(5, "five");
+  EXPECT_EQ(lru.find(1), nullptr);
+  ASSERT_NE(lru.find(3), nullptr);
+  EXPECT_EQ(*lru.find(3), "THREE");
+  ASSERT_NE(lru.find(4), nullptr);
+  ASSERT_NE(lru.find(5), nullptr);
+  EXPECT_EQ(lru.evictions(), 2u);
+
+  // A capacity of one keeps just the latest entry.
+  LruMap<int, int> one(1);
+  one.put(1, 10);
+  EXPECT_EQ(one.put(2, 20), 20);
+  EXPECT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.find(1), nullptr);
+  EXPECT_EQ(one.evictions(), 1u);
+}
+
 }  // namespace
 }  // namespace foray::driver

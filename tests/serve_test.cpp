@@ -1,8 +1,8 @@
 // The `foraygen serve` loop (driver/serve.h): per-request sweep
 // streaming, structured error rows for malformed requests (the loop
 // never dies on bad input), admission control, per-request budgets,
-// model-cache reuse across requests, and the kIoError exit when the
-// response stream fails.
+// static admission and its per-source verdict memo, model-cache reuse
+// across requests, and the kIoError exit when the response stream fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -309,6 +309,52 @@ TEST(Serve, StaticAdmissionKeepsAdmittedResponsesByteIdentical) {
   EXPECT_EQ(out_on.str(), out_off.str());
 }
 
+TEST(Serve, StaticAdmissionChecksEachRequestsBudgetAgainstTheKeptBound) {
+  // The over-budget source twice: the second verdict comes from the
+  // memo, and the refusal is the same row. The same source under a
+  // budget its bound fits is admitted: the budget is the request's own.
+  ServeOptions opts = serve_opts();
+  opts.static_admission = true;
+  const std::string refused =
+      requests::budget_request(1, "big", "max_records", 10);
+  const ServeRun r = run_serve(
+      refused + "\n" + refused + "\n" +
+          requests::budget_request(2, "big", "max_records", 1000000000) +
+          "\n",
+      opts);
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  ASSERT_GE(r.rows.size(), 4u);
+  EXPECT_EQ(r.rows[0].find("phase")->str, "lint-admission");
+  EXPECT_EQ(r.lines[1], r.lines[0]);
+  EXPECT_EQ(kind(r.rows[2]), "request");
+  EXPECT_EQ(kind(r.rows.back()), "done");
+  EXPECT_TRUE(r.rows.back().find("ok")->b) << r.lines.back();
+}
+
+TEST(Serve, StaticAdmissionPassesFrontendFailuresToTheSweep) {
+  // A source the frontend rejects is not admission's to refuse, memo or
+  // not: both requests stream the sweep's own frontend error, byte for
+  // byte what the server without admission sends.
+  const std::string broken =
+      "{\"id\":7,\"source\":\"int main(void) { return x; }\"}\n";
+  const std::string requests = broken + broken;
+  ServeOptions gated = serve_opts();
+  gated.static_admission = true;
+  const ServeRun on = run_serve(requests, gated);
+  const ServeRun off = run_serve(requests, serve_opts());
+  ASSERT_TRUE(on.status.ok()) << on.status.message();
+  EXPECT_EQ(on.lines, off.lines);
+  int done_rows = 0;
+  for (const util::JsonValue& row : on.rows) {
+    if (kind(row) != "done") continue;
+    ++done_rows;
+    EXPECT_FALSE(row.find("ok")->b);
+    EXPECT_EQ(row.find("error_class")->str, "invalid_input");
+    EXPECT_NE(row.find("phase")->str, "lint-admission");
+  }
+  EXPECT_EQ(done_rows, 2);
+}
+
 TEST(Serve, InvalidBudgetAndUnknownFieldsAreRejected) {
   const std::string requests =
       "{\"id\":1,\"source\":\"int main(void){return 0;}\","
@@ -371,15 +417,19 @@ TEST(Serve, ModelCacheMakesRepeatRequestsPurePhaseTwo) {
   EXPECT_FALSE(bodies[0].empty());
 }
 
-/// A one-point request for a small inline program, distinct per `k`.
+/// A small inline program, distinct per `k`.
+std::string distinct_source(int k) {
+  return "int a[64];\nint main(void) {\n"
+         "  for (int i = 0; i < 64; i++) a[i] = i + " +
+         std::to_string(k) + ";\n  return 0;\n}\n";
+}
+
+/// A one-point request for distinct_source(k).
 std::string distinct_request(int id, int k) {
   util::JsonWriter w;
   w.begin_object();
   w.key("id").value(static_cast<int64_t>(id));
-  w.key("source").value(
-      "int a[64];\nint main(void) {\n"
-      "  for (int i = 0; i < 64; i++) a[i] = i + " +
-      std::to_string(k) + ";\n  return 0;\n}\n");
+  w.key("source").value(distinct_source(k));
   w.key("axes").begin_object();
   w.key("capacity").value("1024");
   w.end_object();
@@ -444,6 +494,63 @@ TEST(Serve, MemoryLayerIsBoundedLeastRecentlyUsedFirst) {
   const std::vector<std::string> first = response_body(r.lines, 1);
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(response_body(r.lines, distinct + 1), first);
+}
+
+TEST(Serve, StaticAdmissionMemoIsBoundedAndReLintsEvictedSources) {
+  StaticVerdictMemo memo;
+  const StaticVerdict first = memo.verdict(distinct_source(0));
+  ASSERT_TRUE(first.frontend_ok);
+  EXPECT_GE(first.cost.min_records, 64u);
+  memo.verdict(distinct_source(0));
+  EXPECT_EQ(memo.lints(), 1u);
+
+  const int distinct = static_cast<int>(kMemoryEntries) + 8;
+  for (int k = 1; k < distinct; ++k) {
+    memo.verdict(distinct_source(k));
+    EXPECT_LE(memo.size(), kMemoryEntries);
+  }
+  EXPECT_EQ(memo.size(), kMemoryEntries);
+  EXPECT_EQ(memo.lints(), static_cast<uint64_t>(distinct));
+
+  // Source 0 was evicted: it is linted again, to the same verdict.
+  const StaticVerdict again = memo.verdict(distinct_source(0));
+  EXPECT_EQ(memo.lints(), static_cast<uint64_t>(distinct) + 1);
+  EXPECT_EQ(again.frontend_ok, first.frontend_ok);
+  EXPECT_EQ(again.cost.min_steps, first.cost.min_steps);
+  EXPECT_EQ(again.cost.min_records, first.cost.min_records);
+  EXPECT_EQ(again.cost.max_steps, first.cost.max_steps);
+  EXPECT_EQ(again.cost.max_records, first.cost.max_records);
+  EXPECT_EQ(again.must_fault, first.must_fault);
+
+  // A frontend failure is kept as one too.
+  EXPECT_FALSE(memo.verdict("int main(void) { return x; }").frontend_ok);
+  EXPECT_FALSE(memo.verdict("int main(void) { return x; }").frontend_ok);
+  EXPECT_EQ(memo.lints(), static_cast<uint64_t>(distinct) + 2);
+}
+
+TEST(Serve, StaticAdmissionRefusesAnEvictedSourceAgainTheSameWay) {
+  // kMemoryEntries + 8 distinct sources, each over a one-record budget,
+  // then the first again after the memo evicted it: every request is
+  // refused, and the re-linted first source gets its first row verbatim.
+  ServeOptions opts = serve_opts();
+  opts.static_admission = true;
+  const auto over_budget = [](int k) {
+    std::string line = distinct_request(k, k);
+    line.pop_back();  // reopen the object for a budget
+    return line + ",\"budget\":{\"max_records\":1}}";
+  };
+  const int distinct = static_cast<int>(kMemoryEntries) + 8;
+  std::string requests;
+  for (int k = 1; k <= distinct; ++k) requests += over_budget(k) + "\n";
+  requests += over_budget(1) + "\n";
+  const ServeRun r = run_serve(requests, opts);
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  ASSERT_EQ(r.rows.size(), static_cast<size_t>(distinct) + 1);
+  for (const util::JsonValue& row : r.rows) {
+    ASSERT_NE(row.find("phase"), nullptr) << kind(row);
+    EXPECT_EQ(row.find("phase")->str, "lint-admission");
+  }
+  EXPECT_EQ(r.lines.back(), r.lines.front());
 }
 
 /// An ostream whose buffer accepts `budget` bytes, then fails forever —

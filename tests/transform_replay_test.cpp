@@ -167,6 +167,43 @@ TEST(TransformReplay, SusanSlidingWindowReplaysEndToEnd) {
   EXPECT_GT(s.replay.sim_transfer_words, 0u);
 }
 
+TEST(TransformReplay, DuplicatedBufferBreaksTheLock) {
+  // A seeded mutation shows the lock can fail: a selection that names
+  // susan's buffer twice. The emitted program serves the reference from
+  // one copy, so the analytic counters of the other find no traffic, and
+  // the report names each counter that differs.
+  const core::PipelineOptions opts;
+  auto res = core::run_pipeline(benchsuite::get_benchmark("susan").source,
+                                opts);
+  ASSERT_TRUE(res.ok()) << res.error();
+  core::SpmPhaseOptions sopts = opts.spm;
+  sopts.dse.spm_capacity = 4096;
+  Selection sel = core::solve_spm(res.model, sopts).exact;
+  ASSERT_FALSE(sel.chosen.empty());
+  sel.chosen.push_back(sel.chosen.front());
+  ReplayOptions ropts;
+  ropts.run = opts.run;
+  ropts.dse = sopts.dse;
+  const ReplayReport rep = replay_selection(res.model, sel, ropts);
+  ASSERT_TRUE(rep.status.ok()) << rep.status.message();
+  EXPECT_FALSE(rep.matches());
+  const auto named = [&](const std::string& line) {
+    return std::find(rep.mismatches.begin(), rep.mismatches.end(), line) !=
+           rep.mismatches.end();
+  };
+  EXPECT_TRUE(named("buffer 0 (ref 3 level 3) spm accesses: simulated 0 "
+                    "!= analytic 35964"));
+  EXPECT_TRUE(named("total spm accesses: simulated 35964 != analytic "
+                    "71928"));
+
+  const std::string text = describe_replay_report(rep, res.model);
+  EXPECT_NE(text.find("\n  MISMATCH buffer 0 (ref 3 level 3) spm accesses: "
+                      "simulated 0 != analytic 35964\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("CONFIRMED"), std::string::npos) << text;
+}
+
 // ---------------------------------------------------------------------------
 // Seeded affine-generator programs: the same lock over a randomized
 // family (pointer walks, varying depths and strides), where write

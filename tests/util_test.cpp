@@ -86,6 +86,15 @@ TEST(Strings, Pct) {
   EXPECT_EQ(pct(3, 0), "n/a");
 }
 
+TEST(Strings, AppendFormatKeepsLinesOfAnyLength) {
+  std::string out = "head\n";
+  const std::string name(300, 'x');
+  append_format(&out, "%s: %llu\n", name.c_str(), 18446744073709551615ull);
+  EXPECT_EQ(out, "head\n" + name + ": 18446744073709551615\n");
+  append_format(&out, "%s", "");
+  EXPECT_EQ(out.size(), 5 + name.size() + 23);
+}
+
 TEST(Strings, HumanCount) {
   EXPECT_EQ(human_count(123), "123");
   EXPECT_EQ(human_count(43'000'000), "43.0M");

@@ -66,7 +66,8 @@
 //   --static-admission   serve: refuse requests whose static *minimum*
 //                        step/record bound exceeds the request budget
 //                        (resource_exhausted, phase "lint-admission")
-//                        before any Phase I work runs
+//                        before any Phase I work runs; a server lints
+//                        each distinct source once
 //   --energy-sweep a,b   sweep: energy-model axis — preset names with
 //                        optional :field=value overrides, e.g.
 //                        default,dram-heavy,default:dram_nj=5.2
