@@ -5,7 +5,6 @@
 #include <string>
 
 #include "benchsuite/suite.h"
-#include "driver/session.h"
 #include "foray/pipeline.h"
 #include "staticforay/static_analysis.h"
 #include "util/strings.h"
@@ -19,21 +18,19 @@ struct AnalyzedBenchmark {
   staticforay::ConversionStats conversion;
 };
 
-/// Runs the full FORAY-GEN pipeline (through the driver's Session, the
-/// same code path the CLI uses) plus the static baseline on one
-/// benchmark; aborts the process with a message on failure (bench
-/// binaries should fail loudly).
+/// Runs Phase I plus the static baseline on one benchmark; exits the
+/// process with a message on failure (bench binaries should fail
+/// loudly).
 inline AnalyzedBenchmark analyze_benchmark(const benchsuite::Benchmark& b,
                                            core::PipelineOptions opts = {}) {
   AnalyzedBenchmark out;
   out.bench = &b;
-  driver::Session session(b.name, b.source, driver::SessionOptions{opts});
-  if (!session.run().ok()) {
+  out.pipeline = core::run_pipeline(b.source, opts);
+  if (!out.pipeline.ok()) {
     std::fprintf(stderr, "benchmark %s failed: %s\n", b.name.c_str(),
-                 session.status().message().c_str());
+                 out.pipeline.error().c_str());
     std::exit(1);
   }
-  out.pipeline = session.take_result();
   out.analysis = staticforay::analyze(*out.pipeline.program);
   out.conversion =
       staticforay::compute_conversion(out.pipeline.model, out.analysis);

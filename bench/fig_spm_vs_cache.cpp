@@ -35,10 +35,10 @@ int main() {
   const size_t n_caps = sopts.spec.capacities.size();
 
   for (size_t j = 0; j < jobs.size(); ++j) {
-    const driver::Session& session = *report.sessions[j];
-    if (!session.status().ok()) {  // bench binaries fail loudly
+    const core::PipelineResult& phase1 = report.results[j];
+    if (!phase1.ok()) {  // bench binaries fail loudly
       std::fprintf(stderr, "benchmark %s failed: %s\n", jobs[j].name.c_str(),
-                   session.status().message().c_str());
+                   phase1.error().c_str());
       return 1;
     }
     util::TablePrinter tp({"capacity", "SPM energy", "cache 2-way",

@@ -2,7 +2,7 @@
 // reach of SPM optimization (Phase II), so the energy a downstream SPM
 // technique can save grows accordingly.
 //
-// The whole suite runs through the sweep driver (parallel sessions, one
+// The whole suite runs through the sweep driver (parallel jobs, one
 // SpmPhase per capacity-axis point) — the same code path as `foraygen
 // sweep`. The full-model savings and the knapsack-vs-greedy DSE ablation
 // come straight from the sweep items; only the static-reach
@@ -68,17 +68,17 @@ int main() {
                          "savings static", "savings FORAY-GEN",
                          "cache 4KB/2way"});
   for (size_t j = 0; j < jobs.size(); ++j) {
-    const driver::Session& session = *report.sessions[j];
-    if (!session.status().ok()) {  // bench binaries fail loudly
+    const core::PipelineResult& phase1 = report.results[j];
+    if (!phase1.ok()) {  // bench binaries fail loudly
       std::fprintf(stderr, "benchmark %s failed: %s\n", jobs[j].name.c_str(),
-                   session.status().message().c_str());
+                   phase1.error().c_str());
       return 1;
     }
-    const auto& model = session.result().model;
+    const auto& model = phase1.model;
     const driver::SweepItem& item =
         report.at(driver::PointKey{j, 0, 0, 0, 0, 0});
 
-    auto analysis = staticforay::analyze(*session.result().program);
+    auto analysis = staticforay::analyze(*phase1.program);
     core::ForayModel static_model = static_subset(model, analysis);
     double s_static = best_savings_pct(model, static_model, opts);
     double s_foray = item.spm.with_spm.savings_pct();

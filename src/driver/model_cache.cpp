@@ -37,8 +37,8 @@ std::string ModelCache::fingerprint(const core::PipelineOptions& opts) {
   // cannot: engine and profiling mode are bit-identical by contract
   // (engine_equivalence / pipeline_equivalence harnesses), and so is the
   // census the fused pass skips (PipelineOptions::census); budgets never
-  // produce a partial model, and the emit / Phase II options run
-  // downstream of extraction.
+  // produce a partial model, and the Phase II options run downstream of
+  // extraction.
   std::string fp;
   fp.reserve(192);
   const auto flag = [&](const char* name, bool v) {
@@ -53,20 +53,13 @@ std::string ModelCache::fingerprint(const core::PipelineOptions& opts) {
   };
   num("fmt", core::kModelFormatVersion);
   num("seed", opts.run.rng_seed);
-  flag("checkpoints", opts.run.emit_checkpoints);
-  flag("calls", opts.run.emit_calls);
-  flag("scalars", opts.run.trace_scalars);
-  flag("data", opts.run.trace_data);
-  flag("system", opts.run.trace_system);
+  flag("replay_view", opts.run.replay_view);
   num("heap", opts.run.heap_capacity);
   num("stack", opts.run.stack_capacity);
   flag("hash_index", opts.extractor.hash_index);
   num("fpcap", opts.extractor.footprint_cap);
   num("nexec", opts.filter.min_exec);
   num("nloc", opts.filter.min_locations);
-  flag("reqiter", opts.filter.require_iterator);
-  flag("partial", opts.filter.keep_partial);
-  flag("nosys", opts.filter.exclude_system);
   return fp;
 }
 

@@ -126,7 +126,6 @@ util::Status parse_request(const util::JsonValue& req,
   }
 
   sopts->pipeline = opts.pipeline;
-  sopts->transient_retries = opts.transient_retries;
   sopts->model_cache = opts.model_cache;
   sopts->threads = std::max(opts.threads, 1);
   if (const util::JsonValue* t = req.find("threads"); t != nullptr) {

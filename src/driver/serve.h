@@ -63,8 +63,6 @@ struct ServeOptions {
   uint64_t max_points = 4096;
   /// Shared across requests (not owned; may be null for no caching).
   ModelCache* model_cache = nullptr;
-  /// Transient-failure retries, as SweepOptions::transient_retries.
-  int transient_retries = 2;
   /// Static cost-bound admission (`--static-admission`): run the
   /// staticforay checker over each requested program and refuse the
   /// request — resource_exhausted, phase "lint-admission", before any

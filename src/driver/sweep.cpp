@@ -327,25 +327,6 @@ StaticVerdict static_verdict(std::string_view source) {
 
 namespace {
 
-/// Runs `fn`, turning anything it throws into a classified status: the
-/// failure-isolation promise holds even for internal errors in Phase II,
-/// which fail their points and keep the sweep.
-template <class Fn>
-util::Status guarded(Fn&& fn) {
-  try {
-    fn();
-  } catch (const util::StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return util::Status::failure(util::ErrorCode::kResourceExhausted,
-                                 "spm-solve", 0,
-                                 "out of memory during solve");
-  } catch (const std::exception& e) {
-    return util::Status::failure("internal", 0, e.what());
-  }
-  return {};
-}
-
 /// Hits and misses of every (capacity, cache axis value) cell a job's
 /// outstanding points need, one result per cell, row-major by (capacity
 /// index, cache axis index), unpriced. They depend on the model and the
@@ -400,7 +381,7 @@ util::Status price_cell(const core::ForayModel& model, const SweepGrid& grid,
                         CacheTable* table,
                         std::vector<core::SpmReport::CacheComparison>* out) {
   const core::CacheCellCounts* cell = nullptr;
-  const util::Status st = guarded([&] {
+  const util::Status st = guarded("spm-solve", [&] {
     cell = &table->fill(
         model, grid, point.key.capacity * grid.caches.size() + point.key.cache);
   });
@@ -490,7 +471,7 @@ GroupSolve solve_group(const core::ForayModel& model,
       return out;
     }
   }
-  out.status = guarded([&] {
+  out.status = guarded("spm-solve", [&] {
     // Cache-on points price the job's shared counts (build_item).
     const core::SpmPhaseOptions popts = head.spm_options(base.spm);
     out.spm = core::solve_spm(model, popts, &candidates);
@@ -513,8 +494,9 @@ GroupSolve solve_group(const core::ForayModel& model,
 
 /// Phase I state of one job, shared read-only by its solve groups.
 struct JobState {
-  std::unique_ptr<Session> session;
-  /// Phase I outcome: the session's status, or the failure enumerating
+  /// The job's Phase I result; on a model-cache hit, only its model.
+  core::PipelineResult result;
+  /// Phase I outcome: the result's status, or the failure enumerating
   /// the candidates hit. Not ok dooms every grid cell of the job.
   util::Status phase1;
   /// Buffer candidates, enumerated ONCE per job: they depend only on the
@@ -528,12 +510,21 @@ struct JobState {
   std::atomic<size_t> remaining{0};
 };
 
+/// One Phase I attempt: run_pipeline with anything it throws classified.
+core::PipelineResult phase1_attempt(const SweepJob& job,
+                                    const core::PipelineOptions& opts) {
+  core::PipelineResult result;
+  const util::Status thrown = guarded(
+      "pipeline", [&] { result = core::run_pipeline(job.source, opts); });
+  if (!thrown.ok()) result.status = thrown;
+  return result;
+}
+
 void run_phase1(const SweepJob& job, const SweepOptions& opts,
                 JobState* js) {
   // Phase I only: every grid point, the first included, is solved by its
   // solve group, so a cold run and a model-cache hit take the same Phase
   // II path — which is what makes warm output byte-identical to cold.
-  const SessionOptions sopts{opts.pipeline};
 
   // Model-cache fast path: a hit makes this job pure Phase II. The
   // candidates are enumerated from the cached model (they depend only on
@@ -545,18 +536,15 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
     util::Status why;
     if (opts.model_cache->lookup(cache_key, &cached, &why)) {
       try {
-        auto session = std::make_unique<Session>(job.name, job.source, sopts);
-        std::vector<spm::BufferCandidate> candidates =
+        js->candidates =
             spm::enumerate_candidates(cached, opts.pipeline.spm.reuse);
-        session->adopt_model(std::move(cached));
-        js->session = std::move(session);
-        js->candidates = std::move(candidates);
+        js->result.model = std::move(cached);
+        js->result.model_built = true;
         return;
       } catch (const std::exception&) {
         // A well-formed entry whose *content* lies (enumeration died on
         // it) is treated exactly like a corrupt one: recompute below,
         // store() overwrites it.
-        js->session = nullptr;
         js->candidates.clear();
       }
     } else if (!why.ok()) {
@@ -565,33 +553,25 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
     }
   }
 
-  js->session = std::make_unique<Session>(job.name, job.source, sopts);
-  js->session->run();
+  js->result = phase1_attempt(job, opts.pipeline);
   // Transient (io_error) Phase I failures get a bounded number of fresh
-  // sessions; deterministic failures (a program that does not parse, a
+  // attempts; deterministic failures (a program that does not parse, a
   // tripped budget) would only reproduce and are final immediately.
-  for (int r = 0;
-       r < opts.transient_retries && transient(js->session->status()); ++r) {
-    js->session = std::make_unique<Session>(job.name, job.source, sopts);
-    js->session->run();
+  for (int r = 0; r < kTransientRetries && transient(js->result.status);
+       ++r) {
+    js->result = phase1_attempt(job, opts.pipeline);
   }
   // Phase I failures doom every grid cell; Phase II failures (including
   // replay execution errors) are per-point, so later cells still get
   // their own attempt.
-  js->phase1 = js->session->status();
+  js->phase1 = js->result.status;
   if (!js->phase1.ok()) return;
-  const core::ForayModel& model = js->session->result().model;
-  try {
+  const core::ForayModel& model = js->result.model;
+  js->phase1 = guarded("pipeline", [&] {
     js->candidates =
         spm::enumerate_candidates(model, opts.pipeline.spm.reuse);
-  } catch (const std::bad_alloc&) {
-    js->phase1 = util::Status::failure(util::ErrorCode::kResourceExhausted,
-                                       "pipeline", 0, "out of memory");
-    return;
-  } catch (const std::exception& e) {
-    js->phase1 = util::Status::failure("internal", 0, e.what());
-    return;
-  }
+  });
+  if (!js->phase1.ok()) return;
   if (opts.model_cache != nullptr) {
     // Best-effort: a failed store only costs the next run a recompute.
     opts.model_cache->store(cache_key, model);
@@ -613,7 +593,7 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
   item.point = point;
   item.status = js.phase1;
   if (solve == nullptr) return item;
-  const core::ForayModel& model = js.session->result().model;
+  const core::ForayModel& model = js.result.model;
   std::vector<core::SpmReport::CacheComparison> caches;
   item.status = solve->fault;
   if (item.status.ok() && point.cache.enabled) {
@@ -879,8 +859,8 @@ std::vector<ParetoPoint> aggregate_pareto(const SweepGrid& grid,
 /// order. Points cached in the resume checkpoint pre-fill their slots and
 /// never run again, and a fully cached job skips Phase I. A job the
 /// lint-first checker refuses gets one `lint` row in place of its point
-/// block. An attached collector also keeps every item, each job's
-/// session and every frontier.
+/// block. An attached collector also keeps every item, each job's Phase
+/// I result and every frontier.
 class SweepExec {
  public:
   SweepExec(const std::vector<SweepJob>& jobs, const SweepOptions& opts,
@@ -991,7 +971,7 @@ class SweepExec {
     if (resume_.range_cached(j, 0, per_job_)) {
       // Every point of this job rides in from the checkpoint: no Phase I,
       // no solves, no items.
-      finish_job(j, nullptr);
+      finish_job(j, {});
       return;
     }
     if (opts_.lint_first) {
@@ -1010,7 +990,7 @@ class SweepExec {
                 build_item(jobs_[j], j, grid_, i, js, nullptr,
                            opts_.pipeline.spm));
       }
-      finish_job(j, std::move(js.session));
+      finish_job(j, std::move(js.result));
       return;
     }
     size_t needed = 0;
@@ -1033,12 +1013,12 @@ class SweepExec {
       needs.greedy |= grid_.points[i].algorithm == Algorithm::kGreedy;
       needs.replay |= grid_.points[i].replay;
     }
-    const core::ForayModel& model = js.session->result().model;
+    const core::ForayModel& model = js.result.model;
     GroupSolve solve = solve_group(model, opts_.pipeline,
                                    grid_.points[g.begin], needs,
                                    js.candidates);
     for (int r = 0;
-         r < opts_.transient_retries && solve.transient_failure(); ++r) {
+         r < kTransientRetries && solve.transient_failure(); ++r) {
       solve = solve_group(model, opts_.pipeline, grid_.points[g.begin],
                           needs, js.candidates);
     }
@@ -1049,7 +1029,7 @@ class SweepExec {
                          opts_.pipeline.spm));
     }
     if (js.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      finish_job(j, std::move(js.session));
+      finish_job(j, std::move(js.result));
     }
   }
 
@@ -1081,7 +1061,7 @@ class SweepExec {
 
   /// Runs once per job, after all of its points were delivered (or came
   /// from the checkpoint): assembles the block and the job's frontier.
-  void finish_job(size_t j, std::unique_ptr<Session> session) {
+  void finish_job(size_t j, core::PipelineResult result) {
     Block block;
     std::vector<Objective> objs;
     for (size_t i = 0; i < per_job_; ++i) {
@@ -1100,7 +1080,7 @@ class SweepExec {
     block.text += pareto_line("program", jobs_[j].name, front);
     block.text += '\n';
     if (collect_ != nullptr) {
-      collect_->sessions[j] = std::move(session);
+      collect_->results[j] = std::move(result);
       collect_->fronts[j] = std::move(front);
     }
     publish(j, std::move(block));
@@ -1108,8 +1088,8 @@ class SweepExec {
 
   /// A lint-refused job: one `lint` row plus the program's (empty) pareto
   /// line stand in for the whole point block. Its slots stay not-ok, so
-  /// the aggregate skips every point; a collector marks every cell with
-  /// the lint status and keeps no session.
+  /// the aggregate skips every point; a collector marks every cell and
+  /// the job's result with the lint status.
   void refuse_job(size_t j, const util::Status& st) {
     Block block;
     block.text = lint_line(jobs_[j].name, st);
@@ -1126,6 +1106,7 @@ class SweepExec {
         item.point = grid_.points[i];
         item.status = st;
       }
+      collect_->results[j].status = st;
     }
     publish(j, std::move(block));
   }
@@ -1253,7 +1234,7 @@ util::Status SweepDriver::run_ndjson(const std::vector<SweepJob>& jobs,
     collect->grid = grid_;
     collect->programs = names;
     collect->items.resize(jobs.size() * grid_.points_per_job());
-    collect->sessions.resize(jobs.size());
+    collect->results.resize(jobs.size());
     collect->fronts.resize(jobs.size());
   }
   out << header << '\n';

@@ -47,18 +47,18 @@
 // million-point grid can stream to disk. Resume, lint-first and serve
 // all ride that path. A caller that wants the results in memory attaches
 // a SweepReport collector to it (SweepDriver::run does exactly that and
-// drops the text); the collector keeps each item, each job's session and
-// the frontiers the stream computed.
+// drops the text); the collector keeps each item, each job's Phase I
+// result and the frontiers the stream computed.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
-#include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "driver/session.h"
 #include "foray/pipeline.h"
 #include "spm/replay.h"
 #include "staticforay/cost.h"
@@ -74,6 +74,26 @@ struct SweepJob {
   std::string source;
 };
 
+/// Runs `fn`, turning anything it throws into a classified status, so
+/// one broken job or solve fails its own rows and never the sweep: a
+/// util::StatusError keeps its status (e.g. an injected sink fault),
+/// std::bad_alloc is resource_exhausted in `phase`, and anything else is
+/// an internal error, a bug in this library.
+template <class Fn>
+util::Status guarded(const char* phase, Fn&& fn) {
+  try {
+    fn();
+  } catch (const util::StatusError& e) {
+    return e.status();
+  } catch (const std::bad_alloc&) {
+    return util::Status::failure(util::ErrorCode::kResourceExhausted, phase,
+                                 0, "out of memory");
+  } catch (const std::exception& e) {
+    return util::Status::failure("internal", 0, e.what());
+  }
+  return {};
+}
+
 /// Which selection a grid point reports as its headline.
 enum class Algorithm { kExactDp, kGreedy };
 const char* algorithm_name(Algorithm a);
@@ -87,9 +107,9 @@ struct EnergyAxisValue {
 
 /// One value of the cache-comparison axis. `enabled == false` is the
 /// explicit "off" value; `assocs` usually holds one associativity per
-/// axis value ("32x2"), but the base-inherited value keeps the session's
-/// full list so the pre-sweep `--compare-cache` behavior survives the
-/// batch adapter unchanged.
+/// axis value ("32x2"), but the base-inherited value keeps the base
+/// options' full list so the pre-sweep `--compare-cache` behavior
+/// survives the batch adapter unchanged.
 struct CacheAxisValue {
   bool enabled = false;
   uint32_t line_bytes = 32;
@@ -166,6 +186,13 @@ struct SweepGrid {
                           const core::PipelineOptions& base);
 };
 
+/// How many times a *transient* failure (ErrorCode::kIoError — the
+/// outside world failed, not the input and not this library) is retried
+/// per Phase I run / Phase II solve group before its error rows are
+/// final. Deterministic classes (invalid_input, internal, budget trips)
+/// are never retried: rerunning them reproduces the failure.
+inline constexpr int kTransientRetries = 2;
+
 struct SweepOptions {
   int threads = 1;
   SweepSpec spec;
@@ -173,12 +200,6 @@ struct SweepOptions {
   /// Phase II options that empty axes inherit (an undeclared replay axis
   /// is off).
   core::PipelineOptions pipeline;
-  /// How many times a *transient* failure (ErrorCode::kIoError — the
-  /// outside world failed, not the input and not this library) is
-  /// retried per Phase I run / Phase II point before its error row is
-  /// final. Deterministic classes (invalid_input, internal, budget
-  /// trips) are never retried: rerunning them reproduces the failure.
-  int transient_retries = 2;
   /// Optional content-addressed Phase I model cache (not owned; must
   /// outlive the driver). A hit skips profiling and extraction entirely —
   /// the job becomes pure Phase II — and a miss stores the freshly
@@ -228,15 +249,16 @@ struct ParetoPoint {
 };
 
 /// What a sweep collects when attached to SweepDriver::run_ndjson: every
-/// item, each job's session and the frontiers the stream wrote.
+/// item, each job's Phase I result and the frontiers the stream wrote.
 struct SweepReport {
   SweepGrid grid;
   std::vector<std::string> programs;  ///< job order
   /// Job-major, grid-minor (grid.points order) — the deterministic order.
   std::vector<SweepItem> items;
-  /// One finished session per job, in job order; null for a job the
-  /// lint-first checker refused.
-  std::vector<std::unique_ptr<Session>> sessions;
+  /// Each job's Phase I result, in job order: everything run_pipeline
+  /// produced, only the model (model_built) on a model-cache hit, or the
+  /// lint status of a job the lint-first checker refused.
+  std::vector<core::PipelineResult> results;
   /// Per-program Pareto frontiers over each job's successful points:
   /// maximal energy saved for minimal SPM bytes used, sorted by bytes
   /// ascending; dominated and duplicate trade-offs dropped.
@@ -341,7 +363,7 @@ class SweepDriver {
   /// verbatim instead of re-run; a checkpoint whose header does not
   /// match this grid and job list fails as kInvalidInput up front.
   ///
-  /// With `collect`, the run also fills that report (items, sessions,
+  /// With `collect`, the run also fills that report (items, results,
   /// frontiers) without changing a byte of `out`. Resume and collect are
   /// exclusive — a cached point has no item (FORAY_CHECK).
   util::Status run_ndjson(const std::vector<SweepJob>& jobs,

@@ -70,7 +70,7 @@ struct NestGroup {
   std::vector<size_t> ref_indices;
 };
 
-std::vector<NestGroup> group_refs(const ForayModel& model, bool grouped) {
+std::vector<NestGroup> group_refs(const ForayModel& model) {
   std::vector<NestGroup> groups;
   std::map<std::pair<std::vector<int>, std::vector<int64_t>>, size_t> index;
   for (size_t i = 0; i < model.refs.size(); ++i) {
@@ -78,11 +78,6 @@ std::vector<NestGroup> group_refs(const ForayModel& model, bool grouped) {
     NestGroup g;
     g.path = r.emitted_loop_path();
     g.trips = r.emitted_trips();
-    if (!grouped) {
-      g.ref_indices.push_back(i);
-      groups.push_back(std::move(g));
-      continue;
-    }
     auto key = std::make_pair(g.path, g.trips);
     auto it = index.find(key);
     if (it == index.end()) {
@@ -132,7 +127,7 @@ std::string describe_reference(const ModelReference& ref) {
   return os.str();
 }
 
-std::string emit_minic(const ForayModel& model, const EmitOptions& opts) {
+std::string emit_minic(const ForayModel& model) {
   std::ostringstream os;
   auto names = assign_array_names(model);
   os << "// FORAY model (auto-generated). Each array reference reproduces\n"
@@ -146,15 +141,13 @@ std::string emit_minic(const ForayModel& model, const EmitOptions& opts) {
     Span s = offset_span(r);
     bases[i] = -s.min_off;  // rebased constant term
     const int64_t len = s.max_off - s.min_off + r.access_size;
-    if (opts.metadata_comments) {
-      os << "// " << describe_reference(r) << "\n";
-    }
+    os << "// " << describe_reference(r) << "\n";
     os << "char " << names[i] << "[" << len << "];\n";
   }
   os << "int foray_acc;\n\n";
   os << "int main(void) {\n";
 
-  auto groups = group_refs(model, opts.group_by_nest);
+  auto groups = group_refs(model);
   for (const auto& g : groups) {
     int level = 1;
     auto indent = [&]() { return std::string(static_cast<size_t>(level) * 2,

@@ -17,20 +17,15 @@
 
 namespace foray::core {
 
-struct EmitOptions {
-  /// Merge references sharing a loop nest into one emitted nest
-  /// (compact); false emits one nest per reference like Figure 2.
-  bool group_by_nest = true;
-  /// Per-reference provenance comments (instr, context, expression).
-  bool metadata_comments = true;
-};
-
 /// Stable, collision-free array names for every model reference
 /// ("A<instr-hex>", with "_c2", "_c3" suffixes for the same instruction
 /// in additional dynamic contexts).
 std::vector<std::string> assign_array_names(const ForayModel& model);
 
-std::string emit_minic(const ForayModel& model, const EmitOptions& = {});
+/// References sharing a loop nest (loop path and trip counts) are
+/// emitted in one nest, and each array declaration follows a comment
+/// with its reference's provenance (describe_reference).
+std::string emit_minic(const ForayModel& model);
 
 std::string emit_paper_style(const ForayModel& model);
 

@@ -7,7 +7,6 @@ const char* filter_reason_name(FilterReason r) {
     case FilterReason::Kept: return "kept";
     case FilterReason::NonAnalyzable: return "non-analyzable";
     case FilterReason::NoIterator: return "no-iterator";
-    case FilterReason::PartialExcluded: return "partial-excluded";
     case FilterReason::TooFewExecs: return "too-few-execs";
     case FilterReason::TooFewLocations: return "too-few-locations";
     case FilterReason::SystemReference: return "system-reference";
@@ -16,16 +15,11 @@ const char* filter_reason_name(FilterReason r) {
 }
 
 FilterReason classify_reference(const RefNode& ref, const FilterOptions& o) {
-  if (o.exclude_system && ref.kind == trace::AccessKind::System) {
+  if (ref.kind == trace::AccessKind::System) {
     return FilterReason::SystemReference;
   }
   if (!ref.affine.analyzable) return FilterReason::NonAnalyzable;
-  if (o.require_iterator && !ref.affine.has_effective_iterator()) {
-    return FilterReason::NoIterator;
-  }
-  if (!o.keep_partial && ref.affine.is_partial()) {
-    return FilterReason::PartialExcluded;
-  }
+  if (!ref.affine.has_effective_iterator()) return FilterReason::NoIterator;
   if (ref.exec_count < o.min_exec) return FilterReason::TooFewExecs;
   if (ref.footprint_size() < o.min_locations) {
     return FilterReason::TooFewLocations;

@@ -20,25 +20,21 @@
 
 namespace foray::core {
 
+/// The two thresholds. The rest of the filter is fixed policy, as in the
+/// paper: System-kind references are dropped (system libraries are not
+/// modeled), a kept expression needs at least one iterator with a known
+/// non-zero coefficient (the regularity condition), and partial affine
+/// references (M < N) are kept, since they are what lets SPM analysis
+/// still optimize the inner loops.
 struct FilterOptions {
   uint64_t min_exec = 20;       ///< Nexec
   uint64_t min_locations = 10;  ///< Nloc
-  /// Require at least one iterator with a known non-zero coefficient in
-  /// the (partial) expression — the paper's regularity condition.
-  bool require_iterator = true;
-  /// Keep partial affine references (M < N). The paper keeps them: they
-  /// are what lets SPM analysis still optimize the inner loops.
-  bool keep_partial = true;
-  /// Drop System-kind references (the paper does not model system
-  /// libraries in the FORAY model).
-  bool exclude_system = true;
 };
 
 enum class FilterReason : uint8_t {
   Kept,
   NonAnalyzable,    ///< excluded by Algorithm 3 Step 4 (H > 1)
   NoIterator,       ///< no effective iterator in the expression
-  PartialExcluded,  ///< partial and keep_partial is false
   TooFewExecs,      ///< exec_count < Nexec
   TooFewLocations,  ///< footprint < Nloc
   SystemReference,  ///< traffic from intrinsics / system libraries

@@ -38,9 +38,6 @@ void collect(const LoopNode& node, std::vector<int>* path,
       case FilterReason::NoIterator:
         ++stats->dropped_no_iterator;
         break;
-      case FilterReason::PartialExcluded:
-        ++stats->dropped_partial;
-        break;
       case FilterReason::TooFewExecs:
         ++stats->dropped_exec;
         break;

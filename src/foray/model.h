@@ -66,7 +66,6 @@ struct ModelBuildStats {
   int kept = 0;
   int dropped_non_analyzable = 0;
   int dropped_no_iterator = 0;
-  int dropped_partial = 0;
   int dropped_exec = 0;
   int dropped_locations = 0;
   int dropped_system = 0;

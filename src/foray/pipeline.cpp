@@ -94,7 +94,7 @@ util::Status extract_phase(const PipelineOptions& opts,
               "extract_phase requires profile_phase");
   result->model =
       build_model(*result->extractor, opts.filter, &result->build_stats);
-  result->foray_source = emit_minic(result->model, opts.emit);
+  result->foray_source = emit_minic(result->model);
   result->foray_paper_style = emit_paper_style(result->model);
   result->model_built = true;
   return result->status;

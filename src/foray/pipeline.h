@@ -74,8 +74,7 @@ struct PipelineOptions {
   /// phase — extraction, filter, SPM DSE — is engine-agnostic.
   sim::RunOptions run;
   ExtractorOptions extractor;
-  FilterOptions filter;
-  EmitOptions emit;
+  FilterOptions filter;  ///< the Step 4 thresholds, Nexec and Nloc
   /// false (default): online analysis during profiling, constant space.
   /// true: materialize the trace in memory, then analyze.
   bool offline = false;

@@ -238,11 +238,7 @@ class TraceEmitter {
                bool frame_fixed)
       : sink_(sink),
         chunk_(std::max<size_t>(opts.chunk_records, 1)),
-        trace_scalars_(opts.trace_scalars),
-        trace_data_(opts.trace_data),
-        trace_system_(opts.trace_system),
-        emit_checkpoints_(opts.emit_checkpoints),
-        emit_calls_(opts.emit_calls),
+        replay_view_(opts.replay_view),
         elide_(opts.elide_below_bases != 0 && frame_fixed),
         guard_(elide_ ? functions : 0, opts.elide_below_bases),
         max_records_(opts.budget.max_records),
@@ -306,21 +302,16 @@ class TraceEmitter {
     }
   }
 
+  /// Records outside the replay view (RunOptions::replay_view) return
+  /// before tick(): they are not part of that trace, so they move no
+  /// budget check.
   FORAY_ALWAYS_INLINE void emit_access(uint32_t instr, uint32_t addr,
                                        uint8_t size, bool is_write,
                                        trace::AccessKind kind) {
     ++accesses_;
-    switch (kind) {
-      case trace::AccessKind::Scalar:
-        if (!trace_scalars_) return;
-        if (elide_) return skip();
-        break;
-      case trace::AccessKind::Data:
-        if (!trace_data_) return;
-        break;
-      case trace::AccessKind::System:
-        if (!trace_system_) return;
-        break;
+    if (kind != trace::AccessKind::Data) {
+      if (replay_view_) return;
+      if (elide_ && kind == trace::AccessKind::Scalar) return skip();
     }
     push(trace::Record::access(instr, addr, size, is_write, kind));
   }
@@ -329,7 +320,7 @@ class TraceEmitter {
   /// Scalar access (RunOptions::elide_below_bases).
   FORAY_ALWAYS_INLINE void emit_checkpoint(trace::CheckpointType t,
                                            int loop_id) {
-    if (!emit_checkpoints_ || loop_id < 0) return;
+    if (loop_id < 0) return;
     if (elide_ && t == trace::CheckpointType::BodyEnd) return skip();
     push(trace::Record::checkpoint(t, loop_id));
   }
@@ -338,13 +329,13 @@ class TraceEmitter {
   /// pointer before the parameters are bound).
   FORAY_ALWAYS_INLINE void emit_call(int32_t func, uint32_t frame_base) {
     if (elide_) guard_.enter(func, frame_base);
-    if (!emit_calls_) return;
+    if (replay_view_) return;
     if (elide_) return skip();
     push(trace::Record::call(func));
   }
 
   FORAY_ALWAYS_INLINE void emit_ret(int32_t func) {
-    if (!emit_calls_) return;
+    if (replay_view_) return;
     if (elide_) return skip();
     push(trace::Record::ret(func));
   }
@@ -376,8 +367,7 @@ class TraceEmitter {
   uint64_t accesses_ = 0;
   uint64_t records_ = 0;  ///< delivered to the sink
   uint64_t elided_ = 0;
-  const bool trace_scalars_, trace_data_, trace_system_, emit_checkpoints_,
-      emit_calls_, elide_;
+  const bool replay_view_, elide_;
   bool chunk_checked_ = false;
   FrameBaseGuard guard_;
   const uint64_t max_records_;

@@ -20,8 +20,10 @@
 // are counted but never emitted, while a guard proves that no elided
 // site could have reached the Nloc locations Step 4 keeps, and stops the
 // run as soon as it cannot. BodyEnd checkpoints, which change no loop
-// iterator, are elided with them. Traces, the offline replay and the
-// census (foray/pipeline.h) always carry every record.
+// iterator, are elided with them. The transform replay's run sees
+// checkpoints and Data accesses only (RunOptions::replay_view). Traces,
+// the offline replay and the census (foray/pipeline.h) always carry every
+// record.
 #pragma once
 
 #include <cstdint>
@@ -64,11 +66,12 @@ struct RunOptions {
   /// degenerates to record-at-a-time delivery (the throughput-bench
   /// baseline); values above a few thousand stop paying for themselves.
   size_t chunk_records = trace::kDefaultChunkRecords;
-  bool emit_checkpoints = true;
-  bool emit_calls = true;
-  bool trace_scalars = true;  ///< record Scalar-kind accesses
-  bool trace_data = true;     ///< record Data-kind accesses
-  bool trace_system = true;   ///< record System-kind accesses
+  /// The transform replay's view (spm/replay.h): loop checkpoints and
+  /// Data accesses only. Scalar and System accesses and Call/Ret records
+  /// are dropped before the sink and do not count against the record
+  /// budget; the accesses still count in RunResult::accesses. false (the
+  /// default) traces every record.
+  bool replay_view = false;
   /// Scalar elision, for the fused Phase I pass. When nonzero, Scalar
   /// accesses, Call/Ret records and BodyEnd checkpoints never reach the
   /// sink, but they still count in RunResult::accesses (the accesses)

@@ -46,7 +46,7 @@ ReplayReport replay_selection(const core::ForayModel& model,
                               const Selection& selection,
                               const ReplayOptions& opts) {
   ReplayReport report;
-  report.source = emit_transformed(model, selection, opts.transform);
+  report.source = emit_transformed(model, selection);
 
   // The emitted program through the same front end as any user program.
   util::DiagList diags;
@@ -68,9 +68,8 @@ ReplayReport replay_selection(const core::ForayModel& model,
     FORAY_CHECK(ri < names.size(), "selection references unknown ref");
     buffer_of[names[ri]] = static_cast<int>(b);
     is_spm[names[ri]] = false;
-    buffer_of[opts.transform.buffer_prefix + names[ri]] =
-        static_cast<int>(b);
-    is_spm[opts.transform.buffer_prefix + names[ri]] = true;
+    buffer_of[spm_buffer_name(names[ri])] = static_cast<int>(b);
+    is_spm[spm_buffer_name(names[ri])] = true;
   }
   std::vector<sim::ClassifyingSink::Region> regions;
   for (const auto& g : sim::global_regions(*prog)) {
@@ -88,10 +87,7 @@ ReplayReport replay_selection(const core::ForayModel& model,
   sim::ClassifyingSink sink(std::move(regions),
                             static_cast<int>(selection.chosen.size()));
   sim::RunOptions ropts = opts.run;
-  ropts.emit_checkpoints = true;  // transfer-event segmentation needs them
-  ropts.trace_scalars = false;
-  ropts.trace_system = false;
-  ropts.emit_calls = false;
+  ropts.replay_view = true;
   auto run = sim::run_program(*prog, &sink, ropts);
   if (!run.ok()) {
     report.status = run.status;

@@ -38,11 +38,10 @@
 namespace foray::spm {
 
 struct ReplayOptions {
-  TransformOptions transform;
   /// Simulator knobs for executing the transformed program; engine
-  /// selection is honored, checkpoints are forced on (the classifying
-  /// sink segments transfer events with them) and scalar/system traffic
-  /// is not traced (the classification only consumes Data accesses).
+  /// selection is honored, and the run always uses
+  /// RunOptions::replay_view: the classifying sink segments transfer
+  /// events with the checkpoints and classifies only Data accesses.
   sim::RunOptions run;
   /// Energy parameters for the analytic evaluation (only the capacity
   /// and energy model matter; the DP granule is unused here).

@@ -89,8 +89,7 @@ std::string terms(size_t ref_idx, int64_t base,
 }  // namespace
 
 std::string emit_transformed(const core::ForayModel& model,
-                             const Selection& selection,
-                             const TransformOptions& opts) {
+                             const Selection& selection) {
   std::map<size_t, int> selected_level;
   for (const auto& c : selection.chosen) {
     selected_level[c.ref_index] = c.level;
@@ -107,18 +106,16 @@ std::string emit_transformed(const core::ForayModel& model,
     auto it = selected_level.find(i);
     const int level = it == selected_level.end() ? 0 : it->second;
     RefLayout lo = layout_of(model.refs[i], level);
-    if (opts.metadata_comments) {
-      os << "// " << core::describe_reference(model.refs[i]);
-      if (level > 0) {
-        os << "  [SPM buffer: level " << level << ", " << lo.inner_span
-           << "B" << (lo.sliding ? ", sliding window" : "") << "]";
-      }
-      os << "\n";
+    os << "// " << core::describe_reference(model.refs[i]);
+    if (level > 0) {
+      os << "  [SPM buffer: level " << level << ", " << lo.inner_span
+         << "B" << (lo.sliding ? ", sliding window" : "") << "]";
     }
+    os << "\n";
     os << "char " << names[i] << "[" << lo.array_len << "];\n";
     if (level > 0) {
-      os << "char " << opts.buffer_prefix << names[i] << "["
-         << lo.inner_span << "];\n";
+      os << "char " << spm_buffer_name(names[i]) << "[" << lo.inner_span
+         << "];\n";
     }
     layouts.push_back(lo);
   }
@@ -132,7 +129,7 @@ std::string emit_transformed(const core::ForayModel& model,
     auto it = selected_level.find(i);
     const int level = it == selected_level.end() ? 0 : it->second;
     const size_t split = static_cast<size_t>(lo.split);
-    const std::string spm = opts.buffer_prefix + names[i];
+    const std::string spm = spm_buffer_name(names[i]);
 
     os << "  { // reference " << names[i]
        << (level > 0 ? " (SPM-buffered)" : " (main memory)") << "\n";

@@ -18,17 +18,17 @@
 
 namespace foray::spm {
 
-struct TransformOptions {
-  /// Prefix for SPM buffer array names in the emitted code.
-  std::string buffer_prefix = "spm_";
-  bool metadata_comments = true;
-};
+/// The SPM buffer array the emitted code pairs with main-memory array
+/// `main_array` ("spm_" + its name).
+inline std::string spm_buffer_name(const std::string& main_array) {
+  return "spm_" + main_array;
+}
 
 /// Emits the transformed FORAY model: selected references access their
 /// SPM buffer (filled/written back at the covered loop level), the rest
-/// stay on their main-memory arrays.
+/// stay on their main-memory arrays. Each array declaration follows a
+/// comment describing its reference and, when buffered, its SPM buffer.
 std::string emit_transformed(const core::ForayModel& model,
-                             const Selection& selection,
-                             const TransformOptions& opts = {});
+                             const Selection& selection);
 
 }  // namespace foray::spm

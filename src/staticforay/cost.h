@@ -11,11 +11,13 @@
 //
 // StaticCost carries whole-program bounds on executed steps and emitted
 // trace records, in saturating uint64 arithmetic where kUnbounded (the
-// max value) means "no finite bound". Upper bounds dominate both engines
-// under any options; lower bounds assume the default full-tracing
-// RunOptions and hold for runs that complete without faulting — exactly
-// the reading serve admission needs ("this request cannot finish inside
-// its record budget").
+// max value) means "no finite bound". Upper bounds dominate both engines;
+// lower bounds hold for runs that complete without faulting. Records are
+// counted as the record budget counts them, the elided ones of the fused
+// pass included; only sim::RunOptions::replay_view, which the transform
+// replay sets on its own generated program, counts fewer. That is
+// exactly the reading serve admission needs ("this request cannot finish
+// inside its record budget").
 #pragma once
 
 #include <cstdint>

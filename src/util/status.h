@@ -149,8 +149,8 @@ class InternalError : public std::logic_error {
 /// An exception that carries a fully-classified Status across layers that
 /// cannot return one — above all the trace sinks, which run inside an
 /// engine's guarded execution and may not depend on sim::RuntimeError.
-/// execute_guarded, Session::run and the sweep's solve_point all catch it
-/// and surface the carried Status verbatim, code included.
+/// execute_guarded and the sweep's driver::guarded both catch it and
+/// surface the carried Status verbatim, code included.
 class StatusError : public std::runtime_error {
  public:
   explicit StatusError(Status status)

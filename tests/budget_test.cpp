@@ -114,6 +114,40 @@ TEST(Budget, RecordBudgetMidChunkOvershootsByAtMostOneChunk) {
   }
 }
 
+TEST(Budget, RecordBudgetCountsOnlyTheReplayView) {
+  // Mostly scalar traffic, which the replay view drops before the
+  // budget sees it: a budget above the view's records never trips there,
+  // while the full trace runs far past it.
+  const char* src =
+      "int a[8];\n"
+      "int main(void) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < 300; i++) { s = s + i; s = s * 3; }\n"
+      "  for (int i = 0; i < 8; i++) a[i] = s;\n"
+      "  return 0;\n"
+      "}\n";
+  for (Engine engine : kEngines) {
+    RunOptions view;
+    view.engine = engine;
+    view.replay_view = true;
+    view.chunk_records = 64;
+    const Capture free_run = run_src(src, view);
+    ASSERT_TRUE(free_run.result.ok()) << free_run.result.error();
+
+    view.budget.max_records = free_run.records + 1;
+    const Capture budgeted = run_src(src, view);
+    EXPECT_TRUE(budgeted.result.ok()) << budgeted.result.error();
+    EXPECT_EQ(budgeted.records, free_run.records);
+
+    RunOptions full = view;
+    full.replay_view = false;
+    const Capture tripped = run_src(src, full);
+    EXPECT_EQ(tripped.result.status.code(),
+              util::ErrorCode::kResourceExhausted)
+        << tripped.result.status.message();
+  }
+}
+
 TEST(Budget, DeadlineTripsOnBothEngines) {
   for (Engine engine : kEngines) {
     RunOptions opts;

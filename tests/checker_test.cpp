@@ -436,9 +436,11 @@ TEST(SweepLintFirst, CollectorMarksEveryCellOfARefusedJob) {
     EXPECT_TRUE(report.items[per_job + i].status.ok())
         << report.items[per_job + i].status.message();
   }
-  // A lint-refused job never ran Phase I, so it retains no session.
-  EXPECT_EQ(report.sessions[0], nullptr);
-  EXPECT_NE(report.sessions[1], nullptr);
+  // A lint-refused job never ran Phase I: its result holds only the
+  // lint status.
+  EXPECT_EQ(report.results[0].status.phase(), "lint");
+  EXPECT_FALSE(report.results[0].model_built);
+  EXPECT_TRUE(report.results[1].model_built);
 }
 
 TEST(SweepLintFirst, CleanProgramsAreByteIdenticalWithAndWithoutLint) {

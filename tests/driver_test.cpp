@@ -1,14 +1,15 @@
-// The driver layer: Session lifecycle, ThreadPool, and the SweepDriver's
-// two batch contracts — determinism (an N-thread run produces
-// byte-identical reports to a 1-thread run) and per-session failure
+// The driver layer: the guarded() failure classifier, ThreadPool, and
+// the SweepDriver's two batch contracts — determinism (an N-thread run
+// produces byte-identical reports to a 1-thread run) and per-job failure
 // isolation. (Grid-axis behavior lives in sweep_test; this file covers
 // the capacity-only shape the old batch driver pinned down.)
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <new>
 #include <sstream>
+#include <stdexcept>
 
-#include "driver/session.h"
 #include "driver/sweep.h"
 #include "util/thread_pool.h"
 
@@ -38,13 +39,6 @@ const char* kGood2 =
 
 const char* kParseError = "int main(void) { return 0;";       // no brace
 const char* kSimFault = "int main(void) { int z = 0; return 1 / z; }";
-
-SessionOptions session_opts() {
-  SessionOptions o;
-  o.pipeline.filter.min_exec = 1;
-  o.pipeline.filter.min_locations = 1;
-  return o;
-}
 
 // -- thread pool --------------------------------------------------------------
 
@@ -79,26 +73,44 @@ TEST(ThreadPool, ZeroThreadsClampedToOne) {
   EXPECT_TRUE(ran.load());
 }
 
-// -- session ------------------------------------------------------------------
+// -- guarded ------------------------------------------------------------------
 
-TEST(Session, RunsAllPhasesAndIsIdempotent) {
-  Session s("good", kGood, session_opts());
-  ASSERT_TRUE(s.run().ok()) << s.status().message();
-  EXPECT_TRUE(s.ran());
-  EXPECT_TRUE(s.result().model_built);
-  const void* model_before = &s.result().model;
-  const size_t refs = s.result().model.refs.size();
-  EXPECT_GT(refs, 0u);
-  // A second run() must not redo the work.
-  ASSERT_TRUE(s.run().ok());
-  EXPECT_EQ(&s.result().model, model_before);
-  EXPECT_EQ(s.result().model.refs.size(), refs);
+TEST(Guarded, ClassifiesWhatTheCallThrows) {
+  EXPECT_TRUE(guarded("pipeline", [] {}).ok());
+
+  // A thrown Status arrives verbatim, code and phase included.
+  const util::Status carried = util::Status::failure(
+      util::ErrorCode::kIoError, "trace", 0, "sink failed");
+  util::Status st =
+      guarded("pipeline", [&] { throw util::StatusError(carried); });
+  EXPECT_EQ(st.code(), util::ErrorCode::kIoError);
+  EXPECT_EQ(st.message(), carried.message());
+
+  // Running out of memory is a resource failure of the named phase.
+  st = guarded("spm-solve", [] { throw std::bad_alloc(); });
+  EXPECT_EQ(st.code(), util::ErrorCode::kResourceExhausted);
+  EXPECT_EQ(st.message(), "spm-solve error: out of memory");
+
+  // Anything else is a bug in this library.
+  st = guarded("pipeline", [] { throw std::logic_error("broken"); });
+  EXPECT_EQ(st.code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(st.message(), "internal error: broken");
 }
 
-TEST(Session, SurfacesFrontendFailureAsStatus) {
-  Session s("bad", kParseError);
-  EXPECT_FALSE(s.run().ok());
-  EXPECT_EQ(s.status().phase(), "parse");
+TEST(Guarded, FrontendFailureStaysAClassifiedStatus) {
+  core::PipelineResult res;
+  EXPECT_TRUE(
+      guarded("pipeline", [&] { res = core::run_pipeline(kParseError); })
+          .ok());
+  EXPECT_EQ(res.status.code(), util::ErrorCode::kInvalidInput);
+  EXPECT_EQ(res.status.phase(), "parse");
+
+  // In a sweep the same failure lands on the job's result and its rows.
+  const SweepReport report = SweepDriver().run({{"bad", kParseError}});
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_EQ(report.results[0].status.phase(), "parse");
+  EXPECT_EQ(report.items[0].status.code(), util::ErrorCode::kInvalidInput);
+  EXPECT_EQ(report.items[0].status.phase(), "parse");
 }
 
 // -- sweep driver (capacity-only batch shape) ---------------------------------
@@ -159,7 +171,7 @@ TEST(SweepDriver, ItemsOrderedJobMajorCapacityMinor) {
   EXPECT_EQ(&report.at(key), &report.items[5]);
 }
 
-TEST(SweepDriver, FailingSessionIsIsolated) {
+TEST(SweepDriver, FailingJobIsIsolated) {
   std::vector<SweepJob> jobs = {{"ok1", kGood},
                                 {"parse", kParseError},
                                 {"fault", kSimFault},

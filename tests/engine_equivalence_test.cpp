@@ -174,18 +174,8 @@ TEST(EngineEquivalence, OptionVariationsStayIdentical) {
   std::vector<std::pair<std::string, RunOptions>> variants;
   variants.emplace_back("defaults", base);
   RunOptions v = base;
-  v.emit_checkpoints = false;
-  variants.emplace_back("no checkpoints", v);
-  v = base;
-  v.emit_calls = false;
-  variants.emplace_back("no call records", v);
-  v = base;
-  v.trace_scalars = false;
-  variants.emplace_back("no scalar records", v);
-  v = base;
-  v.trace_data = false;
-  v.trace_system = false;
-  variants.emplace_back("data+system filtered", v);
+  v.replay_view = true;
+  variants.emplace_back("replay view", v);
   v = base;
   v.chunk_records = 1;
   variants.emplace_back("chunk=1", v);

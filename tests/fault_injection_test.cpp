@@ -381,6 +381,43 @@ TEST_F(FaultInjectionTest, ParseResumeRejectsGarbage) {
       EXPECT_EQ(st.diags().all().front().line, 2) << field;
     }
   }
+
+  // Journals whose shape is wrong: each is refused with its line and
+  // reason.
+  const std::string text = journal.str();
+  const std::string header = text.substr(0, text.find('\n'));
+  const size_t point_at = text.find("{\"kind\":\"point\"");
+  const std::string point =
+      text.substr(point_at, text.find('\n', point_at) - point_at);
+  std::string no_ok = point;
+  no_ok.replace(no_ok.find("\"ok\":"), 5, "\"okay\":");
+  struct Case {
+    std::string journal;
+    int line;
+    std::string reason;
+  };
+  for (const Case& c : std::vector<Case>{
+           {header + "\n{\"kind\":\n" + point + "\n", 2,
+            "corrupt journal line"},
+           {header + "\n{\"row\":1}\n", 2, "journal line has no kind"},
+           {header + "\n" + header + "\n", 2,
+            "journal has more than one header line"},
+           {"{\"kind\":\"sweep\"}\n", 1,
+            "journal header has no programs array"},
+           {"{\"kind\":\"sweep\",\"programs\":[\"alpha\",7]}\n", 1,
+            "journal header programs must be strings"},
+           {point + "\n" + header + "\n", 1,
+            "journal point line before the header"},
+           {header + "\n{\"kind\":\"point\",\"key\":3}\n", 2,
+            "point line has no key object"},
+           {header + "\n" + no_ok + "\n", 2, "point line has no ok flag"}}) {
+    st = sweep.parse_resume(c.journal, &checkpoint);
+    EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput) << c.reason;
+    EXPECT_NE(st.message().find(c.reason), std::string::npos)
+        << st.message();
+    ASSERT_EQ(st.diags().all().size(), 1u) << c.reason;
+    EXPECT_EQ(st.diags().all().front().line, c.line) << c.reason;
+  }
 }
 
 TEST_F(FaultInjectionTest, ParseResumeToleratesATornTailLine) {

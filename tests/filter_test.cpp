@@ -69,12 +69,10 @@ TEST(Filter, ConstantRefHasNoIterator) {
             FilterReason::NoIterator);
 }
 
-TEST(Filter, SystemReferencesExcludedByDefault) {
+TEST(Filter, SystemReferencesExcluded) {
   Fixture f(100, 50, trace::AccessKind::System);
-  FilterOptions o;
-  EXPECT_EQ(classify_reference(*f.ref, o), FilterReason::SystemReference);
-  o.exclude_system = false;
-  EXPECT_EQ(classify_reference(*f.ref, o), FilterReason::Kept);
+  EXPECT_EQ(classify_reference(*f.ref, FilterOptions{}),
+            FilterReason::SystemReference);
 }
 
 TEST(Filter, NonAnalyzableDropped) {
@@ -90,7 +88,7 @@ TEST(Filter, NonAnalyzableDropped) {
             FilterReason::NonAnalyzable);
 }
 
-TEST(Filter, PartialKeptByDefaultDroppableByOption) {
+TEST(Filter, PartialKept) {
   LoopNode node{0, nullptr, true};
   RefNode ref(0x400400, &node, 1u << 20);
   // Inner regular, outer irregular -> partial with M=1.
@@ -105,10 +103,7 @@ TEST(Filter, PartialKeptByDefaultDroppableByOption) {
     }
   }
   ASSERT_TRUE(ref.affine.is_partial());
-  FilterOptions o;
-  EXPECT_EQ(classify_reference(ref, o), FilterReason::Kept);
-  o.keep_partial = false;
-  EXPECT_EQ(classify_reference(ref, o), FilterReason::PartialExcluded);
+  EXPECT_EQ(classify_reference(ref, FilterOptions{}), FilterReason::Kept);
 }
 
 TEST(Filter, ReasonNamesAreStable) {

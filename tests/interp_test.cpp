@@ -376,18 +376,31 @@ TEST(InterpTrace, ScalarKindForDirectVariables) {
   EXPECT_TRUE(saw_scalar);
 }
 
-TEST(InterpTrace, TraceFiltersByKind) {
+TEST(InterpTrace, ReplayViewKeepsCheckpointsAndDataOnly) {
   RunOptions opts;
-  opts.trace_scalars = false;
-  RunCapture r = run_src("int a[4];\nint main(void) { int x = 0; "
-                  "for (int i = 0; i < 4; i++) x += a[i]; return x; }",
-                  opts);
+  opts.replay_view = true;
+  RunCapture r = run_src("int a[4];\nint f(int v) { return v + 1; }\n"
+                         "int main(void) { int x = 0; "
+                         "for (int i = 0; i < 4; i++) x += f(a[i]); "
+                         "printf(\"%d\\n\", x); return x; }",
+                         opts);
   ASSERT_TRUE(r.result.ok());
+  size_t data = 0;
+  size_t checkpoints = 0;
   for (const auto& rec : r.records) {
     if (rec.type() == RecordType::Access) {
-      EXPECT_NE(rec.kind(), AccessKind::Scalar);
+      EXPECT_EQ(rec.kind(), AccessKind::Data);
+      ++data;
+    } else if (rec.type() == RecordType::Checkpoint) {
+      ++checkpoints;
+    } else {
+      ADD_FAILURE() << "call/ret record in the replay view";
     }
   }
+  EXPECT_EQ(data, 4u);
+  EXPECT_GT(checkpoints, 0u);
+  // The dropped accesses still count.
+  EXPECT_GT(r.result.accesses, data);
 }
 
 TEST(InterpTrace, BreakEmitsLoopExit) {

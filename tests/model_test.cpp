@@ -138,12 +138,7 @@ TEST(Emitter, NegativeStrideRebasedToValidArray) {
 TEST(Emitter, GroupedSharesOneNest) {
   Extractor ex = make_two_ref_extraction();
   ForayModel m = build_model(ex, lenient());
-  EmitOptions grouped;
-  grouped.group_by_nest = true;
-  std::string g = emit_minic(m, grouped);
-  EmitOptions split;
-  split.group_by_nest = false;
-  std::string s = emit_minic(m, split);
+  std::string g = emit_minic(m);
   auto count = [](const std::string& hay, const std::string& needle) {
     int n = 0;
     for (size_t p = hay.find(needle); p != std::string::npos;
@@ -153,7 +148,6 @@ TEST(Emitter, GroupedSharesOneNest) {
     return n;
   };
   EXPECT_EQ(count(g, "for (int i3"), 1);
-  EXPECT_EQ(count(s, "for (int i3"), 2);
 }
 
 TEST(Emitter, PaperStyleShowsAbsoluteBase) {
@@ -185,15 +179,10 @@ TEST(Emitter, DescribeReferenceMentionsPartiality) {
   EXPECT_EQ(d.find("103*i12"), std::string::npos);
 }
 
-TEST(Emitter, MetadataCommentsToggle) {
+TEST(Emitter, MinicCarriesProvenanceComments) {
   Extractor ex = make_two_ref_extraction();
   ForayModel m = build_model(ex, lenient());
-  EmitOptions with;
-  with.metadata_comments = true;
-  EmitOptions without;
-  without.metadata_comments = false;
-  EXPECT_NE(emit_minic(m, with).find("instr="), std::string::npos);
-  EXPECT_EQ(emit_minic(m, without).find("instr="), std::string::npos);
+  EXPECT_NE(emit_minic(m).find("// instr="), std::string::npos);
 }
 
 }  // namespace

@@ -364,25 +364,60 @@ TEST(Serve, InvalidBudgetAndUnknownFieldsAreRejected) {
       "{\"id\":3,\"frobnicate\":true}\n"
       "{\"id\":4,\"threads\":0}\n"
       "{\"id\":5,\"source\":\"int main(void){return 0;}\","
-      "\"engine\":\"jit\"}\n";
-  std::istringstream in(requests);
-  std::ostringstream out;
-  ASSERT_TRUE(serve_loop(in, out, serve_opts()).ok());
-  std::istringstream split(out.str());
-  std::string line;
-  int done_rows = 0;
-  while (std::getline(split, line)) {
-    util::JsonValue row;
-    std::string err;
-    ASSERT_TRUE(util::parse_json(line, &row, &err)) << err;
-    ASSERT_EQ(kind(row), "done") << line;
-    ++done_rows;
-    EXPECT_FALSE(row.find("ok")->b);
-    EXPECT_EQ(row.find("error_class")->str, "invalid_input");
+      "\"engine\":\"jit\"}\n"
+      "{\"id\":6,\"axes\":[\"capacity\"]}\n"
+      "{\"id\":7,\"axes\":{\"capacity\":1024}}\n"
+      "{\"id\":8,\"source\":42}\n"
+      "{\"id\":9,\"program\":[\"adpcm\"]}\n"
+      "{\"id\":true,\"program\":\"adpcm\"}\n";
+  const ServeRun r = run_serve(requests, serve_opts());
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  std::vector<std::string> errors;
+  for (size_t i = 0; i < r.rows.size(); ++i) {
+    ASSERT_EQ(kind(r.rows[i]), "done") << r.lines[i];
+    EXPECT_FALSE(r.rows[i].find("ok")->b);
+    EXPECT_EQ(r.rows[i].find("error_class")->str, "invalid_input");
+    errors.push_back(r.rows[i].find("error")->str);
   }
-  EXPECT_EQ(done_rows, 5);
-  EXPECT_NE(out.str().find("unknown engine \\\"jit\\\""), std::string::npos)
-      << out.str();
+  ASSERT_EQ(errors.size(), 10u);
+  EXPECT_NE(errors[4].find("unknown engine \"jit\""), std::string::npos);
+  EXPECT_NE(errors[5].find("\"axes\" must be an object"), std::string::npos);
+  EXPECT_NE(errors[6].find("axis \"capacity\" must be a comma-separated "
+                           "string"),
+            std::string::npos);
+  EXPECT_NE(errors[7].find("\"source\" must be a MiniC program string"),
+            std::string::npos);
+  EXPECT_NE(errors[8].find("\"program\" must be a benchsuite kernel name"),
+            std::string::npos);
+  // An id that is neither a string nor a number cannot be echoed: the
+  // row carries the input line instead.
+  EXPECT_NE(errors[9].find("\"id\" must be a string or number"),
+            std::string::npos);
+  ASSERT_NE(r.rows[9].find("line"), nullptr);
+  EXPECT_EQ(r.rows[9].find("line")->num, 10.0);
+}
+
+TEST(Serve, StringIdsAndTimeoutBudgetsAreAccepted) {
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("id").value("tenth");
+  w.key("source").value(requests::kGood);
+  w.key("budget").begin_object();
+  w.key("timeout_seconds").value(60.0);
+  w.end_object();
+  w.end_object();
+  const ServeRun r = run_serve(w.take() + "\n", serve_opts());
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  ASSERT_GE(r.rows.size(), 2u);
+  EXPECT_EQ(kind(r.rows.front()), "request");
+  EXPECT_EQ(kind(r.rows.back()), "done");
+  for (const util::JsonValue* row : {&r.rows.front(), &r.rows.back()}) {
+    const util::JsonValue* id = row->find("id");
+    ASSERT_NE(id, nullptr);
+    ASSERT_TRUE(id->is_string());
+    EXPECT_EQ(id->str, "tenth");
+  }
+  EXPECT_TRUE(r.rows.back().find("ok")->b) << r.lines.back();
 }
 
 TEST(Serve, ModelCacheMakesRepeatRequestsPurePhaseTwo) {

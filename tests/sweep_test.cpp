@@ -131,6 +131,16 @@ TEST(SweepSpec, RejectsBadValuesByName) {
   EXPECT_NE(st.message().find("'32'"), std::string::npos);
   st = s.parse_axis("cache", "33x2");  // line not a power of two
   EXPECT_FALSE(st.ok());
+  st = s.parse_axis("cache", "32x1025");
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("'32x1025' is out of range (max 1024 ways)"),
+            std::string::npos)
+      << st.message();
+  st = s.parse_axis("energy", "default,warp-drive");
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("unknown energy preset 'warp-drive'"),
+            std::string::npos)
+      << st.message();
   st = s.parse_axis("algorithm", "knapsack");
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("knapsack"), std::string::npos);
@@ -280,8 +290,8 @@ TEST(SweepDriver, CollectorDoesNotChangeTheStream) {
   EXPECT_EQ(st2.message(), st.message());
   // The collector holds the grid the stream wrote.
   ASSERT_EQ(report.items.size(), jobs.size() * 16);
-  ASSERT_EQ(report.sessions.size(), jobs.size());
-  EXPECT_NE(report.sessions[0], nullptr);
+  ASSERT_EQ(report.results.size(), jobs.size());
+  EXPECT_TRUE(report.results[0].model_built);
   EXPECT_TRUE(report.pareto(1).empty());
   EXPECT_FALSE(report.pareto(2).empty());
   // A collector and a resume checkpoint cannot be combined.
@@ -466,7 +476,7 @@ void expect_items_match_single_cells(const SweepReport& report,
       continue;
     }
     const core::CacheCellCounts solo = core::simulate_caches(
-        report.sessions[item.key.job]->result().model,
+        report.results[item.key.job].model,
         {core::CacheCell{popts.dse.spm_capacity, popts.cache_line_bytes,
                          popts.cache_assocs}})[0];
     SCOPED_TRACE(item.program + " @" +
@@ -699,7 +709,7 @@ TEST(SweepDriver, OneSolvePerCapacityAndEnergyAcrossTheCacheAxis) {
     const core::SpmPhaseOptions popts =
         item.point.spm_options(o.pipeline.spm);
     const core::ForayModel& model =
-        report.sessions[item.key.job]->result().model;
+        report.results[item.key.job].model;
     const core::SpmReport solo = core::solve_spm(model, popts);
     EXPECT_EQ(item.spm.exact.bytes_used, solo.exact.bytes_used);
     EXPECT_EQ(item.spm.exact.saved_nj, solo.exact.saved_nj);

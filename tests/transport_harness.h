@@ -70,7 +70,7 @@ inline Outcome outcome(const sim::RunResult& run, const Extractor& ex,
                        const PipelineOptions& opts) {
   const ForayModel model = build_model(ex, opts.filter);
   return {run, fingerprint(ex),
-          emit_minic(model, opts.emit) + emit_paper_style(model)};
+          emit_minic(model) + emit_paper_style(model)};
 }
 
 /// Profile + Extract through the production phases.

@@ -180,9 +180,10 @@ int usage() {
       "  sweep/serve also accept the model-cache options "
       "[--cache-dir DIR] [--no-cache] [--cache-max-bytes N] "
       "(FORAY_CACHE_DIR is the default directory)\n"
-      "  every command also accepts the execution-budget options "
-      "[--max-steps N] [--max-records N] [--timeout SECONDS] and the "
-      "fault-injection aid [--fault SPEC]\n");
+      "  every command but lint and annotate also accepts the "
+      "execution-budget options [--max-steps N] [--max-records N] "
+      "[--timeout SECONDS]; every command accepts the fault-injection "
+      "aid [--fault SPEC]\n");
   return 2;
 }
 
@@ -226,9 +227,10 @@ util::Status unwritable(const std::string& path) {
                                "cannot write " + path);
 }
 
-/// Flags that only make sense for specific commands; everything not
-/// listed here (--nexec, --seed, --engine, ...) configures the shared
-/// pipeline and is accepted by every command.
+/// Flags that only make sense for specific commands. The Phase I and
+/// budget flags (--nexec, --seed, --engine, --max-steps, ...) configure
+/// a run of the program, which lint and annotate never do; every other
+/// command accepts them, and --fault applies everywhere.
 bool flag_applies(const std::string& command, const std::string& flag) {
   struct Scoped {
     const char* flag;
@@ -257,12 +259,20 @@ bool flag_applies(const std::string& command, const std::string& flag) {
       {"--ndjson", {"sweep"}},
       {"--resume", {"sweep"}},
   };
+  static const std::vector<const char*> kRunFlags = {
+      "--nexec", "--nloc", "--seed", "--engine", "--offline",
+      "--max-steps", "--max-records", "--timeout"};
   for (const auto& s : kScoped) {
     if (flag == s.flag) {
       for (const char* c : s.commands) {
         if (command == c) return true;
       }
       return false;
+    }
+  }
+  if (command == "lint" || command == "annotate") {
+    for (const char* f : kRunFlags) {
+      if (flag == f) return false;
     }
   }
   return true;
@@ -859,7 +869,7 @@ int main(int argc, char** argv) {
         driver::SweepDriver(sopts).run({driver::SweepJob{path, source}});
     const driver::SweepItem& item = report.items.front();
     if (!item.status.ok()) return fail_with(item.status);
-    const core::ForayModel& model = report.sessions.front()->result().model;
+    const core::ForayModel& model = report.results.front().model;
     std::printf("model: %zu reference(s), %zu buffer candidate(s)\n",
                 item.model_refs, item.spm.candidate_count);
     std::fputs(core::describe_spm_report(item.spm, model).c_str(), stdout);
