@@ -2,15 +2,17 @@
 // order, so it can run during profiling and the (typically large) trace
 // file never needs to exist.
 //
-// For every benchmark: run the pipeline online and offline, verify the
-// models are identical, and report the memory the offline path had to
-// materialize (trace records) against the online analyzer's constant
-// working set.
+// For every benchmark: run the pipeline online, then the offline
+// two-pass analysis (materialize the whole trace, replay it into a fresh
+// extractor), verify the models are identical, and report the memory the
+// offline path had to materialize (trace records) against the online
+// analyzer's constant working set.
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench_util.h"
-#include "trace/io.h"
+#include "sim/interpreter.h"
+#include "trace/sink.h"
 
 int main() {
   using namespace foray;
@@ -21,18 +23,27 @@ int main() {
     core::PipelineOptions online_opts;
     online_opts.census = true;  // the full trace the offline path stores
     auto online = core::run_pipeline(b.source, online_opts);
-    core::PipelineOptions offline_opts;
-    offline_opts.offline = true;
-    auto offline = core::run_pipeline(b.source, offline_opts);
-    if (!online.ok() || !offline.ok()) {
+    if (!online.ok()) {
       std::fprintf(stderr, "%s failed\n", b.name.c_str());
       return 1;
     }
-    bool same = online.model.refs.size() == offline.model.refs.size();
+    const core::PipelineOptions offline_opts;
+    trace::VectorSink trace_file;
+    const sim::RunResult run =
+        sim::run_program(*online.program, &trace_file, offline_opts.run);
+    if (!run.ok()) {
+      std::fprintf(stderr, "%s failed\n", b.name.c_str());
+      return 1;
+    }
+    core::Extractor replay(offline_opts.extractor);
+    replay.on_chunk(trace_file.records().data(), trace_file.size());
+    const core::ForayModel offline =
+        core::build_model(replay, offline_opts.filter);
+    bool same = online.model.refs.size() == offline.refs.size();
     if (same) {
       for (size_t i = 0; i < online.model.refs.size(); ++i) {
         const auto& x = online.model.refs[i];
-        const auto& y = offline.model.refs[i];
+        const auto& y = offline.refs[i];
         if (x.instr != y.instr || x.fn.coefs != y.fn.coefs ||
             x.fn.const_term != y.fn.const_term ||
             x.exec_count != y.exec_count) {

@@ -3,7 +3,7 @@
 // The key is (hash of the program source) x (hash of the option
 // fingerprint) — every option that can change the extracted model is in
 // the fingerprint, everything proven bit-identical by the equivalence
-// harnesses (engine choice, online vs offline profiling, chunking) is
+// harnesses (engine choice, the census, chunking) is
 // deliberately NOT, so a model profiled on one engine serves warm sweeps
 // on the other. Execution budgets are also excluded: a budget that trips
 // never produces a model to store, and a cached model needs no budget to

@@ -427,13 +427,6 @@ struct GroupNeeds {
   bool replay = false;  ///< a replay-on point: run the replay check
 };
 
-/// True for the failure classes worth retrying: only io_error — the
-/// outside world hiccuped. Everything else is deterministic and would
-/// just fail the same way again.
-bool transient(const util::Status& st) {
-  return !st.ok() && st.code() == util::ErrorCode::kIoError;
-}
-
 /// One solve group's Phase II work, done once and shared read-only by
 /// its points. Pure over the immutable model, so groups of one job run
 /// on different workers. A point's status is the first failure of: the
@@ -446,10 +439,6 @@ struct GroupSolve {
   spm::EnergyReport greedy_energy;  ///< when GroupNeeds::greedy
   /// When GroupNeeds::replay; its status fails the replay-on points.
   spm::ReplayReport replay;
-
-  bool transient_failure() const {
-    return transient(fault) || transient(status) || transient(replay.status);
-  }
 };
 
 GroupSolve solve_group(const core::ForayModel& model,
@@ -457,19 +446,12 @@ GroupSolve solve_group(const core::ForayModel& model,
                        const SweepPoint& head, GroupNeeds needs,
                        const std::vector<spm::BufferCandidate>& candidates) {
   GroupSolve out;
-  // Fault site "spm.solve": the Phase II solver dies mid-group. param=0
-  // injects an internal error (never retried); any nonzero param injects
-  // a *transient* io_error, which is how the fault harness exercises the
-  // bounded-retry path.
-  if (util::fault::enabled()) {
-    const util::fault::Hit h = util::fault::hit("spm.solve");
-    if (h.fired) {
-      out.fault = util::Status::failure(
-          h.param != 0 ? util::ErrorCode::kIoError
-                       : util::ErrorCode::kInternal,
-          "spm-solve", 0, "injected Phase II solver failure");
-      return out;
-    }
+  // Fault site "spm.solve": the Phase II solver dies mid-group, an
+  // internal error on every point of the group.
+  if (util::fault::enabled() && util::fault::should_fail("spm.solve")) {
+    out.fault = util::Status::failure(util::ErrorCode::kInternal, "spm-solve",
+                                      0, "injected Phase II solver failure");
+    return out;
   }
   out.status = guarded("spm-solve", [&] {
     // Cache-on points price the job's shared counts (build_item).
@@ -510,16 +492,6 @@ struct JobState {
   std::atomic<size_t> remaining{0};
 };
 
-/// One Phase I attempt: run_pipeline with anything it throws classified.
-core::PipelineResult phase1_attempt(const SweepJob& job,
-                                    const core::PipelineOptions& opts) {
-  core::PipelineResult result;
-  const util::Status thrown = guarded(
-      "pipeline", [&] { result = core::run_pipeline(job.source, opts); });
-  if (!thrown.ok()) result.status = thrown;
-  return result;
-}
-
 void run_phase1(const SweepJob& job, const SweepOptions& opts,
                 JobState* js) {
   // Phase I only: every grid point, the first included, is solved by its
@@ -553,14 +525,13 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
     }
   }
 
-  js->result = phase1_attempt(job, opts.pipeline);
-  // Transient (io_error) Phase I failures get a bounded number of fresh
-  // attempts; deterministic failures (a program that does not parse, a
-  // tripped budget) would only reproduce and are final immediately.
-  for (int r = 0; r < kTransientRetries && transient(js->result.status);
-       ++r) {
-    js->result = phase1_attempt(job, opts.pipeline);
-  }
+  // One attempt, with anything it throws classified: every failure Phase
+  // I can report (a program that does not parse, a tripped budget, a bug)
+  // would only reproduce on a rerun; --resume re-runs the failed points.
+  const util::Status thrown = guarded("pipeline", [&] {
+    js->result = core::run_pipeline(job.source, opts.pipeline);
+  });
+  if (!thrown.ok()) js->result.status = thrown;
   // Phase I failures doom every grid cell; Phase II failures (including
   // replay execution errors) are per-point, so later cells still get
   // their own attempt.
@@ -1014,14 +985,9 @@ class SweepExec {
       needs.replay |= grid_.points[i].replay;
     }
     const core::ForayModel& model = js.result.model;
-    GroupSolve solve = solve_group(model, opts_.pipeline,
-                                   grid_.points[g.begin], needs,
-                                   js.candidates);
-    for (int r = 0;
-         r < kTransientRetries && solve.transient_failure(); ++r) {
-      solve = solve_group(model, opts_.pipeline, grid_.points[g.begin],
-                          needs, js.candidates);
-    }
+    const GroupSolve solve = solve_group(model, opts_.pipeline,
+                                         grid_.points[g.begin], needs,
+                                         js.candidates);
     for (size_t i = g.begin; i < g.end; ++i) {
       if (resume_.point_cached(j, i)) continue;
       deliver(j, i,

@@ -186,17 +186,10 @@ struct SweepGrid {
                           const core::PipelineOptions& base);
 };
 
-/// How many times a *transient* failure (ErrorCode::kIoError — the
-/// outside world failed, not the input and not this library) is retried
-/// per Phase I run / Phase II solve group before its error rows are
-/// final. Deterministic classes (invalid_input, internal, budget trips)
-/// are never retried: rerunning them reproduces the failure.
-inline constexpr int kTransientRetries = 2;
-
 struct SweepOptions {
   int threads = 1;
   SweepSpec spec;
-  /// Phase I configuration (engine, profiling mode, filter) and the base
+  /// Phase I configuration (engine, budgets, filter) and the base
   /// Phase II options that empty axes inherit (an undeclared replay axis
   /// is off).
   core::PipelineOptions pipeline;

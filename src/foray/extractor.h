@@ -4,7 +4,7 @@
 // The extractor is a trace::Sink, so it can be attached directly to the
 // simulator (online analysis: "the proposed algorithm can be executed
 // during profiling and there is no need to save the trace file" — §4) or
-// fed from a stored trace for the offline mode. Both paths produce
+// fed from a stored trace, as the tests' oracle does. Both paths produce
 // identical trees (tests/pipeline_equivalence_test.cpp) — unless the
 // fused pass elides scalar traffic (PipelineOptions::census off), when
 // the tree lacks the Scalar references Step 4 would drop and the model
@@ -21,7 +21,7 @@
 //
 // Delivery is chunk-first: on_chunk() consumes a run of records with a
 // single dispatch, and the class is `final` so a caller holding a
-// concrete Extractor (the templated simulator, the offline replay) gets
+// concrete Extractor (the templated simulator, a stored trace's replay) gets
 // the whole per-record path inlined — zero virtual calls per record.
 // Record-at-a-time on_record() remains for generic Sink users.
 #pragma once

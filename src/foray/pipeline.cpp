@@ -7,7 +7,6 @@
 #include "sim/interp_impl.h"
 #include "spm/address_stream.h"
 #include "spm/cache_sim.h"
-#include "trace/sink.h"
 #include "util/strings.h"
 
 namespace foray::core {
@@ -43,47 +42,33 @@ util::Status profile_phase(const PipelineOptions& opts,
                            PipelineResult* result) {
   FORAY_CHECK(result->program != nullptr,
               "profile_phase requires instrument_phase");
+  // The extractor IS the sink, and the concrete instantiation inlines the
+  // whole record path into the interpreter — zero virtual calls per
+  // record, and no trace is ever materialized.
   result->extractor = std::make_unique<Extractor>(opts.extractor);
-  if (opts.offline) {
-    // Materialize the trace, then replay it into the extractor; a failed
-    // run's partial trace is not analyzed. The trace dies with this
-    // scope, so a finished result does not pin millions of records.
-    trace::VectorSink trace_sink;
-    result->run =
-        sim::run_program_with(*result->program, &trace_sink, opts.run);
-    result->trace_records = trace_sink.size();
-    if (result->run.ok()) {
-      result->extractor->on_chunk(trace_sink.records().data(),
-                                  trace_sink.size());
-    }
-  } else {
-    // Online constant-space mode: the extractor IS the sink, and the
-    // concrete instantiation inlines the whole record path into the
-    // interpreter — zero virtual calls per record.
-    sim::RunOptions run = opts.run;
-    if (run.budget.has_deadline() &&
-        run.budget.clock_start == std::chrono::steady_clock::time_point{}) {
-      run.budget.clock_start = std::chrono::steady_clock::now();
-    }
-    // Elision needs Nloc >= 2: a global scalar has one address, which
-    // Nloc 1 would keep.
-    const bool elide = !opts.census && opts.filter.min_locations >= 2;
-    run.elide_below_bases =
-        elide ? static_cast<uint32_t>(std::min<uint64_t>(
-                    opts.filter.min_locations, sim::kMaxElisionBases))
-              : 0;
-    result->run = sim::run_program_with(*result->program,
-                                        result->extractor.get(), run);
-    if (result->run.elision_stopped) {
-      // Some function reached that many frame bases, so an elided site
-      // might have reached Nloc locations: trace everything.
-      result->extractor = std::make_unique<Extractor>(opts.extractor);
-      run.elide_below_bases = 0;
-      result->run = sim::run_program_with(*result->program,
-                                          result->extractor.get(), run);
-    }
-    result->trace_records = result->extractor->records_processed();
+  sim::RunOptions run = opts.run;
+  if (run.budget.has_deadline() &&
+      run.budget.clock_start == std::chrono::steady_clock::time_point{}) {
+    run.budget.clock_start = std::chrono::steady_clock::now();
   }
+  // Elision needs Nloc >= 2: a global scalar has one address, which
+  // Nloc 1 would keep.
+  const bool elide = !opts.census && opts.filter.min_locations >= 2;
+  run.elide_below_bases =
+      elide ? static_cast<uint32_t>(std::min<uint64_t>(
+                  opts.filter.min_locations, sim::kMaxElisionBases))
+            : 0;
+  result->run =
+      sim::run_program_with(*result->program, result->extractor.get(), run);
+  if (result->run.elision_stopped) {
+    // Some function reached that many frame bases, so an elided site
+    // might have reached Nloc locations: trace everything.
+    result->extractor = std::make_unique<Extractor>(opts.extractor);
+    run.elide_below_bases = 0;
+    result->run =
+        sim::run_program_with(*result->program, result->extractor.get(), run);
+  }
+  result->trace_records = result->extractor->records_processed();
   if (!result->run.ok()) result->status = result->run.status;
   return result->status;
 }

@@ -18,11 +18,11 @@
 // -> group-knapsack / greedy selection -> energy evaluation, as an
 // SpmReport) and the cache comparison (simulate_caches / price_caches).
 //
-// The default is the paper's online mode: the extractor is the trace sink
-// and no trace is materialized. Offline mode stores the full trace first
-// and then replays it into the extractor, both inside Profile; it is the
-// reference the online pass is tested against (E9 ablation,
-// tests/pipeline_equivalence_test.cpp). Both produce identical models.
+// Profile is the paper's online mode: the extractor is the trace sink
+// and no trace is materialized. The two-pass design it replaces (store
+// the trace, then replay it into the extractor) lives on only as the
+// tests' oracle (tests/transport_harness.h) and in the E9 ablation
+// (bench/ablation_online.cpp); both produce identical models.
 //
 // The online pass also skips the scalar traffic Step 4 would drop: the
 // engines elide Scalar accesses and Call/Ret records under a guard that
@@ -75,13 +75,10 @@ struct PipelineOptions {
   sim::RunOptions run;
   ExtractorOptions extractor;
   FilterOptions filter;  ///< the Step 4 thresholds, Nexec and Nloc
-  /// false (default): online analysis during profiling, constant space.
-  /// true: materialize the trace in memory, then analyze.
-  bool offline = false;
   /// Fill the loop tree with every reference, scalars included, for the
   /// reports that read it (trace statistics, Table III, ModelBuildStats).
   /// false (default) lets the online pass elide scalar traffic; the
-  /// model is identical either way. The offline mode always has it.
+  /// model is identical either way.
   bool census = false;
   /// Phase II options, the base a sweep's undeclared axes inherit.
   SpmPhaseOptions spm;
@@ -143,13 +140,11 @@ util::Status frontend_phase(std::string_view source, PipelineResult* result);
 /// Step 1 of Algorithm 1: annotate loop sites. Requires frontend_phase.
 util::Status instrument_phase(PipelineResult* result);
 
-/// Steps 2+3: profile on the simulator with the analyzer attached
-/// (online), or into a stored trace that is then replayed into the
-/// analyzer and released (offline). Either way a successful run leaves
-/// a filled extractor. Online without the census, the run elides scalar
-/// traffic, and reruns with full tracing when the elision guard stops
-/// it; both attempts share one deadline and cancel token. Requires
-/// instrument_phase.
+/// Steps 2+3: profile on the simulator with the analyzer as its sink; a
+/// successful run leaves a filled extractor. Without the census, the run
+/// elides scalar traffic, and reruns with full tracing when the elision
+/// guard stops it; both attempts share one deadline and cancel token.
+/// Requires instrument_phase.
 util::Status profile_phase(const PipelineOptions& opts,
                            PipelineResult* result);
 

@@ -69,13 +69,4 @@ LoopSiteTable annotate_loops(minic::Program* prog) {
   return table;
 }
 
-const char* loop_kind_name(LoopKind k) {
-  switch (k) {
-    case LoopKind::For: return "for";
-    case LoopKind::While: return "while";
-    case LoopKind::Do: return "do";
-  }
-  return "?";
-}
-
 }  // namespace foray::instrument

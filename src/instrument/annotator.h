@@ -44,6 +44,4 @@ struct LoopSiteTable {
 /// ids.
 LoopSiteTable annotate_loops(minic::Program* prog);
 
-const char* loop_kind_name(LoopKind k);
-
 }  // namespace foray::instrument

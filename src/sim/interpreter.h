@@ -21,9 +21,8 @@
 // site could have reached the Nloc locations Step 4 keeps, and stops the
 // run as soon as it cannot. BodyEnd checkpoints, which change no loop
 // iterator, are elided with them. The transform replay's run sees
-// checkpoints and Data accesses only (RunOptions::replay_view). Traces,
-// the offline replay and the census (foray/pipeline.h) always carry every
-// record.
+// checkpoints and Data accesses only (RunOptions::replay_view). Traces
+// and the census (foray/pipeline.h) always carry every record.
 #pragma once
 
 #include <cstdint>

@@ -15,9 +15,15 @@
 #include "instrument/annotator.h"
 #include "minic/intrinsics.h"
 #include "minic/parser.h"
+#include "sim/interpreter.h"
 
 namespace foray::staticforay {
 namespace {
+
+/// Abstract-interpretation work budget (statement visits); exceeding it
+/// degrades the analysis to an AnalysisLimit warning with unbounded
+/// cost, never to unsoundness.
+constexpr uint64_t kMaxAbstractSteps = 2'000'000;
 
 using minic::AssignOp;
 using minic::BinaryOp;
@@ -335,8 +341,7 @@ struct Acc {
 
 class Checker {
  public:
-  Checker(const Program& prog, const CheckerOptions& opts)
-      : prog_(prog), opts_(opts) {}
+  explicit Checker(const Program& prog) : prog_(prog) {}
 
   CheckReport run();
 
@@ -372,7 +377,7 @@ class Checker {
   };
 
   void tick() {
-    if (++work_ > opts_.max_abstract_steps) throw Bail{};
+    if (++work_ > kMaxAbstractSteps) throw Bail{};
   }
 
   void diag(CheckKind k, Severity sev, int line, int node, std::string msg) {
@@ -1958,7 +1963,7 @@ class Checker {
   // -- members ---------------------------------------------------------------
 
   const Program& prog_;
-  CheckerOptions opts_;
+  const sim::RunOptions caps_{};  ///< the engines' heap/stack/output caps
   CheckReport report_;
   bool emit_ = true;          ///< false during quiet fixpoint passes
   uint64_t work_ = 0;         ///< abstract statement/expression visits
@@ -2044,21 +2049,21 @@ CheckReport Checker::run() {
     acc.min_steps = acc.min_records = 0;
     acc.exact = false;
   }
-  if (acc.max_heap > opts_.heap_capacity)
+  if (acc.max_heap > caps_.heap_capacity)
     diag(CheckKind::HeapLimit, Severity::Warning, 0, -1,
          "heap allocations may exceed the simulated capacity (" +
              cost_bound_str(acc.max_heap) + " > " +
-             std::to_string(opts_.heap_capacity) + " bytes)");
-  if (acc.max_out > opts_.max_output_bytes)
+             std::to_string(caps_.heap_capacity) + " bytes)");
+  if (acc.max_out > caps_.max_output_bytes)
     diag(CheckKind::OutputLimit, Severity::Warning, 0, -1,
          "program output may exceed the output cap (" +
              cost_bound_str(acc.max_out) + " > " +
-             std::to_string(opts_.max_output_bytes) + " bytes)");
-  if (stack_peak_ > opts_.stack_capacity)
+             std::to_string(caps_.max_output_bytes) + " bytes)");
+  if (stack_peak_ > caps_.stack_capacity)
     diag(CheckKind::StackLimit, Severity::Warning, 0, -1,
          "stack frames may exceed the simulated stack capacity (" +
              std::to_string(stack_peak_) + " > " +
-             std::to_string(opts_.stack_capacity) + " bytes)");
+             std::to_string(caps_.stack_capacity) + " bytes)");
   report_.cost.max_steps = acc.max_steps;
   report_.cost.max_records = acc.max_records;
   report_.cost.min_steps = std::min(acc.min_steps, acc.max_steps);
@@ -2111,20 +2116,18 @@ std::string CheckReport::str() const {
   return out;
 }
 
-CheckReport check_program(const minic::Program& prog,
-                          const CheckerOptions& opts) {
-  return Checker(prog, opts).run();
+CheckReport check_program(const minic::Program& prog) {
+  return Checker(prog).run();
 }
 
-util::Status lint_source(std::string_view source, CheckReport* out,
-                         const CheckerOptions& opts) {
+util::Status lint_source(std::string_view source, CheckReport* out) {
   util::DiagList fe;
   std::unique_ptr<minic::Program> prog = minic::parse_and_check(source, &fe);
   if (!prog)
     return util::Status::failure(util::ErrorCode::kInvalidInput, "frontend",
                                  std::move(fe));
   instrument::annotate_loops(prog.get());
-  *out = check_program(*prog, opts);
+  *out = check_program(*prog);
   return util::Status();
 }
 }  // namespace foray::staticforay

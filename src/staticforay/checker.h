@@ -74,19 +74,6 @@ struct CheckDiag {
   std::string message;
 };
 
-struct CheckerOptions {
-  /// Mirror of the engines' resource caps (sim::RunOptions defaults);
-  /// exceeding them is a runtime fault, so the checker must flag any
-  /// program it cannot prove inside them.
-  uint64_t stack_capacity = 1u << 22;
-  uint64_t heap_capacity = 1u << 24;
-  uint64_t max_output_bytes = 1u << 24;
-  /// Abstract-interpretation work budget (statement visits); exceeding
-  /// it degrades the analysis to an AnalysisLimit warning with
-  /// unbounded cost, never to unsoundness.
-  uint64_t max_abstract_steps = 2'000'000;
-};
-
 struct CheckReport {
   std::vector<CheckDiag> diags;
   StaticCost cost;
@@ -106,16 +93,17 @@ struct CheckReport {
 };
 
 /// Checks a sema-checked, loop-annotated program (parse_and_check +
-/// instrument::annotate_loops). Never fails: analysis limits and
-/// imprecision surface as warnings and unbounded costs.
-CheckReport check_program(const minic::Program& prog,
-                          const CheckerOptions& opts = {});
+/// instrument::annotate_loops) against the engines' resource caps
+/// (sim::RunOptions defaults): exceeding them is a runtime fault, so any
+/// program the checker cannot prove inside them is flagged. Never fails:
+/// analysis limits and imprecision surface as warnings and unbounded
+/// costs.
+CheckReport check_program(const minic::Program& prog);
 
 /// One-stop lint for tools and drivers: parse + sema + loop annotation +
 /// check_program. Returns a kInvalidInput failure (with the front-end
 /// diagnostics) when the source does not compile; the checker itself
 /// never fails.
-util::Status lint_source(std::string_view source, CheckReport* out,
-                         const CheckerOptions& opts = {});
+util::Status lint_source(std::string_view source, CheckReport* out);
 
 }  // namespace foray::staticforay

@@ -152,16 +152,6 @@ constexpr char kMagic[4] = {'F', 'T', 'R', 'C'};
 
 }  // namespace
 
-size_t binary_record_size(const Record& r) {
-  switch (r.type()) {
-    case RecordType::Checkpoint: return 1 + 4;
-    case RecordType::Access: return 1 + 4 + 4 + 1 + 1;
-    case RecordType::Call:
-    case RecordType::Ret: return 1 + 4;
-  }
-  return 0;
-}
-
 void write_binary(std::ostream& os, const std::vector<Record>& records) {
   write_binary(os, records.data(), records.size());
 }

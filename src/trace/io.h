@@ -48,7 +48,4 @@ void write_binary(std::ostream& os, const Record* records, size_t count);
 /// here for the fault-injection harness.
 util::Status read_binary(std::istream& is, std::vector<Record>* out);
 
-/// Size in bytes one record occupies in the binary encoding.
-size_t binary_record_size(const Record& r);
-
 }  // namespace foray::trace

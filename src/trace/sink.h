@@ -3,8 +3,9 @@
 // The simulator pushes records into a Sink. Because the FORAY-GEN
 // extractor is itself a Sink, analysis can run *online* during profiling
 // — the paper's constant-space mode where the (typically large) trace
-// file is never materialized. VectorSink materializes the trace for the
-// offline mode.
+// file is never materialized. VectorSink materializes the trace where a
+// caller needs the records themselves (`foraygen trace`, the tests'
+// two-pass oracle).
 //
 // Transport is *chunked*: producers deliver runs of records through
 // on_chunk(), paying one (virtual) call per chunk instead of one per
@@ -46,7 +47,8 @@ class NullSink final : public Sink {
   void on_chunk(const Record*, size_t) override {}
 };
 
-/// Materializes the full trace in memory (the offline "trace file" mode).
+/// Materializes the full trace in memory (the "trace file" a two-pass
+/// analysis would read).
 ///
 /// Traces routinely run to millions of records, so callers that know the
 /// expected volume (a previous run of the same program) should pass it

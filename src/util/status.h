@@ -13,9 +13,9 @@
 namespace foray::util {
 
 /// Coarse failure classification shared by every layer. The class — not
-/// the message — decides policy: the CLI exit code, whether the sweep
-/// driver retries a point (transient classes only), and how a service
-/// should surface the failure. Messages stay free-form.
+/// the message — decides policy: the CLI exit code, the error row's
+/// `error_class`, and how a service should surface the failure. Messages
+/// stay free-form.
 enum class ErrorCode : uint8_t {
   kOk = 0,
   kInvalidInput,        ///< malformed program/trace/spec — the user's fault

@@ -1,6 +1,7 @@
 // Execution budgets (sim/budget.h): the step guard, the record budget,
 // the wall-clock deadline and cooperative cancellation, on both engines
-// and through both profiling modes (fused online and offline).
+// and through both production profiling modes (the fused pass with and
+// without the census).
 //
 // The load-bearing contract is "budget plus one chunk": record/deadline/
 // cancel checks run at trace-chunk boundaries (check-after-delivery), so
@@ -196,41 +197,39 @@ TEST(Budget, UnbudgetedRunIsUnaffected) {
 // -- budgets through the pipeline's profiling modes --------------------------
 //
 // The acceptance bar: a non-terminating program under --max-steps /
-// --timeout fails with the right class in every mode, not just the
-// plain online run.
+// --timeout fails with the right class in both modes: the eliding pass
+// (the default filter's Nloc 10 lets it elide) and the census.
 
-core::PipelineOptions mode_opts(bool offline, Engine engine) {
+core::PipelineOptions mode_opts(bool census, Engine engine) {
   core::PipelineOptions opts;
   opts.run.engine = engine;
-  opts.filter.min_exec = 1;
-  opts.filter.min_locations = 1;
-  opts.offline = offline;
+  opts.census = census;
   return opts;
 }
 
 TEST(Budget, StepBudgetFaultsEveryExtractionMode) {
   for (Engine engine : kEngines) {
-    for (bool offline : {false, true}) {
-      core::PipelineOptions opts = mode_opts(offline, engine);
+    for (bool census : {false, true}) {
+      core::PipelineOptions opts = mode_opts(census, engine);
       opts.run.budget.max_steps = 50'000;
       auto res = core::run_pipeline(kSpinWithTraffic, opts);
-      EXPECT_FALSE(res.ok()) << "offline " << offline;
+      EXPECT_FALSE(res.ok()) << "census " << census;
       EXPECT_EQ(res.status.code(), util::ErrorCode::kResourceExhausted)
-          << "offline " << offline << ": " << res.status.message();
+          << "census " << census << ": " << res.status.message();
     }
   }
 }
 
 TEST(Budget, DeadlineFaultsEveryExtractionMode) {
   for (Engine engine : kEngines) {
-    for (bool offline : {false, true}) {
-      core::PipelineOptions opts = mode_opts(offline, engine);
+    for (bool census : {false, true}) {
+      core::PipelineOptions opts = mode_opts(census, engine);
       opts.run.chunk_records = 64;
       opts.run.budget.timeout_seconds = 1e-9;
       auto res = core::run_pipeline(kSpinWithTraffic, opts);
-      EXPECT_FALSE(res.ok()) << "offline " << offline;
+      EXPECT_FALSE(res.ok()) << "census " << census;
       EXPECT_EQ(res.status.code(), util::ErrorCode::kDeadlineExceeded)
-          << "offline " << offline << ": " << res.status.message();
+          << "census " << census << ": " << res.status.message();
     }
   }
 }

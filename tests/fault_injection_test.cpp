@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "driver/sweep.h"
-#include "foray/pipeline.h"
 #include "instrument/annotator.h"
 #include "minic/parser.h"
 #include "sim/interpreter.h"
@@ -159,17 +158,6 @@ TEST_F(FaultInjectionTest, EpilogueSinkFaultsAreClassified) {
       EXPECT_EQ(st.code(), util::ErrorCode::kResourceExhausted)
           << spec << ": " << st.message();
       EXPECT_EQ(st.phase(), "trace") << spec << ": " << st.message();
-
-      ASSERT_TRUE(util::fault::configure(spec).ok());
-      core::PipelineOptions popts;
-      popts.offline = true;
-      popts.run.engine = engine;
-      const core::PipelineResult res = core::run_pipeline(kAlpha, popts);
-      EXPECT_EQ(res.status.code(), util::ErrorCode::kResourceExhausted)
-          << spec << " (offline): " << res.status.message();
-      EXPECT_EQ(res.status.phase(), "trace")
-          << spec << " (offline): " << res.status.message();
-      EXPECT_FALSE(res.model_built) << spec;
     }
   }
 }
@@ -233,42 +221,27 @@ TEST_F(FaultInjectionTest, SimSlowTripsAWallClockDeadline) {
 
 TEST_F(FaultInjectionTest, SpmSolveInternalFaultIsIsolatedToOnePoint) {
   driver::SweepDriver sweep(sweep_opts());
-  // param=0 → kInternal: deterministic, never retried.
-  ASSERT_TRUE(util::fault::configure("spm.solve:count=1").ok());
-  driver::SweepReport report = sweep.run(jobs());
-  // count=1: the trigger was consumed by exactly one solve.
-  EXPECT_FALSE(util::fault::hit("spm.solve").fired);
-  util::fault::reset();
+  // The site injects kInternal whatever its param, and a solve group
+  // gets one attempt: the failure is final, not retried.
+  for (const char* spec : {"spm.solve:count=1", "spm.solve:count=1:param=1"}) {
+    ASSERT_TRUE(util::fault::configure(spec).ok());
+    driver::SweepReport report = sweep.run(jobs());
+    // count=1: the trigger was consumed by exactly one solve.
+    EXPECT_FALSE(util::fault::hit("spm.solve").fired) << spec;
+    util::fault::reset();
 
-  // 2 jobs × 2 capacities. The fault hit exactly one solve — that point
-  // carries the internal class, every other point is clean.
-  ASSERT_EQ(report.items.size(), 4u);
-  int failed = 0;
-  for (const auto& item : report.items) {
-    if (item.status.ok()) continue;
-    ++failed;
-    EXPECT_EQ(item.status.code(), util::ErrorCode::kInternal)
-        << item.status.message();
+    // 2 jobs × 2 capacities. The fault hit exactly one solve — that point
+    // carries the internal class, every other point is clean.
+    ASSERT_EQ(report.items.size(), 4u) << spec;
+    int failed = 0;
+    for (const auto& item : report.items) {
+      if (item.status.ok()) continue;
+      ++failed;
+      EXPECT_EQ(item.status.code(), util::ErrorCode::kInternal)
+          << spec << ": " << item.status.message();
+    }
+    EXPECT_EQ(failed, 1) << spec;
   }
-  EXPECT_EQ(failed, 1);
-}
-
-TEST_F(FaultInjectionTest, TransientSolveFaultIsRetriedToSuccess) {
-  driver::SweepDriver sweep(sweep_opts());
-  std::ostringstream baseline;
-  ASSERT_TRUE(sweep.run_ndjson(jobs(), baseline).ok());
-
-  // param != 0 → kIoError, the one transient class: the bounded retry
-  // absorbs a single injected failure and the output is byte-identical.
-  ASSERT_TRUE(util::fault::configure("spm.solve:count=1:param=1").ok());
-  std::ostringstream retried;
-  util::Status st = sweep.run_ndjson(jobs(), retried);
-  // Guard against the test passing vacuously: the injected failure must
-  // actually have been consumed by a solve before being retried.
-  EXPECT_FALSE(util::fault::hit("spm.solve").fired);
-  util::fault::reset();
-  EXPECT_TRUE(st.ok()) << st.message();
-  EXPECT_EQ(retried.str(), baseline.str());
 }
 
 TEST_F(FaultInjectionTest, SinkIoFaultLeavesAResumableJournal) {

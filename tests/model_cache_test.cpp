@@ -362,11 +362,6 @@ TEST(ModelCacheKey, TracksModelChangingOptionsOnly) {
   engine.run.engine = sim::Engine::Ast;
   EXPECT_EQ(ModelCache::key(kGood, engine), k);
 
-  // So is the offline profiling mode against the fused online pass.
-  core::PipelineOptions offline = base;
-  offline.offline = true;
-  EXPECT_EQ(ModelCache::key(kGood, offline), k);
-
   // So is the census: the model is the same with or without the
   // scalar traffic the fused pass elides.
   core::PipelineOptions census = base;

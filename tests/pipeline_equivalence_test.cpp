@@ -1,9 +1,10 @@
-// Profiling-mode equivalence: the offline mode (materialize the trace,
-// then replay it into the extractor, --offline) and emitter chunks of 1
-// record and of 513 (an odd size) must reproduce the fused online pass
-// bit for bit, simulator results included. The offline replay is the
-// oracle the fused pass is held to. The harness and program set are
-// shared with shard_equivalence_test.cpp (tests/transport_harness.h).
+// Profiling-mode equivalence: the offline replay (materialize the trace,
+// then replay it into the extractor in one chunk: replayed() in
+// tests/transport_harness.h) and emitter chunks of 1 record and of 513
+// (an odd size) must reproduce the fused online pass bit for bit,
+// simulator results included. The offline replay is the oracle the
+// fused pass is held to. The harness and program set are shared with
+// shard_equivalence_test.cpp.
 //
 // Those legs run the fused pass with the census. Without it — the
 // production default — the engines elide scalar traffic under the
@@ -29,9 +30,8 @@ void check_modes(const std::string& src, const std::string& name) {
   check_against_fused(src, name,
                       [&](const PipelineOptions& base, const Outcome& want,
                           const std::string& what) {
-                        PipelineOptions offline = base;
-                        offline.offline = true;
-                        expect_same(profile(src, offline), want,
+                        const PipelineResult r = replayed(src, base);
+                        expect_same(outcome(r.run, *r.extractor, base), want,
                                     what + "offline replay");
                         for (size_t chunk : {size_t{1}, size_t{513}}) {
                           PipelineOptions chunked = base;
@@ -68,9 +68,7 @@ void check_elision(const std::string& src, const std::string& name,
       PipelineOptions eliding;
       eliding.run.engine = engine;
       eliding.filter.min_locations = nloc;
-      PipelineOptions offline = eliding;
-      offline.offline = true;
-      const PipelineResult want = extract(src, offline);
+      const PipelineResult want = replayed(src, eliding);
       ASSERT_TRUE(want.ok()) << what << want.error();
       const PipelineResult got = extract(src, eliding);
       ASSERT_TRUE(got.ok()) << what << got.error();
@@ -95,7 +93,7 @@ void check_elision(const std::string& src, const std::string& name,
                       [&](const LoopNode& node) {
                         for (const auto& ref : node.refs()) {
                           if (ref->kind == trace::AccessKind::Scalar &&
-                              passes_filter(*ref, offline.filter)) {
+                              passes_filter(*ref, eliding.filter)) {
                             ++kept_scalars;
                           }
                         }

@@ -116,23 +116,6 @@ TEST(Pipeline, RoundTripPreservesAffineStructure) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Pipeline, OnlineAndOfflineAgree) {
-  PipelineOptions online = lenient();
-  PipelineOptions offline = lenient();
-  offline.offline = true;
-  auto a = run_pipeline(kFigure4, online);
-  auto b = run_pipeline(kFigure4, offline);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a.model.refs.size(), b.model.refs.size());
-  for (size_t i = 0; i < a.model.refs.size(); ++i) {
-    EXPECT_EQ(a.model.refs[i].instr, b.model.refs[i].instr);
-    EXPECT_EQ(a.model.refs[i].fn.coefs, b.model.refs[i].fn.coefs);
-    EXPECT_EQ(a.model.refs[i].fn.const_term, b.model.refs[i].fn.const_term);
-    EXPECT_EQ(a.model.refs[i].exec_count, b.model.refs[i].exec_count);
-  }
-  EXPECT_EQ(a.trace_records, b.trace_records);
-}
-
 TEST(Pipeline, PartialAffineFromDataDependentOffset) {
   // Figure 7 second case: offsets come from a data table the analyzer
   // cannot see through; inner accesses remain predictable.

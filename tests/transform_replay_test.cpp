@@ -22,6 +22,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -331,6 +332,50 @@ TEST(TransformReplay, GlobalRegionsMatchEngineAllocation) {
       ++next;
     }
     EXPECT_EQ(next, 4u) << engine_name(engine);
+  }
+}
+
+// The lock's detection branches a correct transformed program never
+// reaches, fed hand-built records: an address below the first region or
+// past a region's end is unclassified (the lock requires none), a paired
+// access outside any loop is program traffic at once, and finalize()
+// classifies the loop frames a faulted run leaves open, once.
+TEST(TransformReplay, ClassifyingSinkFlagsStrayAndOpenTraffic) {
+  using trace::CheckpointType;
+  using trace::Record;
+  // Pair 0: main [0x1000, 0x1040) and its SPM buffer [0x2000, 0x2010);
+  // unpaired main memory [0x3000, 0x3004).
+  sim::ClassifyingSink sink({{0x1000, 0x40, 0, false},
+                             {0x2000, 0x10, 0, true},
+                             {0x3000, 0x4, -1, false}},
+                            1);
+  const Record records[] = {
+      Record::access(1, 0x0ff0, 4, false),  // below the first region
+      Record::access(1, 0x1040, 4, false),  // one past the main array
+      Record::access(1, 0x3004, 4, true),   // one past the last region
+      Record::access(1, 0x1000, 4, false),  // main, outside any loop
+      Record::access(1, 0x2004, 4, true),   // SPM, outside any loop
+      Record::access(1, 0x3000, 4, false),  // unpaired main
+      Record::checkpoint(CheckpointType::LoopEnter, 7),
+      Record::access(1, 0x2008, 4, false),  // outer loop: program read
+      Record::checkpoint(CheckpointType::LoopEnter, 8),
+      // Inner loop: a 2-byte fill, main -> SPM; neither loop exits.
+      Record::access(2, 0x1004, 1, false),
+      Record::access(3, 0x2000, 1, true),
+      Record::access(2, 0x1005, 1, false),
+      Record::access(3, 0x2001, 1, true),
+  };
+  sink.on_chunk(records, std::size(records));
+  EXPECT_EQ(sink.unclassified_accesses(), 3u);
+  for (int pass = 0; pass < 2; ++pass) {
+    const sim::ClassifyingSink::BufferCounters& b = sink.buffers()[0];
+    EXPECT_EQ(b.spm_accesses, 2u) << pass;
+    EXPECT_EQ(b.main_accesses, 1u) << pass;
+    EXPECT_EQ(b.fill_events, 1u) << pass;
+    EXPECT_EQ(b.fill_bytes, 2u) << pass;
+    EXPECT_EQ(b.writeback_events, 0u) << pass;
+    EXPECT_EQ(b.transfer_words, 1u) << pass;
+    EXPECT_EQ(sink.total_main_accesses(), 2u) << pass;
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -84,20 +85,53 @@ inline Outcome profile(const std::string& src, const PipelineOptions& opts) {
   return outcome(res.run, *res.extractor, opts);
 }
 
+/// Runs the frontend and instrument phases into `res`, then the program
+/// with every record materialized in `sink` (no elision).
+inline sim::RunResult materialize(const std::string& src,
+                                  const PipelineOptions& opts,
+                                  PipelineResult* res,
+                                  trace::VectorSink* sink) {
+  EXPECT_TRUE(frontend_phase(src, res).ok()) << res->error();
+  if (!res->ok()) return {};
+  instrument_phase(res);
+  return sim::run_program(*res->program, sink, opts.run);
+}
+
 /// Materializes the trace, then replays it one record at a time through
 /// the virtual Sink interface.
 inline Outcome record_at_a_time(const std::string& src,
                                 const PipelineOptions& opts) {
   PipelineResult res;
-  EXPECT_TRUE(frontend_phase(src, &res).ok()) << res.error();
-  if (!res.ok()) return {};
-  instrument_phase(&res);
   trace::VectorSink sink;
-  const sim::RunResult run = sim::run_program(*res.program, &sink, opts.run);
+  const sim::RunResult run = materialize(src, opts, &res, &sink);
+  if (!res.ok()) return {};
   Extractor ex(opts.extractor);
   trace::Sink* s = &ex;
   for (const trace::Record& r : sink.records()) s->on_record(r);
   return outcome(run, ex, opts);
+}
+
+/// The offline replay: the chunked twin of record_at_a_time, and the
+/// oracle of the fused pass — the two-pass design the paper's online
+/// analysis replaces. Materializes the whole trace, replays it into a
+/// fresh extractor in one on_chunk() call (a failed run's partial trace
+/// is not analyzed), and leaves `PipelineResult` as profile_phase and
+/// extract_phase would.
+inline PipelineResult replayed(const std::string& src,
+                               const PipelineOptions& opts) {
+  PipelineResult res;
+  trace::VectorSink sink;
+  res.run = materialize(src, opts, &res, &sink);
+  if (!res.ok()) return res;
+  res.trace_records = sink.size();
+  res.extractor = std::make_unique<Extractor>(opts.extractor);
+  if (!res.run.ok()) {
+    res.status = res.run.status;
+    return res;
+  }
+  res.extractor->on_chunk(sink.records().data(), sink.size());
+  extract_phase(opts, &res);
+  return res;
 }
 
 inline void expect_same(const Outcome& got, const Outcome& want,

@@ -14,7 +14,8 @@
 //   trace      dump the profiling trace in text form
 //   stats      loop mix, conversion and memory-behavior statistics
 //   hints      inter-function (duplication) hints
-//   run        just execute the program and show its output
+//   run        just execute the program (no profiling) and show its
+//              output
 //   profile    profile + extract only; prints trace/extraction statistics
 //   spm        Phase II at one design point: reuse analysis + DSE +
 //              energy, run as a one-point sweep (--capacity, and
@@ -40,12 +41,12 @@
 // Options:
 //   --nexec N   Step 4 filter: minimum executions   (default 20)
 //   --nloc N    Step 4 filter: minimum locations    (default 10)
+//               (both only where a model is extracted: not run, trace,
+//               annotate or lint)
 //   --seed S    simulated rand() seed               (default 1)
 //   --engine E  simulator engine: bytecode (default) or ast (the
 //               tree-walking reference oracle); both produce
 //               bit-identical traces (tests/engine_equivalence_test)
-//   --offline   materialize the trace, then analyze (default: online,
-//               the fused pass; both give the same model)
 //   --capacity N         spm: SPM size in bytes     (default 4096)
 //   --compare-cache      spm/sweep: also replay through LRU caches
 //                        (sweep: when the cache axis is undeclared)
@@ -163,8 +164,10 @@ int usage() {
       stderr,
       "usage: foraygen <model|emit|annotate|trace|stats|hints|run|profile"
       "|spm> <program.mc> [--engine ast|bytecode] [--nexec N] [--nloc N] "
-      "[--seed S] [--offline] "
+      "[--seed S] "
       "[--capacity N] [--compare-cache] [--replay]\n"
+      "       (run and trace take no --nexec/--nloc: they extract no "
+      "model)\n"
       "       (spm is a one-point sweep: Phase II runs in driver/sweep)\n"
       "       foraygen sweep [program.mc] [--threads N] "
       "[--capacity-sweep a,b,c] [--energy-sweep a,b] [--cache-sweep "
@@ -227,10 +230,12 @@ util::Status unwritable(const std::string& path) {
                                "cannot write " + path);
 }
 
-/// Flags that only make sense for specific commands. The Phase I and
-/// budget flags (--nexec, --seed, --engine, --max-steps, ...) configure
-/// a run of the program, which lint and annotate never do; every other
-/// command accepts them, and --fault applies everywhere.
+/// Flags that only make sense for specific commands. The Step 4 filter
+/// flags (--nexec, --nloc) shape an extracted model, which run, trace,
+/// lint and annotate never build. The other Phase I and budget flags
+/// (--seed, --engine, --max-steps, ...) configure a run of the program,
+/// which lint and annotate never do; every other command accepts them,
+/// and --fault applies everywhere.
 bool flag_applies(const std::string& command, const std::string& flag) {
   struct Scoped {
     const char* flag;
@@ -260,8 +265,7 @@ bool flag_applies(const std::string& command, const std::string& flag) {
       {"--resume", {"sweep"}},
   };
   static const std::vector<const char*> kRunFlags = {
-      "--nexec", "--nloc", "--seed", "--engine", "--offline",
-      "--max-steps", "--max-records", "--timeout"};
+      "--seed", "--engine", "--max-steps", "--max-records", "--timeout"};
   for (const auto& s : kScoped) {
     if (flag == s.flag) {
       for (const char* c : s.commands) {
@@ -270,10 +274,12 @@ bool flag_applies(const std::string& command, const std::string& flag) {
       return false;
     }
   }
-  if (command == "lint" || command == "annotate") {
-    for (const char* f : kRunFlags) {
-      if (flag == f) return false;
-    }
+  const bool runs_program = command != "lint" && command != "annotate";
+  if (flag == "--nexec" || flag == "--nloc") {
+    return runs_program && command != "run" && command != "trace";
+  }
+  for (const char* f : kRunFlags) {
+    if (flag == f) return runs_program;
   }
   return true;
 }
@@ -317,6 +323,22 @@ int cmd_trace(const std::string& source, const sim::RunOptions& ropts) {
   for (const auto& r : sink.records()) {
     std::printf("%s\n", trace::record_to_text(r).c_str());
   }
+  return 0;
+}
+
+/// `foraygen run`: the frontend and loop annotation of Phase I (so
+/// errors read as in every other command), then one simulation with no
+/// sink — nothing is profiled or extracted.
+int cmd_run(const std::string& source, const sim::RunOptions& ropts) {
+  core::PipelineResult res;
+  if (!core::frontend_phase(source, &res).ok()) return fail_with(res.status);
+  core::instrument_phase(&res);
+  const sim::RunResult run = sim::run_program(*res.program, nullptr, ropts);
+  if (!run.ok()) return fail_with(run.status);
+  std::fputs(run.output.c_str(), stdout);
+  std::printf("[exit %d, %llu steps, %llu accesses]\n", run.exit_code,
+              static_cast<unsigned long long>(run.steps),
+              static_cast<unsigned long long>(run.accesses));
   return 0;
 }
 
@@ -562,8 +584,6 @@ int main(int argc, char** argv) {
         return option_error(std::string("unknown engine '") + engine +
                             "' (want ast or bytecode)");
       }
-    } else if (arg == "--offline") {
-      opts.offline = true;
     } else if (arg == "--compare-cache") {
       opts.spm.compare_cache = true;
     } else if (arg == "--replay") {
@@ -858,6 +878,7 @@ int main(int argc, char** argv) {
 
   if (command == "annotate") return cmd_annotate(source);
   if (command == "trace") return cmd_trace(source, opts.run);
+  if (command == "run") return cmd_run(source, opts.run);
 
   if (command == "spm") {
     // A one-point sweep: every axis inherits its single value from opts
@@ -894,13 +915,6 @@ int main(int argc, char** argv) {
     return fail_with(res.status);
   }
 
-  if (command == "run") {
-    std::fputs(res.run.output.c_str(), stdout);
-    std::printf("[exit %d, %llu steps, %llu accesses]\n", res.run.exit_code,
-                static_cast<unsigned long long>(res.run.steps),
-                static_cast<unsigned long long>(res.run.accesses));
-    return 0;
-  }
   if (command == "profile") {
     const auto& ex = *res.extractor;
     std::printf("trace records: %llu (%llu accesses, %llu checkpoints)\n",
