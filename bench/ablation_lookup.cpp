@@ -43,7 +43,7 @@ void BM_Lookup(benchmark::State& state) {
     ExtractorOptions opts;
     opts.hash_index = kHashIndex;
     Extractor ex(opts);
-    for (const Record& r : trace) ex.on_record(r);
+    for (const Record& r : trace) ex.on_chunk(&r, 1);
     benchmark::DoNotOptimize(ex.tree().ref_node_count());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -7,12 +7,39 @@
 // extractor), verify the models are identical, and report the memory the
 // offline path had to materialize (trace records) against the online
 // analyzer's constant working set.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
+#include <streambuf>
 
 #include "bench_util.h"
 #include "sim/interpreter.h"
+#include "trace/io.h"
 #include "trace/sink.h"
+
+namespace {
+
+/// Counts the bytes written through it and stores none.
+class ByteCounter : public std::streambuf {
+ public:
+  uint64_t bytes() const { return bytes_; }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) ++bytes_;
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += static_cast<uint64_t>(n);
+    return n;
+  }
+
+ private:
+  uint64_t bytes_ = 0;
+};
+
+}  // namespace
 
 int main() {
   using namespace foray;
@@ -53,8 +80,10 @@ int main() {
       }
     }
     // Offline cost: the binary encoding of the whole trace.
-    const double trace_mb =
-        static_cast<double>(online.trace_records) * 11.0 / 1e6;
+    ByteCounter encoded;
+    std::ostream trace_out(&encoded);
+    trace::write_binary(trace_out, trace_file.records());
+    const double trace_mb = static_cast<double>(encoded.bytes()) / 1e6;
     const double state_kb =
         static_cast<double>(online.extractor->state_bytes()) / 1e3;
     char mb[32], kb[32];

@@ -1,6 +1,5 @@
 // Profiling/extraction throughput over the benchsuite — the perf
-// trajectory for the chunked zero-virtual-call trace transport and the
-// profiling engines.
+// trajectory for the chunked trace transport and the profiling engines.
 //
 // Per benchmark it measures, in records/sec:
 //   sim       bytecode-VM simulator filling a VectorSink (the default
@@ -12,15 +11,16 @@
 //             the sim-engine axis; the engines' traces are
 //             bit-identical (tests/engine_equivalence_test), so the
 //             ratio is pure engine speed
-//   online    simulator + online analysis fused (Vm<Extractor>, the
-//             zero-virtual-call path, bytecode engine)
-//   online_ast the fused path on the tree walker (Interp<Extractor>)
+//   online    simulator + online analysis fused: the extractor is the
+//             bytecode VM's sink, fed one virtual on_chunk() call per
+//             chunk; no scalar elision
+//   online_ast the fused path on the tree walker
 //   production the production Phase I pass, core::profile_phase with
 //             default options: fused, eliding scalar traffic, compiling
 //             the program each run. Reported in full-trace records/s
 //             (the records `online` analyzes), so the two compare
-//   record    extraction replay, record-at-a-time through the virtual
-//             Sink interface (the pre-PR transport shape)
+//   record    extraction replay, one virtual on_chunk(&r, 1) call per
+//             record (the record-at-a-time transport shape)
 //   chunked   extraction replay, bulk on_chunk() delivery
 //
 // Every multi-run-capable mode is timed best-of-3: the 1-core container
@@ -53,7 +53,8 @@
 
 #include "benchsuite/suite.h"
 #include "foray/pipeline.h"
-#include "sim/interp_impl.h"
+#include "sim/bytecode.h"
+#include "sim/interpreter.h"
 #include "trace/sink.h"
 #include "util/json.h"
 
@@ -142,7 +143,7 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
 
   out.sim_ast = mega_per_s(out.records, timed_best([&] {
     trace::VectorSink ast_sink(out.records);
-    check(sim::run_program_with(*res.program, &ast_sink, ast_opts));
+    check(sim::run_program(*res.program, &ast_sink, ast_opts));
   }));
 
   out.online = mega_per_s(out.records, timed_best([&] {
@@ -152,7 +153,7 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
 
   out.online_ast = mega_per_s(out.records, timed_best([&] {
     core::Extractor ex;
-    check(sim::run_program_with(*res.program, &ex, ast_opts));
+    check(sim::run_program(*res.program, &ex, ast_opts));
   }));
 
   out.production = mega_per_s(out.records, timed_best([&] {
@@ -163,7 +164,7 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
   out.record = mega_per_s(out.records, timed([&] {
     core::Extractor ex;
     trace::Sink* s = &ex;  // force the virtual record-at-a-time path
-    for (const auto& r : recs) s->on_record(r);
+    for (const auto& r : recs) s->on_chunk(&r, 1);
   }));
 
   out.chunked = mega_per_s(out.records, timed([&] {

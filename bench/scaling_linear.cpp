@@ -53,7 +53,7 @@ void BM_AnalysisThroughput(benchmark::State& state) {
   size_t final_state_bytes = 0;
   for (auto _ : state) {
     Extractor ex;
-    for (const Record& r : trace) ex.on_record(r);
+    for (const Record& r : trace) ex.on_chunk(&r, 1);
     benchmark::DoNotOptimize(ex.tree().ref_node_count());
     final_state_bytes = ex.state_bytes();
   }

@@ -19,11 +19,10 @@
 // the observation (the invariant predict(ITP) == INDP), so the tree is
 // the same either way.
 //
-// Delivery is chunk-first: on_chunk() consumes a run of records with a
-// single dispatch, and the class is `final` so a caller holding a
-// concrete Extractor (the templated simulator, a stored trace's replay) gets
-// the whole per-record path inlined — zero virtual calls per record.
-// Record-at-a-time on_record() remains for generic Sink users.
+// Delivery is by chunk: on_chunk() consumes a run of records with a
+// single dispatch, and the engines call it through trace::Sink once per
+// RunOptions::chunk_records records. Inside a chunk the per-record path
+// is inlined, so no record costs a virtual call.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +49,6 @@ class Extractor final : public trace::Sink {
   explicit Extractor(ExtractorOptions opts = {});
 
   // trace::Sink
-  void on_record(const trace::Record& r) override {
-    ++records_;
-    process(r);
-  }
   void on_chunk(const trace::Record* r, size_t n) override {
     records_ += n;
     for (size_t i = 0; i < n; ++i) process(r[i]);

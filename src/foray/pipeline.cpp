@@ -4,7 +4,7 @@
 #include <chrono>
 
 #include "minic/parser.h"
-#include "sim/interp_impl.h"
+#include "sim/interpreter.h"
 #include "spm/address_stream.h"
 #include "spm/cache_sim.h"
 #include "util/strings.h"
@@ -42,9 +42,8 @@ util::Status profile_phase(const PipelineOptions& opts,
                            PipelineResult* result) {
   FORAY_CHECK(result->program != nullptr,
               "profile_phase requires instrument_phase");
-  // The extractor IS the sink, and the concrete instantiation inlines the
-  // whole record path into the interpreter — zero virtual calls per
-  // record, and no trace is ever materialized.
+  // The extractor IS the sink: it analyzes each chunk as the engine
+  // flushes it, so no trace is ever materialized.
   result->extractor = std::make_unique<Extractor>(opts.extractor);
   sim::RunOptions run = opts.run;
   if (run.budget.has_deadline() &&
@@ -59,14 +58,14 @@ util::Status profile_phase(const PipelineOptions& opts,
                   opts.filter.min_locations, sim::kMaxElisionBases))
             : 0;
   result->run =
-      sim::run_program_with(*result->program, result->extractor.get(), run);
+      sim::run_program(*result->program, result->extractor.get(), run);
   if (result->run.elision_stopped) {
     // Some function reached that many frame bases, so an elided site
     // might have reached Nloc locations: trace everything.
     result->extractor = std::make_unique<Extractor>(opts.extractor);
     run.elide_below_bases = 0;
     result->run =
-        sim::run_program_with(*result->program, result->extractor.get(), run);
+        sim::run_program(*result->program, result->extractor.get(), run);
   }
   result->trace_records = result->extractor->records_processed();
   if (!result->run.ok()) result->status = result->run.status;

@@ -345,7 +345,10 @@ class Printer {
         out_ << " ? ";
         print_expr_prec(*e.b, 0);
         out_ << " : ";
-        print_expr_prec(*e.c, 0);
+        // The false operand is a conditional-expression: an assignment
+        // there needs parentheses, or it reparses as an assignment to
+        // the whole conditional.
+        print_expr_prec(*e.c, e.c->kind == ExprKind::Assign ? 1 : 0);
         if (parent_prec > 0) out_ << ")";
         break;
       case ExprKind::Call:

@@ -1,7 +1,7 @@
 // Bytecode for the MiniC fast engine.
 //
 // compile_program() lowers a checked, loop-annotated MiniC AST into a
-// flat instruction vector that the dispatch-loop VM (sim/vm.h) executes.
+// flat instruction vector that the dispatch-loop VM (sim/vm.cpp) executes.
 // The compilation uses the same static variable resolution as the AST
 // interpreter (sim/resolver.h), so frame-slot layout, allocation order,
 // and therefore every address appearing in traces are identical by
@@ -41,11 +41,13 @@
 
 #include "minic/ast.h"
 #include "minic/intrinsics.h"
+#include "sim/interpreter.h"
+#include "trace/sink.h"
 
 namespace foray::sim {
 
 // The opcode list as an X-macro so the VM's computed-goto dispatch table
-// (sim/vm.h) stays mechanically in sync with the enum. Operand roles:
+// (sim/vm.cpp) stays mechanically in sync with the enum. Operand roles:
 //
 //   PushInt            a = int-pool index
 //   PushFloat          a = float-pool index
@@ -280,5 +282,13 @@ struct CompiledProgram {
 /// Lowers `prog` (which must have passed sema; loop annotation optional
 /// but required for checkpoint records) to bytecode.
 CompiledProgram compile_program(const minic::Program& prog);
+
+/// Executes an already-compiled program on the bytecode VM, streaming
+/// trace records into `sink` (never null) — for callers that compile a
+/// program once and run it many times. run_program() is this after a
+/// compile_program() when RunOptions::engine is Bytecode; the VM ignores
+/// the field.
+RunResult run_compiled_with(const CompiledProgram& code, trace::Sink* sink,
+                            const RunOptions& opts = {});
 
 }  // namespace foray::sim

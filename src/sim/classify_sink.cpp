@@ -54,7 +54,7 @@ ClassifyingSink::Tally* ClassifyingSink::tally_in(Frame* f, int buffer) {
   return &f->tallies.back();
 }
 
-void ClassifyingSink::on_record(const trace::Record& r) {
+void ClassifyingSink::classify(const trace::Record& r) {
   switch (r.type()) {
     case trace::RecordType::Checkpoint:
       switch (r.cp()) {

@@ -69,9 +69,8 @@ class ClassifyingSink final : public trace::Sink {
 
   explicit ClassifyingSink(std::vector<Region> regions, int num_buffers);
 
-  void on_record(const trace::Record& r) override;
   void on_chunk(const trace::Record* r, size_t n) override {
-    for (size_t i = 0; i < n; ++i) on_record(r[i]);
+    for (size_t i = 0; i < n; ++i) classify(r[i]);
   }
 
   /// Classifies any traffic still attributed to open loop frames (a
@@ -103,6 +102,7 @@ class ClassifyingSink final : public trace::Sink {
     std::vector<Tally> tallies;  ///< few buffers per loop; linear scan
   };
 
+  void classify(const trace::Record& r);
   Tally* tally_in(Frame* f, int buffer);
   void account(const Tally& t);
   void classify_frame(const Frame& f);

@@ -1,6 +1,6 @@
 // Execution semantics shared by both MiniC engines.
 //
-// The AST interpreter (sim/interp_impl.h) and the bytecode VM (sim/vm.h)
+// The AST interpreter (sim/interpreter.cpp) and the bytecode VM (sim/vm.cpp)
 // must produce bit-identical traces, outputs, and memory images — the
 // differential harness (tests/engine_equivalence_test.cpp) enforces it.
 // Everything whose behavior could plausibly drift between the two lives
@@ -184,9 +184,8 @@ FORAY_ALWAYS_INLINE Value apply_binary_op(minic::BinaryOp op, const Value& a,
 // -- chunked record transport -------------------------------------------------
 //
 // Records collect in a small local buffer and are handed to the sink in
-// bulk. When SinkT is a concrete final sink (the online Extractor) the
-// on_chunk() call devirtualizes and the whole per-record path inlines;
-// even for SinkT = trace::Sink only one virtual call per chunk remains.
+// bulk: one virtual trace::Sink::on_chunk() call per chunk, none per
+// record.
 
 /// Thrown by the elision guard; execute_guarded turns it into
 /// RunResult::elision_stopped.
@@ -229,12 +228,11 @@ class FrameBaseGuard {
   std::vector<Bases> funcs_;
 };
 
-template <class SinkT>
 class TraceEmitter {
  public:
   /// `functions` and `frame_fixed` describe the program for the elision
   /// guard: its function count and VarResolution::frame_fixed.
-  TraceEmitter(SinkT* sink, const RunOptions& opts, size_t functions,
+  TraceEmitter(trace::Sink* sink, const RunOptions& opts, size_t functions,
                bool frame_fixed)
       : sink_(sink),
         chunk_(std::max<size_t>(opts.chunk_records, 1)),
@@ -360,7 +358,7 @@ class TraceEmitter {
     tick();
   }
 
-  SinkT* sink_;
+  trace::Sink* sink_;
   std::vector<trace::Record> chunk_;
   size_t len_ = 0;
   size_t unchecked_ = 0;  ///< full-trace records since the last check
@@ -424,11 +422,10 @@ void execute_guarded(RunResult* result, const int* cur_line, Fn&& body) {
 /// The sink can fail on that last chunk too, or fail again on a chunk
 /// it refused mid-run; that failure is classified like any other, and
 /// the run reports its first failure.
-template <class SinkT>
-void finalize_result(RunResult* result, const int* cur_line,
-                     TraceEmitter<SinkT>* emitter, Memory* mem,
-                     const RunOptions& opts, std::string* output,
-                     uint64_t steps) {
+inline void finalize_result(RunResult* result, const int* cur_line,
+                            TraceEmitter* emitter, Memory* mem,
+                            const RunOptions& opts, std::string* output,
+                            uint64_t steps) {
   RunResult flushed;
   execute_guarded(&flushed, cur_line, [emitter] { emitter->flush(); });
   if (result->status.ok()) result->status = std::move(flushed.status);

@@ -1,7 +1,7 @@
 // The single copy of the engines' global-allocation rule.
 //
 // Globals allocate strictly in declaration order, each aligned to
-// min(element size, 4) bytes. The tree walker (interp_impl.h
+// min(element size, 4) bytes. The tree walker (interpreter.cpp
 // alloc_globals), the bytecode compiler (bytecode.cpp compile_start) and
 // the replay address map (classify_sink.h global_regions) all size and
 // align global storage through this one function, so the rule cannot

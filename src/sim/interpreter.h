@@ -114,14 +114,13 @@ struct RunResult {
   int error_line() const { return status.first_line(); }
 };
 
-/// Executes `prog` (which must have passed sema) from main(), streaming
-/// trace records into `sink`. The program AST is not modified.
+/// Executes `prog` (which must have passed sema) from main() on the
+/// engine RunOptions::engine names, streaming trace records into `sink`
+/// (null: a trace::NullSink). The program AST is not modified.
 ///
-/// Delivery is chunked (RunOptions::chunk_records) but dispatches through
-/// the virtual trace::Sink interface once per chunk. Callers that know
-/// their concrete sink type — above all the online analyzer — should use
-/// run_program_with<SinkT>() from sim/interp_impl.h, which inlines the
-/// whole record path into the interpreter (zero virtual calls).
+/// Delivery is chunked (RunOptions::chunk_records): one virtual
+/// trace::Sink::on_chunk() call per chunk, none per record. The online
+/// analyzer (core::Extractor) is attached here like any other sink.
 RunResult run_program(const minic::Program& prog, trace::Sink* sink,
                       const RunOptions& opts = {});
 

@@ -1,13 +1,13 @@
 // The bytecode dispatch-loop VM — the MiniC fast engine.
 //
 // Executes a CompiledProgram (sim/bytecode.h) against the same Memory,
-// Rng, and chunked trace transport as the tree-walking interpreter. Like
-// Interp, the class is templated on the sink type: Vm<core::Extractor>
-// inlines the whole record path into the dispatch loop (zero virtual
-// calls per record), Vm<trace::Sink> pays one virtual on_chunk() per
-// chunk. All value semantics (conversion, operator behavior, intrinsic
-// effects) come from sim/exec_common.h, shared verbatim with the tree
-// walker; the engine-equivalence harness keeps the two bit-identical.
+// Rng, and chunked trace transport as the tree-walking interpreter
+// (sim/interpreter.cpp), delivering records through trace::Sink one
+// chunk per virtual call. It is compiled once, here; callers reach it
+// through run_compiled_with() (sim/bytecode.h) or run_program(). All
+// value semantics (conversion, operator behavior, intrinsic effects)
+// come from sim/exec_common.h, shared verbatim with the tree walker; the
+// engine-equivalence harness keeps the two bit-identical.
 //
 // Dispatch uses GNU computed goto where available (each handler ends in
 // its own indirect jump, which lets the branch predictor learn opcode
@@ -29,13 +29,12 @@
 // The fault line is not tracked per dispatch: when a fault unwinds
 // exec(), and at Halt, it is read from ip, which at that moment is the
 // instruction (or fused component) that raised it.
-#pragma once
+#include "sim/bytecode.h"
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "sim/bytecode.h"
 #include "sim/exec_common.h"
 #include "sim/interpreter.h"
 #include "sim/memory.h"
@@ -50,10 +49,9 @@ namespace foray::sim {
 
 namespace internal {
 
-template <class SinkT>
 class Vm {
  public:
-  Vm(const CompiledProgram& code, SinkT* sink, const RunOptions& opts)
+  Vm(const CompiledProgram& code, trace::Sink* sink, const RunOptions& opts)
       : code_(code),
         opts_(opts),
         emitter_(sink, opts_, code.funcs.size(), code.frame_fixed),
@@ -77,8 +75,21 @@ class Vm {
 
   // -- execution -------------------------------------------------------------
 
+  /// Slot and stack setup, the dispatch loop under fault
+  /// classification, and result finalization.
   RunResult run() {
-    return run_guarded([&] { exec(); });
+    RunResult result;
+    globals_.assign(code_.globals.size(), VmSlot{});
+    interned_.assign(code_.str_pool.size(), InternCell{});
+    stack_.resize(static_cast<size_t>(code_.start_max_stack) + 64);
+    sp_ = stack_.data();
+    execute_guarded(&result, &cur_line_, [&] {
+      exec();
+      result.exit_code = exit_code_;
+    });
+    finalize_result(&result, &cur_line_, &emitter_, &mem_, opts_, &output_,
+                    steps_);
+    return result;
   }
 
  private:
@@ -106,24 +117,6 @@ class Vm {
     uint32_t func = 0;
     Value ret_value = Value::of_int(0);
   };
-
-  /// Run scaffolding: slot/stack setup, guarded execution of `body`
-  /// (the dispatch loop), fault classification, and result finalization.
-  template <class Body>
-  RunResult run_guarded(Body&& body) {
-    RunResult result;
-    globals_.assign(code_.globals.size(), VmSlot{});
-    interned_.assign(code_.str_pool.size(), InternCell{});
-    stack_.resize(static_cast<size_t>(code_.start_max_stack) + 64);
-    sp_ = stack_.data();
-    execute_guarded(&result, &cur_line_, [&] {
-      body();
-      result.exit_code = exit_code_;
-    });
-    finalize_result(&result, &cur_line_, &emitter_, &mem_, opts_, &output_,
-                    steps_);
-    return result;
-  }
 
   [[noreturn]] void step_limit_fault() {
     throw RuntimeError("step limit exceeded (" + std::to_string(max_steps_) +
@@ -522,7 +515,7 @@ class Vm {
 
   const CompiledProgram& code_;
   RunOptions opts_;
-  TraceEmitter<SinkT> emitter_;
+  TraceEmitter emitter_;
   Memory mem_;
   util::Rng rng_;
   uint64_t max_steps_;
@@ -617,8 +610,7 @@ class Vm {
     VM_FUSE_LAST(d);                \
   }
 
-template <class SinkT>
-void Vm<SinkT>::exec() {
+void Vm::exec() {
   const Insn* const code = code_.code.data();
   const Insn* ip = code + code_.start_pc;
   // The step guard runs once per dispatch, so it lives in locals for
@@ -722,37 +714,12 @@ run_op:
   }
 }
 
-#undef VM_CASE
-#undef VM_DISPATCH
-#undef VM_GOTO
-#undef VM_NEXT
-#undef VM_JUMP
-#undef VM_OP
-#undef VM_FUSE_FIRST
-#undef VM_FUSE_THEN
-#undef VM_FUSE_LAST
-#undef VM_FUSED2
-#undef VM_FUSED3
-#undef VM_FUSED4
-
 }  // namespace internal
 
-/// Executes an already-compiled program, streaming records into the
-/// concrete sink — callers that run one program many times (benches)
-/// compile once and reuse.
-template <class SinkT>
-RunResult run_compiled_with(const CompiledProgram& code, SinkT* sink,
-                            const RunOptions& opts = {}) {
-  internal::Vm<SinkT> vm(code, sink, opts);
+RunResult run_compiled_with(const CompiledProgram& code, trace::Sink* sink,
+                            const RunOptions& opts) {
+  internal::Vm vm(code, sink, opts);
   return vm.run();
-}
-
-/// Compiles and executes `prog` on the bytecode VM.
-template <class SinkT>
-RunResult run_bytecode_with(const minic::Program& prog, SinkT* sink,
-                            const RunOptions& opts = {}) {
-  const CompiledProgram code = compile_program(prog);
-  return run_compiled_with(code, sink, opts);
 }
 
 }  // namespace foray::sim

@@ -630,7 +630,7 @@ class Checker {
 
   // -- expression evaluation -------------------------------------------------
   //
-  // Mirrors the engines' trace emission (sim/interp_impl.h) record for
+  // Mirrors the engines' trace emission (sim/interpreter.cpp) record for
   // record so straight-line bounds can be exact: scalar ident read = 1,
   // array ident = 0 (address value), plain store = 1, compound/inc-dec =
   // 2, subscript or pointer load = 1, literals and address-of = 0.
@@ -1053,7 +1053,7 @@ class Checker {
     if (intr) return eval_intrinsic(e, intr->id, args, st, acc);
     const Function* fn = prog_.find_function(e.name);
     if (!fn) return Interval::top();
-    // Call/Ret markers + one spill store per parameter (interp_impl.h
+    // Call/Ret markers + one spill store per parameter (interpreter.cpp
     // call_function), all emitted under default options.
     acc.rec_exact(2 + fn->params.size());
     acc.steps(kStepsPerCall + kStepsPerParam * fn->params.size(), 1);

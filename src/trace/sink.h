@@ -7,12 +7,10 @@
 // caller needs the records themselves (`foraygen trace`, the tests'
 // two-pass oracle).
 //
-// Transport is *chunked*: producers deliver runs of records through
-// on_chunk(), paying one (virtual) call per chunk instead of one per
-// record; on_record() remains as the single-record convenience and the
-// default on_chunk() loops over it, so a sink only implementing
-// on_record() still sees every record. Concrete sinks that can do better
-// (bulk append, tight counting loops) override on_chunk().
+// Transport is chunked: a sink has one virtual method, on_chunk(), and
+// producers hand it runs of records, paying one virtual call per chunk.
+// The engines buffer RunOptions::chunk_records records per call; a
+// caller holding a single record passes on_chunk(&r, 1).
 #pragma once
 
 #include <cstddef>
@@ -32,18 +30,13 @@ inline constexpr size_t kDefaultChunkRecords = 1024;
 class Sink {
  public:
   virtual ~Sink() = default;
-  virtual void on_record(const Record& r) = 0;
-  /// Bulk delivery of `n` consecutive records. Equivalent to calling
-  /// on_record() for each; the base implementation does exactly that.
-  virtual void on_chunk(const Record* r, size_t n) {
-    for (size_t i = 0; i < n; ++i) on_record(r[i]);
-  }
+  /// Delivery of `n` consecutive records, in trace order.
+  virtual void on_chunk(const Record* r, size_t n) = 0;
 };
 
 /// Discards everything (pure-execution runs).
 class NullSink final : public Sink {
  public:
-  void on_record(const Record&) override {}
   void on_chunk(const Record*, size_t) override {}
 };
 
@@ -59,7 +52,6 @@ class VectorSink final : public Sink {
   VectorSink() = default;
   explicit VectorSink(size_t reserve_hint) { records_.reserve(reserve_hint); }
 
-  void on_record(const Record& r) override { records_.push_back(r); }
   void on_chunk(const Record* r, size_t n) override {
     // Fault site "trace.buffer.alloc": models the materialized trace
     // outgrowing memory. Consulted per chunk, so the unfaulted cost is
@@ -85,7 +77,6 @@ class VectorSink final : public Sink {
 /// volume in the online-analysis ablation).
 class CountingSink final : public Sink {
  public:
-  void on_record(const Record& r) override { tally(r); }
   void on_chunk(const Record* r, size_t n) override {
     for (size_t i = 0; i < n; ++i) tally(r[i]);
   }

@@ -10,7 +10,7 @@ using trace::CheckpointType;
 using trace::Record;
 
 void feed(Extractor& ex, const std::vector<Record>& records) {
-  for (const auto& r : records) ex.on_record(r);
+  for (const auto& r : records) ex.on_chunk(&r, 1);
 }
 
 Record enter(int id) { return Record::checkpoint(CheckpointType::LoopEnter, id); }

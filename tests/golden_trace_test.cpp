@@ -22,7 +22,7 @@
 #include "benchsuite/suite.h"
 #include "instrument/annotator.h"
 #include "minic/parser.h"
-#include "sim/interp_impl.h"
+#include "sim/interpreter.h"
 #include "trace/io.h"
 #include "trace/sink.h"
 
@@ -50,7 +50,7 @@ std::string golden_bytes(const std::string& kernel, sim::Engine engine) {
   sim::RunOptions opts;
   opts.engine = engine;
   trace::VectorSink sink;
-  auto run = sim::run_program_with(*prog, &sink, opts);
+  auto run = sim::run_program(*prog, &sink, opts);
   EXPECT_TRUE(run.ok()) << run.error();
   auto records = sink.take();
   EXPECT_GE(records.size(), kGoldenRecords) << kernel;

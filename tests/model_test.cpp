@@ -14,26 +14,27 @@ using trace::Record;
 Record enter(int id) { return Record::checkpoint(CheckpointType::LoopEnter, id); }
 Record body(int id) { return Record::checkpoint(CheckpointType::BodyBegin, id); }
 Record exitl(int id) { return Record::checkpoint(CheckpointType::LoopExit, id); }
+void feed(Extractor& ex, const Record& r) { ex.on_chunk(&r, 1); }
 
 /// Builds an extractor holding one 2-deep nest with two references:
 /// a write with stride (outer 128, inner 4) and a read with stride
 /// (outer -64, inner 8).
 Extractor make_two_ref_extraction() {
   Extractor ex;
-  ex.on_record(enter(3));
+  feed(ex, enter(3));
   for (uint32_t i = 0; i < 6; ++i) {
-    ex.on_record(body(3));
-    ex.on_record(enter(5));
+    feed(ex, body(3));
+    feed(ex, enter(5));
     for (uint32_t j = 0; j < 8; ++j) {
-      ex.on_record(body(5));
-      ex.on_record(Record::access(0x400100, 0x10000000 + 128 * i + 4 * j, 4,
-                                  true, AccessKind::Data));
-      ex.on_record(Record::access(0x400104, 0x20000800 - 64 * i + 8 * j, 4,
-                                  false, AccessKind::Data));
+      feed(ex, body(5));
+      feed(ex, Record::access(0x400100, 0x10000000 + 128 * i + 4 * j, 4,
+                              true, AccessKind::Data));
+      feed(ex, Record::access(0x400104, 0x20000800 - 64 * i + 8 * j, 4,
+                              false, AccessKind::Data));
     }
-    ex.on_record(exitl(5));
+    feed(ex, exitl(5));
   }
-  ex.on_record(exitl(3));
+  feed(ex, exitl(3));
   return ex;
 }
 

@@ -1,8 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "benchsuite/generator.h"
+#include "benchsuite/suite.h"
 #include "instrument/annotator.h"
 #include "minic/parser.h"
 #include "minic/printer.h"
+#include "sim/interpreter.h"
 
 namespace foray::minic {
 namespace {
@@ -16,26 +27,82 @@ std::string reprint(std::string_view src) {
   return print_program(*p);
 }
 
+/// Parses, checks and annotates `src`, then runs it on the default
+/// engine with no sink.
+sim::RunResult run_source(const std::string& src, const std::string& label) {
+  util::DiagList diags;
+  auto p = parse_and_check(src, &diags);
+  EXPECT_NE(p, nullptr) << label << "\n" << diags.str() << "\n" << src;
+  if (!p) return {};
+  instrument::annotate_loops(p.get());
+  return sim::run_program(*p, nullptr);
+}
+
+/// The `.mc` files of a source-tree directory, sorted by name.
+std::vector<std::string> mc_files(const std::string& rel) {
+  std::vector<std::string> out;
+  const std::filesystem::path dir =
+      std::filesystem::path(FORAY_SOURCE_DIR) / rel;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".mc") out.push_back(entry.path());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(Printer, RoundTripIsStable) {
-  const char* src =
-      "char q[10000];\n"
-      "int main(void) {\n"
-      "  char *ptr = q;\n"
-      "  int i;\n"
-      "  int t1 = 98;\n"
-      "  while (t1 < 100) {\n"
-      "    t1++;\n"
-      "    ptr += 100;\n"
-      "    for (i = 40; i > 37; i--) {\n"
-      "      *ptr++ = (i * i) % 256;\n"
-      "    }\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n";
-  std::string once = reprint(src);
-  ASSERT_FALSE(once.empty());
-  std::string twice = reprint(once);
-  EXPECT_EQ(once, twice);  // printing is a fixed point after one pass
+  // Every input reprints to a fixed point after one pass, and the
+  // reprint rechecks and runs exactly like the original.
+  std::vector<std::pair<std::string, std::string>> inputs;
+  inputs.emplace_back("inline",
+                      "char q[10000];\n"
+                      "int main(void) {\n"
+                      "  char *ptr = q;\n"
+                      "  int i;\n"
+                      "  int t1 = 98;\n"
+                      "  while (t1 < 100) {\n"
+                      "    t1++;\n"
+                      "    ptr += 100;\n"
+                      "    for (i = 40; i > 37; i--) {\n"
+                      "      *ptr++ = (i * i) % 256;\n"
+                      "    }\n"
+                      "  }\n"
+                      "  return 0;\n"
+                      "}\n");
+  for (const auto& b : benchsuite::all_benchmarks()) {
+    inputs.emplace_back(b.name, b.source);
+  }
+  for (const char* dir : {"examples", "tests/programs"}) {
+    for (const std::string& path : mc_files(dir)) {
+      std::ifstream in(path);
+      std::ostringstream text;
+      text << in.rdbuf();
+      inputs.emplace_back(path, text.str());
+    }
+  }
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    benchsuite::GeneratorOptions gopts;
+    gopts.seed = seed;
+    inputs.emplace_back("affine seed " + std::to_string(seed),
+                        benchsuite::generate_affine_program(gopts).source);
+    benchsuite::StressOptions sopts;
+    sopts.seed = seed;
+    inputs.emplace_back("stress seed " + std::to_string(seed),
+                        benchsuite::generate_stress_program(sopts));
+  }
+  for (const auto& [label, src] : inputs) {
+    const std::string once = reprint(src);
+    ASSERT_FALSE(once.empty()) << label;
+    EXPECT_EQ(once, reprint(once)) << label;
+    const sim::RunResult want = run_source(src, label);
+    const sim::RunResult got = run_source(once, label + " (reprinted)");
+    EXPECT_TRUE(want.ok()) << label << ": " << want.error();
+    EXPECT_EQ(got.error(), want.error()) << label;
+    EXPECT_EQ(got.output, want.output) << label;
+    EXPECT_EQ(got.exit_code, want.exit_code) << label;
+    EXPECT_EQ(got.steps, want.steps) << label;
+    EXPECT_EQ(got.accesses, want.accesses) << label;
+  }
 }
 
 TEST(Printer, PrintedProgramReparsesAndRechecks) {

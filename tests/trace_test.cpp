@@ -193,7 +193,7 @@ TEST(BinaryIo, RejectsTruncatedHeader) {
 TEST(Sinks, ChunkDeliveryMatchesRecordDelivery) {
   auto records = sample_records();
   VectorSink via_records, via_chunk;
-  for (const auto& r : records) via_records.on_record(r);
+  for (const auto& r : records) via_records.on_chunk(&r, 1);
   via_chunk.on_chunk(records.data(), records.size());
   ASSERT_EQ(via_chunk.size(), via_records.size());
   for (size_t i = 0; i < records.size(); ++i) {
@@ -210,13 +210,13 @@ TEST(Sinks, CountingSinkCountsChunks) {
 
 TEST(Sinks, VectorSinkCollects) {
   VectorSink sink;
-  for (const auto& r : sample_records()) sink.on_record(r);
+  for (const auto& r : sample_records()) sink.on_chunk(&r, 1);
   EXPECT_EQ(sink.size(), sample_records().size());
 }
 
 TEST(Sinks, CountingSinkByType) {
   CountingSink sink;
-  for (const auto& r : sample_records()) sink.on_record(r);
+  for (const auto& r : sample_records()) sink.on_chunk(&r, 1);
   EXPECT_EQ(sink.total(), sample_records().size());
   EXPECT_EQ(sink.accesses(), 3u);
   EXPECT_EQ(sink.calls(), 1u);
@@ -226,7 +226,7 @@ TEST(Sinks, CountingSinkByType) {
 
 TEST(Sinks, NullSinkIsSilent) {
   NullSink sink;
-  for (const auto& r : sample_records()) sink.on_record(r);
+  for (const auto& r : sample_records()) sink.on_chunk(&r, 1);
   SUCCEED();
 }
 

@@ -32,7 +32,7 @@
 #include "instrument/annotator.h"
 #include "minic/parser.h"
 #include "sim/classify_sink.h"
-#include "sim/interp_impl.h"
+#include "sim/interpreter.h"
 #include "spm/replay.h"
 #include "spm/reuse.h"
 #include "trace/sink.h"
@@ -315,7 +315,7 @@ TEST(TransformReplay, GlobalRegionsMatchEngineAllocation) {
     sim::RunOptions ropts;
     ropts.engine = engine;
     trace::VectorSink sink;
-    auto run = sim::run_program_with(*prog, &sink, ropts);
+    auto run = sim::run_program(*prog, &sink, ropts);
     ASSERT_TRUE(run.ok()) << run.error();
     // The four array Data writes land, in order, at the expected
     // element addresses of the computed regions.

@@ -107,7 +107,7 @@ inline Outcome record_at_a_time(const std::string& src,
   if (!res.ok()) return {};
   Extractor ex(opts.extractor);
   trace::Sink* s = &ex;
-  for (const trace::Record& r : sink.records()) s->on_record(r);
+  for (const trace::Record& r : sink.records()) s->on_chunk(&r, 1);
   return outcome(run, ex, opts);
 }
 

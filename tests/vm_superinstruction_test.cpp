@@ -23,8 +23,6 @@
 #include "instrument/annotator.h"
 #include "minic/parser.h"
 #include "sim/bytecode.h"
-#include "sim/interp_impl.h"
-#include "sim/vm.h"
 #include "trace/sink.h"
 
 namespace foray::sim {
@@ -77,7 +75,7 @@ Captured run_engine(const minic::Program& prog, Engine engine) {
   opts.engine = engine;
   trace::VectorSink sink;
   Captured c;
-  c.run = run_program_with(prog, &sink, opts);
+  c.run = run_program(prog, &sink, opts);
   c.records = sink.take();
   return c;
 }
