@@ -5,16 +5,16 @@
 // The whole suite runs through the sweep driver (parallel jobs, one
 // SpmPhase per capacity-axis point) — the same code path as `foraygen
 // sweep`. The full-model savings and the knapsack-vs-greedy DSE ablation
-// come straight from the sweep items; only the static-reach
+// come straight from the sweep items, and the cache column from the
+// production core::simulate_caches / price_caches; only the static-reach
 // counterfactual (restricting the model to what a static analysis could
-// see) and the cache comparison stay bench-local, because they evaluate
-// models the SpmPhase never builds.
+// see) stays bench-local, because it evaluates models the SpmPhase never
+// builds.
 #include <cstdio>
 
 #include "bench_util.h"
 #include "driver/sweep.h"
-#include "spm/address_stream.h"
-#include "spm/cache_sim.h"
+#include "foray/pipeline.h"
 #include "spm/dse.h"
 #include "spm/spm_sim.h"
 
@@ -83,14 +83,22 @@ int main() {
     double s_static = best_savings_pct(model, static_model, opts);
     double s_foray = item.spm.with_spm.savings_pct();
 
-    // Cache comparison on the same traffic.
-    spm::CacheSim cache(spm::CacheConfig{4096, 32, 2});
-    spm::for_each_address(model, [&](uint32_t addr) { cache.access(addr); });
+    // Cache comparison on the same traffic, through the production
+    // simulate_caches / price_caches.
+    core::SpmPhaseOptions copts;
+    copts.dse = opts;
+    std::vector<core::CacheCellCounts> cells = core::simulate_caches(
+        model, {{opts.spm_capacity, copts.cache_line_bytes, {2}}});
+    if (!cells[0].status.ok()) {
+      std::fprintf(stderr, "benchmark %s cache: %s\n", jobs[j].name.c_str(),
+                   cells[0].status.message().c_str());
+      return 1;
+    }
+    core::price_caches(copts, &cells[0].caches);
+    const double cache_nj = cells[0].caches[0].energy_nj;
     const double base_nj = item.spm.baseline.baseline_nj;
     const double cache_savings =
-        base_nj > 0.0
-            ? 100.0 * (base_nj - cache.energy_nj(opts.energy)) / base_nj
-            : 0.0;
+        base_nj > 0.0 ? 100.0 * (base_nj - cache_nj) / base_nj : 0.0;
 
     char s1[16], s2[16], s3[16];
     std::snprintf(s1, sizeof s1, "%.1f%%", s_static);

@@ -444,11 +444,15 @@ struct GroupSolve {
 GroupSolve solve_group(const core::ForayModel& model,
                        const core::PipelineOptions& base,
                        const SweepPoint& head, GroupNeeds needs,
-                       const std::vector<spm::BufferCandidate>& candidates) {
+                       const std::vector<spm::BufferCandidate>& candidates,
+                       uint64_t ordinal) {
   GroupSolve out;
   // Fault site "spm.solve": the Phase II solver dies mid-group, an
-  // internal error on every point of the group.
-  if (util::fault::enabled() && util::fault::should_fail("spm.solve")) {
+  // internal error on every point of the group. Keyed by the group's
+  // grid position `ordinal` (util/fault.h), so the same groups fail at
+  // any thread count.
+  if (util::fault::enabled() &&
+      util::fault::hit_at("spm.solve", ordinal).fired) {
     out.fault = util::Status::failure(util::ErrorCode::kInternal, "spm-solve",
                                       0, "injected Phase II solver failure");
     return out;
@@ -985,9 +989,11 @@ class SweepExec {
       needs.replay |= grid_.points[i].replay;
     }
     const core::ForayModel& model = js.result.model;
-    const GroupSolve solve = solve_group(model, opts_.pipeline,
-                                         grid_.points[g.begin], needs,
-                                         js.candidates);
+    const uint64_t ordinal =
+        j * groups_.size() + static_cast<size_t>(&g - groups_.data());
+    const GroupSolve solve =
+        solve_group(model, opts_.pipeline, grid_.points[g.begin], needs,
+                    js.candidates, ordinal);
     for (size_t i = g.begin; i < g.end; ++i) {
       if (resume_.point_cached(j, i)) continue;
       deliver(j, i,

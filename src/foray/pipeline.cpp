@@ -166,19 +166,42 @@ std::vector<CacheCellCounts> simulate_caches(
       }
     }
     std::vector<uint64_t> stops(pass.size(), 0);
-    spm::for_each_address(model, [&](uint32_t addr) {
-      size_t k = 0;
-      for (const size_t end : chain_ends) {
-        for (; k < end; ++k) {
-          if (sims[k].is_mru(addr)) {
-            ++stops[k];
-            break;
+    // A folded iteration's second walk (spm::for_each_address_folded) is
+    // booked again by its delta: each cache's hits and misses, and the
+    // stops, pushed at mark() and scaled at repeat(). Folds nest, so the
+    // marks are a stack of pass.size() triples.
+    std::vector<uint64_t> marks;
+    spm::for_each_address_folded(
+        model,
+        [&](uint32_t addr) {
+          size_t k = 0;
+          for (const size_t end : chain_ends) {
+            for (; k < end; ++k) {
+              if (sims[k].is_mru(addr)) {
+                ++stops[k];
+                break;
+              }
+              sims[k].access(addr);
+            }
+            k = end;
           }
-          sims[k].access(addr);
-        }
-        k = end;
-      }
-    });
+        },
+        [&] {
+          for (size_t k = 0; k < pass.size(); ++k) {
+            marks.insert(marks.end(),
+                         {sims[k].hits(), sims[k].misses(), stops[k]});
+          }
+        },
+        [&](uint64_t times) {
+          const size_t base = marks.size() - 3 * pass.size();
+          const uint64_t* was = &marks[base];
+          for (size_t k = 0; k < pass.size(); ++k, was += 3) {
+            sims[k].credit_hits(times * (sims[k].hits() - was[0]));
+            sims[k].credit_misses(times * (sims[k].misses() - was[1]));
+            stops[k] += times * (stops[k] - was[2]);
+          }
+          marks.resize(base);
+        });
     size_t begin = 0;
     for (const size_t end : chain_ends) {
       uint64_t mru_hits = 0;

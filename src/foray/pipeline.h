@@ -201,6 +201,14 @@ struct CacheCellCounts {
 /// tables, so they are credited in bulk and the counts stay exactly
 /// those of simulating each cache alone. Chains never cross line sizes:
 /// a coarser line's set does not contain a finer line's blocks.
+///
+/// The stream is walked folded (spm::for_each_address_folded): an
+/// iteration of a loop level that moves no reference of its nest is
+/// walked twice, and the second walk's hits, misses and chain stops are
+/// booked once more for each of the level's other iterations. By the
+/// LRU fixed point (spm/cache_sim.h) this too is exact. The fold depends
+/// on the model only, never on the line size, so every chain of a pass
+/// shares it.
 std::vector<CacheCellCounts> simulate_caches(
     const ForayModel& model, const std::vector<CacheCell>& cells);
 void price_caches(const SpmPhaseOptions& opts,

@@ -2,6 +2,63 @@
 
 namespace foray::spm {
 
+namespace internal {
+
+std::vector<Nest> model_nests(const core::ForayModel& model, bool fold) {
+  // Group references by emitted nest; each group is swept once with all
+  // its references interleaved per iteration.
+  std::vector<std::vector<int>> paths;
+  std::vector<std::vector<size_t>> members;
+  std::vector<Nest> nests;
+  for (size_t i = 0; i < model.refs.size(); ++i) {
+    auto path = model.refs[i].emitted_loop_path();
+    auto trips = model.refs[i].emitted_trips();
+    size_t g = 0;
+    while (g < nests.size() &&
+           (paths[g] != path || nests[g].trips != trips)) {
+      ++g;
+    }
+    if (g == nests.size()) {
+      paths.push_back(std::move(path));
+      members.emplace_back();
+      nests.emplace_back();
+      nests.back().trips = std::move(trips);
+    }
+    members[g].push_back(i);
+  }
+
+  for (size_t g = 0; g < nests.size(); ++g) {
+    Nest& nest = nests[g];
+    const size_t refs = members[g].size();
+    const size_t levels = nest.trips.size();
+    std::vector<bool> still(levels, true);
+    nest.addr.resize(refs);
+    nest.steps.resize(levels * refs);
+    for (size_t r = 0; r < refs; ++r) {
+      const core::ModelReference& ref = model.refs[members[g][r]];
+      nest.addr[r] = static_cast<uint64_t>(ref.fn.const_term);
+      const std::vector<int64_t> coefs = ref.emitted_coefs();
+      const std::vector<uint64_t> own = odometer_steps(nest.trips, coefs);
+      for (size_t l = 0; l < levels; ++l) {
+        nest.steps[l * refs + r] = own[l];
+        if (coefs[l] != 0) still[l] = false;
+      }
+    }
+    if (!fold) continue;
+    // A still level's coefficient is 0, so it adds nothing to the rewind
+    // of the levels outside it: the steps hold for the cut trip too.
+    for (size_t l = 0; l < levels; ++l) {
+      if (!still[l] || nest.trips[l] <= 2) continue;
+      if (nest.extra.empty()) nest.extra.assign(levels, 0);
+      nest.extra[l] = static_cast<uint64_t>(nest.trips[l]) - 2;
+      nest.trips[l] = 2;
+    }
+  }
+  return nests;
+}
+
+}  // namespace internal
+
 std::vector<uint32_t> addresses_of(const core::ModelReference& ref,
                                    uint64_t limit) {
   std::vector<uint32_t> out;

@@ -2,8 +2,9 @@
 //
 // Replays a model reference's (emitted) loop nest in lexicographic order
 // and produces the exact address sequence its affine function describes.
-// The cache simulator consumes these streams; tests use them to check
-// that an extracted model reproduces the simulator-observed addresses.
+// The cache comparison consumes a model's stream folded
+// (for_each_address_folded); tests use the streams to check that an
+// extracted model reproduces the simulator-observed addresses.
 //
 // The visitors are templates: the callback is a deduced functor invoked
 // directly inside the odometer sweep, so a lambda over CacheSim::access
@@ -39,17 +40,35 @@ inline std::vector<uint64_t> odometer_steps(
   return step;
 }
 
-/// Odometer sweep over one nest (`trips` outermost-first) shared by
-/// addr.size() references. Per iteration, innermost loop fastest, each
-/// reference emits fn(its address) in order; between iterations every
-/// address moves by its step for the loop that advanced (steps[L * refs
-/// + r]) instead of being re-evaluated. Returns the iteration count.
-template <class Fn>
-uint64_t sweep(const std::vector<int64_t>& trips, std::vector<uint64_t> addr,
-               const std::vector<uint64_t>& steps, Fn&& fn) {
+/// One loop nest walked by refs = addr.size() references, interleaved.
+struct Nest {
+  std::vector<int64_t> trips;  ///< walked trips, outermost first
+  std::vector<uint64_t> addr;  ///< each reference's first address
+  std::vector<uint64_t> steps;  ///< steps[L * refs + r]: odometer_steps
+  /// Per level, how many more times the consumer books the level's second
+  /// walked iteration (its trip was cut to 2); empty or 0: no fold.
+  std::vector<uint64_t> extra;
+};
+
+/// The nests of `model`: references grouped by emitted nest (loop path
+/// and trips) in order of first appearance. With `fold`, each level of
+/// trip t > 2 whose coefficient is 0 for every reference of its nest is
+/// walked twice and carries extra t - 2.
+std::vector<Nest> model_nests(const core::ForayModel& model, bool fold);
+
+/// Odometer sweep over one nest. Per iteration, innermost loop fastest,
+/// each reference emits fn(its address) in order; between iterations
+/// every address moves by its step for the loop that advanced instead of
+/// being re-evaluated. At a folded level, mark() comes right before its
+/// second walked iteration and repeat(extra) right after it. Returns the
+/// iteration count walked.
+template <class Fn, class Mark, class Repeat>
+uint64_t sweep(const Nest& nest, Fn&& fn, Mark&& mark, Repeat&& repeat) {
+  const std::vector<int64_t>& trips = nest.trips;
   for (int64_t t : trips) {
     if (t <= 0) return 0;
   }
+  std::vector<uint64_t> addr = nest.addr;
   const size_t n = trips.size();
   const size_t refs = addr.size();
   const auto emit = [&] {
@@ -59,26 +78,41 @@ uint64_t sweep(const std::vector<int64_t>& trips, std::vector<uint64_t> addr,
     emit();
     return 1;
   }
+  const auto extra = [&nest](size_t l) -> uint64_t {
+    return nest.extra.empty() ? 0 : nest.extra[l];
+  };
   const int64_t inner_trip = trips[n - 1];
-  const uint64_t* inner = &steps[(n - 1) * refs];
+  const uint64_t inner_extra = extra(n - 1);
+  const uint64_t* inner = &nest.steps[(n - 1) * refs];
   std::vector<int64_t> it(n - 1, 0);
   uint64_t count = 0;
   for (;;) {
-    for (int64_t k = 1;; ++k) {
+    if (inner_extra != 0) {
+      // A folded innermost level moves no address: emit, emit again.
       emit();
-      if (k == inner_trip) break;
-      for (size_t r = 0; r < refs; ++r) addr[r] += inner[r];
+      mark();
+      emit();
+      repeat(inner_extra);
+    } else {
+      for (int64_t k = 1;; ++k) {
+        emit();
+        if (k == inner_trip) break;
+        for (size_t r = 0; r < refs; ++r) addr[r] += inner[r];
+      }
     }
     count += static_cast<uint64_t>(inner_trip);
-    // Carry into the innermost outer loop that has iterations left.
+    // Carry into the innermost outer loop that has iterations left,
+    // closing the second walk of every folded level carried out of.
     size_t i = n - 1;
     for (;;) {
       if (i == 0) return count;
       --i;
       if (++it[i] < trips[i]) break;
       it[i] = 0;
+      if (const uint64_t e = extra(i); e != 0) repeat(e);
     }
-    const uint64_t* step = &steps[i * refs];
+    if (it[i] == 1 && extra(i) != 0) mark();
+    const uint64_t* step = &nest.steps[i * refs];
     for (size_t r = 0; r < refs; ++r) addr[r] += step[r];
   }
 }
@@ -90,56 +124,48 @@ uint64_t sweep(const std::vector<int64_t>& trips, std::vector<uint64_t> addr,
 /// produced (product of emitted trips).
 template <class Fn>
 uint64_t for_each_address(const core::ModelReference& ref, Fn&& fn) {
-  const std::vector<int64_t> trips = ref.emitted_trips();
-  return internal::sweep(
-      trips, {static_cast<uint64_t>(ref.fn.const_term)},
-      internal::odometer_steps(trips, ref.emitted_coefs()), fn);
+  internal::Nest nest;
+  nest.trips = ref.emitted_trips();
+  nest.addr = {static_cast<uint64_t>(ref.fn.const_term)};
+  nest.steps = internal::odometer_steps(nest.trips, ref.emitted_coefs());
+  return internal::sweep(nest, fn, [] {}, [](uint64_t) {});
 }
 
 /// Interleaved stream over all references of a model that share a nest:
 /// per innermost iteration, each reference of the group emits one
-/// address, mirroring how the emitted program executes. Returns the
-/// total accesses produced.
+/// address, mirroring how the emitted program executes. Nests follow one
+/// another in order of first appearance. Returns the total accesses
+/// produced.
 template <class Fn>
 uint64_t for_each_address(const core::ForayModel& model, Fn&& fn) {
-  // Group references by emitted nest, then sweep each group once with
-  // all its references interleaved per iteration.
-  struct Group {
-    std::vector<int> path;
-    std::vector<int64_t> trips;
-    std::vector<size_t> refs;
-  };
-  std::vector<Group> groups;
-  for (size_t i = 0; i < model.refs.size(); ++i) {
-    auto path = model.refs[i].emitted_loop_path();
-    auto trips = model.refs[i].emitted_trips();
-    bool placed = false;
-    for (auto& g : groups) {
-      if (g.path == path && g.trips == trips) {
-        g.refs.push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) groups.push_back(Group{std::move(path), trips, {i}});
-  }
-
   uint64_t total = 0;
-  for (const auto& g : groups) {
-    const size_t refs = g.refs.size();
-    std::vector<uint64_t> addr(refs);
-    std::vector<uint64_t> steps(g.trips.size() * refs);
-    for (size_t r = 0; r < refs; ++r) {
-      const core::ModelReference& ref = model.refs[g.refs[r]];
-      addr[r] = static_cast<uint64_t>(ref.fn.const_term);
-      const std::vector<uint64_t> own =
-          internal::odometer_steps(g.trips, ref.emitted_coefs());
-      for (size_t l = 0; l < own.size(); ++l) steps[l * refs + r] = own[l];
-    }
-    total += static_cast<uint64_t>(refs) *
-             internal::sweep(g.trips, std::move(addr), steps, fn);
+  for (const internal::Nest& nest : internal::model_nests(model, false)) {
+    total += nest.addr.size() *
+             internal::sweep(nest, fn, [] {}, [](uint64_t) {});
   }
   return total;
+}
+
+/// for_each_address(model, fn) with every repeated iteration folded.
+///
+/// Take one iteration X of a loop level that moves no reference of its
+/// nest (every coefficient 0) and has trip t > 2: all t runs of X emit the
+/// same addresses. This walk runs X twice, calling mark() before the
+/// second run and repeat(t - 2) after it, and skips the other t - 2 runs;
+/// the consumer books what it saw between the two calls t - 2 more times.
+/// Folds nest: a folded level inside X folds within each run of X, so
+/// marks and repeats pair up like brackets. For an LRU cache the booking
+/// is exact (spm/cache_sim.h): from its second run on, X hits and misses
+/// the same way every time and leaves the cache as it found it. Returns
+/// the number of addresses walked, not the full stream's.
+template <class Fn, class Mark, class Repeat>
+uint64_t for_each_address_folded(const core::ForayModel& model, Fn&& fn,
+                                 Mark&& mark, Repeat&& repeat) {
+  uint64_t walked = 0;
+  for (const internal::Nest& nest : internal::model_nests(model, true)) {
+    walked += nest.addr.size() * internal::sweep(nest, fn, mark, repeat);
+  }
+  return walked;
 }
 
 /// Materializes the (possibly large) stream of one reference.

@@ -56,6 +56,18 @@ double cache_energy_nj(const CacheConfig& cfg, uint64_t hits,
 /// from the fewest sets to the most and stop at the first where is_mru
 /// holds: that cache and every finer one hit and keep their tables, and
 /// credit_hits books those hits in bulk.
+///
+/// Repeated runs reach a fixed point (the same stack-distance argument):
+/// a run of an access sequence X leaves each set holding the blocks X
+/// touched there, most recently used first, then the blocks it held
+/// before that X did not touch, in their old order, cut to the number of
+/// ways. Run X twice in a row: the second run starts from that state and
+/// leaves it again, since the blocks X does not touch are the same ones.
+/// So a third run, and any after, starts from the state the second run
+/// started from, hits and misses exactly like the second and changes
+/// nothing. A caller that knows X repeats t times can simulate two runs
+/// and book the second's hits and misses t - 2 more times with
+/// credit_hits and credit_misses (spm::for_each_address_folded).
 class CacheSim {
  public:
   explicit CacheSim(const CacheConfig& cfg);
@@ -96,6 +108,9 @@ class CacheSim {
 
   /// Books `n` hits that is_mru proved without simulating them.
   void credit_hits(uint64_t n) { hits_ += n; }
+  /// Books `n` misses of accesses known to repeat ones already simulated
+  /// (the fixed point above), without simulating them.
+  void credit_misses(uint64_t n) { misses_ += n; }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }

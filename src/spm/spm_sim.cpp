@@ -2,8 +2,6 @@
 
 #include <set>
 
-#include "spm/address_stream.h"
-
 namespace foray::spm {
 
 EnergyReport evaluate_baseline(const core::ForayModel& model,
@@ -42,15 +40,6 @@ EnergyReport evaluate_selection(const core::ForayModel& model,
                static_cast<double>(r.dram_accesses) * dram_nj +
                static_cast<double>(r.transfer_words) * (dram_nj + spm_nj);
   return r;
-}
-
-uint64_t replay_spm_accesses(const core::ForayModel& model,
-                             const Selection& selection) {
-  uint64_t n = 0;
-  for (const auto& c : selection.chosen) {
-    n += for_each_address(model.refs[c.ref_index], [](uint32_t) {});
-  }
-  return n;
 }
 
 }  // namespace foray::spm

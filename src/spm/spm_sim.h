@@ -2,12 +2,8 @@
 //
 // Given a buffer selection, computes the resulting memory traffic and
 // energy: selected references hit the SPM (plus their fill traffic),
-// everything else goes to main memory. An address-level validation mode
-// replays the model's streams and double-checks the analytic counters.
+// everything else goes to main memory.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "foray/model.h"
 #include "spm/dse.h"
@@ -25,11 +21,5 @@ EnergyReport evaluate_selection(const core::ForayModel& model,
 /// The trivial configuration: no SPM at all.
 EnergyReport evaluate_baseline(const core::ForayModel& model,
                                const EnergyModel& energy);
-
-/// Address-level recomputation of the SPM access count for a selection
-/// (replays the emitted nests; used by tests to validate the analytic
-/// path).
-uint64_t replay_spm_accesses(const core::ForayModel& model,
-                             const Selection& selection);
 
 }  // namespace foray::spm

@@ -18,7 +18,7 @@ constexpr const char* kKnownSites[] = {
     "trace.chunk.corrupt",  // a persisted trace chunk reads back corrupt
     "sim.slow",             // the simulated program stalls (param: ms/flush)
     "sweep.sink.io",        // the NDJSON sink write fails (EIO/ENOSPC)
-    "spm.solve",            // Phase II solver dies mid-solve-group
+    "spm.solve",            // Phase II solver dies mid-solve-group (keyed)
 };
 
 struct SiteState {
@@ -119,6 +119,20 @@ Hit hit(std::string_view site) {
   }
   if (st.remaining == 0) return Hit{};
   if (st.remaining > 0) --st.remaining;
+  return Hit{true, st.param};
+}
+
+Hit hit_at(std::string_view site, uint64_t ordinal) {
+  if (!enabled()) return Hit{};
+  const int idx = site_index(site);
+  FORAY_CHECK(idx >= 0, "unregistered fault site '" + std::string(site) + "'");
+  std::lock_guard<std::mutex> lock(g_mutex);
+  const SiteState& st = g_sites[idx];
+  if (!st.armed || ordinal < st.skip) return Hit{};
+  if (st.remaining >= 0 &&
+      ordinal - st.skip >= static_cast<uint64_t>(st.remaining)) {
+    return Hit{};
+  }
   return Hit{true, st.param};
 }
 

@@ -19,6 +19,20 @@
 // write and nothing else. Unknown site names are configuration errors —
 // a typo must not silently inject nothing.
 //
+// Most sites count hits in arrival order, which is deterministic only
+// while one thread reaches them in a fixed order. "sim.slow" is
+// consulted at every budget check of every simulated program, so when
+// several workers simulate at once, which check takes a trigger depends
+// on scheduling: it is deterministic at one thread only. A keyed site
+// is consulted with hit_at() and the ordinal of its event in an order
+// the caller fixes, so skip and count name the same events at any
+// thread count. "spm.solve" is keyed by the solve group's grid
+// position: its ordinal counts a sweep's solve groups job-major, then
+// by capacity, then by energy index — the order a one-thread sweep
+// solves them. Groups that never solve (their job failed Phase I, or
+// the resume journal holds all their points) keep their ordinals. Each
+// sweep counts from 0, and so does each request of a server.
+//
 // Sites are consulted at chunk/solve frequency, never per record or per
 // instruction, so arming a fault does not change hot-loop codegen.
 #pragma once
@@ -48,6 +62,13 @@ bool enabled();
 Hit hit(std::string_view site);
 
 inline bool should_fail(std::string_view site) { return hit(site).fired; }
+
+/// Consults a keyed site for the event numbered `ordinal`: fires when
+/// skip <= ordinal < skip + count (ordinal >= skip when count is
+/// unlimited). Consumes nothing, so the answer depends on the ordinal
+/// alone, never on which thread asks first. Thread-safe. FORAY_CHECKs
+/// that `site` names a registered site.
+Hit hit_at(std::string_view site, uint64_t ordinal);
 
 /// Every registered site name, in a stable order — the fault-injection
 /// test iterates this to prove each site has coverage.

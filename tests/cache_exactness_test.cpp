@@ -10,17 +10,22 @@
 // spm::CacheSim (recency-ordered ways, shift/mask indexing) and the
 // incremental spm::for_each_address must agree with them access for
 // access over the benchsuite, generated programs and hand-built edge
-// cases, and core::simulate_caches — many cells in one pass — must report
-// the counts the oracle does for each cell alone.
+// cases, and core::simulate_caches — many cells in one pass over the
+// folded stream — must report the counts the oracle does for each cell
+// alone over the full one. The benchsuite sweep's counts are also held
+// to tests/golden/cache_counts.txt.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "benchsuite/generator.h"
 #include "benchsuite/suite.h"
+#include "driver/sweep.h"
 #include "foray/pipeline.h"
 #include "spm/address_stream.h"
 #include "spm/cache_sim.h"
@@ -150,6 +155,29 @@ std::vector<uint32_t> stream_of(const core::ForayModel& model,
   return out;
 }
 
+/// The full stream rebuilt from spm::for_each_address_folded: each
+/// repeat(n) appends what was emitted since its mark n more times.
+/// `walked` receives the walk's own count.
+std::vector<uint32_t> unfolded_stream(const core::ForayModel& model,
+                                      uint64_t* walked) {
+  std::vector<uint32_t> out;
+  std::vector<size_t> marks;
+  *walked = for_each_address_folded(
+      model, [&](uint32_t a) { out.push_back(a); },
+      [&] { marks.push_back(out.size()); },
+      [&](uint64_t n) {
+        const std::vector<uint32_t> twice(
+            out.begin() + static_cast<std::ptrdiff_t>(marks.back()),
+            out.end());
+        marks.pop_back();
+        for (uint64_t i = 0; i < n; ++i) {
+          out.insert(out.end(), twice.begin(), twice.end());
+        }
+      });
+  EXPECT_TRUE(marks.empty());
+  return out;
+}
+
 const std::vector<uint32_t> kLines = {1, 4, 32, 64};
 const std::vector<int> kWays = {1, 2, 3, 4, 8, 16};
 const std::vector<uint32_t> kSets = {1, 16, 128};
@@ -199,12 +227,16 @@ void expect_cells_exact(const core::ForayModel& model,
   }
 }
 
-/// The stream itself, then expect_cells_exact over all_cells().
+/// The stream itself, unfolded and folded, then expect_cells_exact over
+/// all_cells().
 void expect_model_exact(const core::ForayModel& model) {
   const std::vector<uint32_t> direct = direct_stream(model);
   uint64_t count = 0;
   ASSERT_EQ(stream_of(model, &count), direct);
   ASSERT_EQ(count, direct.size());
+  uint64_t walked = 0;
+  ASSERT_EQ(unfolded_stream(model, &walked), direct);
+  EXPECT_LE(walked, count);
   expect_cells_exact(model, all_cells());
 }
 
@@ -450,6 +482,155 @@ TEST(StreamExactness, EdgeShapesMatchDirectEvaluation) {
   EXPECT_EQ(count, got.size());
   EXPECT_NE(std::find(got.begin(), got.end(), 0xFFFFFFFCu), got.end());
   expect_model_exact(model);
+}
+
+// -- the folded walk ------------------------------------------------------------
+
+/// Nests whose loop levels move no reference (coefficient 0): outermost,
+/// in the middle, innermost, two adjacent and two apart, at trips 1, 2, 3
+/// and 200, one nest of two references folding together, and one whose
+/// still reference shares a level with a moving one, which must not fold.
+/// Each nest's paths are its own, so nests never merge, and they share
+/// sets, so each nest starts from the state the one before it left.
+core::ForayModel fold_model(std::vector<uint64_t>* walked_per_nest) {
+  core::ForayModel model;
+  std::vector<uint64_t>& w = *walked_per_nest;
+  // Outermost: 200 runs of 6 rows of 64 B, 512 B apart.
+  model.refs.push_back(ref_of(0x1000, {0, 512, 4}, {200, 6, 16}, 3));
+  w.push_back(2 * 6 * 16);
+  // Middle.
+  model.refs.push_back(ref_of(0x1100, {256, 0, 4}, {4, 7, 9}, 3, {10, 11, 12}));
+  w.push_back(4 * 2 * 9);
+  // Innermost: every address twice in a row, then t - 2 more times.
+  model.refs.push_back(ref_of(0x1040, {64, 4, 0}, {5, 6, 3}, 3, {20, 21, 22}));
+  w.push_back(5 * 6 * 2);
+  // Two adjacent still levels, the inner one of trip 200.
+  model.refs.push_back(ref_of(0x1000, {0, 0, 4}, {3, 200, 8}, 3, {30, 31, 32}));
+  w.push_back(2 * 2 * 8);
+  // Two still levels with a moving one between them.
+  model.refs.push_back(
+      ref_of(0x1200, {0, 32, 0, 4}, {3, 4, 5, 6}, 4, {40, 41, 42, 43}));
+  w.push_back(2 * 4 * 2 * 6);
+  // Trips 1 and 2 walk whole; 3 and 200 fold to 2.
+  const int64_t still_trips[] = {1, 2, 3, 200};
+  for (int k = 0; k < 4; ++k) {
+    model.refs.push_back(ref_of(0x1000 + 0x300 * k, {0, 8}, {still_trips[k], 16},
+                                2, {50 + 2 * k, 51 + 2 * k}));
+    w.push_back(static_cast<uint64_t>(std::min<int64_t>(still_trips[k], 2)) *
+                16);
+  }
+  // Two references of one nest, both still at level 0.
+  model.refs.push_back(ref_of(0x1000, {0, 4}, {50, 40}, 2, {60, 61}));
+  model.refs.push_back(ref_of(0x1800, {0, 64}, {50, 40}, 2, {60, 61}));
+  w.push_back(2 * 2 * 40);
+  // Level 0 moves the second reference: nothing folds.
+  model.refs.push_back(ref_of(0x1000, {0, 4}, {50, 12}, 2, {70, 71}));
+  model.refs.push_back(ref_of(0x1800, {16, 4}, {50, 12}, 2, {70, 71}));
+  w.push_back(2 * 50 * 12);
+  return model;
+}
+
+TEST(FoldedWalk, EveryFoldShapeMatchesTheOracle) {
+  std::vector<uint64_t> walked_per_nest;
+  const core::ForayModel model = fold_model(&walked_per_nest);
+  uint64_t expect_walked = 0;
+  for (uint64_t w : walked_per_nest) expect_walked += w;
+  uint64_t walked = 0;
+  const std::vector<uint32_t> full = unfolded_stream(model, &walked);
+  EXPECT_EQ(walked, expect_walked);
+  EXPECT_EQ(full.size(), 6 * 16 * 200 + 4 * 7 * 9 + 5 * 6 * 3 + 3 * 200 * 8 +
+                             3 * 4 * 5 * 6 + (1 + 2 + 3 + 200) * 16 +
+                             2 * 50 * 40 + 2 * 50 * 12);
+  expect_model_exact(model);
+  // Each nest alone, so its first run starts from cold caches.
+  size_t r = 0;
+  for (size_t n = 0; n < walked_per_nest.size(); ++n) {
+    SCOPED_TRACE(n);
+    core::ForayModel alone;
+    alone.refs.push_back(model.refs[r++]);
+    while (r < model.refs.size() &&
+           model.refs[r].loop_path == alone.refs[0].loop_path) {
+      alone.refs.push_back(model.refs[r++]);
+    }
+    uint64_t got = 0;
+    EXPECT_EQ(unfolded_stream(alone, &got), direct_stream(alone));
+    EXPECT_EQ(got, walked_per_nest[n]);
+    expect_cells_exact(alone, all_cells());
+  }
+}
+
+TEST(FoldedWalk, ChainsOfEveryLineSizeAndSplitPassesShareTheFold) {
+  std::vector<uint64_t> unused;
+  const core::ForayModel model = fold_model(&unused);
+  // 16, 32 and 64 B chains in one pass, several set counts each.
+  expect_cells_exact(model, {{512, 16, {1, 2}},
+                             {2048, 32, {2}},
+                             {64, 64, {1}},
+                             {256, 16, {16}},
+                             {8192, 64, {2, 4}},
+                             {128, 32, {4}},
+                             {1024, 32, {1, 8}},
+                             {4096, 16, {4}}});
+  // kMaxCacheLines-line caches split the cells into several passes.
+  const uint32_t max32 = static_cast<uint32_t>(kMaxCacheLines) * 32;
+  expect_cells_exact(model, {{256, 16, {2}},
+                             {max32, 32, {1}},
+                             {1024, 64, {2}},
+                             {max32 / 2, 32, {2}},
+                             {2048, 32, {4}},
+                             {max32, 32, {4}},
+                             {128, 16, {1}}});
+}
+
+TEST(FoldedWalk, FftWalksAFewThousandOfItsAddresses) {
+  const core::PipelineResult res =
+      core::run_pipeline(benchsuite::get_benchmark("fft").source);
+  ASSERT_TRUE(res.ok()) << res.error();
+  const uint64_t full = for_each_address(res.model, [](uint32_t) {});
+  const uint64_t walked = for_each_address_folded(
+      res.model, [](uint32_t) {}, [] {}, [](uint64_t) {});
+  EXPECT_EQ(full, 473792u);
+  EXPECT_LE(walked, 5000u);
+}
+
+// -- the benchsuite's counts against the golden --------------------------------
+
+TEST(CacheGolden, BenchsuiteSweepMatchesTheGolden) {
+  // The grid of `foraygen sweep --no-cache --capacity-sweep ...
+  // --cache-sweep ...` that CI projects onto the same golden: one line
+  // per point, its caches' counts or its error.
+  driver::SweepOptions o;
+  o.threads = 2;
+  ASSERT_TRUE(o.spec
+                  .parse_axis("capacity",
+                              "256,512,1000,1024,2048,3072,4096,8192,16384,"
+                              "32768,65536")
+                  .ok());
+  ASSERT_TRUE(
+      o.spec.parse_axis("cache", "16x1,32x2,64x4,32x3,8x8,128x1").ok());
+  const driver::SweepReport report =
+      driver::SweepDriver(o).run(driver::SweepDriver::benchsuite_jobs());
+  std::string got;
+  for (const driver::SweepItem& item : report.items) {
+    got += item.program + " " + std::to_string(item.point.capacity_bytes) +
+           " " + item.point.cache.label + ":";
+    if (!item.status.ok()) {
+      got += " " + item.status.message() + "\n";
+      continue;
+    }
+    for (const core::SpmReport::CacheComparison& c : item.spm.caches) {
+      got += " " + std::to_string(c.assoc) + "-way " +
+             std::to_string(c.hits) + " hits " + std::to_string(c.misses) +
+             " misses";
+    }
+    got += "\n";
+  }
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
+                   "/tests/golden/cache_counts.txt");
+  ASSERT_TRUE(in) << "tests/golden/cache_counts.txt";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(got, golden.str());
 }
 
 }  // namespace

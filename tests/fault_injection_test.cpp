@@ -5,6 +5,7 @@
 // `--resume` completes to output byte-identical to an unfaulted run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -226,12 +227,15 @@ TEST_F(FaultInjectionTest, SpmSolveInternalFaultIsIsolatedToOnePoint) {
   for (const char* spec : {"spm.solve:count=1", "spm.solve:count=1:param=1"}) {
     ASSERT_TRUE(util::fault::configure(spec).ok());
     driver::SweepReport report = sweep.run(jobs());
-    // count=1: the trigger was consumed by exactly one solve.
-    EXPECT_FALSE(util::fault::hit("spm.solve").fired) << spec;
+    // Keyed by solve group: count=1 names group 0 and no other, and
+    // asking does not consume it.
+    EXPECT_TRUE(util::fault::hit_at("spm.solve", 0).fired) << spec;
+    EXPECT_FALSE(util::fault::hit_at("spm.solve", 1).fired) << spec;
     util::fault::reset();
 
-    // 2 jobs × 2 capacities. The fault hit exactly one solve — that point
-    // carries the internal class, every other point is clean.
+    // 2 jobs × 2 capacities. The fault hit exactly one solve, the first
+    // group's — that point carries the internal class, every other point
+    // is clean.
     ASSERT_EQ(report.items.size(), 4u) << spec;
     int failed = 0;
     for (const auto& item : report.items) {
@@ -239,9 +243,60 @@ TEST_F(FaultInjectionTest, SpmSolveInternalFaultIsIsolatedToOnePoint) {
       ++failed;
       EXPECT_EQ(item.status.code(), util::ErrorCode::kInternal)
           << spec << ": " << item.status.message();
+      EXPECT_EQ(item.program, "alpha") << spec;
+      EXPECT_EQ(item.point.capacity_bytes, 1024u) << spec;
     }
     EXPECT_EQ(failed, 1) << spec;
   }
+}
+
+TEST_F(FaultInjectionTest, KeyedTriggersNameOrdinalsNotArrivals) {
+  ASSERT_TRUE(util::fault::configure("spm.solve:skip=2:count=3:param=4").ok());
+  for (uint64_t ordinal : {9u, 4u, 0u, 2u, 5u, 3u, 1u, 4u}) {
+    const util::fault::Hit h = util::fault::hit_at("spm.solve", ordinal);
+    EXPECT_EQ(h.fired, ordinal >= 2 && ordinal < 5) << ordinal;
+    if (h.fired) {
+      EXPECT_EQ(h.param, 4u);
+    }
+  }
+  ASSERT_TRUE(util::fault::configure("spm.solve:skip=1").ok());
+  EXPECT_FALSE(util::fault::hit_at("spm.solve", 0).fired);
+  EXPECT_TRUE(util::fault::hit_at("spm.solve", 1000000).fired);
+  ASSERT_TRUE(util::fault::configure("spm.solve:count=0").ok());
+  EXPECT_FALSE(util::fault::hit_at("spm.solve", 0).fired);
+}
+
+TEST_F(FaultInjectionTest, SpmSolveFaultIsTheSameGroupAtAnyThreadCount) {
+  // `foraygen sweep --capacity-sweep 1024,4096 --fault spm.solve:count=1`
+  // over the benchsuite: 12 solve groups finishing in whatever order the
+  // workers reach them, one of them faulted. The NDJSON is one byte
+  // string at 1 and 4 threads, run after run.
+  ASSERT_TRUE(util::fault::configure("spm.solve:count=1").ok());
+  std::string first;
+  for (int threads : {1, 4, 1, 4, 4, 4}) {
+    driver::SweepOptions o;
+    o.threads = threads;
+    ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096").ok());
+    std::ostringstream out;
+    const util::Status st = driver::SweepDriver(o).run_ndjson(
+        driver::SweepDriver::benchsuite_jobs(), out);
+    EXPECT_EQ(st.code(), util::ErrorCode::kInternal) << threads;
+    if (first.empty()) first = out.str();
+    EXPECT_EQ(out.str(), first) << threads << " threads";
+  }
+  // Header, 6 x (2 points + a frontier), the aggregate frontier; one
+  // point failed: the first group's, jpeg's at 1024 B.
+  EXPECT_EQ(std::count(first.begin(), first.end(), '\n'), 20);
+  const size_t bad = first.find("\"ok\":false");
+  ASSERT_NE(bad, std::string::npos);
+  EXPECT_EQ(first.find("\"ok\":false", bad + 1), std::string::npos);
+  const size_t row = first.rfind('\n', bad) + 1;
+  const std::string head =
+      "{\"kind\":\"point\",\"program\":\"jpeg\",\"key\":{\"job\":0,"
+      "\"capacity\":0,\"energy\":0,";
+  EXPECT_EQ(first.compare(row, head.size(), head), 0)
+      << first.substr(row, head.size());
+  EXPECT_NE(first.find("injected Phase II solver failure"), std::string::npos);
 }
 
 TEST_F(FaultInjectionTest, SinkIoFaultLeavesAResumableJournal) {
