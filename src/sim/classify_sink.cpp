@@ -46,12 +46,29 @@ ClassifyingSink::ClassifyingSink(std::vector<Region> regions, int num_buffers)
   }
 }
 
-ClassifyingSink::Tally* ClassifyingSink::tally_in(Frame* f, int buffer) {
-  for (Tally& t : f->tallies) {
-    if (t.buffer == buffer) return &t;
+ClassifyingSink::Tally* ClassifyingSink::innermost_tally(int buffer) {
+  for (size_t i = stack_.back().first; i < tallies_.size(); ++i) {
+    if (tallies_[i].buffer == buffer) return &tallies_[i];
   }
-  f->tallies.push_back(Tally{buffer, 0, 0, 0, 0});
-  return &f->tallies.back();
+  tallies_.push_back(Tally{buffer, 0, 0, 0, 0});
+  return &tallies_.back();
+}
+
+const ClassifyingSink::Region* ClassifyingSink::region_of(uint32_t addr) {
+  // Consecutive accesses mostly stay in one array: try the last hit first.
+  if (last_hit_ < regions_.size() &&
+      addr - regions_[last_hit_].base < regions_[last_hit_].size) {
+    return &regions_[last_hit_];
+  }
+  // Last region with base <= addr, then a range check.
+  auto it = std::upper_bound(
+      regions_.begin(), regions_.end(), addr,
+      [](uint32_t a, const Region& reg) { return a < reg.base; });
+  if (it == regions_.begin()) return nullptr;
+  --it;
+  if (addr - it->base >= it->size) return nullptr;
+  last_hit_ = static_cast<size_t>(it - regions_.begin());
+  return &*it;
 }
 
 void ClassifyingSink::classify(const trace::Record& r) {
@@ -59,15 +76,15 @@ void ClassifyingSink::classify(const trace::Record& r) {
     case trace::RecordType::Checkpoint:
       switch (r.cp()) {
         case trace::CheckpointType::LoopEnter:
-          stack_.push_back(Frame{r.loop_id(), {}});
+          stack_.push_back(
+              Frame{r.loop_id(), static_cast<uint32_t>(tallies_.size())});
           break;
         case trace::CheckpointType::LoopExit:
           // Unwinding (break / return) can exit several loops with one
           // record each; pop down to the matching frame.
           while (!stack_.empty()) {
             const bool match = stack_.back().loop_id == r.loop_id();
-            classify_frame(stack_.back());
-            stack_.pop_back();
+            pop_frame();
             if (match) break;
           }
           break;
@@ -84,20 +101,12 @@ void ClassifyingSink::classify(const trace::Record& r) {
   }
   if (r.kind() != trace::AccessKind::Data) return;
 
-  // Region lookup: last region with base <= addr, then a range check.
-  const uint32_t addr = r.addr();
-  auto it = std::upper_bound(
-      regions_.begin(), regions_.end(), addr,
-      [](uint32_t a, const Region& reg) { return a < reg.base; });
-  if (it == regions_.begin()) {
+  const Region* hit = region_of(r.addr());
+  if (hit == nullptr) {
     ++unclassified_;
     return;
   }
-  const Region& reg = *std::prev(it);
-  if (addr - reg.base >= reg.size) {
-    ++unclassified_;
-    return;
-  }
+  const Region& reg = *hit;
   if (reg.buffer < 0) {
     ++unpaired_main_;
     return;
@@ -111,7 +120,7 @@ void ClassifyingSink::classify(const trace::Record& r) {
     (reg.is_spm ? b.spm_accesses : b.main_accesses) += 1;
     return;
   }
-  Tally* t = tally_in(&stack_.back(), reg.buffer);
+  Tally* t = innermost_tally(reg.buffer);
   if (reg.is_spm) {
     (r.is_write() ? t->spm_writes : t->spm_reads) += 1;
   } else {
@@ -143,17 +152,17 @@ void ClassifyingSink::account(const Tally& t) {
   b.main_accesses += main;
 }
 
-void ClassifyingSink::classify_frame(const Frame& f) {
-  for (const Tally& t : f.tallies) account(t);
+void ClassifyingSink::pop_frame() {
+  const size_t first = stack_.back().first;
+  for (size_t i = first; i < tallies_.size(); ++i) account(tallies_[i]);
+  tallies_.resize(first);
+  stack_.pop_back();
 }
 
 void ClassifyingSink::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  while (!stack_.empty()) {
-    classify_frame(stack_.back());
-    stack_.pop_back();
-  }
+  while (!stack_.empty()) pop_frame();
 }
 
 uint64_t ClassifyingSink::total_spm_accesses() {

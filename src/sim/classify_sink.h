@@ -13,12 +13,17 @@
 //    locks the map against real trace addresses from both engines.
 //
 //  - ClassifyingSink: a trace::Sink that buckets Data accesses by region
-//    and segments transfer events using the loop checkpoints the
-//    annotator already emits. A fill loop executes as one innermost loop
-//    instance whose body does nothing but `spm[_] = main[_]` byte copies,
-//    so a loop instance whose per-buffer tally is exactly "N main reads +
-//    N spm writes" is one fill event of N bytes (and symmetrically for
-//    write-back). Everything else is program traffic.
+//    and segments transfer events using the LoopEnter/LoopExit
+//    checkpoints the annotator already emits. A fill loop executes as one
+//    innermost loop instance whose body does nothing but `spm[_] =
+//    main[_]` byte copies, so a loop instance whose per-buffer tally is
+//    exactly "N main reads + N spm writes" is one fill event of N bytes
+//    (and symmetrically for write-back). Everything else is program
+//    traffic. It reads nothing else, so it classifies the replay view
+//    (sim::RunOptions::replay_view: those checkpoints and the Data
+//    accesses) exactly as it does a full trace. It allocates nothing per
+//    loop instance: open instances keep their tallies on one shared
+//    stack. The region lookup tries the last region hit first.
 #pragma once
 
 #include <cstdint>
@@ -96,20 +101,29 @@ class ClassifyingSink final : public trace::Sink {
     uint64_t main_reads = 0, main_writes = 0;
     uint64_t spm_reads = 0, spm_writes = 0;
   };
-  /// One dynamic loop execution (LoopEnter .. LoopExit).
+  /// One dynamic loop execution (LoopEnter .. LoopExit). Its tallies are
+  /// tallies_[first, end) while it is the innermost frame: an outer
+  /// frame collects nothing while an inner one is open.
   struct Frame {
     int32_t loop_id = 0;
-    std::vector<Tally> tallies;  ///< few buffers per loop; linear scan
+    uint32_t first = 0;
   };
 
   void classify(const trace::Record& r);
-  Tally* tally_in(Frame* f, int buffer);
+  /// The region holding `addr`, or null when it falls in none.
+  const Region* region_of(uint32_t addr);
+  Tally* innermost_tally(int buffer);
   void account(const Tally& t);
-  void classify_frame(const Frame& f);
+  /// Accounts the innermost frame's tallies and drops the frame.
+  void pop_frame();
 
   std::vector<Region> regions_;  ///< sorted by base
+  size_t last_hit_ = 0;          ///< region_of's last answer
   std::vector<BufferCounters> buffers_;
   std::vector<Frame> stack_;
+  /// Every open frame's tallies, outermost first; few buffers per loop,
+  /// so a frame's are found by linear scan.
+  std::vector<Tally> tallies_;
   uint64_t unpaired_main_ = 0;
   uint64_t unclassified_ = 0;
   bool finalized_ = false;

@@ -315,11 +315,16 @@ class TraceEmitter {
   }
 
   /// BodyEnd changes no iterator, so the eliding pass skips it like a
-  /// Scalar access (RunOptions::elide_below_bases).
+  /// Scalar access (RunOptions::elide_below_bases). The replay view keeps
+  /// LoopEnter/LoopExit only: body checkpoints are outside it.
   FORAY_ALWAYS_INLINE void emit_checkpoint(trace::CheckpointType t,
                                            int loop_id) {
     if (loop_id < 0) return;
-    if (elide_ && t == trace::CheckpointType::BodyEnd) return skip();
+    if (t == trace::CheckpointType::BodyBegin ||
+        t == trace::CheckpointType::BodyEnd) {
+      if (replay_view_) return;
+      if (elide_ && t == trace::CheckpointType::BodyEnd) return skip();
+    }
     push(trace::Record::checkpoint(t, loop_id));
   }
 

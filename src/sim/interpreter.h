@@ -21,8 +21,9 @@
 // site could have reached the Nloc locations Step 4 keeps, and stops the
 // run as soon as it cannot. BodyEnd checkpoints, which change no loop
 // iterator, are elided with them. The transform replay's run sees
-// checkpoints and Data accesses only (RunOptions::replay_view). Traces
-// and the census (foray/pipeline.h) always carry every record.
+// LoopEnter/LoopExit checkpoints and Data accesses only
+// (RunOptions::replay_view). Traces and the census (foray/pipeline.h)
+// always carry every record.
 #pragma once
 
 #include <cstdint>
@@ -65,11 +66,13 @@ struct RunOptions {
   /// degenerates to record-at-a-time delivery (the throughput-bench
   /// baseline); values above a few thousand stop paying for themselves.
   size_t chunk_records = trace::kDefaultChunkRecords;
-  /// The transform replay's view (spm/replay.h): loop checkpoints and
-  /// Data accesses only. Scalar and System accesses and Call/Ret records
-  /// are dropped before the sink and do not count against the record
-  /// budget; the accesses still count in RunResult::accesses. false (the
-  /// default) traces every record.
+  /// The transform replay's view (spm/replay.h): LoopEnter/LoopExit
+  /// checkpoints and Data accesses only, so a run's view holds two
+  /// records per loop instance plus its Data accesses. Scalar and System
+  /// accesses, Call/Ret records and BodyBegin/BodyEnd checkpoints are
+  /// dropped before the sink and do not count against the record budget;
+  /// the accesses still count in RunResult::accesses. false (the default)
+  /// traces every record.
   bool replay_view = false;
   /// Scalar elision, for the fused Phase I pass. When nonzero, Scalar
   /// accesses, Call/Ret records and BodyEnd checkpoints never reach the

@@ -42,6 +42,37 @@ void check_eq(std::vector<std::string>* mismatches, const std::string& what,
 
 }  // namespace
 
+std::vector<sim::ClassifyingSink::Region> replay_regions(
+    const core::ForayModel& model, const Selection& selection,
+    const minic::Program& prog) {
+  // Address map: every emitted array, with each selected reference's
+  // main array paired to its spm_* buffer.
+  auto names = core::assign_array_names(model);
+  std::map<std::string, int> buffer_of;  // main/spm array name -> pair id
+  std::map<std::string, bool> is_spm;
+  for (size_t b = 0; b < selection.chosen.size(); ++b) {
+    const size_t ri = selection.chosen[b].ref_index;
+    FORAY_CHECK(ri < names.size(), "selection references unknown ref");
+    buffer_of[names[ri]] = static_cast<int>(b);
+    is_spm[names[ri]] = false;
+    buffer_of[spm_buffer_name(names[ri])] = static_cast<int>(b);
+    is_spm[spm_buffer_name(names[ri])] = true;
+  }
+  std::vector<sim::ClassifyingSink::Region> regions;
+  for (const auto& g : sim::global_regions(prog)) {
+    sim::ClassifyingSink::Region r;
+    r.base = g.base;
+    r.size = g.size;
+    auto it = buffer_of.find(g.name);
+    if (it != buffer_of.end()) {
+      r.buffer = it->second;
+      r.is_spm = is_spm[g.name];
+    }
+    regions.push_back(r);
+  }
+  return regions;
+}
+
 ReplayReport replay_selection(const core::ForayModel& model,
                               const Selection& selection,
                               const ReplayOptions& opts) {
@@ -58,33 +89,7 @@ ReplayReport replay_selection(const core::ForayModel& model,
   }
   instrument::annotate_loops(prog.get());
 
-  // Address map: every emitted array, with each selected reference's
-  // main array paired to its spm_* buffer.
-  auto names = core::assign_array_names(model);
-  std::map<std::string, int> buffer_of;  // main/spm array name -> pair id
-  std::map<std::string, bool> is_spm;
-  for (size_t b = 0; b < selection.chosen.size(); ++b) {
-    const size_t ri = selection.chosen[b].ref_index;
-    FORAY_CHECK(ri < names.size(), "selection references unknown ref");
-    buffer_of[names[ri]] = static_cast<int>(b);
-    is_spm[names[ri]] = false;
-    buffer_of[spm_buffer_name(names[ri])] = static_cast<int>(b);
-    is_spm[spm_buffer_name(names[ri])] = true;
-  }
-  std::vector<sim::ClassifyingSink::Region> regions;
-  for (const auto& g : sim::global_regions(*prog)) {
-    sim::ClassifyingSink::Region r;
-    r.base = g.base;
-    r.size = g.size;
-    auto it = buffer_of.find(g.name);
-    if (it != buffer_of.end()) {
-      r.buffer = it->second;
-      r.is_spm = is_spm[g.name];
-    }
-    regions.push_back(r);
-  }
-
-  sim::ClassifyingSink sink(std::move(regions),
+  sim::ClassifyingSink sink(replay_regions(model, selection, *prog),
                             static_cast<int>(selection.chosen.size()));
   sim::RunOptions ropts = opts.run;
   ropts.replay_view = true;

@@ -22,7 +22,12 @@
 // bit-exact, always. When the model is rectangular (exec counts already
 // equal the trip products, true for most kernels), those are verbatim
 // the evaluate_selection counters the DSE and the cache comparison used,
-// and ReplayReport::rectangular says so.
+// and ReplayReport::rectangular says so. The run delivers only what the
+// lock reads (sim::RunOptions::replay_view): each loop instance's
+// LoopEnter and LoopExit, for segmenting transfer events, and the Data
+// accesses, for classifying them. So the materialized program's view is
+// two records per loop instance plus one per Data access, and a record
+// budget in ReplayOptions::run counts exactly those.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +35,8 @@
 #include <vector>
 
 #include "foray/model.h"
+#include "minic/ast.h"
+#include "sim/classify_sink.h"
 #include "sim/interpreter.h"
 #include "spm/dse.h"
 #include "spm/energy.h"
@@ -41,7 +48,8 @@ struct ReplayOptions {
   /// Simulator knobs for executing the transformed program; engine
   /// selection is honored, and the run always uses
   /// RunOptions::replay_view: the classifying sink segments transfer
-  /// events with the checkpoints and classifies only Data accesses.
+  /// events with the LoopEnter/LoopExit checkpoints and classifies only
+  /// Data accesses.
   sim::RunOptions run;
   /// Energy parameters for the analytic evaluation (only the capacity
   /// and energy model matter; the DP granule is unused here).
@@ -109,6 +117,14 @@ struct ReplayReport {
            mismatches.empty();
   }
 };
+
+/// The classifying sink's address map for `prog`, the transformed
+/// program of `selection`: every global, each selected reference's main
+/// array paired with its SPM buffer under the reference's position in
+/// selection.chosen.
+std::vector<sim::ClassifyingSink::Region> replay_regions(
+    const core::ForayModel& model, const Selection& selection,
+    const minic::Program& prog);
 
 /// Emits the transformed program for `selection`, executes it, and
 /// returns the full simulated-vs-analytic ledger.

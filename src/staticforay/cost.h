@@ -15,9 +15,11 @@
 // lower bounds hold for runs that complete without faulting. Records are
 // counted as the record budget counts them, the elided ones of the fused
 // pass included; only sim::RunOptions::replay_view, which the transform
-// replay sets on its own generated program, counts fewer. That is
-// exactly the reading serve admission needs ("this request cannot finish
-// inside its record budget").
+// replay sets on its own generated program, counts fewer (its loop entry
+// and exit checkpoints and Data accesses, no Scalar or System access,
+// Call/Ret or body checkpoint), so these bounds stay upper bounds there.
+// That is exactly the reading serve admission needs ("this request
+// cannot finish inside its record budget").
 #pragma once
 
 #include <cstdint>

@@ -147,6 +147,52 @@ TEST(Budget, RecordBudgetCountsOnlyTheReplayView) {
               util::ErrorCode::kResourceExhausted)
         << tripped.result.status.message();
   }
+
+  // Loop-heavy with few Data accesses: the view keeps each loop
+  // instance's LoopEnter and LoopExit but no body checkpoint, so its
+  // records, and all the budget counts, are 2 x loop instances + Data
+  // accesses, while 916 body checkpoints run the full trace past it.
+  const char* loops =
+      "int a[8];\n"
+      "int main(void) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < 50; i++)\n"
+      "    for (int j = 0; j < 8; j++) s = s + j;\n"
+      "  for (int i = 0; i < 8; i++) a[i] = s;\n"
+      "  return 0;\n"
+      "}\n";
+  constexpr size_t kLoopInstances = 1 + 50 + 1;
+  constexpr size_t kDataAccesses = 8;
+  constexpr size_t kViewRecords = 2 * kLoopInstances + kDataAccesses;
+  for (Engine engine : kEngines) {
+    RunOptions view;
+    view.engine = engine;
+    view.replay_view = true;
+    view.chunk_records = 64;
+    const Capture free_run = run_src(loops, view);
+    ASSERT_TRUE(free_run.result.ok()) << free_run.result.error();
+    EXPECT_EQ(free_run.records, kViewRecords);
+
+    view.budget.max_records = kViewRecords + 1;
+    const Capture budgeted = run_src(loops, view);
+    EXPECT_TRUE(budgeted.result.ok()) << budgeted.result.error();
+    EXPECT_EQ(budgeted.records, kViewRecords);
+
+    // The view's own records still trip a budget below them.
+    view.budget.max_records = kViewRecords / 2;
+    const Capture short_view = run_src(loops, view);
+    EXPECT_EQ(short_view.result.status.code(),
+              util::ErrorCode::kResourceExhausted)
+        << short_view.result.status.message();
+
+    RunOptions full = view;
+    full.replay_view = false;
+    full.budget.max_records = kViewRecords + 1;
+    const Capture tripped = run_src(loops, full);
+    EXPECT_EQ(tripped.result.status.code(),
+              util::ErrorCode::kResourceExhausted)
+        << tripped.result.status.message();
+  }
 }
 
 TEST(Budget, DeadlineTripsOnBothEngines) {

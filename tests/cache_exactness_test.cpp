@@ -13,7 +13,8 @@
 // cases, and core::simulate_caches — many cells in one pass over the
 // folded stream — must report the counts the oracle does for each cell
 // alone over the full one. The benchsuite sweep's counts are also held
-// to tests/golden/cache_counts.txt.
+// to tests/golden/cache_counts.txt, and its transform-replay grid to
+// tests/golden/replay_sweeps.ndjson.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -631,6 +632,29 @@ TEST(CacheGolden, BenchsuiteSweepMatchesTheGolden) {
   std::ostringstream golden;
   golden << in.rdbuf();
   EXPECT_EQ(got, golden.str());
+}
+
+TEST(ReplayGolden, BenchsuiteReplaySweepMatchesTheGolden) {
+  // `foraygen sweep --capacity-sweep 1024,4096,16384 --replay --no-cache
+  // --ndjson`, byte for byte, at 1 and 4 threads: every point's replay
+  // check, the grid CI's transform-replay leg compares with the same
+  // golden.
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
+                   "/tests/golden/replay_sweeps.ndjson");
+  ASSERT_TRUE(in) << "tests/golden/replay_sweeps.ndjson";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  for (int threads : {1, 4}) {
+    driver::SweepOptions o;
+    o.threads = threads;
+    ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096,16384").ok());
+    ASSERT_TRUE(o.spec.parse_axis("replay", "on").ok());
+    std::ostringstream got;
+    ASSERT_TRUE(driver::SweepDriver(o)
+                    .run_ndjson(driver::SweepDriver::benchsuite_jobs(), got)
+                    .ok());
+    EXPECT_EQ(got.str(), golden.str()) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -377,30 +377,64 @@ TEST(InterpTrace, ScalarKindForDirectVariables) {
 }
 
 TEST(InterpTrace, ReplayViewKeepsCheckpointsAndDataOnly) {
-  RunOptions opts;
-  opts.replay_view = true;
-  RunCapture r = run_src("int a[4];\nint f(int v) { return v + 1; }\n"
-                         "int main(void) { int x = 0; "
-                         "for (int i = 0; i < 4; i++) x += f(a[i]); "
-                         "printf(\"%d\\n\", x); return x; }",
-                         opts);
-  ASSERT_TRUE(r.result.ok());
-  size_t data = 0;
-  size_t checkpoints = 0;
-  for (const auto& rec : r.records) {
-    if (rec.type() == RecordType::Access) {
-      EXPECT_EQ(rec.kind(), AccessKind::Data);
-      ++data;
-    } else if (rec.type() == RecordType::Checkpoint) {
-      ++checkpoints;
-    } else {
-      ADD_FAILURE() << "call/ret record in the replay view";
+  // One outer loop instance and three inner ones: the view holds their
+  // LoopEnter/LoopExit records and the 12 Data reads of `a`, nothing else.
+  const char* src =
+      "int a[4];\nint f(int v) { return v + 1; }\n"
+      "int main(void) { int x = 0; "
+      "for (int j = 0; j < 3; j++) "
+      "for (int i = 0; i < 4; i++) x += f(a[i]); "
+      "printf(\"%d\\n\", x); return x; }";
+  for (Engine engine : {Engine::Ast, Engine::Bytecode}) {
+    SCOPED_TRACE(engine == Engine::Ast ? "ast" : "bytecode");
+    RunOptions opts;
+    opts.engine = engine;
+    opts.replay_view = true;
+    RunCapture view = run_src(src, opts);
+    ASSERT_TRUE(view.result.ok());
+    size_t data = 0;
+    size_t enters = 0;
+    size_t exits = 0;
+    for (const auto& rec : view.records) {
+      if (rec.type() == RecordType::Access) {
+        EXPECT_EQ(rec.kind(), AccessKind::Data);
+        ++data;
+      } else if (rec.type() == RecordType::Checkpoint) {
+        if (rec.cp() == CheckpointType::LoopEnter) {
+          ++enters;
+        } else if (rec.cp() == CheckpointType::LoopExit) {
+          ++exits;
+        } else {
+          ADD_FAILURE() << "body checkpoint in the replay view";
+        }
+      } else {
+        ADD_FAILURE() << "call/ret record in the replay view";
+      }
     }
+    EXPECT_EQ(data, 12u);
+    EXPECT_EQ(enters, 4u);
+    EXPECT_EQ(exits, 4u);
+    EXPECT_EQ(view.records.size(), 2 * 4u + data);
+    // The dropped accesses still count.
+    EXPECT_GT(view.result.accesses, data);
+
+    // The view is the full trace with everything else filtered out.
+    opts.replay_view = false;
+    const RunCapture full = run_src(src, opts);
+    ASSERT_TRUE(full.result.ok());
+    EXPECT_EQ(full.result.accesses, view.result.accesses);
+    std::vector<Record> kept;
+    for (const auto& rec : full.records) {
+      const bool bound =
+          rec.type() == RecordType::Checkpoint &&
+          (rec.cp() == CheckpointType::LoopEnter ||
+           rec.cp() == CheckpointType::LoopExit);
+      const bool data_access = rec.type() == RecordType::Access &&
+                               rec.kind() == AccessKind::Data;
+      if (bound || data_access) kept.push_back(rec);
+    }
+    EXPECT_TRUE(kept == view.records);
   }
-  EXPECT_EQ(data, 4u);
-  EXPECT_GT(checkpoints, 0u);
-  // The dropped accesses still count.
-  EXPECT_GT(r.result.accesses, data);
 }
 
 TEST(InterpTrace, BreakEmitsLoopExit) {

@@ -379,6 +379,188 @@ TEST(TransformReplay, ClassifyingSinkFlagsStrayAndOpenTraffic) {
   }
 }
 
+// One LoopExit that unwinds several frames (a `break` or `return` out of
+// a nest) accounts each frame's tallies once, innermost first, and
+// leaves the enclosing frame's own tallies to its own exit.
+TEST(TransformReplay, ClassifyingSinkUnwindsSeveralFramesAtOneExit) {
+  using trace::CheckpointType;
+  using trace::Record;
+  sim::ClassifyingSink sink(
+      {{0x1000, 0x40, 0, false}, {0x2000, 0x10, 0, true}}, 1);
+  const Record records[] = {
+      Record::checkpoint(CheckpointType::LoopEnter, 1),
+      Record::access(1, 0x1000, 4, false),  // loop 1: program read
+      Record::checkpoint(CheckpointType::LoopEnter, 7),
+      Record::access(1, 0x2000, 4, true),   // loop 7: program write
+      Record::checkpoint(CheckpointType::LoopEnter, 8),
+      // Loop 8: a 3-byte write-back, SPM -> main.
+      Record::access(2, 0x2004, 1, false),
+      Record::access(3, 0x1004, 1, true),
+      Record::access(2, 0x2005, 1, false),
+      Record::access(3, 0x1005, 1, true),
+      Record::access(2, 0x2006, 1, false),
+      Record::access(3, 0x1006, 1, true),
+      Record::checkpoint(CheckpointType::LoopEnter, 9),
+      Record::access(1, 0x2008, 4, false),  // loop 9: program read
+      // Leaves loops 9, 8 and 7 at once.
+      Record::checkpoint(CheckpointType::LoopExit, 7),
+      Record::access(1, 0x1008, 4, true),   // loop 1 again
+      Record::checkpoint(CheckpointType::LoopEnter, 10),
+      // Loop 10: a 1-byte fill, main -> SPM.
+      Record::access(2, 0x1000, 1, false),
+      Record::access(3, 0x2000, 1, true),
+      Record::checkpoint(CheckpointType::LoopExit, 10),
+      Record::checkpoint(CheckpointType::LoopExit, 1),
+  };
+  sink.on_chunk(records, std::size(records));
+  for (int pass = 0; pass < 2; ++pass) {
+    const sim::ClassifyingSink::BufferCounters& b = sink.buffers()[0];
+    EXPECT_EQ(b.spm_accesses, 2u) << pass;
+    EXPECT_EQ(b.main_accesses, 2u) << pass;
+    EXPECT_EQ(b.writeback_events, 1u) << pass;
+    EXPECT_EQ(b.writeback_bytes, 3u) << pass;
+    EXPECT_EQ(b.fill_events, 1u) << pass;
+    EXPECT_EQ(b.fill_bytes, 1u) << pass;
+    EXPECT_EQ(b.transfer_words, 2u) << pass;
+    EXPECT_EQ(sink.unclassified_accesses(), 0u) << pass;
+  }
+}
+
+// A program that faults mid-loop leaves frames open at every depth;
+// finalize() accounts each of them exactly once, on both engines and
+// whether the sink is fed the replay view or the full trace.
+TEST(TransformReplay, ClassifyingSinkFinalizesAFaultedRunOnce) {
+  const char* source =
+      "char m[8];\n"
+      "char s[8];\n"
+      "int main(void) {\n"
+      "  int x = 0;\n"
+      "  int z = 0;\n"
+      "  for (int k = 0; k < 2; k++) {\n"
+      "    m[0] = 1;\n"
+      "    for (int i = 0; i < 8; i++) s[i] = m[i];\n"
+      "    for (int j = 0; j < 8; j++) {\n"
+      "      x = x + s[j];\n"
+      "      if (j == 3) x = x / z;\n"
+      "    }\n"
+      "  }\n"
+      "  return x;\n"
+      "}\n";
+  util::DiagList diags;
+  auto prog = minic::parse_and_check(source, &diags);
+  ASSERT_NE(prog, nullptr) << diags.str();
+  instrument::annotate_loops(prog.get());
+  const auto globals = sim::global_regions(*prog);
+  ASSERT_EQ(globals.size(), 2u);
+  for (sim::Engine engine : kEngines) {
+    for (bool view : {true, false}) {
+      SCOPED_TRACE(std::string(engine_name(engine)) +
+                   (view ? " view" : " full"));
+      sim::ClassifyingSink sink({{globals[0].base, globals[0].size, 0, false},
+                                 {globals[1].base, globals[1].size, 0, true}},
+                                1);
+      sim::RunOptions ropts;
+      ropts.engine = engine;
+      ropts.replay_view = view;
+      const sim::RunResult run = sim::run_program(*prog, &sink, ropts);
+      ASSERT_FALSE(run.ok());
+      for (int pass = 0; pass < 2; ++pass) {
+        const sim::ClassifyingSink::BufferCounters& b = sink.buffers()[0];
+        // Loop k's `m[0] = 1`, loop i's 8-byte fill, and loop j's four
+        // reads of `s` before the division faults.
+        EXPECT_EQ(b.main_accesses, 1u) << pass;
+        EXPECT_EQ(b.fill_events, 1u) << pass;
+        EXPECT_EQ(b.fill_bytes, 8u) << pass;
+        EXPECT_EQ(b.transfer_words, 2u) << pass;
+        EXPECT_EQ(b.spm_accesses, 4u) << pass;
+        EXPECT_EQ(b.writeback_events, 0u) << pass;
+        EXPECT_EQ(sink.total_spm_accesses(), 4u) << pass;
+        EXPECT_EQ(sink.total_main_accesses(), 1u) << pass;
+      }
+    }
+  }
+}
+
+// The region lookup remembers its last hit: with no regions at all, in a
+// gap between two regions, and straight after a hit next to the gap,
+// an access is unclassified and reads no region it should not.
+TEST(TransformReplay, ClassifyingSinkLookupMissesGapsAndEmptyMaps) {
+  using trace::Record;
+  sim::ClassifyingSink empty({}, 0);
+  const Record stray[] = {Record::access(1, 0x0, 4, false),
+                          Record::access(1, 0x1000, 4, true),
+                          Record::access(1, 0xfffffffc, 4, false)};
+  empty.on_chunk(stray, std::size(stray));
+  EXPECT_EQ(empty.unclassified_accesses(), 3u);
+  EXPECT_EQ(empty.total_main_accesses(), 0u);
+  EXPECT_TRUE(empty.buffers().empty());
+
+  // Unpaired main [0x1000, 0x1010), a gap, then [0x1020, 0x1030); and a
+  // zero-sized region at 0x1018 that holds no address.
+  sim::ClassifyingSink sink({{0x1000, 0x10, -1, false},
+                             {0x1018, 0x0, -1, false},
+                             {0x1020, 0x10, -1, false}},
+                            0);
+  const Record records[] = {
+      Record::access(1, 0x100c, 4, false),  // first region
+      Record::access(1, 0x1010, 4, false),  // gap, right after it
+      Record::access(1, 0x1018, 4, false),  // the zero-sized region
+      Record::access(1, 0x101c, 4, false),  // gap, right before the next
+      Record::access(1, 0x1020, 4, false),  // second region
+      Record::access(1, 0x1030, 4, false),  // past the last region
+      Record::access(1, 0x1000, 4, false),  // first region again
+      Record::access(1, 0x0fff, 1, false),  // below the first region
+  };
+  sink.on_chunk(records, std::size(records));
+  EXPECT_EQ(sink.unclassified_accesses(), 5u);
+  EXPECT_EQ(sink.total_main_accesses(), 3u);
+}
+
+// The classifier reads loop entries, loop exits and Data accesses only:
+// fed the full trace of a transformed benchsuite program or its replay
+// view, it gives the same counters.
+TEST(TransformReplay, FullTraceAndReplayViewClassifyAlike) {
+  for (const auto& bench : benchsuite::all_benchmarks()) {
+    SCOPED_TRACE(bench.name);
+    const core::PipelineOptions opts;
+    const auto res = core::run_pipeline(bench.source, opts);
+    ASSERT_TRUE(res.ok()) << res.error();
+    core::SpmPhaseOptions sopts = opts.spm;
+    sopts.dse.spm_capacity = 4096;
+    const Selection sel = core::solve_spm(res.model, sopts).exact;
+    util::DiagList diags;
+    auto prog =
+        minic::parse_and_check(emit_transformed(res.model, sel), &diags);
+    ASSERT_NE(prog, nullptr) << diags.str();
+    instrument::annotate_loops(prog.get());
+    const int pairs = static_cast<int>(sel.chosen.size());
+    sim::ClassifyingSink full(replay_regions(res.model, sel, *prog), pairs);
+    sim::ClassifyingSink view(replay_regions(res.model, sel, *prog), pairs);
+    sim::RunOptions ropts = opts.run;
+    ASSERT_TRUE(sim::run_program(*prog, &full, ropts).ok());
+    ropts.replay_view = true;
+    ASSERT_TRUE(sim::run_program(*prog, &view, ropts).ok());
+
+    EXPECT_EQ(full.unclassified_accesses(), view.unclassified_accesses());
+    EXPECT_EQ(full.total_spm_accesses(), view.total_spm_accesses());
+    EXPECT_EQ(full.total_main_accesses(), view.total_main_accesses());
+    EXPECT_EQ(full.total_transfer_words(), view.total_transfer_words());
+    ASSERT_EQ(full.buffers().size(), sel.chosen.size());
+    ASSERT_EQ(view.buffers().size(), sel.chosen.size());
+    for (size_t b = 0; b < sel.chosen.size(); ++b) {
+      const auto& f = full.buffers()[b];
+      const auto& v = view.buffers()[b];
+      EXPECT_EQ(f.spm_accesses, v.spm_accesses) << b;
+      EXPECT_EQ(f.main_accesses, v.main_accesses) << b;
+      EXPECT_EQ(f.fill_events, v.fill_events) << b;
+      EXPECT_EQ(f.fill_bytes, v.fill_bytes) << b;
+      EXPECT_EQ(f.writeback_events, v.writeback_events) << b;
+      EXPECT_EQ(f.writeback_bytes, v.writeback_bytes) << b;
+      EXPECT_EQ(f.transfer_words, v.transfer_words) << b;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Regression pins for the sliding-window emission. The benchsuite
 // selections only exercise read-side sliding; these pin the write-back

@@ -2,7 +2,6 @@
 //
 // Usage:
 //   foraygen <command> <program.mc> [options]
-//   foraygen batch [options]
 //   foraygen sweep [program.mc] [options]
 //   foraygen lint [program.mc] [options]
 //   foraygen serve [options]
@@ -24,8 +23,6 @@
 //              geometry × algorithm × replay) over the benchsuite, or
 //              over one program when a path is given; prints a table and
 //              Pareto frontiers, or streams NDJSON with --ndjson
-//   batch      alias of `sweep` over the whole benchsuite (no program
-//              argument); same options, output and exit codes
 //   lint       sound static check (staticforay/checker.h): interval-
 //              domain diagnostics (use-before-init, provable
 //              out-of-bounds, provable div-by-zero, unreachable code,
@@ -175,7 +172,6 @@ int usage() {
       "[--spec FILE] [--ndjson PATH|-] [--resume JOURNAL] [--lint-first] "
       "[--engine ast|bytecode] [--nexec N] [--nloc N] [--seed S] "
       "[--replay]\n"
-      "       foraygen batch [sweep options]   (sweep over the benchsuite)\n"
       "       foraygen lint [program.mc] [--json PATH|-]\n"
       "       foraygen serve [--threads N] [--max-points N] "
       "[--static-admission] "
@@ -480,11 +476,7 @@ int cmd_lint(const std::vector<driver::SweepJob>& jobs,
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  // `command` is what the user typed (error messages name it); `batch`
-  // runs as `sweep` without a program argument.
-  const std::string typed = argv[1];
-  const bool batch = typed == "batch";
-  const std::string command = batch ? "sweep" : typed;
+  const std::string command = argv[1];
   const bool known_command =
       command == "model" || command == "emit" || command == "annotate" ||
       command == "trace" || command == "stats" || command == "hints" ||
@@ -492,13 +484,13 @@ int main(int argc, char** argv) {
       command == "sweep" || command == "lint" || command == "serve";
   if (!known_command) {
     usage();
-    return option_error("unknown command '" + typed + "'");
+    return option_error("unknown command '" + command + "'");
   }
-  // batch and serve have no program argument; sweep's and lint's are
-  // optional (default: the whole benchsuite).
+  // serve takes no program argument; sweep's and lint's are optional
+  // (default: the whole benchsuite).
   const bool optional_path = command == "sweep" || command == "lint";
   const bool takes_path =
-      !batch && command != "serve" &&
+      command != "serve" &&
       !(optional_path && (argc < 3 || util::starts_with(argv[2], "--")));
   if (takes_path && !optional_path && argc < 3) return usage();
   const std::string path = takes_path ? argv[2] : "";
@@ -523,12 +515,12 @@ int main(int argc, char** argv) {
       return option_error(
           "unexpected argument '" + arg +
           (takes_path ? "' after the program path"
-                      : "' (command '" + typed +
+                      : "' (command '" + command +
                             "' takes no program argument)"));
     }
     if (!flag_applies(command, arg)) {
       return option_error("option '" + arg +
-                          "' does not apply to command '" + typed + "'");
+                          "' does not apply to command '" + command + "'");
     }
     auto next_value = [&](const char** out) {
       if (i + 1 >= argc) return false;
