@@ -82,7 +82,8 @@ int main() {
     // Offline cost: the binary encoding of the whole trace.
     ByteCounter encoded;
     std::ostream trace_out(&encoded);
-    trace::write_binary(trace_out, trace_file.records());
+    trace::write_binary(trace_out, trace_file.records().data(),
+                        trace_file.size());
     const double trace_mb = static_cast<double>(encoded.bytes()) / 1e6;
     const double state_kb =
         static_cast<double>(online.extractor->state_bytes()) / 1e3;

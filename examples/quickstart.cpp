@@ -87,9 +87,9 @@ int main() {
     return 1;
   }
   instrument::annotate_loops(model_prog.get());
-  trace::CountingSink counter;
-  sim::RunResult model_run = sim::run_program(*model_prog, &counter);
-  std::printf("model executed: ok=%d, %llu trace records\n", model_run.ok(),
-              static_cast<unsigned long long>(counter.total()));
+  trace::VectorSink model_trace;
+  sim::RunResult model_run = sim::run_program(*model_prog, &model_trace);
+  std::printf("model executed: ok=%d, %zu trace records\n", model_run.ok(),
+              model_trace.size());
   return model_run.ok() && run.ok() ? 0 : 1;
 }

@@ -39,8 +39,15 @@ int main() {
   std::printf("Phase II: %zu buffer candidates from reuse analysis\n",
               cands.size());
   for (size_t i = 0; i < cands.size() && i < 8; ++i) {
-    std::printf("  %s\n",
-                spm::describe_candidate(cands[i], res.model).c_str());
+    const spm::BufferCandidate& c = cands[i];
+    std::printf(
+        "  buf[ref=%s level=%d size=%lluB accesses=%llu xfer=%lluw "
+        "reuse=%g%s]\n",
+        util::to_hex(res.model.refs[c.ref_index].instr).c_str(), c.level,
+        static_cast<unsigned long long>(c.size_bytes),
+        static_cast<unsigned long long>(c.spm_accesses),
+        static_cast<unsigned long long>(c.transfer_words), c.reuse_factor(),
+        c.sliding_window ? " sliding" : "");
   }
 
   // Phase II step 3: design-space exploration across SPM sizes.

@@ -268,11 +268,7 @@ void done_row(std::ostream& out, const RequestTag& tag,
   w.key("kind").value("done");
   tag.write(w);
   w.key("ok").value(st.ok());
-  if (!st.ok()) {
-    w.key("error_class").value(st.code_name());
-    w.key("phase").value(st.phase());
-    w.key("error").value(st.message());
-  }
+  if (!st.ok()) util::write_error_fields(w, st);
   w.end_object();
   out << w.take() << '\n';
 }

@@ -29,17 +29,6 @@ namespace foray::driver {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
-                        s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 util::Status axis_error(std::string message) {
   // A bad axis spec is the user's input, not a library bug.
   return util::Status::failure(util::ErrorCode::kInvalidInput, "sweep-spec",
@@ -78,7 +67,7 @@ util::Status SweepSpec::parse_axis(std::string_view axis,
   if (axis == "capacity") {
     capacities.clear();
     for (auto tok : util::split(values, ',')) {
-      tok = trim(tok);
+      tok = util::trim(tok);
       uint32_t cap = 0;
       if (!parse_u32(tok, &cap)) {
         return axis_error("bad capacity '" + std::string(tok) +
@@ -92,7 +81,7 @@ util::Status SweepSpec::parse_axis(std::string_view axis,
   if (axis == "energy") {
     energy_models.clear();
     for (auto tok : util::split(values, ',')) {
-      tok = trim(tok);
+      tok = util::trim(tok);
       EnergyAxisValue v;
       v.name = std::string(tok);
       std::string err;
@@ -107,7 +96,7 @@ util::Status SweepSpec::parse_axis(std::string_view axis,
   if (axis == "cache") {
     caches.clear();
     for (auto tok : util::split(values, ',')) {
-      tok = trim(tok);
+      tok = util::trim(tok);
       CacheAxisValue v;
       if (tok == "off") {
         caches.push_back(std::move(v));  // defaults are the off value
@@ -143,7 +132,7 @@ util::Status SweepSpec::parse_axis(std::string_view axis,
   if (axis == "algorithm") {
     algorithms.clear();
     for (auto tok : util::split(values, ',')) {
-      tok = trim(tok);
+      tok = util::trim(tok);
       if (tok == "dp" || tok == "exact") {
         algorithms.push_back(Algorithm::kExactDp);
       } else if (tok == "greedy") {
@@ -159,7 +148,7 @@ util::Status SweepSpec::parse_axis(std::string_view axis,
   if (axis == "replay") {
     replays.clear();
     for (auto tok : util::split(values, ',')) {
-      tok = trim(tok);
+      tok = util::trim(tok);
       if (tok == "on" || tok == "true") {
         replays.push_back(true);
       } else if (tok == "off" || tok == "false") {
@@ -182,7 +171,7 @@ util::Status SweepSpec::parse_file(std::string_view text) {
     ++line_no;
     const size_t hash = line.find('#');
     if (hash != std::string_view::npos) line = line.substr(0, hash);
-    line = trim(line);
+    line = util::trim(line);
     if (line.empty()) continue;
     const size_t eq = line.find('=');
     if (eq == std::string_view::npos) {
@@ -190,8 +179,8 @@ util::Status SweepSpec::parse_file(std::string_view text) {
           util::ErrorCode::kInvalidInput, "sweep-spec", line_no,
           "expected axis = value,... in '" + std::string(line) + "'");
     }
-    const std::string_view key = trim(line.substr(0, eq));
-    const std::string_view values = trim(line.substr(eq + 1));
+    const std::string_view key = util::trim(line.substr(0, eq));
+    const std::string_view values = util::trim(line.substr(eq + 1));
     util::Status st = parse_axis(key, values);
     if (!st.ok()) {
       return util::Status::failure(st.code(), "sweep-spec", line_no,
@@ -610,9 +599,7 @@ std::string lint_line(const std::string& program, const util::Status& st) {
   w.key("kind").value("lint");
   w.key("program").value(program);
   w.key("ok").value(false);
-  w.key("error_class").value(st.code_name());
-  w.key("phase").value(st.phase());
-  w.key("error").value(st.message());
+  util::write_error_fields(w, st);
   w.end_object();
   return w.take();
 }
@@ -676,12 +663,7 @@ std::string point_line(const SweepItem& item) {
   w.key("replay").value(item.point.replay);
   w.key("ok").value(item.status.ok());
   if (!item.status.ok()) {
-    // Structured error row: the class and phase are what a consumer
-    // (retry policy, service dashboard, --resume) keys on; the message
-    // stays free-form.
-    w.key("error_class").value(item.status.code_name());
-    w.key("phase").value(item.status.phase());
-    w.key("error").value(item.status.message());
+    util::write_error_fields(w, item.status);
     w.end_object();
     return w.take();
   }
@@ -1229,7 +1211,7 @@ util::Status SweepDriver::parse_resume(std::string_view journal,
   for (size_t li = 0; li < lines.size(); ++li) {
     const std::string_view line = lines[li];
     ++line_no;
-    if (trim(line).empty()) continue;
+    if (util::trim(line).empty()) continue;
     util::JsonValue v;
     std::string err;
     if (!util::parse_json(line, &v, &err)) {
@@ -1237,7 +1219,7 @@ util::Status SweepDriver::parse_resume(std::string_view journal,
       // a crash or sink failure; anything torn *before* the end is a
       // corrupt journal, not a checkpoint.
       if (li + 1 >= lines.size() ||
-          (li + 2 == lines.size() && trim(lines[li + 1]).empty())) {
+          (li + 2 == lines.size() && util::trim(lines[li + 1]).empty())) {
         break;
       }
       return bad(line_no, "corrupt journal line: " + err);

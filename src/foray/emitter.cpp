@@ -1,7 +1,6 @@
 #include "foray/emitter.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <unordered_map>
 
@@ -64,34 +63,23 @@ std::string index_expr(int64_t base, const std::vector<int64_t>& coefs,
   return os.str();
 }
 
-struct NestGroup {
-  std::vector<int> path;
-  std::vector<int64_t> trips;
-  std::vector<size_t> ref_indices;
-};
+}  // namespace
 
-std::vector<NestGroup> group_refs(const ForayModel& model) {
+std::vector<NestGroup> group_by_nest(const ForayModel& model) {
   std::vector<NestGroup> groups;
-  std::map<std::pair<std::vector<int>, std::vector<int64_t>>, size_t> index;
   for (size_t i = 0; i < model.refs.size(); ++i) {
-    const auto& r = model.refs[i];
-    NestGroup g;
-    g.path = r.emitted_loop_path();
-    g.trips = r.emitted_trips();
-    auto key = std::make_pair(g.path, g.trips);
-    auto it = index.find(key);
-    if (it == index.end()) {
-      g.ref_indices.push_back(i);
-      index[key] = groups.size();
-      groups.push_back(std::move(g));
-    } else {
-      groups[it->second].ref_indices.push_back(i);
+    std::vector<int> path = model.refs[i].emitted_loop_path();
+    std::vector<int64_t> trips = model.refs[i].emitted_trips();
+    auto g = std::find_if(groups.begin(), groups.end(), [&](const auto& n) {
+      return n.path == path && n.trips == trips;
+    });
+    if (g == groups.end()) {
+      g = groups.insert(g, NestGroup{std::move(path), std::move(trips), {}});
     }
+    g->refs.push_back(i);
   }
   return groups;
 }
-
-}  // namespace
 
 std::vector<std::string> assign_array_names(const ForayModel& model) {
   std::vector<std::string> names;
@@ -147,8 +135,7 @@ std::string emit_minic(const ForayModel& model) {
   os << "int foray_acc;\n\n";
   os << "int main(void) {\n";
 
-  auto groups = group_refs(model);
-  for (const auto& g : groups) {
+  for (const NestGroup& g : group_by_nest(model)) {
     int level = 1;
     auto indent = [&]() { return std::string(static_cast<size_t>(level) * 2,
                                              ' '); };
@@ -163,7 +150,7 @@ std::string emit_minic(const ForayModel& model) {
       os << indent() << "{\n";
       ++level;
     }
-    for (size_t idx : g.ref_indices) {
+    for (size_t idx : g.refs) {
       const auto& r = model.refs[idx];
       std::string expr = index_expr(bases[idx], r.emitted_coefs(), g.path);
       if (r.has_write) {

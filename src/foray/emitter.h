@@ -22,9 +22,23 @@ namespace foray::core {
 /// in additional dynamic contexts).
 std::vector<std::string> assign_array_names(const ForayModel& model);
 
-/// References sharing a loop nest (loop path and trip counts) are
-/// emitted in one nest, and each array declaration follows a comment
-/// with its reference's provenance (describe_reference).
+/// References that share an emitted loop nest: the same emitted loop
+/// path and trip counts.
+struct NestGroup {
+  std::vector<int> path;       ///< emitted loop path, outermost first
+  std::vector<int64_t> trips;  ///< emitted trips, outermost first
+  std::vector<size_t> refs;    ///< indices into ForayModel::refs, in order
+};
+
+/// The model's nests in order of first appearance. emit_minic() writes
+/// one loop nest per group, its references interleaved per iteration in
+/// this order; the cache comparison's address stream
+/// (spm/address_stream.h) walks the groups the same way.
+std::vector<NestGroup> group_by_nest(const ForayModel& model);
+
+/// Each nest of group_by_nest() is emitted as one loop nest, and each
+/// array declaration follows a comment with its reference's provenance
+/// (describe_reference).
 std::string emit_minic(const ForayModel& model);
 
 std::string emit_paper_style(const ForayModel& model);

@@ -148,8 +148,7 @@ util::Status read_model(std::istream& is, ForayModel* out) {
   if (!get_u32(is, &count)) return io_error("truncated model header");
 
   // Validate the claimed count against the bytes actually present before
-  // sizing any allocation from it (oversized-header hardening, mirroring
-  // trace::read_binary).
+  // sizing any allocation from it (oversized-header hardening).
   uint32_t reserve_count = std::min(count, kUncheckedReserveCap);
   const std::istream::pos_type body = is.tellg();
   if (body != std::istream::pos_type(-1)) {

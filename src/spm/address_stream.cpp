@@ -1,41 +1,25 @@
 #include "spm/address_stream.h"
 
+#include "foray/emitter.h"
+
 namespace foray::spm {
 
 namespace internal {
 
 std::vector<Nest> model_nests(const core::ForayModel& model, bool fold) {
-  // Group references by emitted nest; each group is swept once with all
-  // its references interleaved per iteration.
-  std::vector<std::vector<int>> paths;
-  std::vector<std::vector<size_t>> members;
+  // Each group is swept once with all its references interleaved per
+  // iteration, the way the emitted program runs it.
   std::vector<Nest> nests;
-  for (size_t i = 0; i < model.refs.size(); ++i) {
-    auto path = model.refs[i].emitted_loop_path();
-    auto trips = model.refs[i].emitted_trips();
-    size_t g = 0;
-    while (g < nests.size() &&
-           (paths[g] != path || nests[g].trips != trips)) {
-      ++g;
-    }
-    if (g == nests.size()) {
-      paths.push_back(std::move(path));
-      members.emplace_back();
-      nests.emplace_back();
-      nests.back().trips = std::move(trips);
-    }
-    members[g].push_back(i);
-  }
-
-  for (size_t g = 0; g < nests.size(); ++g) {
-    Nest& nest = nests[g];
-    const size_t refs = members[g].size();
+  for (core::NestGroup& group : core::group_by_nest(model)) {
+    Nest& nest = nests.emplace_back();
+    nest.trips = std::move(group.trips);
+    const size_t refs = group.refs.size();
     const size_t levels = nest.trips.size();
     std::vector<bool> still(levels, true);
     nest.addr.resize(refs);
     nest.steps.resize(levels * refs);
     for (size_t r = 0; r < refs; ++r) {
-      const core::ModelReference& ref = model.refs[members[g][r]];
+      const core::ModelReference& ref = model.refs[group.refs[r]];
       nest.addr[r] = static_cast<uint64_t>(ref.fn.const_term);
       const std::vector<int64_t> coefs = ref.emitted_coefs();
       const std::vector<uint64_t> own = odometer_steps(nest.trips, coefs);

@@ -50,10 +50,10 @@ struct Nest {
   std::vector<uint64_t> extra;
 };
 
-/// The nests of `model`: references grouped by emitted nest (loop path
-/// and trips) in order of first appearance. With `fold`, each level of
-/// trip t > 2 whose coefficient is 0 for every reference of its nest is
-/// walked twice and carries extra t - 2.
+/// The nests of `model`, one per core::group_by_nest() group and in its
+/// order, so the stream interleaves as the emitted program runs. With
+/// `fold`, each level of trip t > 2 whose coefficient is 0 for every
+/// reference of its nest is walked twice and carries extra t - 2.
 std::vector<Nest> model_nests(const core::ForayModel& model, bool fold);
 
 /// Odometer sweep over one nest. Per iteration, innermost loop fastest,

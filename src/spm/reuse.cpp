@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
-
-#include "foray/emitter.h"
-#include "util/strings.h"
 
 namespace foray::spm {
 
@@ -101,17 +97,6 @@ std::vector<BufferCandidate> enumerate_candidates(
     out.insert(out.end(), per_ref.begin(), per_ref.end());
   }
   return out;
-}
-
-std::string describe_candidate(const BufferCandidate& c,
-                               const core::ForayModel& model) {
-  std::ostringstream os;
-  os << "buf[ref=" << util::to_hex(model.refs[c.ref_index].instr)
-     << " level=" << c.level << " size=" << c.size_bytes << "B"
-     << " accesses=" << c.spm_accesses << " xfer=" << c.transfer_words
-     << "w reuse=" << c.reuse_factor()
-     << (c.sliding_window ? " sliding" : "") << "]";
-  return os.str();
 }
 
 }  // namespace foray::spm

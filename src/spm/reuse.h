@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "foray/model.h"
@@ -67,8 +66,5 @@ std::vector<BufferCandidate> candidates_for(const core::ModelReference& ref,
 /// Candidates for every reference of a model.
 std::vector<BufferCandidate> enumerate_candidates(
     const core::ForayModel& model, const ReuseOptions& opts = {});
-
-std::string describe_candidate(const BufferCandidate& c,
-                               const core::ForayModel& model);
 
 }  // namespace foray::spm

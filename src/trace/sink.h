@@ -3,9 +3,11 @@
 // The simulator pushes records into a Sink. Because the FORAY-GEN
 // extractor is itself a Sink, analysis can run *online* during profiling
 // — the paper's constant-space mode where the (typically large) trace
-// file is never materialized. VectorSink materializes the trace where a
-// caller needs the records themselves (`foraygen trace`, the tests'
-// two-pass oracle).
+// file is never materialized. The transform replay classifies its run
+// in a sink too (sim/classify_sink.h). Here, NullSink discards, and
+// VectorSink materializes the trace where a caller needs the records
+// themselves (`foraygen trace`, the offline column of the
+// online-analysis ablation, the tests' two-pass oracle).
 //
 // Transport is chunked: a sink has one virtual method, on_chunk(), and
 // producers hand it runs of records, paying one virtual call per chunk.
@@ -71,34 +73,6 @@ class VectorSink final : public Sink {
 
  private:
   std::vector<Record> records_;
-};
-
-/// Counts records by type without storing them (used to measure trace
-/// volume in the online-analysis ablation).
-class CountingSink final : public Sink {
- public:
-  void on_chunk(const Record* r, size_t n) override {
-    for (size_t i = 0; i < n; ++i) tally(r[i]);
-  }
-  uint64_t total() const { return total_; }
-  uint64_t checkpoints() const { return checkpoints_; }
-  uint64_t accesses() const { return accesses_; }
-  uint64_t calls() const { return calls_; }
-  uint64_t rets() const { return rets_; }
-
- private:
-  void tally(const Record& r) {
-    ++total_;
-    switch (r.type()) {
-      case RecordType::Checkpoint: ++checkpoints_; break;
-      case RecordType::Access: ++accesses_; break;
-      case RecordType::Call: ++calls_; break;
-      case RecordType::Ret: ++rets_; break;
-    }
-  }
-
-  uint64_t total_ = 0, checkpoints_ = 0, accesses_ = 0, calls_ = 0,
-           rets_ = 0;
 };
 
 }  // namespace foray::trace

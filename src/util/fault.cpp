@@ -14,11 +14,10 @@ namespace {
 // contract (tests iterate all_sites()), so adding one is a deliberate,
 // reviewed act, not a side effect of a stray string.
 constexpr const char* kKnownSites[] = {
-    "trace.buffer.alloc",   // trace-chunk buffer growth fails (ENOMEM)
-    "trace.chunk.corrupt",  // a persisted trace chunk reads back corrupt
-    "sim.slow",             // the simulated program stalls (param: ms/flush)
-    "sweep.sink.io",        // the NDJSON sink write fails (EIO/ENOSPC)
-    "spm.solve",            // Phase II solver dies mid-solve-group (keyed)
+    "trace.buffer.alloc",  // trace-chunk buffer growth fails (ENOMEM)
+    "sim.slow",            // the simulated program stalls (param: ms/flush)
+    "sweep.sink.io",       // the NDJSON sink write fails (EIO/ENOSPC)
+    "spm.solve",           // Phase II solver dies mid-solve-group (keyed)
 };
 
 struct SiteState {

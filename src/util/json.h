@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/status.h"
+
 namespace foray::util {
 
 class JsonWriter {
@@ -133,6 +135,16 @@ class JsonWriter {
   std::string out_;
   bool fresh_ = true;
 };
+
+/// The fields of a failed row, in the order every NDJSON and JSON output
+/// writes them: error_class, phase, error. The class and phase are what a
+/// consumer (retry policy, service dashboard, --resume) keys on; the
+/// message stays free-form.
+inline void write_error_fields(JsonWriter& w, const Status& st) {
+  w.key("error_class").value(st.code_name());
+  w.key("phase").value(st.phase());
+  w.key("error").value(st.message());
+}
 
 // -- reader -------------------------------------------------------------------
 

@@ -1,7 +1,6 @@
 #include "util/strings.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
@@ -15,15 +14,6 @@ std::string to_hex(uint64_t v) {
   return std::string(buf, static_cast<size_t>(n));
 }
 
-bool parse_hex(std::string_view s, uint64_t* out) {
-  if (s.empty()) return false;
-  uint64_t v = 0;
-  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
-  if (ec != std::errc() || p != s.data() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
 bool parse_i64(std::string_view s, int64_t* out) {
   if (s.empty()) return false;
   int64_t v = 0;
@@ -31,18 +21,6 @@ bool parse_i64(std::string_view s, int64_t* out) {
   if (ec != std::errc() || p != s.data() + s.size()) return false;
   *out = v;
   return true;
-}
-
-std::vector<std::string_view> split_ws(std::string_view s) {
-  std::vector<std::string_view> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.push_back(s.substr(start, i - start));
-  }
-  return out;
 }
 
 std::vector<std::string_view> split(std::string_view s, char sep) {
@@ -61,7 +39,8 @@ std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
     s.remove_prefix(1);
   }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
+  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
+                        s.back() == '\r')) {
     s.remove_suffix(1);
   }
   return s;

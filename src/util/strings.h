@@ -1,5 +1,5 @@
 // Small string helpers used across the library (formatting of addresses,
-// table rendering for the benchmark harness, splitting for trace readers).
+// table rendering for the benchmark harness, splitting for spec parsers).
 #pragma once
 
 #include <cstdint>
@@ -12,19 +12,14 @@ namespace foray::util {
 /// Lower-case hexadecimal rendering without 0x prefix, e.g. 4002a0.
 std::string to_hex(uint64_t v);
 
-/// Parse hexadecimal (no prefix). Returns false on bad input.
-bool parse_hex(std::string_view s, uint64_t* out);
-
 /// Parse signed decimal. Returns false on bad input.
 bool parse_i64(std::string_view s, int64_t* out);
-
-/// Split on any run of whitespace; no empty tokens.
-std::vector<std::string_view> split_ws(std::string_view s);
 
 /// Split on a single character; keeps empty tokens.
 std::vector<std::string_view> split(std::string_view s, char sep);
 
-/// Strip leading/trailing spaces and tabs.
+/// Strip leading spaces and tabs, and trailing spaces, tabs and carriage
+/// returns (so a line of a CRLF file trims like its LF twin).
 std::string_view trim(std::string_view s);
 
 /// True if `s` starts with `prefix`.

@@ -14,9 +14,11 @@
 // Any violation is a test failure — loosening a max bound or tightening
 // a min bound in the checker is the fix, never weakening this harness.
 // Unit tests below pin the interval domain, trip-count extraction, each
-// diagnostic kind's fixture, and the sweep driver's lint_first wiring.
+// diagnostic kind's fixture, the text report `foraygen lint` prints, and
+// the sweep driver's lint_first wiring.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -354,6 +356,41 @@ TEST(CheckerSoundness, MustFaultFixturesFaultForReal) {
     EXPECT_TRUE(rep.must_fault()) << src << "\n" << rep.str();
     expect_sound(src, "must-fault fixture");
   }
+}
+
+// -- the text report ----------------------------------------------------------
+// `foraygen lint` prints "== <program> ==" and CheckReport::str() per
+// program. The goldens are that CLI output, regenerated from the repo
+// root with `foraygen lint > tests/golden/benchsuite.lint.txt` and
+// `foraygen lint tests/golden/must_fault.mc >
+// tests/golden/must_fault.lint.txt`; CI cmp's the CLI against them.
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) + "/tests/golden/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+std::string lint_text(const driver::SweepJob& job) {
+  const CheckReport rep = lint(job.source);
+  return "== " + job.name + " ==\n" + rep.str();
+}
+
+TEST(CheckReportText, MustFaultFixtureMatchesTheGolden) {
+  const driver::SweepJob job{"tests/golden/must_fault.mc",
+                             read_golden("must_fault.mc")};
+  EXPECT_EQ(lint_text(job), read_golden("must_fault.lint.txt"));
+}
+
+TEST(CheckReportText, BenchsuiteMatchesTheGolden) {
+  std::string got;
+  for (const driver::SweepJob& job : driver::SweepDriver::benchsuite_jobs()) {
+    got += lint_text(job);
+  }
+  EXPECT_EQ(got, read_golden("benchsuite.lint.txt"));
 }
 
 // -- sweep lint_first ---------------------------------------------------------

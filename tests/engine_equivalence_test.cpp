@@ -317,30 +317,5 @@ TEST(EngineEquivalence, StepLimitFaultsAreExactOnBytecode) {
   }
 }
 
-// -- per-type record tallies ---------------------------------------------------
-
-TEST(EngineEquivalence, CountingSinkTalliesMatch) {
-  // A sink attached to either engine sees the same number of records of
-  // each type: a CountingSink's tallies must match across engines.
-  for (const char* name : {"gsm", "adpcm"}) {
-    auto prog = prepare(benchsuite::get_benchmark(name).source);
-    ASSERT_NE(prog, nullptr);
-    RunOptions opts;
-    trace::CountingSink ast_count;
-    opts.engine = Engine::Ast;
-    auto ra = run_program(*prog, &ast_count, opts);
-    ASSERT_TRUE(ra.ok()) << name;
-    trace::CountingSink bc_count;
-    opts.engine = Engine::Bytecode;
-    auto rb = run_program(*prog, &bc_count, opts);
-    ASSERT_TRUE(rb.ok()) << name;
-    EXPECT_EQ(ast_count.total(), bc_count.total()) << name;
-    EXPECT_EQ(ast_count.accesses(), bc_count.accesses()) << name;
-    EXPECT_EQ(ast_count.checkpoints(), bc_count.checkpoints()) << name;
-    EXPECT_EQ(ast_count.calls(), bc_count.calls()) << name;
-    EXPECT_EQ(ast_count.rets(), bc_count.rets()) << name;
-  }
-}
-
 }  // namespace
 }  // namespace foray::sim

@@ -15,7 +15,6 @@
 #include "instrument/annotator.h"
 #include "minic/parser.h"
 #include "sim/interpreter.h"
-#include "trace/io.h"
 #include "trace/sink.h"
 #include "util/fault.h"
 #include "util/status.h"
@@ -176,36 +175,6 @@ TEST_F(FaultInjectionTest, EpilogueSinkFaultKeepsTheRunsFirstFailure) {
         << st.message();
     EXPECT_EQ(st.phase(), "simulation") << st.message();
   }
-}
-
-TEST_F(FaultInjectionTest, TraceChunkCorruptIsIoError) {
-  // An intact binary trace plus an armed corruption site = a clean,
-  // classified read failure rather than garbage records.
-  std::vector<trace::Record> records;
-  {
-    util::DiagList diags;
-    auto prog = minic::parse_and_check(kAlpha, &diags);
-    ASSERT_NE(prog, nullptr) << diags.str();
-    instrument::annotate_loops(prog.get());
-    trace::VectorSink sink;
-    ASSERT_TRUE(sim::run_program(*prog, &sink, {}).ok());
-    records = sink.take();
-  }
-  std::stringstream buf;
-  trace::write_binary(buf, records);
-
-  ASSERT_TRUE(util::fault::configure("trace.chunk.corrupt:count=1").ok());
-  std::vector<trace::Record> out;
-  util::Status st = trace::read_binary(buf, &out);
-  EXPECT_EQ(st.code(), util::ErrorCode::kIoError) << st.message();
-
-  // Disarmed, the same bytes read back fine.
-  util::fault::reset();
-  buf.clear();
-  buf.seekg(0);
-  out.clear();
-  ASSERT_TRUE(trace::read_binary(buf, &out).ok());
-  EXPECT_EQ(out.size(), records.size());
 }
 
 TEST_F(FaultInjectionTest, SimSlowTripsAWallClockDeadline) {

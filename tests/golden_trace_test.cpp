@@ -99,20 +99,5 @@ TEST(GoldenTrace, BothEnginesReproduceTheFixturesByteForByte) {
   }
 }
 
-TEST(GoldenTrace, FixturesRoundTripThroughTraceIo) {
-  for (const char* kernel : kKernels) {
-    const std::string fixture = read_fixture(kernel);
-    ASSERT_FALSE(fixture.empty()) << fixture_path(kernel);
-    std::istringstream is(fixture);
-    std::vector<trace::Record> records;
-    util::Status st = trace::read_binary(is, &records);
-    ASSERT_TRUE(st.ok()) << st.message();
-    ASSERT_EQ(records.size(), kGoldenRecords) << kernel;
-    std::ostringstream os;
-    trace::write_binary(os, records.data(), records.size());
-    EXPECT_TRUE(os.str() == fixture) << kernel;
-  }
-}
-
 }  // namespace
 }  // namespace foray

@@ -1,9 +1,8 @@
 // The FMDL model serializer (foray/model_io.h): byte-exact round trips
-// for real extracted models, and a trace_corpus_test-style mutation
-// corpus — truncations at every interesting offset, flipped magic,
-// stale versions, lying counts and out-of-range fields must all come
-// back as a clean classified Status, never a crash or a silently wrong
-// model.
+// for real extracted models, and a mutation corpus — truncations at
+// every interesting offset, flipped magic, stale versions, lying counts
+// and out-of-range fields must all come back as a clean classified
+// Status, never a crash or a silently wrong model.
 #include <gtest/gtest.h>
 
 #include <cstdint>

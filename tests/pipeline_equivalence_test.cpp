@@ -4,7 +4,7 @@
 // (an odd size) must reproduce the fused online pass bit for bit,
 // simulator results included. The offline replay is the oracle the
 // fused pass is held to. The harness and program set are shared with
-// shard_equivalence_test.cpp.
+// delivery_equivalence_test.cpp.
 //
 // Those legs run the fused pass with the census. Without it — the
 // production default — the engines elide scalar traffic under the

@@ -1,5 +1,5 @@
 // Shared harness of the transport-equivalence tests
-// (shard_equivalence_test.cpp, pipeline_equivalence_test.cpp). The
+// (delivery_equivalence_test.cpp, pipeline_equivalence_test.cpp). The
 // production fused online pass (the extractor is the simulator's sink,
 // core::profile_phase) is the reference; every other way of delivering
 // the trace to the extractor must reproduce it bit for bit — loop tree,

@@ -4,6 +4,7 @@
 #include <set>
 #include <string>
 
+#include "util/fault.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -18,22 +19,6 @@ TEST(Strings, ToHexBasic) {
   EXPECT_EQ(to_hex(0x7fff5934), "7fff5934");
 }
 
-TEST(Strings, ParseHexRoundTrip) {
-  for (uint64_t v : {0ull, 1ull, 0x4002a0ull, 0xffffffffull,
-                     0x123456789abcdefull}) {
-    uint64_t out = 0;
-    ASSERT_TRUE(parse_hex(to_hex(v), &out));
-    EXPECT_EQ(out, v);
-  }
-}
-
-TEST(Strings, ParseHexRejectsGarbage) {
-  uint64_t out;
-  EXPECT_FALSE(parse_hex("", &out));
-  EXPECT_FALSE(parse_hex("xyz", &out));
-  EXPECT_FALSE(parse_hex("12g", &out));
-}
-
 TEST(Strings, ParseI64) {
   int64_t v;
   ASSERT_TRUE(parse_i64("-42", &v));
@@ -44,20 +29,6 @@ TEST(Strings, ParseI64) {
   EXPECT_FALSE(parse_i64("", &v));
 }
 
-TEST(Strings, SplitWs) {
-  auto t = split_ws("  a  bb\tccc \n d ");
-  ASSERT_EQ(t.size(), 4u);
-  EXPECT_EQ(t[0], "a");
-  EXPECT_EQ(t[1], "bb");
-  EXPECT_EQ(t[2], "ccc");
-  EXPECT_EQ(t[3], "d");
-}
-
-TEST(Strings, SplitWsEmpty) {
-  EXPECT_TRUE(split_ws("").empty());
-  EXPECT_TRUE(split_ws("   \t\n").empty());
-}
-
 TEST(Strings, SplitKeepsEmptyTokens) {
   auto t = split("a,,b,", ',');
   ASSERT_EQ(t.size(), 4u);
@@ -65,6 +36,24 @@ TEST(Strings, SplitKeepsEmptyTokens) {
   EXPECT_EQ(t[1], "");
   EXPECT_EQ(t[2], "b");
   EXPECT_EQ(t[3], "");
+}
+
+TEST(Strings, TrimDropsBlanksAndATrailingCarriageReturn) {
+  EXPECT_EQ(trim(" \ta b\t "), "a b");
+  EXPECT_EQ(trim("capacity = 1024\r"), "capacity = 1024");
+  EXPECT_EQ(trim("x \t\r"), "x");
+  EXPECT_EQ(trim(" \r\t "), "");
+  EXPECT_EQ(trim("\rx"), "\rx");  // only a line ending's CR goes
+}
+
+TEST(Strings, FaultSpecEndingInCarriageReturnParses) {
+  // A spec taken from a CRLF line keeps its '\r'; the trimmed field
+  // still reads as param=7.
+  ASSERT_TRUE(fault::configure("sim.slow:param=7\r").ok());
+  const fault::Hit h = fault::hit("sim.slow");
+  fault::reset();
+  EXPECT_TRUE(h.fired);
+  EXPECT_EQ(h.param, 7u);
 }
 
 TEST(Strings, StartsWith) {

@@ -116,7 +116,7 @@
 //   0  success
 //   1  analysis negative: transform-replay counter mismatch
 //   2  usage/option error
-//   3  invalid input (program/trace/spec failed to parse or check;
+//   3  invalid input (program/spec/journal failed to parse or check;
 //      `lint` also exits 3 when the checker proves a fault)
 //   4  budget exhausted, deadline exceeded, or cancelled
 //   5  internal error (a bug in this library)
@@ -417,9 +417,7 @@ int cmd_lint(const std::vector<driver::SweepJob>& jobs,
         w.begin_object();
         w.key("program").value(job.name);
         w.key("ok").value(false);
-        w.key("error_class").value(st.code_name());
-        w.key("phase").value(st.phase());
-        w.key("error").value(st.message());
+        util::write_error_fields(w, st);
         w.end_object();
       } else {
         std::printf("== %s ==\n%s\n", job.name.c_str(),
