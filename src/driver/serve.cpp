@@ -285,6 +285,9 @@ const StaticVerdict& StaticVerdictMemo::verdict(std::string_view source) {
 util::Status serve_loop(std::istream& in, std::ostream& out,
                         const ServeOptions& opts) {
   StaticVerdictMemo verdicts;
+  ReplayMemo own_replays;
+  ReplayMemo* const replays =
+      opts.replay_memo != nullptr ? opts.replay_memo : &own_replays;
   std::string line;
   bool oversized = false;
   int line_no = 0;
@@ -330,6 +333,7 @@ util::Status serve_loop(std::istream& in, std::ostream& out,
     if (st.ok()) {
       auto token = std::make_shared<sim::CancelToken>();
       sopts.pipeline.run.budget.cancel = token;
+      sopts.replay_memo = replays;
       SweepDriver driver(std::move(sopts));
       const uint64_t total =
           static_cast<uint64_t>(driver.grid().points_per_job()) * jobs.size();

@@ -33,7 +33,10 @@
 //
 // Phase I models are reused across requests through the shared
 // ModelCache — the whole point of serving: request 2 for the same
-// program under the same profile options is pure Phase II.
+// program under the same profile options is pure Phase II. Transform
+// replays are reused the same way through one ReplayMemo for the
+// server's life: each distinct transformed program is simulated once,
+// and a repeat replay costs emission plus the analytic lock.
 #pragma once
 
 #include <cstddef>
@@ -63,6 +66,9 @@ struct ServeOptions {
   uint64_t max_points = 4096;
   /// Shared across requests (not owned; may be null for no caching).
   ModelCache* model_cache = nullptr;
+  /// Shared across requests (not owned). Null: serve_loop keeps its own
+  /// for its whole life.
+  ReplayMemo* replay_memo = nullptr;
   /// Static cost-bound admission (`--static-admission`): run the
   /// staticforay checker over each requested program and refuse the
   /// request — resource_exhausted, phase "lint-admission", before any

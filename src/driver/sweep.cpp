@@ -21,6 +21,7 @@
 #include "spm/reuse.h"
 #include "spm/spm_sim.h"
 #include "util/fault.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -312,6 +313,116 @@ StaticVerdict static_verdict(std::string_view source) {
   return v;
 }
 
+// -- replay memo ---------------------------------------------------------------
+
+namespace {
+
+/// The memo key: everything spm::simulate_replay reads. The classifier
+/// numbers buffers in Selection::chosen order, so that order is part of
+/// the key, not just the set.
+uint64_t replay_key(std::string_view source, const spm::Selection& selection,
+                    const sim::RunOptions& run) {
+  std::string tail(1, '\0');
+  for (const spm::BufferCandidate& c : selection.chosen) {
+    util::append_format(&tail, "%zu:%d;", c.ref_index, c.level);
+  }
+  util::append_format(&tail, "|%d,%llu,%u,%u,%zu",
+                      static_cast<int>(run.engine),
+                      static_cast<unsigned long long>(run.rng_seed),
+                      run.heap_capacity, run.stack_capacity,
+                      run.max_output_bytes);
+  return util::fnv1a(tail, util::fnv1a(source));
+}
+
+/// True when a fresh run under `run` would end as `kept`'s did: ok, with
+/// the same counters. The step guard trips past max steps; the record
+/// budget is checked at chunk boundaries, at counts no larger than the
+/// view records, and trips at max_records or more.
+bool ends_alike(const spm::ReplaySimulation& kept,
+                const sim::RunOptions& run) {
+  const sim::Budget& b = run.budget;
+  return kept.steps <= b.effective_max_steps() &&
+         (b.max_records == 0 || kept.view_records < b.max_records) &&
+         (b.cancel == nullptr || !b.cancel->cancelled());
+}
+
+}  // namespace
+
+spm::ReplayReport ReplayMemo::replay(const core::ForayModel& model,
+                                     const spm::Selection& selection,
+                                     const spm::ReplayOptions& opts) {
+  std::string source = spm::emit_transformed(model, selection);
+  spm::ReplaySimulation simulated;
+  if (util::fault::enabled()) {
+    // An armed site fires by hit count or stalls inside the run, so only
+    // a fresh run ends the way the spec says; it is not kept either.
+    simulated = spm::simulate_replay(model, selection, source, opts.run);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.simulations;
+  } else {
+    simulated = simulation(replay_key(source, selection, opts.run), model,
+                           selection, source, opts.run);
+  }
+  return spm::lock_replay(model, selection, opts.dse, std::move(source),
+                          simulated);
+}
+
+spm::ReplaySimulation ReplayMemo::simulation(
+    uint64_t key, const core::ForayModel& model,
+    const spm::Selection& selection, std::string_view source,
+    const sim::RunOptions& run) {
+  std::unique_lock<std::mutex> lock(mu_);
+  std::shared_ptr<Slot> slot;
+  for (;;) {
+    const std::shared_ptr<Slot>* found = slots_.find(key);
+    if (found == nullptr || (*found)->state == Slot::State::kFailed) break;
+    slot = *found;
+    if (slot->state == Slot::State::kRunning) {
+      finished_.wait(lock,
+                     [&] { return slot->state != Slot::State::kRunning; });
+      continue;  // kept, or failed and perhaps taken up by another replay
+    }
+    if (ends_alike(slot->simulated, run)) {
+      ++stats_.hits;
+      return slot->simulated;
+    }
+    // This replay's budget may end a fresh run otherwise: run it alone.
+    ++stats_.simulations;
+    lock.unlock();
+    return spm::simulate_replay(model, selection, source, run);
+  }
+  // This replay simulates for every later one of the key.
+  slot = std::make_shared<Slot>();
+  slots_.put(key, slot);
+  ++stats_.simulations;
+  lock.unlock();
+  auto finish = [&](Slot::State state) {
+    {
+      std::lock_guard<std::mutex> relock(mu_);
+      slot->state = state;
+    }
+    finished_.notify_all();
+  };
+  spm::ReplaySimulation simulated;
+  try {
+    simulated = spm::simulate_replay(model, selection, source, run);
+  } catch (...) {
+    finish(Slot::State::kFailed);
+    throw;
+  }
+  if (simulated.status.ok()) slot->simulated = simulated;
+  finish(simulated.status.ok() ? Slot::State::kKept
+                               : Slot::State::kFailed);
+  return simulated;
+}
+
+ReplayMemo::Stats ReplayMemo::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Stats s = stats_;
+  s.evictions = slots_.evictions();
+  return s;
+}
+
 // -- per-job execution --------------------------------------------------------
 
 namespace {
@@ -434,7 +545,7 @@ GroupSolve solve_group(const core::ForayModel& model,
                        const core::PipelineOptions& base,
                        const SweepPoint& head, GroupNeeds needs,
                        const std::vector<spm::BufferCandidate>& candidates,
-                       uint64_t ordinal) {
+                       uint64_t ordinal, ReplayMemo* memo) {
   GroupSolve out;
   // Fault site "spm.solve": the Phase II solver dies mid-group, an
   // internal error on every point of the group. Keyed by the group's
@@ -457,11 +568,12 @@ GroupSolve solve_group(const core::ForayModel& model,
     if (needs.replay) {
       // The replay check is per-selection; a failure to *execute* the
       // transformed program fails the replay-on points, counter
-      // mismatches land in out.replay.mismatches.
+      // mismatches land in out.replay.mismatches. Groups whose selections
+      // emit the same program share one simulation through the memo.
       spm::ReplayOptions ropts;
       ropts.run = base.run;
       ropts.dse = popts.dse;
-      out.replay = spm::replay_selection(model, out.spm.exact, ropts);
+      out.replay = memo->replay(model, out.spm.exact, ropts);
     }
   });
   return out;
@@ -832,7 +944,13 @@ class SweepExec {
         groups_(solve_groups(grid)),
         slots_(jobs.size(), std::vector<NdPoint>(per_job_)),
         blocks_(jobs.size()),
+        memo_(opts.replay_memo),
         pool_(static_cast<size_t>(opts.threads)) {
+    if (memo_ == nullptr && std::find(grid.replays.begin(), grid.replays.end(),
+                                      true) != grid.replays.end()) {
+      own_memo_ = std::make_unique<ReplayMemo>();
+      memo_ = own_memo_.get();
+    }
     for (size_t j = 0; j < jobs_.size(); ++j) {
       states_.push_back(std::make_unique<JobState>());
       for (size_t i = 0; i < per_job_; ++i) {
@@ -975,7 +1093,7 @@ class SweepExec {
         j * groups_.size() + static_cast<size_t>(&g - groups_.data());
     const GroupSolve solve =
         solve_group(model, opts_.pipeline, grid_.points[g.begin], needs,
-                    js.candidates, ordinal);
+                    js.candidates, ordinal, memo_);
     for (size_t i = g.begin; i < g.end; ++i) {
       if (resume_.point_cached(j, i)) continue;
       deliver(j, i,
@@ -1086,6 +1204,9 @@ class SweepExec {
   std::vector<Block> blocks_;
   std::mutex mu_;
   std::condition_variable cv_;
+  /// SweepOptions::replay_memo, else own_memo_ when a point replays.
+  ReplayMemo* memo_;
+  std::unique_ptr<ReplayMemo> own_memo_;
   util::ThreadPool pool_;  ///< last member: joined before state dies
 };
 

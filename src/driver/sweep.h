@@ -29,7 +29,9 @@
 // simulated once per program and (capacity, geometry), whatever the
 // energy axis holds: hits and misses do not depend on the energy model,
 // so each point only prices the shared counts. Every cell a program needs
-// is simulated in one pass over its model's address stream.
+// is simulated in one pass over its model's address stream. Solve groups
+// whose exact selections emit the same transformed program share one
+// replay simulation (ReplayMemo).
 //
 // Both jobs AND the solve groups within one job are fanned across the
 // thread pool (core::solve_spm is pure over the immutable model, and the
@@ -51,22 +53,24 @@
 // result and the frontiers the stream computed.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <iosfwd>
+#include <memory>
+#include <mutex>
 #include <new>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "driver/model_cache.h"
 #include "foray/pipeline.h"
 #include "spm/replay.h"
 #include "staticforay/cost.h"
 #include "util/status.h"
 
 namespace foray::driver {
-
-class ModelCache;
 
 /// One program to sweep.
 struct SweepJob {
@@ -186,6 +190,64 @@ struct SweepGrid {
                           const core::PipelineOptions& base);
 };
 
+/// The simulated sides (spm::ReplaySimulation) of the transform replays
+/// run so far, so that each distinct transformed program is simulated
+/// once: per sweep run (SweepDriver keeps one when SweepOptions::
+/// replay_memo is null) and per server lifetime (serve_loop). The key is
+/// a hash of everything the simulated side reads: the emitted source,
+/// the selection's buffer order (ref_index, level) and the run options
+/// that can change how a run ends (engine, rng seed, heap and stack
+/// capacity, output limit). The analytic side is derived and compared
+/// afresh on every replay, so a kept simulation locks exactly what a
+/// fresh one would. Only runs that ended ok are kept, at most
+/// kMemoryEntries of them, least recently used evicted first. Thread-safe:
+/// solve groups on different workers share one memo, and a replay that
+/// finds its key's simulation still running on another worker waits for
+/// it instead of running it again.
+class ReplayMemo {
+ public:
+  struct Stats {
+    uint64_t hits = 0;         ///< replays answered by a kept simulation
+    uint64_t simulations = 0;  ///< replays that ran the program
+    uint64_t evictions = 0;    ///< kept simulations dropped
+  };
+
+  /// spm::replay_selection(model, selection, opts), byte for byte. A kept
+  /// simulation answers only when a fresh run would provably end the same
+  /// way: its steps are within the step guard, its view records are
+  /// under a record budget (checked per chunk, so this is conservative),
+  /// the budget's cancel token has not tripped, and no fault site is
+  /// armed. A wall-clock deadline is not consulted: a kept simulation
+  /// answers within a deadline a fresh run might miss, as a model-cache
+  /// hit does.
+  spm::ReplayReport replay(const core::ForayModel& model,
+                           const spm::Selection& selection,
+                           const spm::ReplayOptions& opts);
+
+  Stats stats() const;
+
+ private:
+  /// One key's simulation. A failed run is not kept: the next replay of
+  /// the key simulates again.
+  struct Slot {
+    enum class State { kRunning, kKept, kFailed };
+    State state = State::kRunning;
+    spm::ReplaySimulation simulated;  ///< when kKept
+  };
+
+  /// The simulated side for `key`: kept, waited for, or run here.
+  spm::ReplaySimulation simulation(uint64_t key,
+                                   const core::ForayModel& model,
+                                   const spm::Selection& selection,
+                                   std::string_view source,
+                                   const sim::RunOptions& run);
+
+  mutable std::mutex mu_;
+  std::condition_variable finished_;  ///< some running slot finished
+  LruMap<uint64_t, std::shared_ptr<Slot>> slots_{kMemoryEntries};  ///< mu_
+  Stats stats_;  ///< mu_; evictions read from slots_
+};
+
 struct SweepOptions {
   int threads = 1;
   SweepSpec spec;
@@ -199,6 +261,10 @@ struct SweepOptions {
   /// extracted model for the next run. Output is byte-identical either
   /// way; a corrupt or stale entry is reported on stderr and recomputed.
   ModelCache* model_cache = nullptr;
+  /// Where replay-on points keep and reuse their simulations (not owned;
+  /// must outlive the driver). Null: each run keeps its own, made only
+  /// when some grid point asks for a replay.
+  ReplayMemo* replay_memo = nullptr;
   /// Run the static checker (staticforay/checker.h) over each program
   /// before its Phase I. A program the checker *proves* will fault is
   /// failed up front with a single per-program diagnostic instead of N

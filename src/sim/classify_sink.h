@@ -75,6 +75,7 @@ class ClassifyingSink final : public trace::Sink {
   explicit ClassifyingSink(std::vector<Region> regions, int num_buffers);
 
   void on_chunk(const trace::Record* r, size_t n) override {
+    records_ += n;
     for (size_t i = 0; i < n; ++i) classify(r[i]);
   }
 
@@ -89,6 +90,8 @@ class ClassifyingSink final : public trace::Sink {
   }
   /// Data accesses that fell inside no configured region.
   uint64_t unclassified_accesses() const { return unclassified_; }
+  /// Records delivered so far: what a record budget counted.
+  uint64_t records() const { return records_; }
 
   uint64_t total_spm_accesses();
   uint64_t total_main_accesses();
@@ -126,6 +129,7 @@ class ClassifyingSink final : public trace::Sink {
   std::vector<Tally> tallies_;
   uint64_t unpaired_main_ = 0;
   uint64_t unclassified_ = 0;
+  uint64_t records_ = 0;
   bool finalized_ = false;
 };
 

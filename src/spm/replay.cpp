@@ -73,31 +73,45 @@ std::vector<sim::ClassifyingSink::Region> replay_regions(
   return regions;
 }
 
-ReplayReport replay_selection(const core::ForayModel& model,
-                              const Selection& selection,
-                              const ReplayOptions& opts) {
-  ReplayReport report;
-  report.source = emit_transformed(model, selection);
-
+ReplaySimulation simulate_replay(const core::ForayModel& model,
+                                 const Selection& selection,
+                                 std::string_view source,
+                                 const sim::RunOptions& run) {
+  ReplaySimulation out;
   // The emitted program through the same front end as any user program.
   util::DiagList diags;
-  auto prog = minic::parse_and_check(report.source, &diags);
+  auto prog = minic::parse_and_check(source, &diags);
   if (!prog) {
-    report.status = util::Status::failure("replay-frontend",
-                                          std::move(diags));
-    return report;
+    out.status = util::Status::failure("replay-frontend", std::move(diags));
+    return out;
   }
   instrument::annotate_loops(prog.get());
 
   sim::ClassifyingSink sink(replay_regions(model, selection, *prog),
                             static_cast<int>(selection.chosen.size()));
-  sim::RunOptions ropts = opts.run;
+  sim::RunOptions ropts = run;
   ropts.replay_view = true;
-  auto run = sim::run_program(*prog, &sink, ropts);
-  if (!run.ok()) {
-    report.status = run.status;
-    return report;
-  }
+  const sim::RunResult result = sim::run_program(*prog, &sink, ropts);
+  out.status = result.status;
+  if (!result.ok()) return out;
+  out.buffers = sink.buffers();
+  out.spm_accesses = sink.total_spm_accesses();
+  out.main_accesses = sink.total_main_accesses();
+  out.transfer_words = sink.total_transfer_words();
+  out.unclassified_accesses = sink.unclassified_accesses();
+  out.steps = result.steps;
+  out.view_records = sink.records();
+  return out;
+}
+
+ReplayReport lock_replay(const core::ForayModel& model,
+                         const Selection& selection, const DseOptions& dse,
+                         std::string source,
+                         const ReplaySimulation& simulated) {
+  ReplayReport report;
+  report.source = std::move(source);
+  report.status = simulated.status;
+  if (!report.status.ok()) return report;
   report.ran = true;
 
   // Analytic side: the same selection re-derived on the materialized
@@ -109,8 +123,8 @@ ReplayReport replay_selection(const core::ForayModel& model,
                                           c.ref_index, c.level));
     mat_sel.bytes_used += mat_sel.chosen.back().size_bytes;
   }
-  const EnergyReport ana = evaluate_selection(mat, mat_sel, opts.dse);
-  const EnergyReport prof = evaluate_selection(model, selection, opts.dse);
+  const EnergyReport ana = evaluate_selection(mat, mat_sel, dse);
+  const EnergyReport prof = evaluate_selection(model, selection, dse);
 
   report.ana_spm_accesses = ana.spm_accesses;
   report.ana_main_accesses = ana.dram_accesses;
@@ -123,15 +137,16 @@ ReplayReport replay_selection(const core::ForayModel& model,
       ana.dram_accesses == prof.dram_accesses &&
       ana.transfer_words == prof.transfer_words;
 
-  report.sim_spm_accesses = sink.total_spm_accesses();
-  report.sim_main_accesses = sink.total_main_accesses();
-  report.sim_transfer_words = sink.total_transfer_words();
-  report.unclassified_accesses = sink.unclassified_accesses();
+  report.sim_spm_accesses = simulated.spm_accesses;
+  report.sim_main_accesses = simulated.main_accesses;
+  report.sim_transfer_words = simulated.transfer_words;
+  report.unclassified_accesses = simulated.unclassified_accesses;
 
-  const auto& counters = sink.buffers();
+  FORAY_CHECK(simulated.buffers.size() == selection.chosen.size(),
+              "simulated side is of another selection");
   for (size_t b = 0; b < selection.chosen.size(); ++b) {
     const auto& cand = mat_sel.chosen[b];
-    const auto& sim = counters[b];
+    const auto& sim = simulated.buffers[b];
     ReplayBuffer rb;
     rb.ref_index = cand.ref_index;
     rb.level = cand.level;
@@ -167,6 +182,16 @@ ReplayReport replay_selection(const core::ForayModel& model,
   check_eq(&report.mismatches, "unclassified data accesses",
            report.unclassified_accesses, 0);
   return report;
+}
+
+ReplayReport replay_selection(const core::ForayModel& model,
+                              const Selection& selection,
+                              const ReplayOptions& opts) {
+  std::string source = emit_transformed(model, selection);
+  const ReplaySimulation simulated =
+      simulate_replay(model, selection, source, opts.run);
+  return lock_replay(model, selection, opts.dse, std::move(source),
+                     simulated);
 }
 
 std::string describe_replay_report(const ReplayReport& report,

@@ -28,10 +28,20 @@
 // accesses, for classifying them. So the materialized program's view is
 // two records per loop instance plus one per Data access, and a record
 // budget in ReplayOptions::run counts exactly those.
+//
+// A replay has two halves. simulate_replay runs the emitted program and
+// returns the simulated side (ReplaySimulation): the classified counters,
+// and the steps and records a budget would have counted. It reads only
+// the emitted source, the selection's buffer order and the run options,
+// so a caller may keep it and reuse it for the same program
+// (driver::ReplayMemo does). lock_replay derives the analytic side afresh
+// and compares the two into the ReplayReport. replay_selection is the
+// composition: emit, simulate, lock.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "foray/model.h"
@@ -118,6 +128,24 @@ struct ReplayReport {
   }
 };
 
+/// The simulated side of a replay: what the transformed program's run
+/// delivered to the classifying sink.
+struct ReplaySimulation {
+  /// Compiling or running the transformed program failed; nothing below
+  /// is meaningful then.
+  util::Status status;
+  /// Per selected buffer, in Selection::chosen order.
+  std::vector<sim::ClassifyingSink::BufferCounters> buffers;
+  uint64_t spm_accesses = 0;
+  uint64_t main_accesses = 0;
+  uint64_t transfer_words = 0;
+  uint64_t unclassified_accesses = 0;
+  /// Evaluation steps the run took and records of the replay view it
+  /// delivered: what the step guard and a record budget counted.
+  uint64_t steps = 0;
+  uint64_t view_records = 0;
+};
+
 /// The classifying sink's address map for `prog`, the transformed
 /// program of `selection`: every global, each selected reference's main
 /// array paired with its SPM buffer under the reference's position in
@@ -126,8 +154,25 @@ std::vector<sim::ClassifyingSink::Region> replay_regions(
     const core::ForayModel& model, const Selection& selection,
     const minic::Program& prog);
 
+/// The simulated half: parses and annotates `source`, the transformed
+/// program emit_transformed(model, selection) returns, and runs it under
+/// `run` with RunOptions::replay_view into a classifying sink.
+ReplaySimulation simulate_replay(const core::ForayModel& model,
+                                 const Selection& selection,
+                                 std::string_view source,
+                                 const sim::RunOptions& run);
+
+/// The lock: derives the analytic counters of `selection` on the
+/// materialized geometry and on the profiled model, and compares the
+/// simulated side with them. `source` becomes ReplayReport::source.
+ReplayReport lock_replay(const core::ForayModel& model,
+                         const Selection& selection, const DseOptions& dse,
+                         std::string source,
+                         const ReplaySimulation& simulated);
+
 /// Emits the transformed program for `selection`, executes it, and
-/// returns the full simulated-vs-analytic ledger.
+/// returns the full simulated-vs-analytic ledger: simulate_replay, then
+/// lock_replay.
 ReplayReport replay_selection(const core::ForayModel& model,
                               const Selection& selection,
                               const ReplayOptions& opts = {});

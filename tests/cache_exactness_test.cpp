@@ -657,5 +657,41 @@ TEST(ReplayGolden, BenchsuiteReplaySweepMatchesTheGolden) {
   }
 }
 
+TEST(ReplayGolden, EnergySweepsSimulateEachTransformedProgramOnce) {
+  // `foraygen sweep --capacity-sweep 1024,4096,16384 --energy-sweep
+  // default,dram-heavy,fast-spm --replay --no-cache --ndjson`, byte for
+  // byte: 54 replay groups whose exact selections emit 12 distinct
+  // programs. One memo simulates each once; a second pass through it
+  // simulates none and writes the same bytes.
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
+                   "/tests/golden/replay_energy_sweeps.ndjson");
+  ASSERT_TRUE(in) << "tests/golden/replay_energy_sweeps.ndjson";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  for (int threads : {1, 4}) {
+    driver::ReplayMemo memo;
+    driver::SweepOptions o;
+    o.threads = threads;
+    o.replay_memo = &memo;
+    ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096,16384").ok());
+    ASSERT_TRUE(
+        o.spec.parse_axis("energy", "default,dram-heavy,fast-spm").ok());
+    ASSERT_TRUE(o.spec.parse_axis("replay", "on").ok());
+    for (int pass = 1; pass <= 2; ++pass) {
+      std::ostringstream got;
+      ASSERT_TRUE(driver::SweepDriver(o)
+                      .run_ndjson(driver::SweepDriver::benchsuite_jobs(), got)
+                      .ok());
+      EXPECT_EQ(got.str(), golden.str())
+          << threads << " threads, pass " << pass;
+      const driver::ReplayMemo::Stats s = memo.stats();
+      EXPECT_EQ(s.simulations, 12u) << threads << " threads, pass " << pass;
+      EXPECT_EQ(s.hits + s.simulations, 54u * pass)
+          << threads << " threads, pass " << pass;
+      EXPECT_EQ(s.evictions, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace foray::spm

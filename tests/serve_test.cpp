@@ -452,6 +452,49 @@ TEST(Serve, ModelCacheMakesRepeatRequestsPurePhaseTwo) {
   EXPECT_FALSE(bodies[0].empty());
 }
 
+TEST(Serve, RepeatReplayRequestsSimulateTheTransformedProgramOnce) {
+  // The same fft replay request three times: the first simulates its
+  // transformed program, the other two reuse the kept simulation, and
+  // all three responses are byte-identical apart from the id.
+  ModelCache cache(ModelCacheOptions{/*dir=*/""});
+  ReplayMemo memo;
+  ServeOptions opts;
+  opts.threads = 2;
+  opts.model_cache = &cache;
+  opts.replay_memo = &memo;
+  std::string requests;
+  for (int id = 1; id <= 3; ++id) {
+    requests += "{\"id\":" + std::to_string(id) +
+                ",\"program\":\"fft\",\"axes\":{\"capacity\":\"4096\","
+                "\"replay\":\"on\"}}\n";
+  }
+  const ServeRun r = run_serve(requests, opts);
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+
+  std::vector<std::string> responses(1);
+  for (std::string line : r.lines) {
+    const std::string id = "\"id\":" + std::to_string(responses.size());
+    const size_t at = line.find(id);
+    if (at != std::string::npos) line.replace(at, id.size(), "\"id\":0");
+    responses.back() += line + "\n";
+    if (line.find("\"kind\":\"done\"") != std::string::npos) {
+      responses.emplace_back();
+    }
+  }
+  ASSERT_EQ(responses.size(), 4u);
+  EXPECT_TRUE(responses[3].empty());
+  EXPECT_NE(responses[0].find("\"replay_check\":{\"ok\":true"),
+            std::string::npos)
+      << responses[0];
+  EXPECT_NE(responses[0].find("\"kind\":\"done\",\"id\":0,\"ok\":true"),
+            std::string::npos)
+      << responses[0];
+  EXPECT_EQ(responses[1], responses[0]);
+  EXPECT_EQ(responses[2], responses[0]);
+  EXPECT_EQ(memo.stats().simulations, 1u);
+  EXPECT_EQ(memo.stats().hits, 2u);
+}
+
 /// A small inline program, distinct per `k`.
 std::string distinct_source(int k) {
   return "int a[64];\nint main(void) {\n"

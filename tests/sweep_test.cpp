@@ -800,6 +800,115 @@ TEST(SweepDriver, HugeCapacitySolvesWithinCandidateBoundedMemory) {
       << out.str();
 }
 
+// -- replay memo --------------------------------------------------------------
+
+/// One replay-on point of kGood at 1024 B, Phase I served by `cache` once
+/// it holds the model, the replay reusing `memo`.
+SweepOptions memo_opts(ModelCache* cache, ReplayMemo* memo) {
+  SweepOptions o = sweep_opts(1);
+  EXPECT_TRUE(o.spec.parse_axis("capacity", "1024").ok());
+  EXPECT_TRUE(o.spec.parse_axis("replay", "on").ok());
+  o.model_cache = cache;
+  o.replay_memo = memo;
+  return o;
+}
+
+std::string memo_run(const SweepOptions& o) {
+  std::ostringstream out;
+  (void)SweepDriver(o).run_ndjson({{"alpha", kGood}}, out);
+  return out.str();
+}
+
+class ReplayMemoBoundary : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_ = memo_opts(&cache_, &memo_);
+    // The cold run fills the model cache and the memo.
+    const SweepReport filled = SweepDriver(base_).run({{"alpha", kGood}});
+    const SweepItem& item = filled.items.at(0);
+    ASSERT_TRUE(item.status.ok()) << item.status.message();
+    ASSERT_TRUE(item.replay.matches());
+    ASSERT_FALSE(item.spm.exact.chosen.empty());
+    const core::ForayModel& model = filled.results.at(0).model;
+    kept_ = spm::simulate_replay(model, item.spm.exact,
+                                 spm::emit_transformed(model, item.spm.exact),
+                                 base_.pipeline.run);
+    ASSERT_TRUE(kept_.status.ok());
+    ASSERT_GT(kept_.view_records, 0u);
+    ok_text_ = memo_run(base_);
+    ASSERT_EQ(memo_.stats().simulations, 1u);
+    ASSERT_EQ(memo_.stats().hits, 1u);
+  }
+  void TearDown() override { util::fault::reset(); }
+
+  /// Runs `o` through the filled memo, checks that it hit (or simulated)
+  /// once, and that its NDJSON equals the same run through an empty memo.
+  std::string run(SweepOptions o, bool hit) {
+    const ReplayMemo::Stats before = memo_.stats();
+    o.replay_memo = &memo_;
+    const std::string got = memo_run(o);
+    const ReplayMemo::Stats after = memo_.stats();
+    EXPECT_EQ(after.hits - before.hits, hit ? 1u : 0u);
+    EXPECT_EQ(after.simulations - before.simulations, hit ? 0u : 1u);
+    ReplayMemo empty;
+    o.replay_memo = &empty;
+    EXPECT_EQ(got, memo_run(o));
+    EXPECT_EQ(empty.stats().simulations, 1u);
+    return got;
+  }
+
+  ModelCache cache_;
+  ReplayMemo memo_;
+  SweepOptions base_;
+  spm::ReplaySimulation kept_;
+  std::string ok_text_;
+};
+
+TEST_F(ReplayMemoBoundary, StepGuardAtTheKeptStepsHits) {
+  SweepOptions o = base_;
+  o.pipeline.run.budget.max_steps = kept_.steps;
+  EXPECT_EQ(run(o, true), ok_text_);
+}
+
+TEST_F(ReplayMemoBoundary, StepGuardOneBelowTheKeptStepsTrips) {
+  SweepOptions o = base_;
+  o.pipeline.run.budget.max_steps = kept_.steps - 1;
+  const std::string got = run(o, false);
+  EXPECT_NE(got.find("\"error_class\":\"resource_exhausted\""),
+            std::string::npos)
+      << got;
+  EXPECT_NE(got.find("step limit exceeded"), std::string::npos) << got;
+}
+
+TEST_F(ReplayMemoBoundary, RecordBudgetAtTheKeptViewRecordsTrips) {
+  // One record per chunk, so the budget is checked after every record and
+  // a fresh run trips on its last one.
+  SweepOptions o = base_;
+  o.pipeline.run.chunk_records = 1;
+  o.pipeline.run.budget.max_records = kept_.view_records;
+  const std::string got = run(o, false);
+  EXPECT_NE(got.find("trace record budget exceeded"), std::string::npos)
+      << got;
+  o.pipeline.run.budget.max_records = kept_.view_records + 1;
+  EXPECT_EQ(run(o, true), ok_text_);
+}
+
+TEST_F(ReplayMemoBoundary, AnArmedFaultSiteBypassesTheMemo) {
+  // Keyed by solve-group ordinal, so this spec arms the registry without
+  // ever firing here.
+  ASSERT_TRUE(util::fault::configure("spm.solve:skip=1000").ok());
+  EXPECT_EQ(run(base_, false), ok_text_);
+  // A stalling run still trips its deadline though the memo holds it.
+  ASSERT_TRUE(util::fault::configure("sim.slow:param=50").ok());
+  SweepOptions o = base_;
+  o.pipeline.run.chunk_records = 64;
+  o.pipeline.run.budget.timeout_seconds = 0.01;
+  const std::string got = run(o, false);
+  EXPECT_NE(got.find("\"error_class\":\"deadline_exceeded\""),
+            std::string::npos)
+      << got;
+}
+
 TEST(SweepDriver, NdjsonEscapesHostileProgramNames) {
   SweepOptions o = sweep_opts(1);
   ASSERT_TRUE(o.spec.parse_axis("capacity", "1024").ok());

@@ -51,7 +51,9 @@
 //                        program and check its simulated traffic
 //                        against the analytic counters (sweep: when
 //                        the replay axis is undeclared); a counter
-//                        mismatch exits 1
+//                        mismatch exits 1. sweep and serve simulate
+//                        each distinct transformed program once and
+//                        print the replay memo's counts to stderr
 //   --threads N          sweep/serve: worker threads (default 1)
 //   --capacity-sweep a,b,c  sweep: SPM capacity axis
 //   --json PATH          lint: write the diagnostics + cost bounds as
@@ -121,6 +123,7 @@
 //   4  budget exhausted, deadline exceeded, or cancelled
 //   5  internal error (a bug in this library)
 //   6  I/O error (unreadable/unwritable/truncated file)
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <csignal>
@@ -724,6 +727,16 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.memory_evictions));
   };
 
+  auto print_replay_stats = [](const driver::ReplayMemo& memo) {
+    const driver::ReplayMemo::Stats s = memo.stats();
+    std::fprintf(stderr,
+                 "foraygen: replay memo: %llu hit(s), %llu simulation(s), "
+                 "%llu evicted\n",
+                 static_cast<unsigned long long>(s.hits),
+                 static_cast<unsigned long long>(s.simulations),
+                 static_cast<unsigned long long>(s.evictions));
+  };
+
   if (command == "lint") {
     std::vector<driver::SweepJob> jobs;
     if (!path.empty()) {
@@ -751,8 +764,11 @@ int main(int argc, char** argv) {
     svopts.max_points = max_points;
     svopts.model_cache = cache.get();
     svopts.static_admission = static_admission;
+    driver::ReplayMemo replays;
+    svopts.replay_memo = &replays;
     util::Status st = driver::serve_loop(std::cin, std::cout, svopts);
     print_cache_stats();
+    print_replay_stats(replays);
     if (!st.ok()) return fail_with(st);
     return 0;
   }
@@ -764,7 +780,17 @@ int main(int argc, char** argv) {
     sopts.spec = spec;
     sopts.model_cache = cache.get();
     sopts.lint_first = lint_first;
+    // One memo for the run, reported on stderr when some point replays.
+    driver::ReplayMemo replays;
+    sopts.replay_memo = &replays;
     driver::SweepDriver sweep(sopts);
+    const std::vector<bool>& axis = sweep.grid().replays;
+    const bool replaying =
+        std::find(axis.begin(), axis.end(), true) != axis.end();
+    auto print_stats = [&] {
+      print_cache_stats();
+      if (replaying) print_replay_stats(replays);
+    };
     std::vector<driver::SweepJob> jobs;
     if (!path.empty()) {
       std::string source;
@@ -807,7 +833,7 @@ int main(int argc, char** argv) {
         out = &file;
       }
       util::Status st = sweep.run_ndjson(jobs, *out, resume);
-      print_cache_stats();
+      print_stats();
       if (!st.ok()) {
         // A transform-replay counter mismatch is the analysis-negative
         // outcome (exit 1), not an error class.
@@ -821,7 +847,7 @@ int main(int argc, char** argv) {
     }
 
     auto report = sweep.run(jobs);
-    print_cache_stats();
+    print_stats();
     std::fputs(report.table().c_str(), stdout);
     std::printf("\n-- Pareto frontier (SPM bytes used -> nJ saved) --\n");
     auto print_frontier = [&](const std::string& label,
