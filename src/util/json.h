@@ -111,24 +111,32 @@ class JsonWriter {
 
   void append_string(std::string_view s) {
     out_ += '"';
-    for (char c : s) {
+    // Runs of characters that need no escape go out in one append.
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+      const char c = s[i];
+      const char* esc = nullptr;
       switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\r': out_ += "\\r"; break;
-        case '\t': out_ += "\\t"; break;
+        case '"': esc = "\\\""; break;
+        case '\\': esc = "\\\\"; break;
+        case '\n': esc = "\\n"; break;
+        case '\r': esc = "\\r"; break;
+        case '\t': esc = "\\t"; break;
         default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(c) & 0xff);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
+          if (static_cast<unsigned char>(c) >= 0x20) continue;
+      }
+      out_.append(s.data() + run, i - run);
+      run = i + 1;
+      if (esc != nullptr) {
+        out_ += esc;
+      } else {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x",
+                      static_cast<unsigned>(c) & 0xff);
+        out_ += buf;
       }
     }
+    out_.append(s.data() + run, s.size() - run);
     out_ += '"';
   }
 

@@ -13,12 +13,14 @@
 // cases, and core::simulate_caches — many cells in one pass over the
 // folded stream — must report the counts the oracle does for each cell
 // alone over the full one. The benchsuite sweep's counts are also held
-// to tests/golden/cache_counts.txt, and its transform-replay grid to
-// tests/golden/replay_sweeps.ndjson.
+// to tests/golden/cache_counts.txt, its transform-replay grid to
+// tests/golden/replay_sweeps.ndjson, and its DSE selections to
+// tests/golden/dse_selections.txt.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -632,6 +634,57 @@ TEST(CacheGolden, BenchsuiteSweepMatchesTheGolden) {
   std::ostringstream golden;
   golden << in.rdbuf();
   EXPECT_EQ(got, golden.str());
+}
+
+TEST(DseGolden, BenchsuiteSelectionsMatchTheGolden) {
+  // The warm_dse grid without its cache axis, `foraygen sweep --no-cache
+  // --capacity-sweep 256,...,32768 --energy-sweep default,dram-heavy,
+  // lowpower-dram,fast-spm,cache-costly --algo-sweep dp,greedy`, that CI
+  // projects onto the same golden: one line per point, its selection's
+  // size, bytes and savings (%.17g, so every bit shows), at 1 and 4
+  // threads.
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
+                   "/tests/golden/dse_selections.txt");
+  ASSERT_TRUE(in) << "tests/golden/dse_selections.txt";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  for (int threads : {1, 4}) {
+    driver::SweepOptions o;
+    o.threads = threads;
+    ASSERT_TRUE(o.spec
+                    .parse_axis("capacity",
+                                "256,512,1024,2048,4096,8192,16384,32768")
+                    .ok());
+    ASSERT_TRUE(o.spec
+                    .parse_axis("energy",
+                                "default,dram-heavy,lowpower-dram,fast-spm,"
+                                "cache-costly")
+                    .ok());
+    ASSERT_TRUE(o.spec.parse_axis("algorithm", "dp,greedy").ok());
+    const driver::SweepReport report =
+        driver::SweepDriver(o).run(driver::SweepDriver::benchsuite_jobs());
+    std::string got;
+    for (const driver::SweepItem& item : report.items) {
+      got += item.program + " " + std::to_string(item.point.capacity_bytes) +
+             " " + item.point.energy_name + " " +
+             driver::algorithm_name(item.point.algorithm) + ":";
+      if (!item.status.ok()) {
+        got += " " + item.status.message() + "\n";
+        continue;
+      }
+      const spm::Selection& sel = item.selection();
+      char line[160];
+      std::snprintf(line, sizeof line,
+                    " %zu buffers %llu B saved %.17g exact %.17g greedy "
+                    "%.17g\n",
+                    sel.chosen.size(),
+                    static_cast<unsigned long long>(sel.bytes_used),
+                    sel.saved_nj, item.spm.exact.saved_nj,
+                    item.spm.greedy.saved_nj);
+      got += line;
+    }
+    EXPECT_EQ(got, golden.str()) << threads << " threads";
+  }
 }
 
 TEST(ReplayGolden, BenchsuiteReplaySweepMatchesTheGolden) {

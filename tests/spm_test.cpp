@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cstdlib>
 #include <map>
+#include <new>
 
 #include "foray/pipeline.h"
 #include "spm/address_stream.h"
@@ -197,10 +200,10 @@ TEST(Dse, NoCandidatesNoSelection) {
   EXPECT_EQ(sel.saved_nj, 0.0);
 }
 
-/// The group-knapsack DP as it was before the back-pointer table: every
-/// cell carries a copy of the pick list that achieves it. Kept as the
-/// oracle the table-based select_buffers must match bit for bit. Its
-/// table stops at the total need of *all* candidates, a total no
+/// The group-knapsack DP at its most direct: every cell carries a copy of
+/// the pick list that achieves it. Kept as the oracle the max-plus rows
+/// of select_buffers, and the choices they re-derive, must match bit for
+/// bit. Its table stops at the total need of *all* candidates, a total no
 /// selection can exceed, so capacities near UINT32_MAX stay cheap without
 /// borrowing select_buffers' tighter per-group bound.
 Selection pick_vector_select_buffers(
@@ -257,6 +260,47 @@ Selection pick_vector_select_buffers(
   return sel;
 }
 
+/// The greedy as it was before it priced each candidate once: the sort's
+/// comparator prices both sides afresh, and a map records the references
+/// taken. Kept as the oracle select_buffers_greedy must match bit for
+/// bit, chosen order included.
+Selection comparator_select_buffers_greedy(
+    const std::vector<BufferCandidate>& candidates, const DseOptions& opts) {
+  std::vector<const BufferCandidate*> order;
+  for (const auto& c : candidates) {
+    if (c.size_bytes <= opts.spm_capacity &&
+        candidate_saving_nj(c, opts) > 0.0) {
+      order.push_back(&c);
+    }
+  }
+  std::sort(order.begin(), order.end(),
+            [&](const BufferCandidate* a, const BufferCandidate* b) {
+              const double da = candidate_saving_nj(*a, opts) /
+                                static_cast<double>(a->size_bytes);
+              const double db = candidate_saving_nj(*b, opts) /
+                                static_cast<double>(b->size_bytes);
+              return da > db;
+            });
+  Selection sel;
+  std::map<size_t, bool> ref_taken;
+  for (const BufferCandidate* c : order) {
+    if (ref_taken[c->ref_index]) continue;
+    if (sel.bytes_used + c->size_bytes > opts.spm_capacity) continue;
+    ref_taken[c->ref_index] = true;
+    sel.chosen.push_back(*c);
+    sel.bytes_used += c->size_bytes;
+    sel.saved_nj += candidate_saving_nj(*c, opts);
+  }
+  return sel;
+}
+
+/// Fisher-Yates over `v`: candidates arrive in no particular order.
+void shuffle(util::Rng& rng, std::vector<BufferCandidate>* v) {
+  for (size_t i = v->size(); i > 1; --i) {
+    std::swap((*v)[i - 1], (*v)[rng.next_below(i)]);
+  }
+}
+
 /// A random candidate set: 1-12 references, a quarter of them with a
 /// single candidate, and in tie mode gains drawn from a tiny set so that
 /// equal savings (and exact duplicates) are common. Candidates arrive in
@@ -282,13 +326,57 @@ std::vector<BufferCandidate> random_candidates(util::Rng& rng, bool ties) {
       out.push_back(c);
     }
   }
-  for (size_t i = out.size(); i > 1; --i) {
-    std::swap(out[i - 1], out[rng.next_below(i)]);
-  }
+  shuffle(rng, &out);
   return out;
 }
 
-TEST(Dse, BackPointerDpMatchesPickVectorDp) {
+/// A kernel-scale candidate set: up to 64 references of up to 6 levels,
+/// each needing up to 1,024 granules of `granule` bytes, so the rows are
+/// thousands of cells long and most groups hold several items. In tie
+/// mode sizes and gains come from a few values, so items of one group
+/// tie on a cell and the backtrack must re-derive the same one.
+std::vector<BufferCandidate> kernel_scale_candidates(util::Rng& rng,
+                                                     bool ties,
+                                                     uint32_t granule) {
+  std::vector<BufferCandidate> out;
+  const size_t refs = 1 + rng.next_below(64);
+  for (size_t r = 0; r < refs; ++r) {
+    const size_t items = 1 + rng.next_below(6);
+    for (size_t k = 0; k < items; ++k) {
+      BufferCandidate c;
+      c.ref_index = r;
+      c.level = static_cast<int>(k + 1);
+      if (ties) {
+        c.size_bytes = uint64_t{granule} * 256 * (1 + rng.next_below(4));
+        c.spm_accesses = 1000 * (1 + rng.next_below(3));
+        c.transfer_words = 100 * rng.next_below(2);
+      } else {
+        c.size_bytes = 1 + rng.next_below(uint64_t{granule} * 1024);
+        c.spm_accesses = rng.next_below(200'000);
+        c.transfer_words = rng.next_below(20'000);
+      }
+      out.push_back(c);
+    }
+  }
+  shuffle(rng, &out);
+  return out;
+}
+
+/// Holds `got` to the oracle's selection: the same candidates in the
+/// same order, the same bytes and bit-identical savings.
+void expect_same_selection(const Selection& got, const Selection& want) {
+  ASSERT_EQ(got.chosen.size(), want.chosen.size());
+  for (size_t i = 0; i < want.chosen.size(); ++i) {
+    EXPECT_EQ(got.chosen[i].ref_index, want.chosen[i].ref_index);
+    EXPECT_EQ(got.chosen[i].level, want.chosen[i].level);
+    EXPECT_EQ(got.chosen[i].size_bytes, want.chosen[i].size_bytes);
+  }
+  EXPECT_EQ(got.bytes_used, want.bytes_used);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.saved_nj),
+            std::bit_cast<uint64_t>(want.saved_nj));
+}
+
+TEST(Dse, MaxPlusRowDpMatchesPickVectorDp) {
   const uint32_t granules[] = {0, 1, 8, 13};
   const uint32_t huge[] = {UINT32_MAX, UINT32_MAX - 1, 4'000'000'000u,
                            (1u << 31) + 5, 1u << 20};
@@ -319,22 +407,188 @@ TEST(Dse, BackPointerDpMatchesPickVectorDp) {
                  std::to_string(opts.spm_capacity) + ", granule " +
                  std::to_string(opts.granule));
     const Selection want = pick_vector_select_buffers(cands, opts);
-    const Selection got = select_buffers(cands, opts);
-    ASSERT_EQ(got.chosen.size(), want.chosen.size());
-    for (size_t i = 0; i < want.chosen.size(); ++i) {
-      EXPECT_EQ(got.chosen[i].ref_index, want.chosen[i].ref_index);
-      EXPECT_EQ(got.chosen[i].level, want.chosen[i].level);
-      EXPECT_EQ(got.chosen[i].size_bytes, want.chosen[i].size_bytes);
-    }
-    EXPECT_EQ(got.bytes_used, want.bytes_used);
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.saved_nj),
-              std::bit_cast<uint64_t>(want.saved_nj));
+    expect_same_selection(select_buffers(cands, opts), want);
     if (want.chosen.size() >= 2) ++nontrivial;
   }
   // The sets exercise real packings, not just empty selections.
   EXPECT_GT(nontrivial, 300);
   EXPECT_EQ(below_all, 60);
   EXPECT_EQ(huge_runs, 60);
+}
+
+TEST(Dse, MaxPlusRowDpMatchesPickVectorDpAtKernelScale) {
+  // Rows of up to 4,097 cells, up to 64 layers of up to 6 items: long
+  // vectorized rows, and backtracks that re-derive a choice among many
+  // items per layer, tied ones included.
+  const uint32_t granules[] = {1, 8, 13};
+  int nontrivial = 0;
+  int later_picks = 0;  ///< chosen items that are not their group's first
+  for (uint64_t seed = 0; seed < 36; ++seed) {
+    util::Rng rng(seed);
+    const bool ties = seed % 2 == 0;
+    DseOptions opts;
+    opts.granule = granules[seed % 3];
+    std::vector<BufferCandidate> cands =
+        kernel_scale_candidates(rng, ties, opts.granule);
+    // A zero-size duplicate now and then: it needs no granules at all.
+    if (seed % 4 == 1) {
+      cands.push_back(cands[rng.next_below(cands.size())]);
+      cands.back().size_bytes = 0;
+    }
+    opts.spm_capacity = static_cast<uint32_t>(
+        opts.granule * rng.next_below(4097) + rng.next_below(opts.granule));
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", capacity " +
+                 std::to_string(opts.spm_capacity) + ", granule " +
+                 std::to_string(opts.granule));
+    const Selection want = pick_vector_select_buffers(cands, opts);
+    expect_same_selection(select_buffers(cands, opts), want);
+    if (want.chosen.size() >= 4) ++nontrivial;
+    for (const BufferCandidate& c : want.chosen) {
+      const auto first = std::find_if(
+          cands.begin(), cands.end(), [&](const BufferCandidate& o) {
+            return o.ref_index == c.ref_index &&
+                   o.size_bytes <= opts.spm_capacity &&
+                   candidate_saving_nj(o, opts) > 0.0;
+          });
+      if (first->level != c.level) ++later_picks;
+    }
+  }
+  EXPECT_GT(nontrivial, 24);
+  EXPECT_GT(later_picks, 200);
+}
+
+TEST(Dse, GreedyMatchesComparatorGreedy) {
+  // Equal densities, exact duplicates, zero-size candidates, a zero
+  // granule, capacities below every size and near UINT32_MAX: the
+  // greedy that prices once picks what the comparator greedy picks, in
+  // the same order, with bit-identical savings.
+  const uint32_t granules[] = {0, 1, 8, 13};
+  const uint32_t huge[] = {UINT32_MAX, UINT32_MAX - 1, 4'000'000'000u};
+  int nontrivial = 0;
+  int below_all = 0;
+  for (uint64_t seed = 0; seed < 600; ++seed) {
+    util::Rng rng(seed);
+    const bool ties = seed % 3 == 0;
+    DseOptions opts;
+    opts.granule = granules[seed % 4];
+    std::vector<BufferCandidate> cands =
+        seed % 5 == 4
+            ? kernel_scale_candidates(rng, ties, std::max(opts.granule, 1u))
+            : random_candidates(rng, ties);
+    if (seed % 7 == 2) {
+      cands.push_back(cands[rng.next_below(cands.size())]);
+      cands.back().size_bytes = 0;
+    }
+    uint64_t smallest = UINT64_MAX;
+    for (const auto& c : cands) smallest = std::min(smallest, c.size_bytes);
+    if (seed % 10 == 7 && smallest > 0) {
+      opts.spm_capacity = static_cast<uint32_t>(smallest - 1);
+      ++below_all;
+    } else if (seed % 10 == 3) {
+      opts.spm_capacity = huge[(seed / 10) % 3];
+    } else {
+      opts.spm_capacity = static_cast<uint32_t>(rng.next_below(4000));
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", capacity " +
+                 std::to_string(opts.spm_capacity));
+    const Selection want = comparator_select_buffers_greedy(cands, opts);
+    const Selection got = select_buffers_greedy(cands, opts);
+    expect_same_selection(got, want);
+    if (want.chosen.size() >= 2) ++nontrivial;
+  }
+  EXPECT_GT(nontrivial, 300);
+  EXPECT_GT(below_all, 40);
+}
+
+// Bytes asked of operator new while a probe is armed, by the largest
+// single request. An armed request over kRefusedBytes throws bad_alloc
+// instead of allocating, so a table the bound fails to stop cannot
+// swell the test. Every replaceable form goes through probed_new and
+// std::free, so no pointer crosses between this allocator and another.
+std::atomic<bool> g_probe_armed{false};
+std::atomic<size_t> g_largest_request{0};
+constexpr size_t kRefusedBytes = size_t{64} << 20;
+
+void* probed_new(size_t n) {
+  if (g_probe_armed.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_request.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_request.compare_exchange_weak(seen, n)) {
+    }
+    if (n > kRefusedBytes) throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* probed_new_nothrow(size_t n) noexcept {
+  try {
+    return probed_new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+}  // namespace
+}  // namespace foray::spm
+
+void* operator new(std::size_t n) { return foray::spm::probed_new(n); }
+void* operator new[](std::size_t n) { return foray::spm::probed_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return foray::spm::probed_new_nothrow(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return foray::spm::probed_new_nothrow(n);
+}
+// GCC inlines these into callers of the replaced operator new and takes
+// the malloc/free pair underneath for a mismatch.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
+
+namespace foray::spm {
+namespace {
+
+TEST(Dse, TableOverTheCellLimitFailsBeforeAllocating) {
+  // 64 references with a 1 MiB buffer each (the reuse filter's largest)
+  // at a 4 GiB scratch pad: 65 rows of 8,388,609 granules, 545 M cells.
+  std::vector<BufferCandidate> cands;
+  for (size_t r = 0; r < 64; ++r) {
+    BufferCandidate c;
+    c.ref_index = r;
+    c.size_bytes = 1u << 20;
+    c.spm_accesses = 1'000'000;
+    c.transfer_words = 1'000;
+    cands.push_back(c);
+  }
+  DseOptions opts;
+  opts.spm_capacity = UINT32_MAX;
+  util::Status status;
+  g_largest_request = 0;
+  g_probe_armed = true;
+  try {
+    (void)select_buffers(cands, opts);
+  } catch (const util::StatusError& e) {
+    status = e.status();
+  } catch (const std::bad_alloc&) {
+    status = util::Status::failure("test", 0, "the table was allocated");
+  }
+  g_probe_armed = false;
+  EXPECT_EQ(status.code(), util::ErrorCode::kResourceExhausted);
+  EXPECT_EQ(status.phase(), "spm-solve");
+  EXPECT_NE(status.message().find("545259585 cells"), std::string::npos)
+      << status.message();
+  // Only the candidates' prices and the message: no row was allocated.
+  EXPECT_LT(g_largest_request.load(), size_t{64} << 10);
+  // The greedy keeps no table, so the same set still solves there.
+  EXPECT_EQ(select_buffers_greedy(cands, opts).chosen.size(), 64u);
 }
 
 // -- SPM evaluation -------------------------------------------------------------

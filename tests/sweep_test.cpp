@@ -800,6 +800,45 @@ TEST(SweepDriver, HugeCapacitySolvesWithinCandidateBoundedMemory) {
       << out.str();
 }
 
+TEST(SweepDriver, DpTableOverTheCellLimitFailsItsPointsOnly) {
+  // 91 references, each re-reading its own 16 KiB block: one buffer
+  // candidate of 2,048 granules apiece that saves energy. At a 64 MiB
+  // SPM the DP's rows would be 92 x 186,369 granules, just over
+  // spm::kMaxDpCells (90 references would fit), so those points fail as
+  // resource_exhausted in spm-solve, dp and greedy alike (they share the
+  // solve). At 4096 B nothing fits and the points solve.
+  std::string source = "int big[372736];\nint main(void) {\n  int s = 0;\n"
+                       "  for (int r = 0; r < 2; r++)\n"
+                       "    for (int i = 0; i < 4096; i++) {\n";
+  for (int k = 0; k < 91; ++k) {
+    source += "      s = s + big[" + std::to_string(k * 4096) + " + i];\n";
+  }
+  source += "    }\n  return s & 255;\n}\n";
+  SweepOptions o = sweep_opts(1);
+  ASSERT_TRUE(o.spec.parse_axis("capacity", "4096,67108864").ok());
+  ASSERT_TRUE(o.spec.parse_axis("algorithm", "dp,greedy").ok());
+  SweepReport report;
+  std::ostringstream out;
+  const util::Status st =
+      SweepDriver(o).run_ndjson({{"wide", source}}, out, nullptr, &report);
+  EXPECT_EQ(st.code(), util::ErrorCode::kResourceExhausted) << st.message();
+  ASSERT_EQ(report.items.size(), 4u);
+  for (const SweepItem& item : report.items) {
+    if (item.point.capacity_bytes == 4096) {
+      EXPECT_TRUE(item.status.ok()) << item.status.message();
+      EXPECT_EQ(item.model_refs, 91u);
+      continue;
+    }
+    EXPECT_EQ(item.status.code(), util::ErrorCode::kResourceExhausted);
+    EXPECT_EQ(item.status.phase(), "spm-solve");
+    EXPECT_NE(item.status.message().find(
+                  "knapsack table of 17145948 cells (92 rows of 186369 "
+                  "granules), over the 16777216-cell limit"),
+              std::string::npos)
+        << item.status.message();
+  }
+}
+
 // -- replay memo --------------------------------------------------------------
 
 /// One replay-on point of kGood at 1024 B, Phase I served by `cache` once

@@ -140,6 +140,55 @@ TEST(Json, EscapesControlCharacters) {
   EXPECT_EQ(out.find('\n'), std::string::npos);
 }
 
+/// The escape rule the writer implements, one character at a time.
+std::string escaped_char_by_char(std::string_view s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c) & 0xff);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out + "\"";
+}
+
+TEST(Json, StringRunsEscapeLikeOneCharacterAtATime) {
+  // Every escape class between, before and after plain runs: named
+  // escapes, \u00xx (an embedded NUL among them), and 0x7f and bytes
+  // >= 0x80, which pass through raw.
+  const std::string mixed("a\"b\\c\nd\re\tf\0g\x01h\x1fi\x7fj\x80k\xff", 22);
+  JsonWriter w;
+  w.value(mixed);
+  EXPECT_EQ(w.take(),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0000g\\u0001h\\u001fi\x7fj\x80k\xff\"");
+  for (const std::string& s :
+       {mixed, std::string(), std::string("plain run only"),
+        std::string("\"\"\n\n", 4), std::string("\0", 1),
+        "tail\\" + mixed + "head"}) {
+    JsonWriter one;
+    one.value(s);
+    EXPECT_EQ(one.take(), escaped_char_by_char(s));
+  }
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = "x" + std::string(1, static_cast<char>(b)) + "yz";
+    JsonWriter one;
+    one.value(s);
+    EXPECT_EQ(one.take(), escaped_char_by_char(s)) << "byte " << b;
+  }
+}
+
 TEST(Json, NonFiniteDoublesBecomeNull) {
   JsonWriter w;
   w.begin_array();
