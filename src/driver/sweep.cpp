@@ -351,7 +351,7 @@ bool ends_alike(const spm::ReplaySimulation& kept,
 spm::ReplayReport ReplayMemo::replay(const core::ForayModel& model,
                                      const spm::Selection& selection,
                                      const spm::ReplayOptions& opts) {
-  std::string source = spm::emit_transformed(model, selection);
+  const std::string source = spm::emit_transformed(model, selection);
   spm::ReplaySimulation simulated;
   if (util::fault::enabled()) {
     // An armed site fires by hit count or stalls inside the run, so only
@@ -363,8 +363,7 @@ spm::ReplayReport ReplayMemo::replay(const core::ForayModel& model,
     simulated = simulation(replay_key(source, selection, opts.run), model,
                            selection, source, opts.run);
   }
-  return spm::lock_replay(model, selection, opts.dse, std::move(source),
-                          simulated);
+  return spm::lock_replay(model, selection, opts.dse, simulated);
 }
 
 spm::ReplaySimulation ReplayMemo::simulation(

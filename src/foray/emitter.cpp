@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/status.h"
@@ -9,33 +10,17 @@
 
 namespace foray::core {
 
-namespace {
-
-/// Offset extremes of the emitted (innermost-M) part of the function,
-/// relative to const_term.
-struct Span {
-  int64_t min_off = 0;  ///< most negative iterator contribution
-  int64_t max_off = 0;  ///< most positive iterator contribution
-};
-
-Span offset_span(const ModelReference& ref) {
+Span offset_span(const ModelReference& ref, size_t from) {
   Span s;
   auto coefs = ref.emitted_coefs();
   auto trips = ref.emitted_trips();
-  for (size_t i = 0; i < coefs.size(); ++i) {
+  for (size_t i = from; i < coefs.size(); ++i) {
     const int64_t reach = coefs[i] * std::max<int64_t>(trips[i] - 1, 0);
-    if (reach < 0) {
-      s.min_off += reach;
-    } else {
-      s.max_off += reach;
-    }
+    (reach < 0 ? s.min_off : s.max_off) += reach;
   }
   return s;
 }
 
-/// Loop-variable name for position `pos` of an emitted path. Usually
-/// "i<loop_id>"; recursion can repeat a site in one path, in which case
-/// later occurrences get a positional suffix.
 std::string loop_var(const std::vector<int>& path, size_t pos) {
   int dup = 0;
   for (size_t i = 0; i < pos; ++i) {
@@ -46,7 +31,6 @@ std::string loop_var(const std::vector<int>& path, size_t pos) {
   return name;
 }
 
-/// Renders "base + c*iN + ..." with zero coefficients omitted.
 std::string index_expr(int64_t base, const std::vector<int64_t>& coefs,
                        const std::vector<int>& path) {
   std::ostringstream os;
@@ -61,6 +45,76 @@ std::string index_expr(int64_t base, const std::vector<int64_t>& coefs,
     os << " * " << loop_var(path, i);
   }
   return os.str();
+}
+
+namespace {
+
+/// Writes each line of `lines` indented `level` steps.
+void put_lines(std::ostream& os, size_t level, std::string_view lines) {
+  while (!lines.empty()) {
+    const size_t end = lines.find('\n');
+    os << std::string(level * 2, ' ') << lines.substr(0, end) << "\n";
+    if (end == std::string_view::npos) break;
+    lines.remove_prefix(end + 1);
+  }
+}
+
+/// texts[i], or no text when `texts` is empty.
+const RefText& text_of(const std::vector<RefText>& texts, size_t i) {
+  static const RefText kNone;
+  return texts.empty() ? kNone : texts[i];
+}
+
+/// One nest of group_by_nest(): loop d at indent level d + 1, each
+/// reference's access in the innermost body. A loop gets braces when it
+/// is the innermost or some reference places text in its body.
+void emit_nest(std::ostream& os, const NestGroup& g, const ForayModel& model,
+               const std::vector<std::string>& names,
+               const std::vector<int64_t>& bases,
+               const std::vector<RefText>& texts) {
+  const size_t depth = g.path.size();
+  std::vector<bool> braced(depth, false);
+  if (depth > 0) braced[depth - 1] = true;
+  for (size_t idx : g.refs) {
+    const RefText& t = text_of(texts, idx);
+    if (t.before.empty() && t.after.empty()) continue;
+    FORAY_CHECK(t.depth < depth, "reference text below the innermost loop");
+    if (t.depth > 0) braced[t.depth - 1] = true;
+  }
+  const auto place = [&](size_t d, bool after) {
+    for (size_t idx : g.refs) {
+      const RefText& t = text_of(texts, idx);
+      if (t.depth == d) put_lines(os, d + 1, after ? t.after : t.before);
+    }
+  };
+
+  for (size_t d = 0; d < depth; ++d) {
+    place(d, false);
+    const std::string v = loop_var(g.path, d);
+    os << std::string(2 * (d + 1), ' ') << "for (int " << v << " = 0; " << v
+       << " < " << g.trips[d] << "; " << v << "++)"
+       << (braced[d] ? " {\n" : "\n");
+  }
+  if (depth == 0) os << "  {\n";
+  const std::string pad(2 * (depth + 1), ' ');
+  for (size_t idx : g.refs) {
+    const auto& r = model.refs[idx];
+    std::string elem = text_of(texts, idx).element;
+    if (elem.empty()) {
+      elem = names[idx] + "[" +
+             index_expr(bases[idx], r.emitted_coefs(), g.path) + "]";
+    }
+    if (r.has_write) {
+      os << pad << elem << " = 1;\n";
+    } else {
+      os << pad << "foray_acc += " << elem << ";\n";
+    }
+  }
+  if (depth == 0) os << "  }\n";
+  for (size_t d = depth; d-- > 0;) {
+    if (braced[d]) os << std::string(2 * (d + 1), ' ') << "}\n";
+    place(d, true);
+  }
 }
 
 }  // namespace
@@ -116,54 +170,36 @@ std::string describe_reference(const ModelReference& ref) {
 }
 
 std::string emit_minic(const ForayModel& model) {
-  std::ostringstream os;
-  auto names = assign_array_names(model);
-  os << "// FORAY model (auto-generated). Each array reference reproduces\n"
-        "// one memory reference of the profiled program, rebased to a\n"
-        "// zero-origin array of exactly the spanned size.\n";
+  static constexpr char kHeader[] =
+      "// FORAY model (auto-generated). Each array reference reproduces\n"
+      "// one memory reference of the profiled program, rebased to a\n"
+      "// zero-origin array of exactly the spanned size.\n";
+  return emit_minic(model, kHeader, {});
+}
 
-  // Array declarations.
+std::string emit_minic(const ForayModel& model, std::string_view header,
+                       const std::vector<RefText>& texts) {
+  FORAY_CHECK(texts.empty() || texts.size() == model.refs.size(),
+              "one text per reference");
+  std::ostringstream os;
+  os << header;
+  auto names = assign_array_names(model);
   std::vector<int64_t> bases(model.refs.size());
   for (size_t i = 0; i < model.refs.size(); ++i) {
     const auto& r = model.refs[i];
-    Span s = offset_span(r);
+    const Span s = offset_span(r);
     bases[i] = -s.min_off;  // rebased constant term
-    const int64_t len = s.max_off - s.min_off + r.access_size;
-    os << "// " << describe_reference(r) << "\n";
-    os << "char " << names[i] << "[" << len << "];\n";
+    const int64_t len =
+        s.max_off - s.min_off + std::max<int64_t>(r.access_size, 1);
+    const RefText& t = text_of(texts, i);
+    os << "// " << describe_reference(r) << t.note << "\n";
+    os << "char " << names[i] << "[" << len << "];\n" << t.decls;
   }
   os << "int foray_acc;\n\n";
   os << "int main(void) {\n";
-
   for (const NestGroup& g : group_by_nest(model)) {
-    int level = 1;
-    auto indent = [&]() { return std::string(static_cast<size_t>(level) * 2,
-                                             ' '); };
-    for (size_t d = 0; d < g.path.size(); ++d) {
-      std::string v = loop_var(g.path, d);
-      os << indent() << "for (int " << v << " = 0; " << v << " < "
-         << g.trips[d] << "; " << v << "++)";
-      os << (d + 1 == g.path.size() ? " {\n" : "\n");
-      ++level;
-    }
-    if (g.path.empty()) {
-      os << indent() << "{\n";
-      ++level;
-    }
-    for (size_t idx : g.refs) {
-      const auto& r = model.refs[idx];
-      std::string expr = index_expr(bases[idx], r.emitted_coefs(), g.path);
-      if (r.has_write) {
-        os << indent() << names[idx] << "[" << expr << "] = 1;\n";
-      } else {
-        os << indent() << "foray_acc += " << names[idx] << "[" << expr
-           << "];\n";
-      }
-    }
-    --level;
-    os << indent() << "}\n";
+    emit_nest(os, g, model, names, bases, texts);
   }
-
   os << "  return 0;\n}\n";
   return os.str();
 }

@@ -106,10 +106,8 @@ ReplaySimulation simulate_replay(const core::ForayModel& model,
 
 ReplayReport lock_replay(const core::ForayModel& model,
                          const Selection& selection, const DseOptions& dse,
-                         std::string source,
                          const ReplaySimulation& simulated) {
   ReplayReport report;
-  report.source = std::move(source);
   report.status = simulated.status;
   if (!report.status.ok()) return report;
   report.ran = true;
@@ -187,11 +185,9 @@ ReplayReport lock_replay(const core::ForayModel& model,
 ReplayReport replay_selection(const core::ForayModel& model,
                               const Selection& selection,
                               const ReplayOptions& opts) {
-  std::string source = emit_transformed(model, selection);
-  const ReplaySimulation simulated =
-      simulate_replay(model, selection, source, opts.run);
-  return lock_replay(model, selection, opts.dse, std::move(source),
-                     simulated);
+  const ReplaySimulation simulated = simulate_replay(
+      model, selection, emit_transformed(model, selection), opts.run);
+  return lock_replay(model, selection, opts.dse, simulated);
 }
 
 std::string describe_replay_report(const ReplayReport& report,

@@ -12,8 +12,9 @@
 // slip — in the emitter or in the analytic model — becomes a concrete
 // counter mismatch.
 //
-// Geometry note: the emitted program materializes each reference's nest
-// exactly once with its recorded (maximum) trip counts, i.e. it is
+// Geometry note: the emitted program runs each nest of
+// core::group_by_nest exactly once with its recorded (maximum) trip
+// counts, every reference of the nest in its body, i.e. it is
 // rectangular by construction, while ModelReference::exec_count is the
 // *profiled* execution count (smaller for data-dependent trips, larger
 // for partial references whose outer context re-runs the nest). The
@@ -91,9 +92,6 @@ struct ReplayReport {
   util::Status status;
   bool ran = false;
 
-  /// The emitted transformed program (for diagnostics and goldens).
-  std::string source;
-
   std::vector<ReplayBuffer> buffers;
 
   // Whole-program simulated counters.
@@ -164,10 +162,9 @@ ReplaySimulation simulate_replay(const core::ForayModel& model,
 
 /// The lock: derives the analytic counters of `selection` on the
 /// materialized geometry and on the profiled model, and compares the
-/// simulated side with them. `source` becomes ReplayReport::source.
+/// simulated side with them.
 ReplayReport lock_replay(const core::ForayModel& model,
                          const Selection& selection, const DseOptions& dse,
-                         std::string source,
                          const ReplaySimulation& simulated);
 
 /// Emits the transformed program for `selection`, executes it, and

@@ -32,6 +32,8 @@
 #include "foray/pipeline.h"
 #include "spm/address_stream.h"
 #include "spm/cache_sim.h"
+#include "spm/replay.h"
+#include "spm/transform.h"
 #include "util/rng.h"
 
 namespace foray::spm {
@@ -707,6 +709,58 @@ TEST(ReplayGolden, BenchsuiteReplaySweepMatchesTheGolden) {
                     .run_ndjson(driver::SweepDriver::benchsuite_jobs(), got)
                     .ok());
     EXPECT_EQ(got.str(), golden.str()) << threads << " threads";
+  }
+}
+
+TEST(ReplayGolden, TransformedProgramStepsMatchTheGolden) {
+  // What replay costs: the steps and replay-view records of each distinct
+  // transformed program the energy grid below replays (12 of them), and
+  // their totals, at 1 and 4 threads. Steps are the bytecode VM's (the
+  // engines count them differently), like tests/golden/run_steps.txt. A
+  // transformed program that stops sharing the model program's nests
+  // runs more steps than this.
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
+                   "/tests/golden/replay_steps.txt");
+  ASSERT_TRUE(in) << "tests/golden/replay_steps.txt";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  for (int threads : {1, 4}) {
+    driver::SweepOptions o;
+    o.threads = threads;
+    ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096,16384").ok());
+    ASSERT_TRUE(
+        o.spec.parse_axis("energy", "default,dram-heavy,fast-spm").ok());
+    const driver::SweepReport report =
+        driver::SweepDriver(o).run(driver::SweepDriver::benchsuite_jobs());
+    sim::RunOptions run = o.pipeline.run;
+    run.engine = sim::Engine::Bytecode;
+    std::vector<std::string> seen;
+    uint64_t steps = 0, records = 0;
+    std::string got;
+    for (const driver::SweepItem& item : report.items) {
+      ASSERT_TRUE(item.status.ok()) << item.status.message();
+      const core::ForayModel& model = report.results[item.key.job].model;
+      const std::string source =
+          spm::emit_transformed(model, item.spm.exact);
+      if (std::find(seen.begin(), seen.end(), source) != seen.end()) {
+        continue;
+      }
+      seen.push_back(source);
+      const spm::ReplaySimulation sim =
+          spm::simulate_replay(model, item.spm.exact, source, run);
+      ASSERT_TRUE(sim.status.ok()) << sim.status.message();
+      steps += sim.steps;
+      records += sim.view_records;
+      got += item.program + " " +
+             std::to_string(item.point.capacity_bytes) + " " +
+             item.point.energy_name + ": steps " +
+             std::to_string(sim.steps) + " view_records " +
+             std::to_string(sim.view_records) + "\n";
+    }
+    got += "total " + std::to_string(seen.size()) + " programs: steps " +
+           std::to_string(steps) + " view_records " +
+           std::to_string(records) + "\n";
+    EXPECT_EQ(got, golden.str()) << threads << " threads";
   }
 }
 

@@ -2,18 +2,23 @@
 //  - the address stream generated from an extracted model reproduces the
 //    simulator-recorded addresses of full-affine references exactly;
 //  - behavior statistics are consistent with raw trace counts;
-//  - the emitted MiniC model generates the same Data-address multiset as
-//    the model's analytic stream.
+//  - the emitted MiniC model generates the model's analytic address
+//    stream, access for access and in order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "benchsuite/generator.h"
 #include "benchsuite/suite.h"
+#include "foray/emitter.h"
 #include "foray/pipeline.h"
 #include "foray/stats.h"
 #include "minic/parser.h"
+#include "sim/classify_sink.h"
 #include "sim/interpreter.h"
 #include "spm/address_stream.h"
 #include "trace/sink.h"
@@ -80,21 +85,114 @@ TEST(Equivalence, ModelStreamReproducesTraceAddressesInOrder) {
   }
 }
 
-TEST(Equivalence, EmittedModelStreamsSameAddressCount) {
-  benchsuite::GeneratorOptions gopts;
-  gopts.seed = 7;
-  gopts.num_nests = 3;
-  auto gen = benchsuite::generate_affine_program(gopts);
-  auto res = core::run_pipeline(gen.source, lenient());
-  ASSERT_TRUE(res.ok());
+/// One Data access as (reference index, byte offset in its array).
+using RefOffset = std::pair<int, int64_t>;
 
-  // Execute the emitted model and compare total Data accesses with the
-  // analytic stream volume.
-  auto recorded = trace_addresses(res.foray_source);
-  uint64_t executed = 0;
-  for (const auto& [instr, addrs] : recorded) executed += addrs.size();
-  uint64_t analytic = spm::for_each_address(res.model, [](uint32_t) {});
-  EXPECT_EQ(executed, analytic) << res.foray_source;
+/// Collects a program's Data accesses mapped through `regions`: an access
+/// inside regions[k] becomes (ref_of[k], offset), one outside all of them
+/// (-1, address).
+class RefOffsetSink final : public trace::Sink {
+ public:
+  RefOffsetSink(std::vector<sim::GlobalRegion> regions,
+                std::vector<int> ref_of)
+      : regions_(std::move(regions)), ref_of_(std::move(ref_of)) {}
+  void on_chunk(const trace::Record* r, size_t n) override {
+    for (size_t i = 0; i < n; ++i) {
+      if (r[i].type() != trace::RecordType::Access ||
+          r[i].kind() != trace::AccessKind::Data) {
+        continue;
+      }
+      RefOffset got{-1, r[i].addr()};
+      for (size_t k = 0; k < regions_.size(); ++k) {
+        if (r[i].addr() - regions_[k].base < regions_[k].size) {
+          got = {ref_of_[k], r[i].addr() - regions_[k].base};
+          break;
+        }
+      }
+      seen.push_back(got);
+    }
+  }
+  std::vector<RefOffset> seen;
+
+ private:
+  std::vector<sim::GlobalRegion> regions_;
+  std::vector<int> ref_of_;
+};
+
+/// Runs `model`'s emitted program and checks that its Data accesses,
+/// mapped to (reference, offset) through sim::global_regions, are the
+/// model's address stream spm::for_each_address(model), in order.
+void expect_emitted_stream_in_order(const core::ForayModel& model,
+                                    const std::string& label) {
+  const std::string source = core::emit_minic(model);
+  util::DiagList diags;
+  auto prog = minic::parse_and_check(source, &diags);
+  ASSERT_NE(prog, nullptr) << label << ": " << diags.str();
+  instrument::annotate_loops(prog.get());
+  const std::vector<std::string> names = core::assign_array_names(model);
+  std::vector<sim::GlobalRegion> regions = sim::global_regions(*prog);
+  std::vector<int> ref_of;
+  for (const sim::GlobalRegion& g : regions) {
+    const auto it = std::find(names.begin(), names.end(), g.name);
+    ref_of.push_back(it == names.end() ? -1
+                                       : static_cast<int>(it - names.begin()));
+  }
+  RefOffsetSink sink(std::move(regions), std::move(ref_of));
+  sim::RunOptions ropts;
+  ropts.replay_view = true;  // loop checkpoints and Data accesses only
+  const sim::RunResult run = sim::run_program(*prog, &sink, ropts);
+  ASSERT_TRUE(run.ok()) << label << ": " << run.error();
+
+  // The stream interleaves each nest's references per iteration, in
+  // group_by_nest order; an address is const_term plus the iterator
+  // terms, and the array holds it at that sum minus the span's minimum.
+  std::vector<int> ref_seq;
+  for (const core::NestGroup& g : core::group_by_nest(model)) {
+    uint64_t iterations = 1;
+    for (int64_t t : g.trips) iterations *= t > 0 ? t : 0;
+    for (uint64_t k = 0; k < iterations; ++k) {
+      ref_seq.insert(ref_seq.end(), g.refs.begin(), g.refs.end());
+    }
+  }
+  std::vector<RefOffset> expected;
+  spm::for_each_address(model, [&](uint32_t addr) {
+    ASSERT_LT(expected.size(), ref_seq.size()) << label;
+    const int ref = ref_seq[expected.size()];
+    const core::ModelReference& r = model.refs[static_cast<size_t>(ref)];
+    const auto sum = static_cast<int32_t>(
+        addr - static_cast<uint32_t>(r.fn.const_term));
+    expected.emplace_back(ref, sum - core::offset_span(r).min_off);
+  });
+  ASSERT_EQ(expected.size(), ref_seq.size()) << label;
+  ASSERT_EQ(sink.seen.size(), expected.size()) << label << "\n" << source;
+  const auto diverge =
+      std::mismatch(sink.seen.begin(), sink.seen.end(), expected.begin());
+  EXPECT_TRUE(diverge.first == sink.seen.end())
+      << label << ": access " << diverge.first - sink.seen.begin()
+      << " is (ref " << diverge.first->first << ", offset "
+      << diverge.first->second << "), the model streams (ref "
+      << diverge.second->first << ", offset " << diverge.second->second
+      << ")\n"
+      << source;
+}
+
+TEST(Equivalence, EmittedModelStreamsSameAddressCount) {
+  // The emitted model program replays the model's address stream access
+  // for access, on the six kernels and a seeded generator family.
+  for (const auto& bench : benchsuite::all_benchmarks()) {
+    auto res = core::run_pipeline(bench.source);
+    ASSERT_TRUE(res.ok()) << bench.name << ": " << res.error();
+    expect_emitted_stream_in_order(res.model, bench.name);
+  }
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    benchsuite::GeneratorOptions gopts;
+    gopts.seed = seed;
+    auto gen = benchsuite::generate_affine_program(gopts);
+    auto res = core::run_pipeline(gen.source, lenient());
+    ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.error();
+    expect_emitted_stream_in_order(res.model,
+                                   "seed " + std::to_string(seed));
+  }
 }
 
 TEST(Equivalence, BehaviorTotalsMatchExtractorCounters) {

@@ -9,9 +9,10 @@
 // mismatch here.
 //
 // Also here:
-//  - golden fixtures for the transformed source of adpcm/gsm/jpeg
-//    (tests/golden/<kernel>.transformed.mc; regenerate intentional
-//    changes with FORAY_UPDATE_GOLDEN=1),
+//  - golden fixtures for the model program and the transformed source
+//    of adpcm/gsm/jpeg (tests/golden/<kernel>.model.mc and
+//    <kernel>.transformed.mc; regenerate intentional changes with
+//    FORAY_UPDATE_GOLDEN=1),
 //  - the global address map locked against real trace addresses from
 //    both engines (sim::global_regions is the third copy of the
 //    allocation rule),
@@ -243,39 +244,42 @@ TEST(TransformReplay, GeneratorProgramsLockAcrossSeeds) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden fixtures: the emitted transformed source of three kernels at
-// 4096B, byte-for-byte. Emitter drift becomes a reviewable diff;
-// regenerate intentional changes with FORAY_UPDATE_GOLDEN=1.
+// Golden fixtures: the emitted model program and transformed source of
+// three kernels at 4096B, byte-for-byte. Emitter drift becomes a
+// reviewable diff; regenerate intentional changes with
+// FORAY_UPDATE_GOLDEN=1.
 
-std::string transformed_fixture_path(const std::string& kernel) {
-  return std::string(FORAY_SOURCE_DIR) + "/tests/golden/" + kernel +
-         ".transformed.mc";
+/// Compares `emitted` with tests/golden/<name>, rewriting the file first
+/// under FORAY_UPDATE_GOLDEN.
+void expect_fixture(const std::string& name, const std::string& emitted) {
+  const std::string path =
+      std::string(FORAY_SOURCE_DIR) + "/tests/golden/" + name;
+  if (std::getenv("FORAY_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << path;
+    out << emitted;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing fixture " << path
+                         << " — regenerate with FORAY_UPDATE_GOLDEN=1";
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(ss.str(), emitted)
+      << name << ": emitted-source drift; review the diff and "
+      << "regenerate with FORAY_UPDATE_GOLDEN=1 if intentional";
 }
 
 TEST(TransformReplay, TransformedSourceMatchesGoldenFixtures) {
-  for (const char* kernel : {"adpcm", "gsm", "jpeg"}) {
+  for (const std::string kernel : {"adpcm", "gsm", "jpeg"}) {
     core::SpmPhaseOptions opts;
     opts.dse.spm_capacity = 4096;
     auto res = core::run_pipeline(benchsuite::get_benchmark(kernel).source);
     ASSERT_TRUE(res.ok()) << kernel << ": " << res.error();
-    const std::string emitted =
-        emit_transformed(res.model, core::solve_spm(res.model, opts).exact);
-
-    if (std::getenv("FORAY_UPDATE_GOLDEN") != nullptr) {
-      std::ofstream out(transformed_fixture_path(kernel),
-                        std::ios::binary);
-      ASSERT_TRUE(out.good()) << transformed_fixture_path(kernel);
-      out << emitted;
-    }
-    std::ifstream in(transformed_fixture_path(kernel), std::ios::binary);
-    ASSERT_TRUE(in.good())
-        << "missing fixture " << transformed_fixture_path(kernel)
-        << " — regenerate with FORAY_UPDATE_GOLDEN=1";
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), emitted)
-        << kernel << ": transformed-source drift; review the diff and "
-        << "regenerate with FORAY_UPDATE_GOLDEN=1 if intentional";
+    // The model program is what `foraygen emit` prints.
+    expect_fixture(kernel + ".model.mc", res.foray_source);
+    expect_fixture(
+        kernel + ".transformed.mc",
+        emit_transformed(res.model, core::solve_spm(res.model, opts).exact));
   }
 }
 
@@ -620,6 +624,37 @@ TEST(TransformReplay, MidLevelSlidingInDeeperNest) {
   // fill plus two delta fills across the 3 outer iterations, written
   // back in kind.
   EXPECT_EQ(rep.sim_transfer_words, 2u * (24u + 2u));
+}
+
+TEST(TransformReplay, BuffersAtSeveralDepthsShareOneNest) {
+  // Three references of one nest, buffered at different split depths: a
+  // dirty sliding window and a dirty full buffer around loop 1, a read
+  // buffer around loop 2. Each fill and writeback sits at its own depth
+  // of the one shared nest, and the lock holds for all three.
+  core::ForayModel model;
+  model.refs.push_back(make_ref({4, 8, 4}, {3, 5, 16}, true));
+  model.refs.push_back(make_ref({0, 64, 4}, {3, 5, 16}, false));
+  model.refs.push_back(make_ref({64, 0, 4}, {3, 5, 16}, true));
+  model.refs[1].instr = 0x400300;
+  model.refs[2].instr = 0x400400;
+  Selection sel;
+  for (auto [ref, level] : {std::pair{0, 2}, {1, 1}, {2, 2}}) {
+    sel.chosen.push_back(
+        candidate_at(model.refs[static_cast<size_t>(ref)], ref, level));
+  }
+  ASSERT_TRUE(sel.chosen[0].sliding_window);
+  const std::string source = emit_transformed(model, sel);
+  size_t loops = 0;
+  for (size_t at = source.find("for (int i"); at != std::string::npos;
+       at = source.find("for (int i", at + 1)) {
+    ++loops;
+  }
+  EXPECT_EQ(loops, 3u) << source;
+  const ReplayReport rep = replay_selection(model, sel, {});
+  EXPECT_TRUE(rep.matches()) << describe_replay_report(rep, model) << source;
+  ASSERT_EQ(rep.buffers.size(), 3u);
+  EXPECT_EQ(rep.buffers[1].sim_fill_events, 15u);
+  EXPECT_EQ(rep.buffers[2].sim_writeback_events, 3u);
 }
 
 TEST(TransformReplay, StepEqualToSpanIsNotSliding) {

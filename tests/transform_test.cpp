@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "benchsuite/suite.h"
+#include "foray/emitter.h"
 #include "foray/pipeline.h"
 #include "minic/parser.h"
 #include "sim/interpreter.h"
@@ -74,6 +75,17 @@ RunOutcome run_transformed(const core::ForayModel& model,
   return out;
 }
 
+/// `source` without its leading header comment: the comment lines before
+/// the first reference's declaration comment.
+std::string below_header(const std::string& source) {
+  size_t pos = 0;
+  while (source.compare(pos, 3, "// ") == 0 &&
+         source.compare(pos, 9, "// instr=") != 0) {
+    pos = source.find('\n', pos) + 1;
+  }
+  return source.substr(pos);
+}
+
 TEST(Transform, UnselectedModelMatchesPlainEmission) {
   core::ForayModel model;
   model.refs.push_back(make_ref({0, 4}, {10, 64}, false));
@@ -82,6 +94,20 @@ TEST(Transform, UnselectedModelMatchesPlainEmission) {
   ASSERT_TRUE(out.ok);
   EXPECT_EQ(out.data_accesses, 640u);
   EXPECT_EQ(out.source.find("spm_"), std::string::npos);
+
+  // With no buffer selected, the transformed program is the model
+  // program, byte for byte below its header comment.
+  std::vector<core::ForayModel> models = {model};
+  for (const auto& bench : benchsuite::all_benchmarks()) {
+    auto res = core::run_pipeline(bench.source);
+    ASSERT_TRUE(res.ok()) << bench.name << ": " << res.error();
+    models.push_back(res.model);
+  }
+  for (const core::ForayModel& m : models) {
+    const std::string plain = core::emit_minic(m);
+    EXPECT_EQ(below_header(emit_transformed(m, none)), below_header(plain));
+    EXPECT_NE(below_header(plain), plain);
+  }
 }
 
 TEST(Transform, BufferedReadAddsFillTraffic) {
