@@ -4,8 +4,8 @@
 // fingerprint) — every option that can change the extracted model is in
 // the fingerprint, everything proven bit-identical by the equivalence
 // harnesses (engine choice, the census, chunking) is
-// deliberately NOT, so a model profiled on one engine serves warm sweeps
-// on the other. Execution budgets are also excluded: a budget that trips
+// deliberately NOT, so a model the tests profile on the tree-walking
+// oracle is the one the VM stores and loads. Execution budgets are also excluded: a budget that trips
 // never produces a model to store, and a cached model needs no budget to
 // load.
 //

@@ -114,8 +114,7 @@ util::Status parse_request(const util::JsonValue& req,
                            const ServeOptions& opts, SweepOptions* sopts,
                            std::vector<SweepJob>* jobs) {
   static constexpr const char* kKnown[] = {
-      "id", "axes", "program", "source", "name", "threads", "budget",
-      "engine"};
+      "id", "axes", "program", "source", "name", "threads", "budget"};
   for (const auto& [key, value] : req.fields) {
     (void)value;
     if (std::find_if(std::begin(kKnown), std::end(kKnown),
@@ -148,21 +147,6 @@ util::Status parse_request(const util::JsonValue& req,
       }
       util::Status st = sopts->spec.parse_axis(axis, values.str);
       if (!st.ok()) return st;
-    }
-  }
-
-  // Optional per-request engine override; same values as CLI --engine.
-  // Both engines stream byte-identical responses (the differential
-  // harness guarantees it), so this only trades simulation speed.
-  if (const util::JsonValue* e = req.find("engine"); e != nullptr) {
-    if (!e->is_string()) return bad_request("\"engine\" must be a string");
-    if (e->str == "ast") {
-      sopts->pipeline.run.engine = sim::Engine::Ast;
-    } else if (e->str == "bytecode") {
-      sopts->pipeline.run.engine = sim::Engine::Bytecode;
-    } else {
-      return bad_request("unknown engine \"" + e->str +
-                         "\" (want ast or bytecode)");
     }
   }
 

@@ -20,6 +20,8 @@
 //            --threads
 //   budget   {"max_steps":N,"max_records":N,"timeout_seconds":S} — per-
 //            request execution bounds layered over the server defaults
+// Any other field is refused as `unknown request field "<name>"`; there
+// is no engine field, profiling always runs the bytecode VM.
 //
 // A malformed request never kills the loop: it produces a single done
 // row with ok:false and the classified error. A request line longer than
@@ -59,7 +61,7 @@ inline constexpr size_t kMaxRequestBytes = size_t{1} << 20;
 struct ServeOptions {
   /// Worker-thread ceiling; each request may ask for fewer.
   int threads = 1;
-  /// Server-side Phase I/II defaults (engine, filter, budgets); requests
+  /// Server-side Phase I/II defaults (filter, budgets); requests
   /// layer axes and budget overrides on top.
   core::PipelineOptions pipeline;
   /// Per-request grid-size cap (jobs x points); 0 = unlimited.

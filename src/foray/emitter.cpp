@@ -11,14 +11,30 @@
 namespace foray::core {
 
 Span offset_span(const ModelReference& ref, size_t from) {
-  Span s;
-  auto coefs = ref.emitted_coefs();
-  auto trips = ref.emitted_trips();
-  for (size_t i = from; i < coefs.size(); ++i) {
-    const int64_t reach = coefs[i] * std::max<int64_t>(trips[i] - 1, 0);
-    (reach < 0 ? s.min_off : s.max_off) += reach;
+  uint64_t down = 0;  // magnitude of the negative reaches
+  uint64_t up = 0;
+  // The emitted loops are the last fn.m of both vectors (no copies: the
+  // DSE sizes every candidate through here).
+  const size_t m = static_cast<size_t>(ref.fn.m);
+  const int64_t* coefs = ref.fn.coefs.data() + (ref.fn.coefs.size() - m);
+  const int64_t* trips = ref.trips.data() + (ref.trips.size() - m);
+  for (size_t i = from; i < m; ++i) {
+    const uint64_t steps =
+        trips[i] > 1 ? static_cast<uint64_t>(trips[i]) - 1 : 0;
+    const uint64_t coef = static_cast<uint64_t>(coefs[i]);
+    if (coefs[i] < 0) {
+      down += (0 - coef) * steps;
+    } else {
+      up += coef * steps;
+    }
   }
-  return s;
+  return {static_cast<int64_t>(0 - down), static_cast<int64_t>(up)};
+}
+
+uint64_t span_bytes(const ModelReference& ref, size_t from) {
+  const Span s = offset_span(ref, from);
+  return static_cast<uint64_t>(s.max_off) - static_cast<uint64_t>(s.min_off) +
+         std::max<uint64_t>(ref.access_size, 1);
 }
 
 std::string loop_var(const std::vector<int>& path, size_t pos) {
@@ -189,8 +205,7 @@ std::string emit_minic(const ForayModel& model, std::string_view header,
     const auto& r = model.refs[i];
     const Span s = offset_span(r);
     bases[i] = -s.min_off;  // rebased constant term
-    const int64_t len =
-        s.max_off - s.min_off + std::max<int64_t>(r.access_size, 1);
+    const uint64_t len = span_bytes(r);
     const RefText& t = text_of(texts, i);
     os << "// " << describe_reference(r) << t.note << "\n";
     os << "char " << names[i] << "[" << len << "];\n" << t.decls;

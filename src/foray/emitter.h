@@ -41,12 +41,20 @@ struct NestGroup {
 std::vector<NestGroup> group_by_nest(const ForayModel& model);
 
 /// Offset extremes of a reference's emitted function over its loops
-/// [from, M), relative to const_term.
+/// [from, M), relative to const_term. Summed modulo 2^64: a model file
+/// may carry any i64 trip and coefficient, and a reach past the int64
+/// range wraps instead of overflowing.
 struct Span {
   int64_t min_off = 0;  ///< most negative iterator contribution
   int64_t max_off = 0;  ///< most positive iterator contribution
 };
 Span offset_span(const ModelReference& ref, size_t from = 0);
+
+/// Bytes an array covering the reference's loops [from, M) spans: the
+/// offset extent plus one access, at least one byte (modulo 2^64, like
+/// offset_span). The model program's arrays, the SPM buffers and the
+/// DSE's candidate sizes (spm::candidate_at) all take it from here.
+uint64_t span_bytes(const ModelReference& ref, size_t from = 0);
 
 /// Loop-variable name for position `pos` of an emitted path. Usually
 /// "i<loop_id>"; recursion can repeat a site in one path, in which case

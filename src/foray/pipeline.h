@@ -67,11 +67,11 @@ struct SpmPhaseOptions {
 };
 
 struct PipelineOptions {
-  /// Simulator knobs, including RunOptions::engine: profiling runs on
-  /// the bytecode VM by default, with the tree-walking interpreter
-  /// selectable as the reference oracle (CLI --engine, FORAY_ENGINE).
-  /// Both engines produce bit-identical traces, so every downstream
-  /// phase — extraction, filter, SPM DSE — is engine-agnostic.
+  /// Simulator knobs, including RunOptions::engine: every product
+  /// surface profiles on the bytecode VM; tests and benches set
+  /// Engine::Ast to run the tree-walking oracle. Both engines produce
+  /// bit-identical traces, so every downstream phase — extraction,
+  /// filter, SPM DSE — is engine-agnostic.
   sim::RunOptions run;
   ExtractorOptions extractor;
   FilterOptions filter;  ///< the Step 4 thresholds, Nexec and Nloc

@@ -39,24 +39,19 @@ namespace foray::sim {
 
 /// Which execution engine runs the program. Both produce bit-identical
 /// traces, outputs, and memory images (tests/engine_equivalence_test.cpp
-/// enforces it); they differ only in speed.
+/// enforces it); they differ only in speed. Every product surface runs
+/// the VM; the tree walker is the oracle tests and benches select here.
 enum class Engine : uint8_t {
   Ast,       ///< tree-walking reference interpreter (the oracle)
-  Bytecode,  ///< flat bytecode + dispatch-loop VM (the fast default)
+  Bytecode,  ///< flat bytecode + dispatch-loop VM (the product engine)
 };
-
-/// Session-wide default engine: Engine::Bytecode, overridable with the
-/// FORAY_ENGINE environment variable ("ast" or "bytecode") so the
-/// whole test suite can be re-run against any engine without code
-/// changes (the CI matrix does exactly that).
-Engine default_engine();
 
 /// Upper bound on the frame bases the elision guard remembers per
 /// function, whatever Nloc is: the guard's memory does not grow with it.
 inline constexpr uint32_t kMaxElisionBases = 16;
 
 struct RunOptions {
-  Engine engine = default_engine();
+  Engine engine = Engine::Bytecode;
   /// Execution bounds: step guard, record budget, wall-clock deadline
   /// and cancellation token (sim/budget.h). The step guard is checked
   /// per instruction; the rest at trace-chunk boundaries, so a run may

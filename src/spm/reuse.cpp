@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "foray/emitter.h"
+
 namespace foray::spm {
 
 BufferCandidate candidate_at(const core::ModelReference& ref,
@@ -18,14 +20,12 @@ BufferCandidate candidate_at(const core::ModelReference& ref,
   BufferCandidate c;
   c.ref_index = ref_index;
   c.level = k;
-  // Span of the innermost k loops (conservative dense bound). Zero-trip
-  // and zero-coefficient dimensions contribute nothing, so the span is
-  // never smaller than one access — a buffer can't be zero-sized.
-  uint64_t span = std::max<uint64_t>(ref.access_size, 1);
-  for (int i = 0; i < k; ++i) {
-    span += static_cast<uint64_t>(std::llabs(coefs[i])) *
-            static_cast<uint64_t>(std::max<int64_t>(trips[i] - 1, 0));
-  }
+  // Span of the innermost k loops (conservative dense bound), the size
+  // the emitter declares the SPM buffer with. Zero-trip and
+  // zero-coefficient dimensions contribute nothing, so the span is never
+  // smaller than one access — a buffer can't be zero-sized.
+  const uint64_t span =
+      core::span_bytes(ref, static_cast<size_t>(m - k));
   c.size_bytes = span;
 
   // Accesses inside one buffer residency and the number of fills.

@@ -32,13 +32,11 @@ core::RefText buffer_text(const core::ModelReference& ref,
   level = std::clamp(level, 0, static_cast<int>(coefs.size()));
   if (level == 0) return {};
   const size_t split = coefs.size() - static_cast<size_t>(level);
-  // One byte minimum even for a zero-sized access (which real traces
-  // cannot produce), clamped exactly like candidate_at so the sliding
+  // The span candidate_at sizes the buffer with, so the sliding
   // predicate and fill sizes the two sides compute can never diverge.
-  const int64_t access = std::max<int64_t>(ref.access_size, 1);
   const int64_t base = -core::offset_span(ref).min_off;
   const core::Span inner = core::offset_span(ref, split);
-  const int64_t span = inner.max_off - inner.min_off + access;
+  const auto span = static_cast<int64_t>(core::span_bytes(ref, split));
   // Sliding window: the loop just outside the buffered span advances the
   // window by `step` bytes per iteration; when 0 < |step| < span the
   // buffer is kept resident as a circular window and refills load only

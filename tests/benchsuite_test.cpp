@@ -5,12 +5,11 @@
 #include "benchsuite/suite.h"
 #include "foray/inline_advisor.h"
 #include "foray/pipeline.h"
+#include "oracle.h"
 #include "staticforay/static_analysis.h"
 
 namespace foray::benchsuite {
 namespace {
-
-using core::run_pipeline;
 
 TEST(Suite, HasSixBenchmarksInPaperOrder) {
   const auto& all = all_benchmarks();
@@ -34,7 +33,7 @@ class BenchmarkRun : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BenchmarkRun, ExecutesAndExtracts) {
   const Benchmark& b = get_benchmark(GetParam());
-  auto res = run_pipeline(b.source);
+  auto res = oracle::run_pipeline(b.source);
   ASSERT_TRUE(res.ok()) << b.name << ": " << res.error();
   EXPECT_EQ(res.run.exit_code, 0);
   EXPECT_NE(res.run.output.find("check"), std::string::npos)
@@ -45,8 +44,8 @@ TEST_P(BenchmarkRun, ExecutesAndExtracts) {
 
 TEST_P(BenchmarkRun, DeterministicAcrossRuns) {
   const Benchmark& b = get_benchmark(GetParam());
-  auto r1 = run_pipeline(b.source);
-  auto r2 = run_pipeline(b.source);
+  auto r1 = oracle::run_pipeline(b.source);
+  auto r2 = oracle::run_pipeline(b.source);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_EQ(r1.run.output, r2.run.output);
   EXPECT_EQ(r1.model.refs.size(), r2.model.refs.size());
@@ -61,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(All, BenchmarkRun,
                          });
 
 TEST(SuiteShape, AdpcmHasExactlyTwoLoopsOneForOneWhile) {
-  auto res = run_pipeline(get_benchmark("adpcm").source);
+  auto res = oracle::run_pipeline(get_benchmark("adpcm").source);
   ASSERT_TRUE(res.ok()) << res.error();
   auto mix = core::compute_loop_mix(res.extractor->tree(), res.loop_sites,
                                     res.program->source_lines);
@@ -73,7 +72,7 @@ TEST(SuiteShape, AdpcmHasExactlyTwoLoopsOneForOneWhile) {
 TEST(SuiteShape, AdpcmFullyDynamic) {
   // Paper Table II: 100% of adpcm's FORAY-form references are NOT in
   // FORAY form in the source.
-  auto res = run_pipeline(get_benchmark("adpcm").source);
+  auto res = oracle::run_pipeline(get_benchmark("adpcm").source);
   ASSERT_TRUE(res.ok()) << res.error();
   auto analysis = staticforay::analyze(*res.program);
   auto cs = staticforay::compute_conversion(res.model, analysis);
@@ -84,7 +83,7 @@ TEST(SuiteShape, AdpcmFullyDynamic) {
 
 TEST(SuiteShape, FftFullyStatic) {
   // Paper Table II: fft is the one benchmark already in FORAY form.
-  auto res = run_pipeline(get_benchmark("fft").source);
+  auto res = oracle::run_pipeline(get_benchmark("fft").source);
   ASSERT_TRUE(res.ok()) << res.error();
   auto analysis = staticforay::analyze(*res.program);
   auto cs = staticforay::compute_conversion(res.model, analysis);
@@ -94,7 +93,7 @@ TEST(SuiteShape, FftFullyStatic) {
 }
 
 TEST(SuiteShape, FftAllForLoops) {
-  auto res = run_pipeline(get_benchmark("fft").source);
+  auto res = oracle::run_pipeline(get_benchmark("fft").source);
   ASSERT_TRUE(res.ok());
   auto mix = core::compute_loop_mix(res.extractor->tree(), res.loop_sites,
                                     res.program->source_lines);
@@ -104,7 +103,7 @@ TEST(SuiteShape, FftAllForLoops) {
 }
 
 TEST(SuiteShape, LameHasDoLoops) {
-  auto res = run_pipeline(get_benchmark("lame").source);
+  auto res = oracle::run_pipeline(get_benchmark("lame").source);
   ASSERT_TRUE(res.ok()) << res.error();
   auto mix = core::compute_loop_mix(res.extractor->tree(), res.loop_sites,
                                     res.program->source_lines);
@@ -113,7 +112,7 @@ TEST(SuiteShape, LameHasDoLoops) {
 }
 
 TEST(SuiteShape, JpegLoopMixResemblesPaper) {
-  auto res = run_pipeline(get_benchmark("jpeg").source);
+  auto res = oracle::run_pipeline(get_benchmark("jpeg").source);
   ASSERT_TRUE(res.ok());
   auto mix = core::compute_loop_mix(res.extractor->tree(), res.loop_sites,
                                     res.program->source_lines);
@@ -123,7 +122,7 @@ TEST(SuiteShape, JpegLoopMixResemblesPaper) {
 }
 
 TEST(SuiteShape, JpegConversionGainIsSubstantial) {
-  auto res = run_pipeline(get_benchmark("jpeg").source);
+  auto res = oracle::run_pipeline(get_benchmark("jpeg").source);
   ASSERT_TRUE(res.ok()) << res.error();
   auto analysis = staticforay::analyze(*res.program);
   auto cs = staticforay::compute_conversion(res.model, analysis);
@@ -136,7 +135,7 @@ TEST(SuiteShape, JpegConversionGainIsSubstantial) {
 
 TEST(SuiteShape, JpegProducesInlineHint) {
   // fdct_block runs from the luma and chroma loops.
-  auto res = run_pipeline(get_benchmark("jpeg").source);
+  auto res = oracle::run_pipeline(get_benchmark("jpeg").source);
   ASSERT_TRUE(res.ok());
   auto hints = core::compute_inline_hints(res.model, res.loop_sites);
   bool found = false;
@@ -152,7 +151,7 @@ TEST(SuiteShape, JpegProducesInlineHint) {
 
 TEST(SuiteShape, LamePartialAffineAppears) {
   // The scalefactor-band loop has data-dependent bases.
-  auto res = run_pipeline(get_benchmark("lame").source);
+  auto res = oracle::run_pipeline(get_benchmark("lame").source);
   ASSERT_TRUE(res.ok());
   int partials = 0;
   for (const auto& r : res.model.refs) {
@@ -164,7 +163,7 @@ TEST(SuiteShape, LamePartialAffineAppears) {
 TEST(SuiteShape, SystemTrafficPresentInJpeg) {
   core::PipelineOptions census;
   census.census = true;  // the buckets count every reference
-  auto res = run_pipeline(get_benchmark("jpeg").source, census);
+  auto res = oracle::run_pipeline(get_benchmark("jpeg").source, census);
   ASSERT_TRUE(res.ok());
   auto b = core::compute_behavior(res.extractor->tree(),
                                   core::FilterOptions{});
@@ -189,7 +188,7 @@ TEST(SuiteShape, AverageConversionFactorNearTwo) {
   double product_log = 0.0;
   int counted = 0;
   for (const auto& b : all_benchmarks()) {
-    auto res = run_pipeline(b.source);
+    auto res = oracle::run_pipeline(b.source);
     ASSERT_TRUE(res.ok()) << b.name << ": " << res.error();
     auto analysis = staticforay::analyze(*res.program);
     auto cs = staticforay::compute_conversion(res.model, analysis);

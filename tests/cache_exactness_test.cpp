@@ -14,13 +14,16 @@
 // folded stream — must report the counts the oracle does for each cell
 // alone over the full one. The benchsuite sweep's counts are also held
 // to tests/golden/cache_counts.txt, its transform-replay grid to
-// tests/golden/replay_sweeps.ndjson, and its DSE selections to
-// tests/golden/dse_selections.txt.
+// tests/golden/replay_sweeps.ndjson, its DSE selections to
+// tests/golden/dse_selections.txt and its eliding pass (with the
+// kept-scalar programs) to tests/golden/elision_sweeps.ndjson, profiled
+// on the VM and on the tree-walking oracle alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -30,6 +33,7 @@
 #include "benchsuite/suite.h"
 #include "driver/sweep.h"
 #include "foray/pipeline.h"
+#include "oracle.h"
 #include "spm/address_stream.h"
 #include "spm/cache_sim.h"
 #include "spm/replay.h"
@@ -289,7 +293,7 @@ core::ModelReference ref_of(int64_t base, std::vector<int64_t> coefs,
 TEST(CacheExactness, BenchsuiteModels) {
   for (const auto& bench : benchsuite::all_benchmarks()) {
     SCOPED_TRACE(bench.name);
-    const core::PipelineResult res = core::run_pipeline(bench.source);
+    const core::PipelineResult res = oracle::run_pipeline(bench.source);
     ASSERT_TRUE(res.ok()) << res.error();
     ASSERT_FALSE(res.model.refs.empty());
     expect_model_exact(res.model);
@@ -305,7 +309,7 @@ TEST(CacheExactness, GeneratedModels) {
     benchsuite::GeneratorOptions gopts;
     gopts.seed = seed;
     gopts.max_depth = 1 + static_cast<int>(seed % 4);
-    const core::PipelineResult res = core::run_pipeline(
+    const core::PipelineResult res = oracle::run_pipeline(
         benchsuite::generate_affine_program(gopts).source, lenient);
     ASSERT_TRUE(res.ok()) << res.error();
     expect_model_exact(res.model);
@@ -600,42 +604,54 @@ TEST(FoldedWalk, FftWalksAFewThousandOfItsAddresses) {
 
 // -- the benchsuite's counts against the golden --------------------------------
 
+// Every golden below holds the VM and the tree-walking oracle to the
+// same bytes.
+using oracle::engine_name;
+using oracle::kEngines;
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) + "/tests/golden/" + name);
+  EXPECT_TRUE(in) << "tests/golden/" << name;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  return golden.str();
+}
+
 TEST(CacheGolden, BenchsuiteSweepMatchesTheGolden) {
   // The grid of `foraygen sweep --no-cache --capacity-sweep ...
   // --cache-sweep ...` that CI projects onto the same golden: one line
   // per point, its caches' counts or its error.
-  driver::SweepOptions o;
-  o.threads = 2;
-  ASSERT_TRUE(o.spec
-                  .parse_axis("capacity",
-                              "256,512,1000,1024,2048,3072,4096,8192,16384,"
-                              "32768,65536")
-                  .ok());
-  ASSERT_TRUE(
-      o.spec.parse_axis("cache", "16x1,32x2,64x4,32x3,8x8,128x1").ok());
-  const driver::SweepReport report =
-      driver::SweepDriver(o).run(driver::SweepDriver::benchsuite_jobs());
-  std::string got;
-  for (const driver::SweepItem& item : report.items) {
-    got += item.program + " " + std::to_string(item.point.capacity_bytes) +
-           " " + item.point.cache.label + ":";
-    if (!item.status.ok()) {
-      got += " " + item.status.message() + "\n";
-      continue;
+  const std::string golden = read_golden("cache_counts.txt");
+  for (sim::Engine engine : kEngines) {
+    driver::SweepOptions o;
+    o.threads = 2;
+    o.pipeline.run.engine = engine;
+    ASSERT_TRUE(o.spec
+                    .parse_axis("capacity",
+                                "256,512,1000,1024,2048,3072,4096,8192,16384,"
+                                "32768,65536")
+                    .ok());
+    ASSERT_TRUE(
+        o.spec.parse_axis("cache", "16x1,32x2,64x4,32x3,8x8,128x1").ok());
+    const driver::SweepReport report =
+        driver::SweepDriver(o).run(driver::SweepDriver::benchsuite_jobs());
+    std::string got;
+    for (const driver::SweepItem& item : report.items) {
+      got += item.program + " " + std::to_string(item.point.capacity_bytes) +
+             " " + item.point.cache.label + ":";
+      if (!item.status.ok()) {
+        got += " " + item.status.message() + "\n";
+        continue;
+      }
+      for (const core::SpmReport::CacheComparison& c : item.spm.caches) {
+        got += " " + std::to_string(c.assoc) + "-way " +
+               std::to_string(c.hits) + " hits " +
+               std::to_string(c.misses) + " misses";
+      }
+      got += "\n";
     }
-    for (const core::SpmReport::CacheComparison& c : item.spm.caches) {
-      got += " " + std::to_string(c.assoc) + "-way " +
-             std::to_string(c.hits) + " hits " + std::to_string(c.misses) +
-             " misses";
-    }
-    got += "\n";
+    EXPECT_EQ(got, golden) << engine_name(engine);
   }
-  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
-                   "/tests/golden/cache_counts.txt");
-  ASSERT_TRUE(in) << "tests/golden/cache_counts.txt";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(got, golden.str());
 }
 
 TEST(DseGolden, BenchsuiteSelectionsMatchTheGolden) {
@@ -645,70 +661,70 @@ TEST(DseGolden, BenchsuiteSelectionsMatchTheGolden) {
   // projects onto the same golden: one line per point, its selection's
   // size, bytes and savings (%.17g, so every bit shows), at 1 and 4
   // threads.
-  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
-                   "/tests/golden/dse_selections.txt");
-  ASSERT_TRUE(in) << "tests/golden/dse_selections.txt";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  for (int threads : {1, 4}) {
-    driver::SweepOptions o;
-    o.threads = threads;
-    ASSERT_TRUE(o.spec
-                    .parse_axis("capacity",
-                                "256,512,1024,2048,4096,8192,16384,32768")
-                    .ok());
-    ASSERT_TRUE(o.spec
-                    .parse_axis("energy",
-                                "default,dram-heavy,lowpower-dram,fast-spm,"
-                                "cache-costly")
-                    .ok());
-    ASSERT_TRUE(o.spec.parse_axis("algorithm", "dp,greedy").ok());
-    const driver::SweepReport report =
-        driver::SweepDriver(o).run(driver::SweepDriver::benchsuite_jobs());
-    std::string got;
-    for (const driver::SweepItem& item : report.items) {
-      got += item.program + " " + std::to_string(item.point.capacity_bytes) +
-             " " + item.point.energy_name + " " +
-             driver::algorithm_name(item.point.algorithm) + ":";
-      if (!item.status.ok()) {
-        got += " " + item.status.message() + "\n";
-        continue;
+  const std::string golden = read_golden("dse_selections.txt");
+  for (sim::Engine engine : kEngines) {
+    for (int threads : {1, 4}) {
+      driver::SweepOptions o;
+      o.threads = threads;
+      o.pipeline.run.engine = engine;
+      ASSERT_TRUE(o.spec
+                      .parse_axis("capacity",
+                                  "256,512,1024,2048,4096,8192,16384,32768")
+                      .ok());
+      ASSERT_TRUE(o.spec
+                      .parse_axis("energy",
+                                  "default,dram-heavy,lowpower-dram,fast-spm,"
+                                  "cache-costly")
+                      .ok());
+      ASSERT_TRUE(o.spec.parse_axis("algorithm", "dp,greedy").ok());
+      const driver::SweepReport report =
+          driver::SweepDriver(o).run(driver::SweepDriver::benchsuite_jobs());
+      std::string got;
+      for (const driver::SweepItem& item : report.items) {
+        got += item.program + " " + std::to_string(item.point.capacity_bytes) +
+               " " + item.point.energy_name + " " +
+               driver::algorithm_name(item.point.algorithm) + ":";
+        if (!item.status.ok()) {
+          got += " " + item.status.message() + "\n";
+          continue;
+        }
+        const spm::Selection& sel = item.selection();
+        char line[160];
+        std::snprintf(line, sizeof line,
+                      " %zu buffers %llu B saved %.17g exact %.17g greedy "
+                      "%.17g\n",
+                      sel.chosen.size(),
+                      static_cast<unsigned long long>(sel.bytes_used),
+                      sel.saved_nj, item.spm.exact.saved_nj,
+                      item.spm.greedy.saved_nj);
+        got += line;
       }
-      const spm::Selection& sel = item.selection();
-      char line[160];
-      std::snprintf(line, sizeof line,
-                    " %zu buffers %llu B saved %.17g exact %.17g greedy "
-                    "%.17g\n",
-                    sel.chosen.size(),
-                    static_cast<unsigned long long>(sel.bytes_used),
-                    sel.saved_nj, item.spm.exact.saved_nj,
-                    item.spm.greedy.saved_nj);
-      got += line;
+      EXPECT_EQ(got, golden) << engine_name(engine) << ", " << threads
+                             << " threads";
     }
-    EXPECT_EQ(got, golden.str()) << threads << " threads";
   }
 }
 
 TEST(ReplayGolden, BenchsuiteReplaySweepMatchesTheGolden) {
   // `foraygen sweep --capacity-sweep 1024,4096,16384 --replay --no-cache
-  // --ndjson`, byte for byte, at 1 and 4 threads: every point's replay
-  // check, the grid CI's transform-replay leg compares with the same
-  // golden.
-  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
-                   "/tests/golden/replay_sweeps.ndjson");
-  ASSERT_TRUE(in) << "tests/golden/replay_sweeps.ndjson";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  for (int threads : {1, 4}) {
-    driver::SweepOptions o;
-    o.threads = threads;
-    ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096,16384").ok());
-    ASSERT_TRUE(o.spec.parse_axis("replay", "on").ok());
-    std::ostringstream got;
-    ASSERT_TRUE(driver::SweepDriver(o)
-                    .run_ndjson(driver::SweepDriver::benchsuite_jobs(), got)
-                    .ok());
-    EXPECT_EQ(got.str(), golden.str()) << threads << " threads";
+  // --ndjson`, byte for byte, at 1 and 4 threads, profiled and replayed
+  // on each engine: every point's replay check, the grid CI's
+  // transform-replay step compares with the same golden.
+  const std::string golden = read_golden("replay_sweeps.ndjson");
+  for (sim::Engine engine : kEngines) {
+    for (int threads : {1, 4}) {
+      driver::SweepOptions o;
+      o.threads = threads;
+      o.pipeline.run.engine = engine;
+      ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096,16384").ok());
+      ASSERT_TRUE(o.spec.parse_axis("replay", "on").ok());
+      std::ostringstream got;
+      ASSERT_TRUE(driver::SweepDriver(o)
+                      .run_ndjson(driver::SweepDriver::benchsuite_jobs(), got)
+                      .ok());
+      EXPECT_EQ(got.str(), golden)
+          << engine_name(engine) << ", " << threads << " threads";
+    }
   }
 }
 
@@ -719,11 +735,7 @@ TEST(ReplayGolden, TransformedProgramStepsMatchTheGolden) {
   // engines count them differently), like tests/golden/run_steps.txt. A
   // transformed program that stops sharing the model program's nests
   // runs more steps than this.
-  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
-                   "/tests/golden/replay_steps.txt");
-  ASSERT_TRUE(in) << "tests/golden/replay_steps.txt";
-  std::ostringstream golden;
-  golden << in.rdbuf();
+  const std::string golden = read_golden("replay_steps.txt");
   for (int threads : {1, 4}) {
     driver::SweepOptions o;
     o.threads = threads;
@@ -760,7 +772,7 @@ TEST(ReplayGolden, TransformedProgramStepsMatchTheGolden) {
     got += "total " + std::to_string(seen.size()) + " programs: steps " +
            std::to_string(steps) + " view_records " +
            std::to_string(records) + "\n";
-    EXPECT_EQ(got, golden.str()) << threads << " threads";
+    EXPECT_EQ(got, golden) << threads << " threads";
   }
 }
 
@@ -770,32 +782,71 @@ TEST(ReplayGolden, EnergySweepsSimulateEachTransformedProgramOnce) {
   // byte: 54 replay groups whose exact selections emit 12 distinct
   // programs. One memo simulates each once; a second pass through it
   // simulates none and writes the same bytes.
-  std::ifstream in(std::string(FORAY_SOURCE_DIR) +
-                   "/tests/golden/replay_energy_sweeps.ndjson");
-  ASSERT_TRUE(in) << "tests/golden/replay_energy_sweeps.ndjson";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  for (int threads : {1, 4}) {
-    driver::ReplayMemo memo;
-    driver::SweepOptions o;
-    o.threads = threads;
-    o.replay_memo = &memo;
-    ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096,16384").ok());
-    ASSERT_TRUE(
-        o.spec.parse_axis("energy", "default,dram-heavy,fast-spm").ok());
-    ASSERT_TRUE(o.spec.parse_axis("replay", "on").ok());
-    for (int pass = 1; pass <= 2; ++pass) {
+  const std::string golden = read_golden("replay_energy_sweeps.ndjson");
+  for (sim::Engine engine : kEngines) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(engine_name(engine));
+      driver::ReplayMemo memo;
+      driver::SweepOptions o;
+      o.threads = threads;
+      o.pipeline.run.engine = engine;
+      o.replay_memo = &memo;
+      ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096,16384").ok());
+      ASSERT_TRUE(
+          o.spec.parse_axis("energy", "default,dram-heavy,fast-spm").ok());
+      ASSERT_TRUE(o.spec.parse_axis("replay", "on").ok());
+      for (int pass = 1; pass <= 2; ++pass) {
+        std::ostringstream got;
+        ASSERT_TRUE(driver::SweepDriver(o)
+                        .run_ndjson(driver::SweepDriver::benchsuite_jobs(), got)
+                        .ok());
+        EXPECT_EQ(got.str(), golden) << threads << " threads, pass " << pass;
+        const driver::ReplayMemo::Stats s = memo.stats();
+        EXPECT_EQ(s.simulations, 12u) << threads << " threads, pass " << pass;
+        EXPECT_EQ(s.hits + s.simulations, 54u * pass)
+            << threads << " threads, pass " << pass;
+        EXPECT_EQ(s.evictions, 0u);
+      }
+    }
+  }
+}
+
+TEST(ElisionGolden, BenchsuiteAndKeptScalarProgramsMatchTheGolden) {
+  // `foraygen sweep [p] --no-cache --capacity-sweep 1024,4096,16384
+  // --ndjson -` over the benchsuite and then each tests/programs/*.mc,
+  // concatenated, at 1 and 4 threads, on each engine: the eliding fused
+  // pass, and its fall back to full tracing on the kept-scalar programs,
+  // must stream what the full-trace replay generated.
+  const std::string golden = read_golden("elision_sweeps.ndjson");
+  const std::string dir = std::string(FORAY_SOURCE_DIR) + "/tests/programs";
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".mc") {
+      names.push_back(e.path().filename().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  std::vector<std::vector<driver::SweepJob>> runs = {
+      driver::SweepDriver::benchsuite_jobs()};
+  for (const std::string& name : names) {
+    std::ifstream in(dir + "/" + name, std::ios::binary);
+    std::ostringstream source;
+    source << in.rdbuf();
+    runs.push_back({driver::SweepJob{"tests/programs/" + name, source.str()}});
+  }
+  for (sim::Engine engine : kEngines) {
+    for (int threads : {1, 4}) {
       std::ostringstream got;
-      ASSERT_TRUE(driver::SweepDriver(o)
-                      .run_ndjson(driver::SweepDriver::benchsuite_jobs(), got)
-                      .ok());
-      EXPECT_EQ(got.str(), golden.str())
-          << threads << " threads, pass " << pass;
-      const driver::ReplayMemo::Stats s = memo.stats();
-      EXPECT_EQ(s.simulations, 12u) << threads << " threads, pass " << pass;
-      EXPECT_EQ(s.hits + s.simulations, 54u * pass)
-          << threads << " threads, pass " << pass;
-      EXPECT_EQ(s.evictions, 0u);
+      for (const std::vector<driver::SweepJob>& jobs : runs) {
+        driver::SweepOptions o;
+        o.threads = threads;
+        o.pipeline.run.engine = engine;
+        ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096,16384").ok());
+        ASSERT_TRUE(driver::SweepDriver(o).run_ndjson(jobs, got).ok())
+            << jobs.front().name;
+      }
+      EXPECT_EQ(got.str(), golden)
+          << engine_name(engine) << ", " << threads << " threads";
     }
   }
 }

@@ -143,6 +143,12 @@ TEST(SweepDriver, ParallelRunByteIdenticalToSequential) {
           .ok());
 
   EXPECT_EQ(seq_out.str(), par_out.str());  // byte-identical
+  // Profiled on the tree-walking oracle, the stream is the same bytes.
+  SweepOptions on_ast = batch_opts(4);
+  on_ast.pipeline.run.engine = sim::Engine::Ast;
+  std::ostringstream ast_out;
+  ASSERT_TRUE(SweepDriver(on_ast).run_ndjson(jobs, ast_out).ok());
+  EXPECT_EQ(ast_out.str(), seq_out.str());
   EXPECT_EQ(seq.table(), par.table());
   ASSERT_EQ(seq.items.size(), par.items.size());
   ASSERT_EQ(seq.items.size(), jobs.size() * 3);

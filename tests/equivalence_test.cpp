@@ -18,6 +18,7 @@
 #include "foray/pipeline.h"
 #include "foray/stats.h"
 #include "minic/parser.h"
+#include "oracle.h"
 #include "sim/classify_sink.h"
 #include "sim/interpreter.h"
 #include "spm/address_stream.h"
@@ -42,10 +43,9 @@ std::map<uint32_t, std::vector<uint32_t>> trace_addresses(
   std::map<uint32_t, std::vector<uint32_t>> out;
   if (!prog) return out;
   instrument::annotate_loops(prog.get());
-  trace::VectorSink sink;
-  auto run = sim::run_program(*prog, &sink);
-  EXPECT_TRUE(run.ok()) << run.error();
-  for (const auto& r : sink.records()) {
+  const oracle::Run run = oracle::run_both(*prog);
+  EXPECT_TRUE(run.result.ok()) << run.result.error();
+  for (const auto& r : run.records) {
     if (r.type() == trace::RecordType::Access &&
         r.kind() == trace::AccessKind::Data) {
       out[r.instr()].push_back(r.addr());
@@ -63,7 +63,7 @@ TEST(Equivalence, ModelStreamReproducesTraceAddressesInOrder) {
     gopts.num_nests = 4;
     auto gen = benchsuite::generate_affine_program(gopts);
 
-    auto res = core::run_pipeline(gen.source, lenient());
+    auto res = oracle::run_pipeline(gen.source, lenient());
     ASSERT_TRUE(res.ok()) << res.error();
     auto recorded = trace_addresses(gen.source);
 
@@ -137,11 +137,12 @@ void expect_emitted_stream_in_order(const core::ForayModel& model,
     ref_of.push_back(it == names.end() ? -1
                                        : static_cast<int>(it - names.begin()));
   }
-  RefOffsetSink sink(std::move(regions), std::move(ref_of));
   sim::RunOptions ropts;
   ropts.replay_view = true;  // loop checkpoints and Data accesses only
-  const sim::RunResult run = sim::run_program(*prog, &sink, ropts);
-  ASSERT_TRUE(run.ok()) << label << ": " << run.error();
+  const oracle::Run run = oracle::run_both(*prog, ropts);
+  ASSERT_TRUE(run.result.ok()) << label << ": " << run.result.error();
+  RefOffsetSink sink(std::move(regions), std::move(ref_of));
+  sink.on_chunk(run.records.data(), run.records.size());
 
   // The stream interleaves each nest's references per iteration, in
   // group_by_nest order; an address is const_term plus the iterator
@@ -180,7 +181,7 @@ TEST(Equivalence, EmittedModelStreamsSameAddressCount) {
   // The emitted model program replays the model's address stream access
   // for access, on the six kernels and a seeded generator family.
   for (const auto& bench : benchsuite::all_benchmarks()) {
-    auto res = core::run_pipeline(bench.source);
+    auto res = oracle::run_pipeline(bench.source);
     ASSERT_TRUE(res.ok()) << bench.name << ": " << res.error();
     expect_emitted_stream_in_order(res.model, bench.name);
   }
@@ -188,7 +189,7 @@ TEST(Equivalence, EmittedModelStreamsSameAddressCount) {
     benchsuite::GeneratorOptions gopts;
     gopts.seed = seed;
     auto gen = benchsuite::generate_affine_program(gopts);
-    auto res = core::run_pipeline(gen.source, lenient());
+    auto res = oracle::run_pipeline(gen.source, lenient());
     ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.error();
     expect_emitted_stream_in_order(res.model,
                                    "seed " + std::to_string(seed));
@@ -197,7 +198,7 @@ TEST(Equivalence, EmittedModelStreamsSameAddressCount) {
 
 TEST(Equivalence, BehaviorTotalsMatchExtractorCounters) {
   for (const char* name : {"gsm", "adpcm"}) {
-    auto res = core::run_pipeline(
+    auto res = oracle::run_pipeline(
         benchsuite::get_benchmark(name).source);
     ASSERT_TRUE(res.ok()) << res.error();
     auto b = core::compute_behavior(res.extractor->tree(),
@@ -212,7 +213,7 @@ TEST(Equivalence, BehaviorTotalsMatchExtractorCounters) {
 
 TEST(Equivalence, ModelAccessesNeverExceedTotal) {
   for (const auto& bench : benchsuite::all_benchmarks()) {
-    auto res = core::run_pipeline(bench.source);
+    auto res = oracle::run_pipeline(bench.source);
     ASSERT_TRUE(res.ok()) << bench.name;
     auto b = core::compute_behavior(res.extractor->tree(),
                                     core::FilterOptions{});
@@ -231,7 +232,7 @@ TEST(Equivalence, LoopMixCountsOnlyExecutedSites) {
       "  while (a[0] < 8) a[0]++;\n"
       "  return 0;\n"
       "}\n";
-  auto res = core::run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   auto mix = core::compute_loop_mix(res.extractor->tree(), res.loop_sites,
                                     res.program->source_lines);

@@ -121,18 +121,23 @@ TEST_F(FaultInjectionTest, BadSpecsAreInvalidInputByName) {
 
 // -- per-site behavior through the real call paths ----------------------------
 
+const sim::Engine kEngines[] = {sim::Engine::Ast, sim::Engine::Bytecode};
+
 TEST_F(FaultInjectionTest, TraceBufferAllocIsResourceExhausted) {
-  ASSERT_TRUE(util::fault::configure("trace.buffer.alloc:count=1").ok());
-  sim::RunResult r = run_sim(kAlpha);
-  EXPECT_EQ(r.status.code(), util::ErrorCode::kResourceExhausted)
-      << r.status.message();
+  for (sim::Engine engine : kEngines) {
+    ASSERT_TRUE(util::fault::configure("trace.buffer.alloc:count=1").ok());
+    sim::RunOptions opts;
+    opts.engine = engine;
+    sim::RunResult r = run_sim(kAlpha, opts);
+    EXPECT_EQ(r.status.code(), util::ErrorCode::kResourceExhausted)
+        << r.status.message();
+  }
 }
 
 // The sink can also fail in the run's epilogue: on the last, partial
 // chunk, or again on a chunk it refused mid-run (no count limit). That
 // failure is classified like a mid-run one, never escapes the run, and
 // never replaces an earlier failure.
-const sim::Engine kEngines[] = {sim::Engine::Ast, sim::Engine::Bytecode};
 
 /// Flushes that reach the sink in an unfaulted kAlpha run: full chunks,
 /// then one partial epilogue flush.
@@ -180,13 +185,16 @@ TEST_F(FaultInjectionTest, EpilogueSinkFaultKeepsTheRunsFirstFailure) {
 TEST_F(FaultInjectionTest, SimSlowTripsAWallClockDeadline) {
   // "sim.slow" stalls each chunk flush by param ms, so a generous-looking
   // deadline trips deterministically without a flaky real sleep race.
-  ASSERT_TRUE(util::fault::configure("sim.slow:param=50").ok());
-  sim::RunOptions opts;
-  opts.chunk_records = 64;
-  opts.budget.timeout_seconds = 0.01;
-  sim::RunResult r = run_sim(kAlpha, opts);
-  EXPECT_EQ(r.status.code(), util::ErrorCode::kDeadlineExceeded)
-      << r.status.message();
+  for (sim::Engine engine : kEngines) {
+    ASSERT_TRUE(util::fault::configure("sim.slow:param=50").ok());
+    sim::RunOptions opts;
+    opts.engine = engine;
+    opts.chunk_records = 64;
+    opts.budget.timeout_seconds = 0.01;
+    sim::RunResult r = run_sim(kAlpha, opts);
+    EXPECT_EQ(r.status.code(), util::ErrorCode::kDeadlineExceeded)
+        << r.status.message();
+  }
 }
 
 TEST_F(FaultInjectionTest, SpmSolveInternalFaultIsIsolatedToOnePoint) {
@@ -241,17 +249,26 @@ TEST_F(FaultInjectionTest, SpmSolveFaultIsTheSameGroupAtAnyThreadCount) {
   // workers reach them, one of them faulted. The NDJSON is one byte
   // string at 1 and 4 threads, run after run.
   ASSERT_TRUE(util::fault::configure("spm.solve:count=1").ok());
-  std::string first;
-  for (int threads : {1, 4, 1, 4, 4, 4}) {
+  const auto faulted = [](int threads, sim::Engine engine) {
     driver::SweepOptions o;
     o.threads = threads;
-    ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096").ok());
+    o.pipeline.run.engine = engine;
+    EXPECT_TRUE(o.spec.parse_axis("capacity", "1024,4096").ok());
     std::ostringstream out;
     const util::Status st = driver::SweepDriver(o).run_ndjson(
         driver::SweepDriver::benchsuite_jobs(), out);
     EXPECT_EQ(st.code(), util::ErrorCode::kInternal) << threads;
-    if (first.empty()) first = out.str();
-    EXPECT_EQ(out.str(), first) << threads << " threads";
+    return out.str();
+  };
+  const std::string first = faulted(1, sim::Engine::Bytecode);
+  for (int threads : {4, 1, 4, 4, 4}) {
+    EXPECT_EQ(faulted(threads, sim::Engine::Bytecode), first)
+        << threads << " threads";
+  }
+  // Profiled on the tree-walking oracle, the same group faults.
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(faulted(threads, sim::Engine::Ast), first)
+        << threads << " threads, ast";
   }
   // Header, 6 x (2 points + a frontier), the aggregate frontier; one
   // point failed: the first group's, jpeg's at 1024 B.
@@ -269,30 +286,34 @@ TEST_F(FaultInjectionTest, SpmSolveFaultIsTheSameGroupAtAnyThreadCount) {
 }
 
 TEST_F(FaultInjectionTest, SinkIoFaultLeavesAResumableJournal) {
-  driver::SweepDriver sweep(sweep_opts());
-  std::ostringstream baseline;
-  ASSERT_TRUE(sweep.run_ndjson(jobs(), baseline).ok());
+  for (sim::Engine engine : kEngines) {
+    driver::SweepOptions o = sweep_opts();
+    o.pipeline.run.engine = engine;
+    driver::SweepDriver sweep(o);
+    std::ostringstream baseline;
+    ASSERT_TRUE(sweep.run_ndjson(jobs(), baseline).ok());
 
-  // Fail the sink after the first job's block: the partial journal holds
-  // the header plus whole job blocks only — a valid checkpoint.
-  ASSERT_TRUE(util::fault::configure("sweep.sink.io:skip=1:count=1").ok());
-  std::ostringstream partial;
-  util::Status st = sweep.run_ndjson(jobs(), partial);
-  util::fault::reset();
-  EXPECT_EQ(st.code(), util::ErrorCode::kIoError) << st.message();
-  EXPECT_LT(partial.str().size(), baseline.str().size());
-  // The partial journal is a byte-prefix of the uninterrupted run.
-  EXPECT_EQ(baseline.str().compare(0, partial.str().size(), partial.str()),
-            0);
+    // Fail the sink after the first job's block: the partial journal holds
+    // the header plus whole job blocks only — a valid checkpoint.
+    ASSERT_TRUE(util::fault::configure("sweep.sink.io:skip=1:count=1").ok());
+    std::ostringstream partial;
+    util::Status st = sweep.run_ndjson(jobs(), partial);
+    util::fault::reset();
+    EXPECT_EQ(st.code(), util::ErrorCode::kIoError) << st.message();
+    EXPECT_LT(partial.str().size(), baseline.str().size());
+    // The partial journal is a byte-prefix of the uninterrupted run.
+    EXPECT_EQ(baseline.str().compare(0, partial.str().size(), partial.str()),
+              0);
 
-  driver::SweepCheckpoint checkpoint;
-  ASSERT_TRUE(sweep.parse_resume(partial.str(), &checkpoint).ok());
-  EXPECT_FALSE(checkpoint.points.empty());
+    driver::SweepCheckpoint checkpoint;
+    ASSERT_TRUE(sweep.parse_resume(partial.str(), &checkpoint).ok());
+    EXPECT_FALSE(checkpoint.points.empty());
 
-  std::ostringstream resumed;
-  st = sweep.run_ndjson(jobs(), resumed, &checkpoint);
-  EXPECT_TRUE(st.ok()) << st.message();
-  EXPECT_EQ(resumed.str(), baseline.str());
+    std::ostringstream resumed;
+    st = sweep.run_ndjson(jobs(), resumed, &checkpoint);
+    EXPECT_TRUE(st.ok()) << st.message();
+    EXPECT_EQ(resumed.str(), baseline.str());
+  }
 }
 
 TEST_F(FaultInjectionTest, SinkIoBeforeAnyBlockStillResumes) {

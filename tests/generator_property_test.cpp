@@ -10,6 +10,7 @@
 #include "benchsuite/generator.h"
 #include "foray/pipeline.h"
 #include "minic/parser.h"
+#include "oracle.h"
 #include "staticforay/pointer_conversion.h"
 #include "staticforay/static_analysis.h"
 
@@ -46,7 +47,7 @@ TEST_P(GeneratedRecovery, AllNestsExactlyRecovered) {
   gopts.num_nests = 5;
   GeneratedProgram gen = generate_affine_program(gopts);
 
-  auto res = core::run_pipeline(gen.source, lenient());
+  auto res = oracle::run_pipeline(gen.source, lenient());
   ASSERT_TRUE(res.ok()) << res.error() << "\nprogram:\n" << gen.source;
 
   for (size_t i = 0; i < gen.nests.size(); ++i) {
@@ -66,7 +67,7 @@ TEST_P(GeneratedRecovery, StaticBaselinesSeeTheirSyntacticSubsets) {
   gopts.num_nests = 6;
   GeneratedProgram gen = generate_affine_program(gopts);
 
-  auto res = core::run_pipeline(gen.source, lenient());
+  auto res = oracle::run_pipeline(gen.source, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   auto analysis = staticforay::analyze(*res.program);
   auto conv = staticforay::analyze_pointer_conversion(*res.program);
@@ -102,9 +103,9 @@ TEST_P(GeneratedRecovery, RoundTripThroughEmittedModel) {
   gopts.num_nests = 3;
   GeneratedProgram gen = generate_affine_program(gopts);
 
-  auto res = core::run_pipeline(gen.source, lenient());
+  auto res = oracle::run_pipeline(gen.source, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
-  auto res2 = core::run_pipeline(res.foray_source, lenient());
+  auto res2 = oracle::run_pipeline(res.foray_source, lenient());
   ASSERT_TRUE(res2.ok()) << res2.error() << "\nemitted:\n" << res.foray_source;
 
   // Every constructed nest must survive the second extraction.

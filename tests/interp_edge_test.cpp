@@ -1,27 +1,34 @@
 // Additional interpreter edge-case coverage: scoping, unwinding,
-// arithmetic corners, intrinsic boundaries. The original tests run on
-// the session-default engine (both engines in the CI matrix); the
-// EngineEdge suite at the bottom pins the trickiest semantics —
-// short-circuit side-effect ordering, division/modulo faults, negative
-// strides — on each engine explicitly.
+// arithmetic corners, intrinsic boundaries. The InterpEdge tests run
+// each program on the VM and on the tree-walking oracle and expect the
+// same run (tests/oracle.h); the EngineEdge suite at the bottom pins the
+// trickiest semantics — short-circuit side-effect ordering,
+// division/modulo faults, negative strides — on each engine explicitly.
 #include <gtest/gtest.h>
 
 #include "instrument/annotator.h"
 #include "minic/parser.h"
+#include "oracle.h"
 #include "sim/interpreter.h"
 #include "trace/sink.h"
 
 namespace foray::sim {
 namespace {
 
-RunResult run_src(std::string_view src, RunOptions opts = {}) {
+std::unique_ptr<minic::Program> prepare(std::string_view src) {
   util::DiagList diags;
   auto prog = minic::parse_and_check(src, &diags);
   EXPECT_NE(prog, nullptr) << diags.str();
+  if (prog) instrument::annotate_loops(prog.get());
+  return prog;
+}
+
+/// Runs `src` on the VM and on the tree-walking oracle, expects the same
+/// run, and returns the VM's.
+RunResult run_src(std::string_view src, const RunOptions& opts = {}) {
+  auto prog = prepare(src);
   if (!prog) return RunResult{};
-  instrument::annotate_loops(prog.get());
-  trace::NullSink sink;
-  return run_program(*prog, &sink, opts);
+  return oracle::run_both(*prog, opts).result;
 }
 
 int exit_of(std::string_view src) {
@@ -199,15 +206,18 @@ TEST(InterpEdge, CompoundAssignOnArrayElement) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-pinned edge cases. Each runs explicitly on the AST walker and
-// on the bytecode VM (not just the session default) so a divergence in
-// these corners names the engine that broke.
+// Engine-pinned edge cases. Each runs on the AST walker and on the
+// bytecode VM as its own test case, so a divergence in these corners
+// names the engine that broke.
 
 class EngineEdge : public ::testing::TestWithParam<Engine> {
  protected:
   RunResult run_on(std::string_view src, RunOptions opts = {}) {
+    auto prog = prepare(src);
+    if (!prog) return RunResult{};
     opts.engine = GetParam();
-    return run_src(src, opts);
+    trace::NullSink sink;
+    return run_program(*prog, &sink, opts);
   }
 
   int exit_on(std::string_view src) {

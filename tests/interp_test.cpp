@@ -2,6 +2,7 @@
 
 #include "instrument/annotator.h"
 #include "minic/parser.h"
+#include "oracle.h"
 #include "sim/interpreter.h"
 #include "trace/sink.h"
 
@@ -13,22 +14,17 @@ using trace::CheckpointType;
 using trace::Record;
 using trace::RecordType;
 
-struct RunCapture {
-  RunResult result;
-  std::vector<Record> records;
-};
+using RunCapture = oracle::Run;
 
-RunCapture run_src(std::string_view src, RunOptions opts = {}) {
+/// Runs `src` on the VM and on the tree-walking oracle, expects the same
+/// status, exit code, output and trace, and returns the VM's run.
+RunCapture run_src(std::string_view src, const RunOptions& opts = {}) {
   util::DiagList diags;
   auto prog = minic::parse_and_check(src, &diags);
   EXPECT_NE(prog, nullptr) << diags.str();
-  RunCapture out;
-  if (!prog) return out;
+  if (!prog) return {};
   instrument::annotate_loops(prog.get());
-  trace::VectorSink sink;
-  out.result = run_program(*prog, &sink, opts);
-  out.records = sink.take();
-  return out;
+  return oracle::run_both(*prog, opts);
 }
 
 int exit_of(std::string_view src) {
@@ -385,56 +381,52 @@ TEST(InterpTrace, ReplayViewKeepsCheckpointsAndDataOnly) {
       "for (int j = 0; j < 3; j++) "
       "for (int i = 0; i < 4; i++) x += f(a[i]); "
       "printf(\"%d\\n\", x); return x; }";
-  for (Engine engine : {Engine::Ast, Engine::Bytecode}) {
-    SCOPED_TRACE(engine == Engine::Ast ? "ast" : "bytecode");
-    RunOptions opts;
-    opts.engine = engine;
-    opts.replay_view = true;
-    RunCapture view = run_src(src, opts);
-    ASSERT_TRUE(view.result.ok());
-    size_t data = 0;
-    size_t enters = 0;
-    size_t exits = 0;
-    for (const auto& rec : view.records) {
-      if (rec.type() == RecordType::Access) {
-        EXPECT_EQ(rec.kind(), AccessKind::Data);
-        ++data;
-      } else if (rec.type() == RecordType::Checkpoint) {
-        if (rec.cp() == CheckpointType::LoopEnter) {
-          ++enters;
-        } else if (rec.cp() == CheckpointType::LoopExit) {
-          ++exits;
-        } else {
-          ADD_FAILURE() << "body checkpoint in the replay view";
-        }
+  RunOptions opts;
+  opts.replay_view = true;
+  RunCapture view = run_src(src, opts);
+  ASSERT_TRUE(view.result.ok());
+  size_t data = 0;
+  size_t enters = 0;
+  size_t exits = 0;
+  for (const auto& rec : view.records) {
+    if (rec.type() == RecordType::Access) {
+      EXPECT_EQ(rec.kind(), AccessKind::Data);
+      ++data;
+    } else if (rec.type() == RecordType::Checkpoint) {
+      if (rec.cp() == CheckpointType::LoopEnter) {
+        ++enters;
+      } else if (rec.cp() == CheckpointType::LoopExit) {
+        ++exits;
       } else {
-        ADD_FAILURE() << "call/ret record in the replay view";
+        ADD_FAILURE() << "body checkpoint in the replay view";
       }
+    } else {
+      ADD_FAILURE() << "call/ret record in the replay view";
     }
-    EXPECT_EQ(data, 12u);
-    EXPECT_EQ(enters, 4u);
-    EXPECT_EQ(exits, 4u);
-    EXPECT_EQ(view.records.size(), 2 * 4u + data);
-    // The dropped accesses still count.
-    EXPECT_GT(view.result.accesses, data);
-
-    // The view is the full trace with everything else filtered out.
-    opts.replay_view = false;
-    const RunCapture full = run_src(src, opts);
-    ASSERT_TRUE(full.result.ok());
-    EXPECT_EQ(full.result.accesses, view.result.accesses);
-    std::vector<Record> kept;
-    for (const auto& rec : full.records) {
-      const bool bound =
-          rec.type() == RecordType::Checkpoint &&
-          (rec.cp() == CheckpointType::LoopEnter ||
-           rec.cp() == CheckpointType::LoopExit);
-      const bool data_access = rec.type() == RecordType::Access &&
-                               rec.kind() == AccessKind::Data;
-      if (bound || data_access) kept.push_back(rec);
-    }
-    EXPECT_TRUE(kept == view.records);
   }
+  EXPECT_EQ(data, 12u);
+  EXPECT_EQ(enters, 4u);
+  EXPECT_EQ(exits, 4u);
+  EXPECT_EQ(view.records.size(), 2 * 4u + data);
+  // The dropped accesses still count.
+  EXPECT_GT(view.result.accesses, data);
+
+  // The view is the full trace with everything else filtered out.
+  opts.replay_view = false;
+  const RunCapture full = run_src(src, opts);
+  ASSERT_TRUE(full.result.ok());
+  EXPECT_EQ(full.result.accesses, view.result.accesses);
+  std::vector<Record> kept;
+  for (const auto& rec : full.records) {
+    const bool bound =
+        rec.type() == RecordType::Checkpoint &&
+        (rec.cp() == CheckpointType::LoopEnter ||
+         rec.cp() == CheckpointType::LoopExit);
+    const bool data_access = rec.type() == RecordType::Access &&
+                             rec.kind() == AccessKind::Data;
+    if (bound || data_access) kept.push_back(rec);
+  }
+  EXPECT_TRUE(kept == view.records);
 }
 
 TEST(InterpTrace, BreakEmitsLoopExit) {

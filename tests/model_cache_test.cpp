@@ -122,34 +122,48 @@ TEST_F(ModelCacheTest, WarmSweepIsPurePhaseTwoAndByteIdentical) {
   EXPECT_EQ(run_ndjson(/*threads=*/2, nullptr), cold);
 }
 
-TEST_F(ModelCacheTest, AstSweepHitsBytecodePopulatedCache) {
-  // The fingerprint excludes the engine (both engines are locked
-  // bit-identical by the equivalence harness), so a --engine ast sweep
-  // against a cache populated by a bytecode run must be pure hits and
-  // byte-identical output — the engine is a speed choice, never a key.
-  ModelCache bc_cache(ModelCacheOptions{dir_});
-  SweepOptions bc_opts = sweep_opts(/*threads=*/1, &bc_cache);
-  bc_opts.pipeline.run.engine = sim::Engine::Bytecode;
-  std::ostringstream bc_out;
+/// A sweep profiled on `first` populates the cache in `dir`; a sweep on
+/// `second` must then be pure hits and stream the same bytes.
+void expect_other_engine_hits(const std::string& dir, sim::Engine first,
+                              sim::Engine second) {
+  ModelCache first_cache(ModelCacheOptions{dir});
+  SweepOptions first_opts = sweep_opts(/*threads=*/1, &first_cache);
+  first_opts.pipeline.run.engine = first;
+  std::ostringstream first_out;
   {
-    SweepDriver driver(bc_opts);
-    ASSERT_TRUE(driver.run_ndjson(jobs(), bc_out).ok());
+    SweepDriver driver(first_opts);
+    ASSERT_TRUE(driver.run_ndjson(jobs(), first_out).ok());
   }
-  EXPECT_EQ(bc_cache.stats().stores, 2u);
+  EXPECT_EQ(first_cache.stats().stores, 2u);
 
-  ModelCache ast_cache(ModelCacheOptions{dir_});
-  SweepOptions ast_opts = sweep_opts(/*threads=*/2, &ast_cache);
-  ast_opts.pipeline.run.engine = sim::Engine::Ast;
-  std::ostringstream ast_out;
+  ModelCache second_cache(ModelCacheOptions{dir});
+  SweepOptions second_opts = sweep_opts(/*threads=*/2, &second_cache);
+  second_opts.pipeline.run.engine = second;
+  std::ostringstream second_out;
   {
-    SweepDriver driver(ast_opts);
-    ASSERT_TRUE(driver.run_ndjson(jobs(), ast_out).ok());
+    SweepDriver driver(second_opts);
+    ASSERT_TRUE(driver.run_ndjson(jobs(), second_out).ok());
   }
-  EXPECT_EQ(ast_out.str(), bc_out.str());
-  const ModelCache::Stats s = ast_cache.stats();
+  EXPECT_EQ(second_out.str(), first_out.str());
+  const ModelCache::Stats s = second_cache.stats();
   EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.stores, 0u);
+}
+
+TEST_F(ModelCacheTest, AstSweepHitsBytecodePopulatedCache) {
+  // The fingerprint excludes the engine (both engines are locked
+  // bit-identical by the equivalence harness), so a sweep on the
+  // tree-walking oracle against a cache populated by a bytecode run
+  // must be pure hits and byte-identical output — the engine is never a
+  // key.
+  expect_other_engine_hits(dir_, sim::Engine::Bytecode, sim::Engine::Ast);
+}
+
+TEST_F(ModelCacheTest, BytecodeSweepHitsAstPopulatedCache) {
+  // And the other way round: the models the oracle profiles and stores
+  // cold are the ones a warm VM sweep loads.
+  expect_other_engine_hits(dir_, sim::Engine::Ast, sim::Engine::Bytecode);
 }
 
 TEST_F(ModelCacheTest, MemoryLayerServesRepeatRunsWithoutDisk) {

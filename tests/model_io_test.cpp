@@ -11,6 +11,7 @@
 
 #include "foray/model_io.h"
 #include "foray/pipeline.h"
+#include "oracle.h"
 #include "util/status.h"
 
 namespace foray::core {
@@ -41,7 +42,7 @@ ForayModel extract(const char* source) {
   PipelineOptions opts;
   opts.filter.min_exec = 1;
   opts.filter.min_locations = 1;
-  PipelineResult res = run_pipeline(source, opts);
+  PipelineResult res = oracle::run_pipeline(source, opts);
   EXPECT_TRUE(res.status.ok()) << res.status.message();
   EXPECT_TRUE(res.model_built);
   EXPECT_FALSE(res.model.refs.empty());

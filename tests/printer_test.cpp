@@ -13,6 +13,7 @@
 #include "instrument/annotator.h"
 #include "minic/parser.h"
 #include "minic/printer.h"
+#include "oracle.h"
 #include "sim/interpreter.h"
 
 namespace foray::minic {
@@ -27,15 +28,15 @@ std::string reprint(std::string_view src) {
   return print_program(*p);
 }
 
-/// Parses, checks and annotates `src`, then runs it on the default
-/// engine with no sink.
+/// Parses, checks and annotates `src`, then runs it on the VM and on the
+/// tree-walking oracle (tests/oracle.h); returns the VM's result.
 sim::RunResult run_source(const std::string& src, const std::string& label) {
   util::DiagList diags;
   auto p = parse_and_check(src, &diags);
   EXPECT_NE(p, nullptr) << label << "\n" << diags.str() << "\n" << src;
   if (!p) return {};
   instrument::annotate_loops(p.get());
-  return sim::run_program(*p, nullptr);
+  return oracle::run_both(*p).result;
 }
 
 /// The `.mc` files of a source-tree directory, sorted by name.

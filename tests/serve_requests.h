@@ -95,8 +95,10 @@ inline std::vector<std::string> sample_requests() {
       "\"budget\":{\"warp_speed\":1}}",
       "{\"id\":3,\"frobnicate\":true}",
       "{\"id\":4,\"threads\":0}",
+      // No request picks the engine: refused as unknown request field
+      // "engine".
       "{\"id\":5,\"source\":\"int main(void){return 0;}\","
-      "\"engine\":\"jit\"}",
+      "\"engine\":\"ast\"}",
   };
 }
 

@@ -364,7 +364,7 @@ TEST(Serve, InvalidBudgetAndUnknownFieldsAreRejected) {
       "{\"id\":3,\"frobnicate\":true}\n"
       "{\"id\":4,\"threads\":0}\n"
       "{\"id\":5,\"source\":\"int main(void){return 0;}\","
-      "\"engine\":\"jit\"}\n"
+      "\"engine\":\"ast\"}\n"
       "{\"id\":6,\"axes\":[\"capacity\"]}\n"
       "{\"id\":7,\"axes\":{\"capacity\":1024}}\n"
       "{\"id\":8,\"source\":42}\n"
@@ -380,7 +380,10 @@ TEST(Serve, InvalidBudgetAndUnknownFieldsAreRejected) {
     errors.push_back(r.rows[i].find("error")->str);
   }
   ASSERT_EQ(errors.size(), 10u);
-  EXPECT_NE(errors[4].find("unknown engine \"jit\""), std::string::npos);
+  // Profiling always runs the VM: there is no engine field to pick the
+  // tree-walking oracle with.
+  EXPECT_NE(errors[4].find("unknown request field \"engine\""),
+            std::string::npos);
   EXPECT_NE(errors[5].find("\"axes\" must be an object"), std::string::npos);
   EXPECT_NE(errors[6].find("axis \"capacity\" must be a comma-separated "
                            "string"),
@@ -450,6 +453,41 @@ TEST(Serve, ModelCacheMakesRepeatRequestsPurePhaseTwo) {
   ASSERT_EQ(bodies.size(), 2u);
   EXPECT_EQ(bodies[0], bodies[1]);
   EXPECT_FALSE(bodies[0].empty());
+}
+
+TEST(Serve, TheTreeWalkingOracleServesTheSameResponses) {
+  // A server whose Phase I and replays run on the tree-walking oracle
+  // (a library option; requests cannot choose it) streams the VM
+  // server's bytes: sweeps, a malformed axis, a repeat served from the
+  // model cache and a repeat replay served from the replay memo.
+  const std::string requests =
+      "{\"id\":1,\"program\":\"adpcm\",\"axes\":{\"capacity\":\"1024,4096\"}}\n"
+      "{\"id\":2,\"axes\":{\"capacity\":\"bogus\"}}\n"
+      "{\"id\":3,\"program\":\"adpcm\",\"axes\":{\"capacity\":\"1024\"}}\n"
+      "{\"id\":4,\"program\":\"adpcm\",\"axes\":{\"capacity\":\"1024\","
+      "\"replay\":\"on\"}}\n"
+      "{\"id\":5,\"program\":\"adpcm\",\"axes\":{\"capacity\":\"1024\","
+      "\"replay\":\"on\"}}\n"
+      + good_request(6) + "\n";
+  std::string streamed[2];
+  for (sim::Engine engine : {sim::Engine::Bytecode, sim::Engine::Ast}) {
+    ModelCache cache(ModelCacheOptions{/*dir=*/""});
+    ReplayMemo memo;
+    ServeOptions opts = serve_opts(&cache);
+    opts.replay_memo = &memo;
+    opts.pipeline.run.engine = engine;
+    const ServeRun r = run_serve(requests, opts);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_GE(cache.stats().hits, 1u);
+    EXPECT_EQ(memo.stats().simulations, 1u);
+    EXPECT_EQ(memo.stats().hits, 1u);
+    for (const std::string& line : r.lines) {
+      streamed[engine == sim::Engine::Ast] += line + "\n";
+    }
+  }
+  EXPECT_EQ(streamed[1], streamed[0]);
+  EXPECT_NE(streamed[0].find("\"replay_check\":{\"ok\":true"),
+            std::string::npos);
 }
 
 TEST(Serve, RepeatReplayRequestsSimulateTheTransformedProgramOnce) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "foray/pipeline.h"
+#include "oracle.h"
 
 namespace foray::core {
 namespace {
@@ -37,7 +38,7 @@ SpmPhaseOptions at(uint32_t capacity = 4096) {
 }
 
 PipelineResult phase1() {
-  PipelineResult res = run_pipeline(kReuseProgram);
+  PipelineResult res = oracle::run_pipeline(kReuseProgram);
   EXPECT_TRUE(res.ok()) << res.error();
   EXPECT_TRUE(res.model_built);
   return res;
@@ -77,7 +78,7 @@ TEST(SpmPhase, ManualPhaseChainMatchesRunPipeline) {
   ASSERT_TRUE(profile_phase(opts, &manual).ok());
   ASSERT_TRUE(extract_phase(opts, &manual).ok());
 
-  auto composed = run_pipeline(kReuseProgram, opts);
+  auto composed = oracle::run_pipeline(kReuseProgram, opts);
   ASSERT_TRUE(composed.ok()) << composed.error();
 
   ASSERT_EQ(manual.model.refs.size(), composed.model.refs.size());
@@ -122,7 +123,8 @@ TEST(SpmPhase, PhaseFailuresCarryPhaseAndLine) {
   EXPECT_FALSE(st2.ok());
   EXPECT_EQ(st2.phase(), "parse");
 
-  auto res = run_pipeline("int main(void) { int z = 0; return 1 / z; }");
+  auto res =
+      oracle::run_pipeline("int main(void) { int z = 0; return 1 / z; }");
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status.phase(), "simulation");
   EXPECT_GT(res.status.first_line(), 0);

@@ -4,6 +4,7 @@
 #include "foray/pipeline.h"
 #include "instrument/annotator.h"
 #include "minic/parser.h"
+#include "oracle.h"
 #include "staticforay/static_analysis.h"
 
 namespace foray::staticforay {
@@ -168,7 +169,7 @@ TEST(Conversion, FullyStaticProgramHasZeroPctNotForay) {
   core::PipelineOptions po;
   po.filter.min_exec = 1;
   po.filter.min_locations = 1;
-  auto res = core::run_pipeline(src, po);
+  auto res = oracle::run_pipeline(src, po);
   ASSERT_TRUE(res.ok()) << res.error();
   Analysis an = analyze(*res.program);
   ConversionStats cs = compute_conversion(res.model, an);
@@ -190,7 +191,7 @@ TEST(Conversion, PointerWalkProgramIsFullyDynamic) {
   core::PipelineOptions po;
   po.filter.min_exec = 1;
   po.filter.min_locations = 1;
-  auto res = core::run_pipeline(src, po);
+  auto res = oracle::run_pipeline(src, po);
   ASSERT_TRUE(res.ok()) << res.error();
   Analysis an = analyze(*res.program);
   ConversionStats cs = compute_conversion(res.model, an);
@@ -212,7 +213,7 @@ TEST(Conversion, MixedProgramSplitsAndDoublesReach) {
       "  return a[3] + b[4];\n"
       "}\n";
   core::PipelineOptions po;
-  auto res = core::run_pipeline(src, po);
+  auto res = oracle::run_pipeline(src, po);
   ASSERT_TRUE(res.ok()) << res.error();
   Analysis an = analyze(*res.program);
   ConversionStats cs = compute_conversion(res.model, an);
@@ -232,7 +233,7 @@ TEST(Conversion, RefInNonCanonicalLoopNotStatic) {
       "  return v[9];\n"
       "}\n";
   core::PipelineOptions po;
-  auto res = core::run_pipeline(src, po);
+  auto res = oracle::run_pipeline(src, po);
   ASSERT_TRUE(res.ok()) << res.error();
   Analysis an = analyze(*res.program);
   ConversionStats cs = compute_conversion(res.model, an);
@@ -296,7 +297,7 @@ TEST(Conversion, BenchsuiteNumbersUnchangedByTheChecker) {
     SCOPED_TRACE(row.name);
     const auto& b = benchsuite::get_benchmark(row.name);
     core::PipelineOptions po;
-    auto res = core::run_pipeline(b.source, po);
+    auto res = oracle::run_pipeline(b.source, po);
     ASSERT_TRUE(res.ok()) << res.error();
     Analysis an = analyze(*res.program);
     ConversionStats cs = compute_conversion(res.model, an);

@@ -9,6 +9,7 @@
 #include "benchsuite/suite.h"
 #include "foray/pipeline.h"
 #include "minic/parser.h"
+#include "oracle.h"
 #include "sim/interpreter.h"
 #include "trace/sink.h"
 
@@ -30,7 +31,7 @@ class SuiteRoundTrip : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SuiteRoundTrip, EmittedModelParsesChecksAndRuns) {
   const Benchmark& b = get_benchmark(GetParam());
-  auto res = core::run_pipeline(b.source);
+  auto res = oracle::run_pipeline(b.source);
   ASSERT_TRUE(res.ok()) << res.error();
   ASSERT_FALSE(res.model.refs.empty());
 
@@ -42,13 +43,13 @@ TEST_P(SuiteRoundTrip, EmittedModelParsesChecksAndRuns) {
 
 TEST_P(SuiteRoundTrip, ReextractionPreservesAffineShapes) {
   const Benchmark& b = get_benchmark(GetParam());
-  auto res = core::run_pipeline(b.source);
+  auto res = oracle::run_pipeline(b.source);
   ASSERT_TRUE(res.ok()) << res.error();
 
   core::PipelineOptions lenient;
   lenient.filter.min_exec = 1;
   lenient.filter.min_locations = 1;
-  auto res2 = core::run_pipeline(res.foray_source, lenient);
+  auto res2 = oracle::run_pipeline(res.foray_source, lenient);
   ASSERT_TRUE(res2.ok()) << b.name << ": " << res2.error();
 
   // Every shape of the first model must appear in the re-extraction.
@@ -62,7 +63,7 @@ TEST_P(SuiteRoundTrip, ReextractionPreservesAffineShapes) {
 
 TEST_P(SuiteRoundTrip, ModelAccessVolumeMatchesEmittedProgram) {
   const Benchmark& b = get_benchmark(GetParam());
-  auto res = core::run_pipeline(b.source);
+  auto res = oracle::run_pipeline(b.source);
   ASSERT_TRUE(res.ok()) << res.error();
 
   // The emitted program performs exactly one Data access per reference
@@ -77,11 +78,11 @@ TEST_P(SuiteRoundTrip, ModelAccessVolumeMatchesEmittedProgram) {
   auto prog = minic::parse_and_check(res.foray_source, &diags);
   ASSERT_NE(prog, nullptr) << diags.str();
   instrument::annotate_loops(prog.get());
-  trace::VectorSink sink;
-  auto run = sim::run_program(*prog, &sink);
+  const oracle::Run both = oracle::run_both(*prog);
+  const sim::RunResult& run = both.result;
   ASSERT_TRUE(run.ok()) << run.error();
   uint64_t data = 0;
-  for (const auto& r : sink.records()) {
+  for (const auto& r : both.records) {
     if (r.type() == trace::RecordType::Access &&
         r.kind() == trace::AccessKind::Data) {
       ++data;

@@ -14,6 +14,7 @@
 #include "driver/sweep.h"
 #include "foray/pipeline.h"
 #include "spm/energy.h"
+#include "spm/replay.h"
 #include "util/fault.h"
 #include "util/status.h"
 
@@ -268,6 +269,12 @@ TEST(SweepDriver, NdjsonByteIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(SweepDriver(seq).run_ndjson(jobs, s1).ok());
   ASSERT_TRUE(SweepDriver(par).run_ndjson(jobs, s4).ok());
   EXPECT_EQ(s1.str(), s4.str());
+  // Profiled on the tree-walking oracle, the stream is the same bytes.
+  SweepOptions on_ast = par;
+  on_ast.pipeline.run.engine = sim::Engine::Ast;
+  std::ostringstream s_ast;
+  ASSERT_TRUE(SweepDriver(on_ast).run_ndjson(jobs, s_ast).ok());
+  EXPECT_EQ(s_ast.str(), s1.str());
   EXPECT_EQ(SweepDriver(seq).run(jobs).table(),
             SweepDriver(par).run(jobs).table());
 }
@@ -775,6 +782,36 @@ TEST(SweepDriver, OneSolvePerCapacityAndEnergyAcrossTheCacheAxis) {
     EXPECT_EQ(item->key.capacity, 0u);
     EXPECT_EQ(item->key.energy, 0u);
   }
+}
+
+TEST(SweepDriver, QuickstartSpmPointIsTheSameOnTheOracle) {
+  // `foraygen spm examples/quickstart.mc --compare-cache --replay`, the
+  // one-point sweep it runs, profiled and replayed on the VM and on the
+  // tree-walking oracle: the same report, cache counts and replay check.
+  std::ifstream in(std::string(FORAY_SOURCE_DIR) + "/examples/quickstart.mc");
+  ASSERT_TRUE(in.good());
+  const std::string source((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  std::string text[2];
+  for (sim::Engine engine : {sim::Engine::Bytecode, sim::Engine::Ast}) {
+    SweepOptions o;
+    o.pipeline.run.engine = engine;
+    o.pipeline.spm.compare_cache = true;
+    o.spec.replays = {true};
+    const SweepReport report =
+        SweepDriver(o).run({{"examples/quickstart.mc", source}});
+    ASSERT_EQ(report.items.size(), 1u);
+    const SweepItem& item = report.items.front();
+    ASSERT_TRUE(item.status.ok()) << item.status.message();
+    ASSERT_TRUE(item.replay_ran);
+    EXPECT_TRUE(item.replay.matches());
+    EXPECT_FALSE(item.spm.caches.empty());
+    const core::ForayModel& model = report.results.front().model;
+    text[engine == sim::Engine::Ast] =
+        core::describe_spm_report(item.spm, model) +
+        spm::describe_replay_report(item.replay, model);
+  }
+  EXPECT_EQ(text[1], text[0]);
 }
 
 TEST(SweepDriver, HugeCapacitySolvesWithinCandidateBoundedMemory) {

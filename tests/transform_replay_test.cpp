@@ -32,6 +32,7 @@
 #include "foray/pipeline.h"
 #include "instrument/annotator.h"
 #include "minic/parser.h"
+#include "oracle.h"
 #include "sim/classify_sink.h"
 #include "sim/interpreter.h"
 #include "spm/replay.h"
@@ -41,13 +42,10 @@
 namespace foray::spm {
 namespace {
 
-constexpr uint32_t kCapacities[] = {1024, 4096, 16384};
-constexpr sim::Engine kEngines[] = {sim::Engine::Bytecode,
-                                    sim::Engine::Ast};
+using oracle::engine_name;
+using oracle::kEngines;
 
-const char* engine_name(sim::Engine e) {
-  return e == sim::Engine::Bytecode ? "bytecode" : "ast";
-}
+constexpr uint32_t kCapacities[] = {1024, 4096, 16384};
 
 core::ModelReference make_ref(std::vector<int64_t> coefs,
                               std::vector<int64_t> trips, bool write,
@@ -153,20 +151,24 @@ TEST(TransformReplay, BenchsuiteLocksAnalyticToSimulatedCounters) {
 }
 
 TEST(TransformReplay, SusanSlidingWindowReplaysEndToEnd) {
-  const core::PipelineOptions opts;
-  auto res = core::run_pipeline(benchsuite::get_benchmark("susan").source,
-                                opts);
-  ASSERT_TRUE(res.ok()) << res.error();
-  const Solved s = solve_and_replay(res, opts, opts.spm.dse.spm_capacity);
-  ASSERT_TRUE(s.replay.status.ok()) << s.replay.status.message();
-  EXPECT_TRUE(s.replay.matches())
-      << describe_replay_report(s.replay, res.model);
-  // susan's selection is the paper-flavored interesting case: one
-  // sliding-window buffer. Make sure the lock is not vacuous.
-  ASSERT_FALSE(s.spm.exact.chosen.empty());
-  EXPECT_TRUE(s.spm.exact.chosen[0].sliding_window);
-  EXPECT_GT(s.replay.sim_spm_accesses, 0u);
-  EXPECT_GT(s.replay.sim_transfer_words, 0u);
+  for (sim::Engine engine : kEngines) {
+    SCOPED_TRACE(engine_name(engine));
+    core::PipelineOptions opts;
+    opts.run.engine = engine;
+    auto res = core::run_pipeline(benchsuite::get_benchmark("susan").source,
+                                  opts);
+    ASSERT_TRUE(res.ok()) << res.error();
+    const Solved s = solve_and_replay(res, opts, opts.spm.dse.spm_capacity);
+    ASSERT_TRUE(s.replay.status.ok()) << s.replay.status.message();
+    EXPECT_TRUE(s.replay.matches())
+        << describe_replay_report(s.replay, res.model);
+    // susan's selection is the paper-flavored interesting case: one
+    // sliding-window buffer. Make sure the lock is not vacuous.
+    ASSERT_FALSE(s.spm.exact.chosen.empty());
+    EXPECT_TRUE(s.spm.exact.chosen[0].sliding_window);
+    EXPECT_GT(s.replay.sim_spm_accesses, 0u);
+    EXPECT_GT(s.replay.sim_transfer_words, 0u);
+  }
 }
 
 TEST(TransformReplay, DuplicatedBufferBreaksTheLock) {
@@ -174,36 +176,40 @@ TEST(TransformReplay, DuplicatedBufferBreaksTheLock) {
   // susan's buffer twice. The emitted program serves the reference from
   // one copy, so the analytic counters of the other find no traffic, and
   // the report names each counter that differs.
-  const core::PipelineOptions opts;
-  auto res = core::run_pipeline(benchsuite::get_benchmark("susan").source,
-                                opts);
-  ASSERT_TRUE(res.ok()) << res.error();
-  core::SpmPhaseOptions sopts = opts.spm;
-  sopts.dse.spm_capacity = 4096;
-  Selection sel = core::solve_spm(res.model, sopts).exact;
-  ASSERT_FALSE(sel.chosen.empty());
-  sel.chosen.push_back(sel.chosen.front());
-  ReplayOptions ropts;
-  ropts.run = opts.run;
-  ropts.dse = sopts.dse;
-  const ReplayReport rep = replay_selection(res.model, sel, ropts);
-  ASSERT_TRUE(rep.status.ok()) << rep.status.message();
-  EXPECT_FALSE(rep.matches());
-  const auto named = [&](const std::string& line) {
-    return std::find(rep.mismatches.begin(), rep.mismatches.end(), line) !=
-           rep.mismatches.end();
-  };
-  EXPECT_TRUE(named("buffer 0 (ref 3 level 3) spm accesses: simulated 0 "
-                    "!= analytic 35964"));
-  EXPECT_TRUE(named("total spm accesses: simulated 35964 != analytic "
-                    "71928"));
+  for (sim::Engine engine : kEngines) {
+    SCOPED_TRACE(engine_name(engine));
+    core::PipelineOptions opts;
+    opts.run.engine = engine;
+    auto res = core::run_pipeline(benchsuite::get_benchmark("susan").source,
+                                  opts);
+    ASSERT_TRUE(res.ok()) << res.error();
+    core::SpmPhaseOptions sopts = opts.spm;
+    sopts.dse.spm_capacity = 4096;
+    Selection sel = core::solve_spm(res.model, sopts).exact;
+    ASSERT_FALSE(sel.chosen.empty());
+    sel.chosen.push_back(sel.chosen.front());
+    ReplayOptions ropts;
+    ropts.run = opts.run;
+    ropts.dse = sopts.dse;
+    const ReplayReport rep = replay_selection(res.model, sel, ropts);
+    ASSERT_TRUE(rep.status.ok()) << rep.status.message();
+    EXPECT_FALSE(rep.matches());
+    const auto named = [&](const std::string& line) {
+      return std::find(rep.mismatches.begin(), rep.mismatches.end(), line) !=
+             rep.mismatches.end();
+    };
+    EXPECT_TRUE(named("buffer 0 (ref 3 level 3) spm accesses: simulated 0 "
+                      "!= analytic 35964"));
+    EXPECT_TRUE(named("total spm accesses: simulated 35964 != analytic "
+                      "71928"));
 
-  const std::string text = describe_replay_report(rep, res.model);
-  EXPECT_NE(text.find("\n  MISMATCH buffer 0 (ref 3 level 3) spm accesses: "
-                      "simulated 0 != analytic 35964\n"),
-            std::string::npos)
-      << text;
-  EXPECT_EQ(text.find("CONFIRMED"), std::string::npos) << text;
+    const std::string text = describe_replay_report(rep, res.model);
+    EXPECT_NE(text.find("\n  MISMATCH buffer 0 (ref 3 level 3) spm accesses: "
+                        "simulated 0 != analytic 35964\n"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("CONFIRMED"), std::string::npos) << text;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -213,34 +219,38 @@ TEST(TransformReplay, DuplicatedBufferBreaksTheLock) {
 // exercise only lightly.
 
 TEST(TransformReplay, GeneratorProgramsLockAcrossSeeds) {
-  int with_buffers = 0, with_sliding = 0;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    benchsuite::GeneratorOptions gopts;
-    gopts.seed = seed;
-    auto gen = benchsuite::generate_affine_program(gopts);
-    for (uint32_t cap : {512u, 2048u}) {
-      core::PipelineOptions opts;
-      opts.filter.min_exec = 1;
-      opts.filter.min_locations = 1;
-      auto res = core::run_pipeline(gen.source, opts);
-      ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.error();
-      const Solved s = solve_and_replay(res, opts, cap);
-      ASSERT_TRUE(s.replay.status.ok()) << s.replay.status.message();
-      EXPECT_TRUE(s.replay.matches())
-          << "seed " << seed << " @" << cap << ":\n"
-          << describe_replay_report(s.replay, res.model);
-      if (!s.spm.exact.chosen.empty()) ++with_buffers;
-      for (const auto& c : s.spm.exact.chosen) {
-        if (c.sliding_window) {
-          ++with_sliding;
-          break;
+  for (sim::Engine engine : kEngines) {
+    SCOPED_TRACE(engine_name(engine));
+    int with_buffers = 0, with_sliding = 0;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      benchsuite::GeneratorOptions gopts;
+      gopts.seed = seed;
+      auto gen = benchsuite::generate_affine_program(gopts);
+      for (uint32_t cap : {512u, 2048u}) {
+        core::PipelineOptions opts;
+        opts.run.engine = engine;
+        opts.filter.min_exec = 1;
+        opts.filter.min_locations = 1;
+        auto res = core::run_pipeline(gen.source, opts);
+        ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.error();
+        const Solved s = solve_and_replay(res, opts, cap);
+        ASSERT_TRUE(s.replay.status.ok()) << s.replay.status.message();
+        EXPECT_TRUE(s.replay.matches())
+            << "seed " << seed << " @" << cap << ":\n"
+            << describe_replay_report(s.replay, res.model);
+        if (!s.spm.exact.chosen.empty()) ++with_buffers;
+        for (const auto& c : s.spm.exact.chosen) {
+          if (c.sliding_window) {
+            ++with_sliding;
+            break;
+          }
         }
       }
     }
+    // The family must actually exercise the machinery.
+    EXPECT_GE(with_buffers, 4);
+    EXPECT_GE(with_sliding, 2);
   }
-  // The family must actually exercise the machinery.
-  EXPECT_GE(with_buffers, 4);
-  EXPECT_GE(with_sliding, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +283,8 @@ TEST(TransformReplay, TransformedSourceMatchesGoldenFixtures) {
   for (const std::string kernel : {"adpcm", "gsm", "jpeg"}) {
     core::SpmPhaseOptions opts;
     opts.dse.spm_capacity = 4096;
-    auto res = core::run_pipeline(benchsuite::get_benchmark(kernel).source);
+    auto res =
+        oracle::run_pipeline(benchsuite::get_benchmark(kernel).source);
     ASSERT_TRUE(res.ok()) << kernel << ": " << res.error();
     // The model program is what `foraygen emit` prints.
     expect_fixture(kernel + ".model.mc", res.foray_source);
@@ -524,43 +535,46 @@ TEST(TransformReplay, ClassifyingSinkLookupMissesGapsAndEmptyMaps) {
 // fed the full trace of a transformed benchsuite program or its replay
 // view, it gives the same counters.
 TEST(TransformReplay, FullTraceAndReplayViewClassifyAlike) {
-  for (const auto& bench : benchsuite::all_benchmarks()) {
-    SCOPED_TRACE(bench.name);
-    const core::PipelineOptions opts;
-    const auto res = core::run_pipeline(bench.source, opts);
-    ASSERT_TRUE(res.ok()) << res.error();
-    core::SpmPhaseOptions sopts = opts.spm;
-    sopts.dse.spm_capacity = 4096;
-    const Selection sel = core::solve_spm(res.model, sopts).exact;
-    util::DiagList diags;
-    auto prog =
-        minic::parse_and_check(emit_transformed(res.model, sel), &diags);
-    ASSERT_NE(prog, nullptr) << diags.str();
-    instrument::annotate_loops(prog.get());
-    const int pairs = static_cast<int>(sel.chosen.size());
-    sim::ClassifyingSink full(replay_regions(res.model, sel, *prog), pairs);
-    sim::ClassifyingSink view(replay_regions(res.model, sel, *prog), pairs);
-    sim::RunOptions ropts = opts.run;
-    ASSERT_TRUE(sim::run_program(*prog, &full, ropts).ok());
-    ropts.replay_view = true;
-    ASSERT_TRUE(sim::run_program(*prog, &view, ropts).ok());
+  for (sim::Engine engine : kEngines) {
+    for (const auto& bench : benchsuite::all_benchmarks()) {
+      SCOPED_TRACE(bench.name);
+      core::PipelineOptions opts;
+      opts.run.engine = engine;
+      const auto res = core::run_pipeline(bench.source, opts);
+      ASSERT_TRUE(res.ok()) << res.error();
+      core::SpmPhaseOptions sopts = opts.spm;
+      sopts.dse.spm_capacity = 4096;
+      const Selection sel = core::solve_spm(res.model, sopts).exact;
+      util::DiagList diags;
+      auto prog =
+          minic::parse_and_check(emit_transformed(res.model, sel), &diags);
+      ASSERT_NE(prog, nullptr) << diags.str();
+      instrument::annotate_loops(prog.get());
+      const int pairs = static_cast<int>(sel.chosen.size());
+      sim::ClassifyingSink full(replay_regions(res.model, sel, *prog), pairs);
+      sim::ClassifyingSink view(replay_regions(res.model, sel, *prog), pairs);
+      sim::RunOptions ropts = opts.run;
+      ASSERT_TRUE(sim::run_program(*prog, &full, ropts).ok());
+      ropts.replay_view = true;
+      ASSERT_TRUE(sim::run_program(*prog, &view, ropts).ok());
 
-    EXPECT_EQ(full.unclassified_accesses(), view.unclassified_accesses());
-    EXPECT_EQ(full.total_spm_accesses(), view.total_spm_accesses());
-    EXPECT_EQ(full.total_main_accesses(), view.total_main_accesses());
-    EXPECT_EQ(full.total_transfer_words(), view.total_transfer_words());
-    ASSERT_EQ(full.buffers().size(), sel.chosen.size());
-    ASSERT_EQ(view.buffers().size(), sel.chosen.size());
-    for (size_t b = 0; b < sel.chosen.size(); ++b) {
-      const auto& f = full.buffers()[b];
-      const auto& v = view.buffers()[b];
-      EXPECT_EQ(f.spm_accesses, v.spm_accesses) << b;
-      EXPECT_EQ(f.main_accesses, v.main_accesses) << b;
-      EXPECT_EQ(f.fill_events, v.fill_events) << b;
-      EXPECT_EQ(f.fill_bytes, v.fill_bytes) << b;
-      EXPECT_EQ(f.writeback_events, v.writeback_events) << b;
-      EXPECT_EQ(f.writeback_bytes, v.writeback_bytes) << b;
-      EXPECT_EQ(f.transfer_words, v.transfer_words) << b;
+      EXPECT_EQ(full.unclassified_accesses(), view.unclassified_accesses());
+      EXPECT_EQ(full.total_spm_accesses(), view.total_spm_accesses());
+      EXPECT_EQ(full.total_main_accesses(), view.total_main_accesses());
+      EXPECT_EQ(full.total_transfer_words(), view.total_transfer_words());
+      ASSERT_EQ(full.buffers().size(), sel.chosen.size());
+      ASSERT_EQ(view.buffers().size(), sel.chosen.size());
+      for (size_t b = 0; b < sel.chosen.size(); ++b) {
+        const auto& f = full.buffers()[b];
+        const auto& v = view.buffers()[b];
+        EXPECT_EQ(f.spm_accesses, v.spm_accesses) << b;
+        EXPECT_EQ(f.main_accesses, v.main_accesses) << b;
+        EXPECT_EQ(f.fill_events, v.fill_events) << b;
+        EXPECT_EQ(f.fill_bytes, v.fill_bytes) << b;
+        EXPECT_EQ(f.writeback_events, v.writeback_events) << b;
+        EXPECT_EQ(f.writeback_bytes, v.writeback_bytes) << b;
+        EXPECT_EQ(f.transfer_words, v.transfer_words) << b;
+      }
     }
   }
 }

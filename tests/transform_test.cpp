@@ -4,6 +4,7 @@
 #include "foray/emitter.h"
 #include "foray/pipeline.h"
 #include "minic/parser.h"
+#include "oracle.h"
 #include "sim/interpreter.h"
 #include "spm/spm_sim.h"
 #include "spm/transform.h"
@@ -62,11 +63,11 @@ RunOutcome run_transformed(const core::ForayModel& model,
   EXPECT_NE(prog, nullptr) << diags.str() << "\n" << out.source;
   if (!prog) return out;
   instrument::annotate_loops(prog.get());
-  trace::VectorSink sink;
-  auto run = sim::run_program(*prog, &sink);
+  const oracle::Run both = oracle::run_both(*prog);
+  const sim::RunResult& run = both.result;
   EXPECT_TRUE(run.ok()) << run.error();
   out.ok = run.ok();
-  for (const auto& r : sink.records()) {
+  for (const auto& r : both.records) {
     if (r.type() == trace::RecordType::Access &&
         r.kind() == trace::AccessKind::Data) {
       ++out.data_accesses;
@@ -99,7 +100,7 @@ TEST(Transform, UnselectedModelMatchesPlainEmission) {
   // program, byte for byte below its header comment.
   std::vector<core::ForayModel> models = {model};
   for (const auto& bench : benchsuite::all_benchmarks()) {
-    auto res = core::run_pipeline(bench.source);
+    auto res = oracle::run_pipeline(bench.source);
     ASSERT_TRUE(res.ok()) << bench.name << ": " << res.error();
     models.push_back(res.model);
   }
@@ -176,7 +177,7 @@ TEST(Transform, MixedSelectionKeepsOthersInMainMemory) {
 TEST(Transform, BenchmarkEndToEnd) {
   // Full Phase I + II + transformed-code emission on a real benchmark;
   // the transformed program must execute cleanly.
-  auto res = core::run_pipeline(benchsuite::get_benchmark("susan").source);
+  auto res = oracle::run_pipeline(benchsuite::get_benchmark("susan").source);
   ASSERT_TRUE(res.ok()) << res.error();
   auto cands = enumerate_candidates(res.model);
   DseOptions opts;

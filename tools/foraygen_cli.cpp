@@ -41,9 +41,6 @@
 //               (both only where a model is extracted: not run, trace,
 //               annotate or lint)
 //   --seed S    simulated rand() seed               (default 1)
-//   --engine E  simulator engine: bytecode (default) or ast (the
-//               tree-walking reference oracle); both produce
-//               bit-identical traces (tests/engine_equivalence_test)
 //   --capacity N         spm: SPM size in bytes     (default 4096)
 //   --compare-cache      spm/sweep: also replay through LRU caches
 //                        (sweep: when the cache axis is undeclared)
@@ -129,7 +126,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -163,8 +159,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: foraygen <model|emit|annotate|trace|stats|hints|run|profile"
-      "|spm> <program.mc> [--engine ast|bytecode] [--nexec N] [--nloc N] "
-      "[--seed S] "
+      "|spm> <program.mc> [--nexec N] [--nloc N] [--seed S] "
       "[--capacity N] [--compare-cache] [--replay]\n"
       "       (run and trace take no --nexec/--nloc: they extract no "
       "model)\n"
@@ -173,12 +168,10 @@ int usage() {
       "[--capacity-sweep a,b,c] [--energy-sweep a,b] [--cache-sweep "
       "off,32x2,...] [--algo-sweep dp,greedy] [--replay-sweep off,on] "
       "[--spec FILE] [--ndjson PATH|-] [--resume JOURNAL] [--lint-first] "
-      "[--engine ast|bytecode] [--nexec N] [--nloc N] [--seed S] "
-      "[--replay]\n"
+      "[--nexec N] [--nloc N] [--seed S] [--replay]\n"
       "       foraygen lint [program.mc] [--json PATH|-]\n"
       "       foraygen serve [--threads N] [--max-points N] "
-      "[--static-admission] "
-      "[--engine ast|bytecode] [--nexec N] [--nloc N] [--seed S]\n"
+      "[--static-admission] [--nexec N] [--nloc N] [--seed S]\n"
       "  sweep/serve also accept the model-cache options "
       "[--cache-dir DIR] [--no-cache] [--cache-max-bytes N] "
       "(FORAY_CACHE_DIR is the default directory)\n"
@@ -232,7 +225,7 @@ util::Status unwritable(const std::string& path) {
 /// Flags that only make sense for specific commands. The Step 4 filter
 /// flags (--nexec, --nloc) shape an extracted model, which run, trace,
 /// lint and annotate never build. The other Phase I and budget flags
-/// (--seed, --engine, --max-steps, ...) configure a run of the program,
+/// (--seed, --max-steps, ...) configure a run of the program,
 /// which lint and annotate never do; every other command accepts them,
 /// and --fault applies everywhere.
 bool flag_applies(const std::string& command, const std::string& flag) {
@@ -264,7 +257,7 @@ bool flag_applies(const std::string& command, const std::string& flag) {
       {"--resume", {"sweep"}},
   };
   static const std::vector<const char*> kRunFlags = {
-      "--seed", "--engine", "--max-steps", "--max-records", "--timeout"};
+      "--seed", "--max-steps", "--max-records", "--timeout"};
   for (const auto& s : kScoped) {
     if (flag == s.flag) {
       for (const char* c : s.commands) {
@@ -563,19 +556,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       if (!next_u64(&opts.run.rng_seed)) {
         return option_error("option '--seed' requires a number");
-      }
-    } else if (arg == "--engine") {
-      const char* engine = nullptr;
-      if (!next_value(&engine)) {
-        return option_error("option '--engine' requires a value");
-      }
-      if (!std::strcmp(engine, "ast")) {
-        opts.run.engine = sim::Engine::Ast;
-      } else if (!std::strcmp(engine, "bytecode")) {
-        opts.run.engine = sim::Engine::Bytecode;
-      } else {
-        return option_error(std::string("unknown engine '") + engine +
-                            "' (want ast or bytecode)");
       }
     } else if (arg == "--compare-cache") {
       opts.spm.compare_cache = true;
