@@ -33,7 +33,8 @@ GeneratedProgram generate_affine_program(const GeneratorOptions& opts) {
 
   for (int n = 0; n < opts.num_nests; ++n) {
     ExpectedNest nest;
-    nest.array_name = "A" + std::to_string(n);
+    nest.array_name = "A";
+    nest.array_name += std::to_string(n);
 
     const int depth = static_cast<int>(rng.next_in(1, opts.max_depth));
     for (int k = 0; k < depth; ++k) {
@@ -75,8 +76,10 @@ GeneratedProgram generate_affine_program(const GeneratorOptions& opts) {
     }
     // Open loops.
     for (int k = 0; k < depth; ++k) {
-      const std::string iv = "i" + std::to_string(n) + "_" +
-                             std::to_string(k);
+      std::string iv = "i";
+      iv += std::to_string(n);
+      iv += '_';
+      iv += std::to_string(k);
       if (nest.style == NestStyle::PointerWhile) {
         body << ind(k) << "int " << iv << " = 0;\n";
         body << ind(k) << "while (" << iv << " < " << nest.trips[k]
@@ -186,7 +189,11 @@ class StressGen {
     loop_vars_.pop_back();
   }
 
-  std::string fresh_local() { return "l" + std::to_string(next_local_++); }
+  std::string fresh_local() {
+    std::string name = "l";
+    name += std::to_string(next_local_++);
+    return name;
+  }
 
   /// A random int scalar currently in scope (globals always qualify;
   /// loop counters are readable but never assignable, which is what
@@ -245,12 +252,31 @@ class StressGen {
       case 4: {  // comparisons / logical with side-effect-bearing operands
         static const char* kOps[] = {"<", ">", "<=", ">=", "==", "!=",
                                      "&&", "||"};
-        return "(" + expr(depth + 1) + " " + kOps[rng_.next_below(8)] +
-               " " + expr(depth + 1) + ")";
+        // Drawn right to left: the corpus was generated in that order.
+        const std::string rhs = expr(depth + 1);
+        const char* op = kOps[rng_.next_below(8)];
+        std::string s = "(";
+        s += expr(depth + 1);
+        s += ' ';
+        s += op;
+        s += ' ';
+        s += rhs;
+        s += ')';
+        return s;
       }
-      case 5:
-        return "(" + expr(depth + 1) + " ? " + expr(depth + 1) + " : " +
-               expr(depth + 1) + ")";
+      case 5: {
+        // Drawn right to left, as in case 4.
+        const std::string no = expr(depth + 1);
+        const std::string yes = expr(depth + 1);
+        std::string s = "(";
+        s += expr(depth + 1);
+        s += " ? ";
+        s += yes;
+        s += " : ";
+        s += no;
+        s += ')';
+        return s;
+      }
       case 6: {
         static const char* kOps[] = {"-", "!", "~"};
         return std::string(kOps[rng_.next_below(3)]) + "(" +

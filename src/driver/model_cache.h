@@ -42,13 +42,14 @@
 namespace foray::driver {
 
 /// Most entries a server keeps in memory per kind (models here, static
-/// verdicts and replay simulations in serve); past it, the least recently
-/// used is evicted. A compile-time bound, not an option.
+/// verdicts in serve, replay simulations and cache counts in the sweep
+/// memos); past it, the least recently used is evicted. A compile-time
+/// bound, not an option.
 inline constexpr size_t kMemoryEntries = 256;
 
 /// A map of at most `capacity` (>= 1) entries that evicts the least
 /// recently used one: the model cache's memory layer, serve's static
-/// verdict memo and the replay memo. Not thread-safe; the owner locks if
+/// verdict memo, the replay memo and the cache memo. Not thread-safe; the owner locks if
 /// it must.
 template <typename Key, typename Value>
 class LruMap {

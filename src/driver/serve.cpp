@@ -272,6 +272,9 @@ util::Status serve_loop(std::istream& in, std::ostream& out,
   ReplayMemo own_replays;
   ReplayMemo* const replays =
       opts.replay_memo != nullptr ? opts.replay_memo : &own_replays;
+  CacheMemo own_caches;
+  CacheMemo* const caches =
+      opts.cache_memo != nullptr ? opts.cache_memo : &own_caches;
   std::string line;
   bool oversized = false;
   int line_no = 0;
@@ -318,6 +321,7 @@ util::Status serve_loop(std::istream& in, std::ostream& out,
       auto token = std::make_shared<sim::CancelToken>();
       sopts.pipeline.run.budget.cancel = token;
       sopts.replay_memo = replays;
+      sopts.cache_memo = caches;
       SweepDriver driver(std::move(sopts));
       const uint64_t total =
           static_cast<uint64_t>(driver.grid().points_per_job()) * jobs.size();

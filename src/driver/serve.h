@@ -38,7 +38,11 @@
 // program under the same profile options is pure Phase II. Transform
 // replays are reused the same way through one ReplayMemo for the
 // server's life: each distinct transformed program is simulated once,
-// and a repeat replay costs emission plus the analytic lock.
+// and a repeat replay costs emission plus the analytic lock. So are
+// cache comparisons, through one CacheMemo: each (model, cache
+// geometry) is simulated once, and a repeat only prices the kept counts
+// under its energy model. Each of these keeps at most kMemoryEntries
+// entries, least recently used evicted first.
 #pragma once
 
 #include <cstddef>
@@ -71,6 +75,9 @@ struct ServeOptions {
   /// Shared across requests (not owned). Null: serve_loop keeps its own
   /// for its whole life.
   ReplayMemo* replay_memo = nullptr;
+  /// Shared across requests (not owned), like replay_memo: each (model,
+  /// cache geometry) a request compares is simulated once per server.
+  CacheMemo* cache_memo = nullptr;
   /// Static cost-bound admission (`--static-admission`): run the
   /// staticforay checker over each requested program and refuse the
   /// request — resource_exhausted, phase "lint-admission", before any

@@ -422,6 +422,75 @@ ReplayMemo::Stats ReplayMemo::stats() const {
   return s;
 }
 
+// -- cache memo ----------------------------------------------------------------
+
+CacheMemo::Entry* CacheMemo::find(uint64_t model,
+                                  const core::CacheCell& cell, int assoc) {
+  for (Entry& e : kept_) {
+    if (e.used != 0 && e.model == model && e.capacity == cell.capacity &&
+        e.line_bytes == cell.line_bytes && e.assoc == assoc) {
+      e.used = ++tick_;
+      return &e;
+    }
+  }
+  return nullptr;
+}
+
+std::vector<core::CacheCellCounts> CacheMemo::counts(
+    std::string_view model_key, const core::ForayModel& model,
+    const std::vector<core::CacheCell>& cells) {
+  const uint64_t key = util::fnv1a(model_key);
+  std::vector<core::CacheCellCounts> out(cells.size());
+  std::vector<core::CacheCell> todo;
+  std::vector<size_t> where;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      std::vector<core::SpmReport::CacheComparison>& kept = out[i].caches;
+      for (const int assoc : cells[i].assocs) {
+        const Entry* e = find(key, cells[i], assoc);
+        if (e == nullptr) break;
+        kept.push_back({assoc, e->hits, e->misses, 0.0});
+      }
+      if (kept.size() == cells[i].assocs.size()) {
+        ++stats_.hits;
+        continue;
+      }
+      kept.clear();
+      todo.push_back(cells[i]);
+      where.push_back(i);
+    }
+    stats_.simulations += todo.size();
+  }
+  if (todo.empty()) return out;
+  std::vector<core::CacheCellCounts> fresh =
+      core::simulate_caches(model, todo);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t k = 0; k < todo.size(); ++k) {
+    if (!fresh[k].status.ok()) continue;
+    for (const core::SpmReport::CacheComparison& c : fresh[k].caches) {
+      Entry* slot = find(key, todo[k], c.assoc);
+      if (slot == nullptr) {
+        slot = &*std::min_element(
+            kept_.begin(), kept_.end(),
+            [](const Entry& a, const Entry& b) { return a.used < b.used; });
+        if (slot->used != 0) ++stats_.evictions;
+      }
+      *slot = Entry{key,     todo[k].capacity, todo[k].line_bytes, c.assoc,
+                    ++tick_, c.hits,           c.misses};
+    }
+  }
+  for (size_t k = 0; k < todo.size(); ++k) {
+    out[where[k]] = std::move(fresh[k]);
+  }
+  return out;
+}
+
+CacheMemo::Stats CacheMemo::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
+}
+
 // -- per-job execution --------------------------------------------------------
 
 namespace {
@@ -430,16 +499,21 @@ namespace {
 /// outstanding points need, one result per cell, row-major by (capacity
 /// index, cache axis index), unpriced. They depend on the model and the
 /// geometry only, never on the energy model: the first cache-on point of
-/// the job fills the whole table in one simulate_caches pass over the
-/// model's address stream, every cache-on point prices its cell's counts.
-/// A bad cell keeps its failure, so each point of a bad geometry gets its
-/// own classified row; anything the fill itself throws is kept and
-/// rethrown to every point. It is caught inside call_once because a
+/// the job fills the whole table from the run's CacheMemo, which
+/// simulates the cells it does not keep in one simulate_caches pass over
+/// the model's address stream; every cache-on point prices its cell's
+/// counts. A bad cell keeps its failure, so each point of a bad geometry
+/// gets its own classified row; anything the fill itself throws is kept
+/// and rethrown to every point. It is caught inside call_once because a
 /// throwing call_once hangs later callers under ThreadSanitizer and on
 /// some libstdc++ targets.
 struct CacheTable {
   std::once_flag once;
-  std::vector<bool> needed;  ///< per cell; set before any group runs
+  /// Set before any group runs: the cells to fill, the run's memo and
+  /// the job's model key (JobState::model_key).
+  std::vector<bool> needed;
+  CacheMemo* memo = nullptr;
+  std::string_view model_key;
   std::vector<core::CacheCellCounts> cells;
   std::exception_ptr failure;
 
@@ -458,7 +532,7 @@ struct CacheTable {
           where.push_back(c);
         }
         std::vector<core::CacheCellCounts> counts =
-            core::simulate_caches(model, todo);
+            memo->counts(model_key, model, todo);
         cells.resize(needed.size());
         for (size_t k = 0; k < where.size(); ++k) {
           cells[where[k]] = std::move(counts[k]);
@@ -589,6 +663,9 @@ struct JobState {
   /// model and the reuse filter, never on the swept axes, so every grid
   /// point reuses this list instead of re-enumerating per solve.
   std::vector<spm::BufferCandidate> candidates;
+  /// ModelCache::key of the job's source and Phase I options: the model
+  /// cache's key and the first half of the cache memo's.
+  std::string model_key;
   /// Cache counts of the cells the job's outstanding points need.
   CacheTable caches;
   /// Solve groups still outstanding; the worker that finishes the last
@@ -605,12 +682,10 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
   // Model-cache fast path: a hit makes this job pure Phase II. The
   // candidates are enumerated from the cached model (they depend only on
   // the model and the reuse filter).
-  std::string cache_key;
   if (opts.model_cache != nullptr) {
-    cache_key = ModelCache::key(job.source, opts.pipeline);
     core::ForayModel cached;
     util::Status why;
-    if (opts.model_cache->lookup(cache_key, &cached, &why)) {
+    if (opts.model_cache->lookup(js->model_key, &cached, &why)) {
       try {
         js->candidates =
             spm::enumerate_candidates(cached, opts.pipeline.spm.reuse);
@@ -649,7 +724,7 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
   if (!js->phase1.ok()) return;
   if (opts.model_cache != nullptr) {
     // Best-effort: a failed store only costs the next run a recompute.
-    opts.model_cache->store(cache_key, model);
+    opts.model_cache->store(js->model_key, model);
   }
 }
 
@@ -944,11 +1019,18 @@ class SweepExec {
         slots_(jobs.size(), std::vector<NdPoint>(per_job_)),
         blocks_(jobs.size()),
         memo_(opts.replay_memo),
+        cache_memo_(opts.cache_memo),
         pool_(static_cast<size_t>(opts.threads)) {
     if (memo_ == nullptr && std::find(grid.replays.begin(), grid.replays.end(),
                                       true) != grid.replays.end()) {
       own_memo_ = std::make_unique<ReplayMemo>();
       memo_ = own_memo_.get();
+    }
+    if (cache_memo_ == nullptr &&
+        std::any_of(grid.caches.begin(), grid.caches.end(),
+                    [](const CacheAxisValue& c) { return c.enabled; })) {
+      own_cache_memo_ = std::make_unique<CacheMemo>();
+      cache_memo_ = own_cache_memo_.get();
     }
     for (size_t j = 0; j < jobs_.size(); ++j) {
       states_.push_back(std::make_unique<JobState>());
@@ -1056,6 +1138,7 @@ class SweepExec {
       }
     }
     JobState& js = *states_[j];
+    js.model_key = ModelCache::key(jobs_[j].source, opts_.pipeline);
     run_phase1(jobs_[j], opts_, &js);
     if (!js.phase1.ok()) {
       for (size_t i = 0; i < per_job_; ++i) {
@@ -1073,6 +1156,8 @@ class SweepExec {
     }
     js.remaining.store(needed, std::memory_order_relaxed);
     js.caches.needed = cache_cells_needed(grid_, resume_, j);
+    js.caches.memo = cache_memo_;
+    js.caches.model_key = js.model_key;
     for (const SolveGroup& g : groups_) {
       if (resume_.range_cached(j, g.begin, g.end)) continue;
       pool_.submit([this, j, &g] { group_task(j, g); });
@@ -1206,6 +1291,10 @@ class SweepExec {
   /// SweepOptions::replay_memo, else own_memo_ when a point replays.
   ReplayMemo* memo_;
   std::unique_ptr<ReplayMemo> own_memo_;
+  /// SweepOptions::cache_memo, else own_cache_memo_ when a point
+  /// compares a cache.
+  CacheMemo* cache_memo_;
+  std::unique_ptr<CacheMemo> own_cache_memo_;
   util::ThreadPool pool_;  ///< last member: joined before state dies
 };
 

@@ -26,10 +26,11 @@
 // point reports from its group's one solve. A P-program grid with C
 // capacities and E energy models costs P pipeline runs, P candidate
 // enumerations and P·C·E cheap DSE solves. Cache comparisons are
-// simulated once per program and (capacity, geometry), whatever the
+// simulated once per model and (capacity, geometry), whatever the
 // energy axis holds: hits and misses do not depend on the energy model,
-// so each point only prices the shared counts. Every cell a program needs
-// is simulated in one pass over its model's address stream. Solve groups
+// so each point only prices the shared counts (CacheMemo, kept per run
+// or per server). The cells a program needs that are not kept yet are
+// simulated in one pass over its model's address stream. Solve groups
 // whose exact selections emit the same transformed program share one
 // replay simulation (ReplayMemo).
 //
@@ -248,6 +249,64 @@ class ReplayMemo {
   Stats stats_;  ///< mu_; evictions read from slots_
 };
 
+/// The unpriced cache counts (core::CacheCellCounts) of the cells
+/// simulated so far, so that each (model, cache geometry) is simulated
+/// once: per sweep run (SweepDriver keeps one when SweepOptions::
+/// cache_memo is null) and per server lifetime (serve_loop). Hits and
+/// misses depend on the model and the geometry only, never on the energy
+/// model, so an entry is keyed by the job's model key (ModelCache::key:
+/// the source and every option that can change the model) plus one
+/// cache's capacity, line size and associativity; a cell is answered
+/// when every one of its caches is kept. Only cells that simulated ok are
+/// kept, at most kMemoryEntries caches, least recently used evicted
+/// first. Thread-safe; two jobs that miss the same cell at the same
+/// moment both simulate it, to the same counts.
+///
+/// The entries live in one table allocated with the memo, not in an
+/// LruMap: a server's kept counts then never sit among the transient
+/// allocations of later requests. LruMap's per-entry nodes did, and
+/// pinned the heap: over 40,000 serve_mix requests at --threads 1 the
+/// server peaked at 16.0 MiB instead of 13.6.
+class CacheMemo {
+ public:
+  struct Stats {
+    uint64_t hits = 0;         ///< cells answered by kept counts
+    uint64_t simulations = 0;  ///< cells handed to simulate_caches
+    uint64_t evictions = 0;    ///< kept caches dropped
+  };
+
+  /// core::simulate_caches(model, cells), byte for byte: kept cells are
+  /// answered from the memo, the others are simulated in one call.
+  /// `model_key` must determine `model`.
+  std::vector<core::CacheCellCounts> counts(
+      std::string_view model_key, const core::ForayModel& model,
+      const std::vector<core::CacheCell>& cells);
+
+  Stats stats() const;
+
+ private:
+  /// One cache's counts; `used` is the tick of its last use, 0 when the
+  /// slot is empty.
+  struct Entry {
+    uint64_t model = 0;  ///< fnv1a of the model key
+    uint32_t capacity = 0;
+    uint32_t line_bytes = 0;
+    int assoc = 0;
+    uint64_t used = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+
+  /// The kept entry of one cache of `cell`, now the most recently used;
+  /// null on a miss. mu_ held.
+  Entry* find(uint64_t model, const core::CacheCell& cell, int assoc);
+
+  mutable std::mutex mu_;
+  std::vector<Entry> kept_ = std::vector<Entry>(kMemoryEntries);  ///< mu_
+  uint64_t tick_ = 0;  ///< mu_
+  Stats stats_;        ///< mu_
+};
+
 struct SweepOptions {
   int threads = 1;
   SweepSpec spec;
@@ -265,6 +324,10 @@ struct SweepOptions {
   /// must outlive the driver). Null: each run keeps its own, made only
   /// when some grid point asks for a replay.
   ReplayMemo* replay_memo = nullptr;
+  /// Where cache-on points keep and reuse their cells' unpriced counts
+  /// (not owned; must outlive the driver). Null: each run keeps its own,
+  /// made only when some grid point compares a cache.
+  CacheMemo* cache_memo = nullptr;
   /// Run the static checker (staticforay/checker.h) over each program
   /// before its Phase I. A program the checker *proves* will fault is
   /// failed up front with a single per-program diagnostic instead of N

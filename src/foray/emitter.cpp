@@ -42,8 +42,12 @@ std::string loop_var(const std::vector<int>& path, size_t pos) {
   for (size_t i = 0; i < pos; ++i) {
     if (path[i] == path[pos]) ++dup;
   }
-  std::string name = "i" + std::to_string(path[pos]);
-  if (dup > 0) name += "_" + std::to_string(dup);
+  std::string name = "i";
+  name += std::to_string(path[pos]);
+  if (dup > 0) {
+    name += '_';
+    name += std::to_string(dup);
+  }
   return name;
 }
 
@@ -157,8 +161,12 @@ std::vector<std::string> assign_array_names(const ForayModel& model) {
   std::unordered_map<uint32_t, int> seen;
   for (const auto& r : model.refs) {
     int n = ++seen[r.instr];
-    std::string name = "A" + util::to_hex(r.instr);
-    if (n > 1) name += "_c" + std::to_string(n);
+    std::string name = "A";
+    name += util::to_hex(r.instr);
+    if (n > 1) {
+      name += "_c";
+      name += std::to_string(n);
+    }
     names.push_back(std::move(name));
   }
   return names;

@@ -189,8 +189,10 @@ struct CacheCellCounts {
 /// when the cells together hold over spm::kMaxCacheLines lines, so the
 /// tables stay bounded — and returns one result per cell, in order; a
 /// bad cell is simulated not at all and fails alone. The counts depend
-/// on the geometry only, so a sweep simulates each (capacity, geometry)
-/// once and prices it per energy model with price_caches, which fills
+/// on the model and the geometry only, so a sweep run or a server
+/// simulates each (model, capacity, geometry) once through its
+/// driver::CacheMemo, which calls this for the cells it does not keep,
+/// and prices the counts per energy model with price_caches, which fills
 /// energy_nj.
 ///
 /// Within a pass the caches of one line size form a chain ordered from

@@ -43,7 +43,12 @@ bool Interval::is_top() const { return lo == kMin && hi == kMax; }
 
 std::string Interval::str() const {
   if (is_top()) return "[-inf, inf]";
-  return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  std::string s = "[";
+  s += std::to_string(lo);
+  s += ", ";
+  s += std::to_string(hi);
+  s += ']';
+  return s;
 }
 
 Interval iv_join(const Interval& a, const Interval& b) {

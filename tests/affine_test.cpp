@@ -324,7 +324,9 @@ TEST_P(PartialRecovery, OuterIrregularityYieldsCorrectM) {
 
 INSTANTIATE_TEST_SUITE_P(Splits, PartialRecovery, ::testing::Values(1, 2, 3),
                          [](const ::testing::TestParamInfo<int>& pi) {
-                           return "m" + std::to_string(pi.param);
+                           std::string name = "m";
+                           name += std::to_string(pi.param);
+                           return name;
                          });
 
 }  // namespace

@@ -640,13 +640,19 @@ TEST(CacheGolden, BenchsuiteSweepMatchesTheGolden) {
       got += item.program + " " + std::to_string(item.point.capacity_bytes) +
              " " + item.point.cache.label + ":";
       if (!item.status.ok()) {
-        got += " " + item.status.message() + "\n";
+        got += ' ';
+        got += item.status.message();
+        got += '\n';
         continue;
       }
       for (const core::SpmReport::CacheComparison& c : item.spm.caches) {
-        got += " " + std::to_string(c.assoc) + "-way " +
-               std::to_string(c.hits) + " hits " +
-               std::to_string(c.misses) + " misses";
+        got += ' ';
+        got += std::to_string(c.assoc);
+        got += "-way ";
+        got += std::to_string(c.hits);
+        got += " hits ";
+        got += std::to_string(c.misses);
+        got += " misses";
       }
       got += "\n";
     }
@@ -685,7 +691,9 @@ TEST(DseGolden, BenchsuiteSelectionsMatchTheGolden) {
                " " + item.point.energy_name + " " +
                driver::algorithm_name(item.point.algorithm) + ":";
         if (!item.status.ok()) {
-          got += " " + item.status.message() + "\n";
+          got += ' ';
+          got += item.status.message();
+          got += '\n';
           continue;
         }
         const spm::Selection& sel = item.selection();

@@ -573,6 +573,28 @@ std::vector<std::string> response_body(const std::vector<std::string>& out,
   return body;
 }
 
+TEST(Serve, RepeatCacheRequestsSimulateEachCellOnce) {
+  // The same cache-on request twice: the first simulates its one cell,
+  // the second prices the kept counts, and the bodies are byte-identical.
+  CacheMemo memo;
+  ServeOptions opts = serve_opts();
+  opts.cache_memo = &memo;
+  const std::string request =
+      "\"program\":\"adpcm\",\"axes\":{\"capacity\":\"1024\","
+      "\"cache\":\"32x2\"}}\n";
+  const ServeRun r = run_serve(
+      "{\"id\":1," + request + "{\"id\":2," + request, opts);
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  const std::vector<std::string> first = response_body(r.lines, 1);
+  ASSERT_EQ(first.size(), 4u);  // header, point, two pareto lines
+  EXPECT_NE(first[1].find("\"caches\":[{\"line_bytes\":32,\"assoc\":2,"),
+            std::string::npos)
+      << first[1];
+  EXPECT_EQ(response_body(r.lines, 2), first);
+  EXPECT_EQ(memo.stats().simulations, 1u);
+  EXPECT_EQ(memo.stats().hits, 1u);
+}
+
 TEST(Serve, MemoryLayerIsBoundedLeastRecentlyUsedFirst) {
   // More distinct inline sources than the memory layer holds, with a
   // kernel asked for again every 16 of them: the kernel stays a memory

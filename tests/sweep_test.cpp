@@ -985,6 +985,172 @@ TEST_F(ReplayMemoBoundary, AnArmedFaultSiteBypassesTheMemo) {
       << got;
 }
 
+// -- cache memo ---------------------------------------------------------------
+
+/// The NDJSON of `o` over `jobs`, and the cache memo's stats it added.
+std::string cache_memo_run(SweepOptions o, const std::vector<SweepJob>& jobs,
+                           CacheMemo* memo, CacheMemo::Stats* added) {
+  const CacheMemo::Stats before = memo->stats();
+  o.cache_memo = memo;
+  std::ostringstream out;
+  (void)SweepDriver(o).run_ndjson(jobs, out);
+  const CacheMemo::Stats after = memo->stats();
+  added->hits = after.hits - before.hits;
+  added->simulations = after.simulations - before.simulations;
+  added->evictions = after.evictions - before.evictions;
+  return out.str();
+}
+
+TEST(CacheMemo, ASharedMemoServesTheSecondRunByteIdentically) {
+  // Two jobs x 3 capacities x 2 geometries = 12 cells, each shared by
+  // two energy presets. A memo kept across runs simulates them in the
+  // first run and answers every one in the second; the bytes are those
+  // of runs that keep their own memo, at 1 and at 4 threads.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SweepOptions o = sweep_opts(threads);
+    ASSERT_TRUE(o.spec.parse_axis("capacity", "256,1024,4096").ok());
+    ASSERT_TRUE(o.spec.parse_axis("energy", "default,fast-spm").ok());
+    ASSERT_TRUE(o.spec.parse_axis("cache", "off,32x2,64x4").ok());
+    const std::vector<SweepJob> jobs = good_jobs();
+    std::ostringstream own;
+    ASSERT_TRUE(SweepDriver(o).run_ndjson(jobs, own).ok());
+    ASSERT_NE(own.str().find("\"caches\":[{"), std::string::npos);
+
+    CacheMemo memo;
+    CacheMemo::Stats added;
+    EXPECT_EQ(cache_memo_run(o, jobs, &memo, &added), own.str());
+    EXPECT_EQ(added.simulations, 12u);
+    EXPECT_EQ(added.hits, 0u);
+    EXPECT_EQ(cache_memo_run(o, jobs, &memo, &added), own.str());
+    EXPECT_EQ(added.simulations, 0u);
+    EXPECT_EQ(added.hits, 12u);
+    EXPECT_EQ(memo.stats().evictions, 0u);
+  }
+}
+
+TEST(CacheMemo, ABadGeometryFailsItsOwnPointsAndIsNotKept) {
+  // Per job, 3072 B fails 32x2 and 64x4, and 256 B and 4096 B fail 32x3:
+  // 4 bad cells of 9. A second run through the memo answers the 5 good
+  // ones, checks the bad ones again and writes the same rows.
+  SweepOptions o = sweep_opts(2);
+  ASSERT_TRUE(o.spec.parse_axis("capacity", "256,3072,4096").ok());
+  ASSERT_TRUE(o.spec.parse_axis("energy", "default,fast-spm").ok());
+  ASSERT_TRUE(o.spec.parse_axis("cache", "off,32x2,64x4,32x3").ok());
+  const std::vector<SweepJob> jobs = good_jobs();
+  const std::string own = ndjson_of(o, jobs);
+  ASSERT_NE(own.find("\"error_class\":\"invalid_input\""), std::string::npos);
+
+  CacheMemo memo;
+  CacheMemo::Stats added;
+  EXPECT_EQ(cache_memo_run(o, jobs, &memo, &added), own);
+  EXPECT_EQ(added.simulations, 2u * 9);
+  EXPECT_EQ(cache_memo_run(o, jobs, &memo, &added), own);
+  EXPECT_EQ(added.hits, 2u * 5);
+  EXPECT_EQ(added.simulations, 2u * 4);
+}
+
+TEST(CacheMemo, ACellIsAnsweredOnlyWhenEveryCacheIsKept) {
+  // A 32x2 run keeps the 2-way cache; a base --compare-cache cell of
+  // ways {2, 4} at the same capacity still simulates, then keeps both.
+  SweepOptions axis = sweep_opts(1);
+  ASSERT_TRUE(axis.spec.parse_axis("capacity", "1024").ok());
+  ASSERT_TRUE(axis.spec.parse_axis("cache", "32x2").ok());
+  SweepOptions base = sweep_opts(1);
+  ASSERT_TRUE(base.spec.parse_axis("capacity", "1024").ok());
+  base.pipeline.spm.compare_cache = true;
+  base.pipeline.spm.cache_assocs = {2, 4};
+  const std::vector<SweepJob> jobs = {{"alpha", kGood}};
+  std::ostringstream own;
+  ASSERT_TRUE(SweepDriver(base).run_ndjson(jobs, own).ok());
+
+  CacheMemo memo;
+  CacheMemo::Stats added;
+  (void)cache_memo_run(axis, jobs, &memo, &added);
+  EXPECT_EQ(added.simulations, 1u);
+  EXPECT_EQ(cache_memo_run(base, jobs, &memo, &added), own.str());
+  EXPECT_EQ(added.simulations, 1u);
+  EXPECT_EQ(added.hits, 0u);
+  EXPECT_EQ(cache_memo_run(base, jobs, &memo, &added), own.str());
+  EXPECT_EQ(added.hits, 1u);
+}
+
+TEST(CacheMemo, PhaseIOptionsThatChangeTheModelDoNotShareCounts) {
+  // The same source at Nloc 1 and Nloc 10: the second filter drops the
+  // four-location b[k] references, so the models, and their counts,
+  // differ.
+  const char* source =
+      "int a[256];\n"
+      "int b[4];\n"
+      "int main(void) {\n"
+      "  for (int r = 0; r < 40; r++) {\n"
+      "    for (int i = 0; i < 256; i++) a[i] = a[i] + r;\n"
+      "    for (int k = 0; k < 4; k++) b[k] = b[k] + r;\n"
+      "  }\n"
+      "  return 0;\n"
+      "}\n";
+  SweepOptions o = sweep_opts(1);
+  ASSERT_TRUE(o.spec.parse_axis("capacity", "1024").ok());
+  ASSERT_TRUE(o.spec.parse_axis("cache", "32x2").ok());
+  SweepOptions strict = o;
+  strict.pipeline.filter.min_locations = 10;
+  const std::vector<SweepJob> jobs = {{"alpha", source}};
+
+  CacheMemo memo;
+  o.cache_memo = &memo;
+  strict.cache_memo = &memo;
+  const SweepReport loose_report = SweepDriver(o).run(jobs);
+  const SweepReport strict_report = SweepDriver(strict).run(jobs);
+  EXPECT_EQ(memo.stats().simulations, 2u);
+  EXPECT_EQ(memo.stats().hits, 0u);
+
+  const SweepItem& loose = loose_report.items.at(0);
+  const SweepItem& tight = strict_report.items.at(0);
+  ASSERT_TRUE(loose.status.ok()) << loose.status.message();
+  ASSERT_TRUE(tight.status.ok()) << tight.status.message();
+  EXPECT_GT(loose.model_refs, tight.model_refs);
+  const auto accesses = [](const SweepItem& item) {
+    return item.spm.caches.at(0).hits + item.spm.caches.at(0).misses;
+  };
+  EXPECT_GT(accesses(loose), accesses(tight));
+  strict.cache_memo = nullptr;
+  std::ostringstream own, shared;
+  (void)SweepDriver(strict).run_ndjson(jobs, own);
+  strict.cache_memo = &memo;
+  (void)SweepDriver(strict).run_ndjson(jobs, shared);
+  EXPECT_EQ(shared.str(), own.str());
+  EXPECT_EQ(memo.stats().hits, 1u);
+}
+
+TEST(CacheMemo, KeepsAtMostMemoryEntriesLeastRecentlyUsedFirst) {
+  const SweepOptions o = sweep_opts(1);
+  const core::PipelineResult phase1 = core::run_pipeline(kGood, o.pipeline);
+  ASSERT_TRUE(phase1.ok()) << phase1.error();
+  const std::vector<core::CacheCell> cell = {{1024, 32, {2}}};
+  const core::CacheCellCounts solo =
+      core::simulate_caches(phase1.model, cell)[0];
+  ASSERT_TRUE(solo.status.ok());
+  const auto counts = [&](CacheMemo* memo, int k) {
+    const core::CacheCellCounts got =
+        memo->counts("model-" + std::to_string(k), phase1.model, cell)[0];
+    EXPECT_TRUE(got.status.ok());
+    EXPECT_EQ(got.caches.at(0).hits, solo.caches.at(0).hits);
+    EXPECT_EQ(got.caches.at(0).misses, solo.caches.at(0).misses);
+  };
+
+  CacheMemo memo;
+  const int distinct = static_cast<int>(kMemoryEntries) + 8;
+  for (int k = 0; k < distinct; ++k) counts(&memo, k);
+  EXPECT_EQ(memo.stats().simulations, static_cast<uint64_t>(distinct));
+  EXPECT_EQ(memo.stats().evictions, 8u);
+  // The newest key is kept; the oldest was evicted and simulates again.
+  counts(&memo, distinct - 1);
+  EXPECT_EQ(memo.stats().hits, 1u);
+  counts(&memo, 0);
+  EXPECT_EQ(memo.stats().simulations, static_cast<uint64_t>(distinct) + 1);
+  EXPECT_EQ(memo.stats().evictions, 9u);
+}
+
 TEST(SweepDriver, NdjsonEscapesHostileProgramNames) {
   SweepOptions o = sweep_opts(1);
   ASSERT_TRUE(o.spec.parse_axis("capacity", "1024").ok());

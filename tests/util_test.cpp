@@ -182,7 +182,9 @@ TEST(Json, StringRunsEscapeLikeOneCharacterAtATime) {
     EXPECT_EQ(one.take(), escaped_char_by_char(s));
   }
   for (int b = 0; b < 256; ++b) {
-    const std::string s = "x" + std::string(1, static_cast<char>(b)) + "yz";
+    std::string s = "x";
+    s += static_cast<char>(b);
+    s += "yz";
     JsonWriter one;
     one.value(s);
     EXPECT_EQ(one.take(), escaped_char_by_char(s)) << "byte " << b;

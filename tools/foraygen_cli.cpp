@@ -32,8 +32,9 @@
 //              (warnings only) exits 0
 //   serve      long-lived sweep service: one NDJSON request per stdin
 //              line, one sweep NDJSON stream + done row per request
-//              (driver/serve.h documents the protocol); Phase I models
-//              are cached across requests
+//              (driver/serve.h documents the protocol); Phase I models,
+//              replay simulations and cache counts are kept across
+//              requests, and the memos' counts go to stderr at EOF
 //
 // Options:
 //   --nexec N   Step 4 filter: minimum executions   (default 20)
@@ -707,12 +708,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.memory_evictions));
   };
 
-  auto print_replay_stats = [](const driver::ReplayMemo& memo) {
-    const driver::ReplayMemo::Stats s = memo.stats();
+  // The replay and cache memos' counts, one line each.
+  auto print_memo_stats = [](const char* memo, const auto& s) {
     std::fprintf(stderr,
-                 "foraygen: replay memo: %llu hit(s), %llu simulation(s), "
+                 "foraygen: %s memo: %llu hit(s), %llu simulation(s), "
                  "%llu evicted\n",
-                 static_cast<unsigned long long>(s.hits),
+                 memo, static_cast<unsigned long long>(s.hits),
                  static_cast<unsigned long long>(s.simulations),
                  static_cast<unsigned long long>(s.evictions));
   };
@@ -746,9 +747,12 @@ int main(int argc, char** argv) {
     svopts.static_admission = static_admission;
     driver::ReplayMemo replays;
     svopts.replay_memo = &replays;
+    driver::CacheMemo caches;
+    svopts.cache_memo = &caches;
     util::Status st = driver::serve_loop(std::cin, std::cout, svopts);
     print_cache_stats();
-    print_replay_stats(replays);
+    print_memo_stats("replay", replays.stats());
+    print_memo_stats("cache", caches.stats());
     if (!st.ok()) return fail_with(st);
     return 0;
   }
@@ -769,7 +773,7 @@ int main(int argc, char** argv) {
         std::find(axis.begin(), axis.end(), true) != axis.end();
     auto print_stats = [&] {
       print_cache_stats();
-      if (replaying) print_replay_stats(replays);
+      if (replaying) print_memo_stats("replay", replays.stats());
     };
     std::vector<driver::SweepJob> jobs;
     if (!path.empty()) {
