@@ -1,6 +1,8 @@
 #include "benchsuite/generator.h"
 
+#include <initializer_list>
 #include <sstream>
+#include <string_view>
 
 #include "util/status.h"
 
@@ -23,6 +25,12 @@ std::string index_expr(int64_t base, const std::vector<int64_t>& coefs,
 }
 
 std::string ind(int depth) { return std::string(2 * (depth + 1), ' '); }
+
+std::string cat(std::initializer_list<std::string_view> parts) {
+  std::string s;
+  for (std::string_view p : parts) s += p;
+  return s;
+}
 
 }  // namespace
 
@@ -225,7 +233,11 @@ class StressGen {
     return std::string(arr) + "[(" + expr(depth) + ") & 31]";
   }
 
-  /// Random int-valued expression, depth-bounded.
+  /// Random int-valued expression, depth-bounded. C++ leaves the order
+  /// in which the operands of a `+` chain are evaluated unspecified, so
+  /// every draw is taken into a named local first. Operands are drawn
+  /// right to left, the order GCC evaluated the chains in when the
+  /// corpus was generated.
   std::string expr(int depth) {
     if (depth >= opts_.max_expr_depth) {
       switch (rng_.next_below(3)) {
@@ -243,47 +255,39 @@ class StressGen {
                                      "<<", ">>"};
         if (rng_.next_bool(0.25)) {
           const char* op = rng_.next_bool() ? "/" : "%";
-          return "(" + expr(depth + 1) + " " + op + " ((" +
-                 expr(depth + 1) + ") | 1))";
+          const std::string divisor = expr(depth + 1);
+          const std::string lhs = expr(depth + 1);
+          return cat({"(", lhs, " ", op, " ((", divisor, ") | 1))"});
         }
-        return "(" + expr(depth + 1) + " " + kOps[rng_.next_below(8)] +
-               " " + expr(depth + 1) + ")";
+        const std::string rhs = expr(depth + 1);
+        const char* op = kOps[rng_.next_below(8)];
+        const std::string lhs = expr(depth + 1);
+        return cat({"(", lhs, " ", op, " ", rhs, ")"});
       }
       case 4: {  // comparisons / logical with side-effect-bearing operands
         static const char* kOps[] = {"<", ">", "<=", ">=", "==", "!=",
                                      "&&", "||"};
-        // Drawn right to left: the corpus was generated in that order.
         const std::string rhs = expr(depth + 1);
         const char* op = kOps[rng_.next_below(8)];
-        std::string s = "(";
-        s += expr(depth + 1);
-        s += ' ';
-        s += op;
-        s += ' ';
-        s += rhs;
-        s += ')';
-        return s;
+        const std::string lhs = expr(depth + 1);
+        return cat({"(", lhs, " ", op, " ", rhs, ")"});
       }
       case 5: {
-        // Drawn right to left, as in case 4.
         const std::string no = expr(depth + 1);
         const std::string yes = expr(depth + 1);
-        std::string s = "(";
-        s += expr(depth + 1);
-        s += " ? ";
-        s += yes;
-        s += " : ";
-        s += no;
-        s += ')';
-        return s;
+        const std::string cond = expr(depth + 1);
+        return cat({"(", cond, " ? ", yes, " : ", no, ")"});
       }
       case 6: {
         static const char* kOps[] = {"-", "!", "~"};
-        return std::string(kOps[rng_.next_below(3)]) + "(" +
-               expr(depth + 1) + ")";
+        const std::string operand = expr(depth + 1);
+        return cat({kOps[rng_.next_below(3)], "(", operand, ")"});
       }
-      case 7:  // assignment as an expression
-        return "(" + scalar_lvalue() + " = " + expr(depth + 1) + ")";
+      case 7: {  // assignment as an expression
+        const std::string rhs = expr(depth + 1);
+        const std::string lhs = scalar_lvalue();
+        return cat({"(", lhs, " = ", rhs, ")"});
+      }
       case 8: {  // pre/post increment of a scalar
         const std::string v = scalar_lvalue();
         static const char* kForms[] = {"++%s", "--%s", "%s++", "%s--"};
@@ -294,10 +298,11 @@ class StressGen {
       }
       case 9:
         if (helpers_ready_ && opts_.num_helpers > 0) {
-          return "h" +
-                 std::to_string(rng_.next_below(
-                     static_cast<uint64_t>(opts_.num_helpers))) +
-                 "(" + expr(depth + 1) + ", " + expr(depth + 1) + ")";
+          const std::string b = expr(depth + 1);
+          const std::string a = expr(depth + 1);
+          const std::string h = std::to_string(
+              rng_.next_below(static_cast<uint64_t>(opts_.num_helpers)));
+          return cat({"h", h, "(", a, ", ", b, ")"});
         }
         return scalar();
       case 10:

@@ -54,10 +54,7 @@ std::string ModelCache::fingerprint(const core::PipelineOptions& opts) {
   num("fmt", core::kModelFormatVersion);
   num("seed", opts.run.rng_seed);
   flag("replay_view", opts.run.replay_view);
-  num("heap", opts.run.heap_capacity);
-  num("stack", opts.run.stack_capacity);
   flag("hash_index", opts.extractor.hash_index);
-  num("fpcap", opts.extractor.footprint_cap);
   num("nexec", opts.filter.min_exec);
   num("nloc", opts.filter.min_locations);
   return fp;

@@ -326,11 +326,8 @@ uint64_t replay_key(std::string_view source, const spm::Selection& selection,
   for (const spm::BufferCandidate& c : selection.chosen) {
     util::append_format(&tail, "%zu:%d;", c.ref_index, c.level);
   }
-  util::append_format(&tail, "|%d,%llu,%u,%u,%zu",
-                      static_cast<int>(run.engine),
-                      static_cast<unsigned long long>(run.rng_seed),
-                      run.heap_capacity, run.stack_capacity,
-                      run.max_output_bytes);
+  util::append_format(&tail, "|%d,%llu", static_cast<int>(run.engine),
+                      static_cast<unsigned long long>(run.rng_seed));
   return util::fnv1a(tail, util::fnv1a(source));
 }
 
@@ -497,70 +494,43 @@ namespace {
 
 /// Hits and misses of every (capacity, cache axis value) cell a job's
 /// outstanding points need, one result per cell, row-major by (capacity
-/// index, cache axis index), unpriced. They depend on the model and the
-/// geometry only, never on the energy model: the first cache-on point of
-/// the job fills the whole table from the run's CacheMemo, which
-/// simulates the cells it does not keep in one simulate_caches pass over
-/// the model's address stream; every cache-on point prices its cell's
-/// counts. A bad cell keeps its failure, so each point of a bad geometry
-/// gets its own classified row; anything the fill itself throws is kept
-/// and rethrown to every point. It is caught inside call_once because a
-/// throwing call_once hangs later callers under ThreadSanitizer and on
-/// some libstdc++ targets.
-struct CacheTable {
-  std::once_flag once;
-  /// Set before any group runs: the cells to fill, the run's memo and
-  /// the job's model key (JobState::model_key).
-  std::vector<bool> needed;
-  CacheMemo* memo = nullptr;
-  std::string_view model_key;
-  std::vector<core::CacheCellCounts> cells;
-  std::exception_ptr failure;
-
-  const core::CacheCellCounts& fill(const core::ForayModel& model,
-                                    const SweepGrid& grid, size_t cell) {
-    std::call_once(once, [&] {
-      try {
-        std::vector<core::CacheCell> todo;
-        std::vector<size_t> where;
-        for (size_t c = 0; c < needed.size(); ++c) {
-          if (!needed[c]) continue;
-          const CacheAxisValue& v = grid.caches[c % grid.caches.size()];
-          todo.push_back(core::CacheCell{
-              grid.capacities[c / grid.caches.size()], v.line_bytes,
-              v.assocs});
-          where.push_back(c);
-        }
-        std::vector<core::CacheCellCounts> counts =
-            memo->counts(model_key, model, todo);
-        cells.resize(needed.size());
-        for (size_t k = 0; k < where.size(); ++k) {
-          cells[where[k]] = std::move(counts[k]);
-        }
-      } catch (...) {
-        failure = std::current_exception();
-      }
-    });
-    if (failure) std::rethrow_exception(failure);
-    return cells[cell];
+/// index, cache axis index), unpriced; a cell no outstanding point needs
+/// stays empty. They depend on the model and the geometry only, never on
+/// the energy model, so a job fills them once, after Phase I and before
+/// its solve groups run, from the run's CacheMemo, which simulates the
+/// cells it does not keep in one simulate_caches pass over the model's
+/// address stream. A bad cell keeps its failure, so each point of a bad
+/// geometry gets its own classified row.
+std::vector<core::CacheCellCounts> job_cache_cells(
+    const core::ForayModel& model, const SweepGrid& grid,
+    const std::vector<bool>& needed, CacheMemo* memo,
+    std::string_view model_key) {
+  std::vector<core::CacheCell> todo;
+  std::vector<size_t> where;
+  for (size_t c = 0; c < needed.size(); ++c) {
+    if (!needed[c]) continue;
+    const CacheAxisValue& v = grid.caches[c % grid.caches.size()];
+    todo.push_back(core::CacheCell{grid.capacities[c / grid.caches.size()],
+                                   v.line_bytes, v.assocs});
+    where.push_back(c);
   }
-};
+  std::vector<core::CacheCellCounts> cells(needed.size());
+  if (todo.empty()) return cells;
+  std::vector<core::CacheCellCounts> counts =
+      memo->counts(model_key, model, todo);
+  for (size_t k = 0; k < where.size(); ++k) {
+    cells[where[k]] = std::move(counts[k]);
+  }
+  return cells;
+}
 
-/// A cache-on point's comparison: its cell's shared counts priced under
-/// the point's energy model, or the cell's failure.
-util::Status price_cell(const core::ForayModel& model, const SweepGrid& grid,
-                        const SweepPoint& point,
+/// A cache-on point's comparison: its cell's counts priced under the
+/// point's energy model, or the cell's failure.
+util::Status price_cell(const core::CacheCellCounts& cell,
                         const core::SpmPhaseOptions& popts,
-                        CacheTable* table,
                         std::vector<core::SpmReport::CacheComparison>* out) {
-  const core::CacheCellCounts* cell = nullptr;
-  const util::Status st = guarded("spm-solve", [&] {
-    cell = &table->fill(
-        model, grid, point.key.capacity * grid.caches.size() + point.key.cache);
-  });
-  if (!st.ok()) return st;
-  if (!cell->status.ok()) return cell->status;
-  *out = cell->caches;
+  if (!cell.status.ok()) return cell.status;
+  *out = cell.caches;
   core::price_caches(popts, out);
   return {};
 }
@@ -666,8 +636,9 @@ struct JobState {
   /// ModelCache::key of the job's source and Phase I options: the model
   /// cache's key and the first half of the cache memo's.
   std::string model_key;
-  /// Cache counts of the cells the job's outstanding points need.
-  CacheTable caches;
+  /// job_cache_cells for the job's outstanding points, filled after
+  /// Phase I; every cell holds the failure when the fill threw.
+  std::vector<core::CacheCellCounts> cache_cells;
   /// Solve groups still outstanding; the worker that finishes the last
   /// one finalizes the job.
   std::atomic<size_t> remaining{0};
@@ -747,8 +718,10 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
   std::vector<core::SpmReport::CacheComparison> caches;
   item.status = solve->fault;
   if (item.status.ok() && point.cache.enabled) {
-    item.status = price_cell(model, grid, point, point.spm_options(base_spm),
-                             &js.caches, &caches);
+    item.status = price_cell(
+        js.cache_cells[point.key.capacity * grid.caches.size() +
+                       point.key.cache],
+        point.spm_options(base_spm), &caches);
   }
   if (item.status.ok()) item.status = solve->status;
   if (item.status.ok() && point.replay) item.status = solve->replay.status;
@@ -1155,9 +1128,16 @@ class SweepExec {
       if (!resume_.range_cached(j, g.begin, g.end)) ++needed;
     }
     js.remaining.store(needed, std::memory_order_relaxed);
-    js.caches.needed = cache_cells_needed(grid_, resume_, j);
-    js.caches.memo = cache_memo_;
-    js.caches.model_key = js.model_key;
+    const util::Status thrown = guarded("spm-solve", [&] {
+      js.cache_cells =
+          job_cache_cells(js.result.model, grid_,
+                          cache_cells_needed(grid_, resume_, j), cache_memo_,
+                          js.model_key);
+    });
+    if (!thrown.ok()) {
+      js.cache_cells.assign(grid_.capacities.size() * grid_.caches.size(),
+                            core::CacheCellCounts{thrown, {}});
+    }
     for (const SolveGroup& g : groups_) {
       if (resume_.range_cached(j, g.begin, g.end)) continue;
       pool_.submit([this, j, &g] { group_task(j, g); });

@@ -35,8 +35,8 @@
 // replay simulation (ReplayMemo).
 //
 // Both jobs AND the solve groups within one job are fanned across the
-// thread pool (core::solve_spm is pure over the immutable model, and the
-// job's table of cache counts is filled under std::call_once), so a
+// thread pool (core::solve_spm is pure over the immutable model, and a
+// job fills its cache counts before it submits its groups), so a
 // single-program sweep saturates every worker instead of serializing on
 // one. Results land in pre-allocated slots indexed by PointKey, so every
 // report is byte-for-byte identical whatever the thread count — the

@@ -12,7 +12,7 @@ using trace::Record;
 using trace::RecordType;
 
 Extractor::Extractor(ExtractorOptions opts)
-    : opts_(opts), tree_(opts.hash_index, opts.footprint_cap) {
+    : opts_(opts), tree_(opts.hash_index) {
   cur_ = tree_.root();
 }
 

@@ -39,9 +39,6 @@ struct ExtractorOptions {
   /// paper's constant-average-complexity claim); false = linear scans
   /// (the E8 ablation baseline).
   bool hash_index = true;
-  /// Per-reference distinct-address cap; beyond it the footprint count is
-  /// reported as saturated (lower bound).
-  size_t footprint_cap = LoopNode::kDefaultFootprintCap;
 };
 
 class Extractor final : public trace::Sink {

@@ -3,8 +3,7 @@
 namespace foray::core {
 
 LoopNode* LoopNode::create_child(int site_id) {
-  auto child =
-      std::make_unique<LoopNode>(site_id, this, hash_index_, footprint_cap_);
+  auto child = std::make_unique<LoopNode>(site_id, this, hash_index_);
   LoopNode* raw = child.get();
   children_.push_back(std::move(child));
   if (hash_index_) {
@@ -21,7 +20,7 @@ LoopNode* LoopNode::find_child_linear(int site_id) {
 }
 
 RefNode* LoopNode::create_ref(uint32_t instr) {
-  auto ref = std::make_unique<RefNode>(instr, this, footprint_cap_);
+  auto ref = std::make_unique<RefNode>(instr, this);
   RefNode* raw = ref.get();
   refs_.push_back(std::move(ref));
   if (hash_index_) ref_index_.insert(instr, raw);

@@ -30,15 +30,15 @@ struct RefNode;
 
 class LoopNode {
  public:
-  static constexpr size_t kDefaultFootprintCap = 1u << 20;
+  /// Distinct addresses a reference's footprint set holds; past it the
+  /// footprint is reported as saturated (a lower bound).
+  static constexpr size_t kFootprintCap = 1u << 20;
 
-  LoopNode(int loop_id, LoopNode* parent, bool hash_index,
-           size_t footprint_cap = kDefaultFootprintCap)
+  LoopNode(int loop_id, LoopNode* parent, bool hash_index)
       : loop_id_(loop_id),
         parent_(parent),
         depth_(parent == nullptr ? 0 : parent->depth_ + 1),
-        hash_index_(hash_index),
-        footprint_cap_(footprint_cap) {}
+        hash_index_(hash_index) {}
 
   int loop_id() const { return loop_id_; }
   LoopNode* parent() const { return parent_; }
@@ -106,7 +106,6 @@ class LoopNode {
   LoopNode* parent_;
   int depth_;
   bool hash_index_;
-  size_t footprint_cap_;
 
   std::vector<std::unique_ptr<LoopNode>> children_;
   util::FlatMap32<LoopNode*> child_index_;
@@ -118,8 +117,8 @@ class LoopNode {
 /// affine-recovery state of Algorithm 3 and the footprint set used by the
 /// Step 4 filter and Table III.
 struct RefNode {
-  RefNode(uint32_t instr_id, LoopNode* owner_node, size_t footprint_cap)
-      : instr(instr_id), owner(owner_node), footprint_cap_(footprint_cap) {}
+  RefNode(uint32_t instr_id, LoopNode* owner_node)
+      : instr(instr_id), owner(owner_node) {}
 
   // Hot-first layout: everything the extractor touches per access
   // (identity, counters, the affine fast-path head) packs into the
@@ -144,7 +143,7 @@ struct RefNode {
     // same address back to back.
     if (addr == last_addr_) return;
     last_addr_ = addr;
-    if (footprint_.size() < footprint_cap_) {
+    if (footprint_.size() < LoopNode::kFootprintCap) {
       footprint_.insert(addr);
     } else if (!footprint_.contains(addr)) {
       saturated_ = true;
@@ -159,7 +158,6 @@ struct RefNode {
  private:
   uint64_t last_addr_ = ~0ull;  ///< out of the u32 range = no MRU yet
   util::PagedAddrSet footprint_;
-  size_t footprint_cap_;
   bool saturated_ = false;
 };
 
@@ -167,10 +165,8 @@ struct RefNode {
 /// paper's complexity argument, or linear scans for the E8 ablation).
 class LoopTree {
  public:
-  explicit LoopTree(bool hash_index = true,
-                    size_t footprint_cap = LoopNode::kDefaultFootprintCap)
-      : root_(std::make_unique<LoopNode>(-1, nullptr, hash_index,
-                                         footprint_cap)),
+  explicit LoopTree(bool hash_index = true)
+      : root_(std::make_unique<LoopNode>(-1, nullptr, hash_index)),
         hash_index_(hash_index) {}
 
   LoopNode* root() { return root_.get(); }

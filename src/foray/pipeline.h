@@ -56,7 +56,7 @@ namespace foray::core {
 
 struct SpmPhaseOptions {
   spm::ReuseOptions reuse;
-  spm::DseOptions dse;  ///< capacity, DP granule, energy model
+  spm::DseOptions dse;  ///< capacity, energy model
   /// Also replay the model's address stream through set-associative LRU
   /// caches of the same capacity (the Banakar-style comparison the SPM
   /// argument rests on): the sweep's inherited cache axis value, priced

@@ -385,10 +385,9 @@ class TraceEmitter {
 // observable behavior (harness-compared), so like the operator
 // semantics they exist exactly once and both engines call them.
 
-/// Appends simulated-program output under the shared size limit.
-inline void append_output_limited(std::string* out, size_t max_bytes,
-                                  const std::string& s) {
-  if (out->size() + s.size() > max_bytes) {
+/// Appends simulated-program output under Memory::kMaxOutputBytes.
+inline void append_output_limited(std::string* out, const std::string& s) {
+  if (out->size() + s.size() > Memory::kMaxOutputBytes) {
     throw RuntimeError("simulated program output limit exceeded",
                        util::ErrorCode::kResourceExhausted);
   }

@@ -73,7 +73,6 @@ class Interp {
         opts_(opts),
         res_(resolve_variables(prog)),
         emitter_(sink, opts_, prog.funcs.size(), res_.frame_fixed),
-        mem_(opts.heap_capacity, opts.stack_capacity),
         rng_(opts.rng_seed),
         max_steps_(opts.budget.effective_max_steps()) {}
 
@@ -97,7 +96,7 @@ class Interp {
   util::Rng& rng() { return rng_; }
 
   void append_output(const std::string& s) {
-    append_output_limited(&output_, opts_.max_output_bytes, s);
+    append_output_limited(&output_, s);
   }
 
   /// Every traced load and store goes through here; forced inline like

@@ -86,9 +86,6 @@ struct RunOptions {
   /// full. 0 = off.
   uint32_t elide_below_bases = 0;
   uint64_t rng_seed = 1;      ///< seed of the simulated rand()
-  uint32_t heap_capacity = 1u << 24;
-  uint32_t stack_capacity = 1u << 22;
-  size_t max_output_bytes = 1u << 24;
   /// Hash the final simulated memory image into RunResult::memory_digest
   /// (used by the engine-equivalence harness; off by default because the
   /// digest walks every mapped byte).

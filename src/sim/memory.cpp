@@ -1,5 +1,6 @@
 #include "sim/memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/strings.h"
@@ -10,10 +11,10 @@ namespace {
 uint32_t align_up(uint32_t v, uint32_t align) {
   return (v + align - 1) & ~(align - 1);
 }
-}  // namespace
 
-Memory::Memory(uint32_t heap_capacity, uint32_t stack_capacity)
-    : heap_capacity_(heap_capacity), stack_capacity_(stack_capacity) {}
+/// The stack store's first size; it doubles from here.
+constexpr uint32_t kMinStackStore = 4096;
+}  // namespace
 
 uint32_t Memory::alloc_global(uint32_t size, uint32_t align) {
   uint32_t offset = align_up(static_cast<uint32_t>(globals_.size()), align);
@@ -32,7 +33,7 @@ uint32_t Memory::alloc_rodata(const std::string& bytes) {
 
 uint32_t Memory::heap_alloc(uint32_t size) {
   uint32_t offset = align_up(heap_brk_, 8);
-  if (size > heap_capacity_ || offset > heap_capacity_ - size) {
+  if (size > kHeapCapacity || offset > kHeapCapacity - size) {
     throw RuntimeError("simulated heap exhausted (malloc of " +
                            std::to_string(size) + " bytes)",
                        util::ErrorCode::kResourceExhausted);
@@ -43,7 +44,7 @@ uint32_t Memory::heap_alloc(uint32_t size) {
 }
 
 void Memory::set_sp(uint32_t sp) {
-  if (sp > kStackTop || kStackTop - sp > stack_capacity_) {
+  if (sp > kStackTop || kStackTop - sp > kStackCapacity) {
     throw RuntimeError("simulated stack overflow",
                        util::ErrorCode::kResourceExhausted);
   }
@@ -57,14 +58,22 @@ uint32_t Memory::stack_alloc(uint32_t size, uint32_t align) {
   return new_sp;
 }
 
-uint8_t* Memory::resolve_fault(uint32_t addr, uint32_t size) const {
-  throw RuntimeError("access to unmapped address 0x" + util::to_hex(addr) +
-                     " (" + std::to_string(size) + " bytes)");
-}
-
-uint64_t Memory::mapped_bytes() const {
-  return rodata_.size() + globals_.size() + heap_.size() +
-         stack_full_.size();
+uint8_t* Memory::resolve_slow(uint32_t addr, uint32_t size) {
+  const uint64_t end = static_cast<uint64_t>(addr) + size;
+  if (addr < kStackBase || end > kStackTop) {
+    throw RuntimeError("access to unmapped address 0x" + util::to_hex(addr) +
+                       " (" + std::to_string(size) + " bytes)");
+  }
+  // Below the backed part of the stack window: double the store until it
+  // reaches `addr`, keeping the bytes above at the top of the new store.
+  uint32_t bytes = std::max<uint32_t>(stack_.size(), kMinStackStore);
+  while (kStackTop - bytes > addr) bytes *= 2;
+  bytes = std::min(bytes, kStackCapacity);
+  std::vector<uint8_t> grown(bytes, 0);
+  std::copy(stack_.begin(), stack_.end(), grown.end() - stack_.size());
+  stack_.swap(grown);
+  stack_lo_ = kStackTop - bytes;
+  return stack_.data() + (addr - stack_lo_);
 }
 
 uint64_t Memory::digest() const {
@@ -87,7 +96,19 @@ uint64_t Memory::digest() const {
   mix_region(rodata_);
   mix_region(globals_);
   mix_region(heap_);
-  mix_region(stack_full_);
+  // The stack as the whole zero-filled window once touched, however much
+  // of it is backed: hashing a zero byte only multiplies by the prime, so
+  // the unbacked bytes are one power of it.
+  if (stack_.empty()) {
+    mix_u32(0);
+  } else {
+    mix_u32(kStackCapacity);
+    for (uint64_t n = kStackCapacity - stack_.size(), p = 0x100000001b3ull;
+         n != 0; n >>= 1, p *= p) {
+      if (n & 1) h *= p;
+    }
+    mix(stack_.data(), stack_.size());
+  }
   mix_u32(heap_brk_);
   mix_u32(sp_);
   return h;

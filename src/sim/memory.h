@@ -6,8 +6,13 @@
 //
 //   rodata   0x08000000+   string literals
 //   globals  0x10000000+   global variables
-//   heap     0x20000000+   malloc arena (bump allocator)
-//   stack    ..0x7fffff00  grows downward
+//   heap     0x20000000+   malloc arena (bump allocator), 16 MiB
+//   stack    ..0x7fffff00  grows downward, 4 MiB
+//
+// The map and its caps (plus the cap on a run's output) are the fixed
+// machine: constants below that both engines and the static checker
+// (staticforay) read, so the checker's bounds describe the machine that
+// runs.
 //
 // All loads/stores are bounds- and alignment-tolerant (byte-addressed);
 // touching unmapped memory raises RuntimeError, which the interpreter
@@ -48,9 +53,10 @@ class Memory {
   static constexpr uint32_t kGlobalBase = 0x10000000;
   static constexpr uint32_t kHeapBase = 0x20000000;
   static constexpr uint32_t kStackTop = 0x7fffff00;
-
-  explicit Memory(uint32_t heap_capacity = 1u << 24,
-                  uint32_t stack_capacity = 1u << 22);
+  static constexpr uint32_t kHeapCapacity = 1u << 24;   ///< malloc arena
+  static constexpr uint32_t kStackCapacity = 1u << 22;  ///< below kStackTop
+  /// printf/puts/putchar text one run may produce.
+  static constexpr size_t kMaxOutputBytes = 1u << 24;
 
   // -- allocation -----------------------------------------------------------
 
@@ -146,9 +152,6 @@ class Memory {
     *resolve(addr, 1) = value;
   }
 
-  /// Total bytes currently mapped (for footprint/limit reporting).
-  uint64_t mapped_bytes() const;
-
   /// FNV-1a hash over every mapped region plus the allocator state
   /// (sp, heap break). Two runs that leave the simulated machine in the
   /// same state digest identically; the engine-equivalence harness uses
@@ -156,22 +159,18 @@ class Memory {
   uint64_t digest() const;
 
  private:
+  static constexpr uint32_t kStackBase = kStackTop - kStackCapacity;
+
   /// Maps a simulated address range to host memory. Checked in the
-  /// layout's hot order; lazily sizes the stack backing store on first
-  /// touch. Throws RuntimeError for unmapped ranges. Range ends are
-  /// computed in 64 bits: a simulated address near 2^32 must fault,
-  /// not wrap past a region check into host memory.
+  /// layout's hot order; a stack access below the part of the stack
+  /// window backed so far takes the out-of-line path, which grows the
+  /// backing store. Range ends are computed in 64 bits: a simulated
+  /// address near 2^32 must fault, not wrap past a region check into
+  /// host memory.
   FORAY_ALWAYS_INLINE uint8_t* resolve(uint32_t addr, uint32_t size) {
     const uint64_t end = static_cast<uint64_t>(addr) + size;
-    if (addr >= kStackTop - stack_capacity_ && end <= kStackTop) {
-      // Stack bytes are viewed as a bottom-up array anchored at
-      // (kStackTop - capacity) to keep them contiguous.
-      const uint32_t base = kStackTop - stack_capacity_;
-      const uint32_t off = addr - base;
-      if (stack_full_.size() < stack_capacity_) {
-        stack_full_.resize(stack_capacity_, 0);
-      }
-      return stack_full_.data() + off;
+    if (addr >= stack_lo_ && end <= kStackTop) {
+      return stack_.data() + (addr - stack_lo_);
     }
     if (addr >= kRodataBase && end <= kRodataBase + rodata_.size()) {
       return rodata_.data() + (addr - kRodataBase);
@@ -182,20 +181,22 @@ class Memory {
     if (addr >= kHeapBase && end <= kHeapBase + heap_brk_) {
       return heap_.data() + (addr - kHeapBase);
     }
-    return resolve_fault(addr, size);
+    return resolve_slow(addr, size);
   }
 
-  [[noreturn]] uint8_t* resolve_fault(uint32_t addr, uint32_t size) const;
+  /// The stack window below the backed part (grows the store, whose new
+  /// bytes read as zero), or a RuntimeError for an unmapped range.
+  uint8_t* resolve_slow(uint32_t addr, uint32_t size);
 
   std::vector<uint8_t> rodata_;
   std::vector<uint8_t> globals_;
   std::vector<uint8_t> heap_;
-  /// Backing store for [kStackTop - capacity, kStackTop); sized lazily on
-  /// first touch.
-  std::vector<uint8_t> stack_full_;
+  /// Backing store for [stack_lo_, kStackTop), the top of the stack
+  /// window: empty until the first stack access, then grown downward by
+  /// doubling as deeper addresses are touched.
+  std::vector<uint8_t> stack_;
+  uint32_t stack_lo_ = kStackTop;
   uint32_t heap_brk_ = 0;  ///< bytes of heap handed out
-  uint32_t heap_capacity_;
-  uint32_t stack_capacity_;
   uint32_t sp_ = kStackTop;
 };
 

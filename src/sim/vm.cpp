@@ -55,7 +55,6 @@ class Vm {
       : code_(code),
         opts_(opts),
         emitter_(sink, opts_, code.funcs.size(), code.frame_fixed),
-        mem_(opts.heap_capacity, opts.stack_capacity),
         rng_(opts.rng_seed),
         max_steps_(opts.budget.effective_max_steps()) {}
 
@@ -65,7 +64,7 @@ class Vm {
   util::Rng& rng() { return rng_; }
 
   void append_output(const std::string& s) {
-    append_output_limited(&output_, opts_.max_output_bytes, s);
+    append_output_limited(&output_, s);
   }
 
   void emit_access(uint32_t instr, uint32_t addr, uint8_t size,

@@ -51,8 +51,6 @@ Selection select_buffers(const std::vector<BufferCandidate>& candidates,
                          const DseOptions& opts) {
   const double spm = opts.energy.spm_access_nj(opts.spm_capacity);
   const double dram = opts.energy.dram_nj;
-  // A zero granule must quantize as one byte, not divide by zero.
-  const uint32_t granule = std::max<uint32_t>(opts.granule, 1);
   // Groups are references in ascending ref_index, their items in
   // candidate order: the stable sort keeps that order within a reference.
   std::vector<Item> items;
@@ -61,7 +59,8 @@ Selection select_buffers(const std::vector<BufferCandidate>& candidates,
     const double gain = saving_nj(c, spm, dram);
     if (!(gain > 0.0)) continue;
     items.push_back(Item{
-        &c, static_cast<uint32_t>((c.size_bytes + granule - 1) / granule),
+        &c,
+        static_cast<uint32_t>((c.size_bytes + kDpGranule - 1) / kDpGranule),
         gain});
   }
   std::stable_sort(items.begin(), items.end(),
@@ -91,7 +90,7 @@ Selection select_buffers(const std::vector<BufferCandidate>& candidates,
     max_total += largest;
   }
   const size_t width = static_cast<size_t>(
-      std::min<uint64_t>(opts.spm_capacity / granule, max_total) + 1);
+      std::min<uint64_t>(opts.spm_capacity / kDpGranule, max_total) + 1);
   const uint64_t cells = (static_cast<uint64_t>(groups) + 1) * width;
   if (cells > kMaxDpCells) {
     throw util::StatusError(util::Status::failure(

@@ -33,9 +33,12 @@ namespace foray::spm {
 /// asks for.
 inline constexpr uint64_t kMaxDpCells = uint64_t{1} << 24;
 
+/// The DP's capacity quantum in bytes: a candidate needs its size in
+/// granules, rounded up, and the rows count granules of capacity.
+inline constexpr uint32_t kDpGranule = 8;
+
 struct DseOptions {
   uint32_t spm_capacity = 4096;  ///< bytes
-  uint32_t granule = 8;          ///< capacity quantization for the DP
   EnergyModel energy;
 };
 

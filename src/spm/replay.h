@@ -62,8 +62,8 @@ struct ReplayOptions {
   /// events with the LoopEnter/LoopExit checkpoints and classifies only
   /// Data accesses.
   sim::RunOptions run;
-  /// Energy parameters for the analytic evaluation (only the capacity
-  /// and energy model matter; the DP granule is unused here).
+  /// Energy parameters for the analytic evaluation (the capacity and
+  /// the energy model).
   DseOptions dse;
 };
 

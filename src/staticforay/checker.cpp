@@ -15,7 +15,7 @@
 #include "instrument/annotator.h"
 #include "minic/intrinsics.h"
 #include "minic/parser.h"
-#include "sim/interpreter.h"
+#include "sim/memory.h"
 
 namespace foray::staticforay {
 namespace {
@@ -1963,7 +1963,6 @@ class Checker {
   // -- members ---------------------------------------------------------------
 
   const Program& prog_;
-  const sim::RunOptions caps_{};  ///< the engines' heap/stack/output caps
   CheckReport report_;
   bool emit_ = true;          ///< false during quiet fixpoint passes
   uint64_t work_ = 0;         ///< abstract statement/expression visits
@@ -2049,21 +2048,21 @@ CheckReport Checker::run() {
     acc.min_steps = acc.min_records = 0;
     acc.exact = false;
   }
-  if (acc.max_heap > caps_.heap_capacity)
+  if (acc.max_heap > sim::Memory::kHeapCapacity)
     diag(CheckKind::HeapLimit, Severity::Warning, 0, -1,
          "heap allocations may exceed the simulated capacity (" +
              cost_bound_str(acc.max_heap) + " > " +
-             std::to_string(caps_.heap_capacity) + " bytes)");
-  if (acc.max_out > caps_.max_output_bytes)
+             std::to_string(sim::Memory::kHeapCapacity) + " bytes)");
+  if (acc.max_out > sim::Memory::kMaxOutputBytes)
     diag(CheckKind::OutputLimit, Severity::Warning, 0, -1,
          "program output may exceed the output cap (" +
              cost_bound_str(acc.max_out) + " > " +
-             std::to_string(caps_.max_output_bytes) + " bytes)");
-  if (stack_peak_ > caps_.stack_capacity)
+             std::to_string(sim::Memory::kMaxOutputBytes) + " bytes)");
+  if (stack_peak_ > sim::Memory::kStackCapacity)
     diag(CheckKind::StackLimit, Severity::Warning, 0, -1,
          "stack frames may exceed the simulated stack capacity (" +
              std::to_string(stack_peak_) + " > " +
-             std::to_string(caps_.stack_capacity) + " bytes)");
+             std::to_string(sim::Memory::kStackCapacity) + " bytes)");
   report_.cost.max_steps = acc.max_steps;
   report_.cost.max_records = acc.max_records;
   report_.cost.min_steps = std::min(acc.min_steps, acc.max_steps);

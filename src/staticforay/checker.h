@@ -93,11 +93,11 @@ struct CheckReport {
 };
 
 /// Checks a sema-checked, loop-annotated program (parse_and_check +
-/// instrument::annotate_loops) against the engines' resource caps
-/// (sim::RunOptions defaults): exceeding them is a runtime fault, so any
-/// program the checker cannot prove inside them is flagged. Never fails:
-/// analysis limits and imprecision surface as warnings and unbounded
-/// costs.
+/// instrument::annotate_loops) against the fixed machine's heap, stack
+/// and output caps (sim::Memory's constants, which both engines read):
+/// exceeding them is a runtime fault, so any program the checker cannot
+/// prove inside them is flagged. Never fails: analysis limits and
+/// imprecision surface as warnings and unbounded costs.
 CheckReport check_program(const minic::Program& prog);
 
 /// One-stop lint for tools and drivers: parse + sema + loop annotation +

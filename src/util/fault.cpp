@@ -1,7 +1,6 @@
 #include "util/fault.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 
 #include "util/strings.h"
@@ -32,7 +31,6 @@ constexpr size_t kNumSites = sizeof(kKnownSites) / sizeof(kKnownSites[0]);
 std::atomic<bool> g_enabled{false};
 std::mutex g_mutex;
 SiteState g_sites[kNumSites];
-std::once_flag g_env_once;
 
 int site_index(std::string_view name) {
   for (size_t i = 0; i < kNumSites; ++i) {
@@ -89,21 +87,9 @@ Status configure_locked(std::string_view spec) {
   return Status();
 }
 
-void load_env_spec() {
-  const char* env = std::getenv("FORAY_FAULT");
-  if (env == nullptr || env[0] == '\0') return;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  // A malformed env spec must not be silently ignored — fail loudly.
-  Status st = configure_locked(env);
-  FORAY_CHECK(st.ok(), "FORAY_FAULT: " + st.message());
-}
-
 }  // namespace
 
-bool enabled() {
-  std::call_once(g_env_once, load_env_spec);
-  return g_enabled.load(std::memory_order_relaxed);
-}
+bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 Hit hit(std::string_view site) {
   if (!enabled()) return Hit{};
@@ -140,13 +126,11 @@ std::vector<std::string> all_sites() {
 }
 
 Status configure(std::string_view spec) {
-  std::call_once(g_env_once, [] {});  // a test config overrides the env
   std::lock_guard<std::mutex> lock(g_mutex);
   return configure_locked(spec);
 }
 
 void reset() {
-  std::call_once(g_env_once, [] {});
   std::lock_guard<std::mutex> lock(g_mutex);
   for (auto& s : g_sites) s = SiteState{};
   g_enabled.store(false, std::memory_order_relaxed);

@@ -4,8 +4,8 @@
 // resumable journal") are only testable if the failure can actually be
 // made to happen. This registry provides named sites compiled into the
 // production binary but costing a single relaxed atomic load when no
-// fault is armed; tests/fault_injection_test and the FORAY_FAULT
-// environment variable arm them.
+// fault is armed; tests (fault::configure) and the CLI's --fault flag
+// arm them.
 //
 // A spec is a comma- or semicolon-separated list of site triggers:
 //
@@ -15,8 +15,8 @@
 //   count  fire at most M times, then disarm (default unlimited)
 //   param  integer payload the site interprets (e.g. sleep millis)
 //
-// e.g. FORAY_FAULT="sweep.sink.io:skip=2:count=1" fails the third sink
-// write and nothing else. Unknown site names are configuration errors —
+// e.g. --fault sweep.sink.io:skip=2:count=1 fails the third sink write
+// and nothing else. Unknown site names are configuration errors —
 // a typo must not silently inject nothing.
 //
 // Most sites count hits in arrival order, which is deterministic only
@@ -75,8 +75,8 @@ Hit hit_at(std::string_view site, uint64_t ordinal);
 std::vector<std::string> all_sites();
 
 /// Arms sites from a spec string (see the header comment). Replaces any
-/// previous configuration, including one read from FORAY_FAULT. Returns
-/// invalid_input on bad syntax or an unknown site name.
+/// previous configuration. Returns invalid_input on bad syntax or an
+/// unknown site name.
 Status configure(std::string_view spec);
 
 /// Disarms every site (tests call this in teardown).

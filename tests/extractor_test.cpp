@@ -225,17 +225,26 @@ TEST(Extractor, StateBytesGrowWithTreeNotTrace) {
 }
 
 TEST(Extractor, FootprintCapSaturates) {
-  Extractor ex{ExtractorOptions{.footprint_cap = 16}};
-  std::vector<Record> t = {enter(0)};
-  for (uint32_t i = 0; i < 100; ++i) {
-    t.push_back(body(0));
-    t.push_back(acc(0x400080, 0x10000000 + 4 * i));
-    t.push_back(bend(0));
+  // One reference touching the cap's worth of distinct addresses in one
+  // loop body, then revisiting one of them, then one address more.
+  Extractor ex;
+  const Record open[] = {enter(0), body(0)};
+  ex.on_chunk(open, 2);
+  const uint32_t cap = static_cast<uint32_t>(LoopNode::kFootprintCap);
+  std::vector<Record> chunk;
+  for (uint32_t i = 0; i < cap; ++i) {
+    chunk.push_back(acc(0x400080, 0x10000000 + 4 * i));
+    if (chunk.size() == 4096 || i + 1 == cap) {
+      ex.on_chunk(chunk.data(), chunk.size());
+      chunk.clear();
+    }
   }
-  t.push_back(exitl(0));
-  feed(ex, t);
   const RefNode& ref = *ex.tree().root()->children()[0]->refs()[0];
-  EXPECT_EQ(ref.footprint_size(), 16u);
+  EXPECT_EQ(ref.footprint_size(), LoopNode::kFootprintCap);
+  feed(ex, {acc(0x400080, 0x10000000)});
+  EXPECT_FALSE(ref.footprint_saturated());
+  feed(ex, {acc(0x400080, 0x10000000 + 4 * cap), bend(0), exitl(0)});
+  EXPECT_EQ(ref.footprint_size(), LoopNode::kFootprintCap);
   EXPECT_TRUE(ref.footprint_saturated());
 }
 

@@ -14,7 +14,7 @@ struct Fixture {
 
   explicit Fixture(uint64_t execs, uint64_t locations,
                    trace::AccessKind kind = trace::AccessKind::Data) {
-    ref = std::make_unique<RefNode>(0x400100, &node, 1u << 20);
+    ref = std::make_unique<RefNode>(0x400100, &node);
     ref->kind = kind;
     for (uint64_t e = 0; e < execs; ++e) {
       int64_t it = static_cast<int64_t>(e % locations);
@@ -58,7 +58,7 @@ TEST(Filter, BoundaryValuesInclusive) {
 TEST(Filter, ConstantRefHasNoIterator) {
   // Same address every time: coefficient solves to zero.
   LoopNode node{0, nullptr, true};
-  RefNode ref(0x400200, &node, 1u << 20);
+  RefNode ref(0x400200, &node);
   for (int e = 0; e < 100; ++e) {
     std::vector<int64_t> iters = {e % 10};
     observe_access(ref.affine, iters, 0x10000000);
@@ -77,7 +77,7 @@ TEST(Filter, SystemReferencesExcluded) {
 
 TEST(Filter, NonAnalyzableDropped) {
   LoopNode node{0, nullptr, true};
-  RefNode ref(0x400300, &node, 1u << 20);
+  RefNode ref(0x400300, &node);
   std::vector<int64_t> a = {0, 0};
   observe_access(ref.affine, a, 100);
   std::vector<int64_t> b = {1, 1};  // two unknowns change at once
@@ -90,7 +90,7 @@ TEST(Filter, NonAnalyzableDropped) {
 
 TEST(Filter, PartialKept) {
   LoopNode node{0, nullptr, true};
-  RefNode ref(0x400400, &node, 1u << 20);
+  RefNode ref(0x400400, &node);
   // Inner regular, outer irregular -> partial with M=1.
   const int64_t bases[] = {1000, 7777, 3333, 9111};
   for (int64_t x = 0; x < 4; ++x) {

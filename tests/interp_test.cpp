@@ -492,13 +492,19 @@ TEST(InterpTrace, DataDependentOffsetAddressing) {
 }
 
 TEST(Interp, OutputLimitGuards) {
-  RunOptions opts;
-  opts.max_output_bytes = 64;
-  RunCapture r = run_src("int main(void) { for (int i = 0; i < 100; i++) "
-                  "printf(\"xxxxxxxxxx\"); return 0; }",
-                  opts);
+  // 4,097 prints of a 4 KiB literal: one print past Memory::kMaxOutputBytes.
+  const std::string literal(4096, 'x');
+  static_assert(Memory::kMaxOutputBytes / 4096 == 4096);
+  RunCapture r = run_src("int main(void) { for (int i = 0; i < 4097; i++) "
+                         "printf(\"" + literal + "\"); return 0; }");
   EXPECT_FALSE(r.result.ok());
+  EXPECT_EQ(r.result.status.code(), util::ErrorCode::kResourceExhausted);
   EXPECT_NE(r.result.error().find("output limit"), std::string::npos);
+  // One print fewer fits exactly.
+  RunCapture fits = run_src("int main(void) { for (int i = 0; i < 4096; i++) "
+                            "printf(\"" + literal + "\"); return 0; }");
+  ASSERT_TRUE(fits.result.ok()) << fits.result.error();
+  EXPECT_EQ(fits.result.output.size(), Memory::kMaxOutputBytes);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "foray/pipeline.h"
 #include "minic/lexer.h"
 
 namespace foray::minic {
@@ -104,7 +105,7 @@ TEST(Lexer, BareHexPrefixIsMalformed) {
 }
 
 TEST(Lexer, FloatLiterals) {
-  auto t = lex_ok("1.5 0.25 2e3 1.5e-2 3f 2.0f");
+  auto t = lex_ok("1.5 0.25 2e3 1.5e-2 3f 2.0f .5");
   EXPECT_EQ(t[0].kind, Tok::kFloatLit);
   EXPECT_DOUBLE_EQ(t[0].float_val, 1.5);
   EXPECT_DOUBLE_EQ(t[1].float_val, 0.25);
@@ -113,15 +114,19 @@ TEST(Lexer, FloatLiterals) {
   EXPECT_EQ(t[4].kind, Tok::kFloatLit);
   EXPECT_DOUBLE_EQ(t[4].float_val, 3.0);
   EXPECT_DOUBLE_EQ(t[5].float_val, 2.0);
+  EXPECT_EQ(t[6].kind, Tok::kFloatLit);
+  EXPECT_DOUBLE_EQ(t[6].float_val, 0.5);
 }
 
 TEST(Lexer, CharLiterals) {
-  auto t = lex_ok(R"('a' '\n' '\0' '\'' '\\')");
+  auto t = lex_ok(R"('a' '\n' '\0' '\'' '\\' '\r' '\t')");
   EXPECT_EQ(t[0].int_val, 'a');
   EXPECT_EQ(t[1].int_val, '\n');
   EXPECT_EQ(t[2].int_val, 0);
   EXPECT_EQ(t[3].int_val, '\'');
   EXPECT_EQ(t[4].int_val, '\\');
+  EXPECT_EQ(t[5].int_val, '\r');
+  EXPECT_EQ(t[6].int_val, '\t');
 }
 
 TEST(Lexer, StringLiterals) {
@@ -197,6 +202,59 @@ TEST(Lexer, PunctuationAll) {
                   Tok::kQuestion, Tok::kColon};
   for (size_t i = 0; i < std::size(expect); ++i) {
     EXPECT_EQ(t[i].kind, expect[i]);
+  }
+}
+
+TEST(Lexer, TokNameSpellsEveryTokenKind) {
+  // Keywords and punctuation print as their spelling in quotes.
+  auto t = lex_ok(
+      "void char short int float if else for while do return break "
+      "continue const ( ) { } [ ] , ; ? : + - * / % & | ^ ~ ! < > <= >= "
+      "== != && || << >> = += -= *= /= %= &= |= ^= <<= >>= ++ --");
+  ASSERT_EQ(t.size(), 58u);  // 57 tokens and end of file
+  for (size_t i = 0; i + 1 < t.size(); ++i) {
+    EXPECT_EQ(tok_name(t[i].kind), "'" + t[i].text + "'");
+  }
+  auto lits = lex_ok("7 1.5 'c' \"s\" name");
+  const char* names[] = {"integer literal", "float literal", "char literal",
+                         "string literal", "identifier", "end of file"};
+  for (size_t i = 0; i < std::size(names); ++i) {
+    EXPECT_EQ(tok_name(lits[i].kind), names[i]);
+  }
+  EXPECT_EQ(tok_name(Tok::kError), "invalid token");
+}
+
+/// One minimal program per lexer diagnostic, and the diagnostic's text.
+struct LexCase {
+  const char* source;
+  const char* message;
+};
+
+constexpr LexCase kLexCases[] = {
+    {"int main(void) { puts(\"a\\qb\"); return 0; }",
+     "line 1: unknown escape '\\q'"},
+    {"int main(void) { return '\\q'; }", "line 1: unknown escape '\\q'"},
+    {"int main(void) { return 0; }\n/* never closed",
+     "line 2: unterminated block comment"},
+    {"int main(void) { return 0 @ 1; }", "line 1: unexpected character '@'"},
+    {"int main(void) { return 0x; }",
+     "line 1: malformed integer literal '0x'"},
+    {"int main(void) { return 18446744073709551616; }",
+     "line 1: integer literal '18446744073709551616' overflows 64 bits"},
+    {"int main(void) { return 'a; }", "line 1: unterminated char literal"},
+    {"int main(void) { return '", "line 1: unterminated char literal"},
+    {"int main(void) { puts(\"abc); }", "line 1: unterminated string literal"},
+};
+
+TEST(Lexer, EveryDiagnosticIsAnInvalidInputParseStatus) {
+  for (const LexCase& c : kLexCases) {
+    SCOPED_TRACE(c.source);
+    core::PipelineResult result;
+    const util::Status st = core::frontend_phase(c.source, &result);
+    EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput);
+    EXPECT_EQ(st.phase(), "parse");
+    EXPECT_NE(st.message().find(c.message), std::string::npos)
+        << st.message();
   }
 }
 

@@ -392,8 +392,7 @@ TEST(ModelCacheKey, TracksModelChangingOptionsOnly) {
   spm.spm.dse.spm_capacity = 512;
   EXPECT_EQ(ModelCache::key(kGood, spm), k);
 
-  // But the Step 4 filter, the seed and the extractor options DO shape
-  // the model.
+  // But the Step 4 filter and the seed DO shape the model.
   core::PipelineOptions filter = base;
   filter.filter.min_exec = 1;
   EXPECT_NE(ModelCache::key(kGood, filter), k);
@@ -401,10 +400,6 @@ TEST(ModelCacheKey, TracksModelChangingOptionsOnly) {
   core::PipelineOptions seed = base;
   seed.run.rng_seed += 1;
   EXPECT_NE(ModelCache::key(kGood, seed), k);
-
-  core::PipelineOptions fpcap = base;
-  fpcap.extractor.footprint_cap += 1;
-  EXPECT_NE(ModelCache::key(kGood, fpcap), k);
 
   // And of course the program source.
   EXPECT_NE(ModelCache::key(kGood2, base), k);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "foray/pipeline.h"
 #include "minic/parser.h"
 #include "minic/printer.h"
 
@@ -245,6 +246,60 @@ TEST(Parser, ErrorUnbalancedParens) {
 }
 
 TEST(Parser, ErrorGarbageAtTopLevel) { expect_parse_error("42;"); }
+
+/// One minimal program per kind of parse error, and the error's text,
+/// which names the token expected and the token found (tok_name).
+struct ParseCase {
+  const char* source;
+  const char* message;
+};
+
+constexpr ParseCase kParseCases[] = {
+    {"int a", "line 1: expected ';' after declaration, got end of file"},
+    {"42;", "line 1: expected declaration at top level"},
+    {"int 5;",
+     "line 1: expected identifier in top-level declaration, got integer "
+     "literal '5'"},
+    {"int a[x];",
+     "line 1: expected integer literal as array length, got identifier 'x'"},
+    {"int g[2] = {1, 2;",
+     "line 1: expected '}' after initializer list, got ';' ';'"},
+    {"int f(int 1.5) { return 0; }",
+     "line 1: expected identifier in parameter list, got float literal "
+     "'1.5'"},
+    {"int main(void) return 0;",
+     "line 1: expected '{' to open block, got 'return' 'return'"},
+    {"int main(void) {\n  return (1 + 2;\n}",
+     "line 2: expected ')' after parenthesized expression, got ';' ';'"},
+    {"int main(void) { return while; }",
+     "line 1: expected expression, got 'while'"},
+    {"int main(void) { if 1) return 0; return 1; }",
+     "line 1: expected '(' after 'if', got integer literal '1'"},
+    {"int main(void) { do ; 1; return 0; }",
+     "line 1: expected 'while' after do body, got integer literal '1'"},
+    {"int main(void) { return 1 ? 2 ; }",
+     "line 1: expected ':' in conditional expression, got ';' ';'"},
+    {"int main(void) { return 'c' 'd'; }",
+     "line 1: expected ';' after return, got char literal"},
+    {"int main(void) { return (int) \"s\" \"t\"; }",
+     "line 1: expected ';' after return, got string literal"},
+    {"int main(void) { return (int 1; }",
+     "line 1: expected ')' after cast type, got integer literal '1'"},
+    {"int main(void) { for (;;) break }",
+     "line 1: expected ';' after break, got '}' '}'"},
+};
+
+TEST(Parser, EveryErrorIsAnInvalidInputParseStatus) {
+  for (const ParseCase& c : kParseCases) {
+    SCOPED_TRACE(c.source);
+    core::PipelineResult result;
+    const util::Status st = core::frontend_phase(c.source, &result);
+    EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput);
+    EXPECT_EQ(st.phase(), "parse");
+    EXPECT_NE(st.message().find(c.message), std::string::npos)
+        << st.message();
+  }
+}
 
 TEST(Parser, BreakAndContinueParse) {
   auto p = parse_ok(

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "foray/pipeline.h"
 #include "minic/parser.h"
 #include "minic/sema.h"
 
@@ -118,6 +119,100 @@ TEST(Sema, ReturnValueFromVoidRejected) {
 TEST(Sema, MissingReturnValueRejected) {
   expect_error("int f(void) { return; } int main(void) { return 0; }",
                "must return a value");
+}
+
+/// One minimal program per sema diagnostic, and the diagnostic's text.
+struct SemaCase {
+  const char* source;
+  const char* message;
+};
+
+constexpr SemaCase kSemaCases[] = {
+    {"int f(void) { return 0; } int f(void) { return 1; }\n"
+     "int main(void) { return 0; }",
+     "line 1: duplicate function 'f'"},
+    {"int puts(void) { return 0; } int main(void) { return 0; }",
+     "line 1: function 'puts' shadows an intrinsic"},
+    {"int f(void v) { return 0; } int main(void) { return 0; }",
+     "line 1: parameter 'v' has void type"},
+    {"int f(void) { return 0; }", "program has no 'main' function"},
+    {"int main(void) {\n int x; int x; return 0; }",
+     "line 2: redeclaration of 'x'"},
+    {"int main(int a, int a) { return 0; }", "line 1: redeclaration of 'a'"},
+    {"int main(void) { void v; return 0; }",
+     "line 1: variable 'v' has void type"},
+    {"int g[0]; int main(void) { return 0; }",
+     "line 1: array 'g' has zero length"},
+    {"int g;\nint g;\nint main(void) { return 0; }",
+     "line 2: redeclaration of global 'g'"},
+    {"int main(void) {\n  int a[2] = {1, 2, 3};\n  return 0;\n}",
+     "line 2: too many initializers for 'a'"},
+    {"void f(void) { return 3; } int main(void) { return 0; }",
+     "line 1: returning a value from a void function"},
+    {"int f(void) { return; } int main(void) { return 0; }",
+     "line 1: non-void function must return a value"},
+    {"int main(void) { break; return 0; }", "line 1: 'break' outside a loop"},
+    {"int main(void) { continue; return 0; }",
+     "line 1: 'continue' outside a loop"},
+    {"int main(void) { void v = 1; return 0; }",
+     "line 1: cannot convert to void in initializer"},
+    {"int main(void) { return x; }",
+     "line 1: use of undeclared identifier 'x'"},
+    {"int main(void) { 1 = 2; return 0; }",
+     "line 1: assignment target is not an lvalue"},
+    {"int main(void) { int *p = 0; p *= 2; return 0; }",
+     "line 1: invalid compound assignment on pointer"},
+    {"int main(void) { int x = 0; return x[0]; }",
+     "line 1: subscripted value is not a pointer or array"},
+    {"int a[4]; int main(void) { return a[1.5]; }",
+     "line 1: array index must be an integer"},
+    {"int main(void) { int *p = 0; p = -p; return 0; }",
+     "line 1: cannot negate a pointer"},
+    {"int main(void) { return ~1.5; }",
+     "line 1: operand of '~' must be an integer"},
+    {"int main(void) { int x = 0; return *x; }",
+     "line 1: cannot dereference non-pointer type int"},
+    {"int main(void) { void *p = 0; *p; return 0; }",
+     "line 1: cannot dereference a void pointer"},
+    {"int main(void) { int *p = &3; return 0; }",
+     "line 1: cannot take the address of an rvalue"},
+    {"int main(void) { return ++3; }",
+     "line 1: operand of ++/-- must be an lvalue"},
+    {"int main(void) { float f = 1.0; f++; return 0; }",
+     "line 1: ++/-- on float is not supported in MiniC"},
+    {"int a[2]; int main(void) { int *p = a; return *(p + p); }",
+     "line 1: cannot add two pointers"},
+    {"int a[2]; char c[2];\n"
+     "int main(void) { int *p = a; char *q = c; return p - q; }",
+     "line 2: subtracting incompatible pointers"},
+    {"int a[2]; int main(void) { int *p = a; return 1 - p; }",
+     "line 1: cannot subtract a pointer from an integer"},
+    {"int a[2]; int main(void) { int *p = a; return p * 2; }",
+     "line 1: invalid pointer operands to '*' or '/'"},
+    {"int a[2]; int main(void) { int *p = a; return 8 / p; }",
+     "line 1: invalid pointer operands to '*' or '/'"},
+    {"int main(void) { return 1.5 % 2; }",
+     "line 1: bitwise/mod operands must be integers"},
+    {"int main(void) { return 1 << 2.0; }",
+     "line 1: bitwise/mod operands must be integers"},
+    {"int main(void) { memcpy(0); return 0; }",
+     "line 1: wrong number of arguments to intrinsic 'memcpy'"},
+    {"int main(void) { return nope(); }",
+     "line 1: call to undeclared function 'nope'"},
+    {"int f(int a) { return a; } int main(void) { return f(1, 2); }",
+     "line 1: wrong number of arguments to 'f': expected 1, got 2"},
+};
+
+TEST(Sema, EveryDiagnosticIsAnInvalidInputSemaStatus) {
+  for (const SemaCase& c : kSemaCases) {
+    SCOPED_TRACE(c.source);
+    core::PipelineResult result;
+    const util::Status st = core::frontend_phase(c.source, &result);
+    EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput);
+    EXPECT_EQ(st.phase(), "sema");
+    EXPECT_NE(st.message().find(c.message), std::string::npos)
+        << st.message();
+  }
 }
 
 TEST(Sema, TypesPropagateThroughExpressions) {

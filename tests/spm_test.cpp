@@ -215,7 +215,7 @@ Selection pick_vector_select_buffers(
       groups[c.ref_index].push_back(&c);
     }
   }
-  const uint32_t granule = std::max<uint32_t>(opts.granule, 1);
+  const uint32_t granule = kDpGranule;
   uint64_t all_needs = 0;
   for (const auto& [ref, items] : groups) {
     (void)ref;
@@ -331,13 +331,12 @@ std::vector<BufferCandidate> random_candidates(util::Rng& rng, bool ties) {
 }
 
 /// A kernel-scale candidate set: up to 64 references of up to 6 levels,
-/// each needing up to 1,024 granules of `granule` bytes, so the rows are
+/// each needing up to 1,024 granules of kDpGranule bytes, so the rows are
 /// thousands of cells long and most groups hold several items. In tie
 /// mode sizes and gains come from a few values, so items of one group
 /// tie on a cell and the backtrack must re-derive the same one.
 std::vector<BufferCandidate> kernel_scale_candidates(util::Rng& rng,
-                                                     bool ties,
-                                                     uint32_t granule) {
+                                                     bool ties) {
   std::vector<BufferCandidate> out;
   const size_t refs = 1 + rng.next_below(64);
   for (size_t r = 0; r < refs; ++r) {
@@ -347,11 +346,11 @@ std::vector<BufferCandidate> kernel_scale_candidates(util::Rng& rng,
       c.ref_index = r;
       c.level = static_cast<int>(k + 1);
       if (ties) {
-        c.size_bytes = uint64_t{granule} * 256 * (1 + rng.next_below(4));
+        c.size_bytes = uint64_t{kDpGranule} * 256 * (1 + rng.next_below(4));
         c.spm_accesses = 1000 * (1 + rng.next_below(3));
         c.transfer_words = 100 * rng.next_below(2);
       } else {
-        c.size_bytes = 1 + rng.next_below(uint64_t{granule} * 1024);
+        c.size_bytes = 1 + rng.next_below(uint64_t{kDpGranule} * 1024);
         c.spm_accesses = rng.next_below(200'000);
         c.transfer_words = rng.next_below(20'000);
       }
@@ -377,7 +376,6 @@ void expect_same_selection(const Selection& got, const Selection& want) {
 }
 
 TEST(Dse, MaxPlusRowDpMatchesPickVectorDp) {
-  const uint32_t granules[] = {0, 1, 8, 13};
   const uint32_t huge[] = {UINT32_MAX, UINT32_MAX - 1, 4'000'000'000u,
                            (1u << 31) + 5, 1u << 20};
   int nontrivial = 0;
@@ -388,7 +386,6 @@ TEST(Dse, MaxPlusRowDpMatchesPickVectorDp) {
     const bool ties = seed % 3 == 0;
     const std::vector<BufferCandidate> cands = random_candidates(rng, ties);
     DseOptions opts;
-    opts.granule = granules[seed % 4];
     uint64_t smallest = UINT64_MAX;
     for (const auto& c : cands) smallest = std::min(smallest, c.size_bytes);
     if (seed % 10 == 7) {
@@ -404,8 +401,7 @@ TEST(Dse, MaxPlusRowDpMatchesPickVectorDp) {
       opts.spm_capacity = static_cast<uint32_t>(rng.next_below(2000));
     }
     SCOPED_TRACE("seed " + std::to_string(seed) + ", capacity " +
-                 std::to_string(opts.spm_capacity) + ", granule " +
-                 std::to_string(opts.granule));
+                 std::to_string(opts.spm_capacity));
     const Selection want = pick_vector_select_buffers(cands, opts);
     expect_same_selection(select_buffers(cands, opts), want);
     if (want.chosen.size() >= 2) ++nontrivial;
@@ -420,26 +416,22 @@ TEST(Dse, MaxPlusRowDpMatchesPickVectorDpAtKernelScale) {
   // Rows of up to 4,097 cells, up to 64 layers of up to 6 items: long
   // vectorized rows, and backtracks that re-derive a choice among many
   // items per layer, tied ones included.
-  const uint32_t granules[] = {1, 8, 13};
   int nontrivial = 0;
   int later_picks = 0;  ///< chosen items that are not their group's first
   for (uint64_t seed = 0; seed < 36; ++seed) {
     util::Rng rng(seed);
     const bool ties = seed % 2 == 0;
     DseOptions opts;
-    opts.granule = granules[seed % 3];
-    std::vector<BufferCandidate> cands =
-        kernel_scale_candidates(rng, ties, opts.granule);
+    std::vector<BufferCandidate> cands = kernel_scale_candidates(rng, ties);
     // A zero-size duplicate now and then: it needs no granules at all.
     if (seed % 4 == 1) {
       cands.push_back(cands[rng.next_below(cands.size())]);
       cands.back().size_bytes = 0;
     }
     opts.spm_capacity = static_cast<uint32_t>(
-        opts.granule * rng.next_below(4097) + rng.next_below(opts.granule));
+        kDpGranule * rng.next_below(4097) + rng.next_below(kDpGranule));
     SCOPED_TRACE("seed " + std::to_string(seed) + ", capacity " +
-                 std::to_string(opts.spm_capacity) + ", granule " +
-                 std::to_string(opts.granule));
+                 std::to_string(opts.spm_capacity));
     const Selection want = pick_vector_select_buffers(cands, opts);
     expect_same_selection(select_buffers(cands, opts), want);
     if (want.chosen.size() >= 4) ++nontrivial;
@@ -458,11 +450,10 @@ TEST(Dse, MaxPlusRowDpMatchesPickVectorDpAtKernelScale) {
 }
 
 TEST(Dse, GreedyMatchesComparatorGreedy) {
-  // Equal densities, exact duplicates, zero-size candidates, a zero
-  // granule, capacities below every size and near UINT32_MAX: the
+  // Equal densities, exact duplicates, zero-size candidates, capacities
+  // below every size and near UINT32_MAX: the
   // greedy that prices once picks what the comparator greedy picks, in
   // the same order, with bit-identical savings.
-  const uint32_t granules[] = {0, 1, 8, 13};
   const uint32_t huge[] = {UINT32_MAX, UINT32_MAX - 1, 4'000'000'000u};
   int nontrivial = 0;
   int below_all = 0;
@@ -470,11 +461,9 @@ TEST(Dse, GreedyMatchesComparatorGreedy) {
     util::Rng rng(seed);
     const bool ties = seed % 3 == 0;
     DseOptions opts;
-    opts.granule = granules[seed % 4];
     std::vector<BufferCandidate> cands =
-        seed % 5 == 4
-            ? kernel_scale_candidates(rng, ties, std::max(opts.granule, 1u))
-            : random_candidates(rng, ties);
+        seed % 5 == 4 ? kernel_scale_candidates(rng, ties)
+                      : random_candidates(rng, ties);
     if (seed % 7 == 2) {
       cands.push_back(cands[rng.next_below(cands.size())]);
       cands.back().size_bytes = 0;

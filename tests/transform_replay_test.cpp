@@ -729,18 +729,6 @@ TEST(TransformReplay, ZeroCoefficientDimensionsKeepBuffersNonEmpty) {
   EXPECT_TRUE(rep.matches()) << describe_replay_report(rep, {});
 }
 
-TEST(TransformReplay, ZeroGranuleQuantizesAsOneByte) {
-  auto ref = make_ref({0, 4}, {10, 64}, false);
-  auto cands = candidates_for(ref, 0);
-  ASSERT_FALSE(cands.empty());
-  DseOptions opts;
-  opts.spm_capacity = 4096;
-  opts.granule = 0;  // must not divide by zero
-  Selection sel = select_buffers(cands, opts);
-  EXPECT_FALSE(sel.chosen.empty());
-  EXPECT_LE(sel.bytes_used, opts.spm_capacity);
-}
-
 TEST(TransformReplay, ZeroCapacitySelectsNothing) {
   auto ref = make_ref({0, 4}, {10, 64}, false);
   auto cands = candidates_for(ref, 0);

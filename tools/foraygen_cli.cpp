@@ -109,8 +109,7 @@
 //                        boundaries, so a run can overshoot by at most
 //                        one chunk
 //   --fault SPEC         arm fault-injection sites, e.g.
-//                        sweep.sink.io:skip=1:count=1 (testing aid; the
-//                        FORAY_FAULT env var is the equivalent)
+//                        sweep.sink.io:skip=1:count=1 (testing aid)
 //
 // Exit codes (the error *class* decides, never the message):
 //   0  success
