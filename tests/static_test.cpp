@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include "benchsuite/generator.h"
 #include "benchsuite/suite.h"
 #include "foray/pipeline.h"
 #include "instrument/annotator.h"
 #include "minic/parser.h"
 #include "oracle.h"
+#include "staticforay/checker.h"
+#include "staticforay/pointer_conversion.h"
 #include "staticforay/static_analysis.h"
+#include "util/hash.h"
 
 namespace foray::staticforay {
 namespace {
@@ -281,17 +285,22 @@ TEST(Static, SubscriptAffineOnlyAfterNarrowingNotAffine) {
 }
 
 TEST(Conversion, BenchsuiteNumbersUnchangedByTheChecker) {
-  // Table II over the shipped benchsuite, pinned exactly: the interval
-  // checker (staticforay/checker.h) shares the subsystem but must not
-  // perturb the paper-facing conversion statistics.
+  // Table II over the shipped benchsuite, and compare_baselines' plain
+  // and pointer-converted counts, pinned exactly: the interval checker
+  // (staticforay/checker.h) shares the subsystem but must not perturb
+  // the paper-facing conversion statistics.
   struct Row {
     const char* name;
     int model_loops, model_refs, loops_not_foray, refs_not_foray;
+    int plain_static, with_conversion;
   };
   const Row want[] = {
-      {"jpeg", 25, 38, 12, 26}, {"lame", 21, 32, 19, 28},
-      {"susan", 10, 13, 2, 7},  {"fft", 18, 66, 0, 0},
-      {"gsm", 14, 22, 11, 19},  {"adpcm", 2, 2, 2, 2},
+      {"jpeg", 25, 38, 12, 26, 12, 13},
+      {"lame", 21, 32, 19, 28, 4, 4},
+      {"susan", 10, 13, 2, 7, 6, 6},
+      {"fft", 18, 66, 0, 0, 66, 66},
+      {"gsm", 14, 22, 11, 19, 3, 3},
+      {"adpcm", 2, 2, 2, 2, 0, 1},
   };
   for (const Row& row : want) {
     SCOPED_TRACE(row.name);
@@ -305,7 +314,47 @@ TEST(Conversion, BenchsuiteNumbersUnchangedByTheChecker) {
     EXPECT_EQ(cs.model_refs, row.model_refs);
     EXPECT_EQ(cs.loops_not_foray, row.loops_not_foray);
     EXPECT_EQ(cs.refs_not_foray, row.refs_not_foray);
+    const BaselineComparison cmp = compare_baselines(
+        res.model, an, analyze_pointer_conversion(*res.program));
+    EXPECT_EQ(cmp.plain_static, row.plain_static);
+    EXPECT_EQ(cmp.with_conversion, row.with_conversion);
   }
+}
+
+std::string joined(const std::set<int>& ids) {
+  std::string out;
+  for (int id : ids) out += std::to_string(id) + ",";
+  return out;
+}
+
+TEST(StaticCorpus, VerdictsOnTheGeneratedCorporaArePinned) {
+  // What all three static passes say about every generated program,
+  // affine and stress, for seeds 1-300, hashed into one fnv1a: the Table
+  // II baseline's canonical loops and affine subscripts, the pointer
+  // conversion's convertible references and the checker's full report.
+  uint64_t h = util::kFnv1aOffset;
+  const auto fold = [&h](const std::string& source) {
+    util::DiagList diags;
+    auto prog = minic::parse_and_check(source, &diags);
+    ASSERT_NE(prog, nullptr) << diags.str();
+    instrument::annotate_loops(prog.get());
+    const Analysis an = analyze(*prog);
+    h = util::fnv1a(joined(an.canonical_loops) + "|" +
+                        joined(an.affine_ref_nodes) + "|" +
+                        joined(analyze_pointer_conversion(*prog)
+                                   .convertible_ref_nodes) +
+                        "|" + check_program(*prog).str(),
+                    h);
+  };
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    benchsuite::GeneratorOptions g;
+    g.seed = seed;
+    fold(benchsuite::generate_affine_program(g).source);
+    benchsuite::StressOptions s;
+    s.seed = seed;
+    fold(benchsuite::generate_stress_program(s));
+  }
+  EXPECT_EQ(util::hex64(h), "473c34c7806b46cf");
 }
 
 }  // namespace
