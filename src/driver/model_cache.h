@@ -49,8 +49,8 @@ inline constexpr size_t kMemoryEntries = 256;
 
 /// A map of at most `capacity` (>= 1) entries that evicts the least
 /// recently used one: the model cache's memory layer, serve's static
-/// verdict memo, the replay memo and the cache memo. Not thread-safe; the owner locks if
-/// it must.
+/// verdict memo and the replay memo (the cache memo keeps a table of its
+/// own, see CacheMemo). Not thread-safe; the owner locks if it must.
 template <typename Key, typename Value>
 class LruMap {
  public:

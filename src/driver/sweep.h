@@ -195,10 +195,11 @@ struct SweepGrid {
 /// run so far, so that each distinct transformed program is simulated
 /// once: per sweep run (SweepDriver keeps one when SweepOptions::
 /// replay_memo is null) and per server lifetime (serve_loop). The key is
-/// a hash of everything the simulated side reads: the emitted source,
-/// the selection's buffer order (ref_index, level) and the run options
-/// that can change how a run ends (engine, rng seed, heap and stack
-/// capacity, output limit). The analytic side is derived and compared
+/// a hash of the emitted source, the selection's buffer order
+/// (ref_index, level), the engine and the rng seed: the rest of what can
+/// change how a run ends is either fixed (the heap, stack and output
+/// caps are sim::Memory constants) or checked against the kept run (the
+/// budget, in replay()). The analytic side is derived and compared
 /// afresh on every replay, so a kept simulation locks exactly what a
 /// fresh one would. Only runs that ended ok are kept, at most
 /// kMemoryEntries of them, least recently used evicted first. Thread-safe:

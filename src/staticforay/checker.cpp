@@ -1,10 +1,10 @@
 #include "staticforay/checker.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -16,6 +16,7 @@
 #include "minic/intrinsics.h"
 #include "minic/parser.h"
 #include "sim/memory.h"
+#include "staticforay/matcher.h"
 
 namespace foray::staticforay {
 namespace {
@@ -129,45 +130,10 @@ AbsState st_widen(const AbsState& prev, const AbsState& next) {
 }
 
 // ---------------------------------------------------------------------------
-// Static AST scans.
-
-template <typename F>
-void for_each_expr(const Expr* e, const F& f) {
-  if (!e) return;
-  f(*e);
-  for_each_expr(e->a.get(), f);
-  for_each_expr(e->b.get(), f);
-  for_each_expr(e->c.get(), f);
-  for (const auto& x : e->args) for_each_expr(x.get(), f);
-}
-
-template <typename F>
-void for_each_stmt_expr(const Stmt* s, const F& f) {
-  if (!s) return;
-  for_each_expr(s->expr.get(), f);
-  for (const VarDecl& d : s->decls) {
-    for_each_expr(d.init.get(), f);
-    for (const auto& e : d.init_list) for_each_expr(e.get(), f);
-  }
-  for_each_stmt_expr(s->init.get(), f);
-  for_each_expr(s->cond.get(), f);
-  for_each_expr(s->step.get(), f);
-  for_each_stmt_expr(s->then_branch.get(), f);
-  for_each_stmt_expr(s->else_branch.get(), f);
-  for_each_stmt_expr(s->body.get(), f);
-  for (const auto& x : s->stmts) for_each_stmt_expr(x.get(), f);
-}
+// Static AST scans (the walks themselves are staticforay/matcher.h's).
 
 bool stmt_has_return(const Stmt* s) {
-  if (!s) return false;
-  if (s->kind == StmtKind::Return) return true;
-  if (stmt_has_return(s->init.get()) ||
-      stmt_has_return(s->then_branch.get()) ||
-      stmt_has_return(s->else_branch.get()) || stmt_has_return(s->body.get()))
-    return true;
-  for (const auto& x : s->stmts)
-    if (stmt_has_return(x.get())) return true;
-  return false;
+  return any_stmt(s, [](const Stmt& x) { return x.kind == StmtKind::Return; });
 }
 
 /// A `break` binding to the *enclosing* loop (does not descend into
@@ -197,15 +163,12 @@ bool stmt_has_break(const Stmt* s) {
 /// without mutating the state (loads are fine — array elements and
 /// pointer targets are never tracked).
 bool is_pure(const Expr& e) {
-  bool pure = true;
-  for_each_expr(&e, [&](const Expr& x) {
-    if (x.kind == ExprKind::Assign || x.kind == ExprKind::Call) pure = false;
-    if (x.kind == ExprKind::Unary &&
-        (x.un_op == UnaryOp::PreInc || x.un_op == UnaryOp::PreDec ||
-         x.un_op == UnaryOp::PostInc || x.un_op == UnaryOp::PostDec))
-      pure = false;
+  return !any_expr(&e, [](const Expr& x) {
+    return x.kind == ExprKind::Assign || x.kind == ExprKind::Call ||
+           (x.kind == ExprKind::Unary &&
+            (x.un_op == UnaryOp::PreInc || x.un_op == UnaryOp::PreDec ||
+             x.un_op == UnaryOp::PostInc || x.un_op == UnaryOp::PostDec));
   });
-  return pure;
 }
 
 bool is_relational(BinaryOp op) {
@@ -369,7 +332,6 @@ class Checker {
   struct TripInfo {
     uint64_t lo = 0;
     uint64_t hi = kUnbounded;
-    bool canonical = false;  ///< a finite bound was extracted
   };
   struct FnRes {
     Interval ret = Interval::top();
@@ -1409,79 +1371,24 @@ class Checker {
 
   // -- loops -----------------------------------------------------------------
 
+  /// Does `s` call exit(), directly or through a user function that may?
   bool body_may_exit(const Stmt* s) const {
-    bool me = false;
-    for_each_stmt_expr(s, [&](const Expr& x) {
-      if (x.kind != ExprKind::Call) return;
-      if (x.name == "exit") {
-        me = true;
-        return;
-      }
-      if (minic::find_intrinsic(x.name)) return;
+    return any_stmt_expr(s, [this](const Expr& x) {
+      if (x.kind != ExprKind::Call) return false;
+      if (x.name == "exit") return true;
+      if (minic::find_intrinsic(x.name)) return false;
       const Function* fn = prog_.find_function(x.name);
-      if (fn && fn_may_exit_[static_cast<size_t>(fn->func_id)]) me = true;
+      return fn && fn_may_exit_[static_cast<size_t>(fn->func_id)];
     });
-    return me;
-  }
-
-  static bool writes_name(const Stmt* s, const std::string& name) {
-    bool w = false;
-    for_each_stmt_expr(s, [&](const Expr& x) {
-      if (x.kind == ExprKind::Assign && x.a->kind == ExprKind::Ident &&
-          x.a->name == name)
-        w = true;
-      if (x.kind == ExprKind::Unary && x.a &&
-          x.a->kind == ExprKind::Ident && x.a->name == name &&
-          (x.un_op == UnaryOp::PreInc || x.un_op == UnaryOp::PreDec ||
-           x.un_op == UnaryOp::PostInc || x.un_op == UnaryOp::PostDec))
-        w = true;
-    });
-    if (w) return true;
-    // A same-named inner declaration shadows: treat as written (the scan
-    // above cannot tell inner writes from outer ones).
-    bool shadowed = false;
-    std::function<void(const Stmt*)> scan = [&](const Stmt* x) {
-      if (!x) return;
-      for (const VarDecl& d : x->decls)
-        if (d.name == name) shadowed = true;
-      scan(x->init.get());
-      scan(x->then_branch.get());
-      scan(x->else_branch.get());
-      scan(x->body.get());
-      for (const auto& c : x->stmts) scan(c.get());
-    };
-    scan(s);
-    return shadowed;
   }
 
   bool body_has_user_call(const Stmt* s) const {
-    bool c = false;
-    for_each_stmt_expr(s, [&](const Expr& x) {
-      if (x.kind == ExprKind::Call && !minic::find_intrinsic(x.name))
-        c = true;
+    return any_stmt_expr(s, [](const Expr& x) {
+      return x.kind == ExprKind::Call && !minic::find_intrinsic(x.name);
     });
-    return c;
   }
 
   // -- canonical trip-count extraction ---------------------------------------
-
-  static BinaryOp mirror_rel(BinaryOp op) {
-    switch (op) {
-      case BinaryOp::Lt: return BinaryOp::Gt;
-      case BinaryOp::Le: return BinaryOp::Ge;
-      case BinaryOp::Gt: return BinaryOp::Lt;
-      case BinaryOp::Ge: return BinaryOp::Le;
-      default: return op;  // Eq/Ne are symmetric
-    }
-  }
-
-  static bool mentions_name(const Expr* e, const std::string& name) {
-    bool m = false;
-    for_each_expr(e, [&](const Expr& x) {
-      if (x.kind == ExprKind::Ident && x.name == name) m = true;
-    });
-    return m;
-  }
 
   static __int128 ceil128(__int128 num, __int128 den) {
     return (num + den - 1) / den;  // callers guarantee num >= 0, den >= 1
@@ -1492,24 +1399,19 @@ class Checker {
   bool invariant_iv(const Expr& e, const Stmt* body, const AbsState& entry,
                     Interval* out) {
     if (!is_pure(e)) return false;
-    bool ok = true;
     const bool has_call = body_has_user_call(body);
-    for_each_expr(&e, [&](const Expr& x) {
+    const bool variant = any_expr(&e, [&](const Expr& x) {
       if (x.kind == ExprKind::Index ||
           (x.kind == ExprKind::Unary && x.un_op == UnaryOp::Deref)) {
-        ok = false;  // memory reads: any store may change them
-        return;
+        return true;  // memory reads: any store may change them
       }
-      if (x.kind != ExprKind::Ident || x.decayed_array) return;
+      if (x.kind != ExprKind::Ident || x.decayed_array) return false;
       int id = lookup(x.name);
       const VarMeta* m = id >= 0 ? meta_of(id) : nullptr;
-      if (!m || !m->tracked || writes_name(body, x.name)) {
-        ok = false;
-        return;
-      }
-      if (m->is_global && has_call) ok = false;  // a callee may write it
+      return !m || !m->tracked || writes_name(body, x.name) ||
+             (m->is_global && has_call);  // a callee may write it
     });
-    if (!ok) return false;
+    if (variant) return false;
     *out = pure_eval(e, entry);
     return true;
   }
@@ -1521,54 +1423,13 @@ class Checker {
   /// upper bound is "unbounded").
   TripInfo extract_trips(const Stmt& s, const AbsState& entry) {
     TripInfo t;
-    if (s.kind != StmtKind::For || !s.cond || !s.step) return t;
-    const Expr* step = s.step.get();
+    const std::optional<LoopMatch> m = match_loop(s);
+    if (!m) return t;
     const Stmt* body = s.body.get();
-    std::string iter;
-    Interval delta = Interval::singleton(0);
-    if (step->kind == ExprKind::Unary && step->a &&
-        step->a->kind == ExprKind::Ident) {
-      if (step->un_op == UnaryOp::PreInc || step->un_op == UnaryOp::PostInc) {
-        iter = step->a->name;
-        delta = Interval::singleton(1);
-      } else if (step->un_op == UnaryOp::PreDec ||
-                 step->un_op == UnaryOp::PostDec) {
-        iter = step->a->name;
-        delta = Interval::singleton(-1);
-      } else {
-        return t;
-      }
-    } else if (step->kind == ExprKind::Assign && step->a &&
-               step->a->kind == ExprKind::Ident && step->b) {
-      iter = step->a->name;
-      const Expr* dexpr = nullptr;
-      bool negate = false;
-      if (step->as_op == AssignOp::AddA) {
-        dexpr = step->b.get();
-      } else if (step->as_op == AssignOp::SubA) {
-        dexpr = step->b.get();
-        negate = true;
-      } else if (step->as_op == AssignOp::Assign &&
-                 step->b->kind == ExprKind::Binary) {
-        const Expr* ba = step->b->a.get();
-        const Expr* bb = step->b->b.get();
-        if (step->b->bin_op == BinaryOp::Add) {
-          if (ba->kind == ExprKind::Ident && ba->name == iter) dexpr = bb;
-          else if (bb->kind == ExprKind::Ident && bb->name == iter) dexpr = ba;
-        } else if (step->b->bin_op == BinaryOp::Sub &&
-                   ba->kind == ExprKind::Ident && ba->name == iter) {
-          dexpr = bb;
-          negate = true;
-        }
-      }
-      Interval d;
-      if (!dexpr || mentions_name(dexpr, iter) ||
-          !invariant_iv(*dexpr, body, entry, &d))
-        return t;
-      delta = negate ? iv_neg(d) : d;
-    } else {
-      return t;
-    }
+    const std::string& iter = m->iter();
+    Interval delta = Interval::singleton(1);
+    if (m->delta && !invariant_iv(*m->delta, body, entry, &delta)) return t;
+    if (m->down) delta = iv_neg(delta);
 
     int iid = lookup(iter);
     const VarMeta* im = iid >= 0 ? meta_of(iid) : nullptr;
@@ -1584,22 +1445,9 @@ class Checker {
       return t;
     const Interval A = vit->second.iv;
 
-    const Expr* c = s.cond.get();
-    if (c->kind != ExprKind::Binary || !is_relational(c->bin_op)) return t;
-    const Expr* lhs = c->a.get();
-    const Expr* rhs = c->b.get();
-    BinaryOp op = c->bin_op;
-    const bool lhs_is_iter = lhs->kind == ExprKind::Ident && lhs->name == iter;
-    const bool rhs_is_iter = rhs->kind == ExprKind::Ident && rhs->name == iter;
-    if (!lhs_is_iter && rhs_is_iter) {
-      std::swap(lhs, rhs);
-      op = mirror_rel(op);
-    } else if (!lhs_is_iter || rhs_is_iter) {
-      return t;
-    }
     Interval B;
-    if (mentions_name(rhs, iter) || !invariant_iv(*rhs, body, entry, &B))
-      return t;
+    if (!m->bound || !invariant_iv(*m->bound, body, entry, &B)) return t;
+    const BinaryOp op = m->rel;
 
     const Interval ty = iv_type_range(im->type.size());
     __int128 trips_hi = 0, trips_lo = 0;
@@ -1652,7 +1500,6 @@ class Checker {
     t.lo = static_cast<uint64_t>(trips_lo);
     t.hi = static_cast<uint64_t>(trips_hi);
     if (t.hi >= kUnbounded) t.hi = kUnbounded - 1;
-    t.canonical = true;
     return t;
   }
 
@@ -1760,6 +1607,7 @@ class Checker {
     if (body_feasible && trips.hi == kUnbounded)
       diag(CheckKind::UnboundedLoop, Severity::Warning, s.line, -1,
            "no finite trip-count bound for this loop");
+    if (emit_) note_trips(s.loop_id, trips);
 
     // Cost composition. Record layout per loop execution under default
     // tracing: LoopEnter/LoopExit bracket (2), BodyBegin + BodyEnd per
@@ -1864,6 +1712,19 @@ class Checker {
     pop_scope(&st);
   }
 
+  /// Joins one analysed execution's trips into the report. Only the
+  /// reporting pass records: its entry state covers every iteration of
+  /// the enclosing loops.
+  void note_trips(int loop_id, const TripInfo& t) {
+    if (loop_id < 0) return;
+    std::vector<TripRange>& v = report_.loop_trips;
+    if (v.size() <= static_cast<size_t>(loop_id))
+      v.resize(static_cast<size_t>(loop_id) + 1);
+    TripRange& r = v[static_cast<size_t>(loop_id)];
+    r.lo = std::min(r.lo, t.lo);
+    r.hi = std::max(r.hi, t.hi);
+  }
+
   // -- interprocedural: context-sensitive inlining ---------------------------
 
   FnRes analyze_call(const Function& fn, const std::vector<Interval>& args,
@@ -1877,6 +1738,7 @@ class Checker {
         std::find(call_stack_.begin(), call_stack_.end(), fn.func_id) !=
         call_stack_.end();
     if (recursive || call_stack_.size() >= kMaxAnalysisDepth) {
+      gave_up_ = true;
       diag(CheckKind::Recursion, Severity::Warning, call_line, -1,
            recursive ? "recursive call to '" + fn.name +
                            "': effects and bounds unknown"
@@ -1965,6 +1827,7 @@ class Checker {
   const Program& prog_;
   CheckReport report_;
   bool emit_ = true;          ///< false during quiet fixpoint passes
+  bool gave_up_ = false;      ///< some call's analysis was abandoned
   uint64_t work_ = 0;         ///< abstract statement/expression visits
   std::set<std::string> addr_taken_;
   std::unordered_map<int, VarMeta> meta_;   ///< by declaration node_id
@@ -1982,37 +1845,27 @@ class Checker {
 CheckReport Checker::run() {
   // Program-wide address-taken scan: a scalar whose address is ever taken
   // (under any scope's spelling of the name — conservative) is untracked.
-  auto scan_addr = [&](const Expr& x) {
+  const auto scan_addr = [this](const Expr& x) {
     if (x.kind == ExprKind::Unary && x.un_op == UnaryOp::AddrOf && x.a &&
         x.a->kind == ExprKind::Ident)
       addr_taken_.insert(x.a->name);
+    return false;  // visit every expression
   };
   for (const VarDecl& g : prog_.globals) {
-    for_each_expr(g.init.get(), scan_addr);
-    for (const auto& e : g.init_list) for_each_expr(e.get(), scan_addr);
+    any_expr(g.init.get(), scan_addr);
+    for (const auto& e : g.init_list) any_expr(e.get(), scan_addr);
   }
-  for (const auto& f : prog_.funcs) for_each_stmt_expr(f->body.get(), scan_addr);
+  for (const auto& f : prog_.funcs) any_stmt_expr(f->body.get(), scan_addr);
 
-  // Transitive may-exit: direct exit() calls, then call-graph closure.
+  // Transitive may-exit: the call-graph closure of direct exit() calls.
   fn_may_exit_.assign(prog_.funcs.size(), false);
-  for (size_t i = 0; i < prog_.funcs.size(); ++i) {
-    for_each_stmt_expr(prog_.funcs[i]->body.get(), [&](const Expr& x) {
-      if (x.kind == ExprKind::Call && x.name == "exit") fn_may_exit_[i] = true;
-    });
-  }
   for (bool changed = true; changed;) {
     changed = false;
     for (size_t i = 0; i < prog_.funcs.size(); ++i) {
-      if (fn_may_exit_[i]) continue;
-      for_each_stmt_expr(prog_.funcs[i]->body.get(), [&](const Expr& x) {
-        if (x.kind != ExprKind::Call || minic::find_intrinsic(x.name)) return;
-        const Function* fn = prog_.find_function(x.name);
-        if (fn && fn_may_exit_[static_cast<size_t>(fn->func_id)] &&
-            !fn_may_exit_[i]) {
-          fn_may_exit_[i] = true;
-          changed = true;
-        }
-      });
+      if (!fn_may_exit_[i] && body_may_exit(prog_.funcs[i]->body.get())) {
+        fn_may_exit_[i] = true;
+        changed = true;
+      }
     }
   }
 
@@ -2041,6 +1894,7 @@ CheckReport Checker::run() {
     }
   } catch (const Bail&) {
     emit_ = true;  // the bail may land mid-quiet-pass
+    gave_up_ = true;
     diag(CheckKind::AnalysisLimit, Severity::Warning, 0, -1,
          "analysis work budget exhausted; bounds degraded to unbounded");
     acc.max_steps = acc.max_records = kUnbounded;
@@ -2063,6 +1917,7 @@ CheckReport Checker::run() {
          "stack frames may exceed the simulated stack capacity (" +
              std::to_string(stack_peak_) + " > " +
              std::to_string(sim::Memory::kStackCapacity) + " bytes)");
+  if (gave_up_) report_.loop_trips.clear();
   report_.cost.max_steps = acc.max_steps;
   report_.cost.max_records = acc.max_records;
   report_.cost.min_steps = std::min(acc.min_steps, acc.max_steps);

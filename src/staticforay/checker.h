@@ -74,9 +74,22 @@ struct CheckDiag {
   std::string message;
 };
 
+/// The iterations one loop runs per execution, as the checker proved
+/// them: lo <= hi, or lo > hi for a loop it never analysed.
+struct TripRange {
+  uint64_t lo = kUnbounded;
+  uint64_t hi = 0;
+};
+
 struct CheckReport {
   std::vector<CheckDiag> diags;
   StaticCost cost;
+  /// By loop id (instrument::annotate_loops): every execution of the loop
+  /// runs between lo and hi iterations, joined over every context the
+  /// checker analysed it in, so lo == hi proves an exact trip count.
+  /// Empty when the analysis gave up on part of the program (recursion,
+  /// call depth, the work budget). Not rendered by str().
+  std::vector<TripRange> loop_trips;
 
   /// Zero diagnostics of any severity: the checker certifies the
   /// program fault-free (and the cost bounds finite unless the program

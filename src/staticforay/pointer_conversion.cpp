@@ -16,32 +16,6 @@ using minic::Stmt;
 using minic::StmtKind;
 using minic::UnaryOp;
 
-std::optional<int64_t> fold_const(const Expr* e) {
-  if (e == nullptr) return std::nullopt;
-  switch (e->kind) {
-    case ExprKind::IntLit:
-      return e->int_val;
-    case ExprKind::Unary:
-      if (e->un_op == UnaryOp::Neg) {
-        if (auto v = fold_const(e->a.get())) return -*v;
-      }
-      return std::nullopt;
-    case ExprKind::Binary: {
-      auto a = fold_const(e->a.get());
-      auto b = fold_const(e->b.get());
-      if (!a || !b) return std::nullopt;
-      switch (e->bin_op) {
-        case BinaryOp::Add: return *a + *b;
-        case BinaryOp::Sub: return *a - *b;
-        case BinaryOp::Mul: return *a * *b;
-        default: return std::nullopt;
-      }
-    }
-    default:
-      return std::nullopt;
-  }
-}
-
 bool is_ident(const Expr* e, const std::string& name) {
   return e != nullptr && e->kind == ExprKind::Ident && e->name == name;
 }
@@ -57,7 +31,7 @@ class ConversionAnalyzer {
       loops_all_canonical_ = true;
       cur_func_ = fn->name;
       // Pass 1: find candidate pointers and scan uses.
-      walk_stmt(fn->body.get(), /*canonical_ctx=*/true);
+      walk_stmt(fn->body.get());
       // Commit surviving candidates.
       for (const auto& [name, st] : candidates_) {
         if (st.disqualified) continue;
@@ -79,30 +53,8 @@ class ConversionAnalyzer {
     return it == candidates_.end() ? nullptr : &it->second;
   }
 
-  /// Is `e` an affine combination of in-scope canonical iterators and
-  /// constants?
   bool is_affine(const Expr* e) const {
-    if (e == nullptr) return false;
-    if (fold_const(e)) return true;
-    switch (e->kind) {
-      case ExprKind::Ident:
-        return iterators_.count(e->name) > 0;
-      case ExprKind::Unary:
-        return e->un_op == UnaryOp::Neg && is_affine(e->a.get());
-      case ExprKind::Binary:
-        switch (e->bin_op) {
-          case BinaryOp::Add:
-          case BinaryOp::Sub:
-            return is_affine(e->a.get()) && is_affine(e->b.get());
-          case BinaryOp::Mul:
-            return (fold_const(e->a.get()) && is_affine(e->b.get())) ||
-                   (fold_const(e->b.get()) && is_affine(e->a.get()));
-          default:
-            return false;
-        }
-      default:
-        return false;
-    }
+    return affine_form(e, iterators_).has_value();
   }
 
   /// Recognizes `p`, `p + affine`, `p - affine`, `p++`, `p--`, `++p`,
@@ -243,35 +195,7 @@ class ConversionAnalyzer {
     }
   }
 
-  /// Canonical-for detection light enough for this pass: constant init,
-  /// constant bound, unit/const step (the full check lives in
-  /// static_analysis.cpp; conversion only needs the iterator name).
-  std::optional<std::string> canonical_iterator(const Stmt& s) const {
-    if (s.kind != StmtKind::For || s.init == nullptr || s.cond == nullptr ||
-        s.step == nullptr) {
-      return std::nullopt;
-    }
-    std::string iter;
-    if (s.init->kind == StmtKind::Decl && s.init->decls.size() == 1 &&
-        s.init->decls[0].init != nullptr &&
-        fold_const(s.init->decls[0].init.get())) {
-      iter = s.init->decls[0].name;
-    } else if (s.init->kind == StmtKind::Expr && s.init->expr != nullptr &&
-               s.init->expr->kind == ExprKind::Assign &&
-               s.init->expr->a->kind == ExprKind::Ident &&
-               fold_const(s.init->expr->b.get())) {
-      iter = s.init->expr->a->name;
-    } else {
-      return std::nullopt;
-    }
-    if (s.cond->kind != ExprKind::Binary ||
-        !is_ident(s.cond->a.get(), iter) || !fold_const(s.cond->b.get())) {
-      return std::nullopt;
-    }
-    return iter;
-  }
-
-  void walk_stmt(const Stmt* s, bool canonical_ctx) {
+  void walk_stmt(const Stmt* s) {
     if (s == nullptr) return;
     switch (s->kind) {
       case StmtKind::Decl:
@@ -291,20 +215,19 @@ class ConversionAnalyzer {
         return;
       case StmtKind::If:
         walk_expr(s->cond.get());
-        walk_stmt(s->then_branch.get(), canonical_ctx);
-        walk_stmt(s->else_branch.get(), canonical_ctx);
+        walk_stmt(s->then_branch.get());
+        walk_stmt(s->else_branch.get());
         return;
       case StmtKind::For: {
-        auto iter = canonical_iterator(*s);
-        const bool canonical = iter.has_value();
-        walk_stmt(s->init.get(), canonical_ctx);
+        const auto m = canonical_loop(*s);
+        walk_stmt(s->init.get());
         walk_expr(s->cond.get());
         walk_expr(s->step.get());
         bool saved = loops_all_canonical_;
-        loops_all_canonical_ = loops_all_canonical_ && canonical;
-        if (canonical) iterators_.insert(*iter);
-        walk_stmt(s->body.get(), canonical_ctx && canonical);
-        if (canonical) iterators_.erase(*iter);
+        loops_all_canonical_ = loops_all_canonical_ && m;
+        if (m) iterators_.insert(m->iter());
+        walk_stmt(s->body.get());
+        if (m) iterators_.erase(m->iter());
         loops_all_canonical_ = saved;
         return;
       }
@@ -313,13 +236,12 @@ class ConversionAnalyzer {
         walk_expr(s->cond.get());
         bool saved = loops_all_canonical_;
         loops_all_canonical_ = false;  // no iterator to convert onto
-        walk_stmt(s->body.get(), false);
+        walk_stmt(s->body.get());
         loops_all_canonical_ = saved;
         return;
       }
       case StmtKind::Block:
-        for (const auto& child : s->stmts) walk_stmt(child.get(),
-                                                     canonical_ctx);
+        for (const auto& child : s->stmts) walk_stmt(child.get());
         return;
       default:
         return;

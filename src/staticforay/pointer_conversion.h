@@ -10,7 +10,11 @@
 //   - every update on the path to the dereference advances it by a
 //     compile-time constant (p++, p--, p += c),
 //   - the pointer is never reassigned from anything else, never passed
-//     to a function, and its address is never taken.
+//     to a function, and its address is never taken,
+//   - every loop of the function around the dereference is canonical by
+//     the Table II baseline's own test (canonical_loop), and offsets and
+//     subscripts are affine_forms over those loops' iterators
+//     (staticforay/matcher.h).
 // As in the original work, this rescues simple streaming walks but not
 // data-dependent offsets or cross-function pointers — the gap FORAY-GEN
 // closes dynamically.

@@ -1,8 +1,6 @@
 #include "staticforay/static_analysis.h"
 
-#include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "util/status.h"
 
@@ -10,95 +8,11 @@ namespace foray::staticforay {
 
 namespace {
 
-using minic::BinaryOp;
 using minic::Expr;
 using minic::ExprKind;
 using minic::Stmt;
 using minic::StmtKind;
 using minic::UnaryOp;
-
-/// Constant-folds integer expressions built from literals.
-std::optional<int64_t> fold_const(const Expr* e) {
-  if (e == nullptr) return std::nullopt;
-  switch (e->kind) {
-    case ExprKind::IntLit:
-      return e->int_val;
-    case ExprKind::Unary:
-      if (e->un_op == UnaryOp::Neg) {
-        if (auto v = fold_const(e->a.get())) return -*v;
-      }
-      return std::nullopt;
-    case ExprKind::Binary: {
-      auto a = fold_const(e->a.get());
-      auto b = fold_const(e->b.get());
-      if (!a || !b) return std::nullopt;
-      switch (e->bin_op) {
-        case BinaryOp::Add: return *a + *b;
-        case BinaryOp::Sub: return *a - *b;
-        case BinaryOp::Mul: return *a * *b;
-        case BinaryOp::Div: return *b != 0 ? std::optional(*a / *b)
-                                           : std::nullopt;
-        case BinaryOp::Shl: return *a << (*b & 63);
-        default: return std::nullopt;
-      }
-    }
-    default:
-      return std::nullopt;
-  }
-}
-
-/// Does any expression in this subtree write `name` (assign, ++/--, or
-/// take its address)?
-bool expr_modifies(const Expr* e, const std::string& name) {
-  if (e == nullptr) return false;
-  switch (e->kind) {
-    case ExprKind::Assign:
-      if (e->a->kind == ExprKind::Ident && e->a->name == name) return true;
-      break;
-    case ExprKind::Unary:
-      if ((e->un_op == UnaryOp::PreInc || e->un_op == UnaryOp::PreDec ||
-           e->un_op == UnaryOp::PostInc || e->un_op == UnaryOp::PostDec ||
-           e->un_op == UnaryOp::AddrOf) &&
-          e->a->kind == ExprKind::Ident && e->a->name == name) {
-        return true;
-      }
-      break;
-    default:
-      break;
-  }
-  for (const Expr* child : {e->a.get(), e->b.get(), e->c.get()}) {
-    if (expr_modifies(child, name)) return true;
-  }
-  for (const auto& arg : e->args) {
-    if (expr_modifies(arg.get(), name)) return true;
-  }
-  return false;
-}
-
-bool stmt_modifies(const Stmt* s, const std::string& name) {
-  if (s == nullptr) return false;
-  if (expr_modifies(s->expr.get(), name) ||
-      expr_modifies(s->cond.get(), name) ||
-      expr_modifies(s->step.get(), name)) {
-    return true;
-  }
-  for (const auto& d : s->decls) {
-    if (d.name == name) return true;  // shadowing: stop tracking
-    if (expr_modifies(d.init.get(), name)) return true;
-    for (const auto& i : d.init_list) {
-      if (expr_modifies(i.get(), name)) return true;
-    }
-  }
-  if (stmt_modifies(s->init.get(), name)) return true;
-  for (const Stmt* child :
-       {s->then_branch.get(), s->else_branch.get(), s->body.get()}) {
-    if (stmt_modifies(child, name)) return true;
-  }
-  for (const auto& child : s->stmts) {
-    if (stmt_modifies(child.get(), name)) return true;
-  }
-  return false;
-}
 
 class StaticAnalyzer {
  public:
@@ -107,7 +21,6 @@ class StaticAnalyzer {
   Analysis run() {
     for (const auto& fn : prog_.funcs) {
       array_vars_.clear();
-      collect_arrays_from_params(*fn);
       iterators_.clear();
       walk_stmt(fn->body.get());
     }
@@ -116,8 +29,8 @@ class StaticAnalyzer {
 
  private:
   /// Array names visible as direct arrays (globals + locals declared with
-  /// []). Pointer parameters are *not* arrays: the baseline cannot see
-  /// through them.
+  /// []). Parameters are *not* arrays, not even `int xs[]`: it decays to a
+  /// pointer whose provenance the baseline cannot establish.
   bool is_array_var(const std::string& name) const {
     if (array_vars_.count(name)) return true;
     for (const auto& g : prog_.globals) {
@@ -126,114 +39,20 @@ class StaticAnalyzer {
     return false;
   }
 
-  void collect_arrays_from_params(const minic::Function&) {
-    // Parameters never count: even `int xs[]` decays to a pointer whose
-    // provenance the static baseline cannot establish.
-  }
-
-  /// Canonical-for check; returns the iterator name if canonical.
-  std::optional<std::string> canonical_iterator(const Stmt& s) {
-    if (s.kind != StmtKind::For) return std::nullopt;
-    // init: `int i = c` or `i = c`.
-    std::string iter;
-    if (s.init == nullptr) return std::nullopt;
-    if (s.init->kind == StmtKind::Decl && s.init->decls.size() == 1 &&
-        s.init->decls[0].array_len < 0 &&
-        s.init->decls[0].type == minic::make_type(minic::BaseType::Int) &&
-        s.init->decls[0].init != nullptr &&
-        fold_const(s.init->decls[0].init.get())) {
-      iter = s.init->decls[0].name;
-    } else if (s.init->kind == StmtKind::Expr && s.init->expr != nullptr &&
-               s.init->expr->kind == ExprKind::Assign &&
-               s.init->expr->as_op == minic::AssignOp::Assign &&
-               s.init->expr->a->kind == ExprKind::Ident &&
-               fold_const(s.init->expr->b.get())) {
-      iter = s.init->expr->a->name;
-    } else {
-      return std::nullopt;
-    }
-    // cond: `i <op> const`.
-    if (s.cond == nullptr || s.cond->kind != ExprKind::Binary) {
-      return std::nullopt;
-    }
-    const bool rel = s.cond->bin_op == BinaryOp::Lt ||
-                     s.cond->bin_op == BinaryOp::Le ||
-                     s.cond->bin_op == BinaryOp::Gt ||
-                     s.cond->bin_op == BinaryOp::Ge ||
-                     s.cond->bin_op == BinaryOp::Ne;
-    if (!rel || s.cond->a->kind != ExprKind::Ident ||
-        s.cond->a->name != iter || !fold_const(s.cond->b.get())) {
-      return std::nullopt;
-    }
-    // step: i++ / i-- / ++i / --i / i += c / i -= c.
-    if (s.step == nullptr) return std::nullopt;
-    const Expr& st = *s.step;
-    bool ok = false;
-    if (st.kind == ExprKind::Unary &&
-        (st.un_op == UnaryOp::PreInc || st.un_op == UnaryOp::PostInc ||
-         st.un_op == UnaryOp::PreDec || st.un_op == UnaryOp::PostDec) &&
-        st.a->kind == ExprKind::Ident && st.a->name == iter) {
-      ok = true;
-    }
-    if (st.kind == ExprKind::Assign &&
-        (st.as_op == minic::AssignOp::AddA ||
-         st.as_op == minic::AssignOp::SubA) &&
-        st.a->kind == ExprKind::Ident && st.a->name == iter &&
-        fold_const(st.b.get())) {
-      ok = true;
-    }
-    if (!ok) return std::nullopt;
-    // The body must not disturb the iterator.
-    if (stmt_modifies(s.body.get(), iter)) return std::nullopt;
-    return iter;
-  }
-
-  /// Affine-in-iterators check for an index expression.
-  bool is_affine_index(const Expr* e) const {
-    if (e == nullptr) return false;
-    if (fold_const(e)) return true;
-    switch (e->kind) {
-      case ExprKind::Ident:
-        return iterators_.count(e->name) > 0;
-      case ExprKind::Unary:
-        return e->un_op == UnaryOp::Neg && is_affine_index(e->a.get());
-      case ExprKind::Binary:
-        switch (e->bin_op) {
-          case BinaryOp::Add:
-          case BinaryOp::Sub:
-            return is_affine_index(e->a.get()) &&
-                   is_affine_index(e->b.get());
-          case BinaryOp::Mul:
-            // One side must fold to a constant.
-            return (fold_const(e->a.get()) && is_affine_index(e->b.get())) ||
-                   (fold_const(e->b.get()) && is_affine_index(e->a.get()));
-          case BinaryOp::Shl:
-            return is_affine_index(e->a.get()) &&
-                   fold_const(e->b.get()).has_value();
-          default:
-            return false;
-        }
-      default:
-        return false;
-    }
-  }
-
   void walk_expr(const Expr* e) {
-    if (e == nullptr) return;
-    if (e->kind == ExprKind::Index) {
-      ++out_.total_ref_sites;
-      if (e->a->kind == ExprKind::Ident && is_array_var(e->a->name) &&
-          is_affine_index(e->b.get())) {
-        out_.affine_ref_nodes.insert(e->node_id);
+    any_expr(e, [this](const Expr& x) {
+      if (x.kind == ExprKind::Index) {
+        ++out_.total_ref_sites;
+        if (x.a->kind == ExprKind::Ident && is_array_var(x.a->name) &&
+            affine_form(x.b.get(), iterators_)) {
+          out_.affine_ref_nodes.insert(x.node_id);
+        }
       }
-    }
-    if (e->kind == ExprKind::Unary && e->un_op == UnaryOp::Deref) {
-      ++out_.total_ref_sites;  // pointer deref: never statically affine
-    }
-    for (const Expr* child : {e->a.get(), e->b.get(), e->c.get()}) {
-      walk_expr(child);
-    }
-    for (const auto& arg : e->args) walk_expr(arg.get());
+      if (x.kind == ExprKind::Unary && x.un_op == UnaryOp::Deref) {
+        ++out_.total_ref_sites;  // pointer deref: never statically affine
+      }
+      return false;  // visit every expression
+    });
   }
 
   void walk_stmt(const Stmt* s) {
@@ -241,16 +60,16 @@ class StaticAnalyzer {
     switch (s->kind) {
       case StmtKind::For: {
         ++out_.total_loops;
-        auto iter = canonical_iterator(*s);
+        const auto m = canonical_loop(*s);
         walk_stmt(s->init.get());
         walk_expr(s->cond.get());
         walk_expr(s->step.get());
-        if (iter) {
+        if (m) {
           FORAY_CHECK(s->loop_id >= 0, "program must be annotated");
           out_.canonical_loops.insert(s->loop_id);
-          iterators_.insert(*iter);
+          iterators_.insert(m->iter());
           walk_stmt(s->body.get());
-          iterators_.erase(*iter);
+          iterators_.erase(m->iter());
         } else {
           walk_stmt(s->body.get());
         }
@@ -268,19 +87,11 @@ class StaticAnalyzer {
         walk_stmt(s->else_branch.get());
         break;
       case StmtKind::Block:
-        for (const auto& child : s->stmts) {
-          // Track locally declared arrays.
-          if (child->kind == StmtKind::Decl) {
-            for (const auto& d : child->decls) {
-              if (d.array_len >= 0) array_vars_.insert(d.name);
-            }
-          }
-          walk_stmt(child.get());
-        }
+        for (const auto& child : s->stmts) walk_stmt(child.get());
         break;
       case StmtKind::Decl:
         for (const auto& d : s->decls) {
-          if (d.array_len >= 0) array_vars_.insert(d.name);
+          if (d.array_len >= 0) array_vars_.insert(d.name);  // a local array
           walk_expr(d.init.get());
           for (const auto& i : d.init_list) walk_expr(i.get());
         }
@@ -301,6 +112,18 @@ class StaticAnalyzer {
 };
 
 }  // namespace
+
+std::optional<LoopMatch> canonical_loop(const Stmt& s) {
+  std::optional<LoopMatch> m = match_loop(s);
+  if (!m || m->step == StepForm::Assign || m->mirrored ||
+      m->iter_ref->type != minic::make_type(minic::BaseType::Int) ||
+      !fold_const(m->init) || !fold_const(m->bound) ||
+      (m->delta && !fold_const(m->delta)) ||
+      writes_name(s.body.get(), m->iter())) {
+    return std::nullopt;
+  }
+  return m;
+}
 
 Analysis analyze(const minic::Program& prog) {
   StaticAnalyzer analyzer(prog);

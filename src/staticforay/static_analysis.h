@@ -6,30 +6,34 @@
 // the enclosing canonical iterators. Everything else — pointer walks,
 // while/do loops, data-dependent offsets — is statically opaque.
 //
+// In terms of the shared matcher (staticforay/matcher.h): a loop is
+// canonical when match_loop matches it with an `int` iterator, an init,
+// bound and delta that fold to constants, a `++`/`--`/`+=`/`-=` step, an
+// unmirrored condition, and a body that does not write the iterator
+// (writes_name). A subscript is affine when affine_form reads it over the
+// enclosing canonical iterators. The baseline is deliberately syntactic:
+// a bound the checker proves constant is still not a literal.
+//
 // Joining this analysis with a dynamically-extracted FORAY model yields
 // Table II's right half ("percentage of loops and references that are not
 // in FORAY form in the original program") and the paper's headline ~2x
 // increase in analyzable references.
 #pragma once
 
+#include <optional>
 #include <set>
-#include <string>
-#include <vector>
 
 #include "foray/model.h"
-#include "instrument/annotator.h"
 #include "minic/ast.h"
+#include "staticforay/matcher.h"
 
 namespace foray::staticforay {
 
 struct Analysis {
-  /// Loop ids of canonical for loops: `for (i = c0; i <op> bound; i
-  /// += c)` with a constant bound, whose iterator is never written in the
-  /// body.
+  /// Loop ids of canonical for loops (canonical_loop).
   std::set<int> canonical_loops;
   /// Expression node ids of array subscripts `arr[e]` on array variables
-  /// where `e` is affine in enclosing canonical iterators and integer
-  /// constants.
+  /// where `e` has an affine_form over the enclosing canonical iterators.
   std::set<int> affine_ref_nodes;
   /// All loop ids inspected (every loop in the program).
   int total_loops = 0;
@@ -43,6 +47,9 @@ struct Analysis {
     return affine_ref_nodes.count(node_id) > 0;
   }
 };
+
+/// The match of `s` when the baseline counts it as a canonical loop.
+std::optional<LoopMatch> canonical_loop(const minic::Stmt& s);
 
 /// Analyzes an annotated, sema-checked program.
 Analysis analyze(const minic::Program& prog);

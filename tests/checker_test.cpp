@@ -19,6 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,11 +29,16 @@
 #include "benchsuite/generator.h"
 #include "benchsuite/suite.h"
 #include "driver/sweep.h"
+#include "foray/extractor.h"
+#include "foray/looptree.h"
+#include "foray/pipeline.h"
 #include "instrument/annotator.h"
 #include "minic/parser.h"
 #include "sim/interpreter.h"
 #include "staticforay/checker.h"
 #include "staticforay/cost.h"
+#include "staticforay/matcher.h"
+#include "staticforay/static_analysis.h"
 #include "trace/sink.h"
 #include "util/json.h"
 
@@ -356,6 +364,283 @@ TEST(CheckerSoundness, MustFaultFixturesFaultForReal) {
     EXPECT_TRUE(rep.must_fault()) << src << "\n" << rep.str();
     expect_sound(src, "must-fault fixture");
   }
+}
+
+// -- the shared matcher (staticforay/matcher.h) -------------------------------
+// One row per loop form: what match_loop reads, whether the Table II
+// baseline counts the loop as canonical, the trips the checker proves
+// and whether it flags an iterator write. Every row's program also goes
+// through the soundness harness on both engines and through the
+// exact-trip lock below.
+
+struct LoopCase {
+  const char* name;
+  const char* loop;  ///< statements placed in main; the first `for` is read
+  bool matched;
+  StepForm step;
+  bool down;
+  minic::BinaryOp rel;
+  bool mirrored;
+  bool baseline;  ///< staticforay::canonical_loop accepts it
+  uint64_t lo, hi;
+  bool iter_write;  ///< the checker warns CanonicalIterWrite
+};
+
+constexpr minic::BinaryOp kLt = minic::BinaryOp::Lt;
+constexpr minic::BinaryOp kGt = minic::BinaryOp::Gt;
+constexpr minic::BinaryOp kNe = minic::BinaryOp::Ne;
+
+const LoopCase kLoopCases[] = {
+    {"inc", "for (int i = 0; i < 10; i++) a[i] = i;", true, StepForm::IncDec,
+     false, kLt, false, true, 10, 10, false},
+    {"compound up", "for (int i = 1; i <= 20; i += 3) a[i] = i;", true,
+     StepForm::Compound, false, minic::BinaryOp::Le, false, true, 7, 7,
+     false},
+    {"compound down", "for (int i = 20; i >= 0; i -= 4) a[i] = i;", true,
+     StepForm::Compound, true, minic::BinaryOp::Ge, false, true, 6, 6,
+     false},
+    {"assignment init", "int i; for (i = 0; i < 8; ++i) a[i] = i;", true,
+     StepForm::IncDec, false, kLt, false, true, 8, 8, false},
+    {"i = i + k", "for (int i = 0; i < 10; i = i + 2) a[i] = i;", true,
+     StepForm::Assign, false, kLt, false, false, 5, 5, false},
+    {"i = k + i", "for (int i = 0; i < 10; i = 3 + i) a[i] = i;", true,
+     StepForm::Assign, false, kLt, false, false, 4, 4, false},
+    {"i = i - k", "for (int i = 20; i > 0; i = i - 3) a[i] = i;", true,
+     StepForm::Assign, true, kGt, false, false, 7, 7, false},
+    {"mirrored", "for (int i = 0; 10 > i; i++) a[i] = i;", true,
+     StepForm::IncDec, false, kLt, true, false, 10, 10, false},
+    {"!= up", "for (int i = 0; i != 10; i++) a[i] = i;", true,
+     StepForm::IncDec, false, kNe, false, true, 10, 10, false},
+    {"!= down", "for (int i = 10; i != 0; i--) a[i] = i;", true,
+     StepForm::IncDec, true, kNe, false, true, 10, 10, false},
+    {"invariant bound", "for (int i = 0; i < n; i++) a[i] = i;", true,
+     StepForm::IncDec, false, kLt, false, false, 7, 7, false},
+    {"char iterator", "char c; for (c = 0; c < 9; c++) a[c] = c;", true,
+     StepForm::IncDec, false, kLt, false, false, 9, 9, false},
+    {"body writes", "for (int i = 0; i < 10; i++) { a[i] = i; i = i + 1; }",
+     true, StepForm::IncDec, false, kLt, false, false, 0, kUnbounded, true},
+    {"address taken", "for (int i = 0; i < 10; i++) touch(&i);", true,
+     StepForm::IncDec, false, kLt, false, false, 0, kUnbounded, false},
+    {"shadowed", "for (int i = 0; i < 10; i++) { int i = 3; a[i] = i; }",
+     true, StepForm::IncDec, false, kLt, false, false, 0, kUnbounded, true},
+    {"i = i * k", "for (int i = 1; i < 10; i = i * 2) a[i] = i;", false,
+     StepForm::IncDec, false, kLt, false, false, 0, kUnbounded, false},
+    {"delta mentions i", "for (int i = 1; i < 10; i += i) a[i] = i;", false,
+     StepForm::IncDec, false, kLt, false, false, 0, kUnbounded, false},
+};
+
+std::string loop_program(const LoopCase& c) {
+  return std::string(
+             "int a[64];\n"
+             "void touch(int *p) { *p = *p + 0; }\n"
+             "int main(void) {\n"
+             "  int n = 7;\n  ") +
+         c.loop + "\n  return a[3] + n;\n}\n";
+}
+
+const minic::Stmt* first_for(const minic::Stmt* s) {
+  if (s == nullptr) return nullptr;
+  if (s->kind == minic::StmtKind::For) return s;
+  for (const auto& child : s->stmts) {
+    if (const minic::Stmt* f = first_for(child.get())) return f;
+  }
+  return nullptr;
+}
+
+TEST(Matcher, LoopFormsTable) {
+  for (const LoopCase& c : kLoopCases) {
+    SCOPED_TRACE(c.name);
+    const std::string src = loop_program(c);
+    util::DiagList diags;
+    auto prog = minic::parse_and_check(src, &diags);
+    ASSERT_NE(prog, nullptr) << diags.str();
+    instrument::annotate_loops(prog.get());
+    const minic::Stmt* loop = first_for(prog->find_function("main")->body.get());
+    ASSERT_NE(loop, nullptr);
+    const std::optional<LoopMatch> m = match_loop(*loop);
+    ASSERT_EQ(m.has_value(), c.matched);
+    if (m) {
+      EXPECT_EQ(m->iter(), c.name[0] == 'c' && c.name[1] == 'h' ? "c" : "i");
+      EXPECT_EQ(m->step, c.step);
+      EXPECT_EQ(m->down, c.down);
+      EXPECT_EQ(m->rel, c.rel);
+      EXPECT_EQ(m->mirrored, c.mirrored);
+      EXPECT_NE(m->bound, nullptr);
+      EXPECT_NE(m->init, nullptr);
+      EXPECT_EQ(m->delta == nullptr, c.step == StepForm::IncDec);
+    }
+    EXPECT_EQ(canonical_loop(*loop).has_value(), c.baseline);
+    const CheckReport rep = check_program(*prog);
+    ASSERT_EQ(rep.loop_trips.size(), 1u) << rep.str();
+    EXPECT_EQ(rep.loop_trips[0].lo, c.lo) << rep.str();
+    EXPECT_EQ(rep.loop_trips[0].hi, c.hi) << rep.str();
+    EXPECT_EQ(has_diag(rep, CheckKind::CanonicalIterWrite, Severity::Warning),
+              c.iter_write)
+        << rep.str();
+  }
+}
+
+TEST(Matcher, ConditionsThatDoNotNormalizeLeaveNoBound) {
+  for (const char* cond : {"i == 10", "i < i + 1", "i + 1 < 10", "a[i]"}) {
+    SCOPED_TRACE(cond);
+    const std::string src = std::string(
+                                "int a[64];\n"
+                                "int main(void) {\n"
+                                "  for (int i = 0; ") +
+                            cond + "; i++) { if (i > 9) break; }\n"
+                                   "  return 0;\n}\n";
+    util::DiagList diags;
+    auto prog = minic::parse_and_check(src, &diags);
+    ASSERT_NE(prog, nullptr) << diags.str();
+    const auto m =
+        match_loop(*first_for(prog->find_function("main")->body.get()));
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->bound, nullptr);
+    expect_sound(src, cond);
+  }
+}
+
+TEST(Matcher, AffineFormsReadCoefficientsPerIterator) {
+  struct Row {
+    const char* index;
+    bool affine;
+    std::map<std::string, int64_t> coef;
+    int64_t constant;
+  };
+  const Row rows[] = {
+      {"2 * i + j - 3", true, {{"i", 2}, {"j", 1}}, -3},
+      {"(i + j) * 4", true, {{"i", 4}, {"j", 4}}, 0},
+      {"-(i << 2) + 64 / 8", true, {{"i", -4}}, 8},
+      {"i - i", true, {{"i", 0}}, 0},
+      {"i * j", false, {}, 0},
+      {"i / 2", false, {}, 0},
+      {"k + 1", false, {}, 0},
+      {"i << k", false, {}, 0},
+  };
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.index);
+    const std::string src =
+        std::string("int a[4096];\nint main(void) {\n  int k = 1;\n") +
+        "  for (int i = 0; i < 4; i++)\n"
+        "    for (int j = 0; j < 4; j++) a[(" +
+        r.index + ") + 64] = k;\n  return 0;\n}\n";
+    util::DiagList diags;
+    auto prog = minic::parse_and_check(src, &diags);
+    ASSERT_NE(prog, nullptr) << diags.str();
+    const minic::Stmt* outer = first_for(prog->find_function("main")->body.get());
+    const minic::Expr& store = *outer->body->body->expr;  // a[...] = k
+    const minic::Expr& sum = *store.a->b;                 // index + 64
+    const auto f = affine_form(sum.a.get(), {"i", "j"});
+    ASSERT_EQ(f.has_value(), r.affine);
+    if (f) {
+      EXPECT_EQ(f->coef, r.coef);
+      EXPECT_EQ(f->constant, r.constant);
+    }
+  }
+}
+
+TEST(Matcher, FoldConstWrapsAndRefusesFaultingDivision) {
+  const auto fold = [](const std::string& e) {
+    util::DiagList diags;
+    auto prog = minic::parse_and_check(
+        "int main(void) { return " + e + "; }\n", &diags);
+    EXPECT_NE(prog, nullptr) << diags.str();
+    return fold_const(prog->funcs[0]->body->stmts[0]->expr.get());
+  };
+  EXPECT_EQ(fold("3 * 4 - 10 / 3 + (1 << 4)"), 25);
+  EXPECT_EQ(fold("-7 / 2"), -3);
+  EXPECT_EQ(fold("1 / 0"), std::nullopt);
+  EXPECT_EQ(fold("(-9223372036854775807 - 1) / -1"), std::nullopt);
+  EXPECT_EQ(fold("9223372036854775807 + 1"),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(fold("7 % 2"), std::nullopt);
+}
+
+TEST(CheckerSoundness, LoopFormFixtures) {
+  for (const LoopCase& c : kLoopCases) {
+    expect_sound(loop_program(c), c.name);
+  }
+}
+
+// -- the exact-trip lock --------------------------------------------------------
+// Where the checker proves a loop's trip count exact (lo == hi == T in
+// every context it analysed), the traced loop tree agrees: every node of
+// that loop ran T iterations per entry. Trace-free Phase I relies on it.
+
+/// Checks `source`'s exact loops against its traced loop tree; returns
+/// how many loop nodes were checked.
+int expect_exact_trips_traced(const std::string& source,
+                              const std::string& label) {
+  core::PipelineResult res = core::run_pipeline(source);
+  EXPECT_TRUE(res.ok()) << label << ": " << res.error();
+  if (!res.ok()) return 0;
+  const CheckReport rep = check_program(*res.program);
+  int checked = 0;
+  core::for_each_node(*res.extractor->tree().root(),
+                      [&](const core::LoopNode& node) {
+    const size_t id = static_cast<size_t>(node.loop_id());
+    if (node.loop_id() < 0 || id >= rep.loop_trips.size()) return;
+    const TripRange& t = rep.loop_trips[id];
+    if (t.lo != t.hi) return;
+    ++checked;
+    EXPECT_EQ(static_cast<uint64_t>(node.max_trip), t.hi)
+        << label << ": loop " << id;
+    EXPECT_EQ(node.total_iterations, t.hi * node.entries)
+        << label << ": loop " << id;
+  });
+  return checked;
+}
+
+TEST(ExactTrips, BenchsuiteLoopsRunTheProvedTripCount) {
+  int checked = 0;
+  for (const auto& b : benchsuite::all_benchmarks()) {
+    checked += expect_exact_trips_traced(b.source, b.name);
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(ExactTrips, GeneratedLoopsRunTheProvedTripCount) {
+  int affine = 0, stress = 0;
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    benchsuite::GeneratorOptions gopts;
+    gopts.seed = seed;
+    affine += expect_exact_trips_traced(
+        benchsuite::generate_affine_program(gopts).source,
+        "affine seed " + std::to_string(seed));
+    benchsuite::StressOptions sopts;
+    sopts.seed = seed;
+    stress += expect_exact_trips_traced(
+        benchsuite::generate_stress_program(sopts),
+        "stress seed " + std::to_string(seed));
+  }
+  EXPECT_GT(affine, 0);
+  EXPECT_GT(stress, 0);
+}
+
+TEST(ExactTrips, LoopFormFixturesRunTheProvedTripCount) {
+  for (const LoopCase& c : kLoopCases) {
+    const int checked = expect_exact_trips_traced(loop_program(c), c.name);
+    EXPECT_EQ(checked, c.lo == c.hi ? 1 : 0) << c.name;
+  }
+}
+
+TEST(ExactTrips, GivingUpOnRecursionDropsEveryProof) {
+  // The checker analyses f(3) and abandons the recursive call, so the
+  // loop's deeper executions (2, 1 and 0 trips) are never analysed: its
+  // [3, 3] is no proof, and no loop of the program keeps one.
+  const std::string src =
+      "int a[64];\n"
+      "int f(int n) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < n; i++) s = s + a[i];\n"
+      "  if (n > 0) s = s + f(n - 1);\n"
+      "  return s;\n"
+      "}\n"
+      "int main(void) { return f(3); }\n";
+  const CheckReport rep = lint(src);
+  EXPECT_TRUE(has_diag(rep, CheckKind::Recursion, Severity::Warning));
+  EXPECT_TRUE(rep.loop_trips.empty());
+  EXPECT_EQ(expect_exact_trips_traced(src, "recursive f"), 0);
 }
 
 // -- the text report ----------------------------------------------------------

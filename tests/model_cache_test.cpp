@@ -366,6 +366,56 @@ TEST_F(ModelCacheTest, BoundSmallerThanOneEntryEvictsTheFreshStore) {
   EXPECT_TRUE(entries().empty());
 }
 
+/// A sweep of kGood through `cache`, whose disk write fails: the failure
+/// is counted once, nothing temporary is left under `root`, the memory
+/// layer still answers the key, and the rows are those of an uncached
+/// sweep. (Tests run as root, so permission bits cannot force it.)
+void expect_store_failure_is_harmless(ModelCache& cache,
+                                      const std::string& root) {
+  const std::vector<SweepJob> one = {{"alpha", kGood}};
+  const auto sweep = [&one](ModelCache* c) {
+    SweepDriver driver(sweep_opts(/*threads=*/1, c));
+    std::ostringstream out;
+    EXPECT_TRUE(driver.run_ndjson(one, out).ok());
+    return out.str();
+  };
+  const std::string cached = sweep(&cache);
+  const ModelCache::Stats s = cache.stats();
+  EXPECT_EQ(s.stores, 1u);
+  EXPECT_EQ(s.store_failures, 1u);
+  for (const auto& e :
+       std::filesystem::recursive_directory_iterator(root)) {
+    EXPECT_EQ(e.path().string().find(".tmp."), std::string::npos)
+        << e.path();
+  }
+  core::ForayModel loaded;
+  util::Status why;
+  EXPECT_TRUE(cache.lookup(
+      ModelCache::key(kGood, sweep_opts(1, nullptr).pipeline), &loaded, &why));
+  EXPECT_EQ(cache.stats().memory_hits, 1u);
+  EXPECT_EQ(cached, sweep(nullptr));
+}
+
+TEST_F(ModelCacheTest, DirectoryBeneathARegularFileFailsTheStoreOnly) {
+  // The cache directory cannot be created, so the temporary file cannot
+  // be opened.
+  std::filesystem::create_directories(dir_);
+  std::ofstream(dir_ + "/file") << "not a directory";
+  ModelCache cache(ModelCacheOptions{dir_ + "/file/cache"});
+  expect_store_failure_is_harmless(cache, dir_);
+}
+
+TEST_F(ModelCacheTest, EntryPathThatIsADirectoryFailsTheRename) {
+  // The temporary file is written, but rename(2) cannot replace a
+  // directory with it; the temporary is removed.
+  const std::string key =
+      ModelCache::key(kGood, sweep_opts(1, nullptr).pipeline);
+  std::filesystem::create_directories(dir_ + "/" + key + ".fmodel");
+  ModelCache cache(ModelCacheOptions{dir_});
+  expect_store_failure_is_harmless(cache, dir_);
+  EXPECT_TRUE(std::filesystem::is_directory(dir_ + "/" + key + ".fmodel"));
+}
+
 TEST(ModelCacheKey, TracksModelChangingOptionsOnly) {
   core::PipelineOptions base;
   const std::string k = ModelCache::key(kGood, base);

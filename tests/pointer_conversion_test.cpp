@@ -165,6 +165,24 @@ TEST(PointerConversion, PointerFromMallocNotCandidate) {
   EXPECT_TRUE(a.conv.convertible_ref_nodes.empty());
 }
 
+TEST(PointerConversion, WalkInALoopTheBaselineRejectsDoesNotConvert) {
+  // The loop test is the Table II baseline's: a step written `i = i + 1`
+  // or a body that writes the iterator leaves no canonical iterator to
+  // convert onto, whatever the init and bound.
+  for (const char* loop :
+       {"for (int i = 0; i < 64; i = i + 1) *p++ = i;",
+        "for (int i = 0; i < 64; i++) { *p++ = i; if (i > 60) i = 64; }",
+        "for (int i = 0; 64 > i; i++) *p++ = i;"}) {
+    SCOPED_TRACE(loop);
+    auto a = analyze_src(std::string("int v[256];\n"
+                                     "int main(void) {\n"
+                                     "  int *p = v;\n  ") +
+                         loop + "\n  return 0;\n}\n");
+    EXPECT_TRUE(a.conv.convertible_ref_nodes.empty());
+    EXPECT_TRUE(a.conv.convertible_pointers.count("main/p"));
+  }
+}
+
 // -- baseline comparison ------------------------------------------------------
 
 TEST(BaselineComparison, ThreeTierOrdering) {
