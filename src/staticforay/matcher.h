@@ -8,15 +8,14 @@
 //   - affine_form reads an index expression as coefficients per in-scope
 //     iterator plus a constant (the LoopTactics idiom of parsing an
 //     access into the induction variables it uses);
-//   - fold_const is the one constant folder;
-//   - writes_name is the one "this statement writes that name" test.
+//   - fold_const is the one constant folder, writes_name the one "this
+//     statement writes that name" test, and any_expr / any_stmt /
+//     any_stmt_expr the AST walks.
 //
-// Each pass adds only its own rule on top: the Table II baseline
-// (static_analysis.h) asks for an `int` iterator, constant init, bound
-// and delta, an increment or compound step and an unmirrored condition;
-// pointer conversion uses that same loop test and affine form; the
-// checker (checker.h) evaluates init, delta and bound as intervals,
-// checks their invariance and proves the iterator cannot wrap.
+// Each pass adds only its own rule: the Table II baseline's
+// canonical_loop (static_analysis.h), which pointer conversion uses too,
+// and the checker's interval evaluation, invariance check and no-wrap
+// proof (extract_trips in checker.cpp).
 #pragma once
 
 #include <cstdint>

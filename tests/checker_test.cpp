@@ -14,8 +14,9 @@
 // Any violation is a test failure — loosening a max bound or tightening
 // a min bound in the checker is the fix, never weakening this harness.
 // Unit tests below pin the interval domain, trip-count extraction, each
-// diagnostic kind's fixture, the text report `foraygen lint` prints, and
-// the sweep driver's lint_first wiring.
+// diagnostic kind's fixture, the shared matcher's loop forms, the
+// exact-trip lock against the traced loop tree, the text report
+// `foraygen lint` prints, and the sweep driver's lint_first wiring.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -366,7 +367,7 @@ TEST(CheckerSoundness, MustFaultFixturesFaultForReal) {
   }
 }
 
-// -- the shared matcher (staticforay/matcher.h) -------------------------------
+// -- the shared matcher (staticforay/matcher.h) ------------------------------
 // One row per loop form: what match_loop reads, whether the Table II
 // baseline counts the loop as canonical, the trips the checker proves
 // and whether it flags an iterator write. Every row's program also goes
@@ -409,13 +410,23 @@ const LoopCase kLoopCases[] = {
      StepForm::Assign, true, kGt, false, false, 7, 7, false},
     {"mirrored", "for (int i = 0; 10 > i; i++) a[i] = i;", true,
      StepForm::IncDec, false, kLt, true, false, 10, 10, false},
+    {"mirrored <", "for (int i = 10; 0 < i; i--) a[i] = i;", true,
+     StepForm::IncDec, true, kGt, true, false, 10, 10, false},
+    {"mirrored <=", "for (int i = 10; 1 <= i; i--) a[i] = i;", true,
+     StepForm::IncDec, true, minic::BinaryOp::Ge, true, false, 10, 10,
+     false},
+    {"mirrored >=", "for (int i = 0; 9 >= i; i++) a[i] = i;", true,
+     StepForm::IncDec, false, minic::BinaryOp::Le, true, false, 10, 10,
+     false},
+    {"mirrored !=", "for (int i = 0; 10 != i; i++) a[i] = i;", true,
+     StepForm::IncDec, false, kNe, true, false, 10, 10, false},
     {"!= up", "for (int i = 0; i != 10; i++) a[i] = i;", true,
      StepForm::IncDec, false, kNe, false, true, 10, 10, false},
     {"!= down", "for (int i = 10; i != 0; i--) a[i] = i;", true,
      StepForm::IncDec, true, kNe, false, true, 10, 10, false},
     {"invariant bound", "for (int i = 0; i < n; i++) a[i] = i;", true,
      StepForm::IncDec, false, kLt, false, false, 7, 7, false},
-    {"char iterator", "char c; for (c = 0; c < 9; c++) a[c] = c;", true,
+    {"char iterator", "char i; for (i = 0; i < 9; i++) a[i] = i;", true,
      StepForm::IncDec, false, kLt, false, false, 9, 9, false},
     {"body writes", "for (int i = 0; i < 10; i++) { a[i] = i; i = i + 1; }",
      true, StepForm::IncDec, false, kLt, false, false, 0, kUnbounded, true},
@@ -426,6 +437,9 @@ const LoopCase kLoopCases[] = {
     {"i = i * k", "for (int i = 1; i < 10; i = i * 2) a[i] = i;", false,
      StepForm::IncDec, false, kLt, false, false, 0, kUnbounded, false},
     {"delta mentions i", "for (int i = 1; i < 10; i += i) a[i] = i;", false,
+     StepForm::IncDec, false, kLt, false, false, 0, kUnbounded, false},
+    {"step on an element",
+     "for (int i = 0; i < 10; a[0]++) { a[1] = i; i++; }", false,
      StepForm::IncDec, false, kLt, false, false, 0, kUnbounded, false},
 };
 
@@ -455,12 +469,13 @@ TEST(Matcher, LoopFormsTable) {
     auto prog = minic::parse_and_check(src, &diags);
     ASSERT_NE(prog, nullptr) << diags.str();
     instrument::annotate_loops(prog.get());
-    const minic::Stmt* loop = first_for(prog->find_function("main")->body.get());
+    const minic::Stmt* loop =
+        first_for(prog->find_function("main")->body.get());
     ASSERT_NE(loop, nullptr);
     const std::optional<LoopMatch> m = match_loop(*loop);
     ASSERT_EQ(m.has_value(), c.matched);
     if (m) {
-      EXPECT_EQ(m->iter(), c.name[0] == 'c' && c.name[1] == 'h' ? "c" : "i");
+      EXPECT_EQ(m->iter(), "i");
       EXPECT_EQ(m->step, c.step);
       EXPECT_EQ(m->down, c.down);
       EXPECT_EQ(m->rel, c.rel);
@@ -527,7 +542,8 @@ TEST(Matcher, AffineFormsReadCoefficientsPerIterator) {
     util::DiagList diags;
     auto prog = minic::parse_and_check(src, &diags);
     ASSERT_NE(prog, nullptr) << diags.str();
-    const minic::Stmt* outer = first_for(prog->find_function("main")->body.get());
+    const minic::Stmt* outer =
+        first_for(prog->find_function("main")->body.get());
     const minic::Expr& store = *outer->body->body->expr;  // a[...] = k
     const minic::Expr& sum = *store.a->b;                 // index + 64
     const auto f = affine_form(sum.a.get(), {"i", "j"});
@@ -562,7 +578,7 @@ TEST(CheckerSoundness, LoopFormFixtures) {
   }
 }
 
-// -- the exact-trip lock --------------------------------------------------------
+// -- the exact-trip lock ------------------------------------------------------
 // Where the checker proves a loop's trip count exact (lo == hi == T in
 // every context it analysed), the traced loop tree agrees: every node of
 // that loop ran T iterations per entry. Trace-free Phase I relies on it.

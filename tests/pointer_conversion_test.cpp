@@ -165,6 +165,30 @@ TEST(PointerConversion, PointerFromMallocNotCandidate) {
   EXPECT_TRUE(a.conv.convertible_ref_nodes.empty());
 }
 
+TEST(PointerConversion, PreIncrementWalkConverts) {
+  auto a = analyze_src(
+      "int v[256];\n"
+      "int main(void) {\n"
+      "  int *p = v;\n"
+      "  for (int i = 0; i < 64; i++) *++p = i;\n"
+      "  return 0;\n"
+      "}\n");
+  EXPECT_EQ(a.conv.convertible_ref_nodes.size(), 1u);
+}
+
+TEST(PointerConversion, NonAffineSubscriptThroughPointerDisqualifies) {
+  auto a = analyze_src(
+      "int v[256]; int t[16];\n"
+      "int main(void) {\n"
+      "  int *p = v;\n"
+      "  for (int i = 0; i < 16; i++) p[t[i]] = i;\n"
+      "  for (int i = 0; i < 16; i++) *p++ = i;\n"
+      "  return 0;\n"
+      "}\n");
+  EXPECT_TRUE(a.conv.convertible_ref_nodes.empty());
+  EXPECT_TRUE(a.conv.convertible_pointers.empty());
+}
+
 TEST(PointerConversion, WalkInALoopTheBaselineRejectsDoesNotConvert) {
   // The loop test is the Table II baseline's: a step written `i = i + 1`
   // or a body that writes the iterator leaves no canonical iterator to

@@ -161,6 +161,19 @@ TEST(Static, LocalArrayRecognized) {
   EXPECT_EQ(a.analysis.affine_ref_nodes.size(), 2u);  // store + final read
 }
 
+TEST(Static, OverflowingConstantDivisionIsNotFolded) {
+  // INT64_MIN / -1 traps on x86-64; the folder refuses it rather than
+  // evaluate it, so the subscript is simply not a constant.
+  auto a = analyze_src(
+      "int v[8];\n"
+      "int main(void) {\n"
+      "  int i = 0;\n"
+      "  if (i) v[(-9223372036854775807 - 1) / -1] = 1;\n"
+      "  return v[1];\n"
+      "}\n");
+  EXPECT_EQ(a.analysis.affine_ref_nodes.size(), 1u);  // v[1] only
+}
+
 // -- conversion stats (Table II join) ----------------------------------------
 
 TEST(Conversion, FullyStaticProgramHasZeroPctNotForay) {
